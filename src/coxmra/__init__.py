@@ -27,17 +27,15 @@ from .wavelet import (
     operator_to_wavelet,
     wavelet_to_operator_eigs,
 )
-from .sarh import NodeParams, SarhSpec, default_variance_profile, simulate, stationarity_check
+from .sarh import NodeParams, SarhSpec, default_variance_profile, simulate
 from .spectral import (
     FrequencyGrid,
     PeriodogramTable,
     divergence,
     empirical_contrast,
-    eta_weight,
-    fdft,
-    model_density,
-    normalised_density,
+    log_psi,
     periodogram,
+    stationarity_check,
 )
 from .estimator import (
     EstimationReport,

@@ -15,20 +15,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sarh import stationarity_check
 from .spectral import (
     FrequencyGrid,
     PeriodogramTable,
+    _inverse_symbol_sq,
+    _stationary,
     all_periodograms,
-    ar_symbol_sq,
-    empirical_contrast,
-    eta_table,
-    normalised_density,
+    contrast_weights,
+    log_psi,
+    stationarity_check,
 )
 from .wavelet import MultiscaleCoefficients, OperatorWaveletMatrix, wavelet_to_operator_eigs
 
 # keep candidates strictly inside the stationarity region
 _BOUNDARY_MARGIN = 1e-3
+# fits within this distance of the margin are reported as near_boundary
+_BOUNDARY_SLACK = 0.05
 _COARSE_POINTS = 11
 _REFINE_TOL = 1e-6
 
@@ -83,65 +85,31 @@ class ThetaDomain:
             cand = np.column_stack(
                 [t1.ravel(), t2.ravel(), -(t1 * t2).ravel()]
             )
-            keep = (np.abs(cand[:, 0]) < 1 - _BOUNDARY_MARGIN) & (
-                np.abs(cand[:, 1]) < 1 - _BOUNDARY_MARGIN
-            )
         else:
             t1, t2, t3 = np.meshgrid(*axes, indexing="ij")
             cand = np.column_stack([t1.ravel(), t2.ravel(), t3.ravel()])
-            keep = np.abs(cand).sum(axis=1) < 1 - _BOUNDARY_MARGIN
-        cand = cand[keep]
+        cand = cand[self._edge_norm(cand) < 1 - _BOUNDARY_MARGIN]
         if cand.size == 0:
             raise ValueError("no stationary candidate in the box domain")
         return cand
 
+    def _edge_norm(self, thetas: np.ndarray) -> np.ndarray:
+        """Stationarity-edge norm per triple, < 1 inside: max(|th1|, |th2|)
+        when th3 is tied to them, |th1| + |th2| + |th3| otherwise."""
+        a = np.abs(thetas)
+        return a[..., :2].max(axis=-1) if self.couple_l3 else a.sum(axis=-1)
+
     def contains(self, theta) -> bool:
         th = np.asarray(theta, dtype=float)
-        if self.couple_l3:
-            in_box = all(
-                lo <= v <= hi for v, (lo, hi) in zip(th[:2], self.bounds[:2])
-            )
-            return in_box and abs(th[0]) < 1 - _BOUNDARY_MARGIN and abs(
-                th[1]
-            ) < 1 - _BOUNDARY_MARGIN
-        in_box = all(lo <= v <= hi for v, (lo, hi) in zip(th, self.bounds))
-        return in_box and np.abs(th).sum() < 1 - _BOUNDARY_MARGIN
+        free = 2 if self.couple_l3 else 3
+        in_box = all(lo <= v <= hi for v, (lo, hi) in zip(th[:free], self.bounds))
+        return in_box and self._edge_norm(th) < 1 - _BOUNDARY_MARGIN
 
-
-def _log_psi_stack(thetas: np.ndarray, freq: FrequencyGrid) -> np.ndarray:
-    """log of the normalised density for many candidates, shape (m, N)."""
-    w1, w2 = freq.mesh()
-    e1 = np.exp(1j * w1).ravel()
-    e2 = np.exp(1j * w2).ravel()
-    e12 = (e1 * e2)
-    sym = (
-        1.0
-        - thetas[:, 0:1] * e1[None, :]
-        - thetas[:, 1:2] * e2[None, :]
-        - thetas[:, 2:3] * e12[None, :]
-    )
-    inv = 1.0 / (np.abs(sym) ** 2)  # density shape at unit scale
-    eta = eta_table(freq).ravel()
-    scale = (inv * eta[None, :]).sum(axis=1) * freq.cell_measure
-    return np.log(inv) - np.log(scale)[:, None]
-
-
-def _contrast_matrix(
-    weights: np.ndarray, thetas: np.ndarray, freq: FrequencyGrid
-) -> np.ndarray:
-    """Empirical contrasts, shape (n_nodes, m_candidates).
-
-    `weights` holds Re(I) * eta * cell_measure per node, flattened over
-    frequencies.
-    """
-    log_psi = _log_psi_stack(thetas, freq)
-    return -(weights @ log_psi.T)
-
-
-def _contrast_single(weights_row: np.ndarray, theta, freq: FrequencyGrid) -> float:
-    return float(
-        _contrast_matrix(weights_row[None, :], np.asarray(theta)[None, :], freq)[0, 0]
-    )
+    def near_boundary(self, theta) -> bool:
+        """Whether a fit lies within the reporting slack of the domain's
+        stationarity edge."""
+        th = np.asarray(theta, dtype=float)
+        return bool(self._edge_norm(th) > 1 - _BOUNDARY_MARGIN - _BOUNDARY_SLACK)
 
 
 def _pattern_search(
@@ -153,8 +121,12 @@ def _pattern_search(
 ) -> tuple[np.ndarray, float, int]:
     """Coordinate-shrinking pattern search from a seed, projected to the
     domain.  Never returns a contrast above the seed value."""
+
+    def contrast(theta: np.ndarray) -> float:
+        return float(-(weights_row @ log_psi(theta[None, :], freq)[0]))
+
     best = np.asarray(start, dtype=float).copy()
-    best_val = _contrast_single(weights_row, best, freq)
+    best_val = contrast(best)
     step = step0
     iters = 0
     free = 2 if domain.couple_l3 else 3
@@ -168,7 +140,7 @@ def _pattern_search(
                     cand[2] = -cand[0] * cand[1]
                 if not domain.contains(cand):
                     continue
-                val = _contrast_single(weights_row, cand, freq)
+                val = contrast(cand)
                 iters += 1
                 if val < best_val - 1e-15:
                     best, best_val = cand, val
@@ -195,9 +167,7 @@ def estimate_node(
 
     Returns the estimated theta and the contrast value at the optimum.
     """
-    weights = (
-        table.real_values.ravel() * eta_table(table.freq).ravel()
-    ) * table.freq.cell_measure
+    weights = contrast_weights(table.values, table.freq)
     thetas, values, iters = _estimate_rows(weights[None, :], table.freq, domain)
     return thetas[0], float(values[0])
 
@@ -207,7 +177,7 @@ def _estimate_rows(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Batch node estimation over precomputed contrast weights."""
     cand = domain.candidates()
-    contrasts = _contrast_matrix(weights, cand, freq)
+    contrasts = -(weights @ log_psi(cand, freq).T)
     n_nodes = weights.shape[0]
     thetas = np.empty((n_nodes, 3))
     values = np.empty(n_nodes)
@@ -237,9 +207,7 @@ def estimate_sigma2(table: PeriodogramTable, theta) -> float:
     moment, matching the weighted integral of the parametric density."""
     if not stationarity_check(theta):
         raise ValueError(f"non-stationary theta {tuple(theta)}")
-    return float(
-        np.sum(table.real_values * eta_table(table.freq)) * table.freq.cell_measure
-    )
+    return float(contrast_weights(table.values, table.freq).sum())
 
 
 def innovation_variance(table: PeriodogramTable, theta) -> float:
@@ -250,10 +218,8 @@ def innovation_variance(table: PeriodogramTable, theta) -> float:
     weighted integral of that shape.
     """
     moment = estimate_sigma2(table, theta)
-    w1, w2 = table.freq.mesh()
-    shape = 1.0 / ((2.0 * np.pi) ** 2 * ar_symbol_sq(theta, w1, w2))
-    denom = float(np.sum(shape * eta_table(table.freq)) * table.freq.cell_measure)
-    return moment / denom
+    shape = _inverse_symbol_sq(_stationary(theta), table.freq)[0] / (2.0 * np.pi) ** 2
+    return moment / float(shape @ table.freq.eta_measure)
 
 
 @dataclass(frozen=True)
@@ -312,7 +278,6 @@ def estimate_all(
     s1, s2 = coeffs.grid.s1, coeffs.grid.s2
     freq = FrequencyGrid(s1, s2)
     fdfts = all_periodograms(coeffs.coeffs)  # (s1, s2, n) complex
-    eta_cm = eta_table(freq).ravel() * freq.cell_measure
 
     pairs = [(a, a) for a in range(n)]
     if include_cross:
@@ -321,18 +286,15 @@ def estimate_all(
     flat = fdfts.reshape(-1, n)  # (N, n)
     weights = np.empty((len(pairs), s1 * s2))
     for idx, (a, b) in enumerate(pairs):
-        cross = flat[:, a] * np.conj(flat[:, b])
-        weights[idx] = cross.real * eta_cm
+        weights[idx] = contrast_weights(flat[:, a] * np.conj(flat[:, b]), freq)
 
     thetas, values, iters = _estimate_rows(weights, freq, domain)
 
     estimates = []
     mats = [np.zeros((n, n)) for _ in range(3)]
-    boundary_slack = 0.05
     for idx, (a, b) in enumerate(pairs):
         th = thetas[idx]
         moment = float(weights[idx].sum())
-        near = np.abs(th).sum() > 1 - _BOUNDARY_MARGIN - boundary_slack
         estimates.append(
             NodeEstimate(
                 row=a,
@@ -341,7 +303,7 @@ def estimate_all(
                 sigma2=moment,
                 contrast=float(values[idx]),
                 iterations=int(iters[idx]),
-                near_boundary=bool(near),
+                near_boundary=domain.near_boundary(th),
             )
         )
         for i in range(3):
@@ -362,22 +324,6 @@ def estimate_all(
         eigenvalues1=lam1,
         eigenvalues2=lam2,
     )
-
-
-def verify_report(report: EstimationReport, coeffs: MultiscaleCoefficients) -> float:
-    """Re-evaluate the contrast at every reported optimum; returns the
-    largest absolute discrepancy (guards against stale caching)."""
-    freq = FrequencyGrid(coeffs.grid.s1, coeffs.grid.s2)
-    fdfts = all_periodograms(coeffs.coeffs).reshape(-1, coeffs.n_coeffs)
-    worst = 0.0
-    for est in report.estimates:
-        cross = fdfts[:, est.row] * np.conj(fdfts[:, est.col])
-        table = PeriodogramTable(
-            freq, cross.reshape(freq.s1, freq.s2), diagonal=est.row == est.col
-        )
-        val = empirical_contrast(table, est.theta)
-        worst = max(worst, abs(val - est.contrast))
-    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import numpy as np
 
 from .estimator import EstimationReport, ThetaDomain, estimate_all
 from .grids import FunctionalField, SpatialGrid, TimeGrid
-from .wavelet import MultiscaleCoefficients, field_dwt, idwt, level_slices
+from .wavelet import MultiscaleCoefficients, field_dwt, idwt
 
 
 @dataclass(frozen=True)
@@ -51,28 +51,6 @@ def predict_coeffs(
     mask = np.zeros((s1, s2), dtype=bool)
     mask[1:, 1:] = True
     return pred, mask
-
-
-def predict_coeffs_blockwise(
-    coeffs: MultiscaleCoefficients, report: EstimationReport
-) -> np.ndarray:
-    """Block-expanded evaluation of the same prediction.
-
-    Sums the scaling/scaling, scaling/detail, detail/scaling and
-    detail/detail contributions separately; algebraically identical to
-    the matrix-product form and kept as an internal cross-check.
-    """
-    c = coeffs.coeffs
-    pred = np.zeros_like(c)
-    slices = list(level_slices(coeffs.j0, coeffs.depth).values())
-    neighbours = (c[:-1, 1:], c[1:, :-1], c[:-1, :-1])
-    for mat, nb in zip((op.matrix for op in report.operators), neighbours):
-        for out_sl in slices:
-            for in_sl in slices:
-                pred[1:, 1:, out_sl] += np.einsum(
-                    "ab,pqb->pqa", mat[out_sl, in_sl], nb[:, :, in_sl]
-                )
-    return pred
 
 
 def predict(

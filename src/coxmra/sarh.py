@@ -19,23 +19,10 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .grids import FunctionalField, SpatialGrid, TimeGrid
+from .spectral import FrequencyGrid, _inverse_symbol_sq, stationarity_check
 from .wavelet import normalized_eigenfunctions
 
 DEFAULT_BURN_IN = 64
-
-
-def stationarity_check(theta) -> bool:
-    """Sufficient stationarity condition for one AR triple.
-
-    Accepts either |th1| + |th2| + |th3| < 1 (keeps the AR symbol away
-    from zero) or the factorized form th3 = -th1*th2 with |th1|, |th2| < 1.
-    """
-    th1, th2, th3 = (float(v) for v in theta)
-    if abs(th1) + abs(th2) + abs(th3) < 1.0:
-        return True
-    if abs(th1) < 1.0 and abs(th2) < 1.0 and np.isclose(th3, -th1 * th2, atol=1e-12):
-        return True
-    return False
 
 
 @dataclass(frozen=True)
@@ -147,12 +134,8 @@ class SarhSpec:
 
 def _spectral_variance(theta, sigma2: float, n: int = 256) -> float:
     """Variance of a stationary AR field via its spectral representation."""
-    w = 2.0 * np.pi * np.arange(n) / n
-    w1, w2 = np.meshgrid(w, w, indexing="ij")
-    sym = 1.0 - theta[0] * np.exp(1j * w1) - theta[1] * np.exp(1j * w2) - theta[
-        2
-    ] * np.exp(1j * (w1 + w2))
-    return float(sigma2 * np.mean(1.0 / np.abs(sym) ** 2))
+    thetas = np.asarray(theta, dtype=float).reshape(1, 3)
+    return float(sigma2 * np.mean(_inverse_symbol_sq(thetas, FrequencyGrid(n, n))))
 
 
 def simulate_component(

@@ -35,13 +35,9 @@ from coxmra.cox import integrated_intensity, intensity, save_counts
 from coxmra.estimator import EstimationReport, estimate_all
 from coxmra.grids import FunctionalField, detrend
 from coxmra.predict import predict_coeffs
-from coxmra.sarh import stationarity_check
-from coxmra.spectral import (
-    FrequencyGrid,
-    contrast_functional,
-    periodogram_direct,
-)
+from coxmra.spectral import FrequencyGrid, contrast_functional, stationarity_check
 from coxmra.wavelet import field_dwt, level_slices
+from oracles import periodogram_direct
 
 LAMBDA1 = np.array([0.300, 0.270, 0.230, 0.200, 0.170, 0.130, 0.100, 0.030, 0.010, 0.005])
 LAMBDA2 = np.array([0.500, 0.470, 0.430, 0.400, 0.370, 0.330, 0.300, 0.230, 0.200, 0.150])

@@ -12,15 +12,37 @@ from coxmra import (
     truncation_parameter,
 )
 from coxmra.estimator import (
+    EstimationReport,
     load_report,
     save_eigenvalue_table,
     save_report,
-    verify_report,
 )
-from coxmra.sarh import simulate_component, stationarity_check
-from coxmra.spectral import FrequencyGrid, empirical_contrast
+from coxmra.sarh import simulate_component
+from coxmra.spectral import (
+    FrequencyGrid,
+    PeriodogramTable,
+    all_periodograms,
+    empirical_contrast,
+    stationarity_check,
+)
 from coxmra.wavelet import MultiscaleCoefficients, field_dwt
 from coxmra.grids import detrend
+
+
+def verify_report(report: EstimationReport, coeffs: MultiscaleCoefficients) -> float:
+    """Re-evaluate the contrast at every reported optimum; returns the
+    largest absolute discrepancy (guards against stale caching)."""
+    freq = FrequencyGrid(coeffs.grid.s1, coeffs.grid.s2)
+    fdfts = all_periodograms(coeffs.coeffs).reshape(-1, coeffs.n_coeffs)
+    worst = 0.0
+    for est in report.estimates:
+        cross = fdfts[:, est.row] * np.conj(fdfts[:, est.col])
+        table = PeriodogramTable(
+            freq, cross.reshape(freq.s1, freq.s2), diagonal=est.row == est.col
+        )
+        val = empirical_contrast(table, est.theta)
+        worst = max(worst, abs(val - est.contrast))
+    return worst
 
 
 def _ar_periodogram(theta, s1, s2, seed, sigma2=1.0):
@@ -59,6 +81,23 @@ def test_domain_finite_grid_validation():
         ThetaDomain(mode="finite_grid", grid_points=((0.6, 0.6, 0.0),))
     dom = ThetaDomain(mode="finite_grid", grid_points=((0.1, 0.2, 0.0), (0.0, 0.0, 0.0)))
     assert dom.candidates().shape == (2, 3)
+
+
+def test_near_boundary_follows_domain_geometry():
+    # the coupled domain is the square |th1|, |th2| < 1, not the triangle
+    coupled, box = ThetaDomain(couple_l3=True), ThetaDomain()
+    assert not coupled.near_boundary((0.56, 0.56, -0.3136))
+    assert coupled.near_boundary((0.96, 0.1, -0.096))
+    assert box.near_boundary((0.5, 0.3, -0.19))
+    assert not box.near_boundary((0.4, 0.3, -0.19))
+    # a coupled fit well inside the square is not flagged
+    th0 = (0.56, 0.56, -0.56 * 0.56)
+    x = simulate_component(th0, 1.0, SpatialGrid(30, 30), 64, np.random.default_rng(0))
+    mc = MultiscaleCoefficients(SpatialGrid(30, 30), 0, 0, (x - x.mean())[:, :, None])
+    (est,) = estimate_all(mc, coupled).estimates
+    np.testing.assert_allclose(est.theta, th0, atol=0.01)
+    assert sum(abs(v) for v in est.theta) > 1.0
+    assert not est.near_boundary
 
 
 def test_finite_grid_estimation_picks_best_candidate():

@@ -2,15 +2,32 @@ import numpy as np
 import pytest
 
 from coxmra import SpatialGrid, ThetaDomain, TimeGrid, loo_validate, predict, simulate
-from coxmra.estimator import estimate_all
+from coxmra.estimator import EstimationReport, estimate_all
 from coxmra.grids import FunctionalField, detrend
-from coxmra.predict import (
-    _training_block,
-    predict_coeffs,
-    predict_coeffs_blockwise,
-    save_validation,
-)
-from coxmra.wavelet import field_dwt
+from coxmra.predict import _training_block, predict_coeffs, save_validation
+from coxmra.wavelet import MultiscaleCoefficients, field_dwt, level_slices
+
+
+def predict_coeffs_blockwise(
+    coeffs: MultiscaleCoefficients, report: EstimationReport
+) -> np.ndarray:
+    """Block-expanded evaluation of the same prediction.
+
+    Sums the scaling/scaling, scaling/detail, detail/scaling and
+    detail/detail contributions separately; algebraically identical to
+    the matrix-product form and kept as a cross-check.
+    """
+    c = coeffs.coeffs
+    pred = np.zeros_like(c)
+    slices = list(level_slices(coeffs.j0, coeffs.depth).values())
+    neighbours = (c[:-1, 1:], c[1:, :-1], c[:-1, :-1])
+    for mat, nb in zip((op.matrix for op in report.operators), neighbours):
+        for out_sl in slices:
+            for in_sl in slices:
+                pred[1:, 1:, out_sl] += np.einsum(
+                    "ab,pqb->pqa", mat[out_sl, in_sl], nb[:, :, in_sl]
+                )
+    return pred
 
 
 @pytest.fixture(scope="module")

@@ -3,23 +3,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coxmra import (
-    FrequencyGrid,
-    divergence,
-    eta_weight,
-    fdft,
-    model_density,
-    normalised_density,
-    periodogram,
-)
+from coxmra import FrequencyGrid, divergence, log_psi, periodogram
 from coxmra.spectral import (
+    _inverse_symbol_sq,
     all_periodograms,
-    ar_symbol_sq,
     contrast_functional,
+    contrast_weights,
     empirical_contrast,
-    eta_table,
-    periodogram_direct,
+    stationarity_check,
 )
+from oracles import fdft, periodogram_direct
+
+sides = st.integers(min_value=2, max_value=16)
+# stationary AR triples from both branches of the stationarity condition:
+# inside the l1 ball of radius 0.95, and factorized th3 = -th1 * th2
+_unit = st.floats(min_value=-1.0, max_value=1.0)
+triangle_thetas = st.tuples(_unit, _unit, _unit).map(
+    lambda th: tuple(0.95 * v / max(1.0, sum(abs(u) for u in th)) for v in th)
+)
+coupled_thetas = st.tuples(_unit, _unit).map(
+    lambda ab: (0.95 * ab[0], 0.95 * ab[1], -(0.95 * ab[0]) * (0.95 * ab[1]))
+)
+stationary_thetas = st.one_of(triangle_thetas, coupled_thetas)
 
 
 def test_frequency_grid_fundamental_domain():
@@ -37,6 +42,11 @@ def test_fdft_constant_field():
     x = np.ones((4, 4))
     val = fdft(x, (2 * np.pi / 4, 2 * np.pi / 4))
     assert abs(val) < 1e-12
+    # the FFT path vanishes at every nonzero Fourier frequency
+    f = all_periodograms(x[:, :, None])[:, :, 0]
+    assert abs(f[0, 0]) == pytest.approx(16 / (2 * np.pi * 4))
+    f[0, 0] = 0.0
+    assert np.abs(f).max() < 1e-12
 
 
 def test_fdft_single_site_phase():
@@ -47,15 +57,24 @@ def test_fdft_single_site_phase():
     w = (0.7, -1.1)
     expected = np.exp(-1j * (w[0] + w[1])) / (2 * np.pi * 3.0)
     assert fdft(x, w) == pytest.approx(expected, abs=1e-14)
+    # the FFT path applies the same 1-based phase at every Fourier frequency
+    w1, w2 = FrequencyGrid(3, 3).mesh()
+    np.testing.assert_allclose(
+        all_periodograms(x[:, :, None])[:, :, 0],
+        np.exp(-1j * (w1 + w2)) / (2 * np.pi * 3.0),
+        atol=1e-14,
+    )
 
 
-@given(st.integers(min_value=2, max_value=16), st.integers(min_value=2, max_value=16),
-       st.integers(min_value=0, max_value=10**6))
+@given(sides, sides, st.integers(min_value=0, max_value=10**6))
 @settings(max_examples=50, deadline=None)
 def test_periodogram_matches_direct_sum(s1, s2, seed):
-    x = np.random.default_rng(seed).normal(size=(s1, s2))
+    x, y = np.random.default_rng(seed).normal(size=(2, s1, s2))
     fast = periodogram(x).values
     slow = periodogram_direct(x).values
+    np.testing.assert_allclose(fast, slow, rtol=1e-10, atol=1e-12)
+    fast = periodogram(x, y).values
+    slow = periodogram_direct(x, y).values
     np.testing.assert_allclose(fast, slow, rtol=1e-10, atol=1e-12)
 
 
@@ -93,29 +112,68 @@ def test_periodogram_mean_relation():
     )
 
 
-def test_ar_symbol_sq_zero_frequency():
-    th = (0.3, 0.5, -0.15)
-    # at w = 0 the symbol is 1 - th1 - th2 - th3
-    assert ar_symbol_sq(th, 0.0, 0.0) == pytest.approx((1 - 0.3 - 0.5 + 0.15) ** 2)
+@given(sides, sides, stationary_thetas)
+@settings(max_examples=50, deadline=None)
+def test_ar_symbol_sq_zero_frequency(s1, s2, th):
+    # at w = 0 (the first flattened frequency) the symbol is 1 - th1 - th2 - th3
+    inv = _inverse_symbol_sq(np.array([th]), FrequencyGrid(s1, s2))
+    assert inv.shape == (1, s1 * s2)
+    assert 1.0 / inv[0, 0] == pytest.approx((1 - sum(th)) ** 2, rel=1e-12)
 
 
-def test_model_density_rejects_nonstationary():
+def test_contrast_rejects_nonstationary():
+    bad, good = (0.7, 0.7, 0.0), (0.3, 0.5, -0.15)
+    tab = periodogram(np.random.default_rng(3).normal(size=(6, 6)))
     with pytest.raises(ValueError):
-        model_density((0.7, 0.7, 0.0), 1.0, (0.0, 0.0))
+        empirical_contrast(tab, bad)
+    for pair in ((bad, good), (good, bad)):
+        with pytest.raises(ValueError):
+            divergence(*pair, tab.freq)
+        with pytest.raises(ValueError):
+            contrast_functional(*pair, tab.freq)
 
 
-def test_eta_weight_even_and_axis_zero():
-    assert eta_weight(0.0, 1.0) == 0.0
-    assert eta_weight(1.2, -0.7) == pytest.approx(eta_weight(-1.2, 0.7))
-    assert eta_weight(2.0, 3.0) == pytest.approx(36.0)
+@given(sides, sides)
+@settings(max_examples=50, deadline=None)
+def test_eta_weight_even_and_axis_zero(s1, s2):
+    freq = FrequencyGrid(s1, s2)
+    eta = freq.eta.reshape(s1, s2)
+    w1, w2 = freq.mesh()
+    np.testing.assert_allclose(eta, w1**2 * w2**2, rtol=1e-15)
+    # zero frequency sits at index 0 of each axis
+    assert not eta[0].any() and not eta[:, 0].any()
+    # w -> -w maps index i to -i mod s
+    mirror = eta[(-np.arange(s1)) % s1][:, (-np.arange(s2)) % s2]
+    np.testing.assert_allclose(mirror, eta, rtol=1e-12)
+    np.testing.assert_array_equal(freq.eta_measure, freq.eta * freq.cell_measure)
 
 
-def test_normalised_density_unit_mass():
-    freq = FrequencyGrid(12, 12)
-    psi, scale = normalised_density((0.3, 0.5, -0.15), freq)
-    assert scale > 0
-    mass = np.sum(psi * eta_table(freq)) * freq.cell_measure
+@given(sides, sides, stationary_thetas)
+@settings(max_examples=50, deadline=None)
+def test_normalised_density_unit_mass(s1, s2, th):
+    assert stationarity_check(th)
+    freq = FrequencyGrid(s1, s2)
+    lp = log_psi(np.array([th]), freq)
+    assert lp.shape == (1, freq.n) and np.isfinite(lp).all()
+    mass = np.exp(lp[0]) @ freq.eta * freq.cell_measure
     assert mass == pytest.approx(1.0, rel=1e-12)
+
+
+@given(sides, sides, st.lists(stationary_thetas, min_size=1, max_size=6),
+       st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=50, deadline=None)
+def test_log_psi_batched_matches_single(s1, s2, thetas, seed):
+    freq = FrequencyGrid(s1, s2)
+    batch = log_psi(np.array(thetas), freq)
+    single = np.vstack([log_psi(np.array([th]), freq) for th in thetas])
+    assert np.array_equal(batch, single)
+    # the contrasts the estimator seeds from batched rows match the public
+    # per-candidate contrast (the BLAS reduction order may differ)
+    tab = periodogram(np.random.default_rng(seed).normal(size=(s1, s2)))
+    seeded = -(contrast_weights(tab.values, freq) @ batch.T)
+    np.testing.assert_allclose(
+        seeded, [empirical_contrast(tab, th) for th in thetas], rtol=1e-12, atol=1e-14
+    )
 
 
 def test_divergence_zero_at_truth_and_positive():
@@ -134,15 +192,22 @@ def test_divergence_equals_contrast_difference():
 
 
 def test_empirical_contrast_matches_quadrature():
-    # independent re-computation of the contrast as an explicit loop
+    # independent re-computation of the contrast as explicit loops
     x = np.random.default_rng(9).normal(size=(6, 6))
     tab = periodogram(x)
     th = (0.25, 0.4, -0.1)
-    psi, _ = normalised_density(th, tab.freq)
+    freq = tab.freq
+    dens = np.empty((6, 6))
+    eta = np.empty((6, 6))
+    for i, w1 in enumerate(freq.w1):
+        for j, w2 in enumerate(freq.w2):
+            sym = 1 - th[0] * np.exp(1j * w1) - th[1] * np.exp(1j * w2) - th[2] * np.exp(1j * (w1 + w2))
+            dens[i, j] = 1.0 / abs(sym) ** 2
+            eta[i, j] = abs(w1) ** 2 * abs(w2) ** 2
+    psi = dens / (np.sum(dens * eta) * freq.cell_measure)
     total = 0.0
     for i in range(6):
         for j in range(6):
-            w1, w2 = tab.freq.w1[i], tab.freq.w2[j]
-            total -= tab.real_values[i, j] * eta_weight(w1, w2) * np.log(psi[i, j])
-    total *= tab.freq.cell_measure
+            total -= tab.real_values[i, j] * eta[i, j] * np.log(psi[i, j])
+    total *= freq.cell_measure
     assert empirical_contrast(tab, th) == pytest.approx(total, rel=1e-12)
