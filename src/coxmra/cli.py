@@ -89,22 +89,6 @@ def simulate(obj):
         _fail(exc)
 
 
-@main.command()
-@click.argument("field_file", type=click.Path(exists=True))
-@click.pass_obj
-def dwt(obj, field_file):
-    """Wavelet-transform a field file into a coefficient file."""
-    cfg: RunConfig = obj["config"]
-    try:
-        fld = grids.load_field(field_file, cfg.io.format)
-        mc = wavelet.field_dwt(fld, cfg.time.j0)
-        out = obj["out"] / (Path(field_file).stem + "_coeffs.ndjson")
-        wavelet.save_coefficients(mc, out)
-        click.echo(str(out))
-    except Exception as exc:
-        _fail(exc)
-
-
 def _estimate_field(cfg: RunConfig, fld: grids.FunctionalField):
     residual, mean = grids.detrend(fld)
     mc = wavelet.field_dwt(residual, cfg.time.j0)

@@ -22,9 +22,11 @@ from .spectral import (
     _stationary,
     all_periodograms,
     contrast_weights,
+    edge_norm,
     log_psi,
     stationarity_check,
 )
+from .grids import place_records, read_ndjson, record_fault
 from .wavelet import MultiscaleCoefficients, OperatorWaveletMatrix, wavelet_to_operator_eigs
 
 # keep candidates strictly inside the stationarity region
@@ -88,28 +90,22 @@ class ThetaDomain:
         else:
             t1, t2, t3 = np.meshgrid(*axes, indexing="ij")
             cand = np.column_stack([t1.ravel(), t2.ravel(), t3.ravel()])
-        cand = cand[self._edge_norm(cand) < 1 - _BOUNDARY_MARGIN]
+        cand = cand[edge_norm(cand, self.couple_l3) < 1 - _BOUNDARY_MARGIN]
         if cand.size == 0:
             raise ValueError("no stationary candidate in the box domain")
         return cand
-
-    def _edge_norm(self, thetas: np.ndarray) -> np.ndarray:
-        """Stationarity-edge norm per triple, < 1 inside: max(|th1|, |th2|)
-        when th3 is tied to them, |th1| + |th2| + |th3| otherwise."""
-        a = np.abs(thetas)
-        return a[..., :2].max(axis=-1) if self.couple_l3 else a.sum(axis=-1)
 
     def contains(self, theta) -> bool:
         th = np.asarray(theta, dtype=float)
         free = 2 if self.couple_l3 else 3
         in_box = all(lo <= v <= hi for v, (lo, hi) in zip(th[:free], self.bounds))
-        return in_box and self._edge_norm(th) < 1 - _BOUNDARY_MARGIN
+        return in_box and edge_norm(th, self.couple_l3) < 1 - _BOUNDARY_MARGIN
 
     def near_boundary(self, theta) -> bool:
         """Whether a fit lies within the reporting slack of the domain's
         stationarity edge."""
         th = np.asarray(theta, dtype=float)
-        return bool(self._edge_norm(th) > 1 - _BOUNDARY_MARGIN - _BOUNDARY_SLACK)
+        return bool(edge_norm(th, self.couple_l3) > 1 - _BOUNDARY_MARGIN - _BOUNDARY_SLACK)
 
 
 def _pattern_search(
@@ -168,7 +164,7 @@ def estimate_node(
     Returns the estimated theta and the contrast value at the optimum.
     """
     weights = contrast_weights(table.values, table.freq)
-    thetas, values, iters = _estimate_rows(weights[None, :], table.freq, domain)
+    thetas, values, _ = _estimate_rows(weights[None, :], table.freq, domain)
     return thetas[0], float(values[0])
 
 
@@ -252,14 +248,6 @@ class EstimationReport:
         for est in self.estimates:
             if est.row == est.col:
                 out[est.row] = est.theta
-        return out
-
-    def diagonal_sigma2(self) -> np.ndarray:
-        n = 1 << self.depth
-        out = np.full(n, np.nan)
-        for est in self.estimates:
-            if est.row == est.col:
-                out[est.row] = est.sigma2
         return out
 
 
@@ -354,31 +342,33 @@ def save_report(report: EstimationReport, path) -> None:
 
 
 def load_report(path) -> EstimationReport:
-    with open(path) as fh:
-        meta = json.loads(fh.readline())
-        j0, depth, n_sites = meta["j0"], meta["depth"], meta["n_sites"]
-        n = 1 << depth
-        estimates = []
-        mats = [np.zeros((n, n)) for _ in range(3)]
-        for line in fh:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            estimates.append(
-                NodeEstimate(
-                    row=rec["row"],
-                    col=rec["col"],
-                    theta=tuple(rec["theta"]),
-                    sigma2=rec["sigma2"],
-                    contrast=rec["contrast"],
-                    iterations=rec["iterations"],
-                    near_boundary=rec["near_boundary"],
-                )
-            )
-            for i in range(3):
-                mats[i][rec["row"], rec["col"]] = rec["theta"][i]
+    """Read a `save_report` file.  Every diagonal pair must be present;
+    the off-diagonal pairs are either all present or all absent."""
+    (j0, depth, n_sites, k), records, lineno = read_ndjson(
+        path,
+        {"j0": int, "depth": int, "n_sites": int, "k": int},
+        # NodeEstimate field order
+        {"row": int, "col": int, "theta": list, "sigma2": float,
+         "contrast": float, "iterations": int, "near_boundary": bool},
+    )
+    if not (0 <= j0 <= depth and depth >= 1 and k >= 1):
+        raise record_fault(path, 1, f"bad layout j0={j0}, depth={depth}, k={k}")
+    n = 1 << depth
+    for i, (_, _, theta, *_) in enumerate(records):
+        if len(theta) != 3:
+            raise record_fault(path, lineno(i), f"theta has {len(theta)} values, expected 3")
+    estimates = [NodeEstimate(*rec) for rec in records]
+    pairs = np.array([(e.row, e.col) for e in estimates], dtype=np.int64).reshape(-1, 2)
+    thetas = np.array([e.theta for e in estimates]).reshape(-1, 3)
+    shape = (n, n) if (pairs[:, 0] != pairs[:, 1]).any() else (n,)
+    place_records(
+        path, shape, pairs[:, : len(shape)], thetas, lineno,
+        lambda key: f"pair ({key[0]}, {key[-1]})",
+    )
+    mats = np.zeros((3, n, n))
+    mats[:, pairs[:, 0], pairs[:, 1]] = thetas.T
     operators = tuple(OperatorWaveletMatrix(j0, depth, m) for m in mats)
-    k = min(meta["k"], n)
+    k = min(k, n)
     return EstimationReport(
         j0=j0,
         depth=depth,

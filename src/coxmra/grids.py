@@ -9,7 +9,9 @@ weight 2^-D (exact for the Haar system on this grid).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -115,13 +117,143 @@ def add_mean(fld: FunctionalField, mean: MeanCurve) -> FunctionalField:
 
 
 # ---------------------------------------------------------------------------
-# serialization
+# record files
+#
+# Every loader reads through `read_csv_records` or `read_ndjson` and then
+# `place_records`.  Faults raise FieldFormatError "<path>: line <n>: <what>";
+# faults of the whole file name the line after the last record.
+
+
+def record_fault(path, lineno: int, what) -> FieldFormatError:
+    return FieldFormatError(f"{path}: line {lineno}: {what}")
+
+
+def read_csv_records(path, columns: dict) -> tuple[np.ndarray, Callable[[int], int]]:
+    """Parse a CSV file whose header names `columns` (name -> dtype) into
+    one structured row per non-empty line, plus the line lookup of
+    `place_records`."""
+    header = ",".join(columns)
+    dtype = np.dtype(list(columns.items()))
+    with open(path) as fh:
+        found = fh.readline().strip()
+        if found != header:
+            raise record_fault(path, 1, f"unexpected header {found!r}, expected {header!r}")
+        start = fh.tell()
+        if all(line == "\n" for line in iter(fh.readline, "")):
+            raise record_fault(path, 2, "no records")
+        fh.seek(start)
+        try:
+            return _parse_csv(fh, dtype), lambda i: _record_lines(path)[i][0]
+        except ValueError as exc:
+            error = exc
+    for lineno, text in _record_lines(path)[:-1]:  # find the line it rejected
+        try:
+            _parse_csv([text], dtype)
+        except ValueError:
+            raise record_fault(path, lineno, f"expected {header}, got {text.strip()!r}")
+    raise FieldFormatError(f"{path}: {error}")
+
+
+def _parse_csv(lines, dtype: np.dtype) -> np.ndarray:
+    # loadtxt skips only empty lines, exactly those `_record_lines` drops
+    return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+
+
+def _record_lines(path) -> list[tuple[int, str]]:
+    """(line number, text) of every non-empty line after the first, plus
+    the line after the last one."""
+    with open(path) as fh:
+        lines = [(n, line) for n, line in enumerate(fh, start=1) if n > 1 and line != "\n"]
+    return lines + [(lines[-1][0] + 1 if lines else 2, "")]
+
+
+def read_ndjson(path, meta: dict, record: dict) -> tuple[tuple, list[tuple], Callable]:
+    """Parse the metadata line and one record per non-empty line after it.
+
+    `meta` and `record` map each key to its JSON kind (int, float, bool, or
+    list of floats); values come in schema order, with the line lookup of
+    `place_records`.
+    """
+    with open(path) as fh:
+        head = _json_values(path, 1, fh.readline(), meta)
+    lines = _record_lines(path)
+    records = [_json_values(path, n, text, record) for n, text in lines[:-1]]
+    return head, records, lambda i: lines[i][0]
+
+
+def _json_values(path, lineno: int, line: str, schema: dict) -> tuple:
+    try:
+        obj = json.loads(line.rstrip())
+    except json.JSONDecodeError as exc:
+        raise record_fault(path, lineno, f"bad JSON at column {exc.colno}: {exc.msg}") from exc
+    if not isinstance(obj, dict) or obj.keys() != schema.keys():
+        keys = sorted(obj) if isinstance(obj, dict) else type(obj).__name__
+        raise record_fault(path, lineno, f"expected keys {sorted(schema)}, got {keys}")
+    try:
+        return tuple(_typed(obj[key], kind) for key, kind in schema.items())
+    except (TypeError, ValueError) as exc:
+        raise record_fault(path, lineno, exc) from exc
+
+
+def _typed(v, kind: type):
+    """A JSON value of `kind`; numbers are finite, a list holds numbers."""
+    if kind is float and type(v) is int:
+        v = float(v)
+    if type(v) is not kind:
+        raise TypeError(f"expected {kind.__name__}, got {v!r}")
+    if kind is list:
+        return tuple(_typed(x, float) for x in v)
+    if kind is float and not math.isfinite(v):
+        raise ValueError(f"non-finite number {v!r}")
+    return v
+
+
+def place_records(path, shape: tuple, index, values, lineno: Callable, name: Callable) -> np.ndarray:
+    """Scatter one finite value per record into an array of `shape` + value
+    shape; every index tuple of `shape` must occur exactly once.
+
+    `index` holds one row of indices per record, `lineno(i)` is the line
+    of record i (i = record count: the line after the last) and
+    `name(key)` words an index tuple.  Keys are checked by sorting, so a
+    stray huge index allocates nothing.
+    """
+    index = np.asarray(index, dtype=np.int64).reshape(-1, len(shape))
+    values = np.asarray(values, dtype=float)
+    n = index.shape[0]
+    finite = np.isfinite(values).all(axis=tuple(range(1, values.ndim)))
+    if not finite.all():
+        raise record_fault(path, lineno(int(np.argmin(finite))), "non-finite value")
+    outside = ((index < 0) | (index >= np.asarray(shape))).any(axis=1)
+    if outside.any():
+        i = int(np.argmax(outside))
+        what = "negative index" if (index[i] < 0).any() else f"index outside {shape}"
+        raise record_fault(path, lineno(i), f"{name(tuple(map(int, index[i])))}: {what}")
+    flat = np.ravel_multi_index(tuple(index.T), shape)
+    order = np.argsort(flat, kind="stable")
+    ranked = flat[order]
+    repeats = order[1:][ranked[1:] == ranked[:-1]]
+    if repeats.size:
+        i = int(repeats.min())
+        raise record_fault(path, lineno(i), f"duplicate {name(tuple(map(int, index[i])))}")
+    size = math.prod(shape)
+    if n < size:  # no repeats and all in range: the first gap in the sorted keys
+        gap = np.flatnonzero(ranked != np.arange(n))
+        missing = np.unravel_index(int(gap[0]) if gap.size else n, shape)
+        raise record_fault(path, lineno(n), f"incomplete: missing {name(tuple(map(int, missing)))}")
+    out = np.empty((size,) + values.shape[1:])
+    out[flat] = values
+    return out.reshape(tuple(shape) + values.shape[1:])
+
+
+# ---------------------------------------------------------------------------
+# field files
 #
 # CSV-long: header "p,q,t_index,value", 0-based indices.
 # NDJSON: metadata line {"s1":..,"s2":..,"depth":..} then one object per
 # site {"p":..,"q":..,"curve":[..]}.
 
 FORMATS = ("csv", "ndjson")
+_CSV_COLUMNS = {"p": np.int64, "q": np.int64, "t_index": np.int64, "value": float}
 
 
 def save_field(fld: FunctionalField, path, fmt: str = "csv") -> None:
@@ -151,46 +283,19 @@ def _save_csv(fld: FunctionalField, path) -> None:
 
 
 def _load_csv(path) -> FunctionalField:
-    rows = {}
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "p,q,t_index,value":
-            raise FieldFormatError(f"unexpected CSV header: {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise FieldFormatError(f"line {lineno}: expected 4 fields")
-            try:
-                p, q, m = int(parts[0]), int(parts[1]), int(parts[2])
-                v = float(parts[3])
-            except ValueError as exc:
-                raise FieldFormatError(f"line {lineno}: {exc}") from exc
-            if not np.isfinite(v):
-                raise FieldFormatError(f"line {lineno}: non-finite value")
-            key = (p, q, m)
-            if key in rows:
-                raise FieldFormatError(f"line {lineno}: duplicate entry {key}")
-            rows[key] = v
-    if not rows:
-        raise FieldFormatError("empty field file")
-    s1 = max(k[0] for k in rows) + 1
-    s2 = max(k[1] for k in rows) + 1
-    nt = max(k[2] for k in rows) + 1
-    if len(rows) != s1 * s2 * nt:
-        raise FieldFormatError(
-            f"incomplete field: got {len(rows)} entries, "
-            f"expected {s1}*{s2}*{nt} = {s1 * s2 * nt}"
-        )
+    rows, lineno = read_csv_records(path, _CSV_COLUMNS)
+    index = np.column_stack([rows["p"], rows["q"], rows["t_index"]])
+    shape = tuple(int(v) + 1 for v in index.max(axis=0))
+    values = place_records(path, shape, index, rows["value"], lineno, lambda k: f"entry {k}")
+    s1, s2, nt = shape
     depth = nt.bit_length() - 1
-    if 1 << depth != nt:
-        raise FieldFormatError(f"time grid size {nt} is not a power of two")
-    values = np.empty((s1, s2, nt))
-    for (p, q, m), v in rows.items():
-        values[p, q, m] = v
-    return FunctionalField(SpatialGrid(s1, s2), TimeGrid(depth), values)
+    try:
+        if 1 << depth != nt:
+            raise ValueError(f"time grid size {nt} is not a power of two")
+        grid, time = SpatialGrid(s1, s2), TimeGrid(depth)
+    except ValueError as exc:
+        raise record_fault(path, lineno(len(rows)), exc) from exc
+    return FunctionalField(grid, time, values)
 
 
 def _save_ndjson(fld: FunctionalField, path) -> None:
@@ -204,37 +309,18 @@ def _save_ndjson(fld: FunctionalField, path) -> None:
 
 
 def _load_ndjson(path) -> FunctionalField:
-    with open(path) as fh:
-        try:
-            meta = json.loads(fh.readline())
-            s1, s2, depth = meta["s1"], meta["s2"], meta["depth"]
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise FieldFormatError(f"bad metadata line: {exc}") from exc
+    (s1, s2, depth), records, lineno = read_ndjson(
+        path, {"s1": int, "s2": int, "depth": int}, {"p": int, "q": int, "curve": list}
+    )
+    try:
         grid, time = SpatialGrid(s1, s2), TimeGrid(depth)
-        values = np.full((s1, s2, time.n), np.nan)
-        seen = np.zeros((s1, s2), dtype=bool)
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                p, q, curve = rec["p"], rec["q"], rec["curve"]
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise FieldFormatError(f"line {lineno}: {exc}") from exc
-            if not (0 <= p < s1 and 0 <= q < s2):
-                raise FieldFormatError(f"line {lineno}: site ({p},{q}) out of range")
-            if seen[p, q]:
-                raise FieldFormatError(f"line {lineno}: duplicate site ({p},{q})")
-            curve = np.asarray(curve, dtype=float)
-            if curve.shape != (time.n,):
-                raise FieldFormatError(
-                    f"line {lineno}: curve length {curve.shape[0]} != {time.n}"
-                )
-            if not np.all(np.isfinite(curve)):
-                raise FieldFormatError(f"line {lineno}: non-finite curve value")
-            values[p, q] = curve
-            seen[p, q] = True
-    if not seen.all():
-        missing = np.argwhere(~seen)[0]
-        raise FieldFormatError(f"missing site ({missing[0]},{missing[1]})")
-    return FunctionalField(grid, time, values)
+    except ValueError as exc:
+        raise record_fault(path, 1, exc) from exc
+    for i, (_, _, curve) in enumerate(records):
+        if len(curve) != time.n:
+            raise record_fault(path, lineno(i), f"curve length {len(curve)} != {time.n}")
+    values = np.array([curve for _, _, curve in records])
+    index = [site for *site, _ in records]
+    return FunctionalField(
+        grid, time, place_records(path, (s1, s2), index, values, lineno, lambda k: f"site {k}")
+    )

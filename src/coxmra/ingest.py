@@ -10,59 +10,43 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grids import FieldFormatError, FunctionalField, SpatialGrid, TimeGrid
+from .grids import FunctionalField, SpatialGrid, TimeGrid
+from .grids import place_records, read_csv_records, record_fault
 
 IDW_POWER = 2
 IDW_NEIGHBOURS = 4
 _EXACT_HIT = 1e-12
+_COLUMNS = {"site_id": object, "x": float, "y": float, "time_index": np.int64, "count": float}
 
 
 def read_count_records(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Parse `site_id,x,y,time_index,count` CSV.
 
-    Returns (coords (n_sites, 2), series (n_sites, n_times), site order
-    follows first appearance).  Every site must cover every time index.
+    Returns (coords (n_sites, 2), series (n_sites, n_times), site ids);
+    site order follows first appearance.  Every site must cover every time
+    index exactly once at one finite position.
     """
-    coords: dict[str, tuple[float, float]] = {}
-    obs: dict[tuple[str, int], float] = {}
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "site_id,x,y,time_index,count":
-            raise FieldFormatError(f"unexpected header: {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 5:
-                raise FieldFormatError(f"line {lineno}: expected 5 fields")
-            sid = parts[0]
-            try:
-                x, y = float(parts[1]), float(parts[2])
-                ti, count = int(parts[3]), float(parts[4])
-            except ValueError as exc:
-                raise FieldFormatError(f"line {lineno}: {exc}") from exc
-            if count < 0:
-                raise FieldFormatError(f"line {lineno}: negative count")
-            if sid in coords and coords[sid] != (x, y):
-                raise FieldFormatError(f"line {lineno}: site {sid} moved")
-            coords.setdefault(sid, (x, y))
-            key = (sid, ti)
-            if key in obs:
-                raise FieldFormatError(f"line {lineno}: duplicate (site,time) {key}")
-            obs[key] = count
-    if not obs:
-        raise FieldFormatError("empty count file")
-    site_ids = list(coords)
-    n_times = max(t for _, t in obs) + 1
-    series = np.empty((len(site_ids), n_times))
-    for i, sid in enumerate(site_ids):
-        for t in range(n_times):
-            if (sid, t) not in obs:
-                raise FieldFormatError(f"site {sid} missing time index {t}")
-            series[i, t] = obs[(sid, t)]
-    xy = np.array([coords[s] for s in site_ids])
-    return xy, series, np.array(site_ids)
+    rows, lineno = read_csv_records(path, _COLUMNS)
+    xy = np.column_stack([rows["x"], rows["y"]])
+    for bad, what in (
+        (~np.isfinite(xy).all(axis=1), "non-finite coordinate"),
+        (rows["count"] < 0, "negative count"),
+    ):
+        if bad.any():
+            raise record_fault(path, lineno(int(np.argmax(bad))), what)
+    ids, first, site = np.unique(rows["site_id"], return_index=True, return_inverse=True)
+    rank = np.argsort(first)  # sites in order of first appearance
+    site = np.argsort(rank)[site]
+    ids, coords = ids[rank].astype(str), xy[first[rank]]
+    moved = (xy != coords[site]).any(axis=1)
+    if moved.any():
+        i = int(np.argmax(moved))
+        raise record_fault(path, lineno(i), f"site {ids[site[i]]} moved")
+    t = rows["time_index"]
+    shape = (ids.size, int(t.max()) + 1)
+    series = place_records(path, shape, np.column_stack([site, t]), rows["count"], lineno,
+                           lambda k: f"time index {k[1]} of site {ids[k[0]]}")
+    return coords, series, ids
 
 
 def idw_interpolate(
@@ -107,16 +91,10 @@ def resample_time(series: np.ndarray, depth: int) -> np.ndarray:
     return np.apply_along_axis(lambda v: np.interp(t_new, t_raw, v), -1, series)
 
 
-def ingest_counts(
-    path, grid: SpatialGrid, depth: int, transform: str = "log1p"
-) -> FunctionalField:
-    """Full ingestion pipeline: parse, transform, interpolate, resample."""
+def ingest_counts(path, grid: SpatialGrid, depth: int) -> FunctionalField:
+    """Full ingestion pipeline: parse, log1p, interpolate, resample."""
     coords, series, _ = read_count_records(path)
-    if transform == "log1p":
-        log_series = np.log1p(series)
-    else:
-        raise ValueError(f"unknown count transform {transform!r}")
     targets = _grid_targets(coords, grid)
-    interpolated = idw_interpolate(coords, log_series, targets)
+    interpolated = idw_interpolate(coords, np.log1p(series), targets)
     values = resample_time(interpolated, depth).reshape(grid.s1, grid.s2, -1)
     return FunctionalField(grid, TimeGrid(depth), values)

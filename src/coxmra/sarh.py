@@ -19,7 +19,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .grids import FunctionalField, SpatialGrid, TimeGrid
-from .spectral import FrequencyGrid, _inverse_symbol_sq, stationarity_check
+from .spectral import FrequencyGrid, _inverse_symbol_sq, edge_norm, stationarity_check
 from .wavelet import normalized_eigenfunctions
 
 DEFAULT_BURN_IN = 64
@@ -174,12 +174,13 @@ def simulate(
     """
     if burn_in < 0:
         raise ValueError("burn_in must be >= 0")
-    max_rho = max(
-        np.max(np.abs(spec.eigenvalues1)), np.max(np.abs(spec.eigenvalues2))
+    thetas = np.column_stack(
+        [spec.eigenvalues1, spec.eigenvalues2, spec.eigenvalues3]
     )
-    if max_rho > 0 and max_rho ** max(burn_in, 1) > 1e-6:
+    rate = float(edge_norm(thetas, spec.couple_l3).max())
+    if rate > 0 and rate ** max(burn_in, 1) > 1e-6:
         warnings.warn(
-            f"burn_in={burn_in} may be too small for spectral radius {max_rho:.3f}",
+            f"burn_in={burn_in} may be too small for AR edge norm {rate:.3f}",
             stacklevel=2,
         )
     phi = normalized_eigenfunctions(spec.time, spec.truncation)

@@ -38,6 +38,13 @@ def stationarity_check(theta) -> bool:
     return False
 
 
+def edge_norm(thetas, couple_l3: bool) -> np.ndarray:
+    """Stationarity-edge norm per AR triple, < 1 inside: max(|th1|, |th2|)
+    when th3 is tied to them, |th1| + |th2| + |th3| otherwise."""
+    a = np.abs(np.asarray(thetas, dtype=float))
+    return a[..., :2].max(axis=-1) if couple_l3 else a.sum(axis=-1)
+
+
 @dataclass(frozen=True)
 class FrequencyGrid:
     """Fourier frequencies of an s1 x s2 lattice, mapped into (-pi, pi]^2."""

@@ -13,7 +13,7 @@ product; continuous L2(0,1) coefficients differ by the fixed factor
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Literal
+from typing import Literal
 
 import numpy as np
 
@@ -122,13 +122,6 @@ class MultiscaleCoefficients:
     def layout(self) -> list[WaveletIndex]:
         return index_layout(self.j0, self.depth)
 
-    def node_field(self, flat_index: int) -> np.ndarray:
-        """Scalar spatial field of one coefficient, shape (s1, s2)."""
-        return self.coeffs[:, :, flat_index]
-
-    def iter_nodes(self) -> Iterator[tuple[int, WaveletIndex]]:
-        return enumerate(self.layout())
-
 
 def field_dwt(fld: FunctionalField, j0: int) -> MultiscaleCoefficients:
     coeffs = dwt(fld.values, j0)
@@ -215,47 +208,3 @@ def wavelet_to_operator_eigs(op: OperatorWaveletMatrix, k: int) -> np.ndarray:
     eigs = np.linalg.eigvalsh(sym)
     order = np.argsort(-np.abs(eigs), kind="stable")
     return eigs[order[:k]]
-
-
-def save_coefficients(mc: MultiscaleCoefficients, path) -> None:
-    """NDJSON with the field metadata extended by the transform layout."""
-    import json
-
-    with open(path, "w") as fh:
-        meta = {
-            "s1": mc.grid.s1,
-            "s2": mc.grid.s2,
-            "depth": mc.depth,
-            "j0": mc.j0,
-        }
-        fh.write(json.dumps(meta, sort_keys=True) + "\n")
-        for p in range(mc.grid.s1):
-            for q in range(mc.grid.s2):
-                rec = {"p": p, "q": q, "coeffs": list(mc.coeffs[p, q])}
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
-
-
-def load_coefficients(path) -> MultiscaleCoefficients:
-    import json
-
-    from .grids import FieldFormatError
-
-    with open(path) as fh:
-        try:
-            meta = json.loads(fh.readline())
-            s1, s2 = meta["s1"], meta["s2"]
-            depth, j0 = meta["depth"], meta["j0"]
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise FieldFormatError(f"bad metadata line: {exc}") from exc
-        coeffs = np.full((s1, s2, 1 << depth), np.nan)
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                coeffs[rec["p"], rec["q"]] = rec["coeffs"]
-            except (json.JSONDecodeError, KeyError, TypeError, IndexError) as exc:
-                raise FieldFormatError(f"line {lineno}: {exc}") from exc
-    if np.isnan(coeffs).any():
-        raise FieldFormatError("missing coefficient record")
-    return MultiscaleCoefficients(SpatialGrid(s1, s2), j0, depth, coeffs)

@@ -56,9 +56,6 @@ def test_full_chain(workspace):
     _run(["--config", str(config), "--out", str(out), "simulate"])
     field = out / "field_000.csv"
 
-    _run(["--config", str(config), "--out", str(out), "dwt", str(field)])
-    assert (out / "field_000_coeffs.ndjson").exists()
-
     _run(["--config", str(config), "--out", str(out), "estimate", str(field)])
     report = out / "field_000_report.ndjson"
     assert report.exists()
@@ -130,6 +127,19 @@ def test_ingest_command(workspace):
     _run(["--config", str(config), "--out", str(out), "ingest", str(raw)])
     field = out / "raw_field.csv"
     assert field.read_text().startswith("p,q,t_index,value")
+
+
+def test_readme_documents_every_command():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    documented = set()
+    for line in block.splitlines():
+        if line.startswith("coxmra "):
+            args = line.split()[1:]
+            while args[0].startswith("--"):  # global options take one value
+                args = args[2:]
+            documented.add(args[0])
+    assert documented == set(main.commands)
 
 
 def test_bad_config_fails_with_json_error(tmp_path):

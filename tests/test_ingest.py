@@ -93,10 +93,3 @@ def test_ingest_counts_end_to_end(tmp_path):
     coords, series, ids = read_count_records(path)
     corner = np.log1p(series[list(ids).index("s0_0")])
     np.testing.assert_allclose(fld.values[0, 0], resample_time(corner[None, :], 3)[0])
-
-
-def test_ingest_rejects_unknown_transform(tmp_path):
-    path = tmp_path / "raw.csv"
-    _write_counts(path, ["a,0,0,0,1", "b,1,1,0,2"])
-    with pytest.raises(ValueError, match="transform"):
-        ingest_counts(path, SpatialGrid(2, 2), 1, transform="sqrt")

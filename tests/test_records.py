@@ -1,0 +1,270 @@
+"""Round trips and single-mutation faults of every record file format.
+
+Each mutation changes one record of a valid file and must raise
+FieldFormatError naming the file and the line of the fault; faults of the
+whole file (a dropped record) name the line after the last record.
+"""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from coxmra import FunctionalField, SpatialGrid, TimeGrid, load_field, save_field
+from coxmra.estimator import ThetaDomain, estimate_all, load_report, save_report
+from coxmra.grids import FieldFormatError
+from coxmra.ingest import read_count_records
+from coxmra.wavelet import field_dwt
+
+FUZZ = settings(
+    max_examples=15,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+@st.composite
+def fields(draw):
+    s1, s2 = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    time = TimeGrid(draw(st.integers(1, 3)))
+    finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+    values = draw(arrays(float, (s1, s2, time.n), elements=finite))
+    return FunctionalField(SpatialGrid(s1, s2), time, values)
+
+
+@st.composite
+def count_tables(draw):
+    n_sites, n_times = draw(st.integers(2, 4)), draw(st.integers(2, 5))
+    coord = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    coords = draw(arrays(float, (n_sites, 2), elements=coord))
+    series = draw(arrays(float, (n_sites, n_times), elements=st.integers(0, 1000)))
+    return coords, series, [f"s{i}" for i in range(n_sites)]
+
+
+def _write_counts(path, coords, series, ids):
+    lines = ["site_id,x,y,time_index,count"]
+    for sid, (x, y), row in zip(ids, coords, series):
+        lines += [f"{sid},{float(x)!r},{float(y)!r},{t},{int(c)}" for t, c in enumerate(row)]
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.fixture(scope="module")
+def reports(tmp_path_factory):
+    """A diagonal-only and a cross-pair report of one small field."""
+    rng = np.random.default_rng(3)
+    fld = FunctionalField(SpatialGrid(6, 6), TimeGrid(2), rng.normal(size=(6, 6, 4)))
+    mc = field_dwt(fld, 1)
+    out = {}
+    for cross in (False, True):
+        path = tmp_path_factory.mktemp("reports") / f"cross{int(cross)}.ndjson"
+        report = estimate_all(mc, ThetaDomain(mode="box"), include_cross=cross)
+        save_report(report, path)
+        out[cross] = (report, path.read_text().splitlines())
+    return out
+
+
+# ---------------------------------------------------------------------------
+# mutations: (lines, j, ...) -> (mutated lines, expected line number);
+# lines[0] is the header or metadata line, record j sits on line j + 1
+
+
+def _duplicate(lines, j):
+    return lines[: j + 1] + lines[j:], j + 2
+
+
+def _drop(lines, j):
+    return lines[:j] + lines[j + 1 :], len(lines)
+
+
+def _replace(lines, j, line):
+    return lines[:j] + [line] + lines[j + 1 :], j + 1
+
+
+def _set_field(lines, j, col, value):
+    fields = lines[j].split(",")
+    fields[col] = value
+    return _replace(lines, j, ",".join(fields))
+
+
+def _edit_json(lines, j, edit):
+    rec = json.loads(lines[j])
+    edit(rec)
+    return _replace(lines, j, json.dumps(rec))
+
+
+def _csv_mutations(index_col, value_col):
+    return {
+        "negative index": lambda lines, j: _set_field(lines, j, index_col, "-1"),
+        "duplicate record": _duplicate,
+        "dropped record": _drop,
+        "nan value": lambda lines, j: _set_field(lines, j, value_col, "nan"),
+        "inf value": lambda lines, j: _set_field(lines, j, value_col, "-inf"),
+        "bad number": lambda lines, j: _set_field(lines, j, value_col, "one"),
+        "missing column": lambda lines, j: _replace(lines, j, lines[j].rsplit(",", 1)[0]),
+        "extra column": lambda lines, j: _replace(lines, j, lines[j] + ",0"),
+    }
+
+
+def _json_mutations(index_key, size, value_key, other_key):
+    def set_key(key, value):
+        return lambda lines, j: _edit_json(lines, j, lambda rec: rec.update({key: value}))
+
+    def poison(rec):
+        if isinstance(rec[value_key], list):
+            rec[value_key][-1] = float("inf")
+        else:
+            rec[value_key] = float("nan")
+
+    return {
+        "negative index": set_key(index_key, -1),
+        "out-of-range index": set_key(index_key, size),
+        "duplicate record": _duplicate,
+        "dropped record": _drop,
+        "non-finite number": lambda lines, j: _edit_json(lines, j, poison),
+        "missing key": lambda lines, j: _edit_json(lines, j, lambda rec: rec.pop(other_key)),
+        "extra key": set_key("extra", 0),
+        "wrong type": set_key(index_key, "0"),
+        "bad JSON": lambda lines, j: _replace(lines, j, lines[j][:-1]),
+    }
+
+
+def _assert_fault(path, lines, expected, load):
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FieldFormatError) as info:
+        load(path)
+    assert f"{path}: line {expected}:" in str(info.value)
+
+
+# ---------------------------------------------------------------------------
+# field CSV and NDJSON
+
+
+@FUZZ
+@given(fld=fields(), fmt=st.sampled_from(["csv", "ndjson"]))
+def test_field_roundtrip(tmp_path, fld, fmt):
+    path = tmp_path / f"field.{fmt}"
+    save_field(fld, path, fmt)
+    back = load_field(path, fmt)
+    assert (back.grid, back.time) == (fld.grid, fld.time)
+    np.testing.assert_array_equal(back.values, fld.values)
+
+
+CSV_FIELD = _csv_mutations(index_col=0, value_col=3)
+
+
+@pytest.mark.parametrize("kind", sorted(CSV_FIELD))
+@FUZZ
+@given(fld=fields(), data=st.data())
+def test_field_csv_mutation(tmp_path, kind, fld, data):
+    path = tmp_path / "field.csv"
+    save_field(fld, path, "csv")
+    lines = path.read_text().splitlines()
+    j = data.draw(st.integers(1, len(lines) - 1))
+    _assert_fault(path, *CSV_FIELD[kind](lines, j), load_field)
+
+
+def test_field_csv_stray_huge_index_is_incomplete(tmp_path):
+    path = tmp_path / "field.csv"
+    fld = FunctionalField(SpatialGrid(2, 2), TimeGrid(1), np.zeros((2, 2, 2)))
+    save_field(fld, path, "csv")
+    lines, _ = _set_field(path.read_text().splitlines(), 3, 0, str(10**15))
+    _assert_fault(path, lines, 10, load_field)
+
+
+JSON_KINDS = sorted(_json_mutations("p", 0, "v", "o"))
+
+
+@pytest.mark.parametrize("kind", JSON_KINDS)
+@FUZZ
+@given(fld=fields(), data=st.data())
+def test_field_ndjson_mutation(tmp_path, kind, fld, data):
+    path = tmp_path / "field.ndjson"
+    save_field(fld, path, "ndjson")
+    lines = path.read_text().splitlines()
+    mutations = _json_mutations("q", fld.grid.s2, "curve", "p")
+    j = data.draw(st.integers(1, len(lines) - 1))
+    _assert_fault(path, *mutations[kind](lines, j), lambda p: load_field(p, "ndjson"))
+
+
+def test_field_ndjson_bad_metadata_and_curve_length(tmp_path):
+    path = tmp_path / "field.ndjson"
+    save_field(FunctionalField(SpatialGrid(2, 2), TimeGrid(1), np.zeros((2, 2, 2))), path, "ndjson")
+    lines = path.read_text().splitlines()
+    for bad in ("{", '{"s1": 2, "s2": 2}', '{"s1": 1, "s2": 2, "depth": 1}'):
+        _assert_fault(path, [bad] + lines[1:], 1, lambda p: load_field(p, "ndjson"))
+    _assert_fault(path, lines[:1] + [lines[1].replace("0.0]", "0.0, 0.0]")], 2,
+                  lambda p: load_field(p, "ndjson"))
+
+
+# ---------------------------------------------------------------------------
+# report NDJSON
+
+
+@pytest.mark.parametrize("cross", [False, True])
+def test_report_roundtrip_exact(tmp_path, reports, cross):
+    report, lines = reports[cross]
+    path = tmp_path / "report.ndjson"
+    path.write_text("\n".join(lines) + "\n")
+    back = load_report(path)
+    assert back.estimates == report.estimates
+    for a, b in zip(back.operators, report.operators):
+        np.testing.assert_array_equal(a.matrix, b.matrix)
+    np.testing.assert_array_equal(back.eigenvalues1, report.eigenvalues1)
+    np.testing.assert_array_equal(back.eigenvalues2, report.eigenvalues2)
+
+
+@pytest.mark.parametrize("kind", JSON_KINDS)
+@FUZZ
+@given(cross=st.booleans(), data=st.data())
+def test_report_mutation(tmp_path, reports, kind, cross, data):
+    report, lines = reports[cross]
+    n = 1 << report.depth
+    value_key = data.draw(st.sampled_from(["theta", "sigma2", "contrast"]))
+    mutations = _json_mutations(data.draw(st.sampled_from(["row", "col"])), n, value_key, "iterations")
+    j = data.draw(st.integers(1, len(lines) - 1))
+    _assert_fault(tmp_path / "report.ndjson", *mutations[kind](lines, j), load_report)
+
+
+def test_report_partial_cross_pairs_rejected(tmp_path, reports):
+    _, lines = reports[True]
+    # keep the diagonal pairs and one off-diagonal pair
+    diagonal = [ln for ln in lines[1:] if json.loads(ln)["row"] == json.loads(ln)["col"]]
+    cross = [ln for ln in lines[1:] if json.loads(ln)["row"] != json.loads(ln)["col"]]
+    path = tmp_path / "report.ndjson"
+    path.write_text("\n".join(lines[:1] + diagonal + cross[:1]) + "\n")
+    with pytest.raises(FieldFormatError, match=r"line 7: incomplete: missing pair"):
+        load_report(path)
+
+
+# ---------------------------------------------------------------------------
+# raw count CSV
+
+
+@FUZZ
+@given(table=count_tables())
+def test_count_records_roundtrip(tmp_path, table):
+    path = tmp_path / "raw.csv"
+    _write_counts(path, *table)
+    coords, series, ids = read_count_records(path)
+    np.testing.assert_array_equal(coords, table[0])
+    np.testing.assert_array_equal(series, table[1])
+    assert list(ids) == table[2]
+
+
+COUNTS = _csv_mutations(index_col=3, value_col=4)
+COUNTS["non-finite coordinate"] = lambda lines, j: _set_field(lines, j, 1, "inf")
+COUNTS["negative count"] = lambda lines, j: _set_field(lines, j, 4, "-1")
+
+
+@pytest.mark.parametrize("kind", sorted(COUNTS))
+@FUZZ
+@given(table=count_tables(), data=st.data())
+def test_count_records_mutation(tmp_path, kind, table, data):
+    path = tmp_path / "raw.csv"
+    _write_counts(path, *table)
+    lines = path.read_text().splitlines()
+    j = data.draw(st.integers(1, len(lines) - 1))
+    _assert_fault(path, *COUNTS[kind](lines, j), read_count_records)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,16 @@ def test_simulate_deterministic(reference_spec):
 def test_simulate_warns_on_small_burn_in(reference_spec):
     with pytest.warns(UserWarning, match="burn_in"):
         simulate(reference_spec, SpatialGrid(4, 4), 2, seed=0)
+    lam = np.array([0.05])
+    # uncoupled L3 decays at |l1| + |l2| + |l3| = 0.95: 0.95**8 > 1e-6
+    uncoupled = SarhSpec(lam, lam, np.ones(1), TimeGrid(2), couple_l3=False,
+                         eigenvalues3=np.array([0.85]))
+    with pytest.warns(UserWarning, match="burn_in"):
+        simulate(uncoupled, SpatialGrid(4, 4), 8, seed=0)
+    # the factorized model decays at max(|l1|, |l2|) = 0.05: 0.05**8 < 1e-6
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        simulate(SarhSpec(lam, lam, np.ones(1), TimeGrid(2)), SpatialGrid(4, 4), 8, seed=0)
 
 
 def test_simulate_total_variance(reference_spec):
