@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import FunctionalField, MeanCurve, SpatialGrid, TimeGrid
+from .grids import FunctionalField, MeanCurve, SpatialGrid, TimeGrid, float_reprs
 from .sarh import SarhSpec
 from .wavelet import normalized_eigenfunctions
 
@@ -132,5 +132,5 @@ def save_counts(cg: CountGrid, path) -> None:
     with open(path, "w") as fh:
         fh.write("p,q,count,mean\n")
         for p in range(cg.grid.s1):
-            for q in range(cg.grid.s2):
-                fh.write(f"{p},{q},{int(cg.counts[p, q])},{float(cg.means[p, q])!r}\n")
+            rows = enumerate(zip(cg.counts[p].tolist(), float_reprs(cg.means[p])))
+            fh.write("".join([f"{p},{q},{n},{m}\n" for q, (n, m) in rows]))

@@ -273,13 +273,18 @@ def load_field(path, fmt: str = "csv") -> FunctionalField:
     raise ValueError(f"unknown format {fmt!r}, expected one of {FORMATS}")
 
 
+def float_reprs(values: np.ndarray) -> list[str]:
+    """`repr(float(v))` of every value, in C order, from one list repr."""
+    return repr(values.ravel().tolist())[1:-1].split(", ")
+
+
 def _save_csv(fld: FunctionalField, path) -> None:
+    qm = [f"{q},{m}," for q in range(fld.grid.s2) for m in range(fld.time.n)]
     with open(path, "w") as fh:
         fh.write("p,q,t_index,value\n")
         for p in range(fld.grid.s1):
-            for q in range(fld.grid.s2):
-                for m, v in enumerate(fld.values[p, q]):
-                    fh.write(f"{p},{q},{m},{float(v)!r}\n")
+            vals = float_reprs(fld.values[p])
+            fh.write("".join([f"{p},{k}{v}\n" for k, v in zip(qm, vals)]))
 
 
 def _load_csv(path) -> FunctionalField:

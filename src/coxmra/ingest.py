@@ -16,6 +16,7 @@ from .grids import place_records, read_csv_records, record_fault
 IDW_POWER = 2
 IDW_NEIGHBOURS = 4
 _EXACT_HIT = 1e-12
+_IDW_BLOCK = 2048
 _COLUMNS = {"site_id": object, "x": float, "y": float, "time_index": np.int64, "count": float}
 
 
@@ -55,20 +56,25 @@ def idw_interpolate(
     """Inverse-distance-weighted interpolation.
 
     `values` may carry trailing axes (e.g. a time series per site); an
-    exact positional hit copies the site value.
+    exact positional hit copies the site value.  Targets are processed in
+    blocks, so memory grows with the block, not with targets x sites.
     """
     out = np.empty(targets.shape[:1] + values.shape[1:])
-    d = np.linalg.norm(targets[:, None, :] - coords[None, :, :], axis=2)
     k = min(IDW_NEIGHBOURS, coords.shape[0])
-    for i in range(targets.shape[0]):
-        nearest = np.argsort(d[i], kind="stable")[:k]
-        dn = d[i, nearest]
-        if dn[0] < _EXACT_HIT:
-            out[i] = values[nearest[0]]
-            continue
-        w = 1.0 / dn**IDW_POWER
-        w_ext = w.reshape((-1,) + (1,) * (values.ndim - 1))
-        out[i] = (w_ext * values[nearest]).sum(axis=0) / w.sum()
+    trail = (1,) * (values.ndim - 1)
+    for start in range(0, targets.shape[0], _IDW_BLOCK):
+        block = targets[start:start + _IDW_BLOCK]
+        dx = block[:, 0, None] - coords[None, :, 0]
+        dy = block[:, 1, None] - coords[None, :, 1]
+        d = np.sqrt(dx * dx + dy * dy)
+        nearest = np.argsort(d, axis=1, kind="stable")[:, :k]
+        dn = np.take_along_axis(d, nearest, axis=1)
+        hit = dn[:, 0] < _EXACT_HIT
+        rows = out[start:start + _IDW_BLOCK]
+        rows[hit] = values[nearest[hit, 0]]
+        w = 1.0 / dn[~hit] ** IDW_POWER
+        weighted = w.reshape(w.shape + trail) * values[nearest[~hit]]
+        rows[~hit] = weighted.sum(axis=1) / w.sum(axis=1).reshape((-1,) + trail)
     return out
 
 

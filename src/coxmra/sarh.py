@@ -2,12 +2,19 @@
 
 Each retained component p carries a scalar unilateral AR field
 
-    x[r, c] = th1 * x[r-1, c] + th2 * x[r, c-1] + th3 * x[r-1, c-1] + e[r, c]
+    x[r, c] = th2 * x[r, c-1] + (e[r, c] + (th1 * x[r-1, c] + th3 * x[r-1, c-1]))
 
-with iid Gaussian innovations.  The curve at a site is the component sum
-against the (discretely normalized) sine eigenfunctions.  Simulation runs
-on a zero-initialized enlarged lattice and crops the trailing block, so
-the initialization error decays geometrically with the burn-in margin.
+with iid Gaussian innovations and zeros outside the lattice (the
+parenthesisation is the evaluation order).  The curve at a site is the
+component sum against the (discretely normalized) sine eigenfunctions.
+Simulation runs on a zero-initialized enlarged lattice and crops the
+trailing block, so the initialization error decays geometrically with the
+burn-in margin.
+
+The recursion runs as a wavefront: a cell on the anti-diagonal r + c = d
+depends only on diagonals d - 1 and d - 2, so each diagonal is one
+vectorized step, shared by all components.  An (r1, r2) lattice takes
+r1 + r2 - 1 steps whatever the number of components.
 """
 
 from __future__ import annotations
@@ -16,7 +23,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .grids import FunctionalField, SpatialGrid, TimeGrid
 from .spectral import FrequencyGrid, _inverse_symbol_sq, edge_norm, stationarity_check
@@ -138,6 +144,37 @@ def _spectral_variance(theta, sigma2: float, n: int = 256) -> float:
     return float(sigma2 * np.mean(_inverse_symbol_sq(thetas, FrequencyGrid(n, n))))
 
 
+def _ar_fields(thetas: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """AR fields of K components at once: thetas (K, 3), innovations
+    (K, r1, r2) -> fields (K, r1, r2), zero-initialized outside the lattice.
+
+    Storage is skewed, s[:, r + c + 2, r + 1] = x[:, r, c], so diagonal
+    d = r + c is the contiguous slice s[:, d + 2, lo + 1:hi + 2] and its
+    three neighbours are slices of the two diagonals before it, s[:, d + 1]
+    and s[:, d].  The entries s[:, j, i] with j <= i or i = 0 are never
+    written and hold the zero boundary.
+    """
+    k, r1, r2 = e.shape
+    th1, th2, th3 = (thetas[:, i, None] for i in range(3))
+    rows, cols = np.indices((r1, r2))
+    skew = (slice(None), rows + cols + 2, rows + 1)
+    s = np.zeros((k, r1 + r2 + 1, r1 + 1))
+    es = np.zeros_like(s)
+    es[skew] = e
+    for d in range(r1 + r2 - 1):
+        lo, hi = max(0, d - r2 + 1), min(d, r1 - 1)
+        i, up = slice(lo + 1, hi + 2), slice(lo, hi + 1)
+        s[:, d + 2, i] = th2 * s[:, d + 1, i] + (
+            es[:, d + 2, i] + (th1 * s[:, d + 1, up] + th3 * s[:, d, up])
+        )
+    return s[skew]
+
+
+def _innovations(sigma2: float, grid: SpatialGrid, burn_in: int, rng) -> np.ndarray:
+    r1, r2 = grid.s1 + burn_in, grid.s2 + burn_in
+    return rng.normal(0.0, np.sqrt(sigma2), size=(r1, r2))
+
+
 def simulate_component(
     theta,
     sigma2: float,
@@ -146,19 +183,9 @@ def simulate_component(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """One scalar AR component field, cropped to (s1, s2)."""
-    th1, th2, th3 = (float(v) for v in theta)
-    r1, r2 = grid.s1 + burn_in, grid.s2 + burn_in
-    e = rng.normal(0.0, np.sqrt(sigma2), size=(r1, r2))
-    x = np.zeros((r1, r2))
-    prev = np.zeros(r2)
-    for r in range(r1):
-        drive = e[r].copy()
-        drive[1:] += th1 * prev[1:] + th3 * prev[:-1]
-        drive[0] += th1 * prev[0]
-        # within-row recursion x[c] = th2 * x[c-1] + drive[c]
-        x[r] = lfilter([1.0], [1.0, -th2], drive)
-        prev = x[r]
-    return x[burn_in:, burn_in:]
+    thetas = np.asarray(theta, dtype=float).reshape(1, 3)
+    e = _innovations(sigma2, grid, burn_in, rng)
+    return _ar_fields(thetas, e[None])[0, burn_in:, burn_in:]
 
 
 def simulate(
@@ -169,8 +196,8 @@ def simulate(
 ) -> FunctionalField:
     """Simulate the curve field; deterministic given the seed.
 
-    Component seeds are split from the root seed, so per-component work
-    can be distributed without changing the result.
+    Component seeds are split from the root seed, so each component's
+    innovations do not depend on the others.
     """
     if burn_in < 0:
         raise ValueError("burn_in must be >= 0")
@@ -185,12 +212,14 @@ def simulate(
         )
     phi = normalized_eigenfunctions(spec.time, spec.truncation)
     seeds = np.random.SeedSequence(seed).spawn(spec.truncation)
+    e = np.stack([
+        _innovations(sigma2, grid, burn_in, np.random.default_rng(ss))
+        for sigma2, ss in zip(spec.innovation_variances, seeds)
+    ])
+    comps = _ar_fields(thetas, e)[:, burn_in:, burn_in:]
     values = np.zeros((grid.s1, grid.s2, spec.time.n))
-    for p in range(1, spec.truncation + 1):
-        params = spec.node_params(p)
-        rng = np.random.default_rng(seeds[p - 1])
-        comp = simulate_component(params.theta, params.sigma2, grid, burn_in, rng)
-        values += comp[:, :, None] * phi[p - 1][None, None, :]
+    for comp, phi_p in zip(comps, phi):
+        values += comp[:, :, None] * phi_p[None, None, :]
     return FunctionalField(grid, spec.time, values)
 
 

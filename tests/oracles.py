@@ -1,11 +1,16 @@
-"""FFT-free reference implementations of the spectral transforms.
+"""Plain-loop reference implementations the library is checked against.
 
 The library computes every fDFT through `coxmra.spectral.all_periodograms`;
-these direct sums are the independent oracles it is checked against.
+the direct sums here are its FFT-free oracles.  The AR recursion, the IDW
+interpolation and the CSV writers are vectorized in the library; their
+one-value-at-a-time loops here must give identical results.
 """
 
 import numpy as np
 
+from coxmra.cox import CountGrid
+from coxmra.grids import FunctionalField
+from coxmra.ingest import _EXACT_HIT, IDW_NEIGHBOURS, IDW_POWER
 from coxmra.spectral import TWO_PI, FrequencyGrid, PeriodogramTable
 
 
@@ -36,3 +41,56 @@ def periodogram_direct(coeff_a: np.ndarray, coeff_b: np.ndarray | None = None) -
             fb = fa if coeff_b is None else fdft(b, (w1, w2))
             values[i, j] = fa * np.conj(fb)
     return PeriodogramTable(freq, values, diagonal=coeff_b is None)
+
+
+def ar_component(theta, e: np.ndarray) -> np.ndarray:
+    """Scalar AR field by the double loop, zeros outside the lattice.
+
+    The parenthesisation is the library's evaluation order, so the result
+    is bit-identical, not merely close.
+    """
+    th1, th2, th3 = (float(v) for v in theta)
+    r1, r2 = e.shape
+    x = np.zeros((r1 + 1, r2 + 1))  # row and column 0 are the zero boundary
+    for r in range(1, r1 + 1):
+        for c in range(1, r2 + 1):
+            x[r, c] = th2 * x[r, c - 1] + (
+                e[r - 1, c - 1] + (th1 * x[r - 1, c] + th3 * x[r - 1, c - 1])
+            )
+    return x[1:, 1:]
+
+
+def idw_interpolate(coords: np.ndarray, values: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Per-target IDW over the dense targets x sites distance matrix."""
+    out = np.empty(targets.shape[:1] + values.shape[1:])
+    d = np.linalg.norm(targets[:, None, :] - coords[None, :, :], axis=2)
+    k = min(IDW_NEIGHBOURS, coords.shape[0])
+    for i in range(targets.shape[0]):
+        nearest = np.argsort(d[i], kind="stable")[:k]
+        dn = d[i, nearest]
+        if dn[0] < _EXACT_HIT:
+            out[i] = values[nearest[0]]
+            continue
+        w = 1.0 / dn**IDW_POWER
+        w_ext = w.reshape((-1,) + (1,) * (values.ndim - 1))
+        out[i] = (w_ext * values[nearest]).sum(axis=0) / w.sum()
+    return out
+
+
+def field_csv(fld: FunctionalField) -> str:
+    """Field CSV text, one formatted value at a time."""
+    lines = ["p,q,t_index,value\n"]
+    for p in range(fld.grid.s1):
+        for q in range(fld.grid.s2):
+            for m, v in enumerate(fld.values[p, q]):
+                lines.append(f"{p},{q},{m},{float(v)!r}\n")
+    return "".join(lines)
+
+
+def counts_csv(cg: CountGrid) -> str:
+    """Count CSV text, one cell at a time."""
+    lines = ["p,q,count,mean\n"]
+    for p in range(cg.grid.s1):
+        for q in range(cg.grid.s2):
+            lines.append(f"{p},{q},{int(cg.counts[p, q])},{float(cg.means[p, q])!r}\n")
+    return "".join(lines)

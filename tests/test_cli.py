@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import coxmra
 from coxmra.cli import main
 
 BASE_CONFIG = {
@@ -158,3 +162,14 @@ def test_missing_input_fails_cleanly(workspace):
         main, ["--config", str(config), "estimate", str(tmp / "nope.csv")]
     )
     assert result.exit_code != 0
+
+
+def test_import_loads_no_scipy():
+    # every CLI command starts a fresh interpreter, so import cost is paid
+    # per command; the package must not pull scipy in
+    src = str(Path(coxmra.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, coxmra.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

@@ -14,6 +14,7 @@ from coxmra import (
     sample_counts,
 )
 from coxmra.cox import save_counts
+from oracles import counts_csv
 
 
 def _logfield(values):
@@ -99,6 +100,14 @@ def test_save_counts_format(tmp_path):
     assert lines[0] == "p,q,count,mean"
     assert len(lines) == 5
     assert lines[1].startswith("0,0,")
+
+
+def test_save_counts_matches_per_cell_writer(tmp_path):
+    means = np.array([[5e-324, 1e-5, 1e16], [9999999999999998.0, 1.7976931348623157e308, 2.5]])
+    counts = np.array([[0, 1, 2**62], [7, 2**63 - 1, 3]])
+    cg = CountGrid(SpatialGrid(2, 3), counts, means)
+    save_counts(cg, tmp_path / "counts.csv")
+    assert (tmp_path / "counts.csv").read_bytes() == counts_csv(cg).encode()
 
 
 def test_intensity_field_requires_positive():

@@ -12,6 +12,10 @@ from coxmra import (
     save_field,
 )
 from coxmra.grids import FieldFormatError
+from oracles import field_csv
+
+# floats whose shortest repr switches notation or sits at a range limit
+EDGE_FLOATS = [-0.0, 1e16, 9999999999999998.0, 1e-5, 5e-324, 1.7976931348623157e308]
 
 
 def test_time_grid_points_are_midpoints():
@@ -82,6 +86,15 @@ def test_save_is_deterministic(tmp_path):
     save_field(fld, tmp_path / "a.csv", "csv")
     save_field(fld, tmp_path / "b.csv", "csv")
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def test_save_csv_matches_per_value_writer(tmp_path):
+    rng = np.random.default_rng(8)
+    values = rng.normal(size=(3, 5, 4)) * 10.0 ** rng.integers(-8, 8, size=(3, 5, 4))
+    values.flat[: 2 * len(EDGE_FLOATS)] = EDGE_FLOATS + [-v for v in EDGE_FLOATS]
+    fld = FunctionalField(SpatialGrid(3, 5), TimeGrid(2), values)
+    save_field(fld, tmp_path / "field.csv", "csv")
+    assert (tmp_path / "field.csv").read_bytes() == field_csv(fld).encode()
 
 
 def test_load_csv_reports_line_numbers(tmp_path):

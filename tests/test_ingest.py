@@ -8,6 +8,7 @@ from coxmra.ingest import (
     read_count_records,
     resample_time,
 )
+from oracles import idw_interpolate as idw_oracle
 
 
 def _write_counts(path, rows, header="site_id,x,y,time_index,count"):
@@ -64,6 +65,29 @@ def test_idw_weighted_average_bounds():
     # closer to the first site: pulled toward its value, inside the hull
     out = idw_interpolate(coords, values, np.array([[0.5, 0.0]]))
     assert 10.0 < out[0] < 15.0
+
+
+def _lattice(n):
+    return np.stack(np.meshgrid(np.arange(n), np.arange(n), indexing="ij"), -1).reshape(-1, 2) * 1.0
+
+
+_rng = np.random.default_rng(5)
+IDW_CASES = {
+    # half-integer targets sit at equal distance from 2 or 4 lattice sites,
+    # and further sites tie across the k-nearest cut
+    "ties": (_lattice(6), np.arange(36.0), _lattice(11) / 2.0),
+    "exact hits": (_lattice(4), _rng.normal(size=(16, 3)), np.vstack([_lattice(4), _lattice(7) / 2.0])),
+    "k >= sites": (_lattice(2)[:3], _rng.normal(size=(3, 5)), _rng.uniform(-1, 2, size=(40, 2))),
+    "several blocks": (_rng.uniform(0, 9, size=(50, 2)), _rng.normal(size=(50, 7)),
+                       np.vstack([_rng.uniform(0, 9, size=(4999, 2)), _lattice(3)])),
+}
+
+
+@pytest.mark.parametrize("case", IDW_CASES)
+def test_idw_matches_per_target_loop(case):
+    coords, values, targets = IDW_CASES[case]
+    assert np.array_equal(idw_interpolate(coords, values, targets),
+                          idw_oracle(coords, values, targets))
 
 
 def test_resample_time_constant_and_linear():

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coxmra import (
     NodeParams,
@@ -14,6 +16,8 @@ from coxmra import (
 )
 from coxmra.sarh import _spectral_variance, component_scores, simulate_component
 from coxmra.wavelet import normalized_eigenfunctions
+from conftest import stationary_thetas
+from oracles import ar_component
 
 
 def test_stationarity_check_triangle_and_factorized():
@@ -79,23 +83,30 @@ def test_spectral_variance_matches_closed_form():
     assert _spectral_variance(th, 2.0) == pytest.approx(closed, rel=1e-6)
 
 
-def test_component_recursion_definition():
-    # the simulated field must satisfy the AR recursion exactly away from
-    # the cropped boundary
-    rng = np.random.default_rng(0)
-    th = (0.3, 0.5, -0.15)
-    x = simulate_component(th, 1.0, SpatialGrid(6, 6), 0, rng)
-    rng2 = np.random.default_rng(0)
-    e = rng2.normal(0.0, 1.0, size=(6, 6))
-    for r in range(1, 6):
-        for c in range(1, 6):
-            expected = (
-                th[0] * x[r - 1, c]
-                + th[1] * x[r, c - 1]
-                + th[2] * x[r - 1, c - 1]
-                + e[r, c]
-            )
-            assert x[r, c] == pytest.approx(expected, rel=1e-12)
+@given(stationary_thetas, st.integers(2, 12), st.integers(2, 12), st.integers(0, 3),
+       st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_component_recursion_definition(th, s1, s2, burn_in, seed):
+    # the simulated field is the AR recursion bit for bit, zeros outside
+    # the enlarged lattice, first row and column included
+    x = simulate_component(th, 1.3, SpatialGrid(s1, s2), burn_in, np.random.default_rng(seed))
+    e = np.random.default_rng(seed).normal(0.0, np.sqrt(1.3), size=(s1 + burn_in, s2 + burn_in))
+    assert np.array_equal(x, ar_component(th, e)[burn_in:, burn_in:])
+
+
+def test_simulate_is_sum_of_components(reference_spec):
+    # one batched sweep over all components equals the per-component
+    # fields, each from its own spawned seed, expanded in the sine basis
+    grid, burn_in, seed = SpatialGrid(7, 5), 24, 11
+    fld = simulate(reference_spec, grid, burn_in, seed)
+    phi = normalized_eigenfunctions(reference_spec.time, reference_spec.truncation)
+    seeds = np.random.SeedSequence(seed).spawn(reference_spec.truncation)
+    expected = np.zeros_like(fld.values)
+    for p, ss in enumerate(seeds, start=1):
+        prm = reference_spec.node_params(p)
+        comp = simulate_component(prm.theta, prm.sigma2, grid, burn_in, np.random.default_rng(ss))
+        expected += comp[:, :, None] * phi[p - 1][None, None, :]
+    assert np.array_equal(fld.values, expected)
 
 
 def test_component_stationary_variance():

@@ -12,19 +12,10 @@ from coxmra.spectral import (
     empirical_contrast,
     stationarity_check,
 )
+from conftest import stationary_thetas
 from oracles import fdft, periodogram_direct
 
 sides = st.integers(min_value=2, max_value=16)
-# stationary AR triples from both branches of the stationarity condition:
-# inside the l1 ball of radius 0.95, and factorized th3 = -th1 * th2
-_unit = st.floats(min_value=-1.0, max_value=1.0)
-triangle_thetas = st.tuples(_unit, _unit, _unit).map(
-    lambda th: tuple(0.95 * v / max(1.0, sum(abs(u) for u in th)) for v in th)
-)
-coupled_thetas = st.tuples(_unit, _unit).map(
-    lambda ab: (0.95 * ab[0], 0.95 * ab[1], -(0.95 * ab[0]) * (0.95 * ab[1]))
-)
-stationary_thetas = st.one_of(triangle_thetas, coupled_thetas)
 
 
 def test_frequency_grid_fundamental_domain():
