@@ -18,7 +18,6 @@ from .grids import (
 from .wavelet import (
     MultiscaleCoefficients,
     OperatorWaveletMatrix,
-    WaveletIndex,
     dwt,
     field_dwt,
     field_idwt,

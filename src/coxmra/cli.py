@@ -61,8 +61,7 @@ def main(ctx, config_path, seed, out_dir, threads):
 
 
 def _field_name(cfg: RunConfig, i: int) -> str:
-    ext = "csv" if cfg.io.format == "csv" else "ndjson"
-    return f"field_{i:03d}.{ext}"
+    return f"field_{i:03d}.{cfg.io.format}"
 
 
 @main.command()
@@ -113,10 +112,7 @@ def estimate(obj, field_file):
         mean_path = obj["out"] / f"{stem}_mean.csv"
         estimator.save_report(report, report_path)
         estimator.save_eigenvalue_table(report, eig_path)
-        with open(mean_path, "w") as fh:
-            fh.write("t_index,value\n")
-            for m, v in enumerate(mean.values):
-                fh.write(f"{m},{float(v)!r}\n")
+        grids.write_csv(mean_path, ("t_index", "value"), [mean.values], origin=(0,))
         _write_manifest(
             obj["out"], cfg, "estimate",
             [p.name for p in (report_path, eig_path, mean_path)], [],
@@ -139,19 +135,12 @@ def predict_cmd(obj, field_file, report_file):
         mc = wavelet.field_dwt(residual, cfg.time.j0)
         result = predict_field(mc, report)
         out = obj["out"] / (Path(field_file).stem + "_predicted.csv")
-        with open(out, "w") as fh:
-            fh.write("p,q,t_index,predicted,residual\n")
-            for p in range(fld.grid.s1):
-                for q in range(fld.grid.s2):
-                    if not result.mask[p, q]:
-                        continue
-                    pred_curve = result.predicted.values[p, q] + mean.values
-                    res_curve = result.residuals.values[p, q]
-                    for m in range(fld.time.n):
-                        fh.write(
-                            f"{p},{q},{m},"
-                            f"{float(pred_curve[m])!r},{float(res_curve[m])!r}\n"
-                        )
+        # the mask holds exactly the sites from (1, 1) on
+        grids.write_csv(
+            out, ("p", "q", "t_index", "predicted", "residual"),
+            [result.predicted.values[1:, 1:] + mean.values, result.residuals.values[1:, 1:]],
+            origin=(1, 1, 0),
+        )
         click.echo(str(out))
     except Exception as exc:
         _fail(exc)
@@ -224,9 +213,7 @@ def ingest_cmd(obj, raw_csv):
     cfg: RunConfig = obj["config"]
     try:
         fld = ingest.ingest_counts(raw_csv, cfg.spatial_grid(), cfg.time.depth)
-        out = obj["out"] / (Path(raw_csv).stem + "_field." + (
-            "csv" if cfg.io.format == "csv" else "ndjson"
-        ))
+        out = obj["out"] / f"{Path(raw_csv).stem}_field.{cfg.io.format}"
         grids.save_field(fld, out, cfg.io.format)
         click.echo(str(out))
     except Exception as exc:
@@ -259,23 +246,18 @@ def _report_slice(obj, cfg: RunConfig, field_file, t_at: float):
     fld = grids.load_field(field_file, cfg.io.format)
     m = int(np.argmin(np.abs(fld.time.points - t_at)))
     out = obj["out"] / (Path(field_file).stem + f"_slice.csv")
-    with open(out, "w") as fh:
-        fh.write("p,q,value\n")
-        for p in range(fld.grid.s1):
-            for q in range(fld.grid.s2):
-                fh.write(f"{p},{q},{float(fld.values[p, q, m])!r}\n")
+    grids.write_csv(out, ("p", "q", "value"), [fld.values[:, :, m]], origin=(0, 0))
     click.echo(str(out))
 
 
 def _report_eigs(obj, report_files):
+    rows = []
+    for rep_idx, rf in enumerate(report_files):
+        rep = estimator.load_report(rf)
+        for op_idx, lams in ((1, rep.eigenvalues1), (2, rep.eigenvalues2)):
+            rows += [(rep_idx, op_idx, p, lam) for p, lam in enumerate(lams, start=1)]
     out = obj["out"] / "eigenvalue_samples.csv"
-    with open(out, "w") as fh:
-        fh.write("replication,operator,p,lambda_hat\n")
-        for rep_idx, rf in enumerate(report_files):
-            rep = estimator.load_report(rf)
-            for op_idx, lams in ((1, rep.eigenvalues1), (2, rep.eigenvalues2)):
-                for p, lam in enumerate(lams, start=1):
-                    fh.write(f"{rep_idx},{op_idx},{p},{float(lam)!r}\n")
+    grids.write_csv(out, ("replication", "operator", "p", "lambda_hat"), list(zip(*rows)))
     click.echo(str(out))
 
 
@@ -297,12 +279,10 @@ def _report_mse(obj, cfg: RunConfig, report_files):
             raise ValueError(f"{rf}: layout does not match configuration")
         sq = (rep.diagonal_thetas() - theta0) ** 2
         by_n.setdefault(rep.n_sites, []).append(sq)
+    ns = sorted(by_n)
+    # one row per n: mean over replications, the level's nodes and the 3 operators
+    mse = np.array([[np.mean(np.stack(by_n[n])[:, sl, :]) for sl in slices.values()] for n in ns])
     out = obj["out"] / "mse_by_scale.csv"
     labels = [f"{kind}_{level}" for kind, level in slices]
-    with open(out, "w") as fh:
-        fh.write("n," + ",".join(labels) + "\n")
-        for n in sorted(by_n):
-            sq = np.stack(by_n[n])  # (reps, nodes, 3)
-            cells = [f"{float(np.mean(sq[:, sl, :]))!r}" for sl in slices.values()]
-            fh.write(f"{n}," + ",".join(cells) + "\n")
+    grids.write_csv(out, ("n", *labels), [ns, *mse.T])
     click.echo(str(out))

@@ -12,7 +12,7 @@ import json
 import numpy as np
 from pydantic import BaseModel, ConfigDict, Field, ValidationError, model_validator
 
-from .grids import SpatialGrid, TimeGrid
+from .grids import FORMATS, SpatialGrid, TimeGrid
 from .sarh import SarhSpec, default_variance_profile
 
 # Reference eigenvalue systems of the two autocorrelation operators used
@@ -58,7 +58,6 @@ class EstimationConfig(_Section):
     domain_mode: str = "box"
     bounds: list[tuple[float, float]] = [(-0.95, 0.95)] * 3
     grid_points: list[tuple[float, float, float]] | None = None
-    eta: str = "w2w2"
     include_cross: bool = False
     couple_l3: bool = False
 
@@ -68,8 +67,6 @@ class EstimationConfig(_Section):
             raise ValueError(f"unknown domain_mode {self.domain_mode!r}")
         if self.domain_mode == "finite_grid" and not self.grid_points:
             raise ValueError("finite_grid mode requires grid_points")
-        if self.eta != "w2w2":
-            raise ValueError(f"unsupported weight function {self.eta!r}")
         return self
 
 
@@ -95,7 +92,7 @@ class IoConfig(_Section):
 
     @model_validator(mode="after")
     def _check(self):
-        if self.format not in ("csv", "ndjson"):
+        if self.format not in FORMATS:
             raise ValueError(f"unknown field format {self.format!r}")
         return self
 

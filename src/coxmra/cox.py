@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import FunctionalField, MeanCurve, SpatialGrid, TimeGrid, float_reprs
+from .grids import FunctionalField, MeanCurve, SpatialGrid, TimeGrid, write_csv
 from .sarh import SarhSpec
 from .wavelet import normalized_eigenfunctions
 
@@ -129,8 +129,4 @@ def moment_bound_check(
 
 def save_counts(cg: CountGrid, path) -> None:
     """CSV with columns p,q,count,mean."""
-    with open(path, "w") as fh:
-        fh.write("p,q,count,mean\n")
-        for p in range(cg.grid.s1):
-            rows = enumerate(zip(cg.counts[p].tolist(), float_reprs(cg.means[p])))
-            fh.write("".join([f"{p},{q},{n},{m}\n" for q, (n, m) in rows]))
+    write_csv(path, ("p", "q", "count", "mean"), [cg.counts, cg.means], origin=(0, 0))

@@ -10,7 +10,6 @@ follow.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +25,7 @@ from .spectral import (
     log_psi,
     stationarity_check,
 )
-from .grids import place_records, read_ndjson, record_fault
+from .grids import place_records, read_ndjson, record_fault, write_csv, write_ndjson
 from .wavelet import MultiscaleCoefficients, OperatorWaveletMatrix, wavelet_to_operator_eigs
 
 # keep candidates strictly inside the stationarity region
@@ -320,25 +319,9 @@ def estimate_all(
 
 def save_report(report: EstimationReport, path) -> None:
     """NDJSON: one metadata line, then one record per basis pair."""
-    with open(path, "w") as fh:
-        meta = {
-            "j0": report.j0,
-            "depth": report.depth,
-            "n_sites": report.n_sites,
-            "k": int(report.eigenvalues1.size),
-        }
-        fh.write(json.dumps(meta, sort_keys=True) + "\n")
-        for est in report.estimates:
-            rec = {
-                "row": est.row,
-                "col": est.col,
-                "theta": list(est.theta),
-                "sigma2": est.sigma2,
-                "contrast": est.contrast,
-                "iterations": est.iterations,
-                "near_boundary": est.near_boundary,
-            }
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    meta = {"j0": report.j0, "depth": report.depth, "n_sites": report.n_sites,
+            "k": int(report.eigenvalues1.size)}
+    write_ndjson(path, meta, ({**vars(est), "theta": list(est.theta)} for est in report.estimates))
 
 
 def load_report(path) -> EstimationReport:
@@ -381,10 +364,6 @@ def load_report(path) -> EstimationReport:
 
 
 def save_eigenvalue_table(report: EstimationReport, path) -> None:
-    """CSV table (p, lambda1_hat, lambda2_hat)."""
-    with open(path, "w") as fh:
-        fh.write("p,lambda1_hat,lambda2_hat\n")
-        for p, (l1, l2) in enumerate(
-            zip(report.eigenvalues1, report.eigenvalues2), start=1
-        ):
-            fh.write(f"{p},{float(l1)!r},{float(l2)!r}\n")
+    """CSV table (p, lambda1_hat, lambda2_hat), p from 1."""
+    write_csv(path, ("p", "lambda1_hat", "lambda2_hat"),
+              [report.eigenvalues1, report.eigenvalues2], origin=(1,))

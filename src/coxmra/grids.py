@@ -121,7 +121,8 @@ def add_mean(fld: FunctionalField, mean: MeanCurve) -> FunctionalField:
 #
 # Every loader reads through `read_csv_records` or `read_ndjson` and then
 # `place_records`.  Faults raise FieldFormatError "<path>: line <n>: <what>";
-# faults of the whole file name the line after the last record.
+# faults of the whole file name the line after the last record.  Every
+# output file is written by `write_csv` or `write_ndjson`.
 
 
 def record_fault(path, lineno: int, what) -> FieldFormatError:
@@ -245,6 +246,50 @@ def place_records(path, shape: tuple, index, values, lineno: Callable, name: Cal
     return out.reshape(tuple(shape) + values.shape[1:])
 
 
+def write_csv(path, header, columns, origin: tuple = ()) -> None:
+    """CSV table with the column names `header` and one row per entry of
+    the equal-shaped arrays `columns`, in C order.
+
+    The first len(origin) axes are index axes: each row starts with their
+    coordinates, offset by `origin`.  With origin=() the columns are one
+    dimensional and rows hold only their values.  Integers are written in
+    decimal, floats as their shortest repr.
+    """
+    columns = [np.asarray(c) for c in columns]
+    shape = columns[0].shape
+    if any(c.shape != shape for c in columns) or len(shape) != max(len(origin), 1):
+        raise ValueError(f"columns of shapes {[c.shape for c in columns]} for origin {origin}")
+    if origin:
+        # the trailing axes' coordinate text is built once; one write per leading index
+        tail = [""]
+        for size, start in zip(shape[1:], origin[1:]):
+            tail = [f"{t}{i}," for t in tail for i in range(start, start + size)]
+        blocks = ((f"{j + origin[0]},", [c[j] for c in columns]) for j in range(shape[0]))
+    else:
+        tail, blocks = [""] * shape[0], [("", columns)]
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for lead, block in blocks:
+            cells = _reprs(block[0])
+            for c in block[1:]:
+                cells = [f"{a},{b}" for a, b in zip(cells, _reprs(c))]
+            fh.write("".join([f"{lead}{t}{v}\n" for t, v in zip(tail, cells)]))
+
+
+def _reprs(values: np.ndarray) -> list[str]:
+    """`repr` of every value as a Python int or float, in C order, from
+    one list repr."""
+    return repr(values.ravel().tolist())[1:-1].split(", ")
+
+
+def write_ndjson(path, meta: dict, records) -> None:
+    """One JSON line for `meta`, then one per record, keys sorted."""
+    with open(path, "w") as fh:
+        fh.write(json.dumps(meta, sort_keys=True) + "\n")
+        for rec in records:
+            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+
+
 # ---------------------------------------------------------------------------
 # field files
 #
@@ -258,9 +303,13 @@ _CSV_COLUMNS = {"p": np.int64, "q": np.int64, "t_index": np.int64, "value": floa
 
 def save_field(fld: FunctionalField, path, fmt: str = "csv") -> None:
     if fmt == "csv":
-        _save_csv(fld, path)
+        write_csv(path, _CSV_COLUMNS, [fld.values], origin=(0, 0, 0))
     elif fmt == "ndjson":
-        _save_ndjson(fld, path)
+        meta = {"s1": fld.grid.s1, "s2": fld.grid.s2, "depth": fld.time.depth}
+        write_ndjson(path, meta, (
+            {"p": p, "q": q, "curve": list(fld.values[p, q])}
+            for p in range(fld.grid.s1) for q in range(fld.grid.s2)
+        ))
     else:
         raise ValueError(f"unknown format {fmt!r}, expected one of {FORMATS}")
 
@@ -271,20 +320,6 @@ def load_field(path, fmt: str = "csv") -> FunctionalField:
     if fmt == "ndjson":
         return _load_ndjson(path)
     raise ValueError(f"unknown format {fmt!r}, expected one of {FORMATS}")
-
-
-def float_reprs(values: np.ndarray) -> list[str]:
-    """`repr(float(v))` of every value, in C order, from one list repr."""
-    return repr(values.ravel().tolist())[1:-1].split(", ")
-
-
-def _save_csv(fld: FunctionalField, path) -> None:
-    qm = [f"{q},{m}," for q in range(fld.grid.s2) for m in range(fld.time.n)]
-    with open(path, "w") as fh:
-        fh.write("p,q,t_index,value\n")
-        for p in range(fld.grid.s1):
-            vals = float_reprs(fld.values[p])
-            fh.write("".join([f"{p},{k}{v}\n" for k, v in zip(qm, vals)]))
 
 
 def _load_csv(path) -> FunctionalField:
@@ -301,16 +336,6 @@ def _load_csv(path) -> FunctionalField:
     except ValueError as exc:
         raise record_fault(path, lineno(len(rows)), exc) from exc
     return FunctionalField(grid, time, values)
-
-
-def _save_ndjson(fld: FunctionalField, path) -> None:
-    with open(path, "w") as fh:
-        meta = {"s1": fld.grid.s1, "s2": fld.grid.s2, "depth": fld.time.depth}
-        fh.write(json.dumps(meta, sort_keys=True) + "\n")
-        for p in range(fld.grid.s1):
-            for q in range(fld.grid.s2):
-                rec = {"p": p, "q": q, "curve": list(fld.values[p, q])}
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
 def _load_ndjson(path) -> FunctionalField:

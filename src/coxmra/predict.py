@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimator import EstimationReport, ThetaDomain, estimate_all
-from .grids import FunctionalField, SpatialGrid, TimeGrid
+from .grids import FunctionalField, SpatialGrid, TimeGrid, write_csv
 from .wavelet import MultiscaleCoefficients, field_dwt, idwt
 
 
@@ -181,11 +181,7 @@ def loo_validate(
 
 
 def save_validation(summary: ValidationSummary, folds_path, periods_path) -> None:
-    with open(folds_path, "w") as fh:
-        fh.write("fold,site_p,site_q,mafe\n")
-        for i, f in enumerate(summary.folds):
-            fh.write(f"{i},{f.site[0]},{f.site[1]},{f.mafe!r}\n")
-    with open(periods_path, "w") as fh:
-        fh.write("period,avg_error\n")
-        for i, v in enumerate(summary.period_errors()):
-            fh.write(f"{i},{float(v)!r}\n")
+    sites = np.array([f.site for f in summary.folds], dtype=np.int64).reshape(-1, 2)
+    mafe = [f.mafe for f in summary.folds]
+    write_csv(folds_path, ("fold", "site_p", "site_q", "mafe"), [*sites.T, mafe], origin=(0,))
+    write_csv(periods_path, ("period", "avg_error"), [summary.period_errors()], origin=(0,))

@@ -13,36 +13,12 @@ product; continuous L2(0,1) coefficients differ by the fixed factor
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Literal
 
 import numpy as np
 
 from .grids import FunctionalField, SpatialGrid, TimeGrid
 
 _SQRT2 = np.sqrt(2.0)
-
-
-@dataclass(frozen=True)
-class WaveletIndex:
-    kind: Literal["scaling", "detail"]
-    level: int
-    node: int
-
-    def __post_init__(self):
-        if self.kind not in ("scaling", "detail"):
-            raise ValueError(f"bad kind {self.kind!r}")
-        if not 0 <= self.node < (1 << self.level):
-            raise ValueError(f"node {self.node} out of range at level {self.level}")
-
-
-def index_layout(j0: int, depth: int) -> list[WaveletIndex]:
-    """Flat index -> WaveletIndex for the coefficient layout."""
-    if not 0 <= j0 <= depth:
-        raise ValueError(f"need 0 <= j0 <= depth, got j0={j0}, depth={depth}")
-    out = [WaveletIndex("scaling", j0, k) for k in range(1 << j0)]
-    for j in range(j0, depth):
-        out.extend(WaveletIndex("detail", j, k) for k in range(1 << j))
-    return out
 
 
 def level_slices(j0: int, depth: int) -> dict[tuple[str, int], slice]:
@@ -118,9 +94,6 @@ class MultiscaleCoefficients:
     @property
     def n_coeffs(self) -> int:
         return 1 << self.depth
-
-    def layout(self) -> list[WaveletIndex]:
-        return index_layout(self.j0, self.depth)
 
 
 def field_dwt(fld: FunctionalField, j0: int) -> MultiscaleCoefficients:

@@ -2,14 +2,12 @@
 
 The library computes every fDFT through `coxmra.spectral.all_periodograms`;
 the direct sums here are its FFT-free oracles.  The AR recursion, the IDW
-interpolation and the CSV writers are vectorized in the library; their
+interpolation and the CSV writer are vectorized in the library; their
 one-value-at-a-time loops here must give identical results.
 """
 
 import numpy as np
 
-from coxmra.cox import CountGrid
-from coxmra.grids import FunctionalField
 from coxmra.ingest import _EXACT_HIT, IDW_NEIGHBOURS, IDW_POWER
 from coxmra.spectral import TWO_PI, FrequencyGrid, PeriodogramTable
 
@@ -77,20 +75,14 @@ def idw_interpolate(coords: np.ndarray, values: np.ndarray, targets: np.ndarray)
     return out
 
 
-def field_csv(fld: FunctionalField) -> str:
-    """Field CSV text, one formatted value at a time."""
-    lines = ["p,q,t_index,value\n"]
-    for p in range(fld.grid.s1):
-        for q in range(fld.grid.s2):
-            for m, v in enumerate(fld.values[p, q]):
-                lines.append(f"{p},{q},{m},{float(v)!r}\n")
-    return "".join(lines)
+# floats whose shortest repr switches notation or sits at a range limit
+EDGE_FLOATS = [-0.0, 1e16, 9999999999999998.0, 1e-5, 5e-324, 1.7976931348623157e308]
 
 
-def counts_csv(cg: CountGrid) -> str:
-    """Count CSV text, one cell at a time."""
-    lines = ["p,q,count,mean\n"]
-    for p in range(cg.grid.s1):
-        for q in range(cg.grid.s2):
-            lines.append(f"{p},{q},{int(cg.counts[p, q])},{float(cg.means[p, q])!r}\n")
+def table_csv(header, rows) -> str:
+    """CSV text one value at a time: `str` of an int, `repr` of a float."""
+    lines = [",".join(header) + "\n"]
+    for row in rows:
+        cells = [str(int(v)) if isinstance(v, (int, np.integer)) else repr(float(v)) for v in row]
+        lines.append(",".join(cells) + "\n")
     return "".join(lines)

@@ -10,6 +10,12 @@ from click.testing import CliRunner
 
 import coxmra
 from coxmra.cli import main
+from coxmra.config import load_config
+from coxmra.estimator import load_report
+from coxmra.grids import detrend, load_field
+from coxmra.predict import predict
+from coxmra.wavelet import field_dwt, level_slices, normalized_eigenfunctions, operator_to_wavelet
+from oracles import table_csv
 
 BASE_CONFIG = {
     "grid": {"s1": 10, "s2": 10},
@@ -66,6 +72,13 @@ def test_full_chain(workspace):
     eigs = (out / "field_000_eigenvalues.csv").read_text().splitlines()
     assert eigs[0] == "p,lambda1_hat,lambda2_hat"
     assert (out / "field_000_mean.csv").read_text().startswith("t_index,value")
+    fld, rep = load_field(field), load_report(report)
+    residual, mean = detrend(fld)
+    rows = [(p, a, b) for p, (a, b) in enumerate(zip(rep.eigenvalues1, rep.eigenvalues2), 1)]
+    expected = table_csv(("p", "lambda1_hat", "lambda2_hat"), rows)
+    assert (out / "field_000_eigenvalues.csv").read_bytes() == expected.encode()
+    expected = table_csv(("t_index", "value"), enumerate(mean.values))
+    assert (out / "field_000_mean.csv").read_bytes() == expected.encode()
 
     _run([
         "--config", str(config), "--out", str(out),
@@ -75,6 +88,14 @@ def test_full_chain(workspace):
     assert pred[0] == "p,q,t_index,predicted,residual"
     # only interior sites appear: 9 * 9 sites * 8 time points
     assert len(pred) == 1 + 81 * 8
+    result = predict(field_dwt(residual, 1), rep)
+    rows = [
+        (p, q, m, result.predicted.values[p, q, m] + mean.values[m], result.residuals.values[p, q, m])
+        for p, q in zip(*np.nonzero(result.mask))
+        for m in range(fld.time.n)
+    ]
+    expected = table_csv(("p", "q", "t_index", "predicted", "residual"), rows)
+    assert (out / "field_000_predicted.csv").read_bytes() == expected.encode()
 
     _run(["--config", str(config), "--out", str(out), "validate", str(field)])
     folds = (out / "field_000_folds.csv").read_text().splitlines()
@@ -105,16 +126,40 @@ def test_report_kinds(workspace):
     mse = (out / "mse_by_scale.csv").read_text().splitlines()
     assert mse[0] == "n,scaling_1,detail_1,detail_2"
     assert mse[1].startswith("100,")
+    cfg = load_config(config)
+    spec, time = cfg.sarh_spec(), cfg.time_grid()
+    phi = normalized_eigenfunctions(time, spec.truncation)
+    lams = (spec.eigenvalues1, spec.eigenvalues2, spec.eigenvalues3)
+    theta0 = np.stack([operator_to_wavelet(lam, phi, time, 1).matrix.diagonal() for lam in lams], 1)
+    sq = np.stack([(load_report(r).diagonal_thetas() - theta0) ** 2 for r in reports])
+    slices = level_slices(1, 3)
+    expected = table_csv(
+        ("n", *(f"{kind}_{level}" for kind, level in slices)),
+        [(100, *(np.mean(sq[:, sl, :]) for sl in slices.values()))],
+    )
+    assert (out / "mse_by_scale.csv").read_bytes() == expected.encode()
 
     _run(["--config", str(config), "--out", str(out), "report", "--kind", "eigs", *reports])
     eigs = (out / "eigenvalue_samples.csv").read_text().splitlines()
     assert eigs[0] == "replication,operator,p,lambda_hat"
+    rows = []
+    for i, r in enumerate(reports):
+        rep = load_report(r)
+        for op, lam in ((1, rep.eigenvalues1), (2, rep.eigenvalues2)):
+            rows += [(i, op, p, v) for p, v in enumerate(lam, 1)]
+    expected = table_csv(("replication", "operator", "p", "lambda_hat"), rows)
+    assert (out / "eigenvalue_samples.csv").read_bytes() == expected.encode()
 
     _run([
         "--config", str(config), "--out", str(out),
         "report", "--kind", "slice", "--at", "0.5", str(out / "field_000.csv"),
     ])
     assert (out / "field_000_slice.csv").read_text().startswith("p,q,value")
+    values = load_field(out / "field_000.csv").values
+    m = 3  # t = 7/16, the first of the two points nearest 0.5 on the 8-point grid
+    rows = [(p, q, values[p, q, m]) for p, q in np.ndindex(values.shape[:2])]
+    expected = table_csv(("p", "q", "value"), rows)
+    assert (out / "field_000_slice.csv").read_bytes() == expected.encode()
 
 
 def test_ingest_command(workspace):

@@ -89,7 +89,7 @@ def test_finite_grid_requires_points(tmp_path):
 def test_unsupported_weight_rejected(tmp_path):
     payload = _base()
     payload["estimation"] = {"eta": "uniform"}
-    with pytest.raises(ConfigError, match="weight"):
+    with pytest.raises(ConfigError, match="estimation.eta"):
         _load(tmp_path, payload)
 
 

@@ -14,7 +14,7 @@ from coxmra import (
     sample_counts,
 )
 from coxmra.cox import save_counts
-from oracles import counts_csv
+from oracles import table_csv
 
 
 def _logfield(values):
@@ -107,7 +107,9 @@ def test_save_counts_matches_per_cell_writer(tmp_path):
     counts = np.array([[0, 1, 2**62], [7, 2**63 - 1, 3]])
     cg = CountGrid(SpatialGrid(2, 3), counts, means)
     save_counts(cg, tmp_path / "counts.csv")
-    assert (tmp_path / "counts.csv").read_bytes() == counts_csv(cg).encode()
+    rows = [(p, q, counts[p, q], means[p, q]) for p, q in np.ndindex(2, 3)]
+    expected = table_csv(("p", "q", "count", "mean"), rows)
+    assert (tmp_path / "counts.csv").read_bytes() == expected.encode()
 
 
 def test_intensity_field_requires_positive():

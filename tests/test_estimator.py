@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from coxmra.estimator import (
     save_report,
 )
 from coxmra.sarh import simulate_component
+from oracles import EDGE_FLOATS, table_csv
 from coxmra.spectral import (
     FrequencyGrid,
     PeriodogramTable,
@@ -200,3 +203,9 @@ def test_report_roundtrip(tmp_path, reference_spec):
     lines = (tmp_path / "eigs.csv").read_text().splitlines()
     assert lines[0] == "p,lambda1_hat,lambda2_hat"
     assert len(lines) == 1 + report.eigenvalues1.size
+    edge = replace(report, eigenvalues1=np.array(EDGE_FLOATS), eigenvalues2=-np.array(EDGE_FLOATS))
+    for rep in (report, edge):
+        save_eigenvalue_table(rep, tmp_path / "eigs.csv")
+        rows = [(p, l1, l2) for p, (l1, l2) in enumerate(zip(rep.eigenvalues1, rep.eigenvalues2), 1)]
+        expected = table_csv(("p", "lambda1_hat", "lambda2_hat"), rows)
+        assert (tmp_path / "eigs.csv").read_bytes() == expected.encode()

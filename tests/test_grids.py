@@ -12,10 +12,7 @@ from coxmra import (
     save_field,
 )
 from coxmra.grids import FieldFormatError
-from oracles import field_csv
-
-# floats whose shortest repr switches notation or sits at a range limit
-EDGE_FLOATS = [-0.0, 1e16, 9999999999999998.0, 1e-5, 5e-324, 1.7976931348623157e308]
+from oracles import EDGE_FLOATS, table_csv
 
 
 def test_time_grid_points_are_midpoints():
@@ -94,7 +91,9 @@ def test_save_csv_matches_per_value_writer(tmp_path):
     values.flat[: 2 * len(EDGE_FLOATS)] = EDGE_FLOATS + [-v for v in EDGE_FLOATS]
     fld = FunctionalField(SpatialGrid(3, 5), TimeGrid(2), values)
     save_field(fld, tmp_path / "field.csv", "csv")
-    assert (tmp_path / "field.csv").read_bytes() == field_csv(fld).encode()
+    rows = [(p, q, m, v) for (p, q, m), v in np.ndenumerate(values)]
+    expected = table_csv(("p", "q", "t_index", "value"), rows)
+    assert (tmp_path / "field.csv").read_bytes() == expected.encode()
 
 
 def test_load_csv_reports_line_numbers(tmp_path):

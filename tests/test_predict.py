@@ -4,8 +4,15 @@ import pytest
 from coxmra import SpatialGrid, ThetaDomain, TimeGrid, loo_validate, predict, simulate
 from coxmra.estimator import EstimationReport, estimate_all
 from coxmra.grids import FunctionalField, detrend
-from coxmra.predict import _training_block, predict_coeffs, save_validation
+from coxmra.predict import (
+    FoldResult,
+    ValidationSummary,
+    _training_block,
+    predict_coeffs,
+    save_validation,
+)
 from coxmra.wavelet import MultiscaleCoefficients, field_dwt, level_slices
+from oracles import EDGE_FLOATS, table_csv
 
 
 def predict_coeffs_blockwise(
@@ -131,3 +138,14 @@ def test_save_validation(tmp_path, reference_spec):
     lines = periods.read_text().splitlines()
     assert lines[0] == "period,avg_error"
     assert len(lines) == 5
+    edge = ValidationSummary(
+        [FoldResult((i + 1, 2 * i + 3), v, np.full(3, abs(v))) for i, v in enumerate(EDGE_FLOATS)],
+        period_length=2,
+        n_time=3,
+    )
+    for s in (summary, edge):
+        save_validation(s, folds, periods)
+        rows = [(i, *f.site, f.mafe) for i, f in enumerate(s.folds)]
+        assert folds.read_bytes() == table_csv(("fold", "site_p", "site_q", "mafe"), rows).encode()
+        rows = list(enumerate(s.period_errors()))
+        assert periods.read_bytes() == table_csv(("period", "avg_error"), rows).encode()

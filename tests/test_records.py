@@ -1,11 +1,14 @@
-"""Round trips and single-mutation faults of every record file format.
+"""Round trips and single-mutation faults of every record file format,
+and the one writer every output file goes through.
 
 Each mutation changes one record of a valid file and must raise
 FieldFormatError naming the file and the line of the fault; faults of the
 whole file (a dropped record) name the line after the last record.
 """
 
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,9 +18,10 @@ from hypothesis.extra.numpy import arrays
 
 from coxmra import FunctionalField, SpatialGrid, TimeGrid, load_field, save_field
 from coxmra.estimator import ThetaDomain, estimate_all, load_report, save_report
-from coxmra.grids import FieldFormatError
+from coxmra.grids import FieldFormatError, write_csv, write_ndjson
 from coxmra.ingest import read_count_records
 from coxmra.wavelet import field_dwt
+from oracles import EDGE_FLOATS, table_csv
 
 FUZZ = settings(
     max_examples=15,
@@ -268,3 +272,83 @@ def test_count_records_mutation(tmp_path, kind, table, data):
     lines = path.read_text().splitlines()
     j = data.draw(st.integers(1, len(lines) - 1))
     _assert_fault(path, *COUNTS[kind](lines, j), read_count_records)
+
+
+# ---------------------------------------------------------------------------
+# writers
+
+
+EDGE_VALUES = EDGE_FLOATS + [-v for v in EDGE_FLOATS]
+EDGE_COUNTS = [0, 1, 2**62, 2**63 - 1]
+
+
+@pytest.mark.parametrize("origin", [(0, 0, 0), (1, 1, 0), (1,), ()])
+def test_write_csv_matches_per_value_writer(tmp_path, origin):
+    rng = np.random.default_rng(9)
+    shape = (3, 5, 4)[: len(origin)] if origin else (7,)
+    values = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+    values.flat[: len(EDGE_VALUES)] = EDGE_VALUES[: values.size]
+    counts = rng.integers(0, 2**63 - 1, size=shape, dtype=np.int64, endpoint=True)
+    counts.flat[: len(EDGE_COUNTS)] = EDGE_COUNTS
+    coords = [f"i{axis}" for axis in range(len(origin))]
+    write_csv(tmp_path / "t.csv", (*coords, "value", "count"), [values, counts], origin)
+    rows = [
+        (*(i + o for i, o in zip(index, origin)), v, counts[index])
+        for index, v in np.ndenumerate(values)
+    ]
+    expected = table_csv((*coords, "value", "count"), rows)
+    assert (tmp_path / "t.csv").read_bytes() == expected.encode()
+
+
+def test_write_csv_rejects_mismatched_columns(tmp_path):
+    with pytest.raises(ValueError, match="shapes"):
+        write_csv(tmp_path / "t.csv", ("p", "a", "b"), [np.zeros(3), np.zeros(4)], (0,))
+    with pytest.raises(ValueError, match="origin"):
+        write_csv(tmp_path / "t.csv", ("p", "a"), [np.zeros((2, 3))], (0,))
+
+
+def test_write_ndjson_lines_are_sorted_json_dumps(tmp_path):
+    meta = {"s2": 3, "depth": 2, "s1": 2}
+    records = [
+        {"q": i, "p": 2**63 - 1, "curve": [v, -v], "flag": i % 2 == 0, "x": v}
+        for i, v in enumerate(EDGE_VALUES)
+    ]
+    write_ndjson(tmp_path / "t.ndjson", meta, iter(records))
+    lines = (tmp_path / "t.ndjson").read_text().split("\n")
+    assert lines == [json.dumps(obj, sort_keys=True) for obj in [meta, *records]] + [""]
+
+
+def _writes_file(call: ast.Call) -> bool:
+    """Whether a call opens a file for writing or writes one directly."""
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if name in {"write_text", "write_bytes", "savetxt", "save", "savez", "tofile"}:
+        return True
+    if name != "open":
+        return False
+    # open(file, mode) or path.open(mode); a mode that is not a literal counts
+    modes = call.args[1:] if isinstance(func, ast.Name) else call.args
+    modes = modes + [k.value for k in call.keywords if k.arg == "mode"]
+    return any(not isinstance(m, ast.Constant) or set(str(m.value)) & set("wax+") for m in modes)
+
+
+def test_only_grids_writes_files():
+    """Every output file goes through `grids.write_csv` or
+    `grids.write_ndjson`; the CLI manifest is the one exception."""
+    found = []
+    for module in sorted((Path(__file__).parents[1] / "src" / "coxmra").glob("*.py")):
+        if module.name == "grids.py":
+            continue
+        tree = ast.parse(module.read_text())
+        exempt = {
+            node
+            for fn in tree.body
+            if isinstance(fn, ast.FunctionDef) and (module.name, fn.name) == ("cli.py", "_write_manifest")
+            for node in ast.walk(fn)
+        }
+        found += [
+            f"{module.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and node not in exempt and _writes_file(node)
+        ]
+    assert found == []

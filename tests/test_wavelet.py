@@ -15,7 +15,7 @@ from coxmra import (
     operator_to_wavelet,
     wavelet_to_operator_eigs,
 )
-from coxmra.wavelet import MultiscaleCoefficients, index_layout, level_slices
+from coxmra.wavelet import MultiscaleCoefficients, level_slices
 
 SQRT2 = np.sqrt(2.0)
 
@@ -81,14 +81,13 @@ def test_linearity(data, alpha):
 
 
 def test_layout_structure():
-    layout = index_layout(1, 3)
-    kinds = [(w.kind, w.level) for w in layout]
+    sl = level_slices(1, 3)
+    kinds = [key for key, s in sl.items() for _ in range(s.start, s.stop)]
     assert kinds == [
         ("scaling", 1), ("scaling", 1),
         ("detail", 1), ("detail", 1),
         ("detail", 2), ("detail", 2), ("detail", 2), ("detail", 2),
     ]
-    sl = level_slices(1, 3)
     assert sl[("scaling", 1)] == slice(0, 2)
     assert sl[("detail", 2)] == slice(4, 8)
 
@@ -99,7 +98,6 @@ def test_field_transform_roundtrip():
     mc = field_dwt(fld, 2)
     back = field_idwt(mc)
     np.testing.assert_allclose(back.values, fld.values, atol=1e-12)
-    assert mc.layout()[0].kind == "scaling"
 
 
 def test_normalized_eigenfunctions_orthonormal():
