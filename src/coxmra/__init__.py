@@ -40,8 +40,6 @@ from .estimator import (
     EstimationReport,
     ThetaDomain,
     estimate_all,
-    estimate_node,
-    estimate_sigma2,
     innovation_variance,
     truncation_parameter,
 )

@@ -80,20 +80,15 @@ def integrated_intensity(fld: IntensityField) -> np.ndarray:
 def sample_counts(means: np.ndarray, seed: int, grid: SpatialGrid | None = None) -> CountGrid:
     """Independent Poisson draws per cell, deterministic given the seed.
 
-    Per-cell seeds are derived from the root seed, so the draws do not
-    depend on traversal order.
+    One generator draws the cells in C order, so the count of a cell
+    depends only on the seed and the means of the cells up to it.
     """
     m = np.asarray(means, dtype=float)
     if np.any(m <= 0):
         raise ValueError("Poisson means must be positive")
     if grid is None:
         grid = SpatialGrid(*m.shape)
-    seeds = np.random.SeedSequence(seed).spawn(m.size)
-    counts = np.empty(m.size, dtype=np.int64)
-    flat = m.ravel()
-    for i, s in enumerate(seeds):
-        counts[i] = np.random.default_rng(s).poisson(flat[i])
-    return CountGrid(grid, counts.reshape(m.shape), m)
+    return CountGrid(grid, np.random.default_rng(seed).poisson(m), m)
 
 
 def moment_bound_check(

@@ -3,9 +3,10 @@
 Each basis pair is fitted independently: the empirical contrast of its
 periodogram table is minimized over a theta domain, either by exhaustive
 search on a finite grid or by coarse seeding plus a derivative-free
-coordinate pattern search on a box.  Estimated entries are assembled into
-full wavelet-domain operator matrices, from which eigenvalue estimates
-follow.
+coordinate pattern search on a box, run in lockstep for all pairs: each
+move is one batched contrast evaluation over the off-axis half plane.
+Estimated entries are assembled into full wavelet-domain operator
+matrices, from which eigenvalue estimates follow.
 """
 
 from __future__ import annotations
@@ -18,11 +19,11 @@ from .spectral import (
     FrequencyGrid,
     PeriodogramTable,
     _inverse_symbol_sq,
+    _log_psi,
     _stationary,
     all_periodograms,
     contrast_weights,
     edge_norm,
-    log_psi,
     stationarity_check,
 )
 from .grids import place_records, read_ndjson, record_fault, write_csv, write_ndjson
@@ -94,55 +95,19 @@ class ThetaDomain:
             raise ValueError("no stationary candidate in the box domain")
         return cand
 
-    def contains(self, theta) -> bool:
+    def contains(self, theta):
+        """Whether a triple, or each row of an (m, 3) array, is in the domain."""
         th = np.asarray(theta, dtype=float)
         free = 2 if self.couple_l3 else 3
-        in_box = all(lo <= v <= hi for v, (lo, hi) in zip(th[:free], self.bounds))
-        return in_box and edge_norm(th, self.couple_l3) < 1 - _BOUNDARY_MARGIN
+        lo, hi = np.asarray(self.bounds[:free], dtype=float).T
+        in_box = ((lo <= th[..., :free]) & (th[..., :free] <= hi)).all(axis=-1)
+        return in_box & (edge_norm(th, self.couple_l3) < 1 - _BOUNDARY_MARGIN)
 
     def near_boundary(self, theta) -> bool:
         """Whether a fit lies within the reporting slack of the domain's
         stationarity edge."""
         th = np.asarray(theta, dtype=float)
         return bool(edge_norm(th, self.couple_l3) > 1 - _BOUNDARY_MARGIN - _BOUNDARY_SLACK)
-
-
-def _pattern_search(
-    weights_row: np.ndarray,
-    freq: FrequencyGrid,
-    start: np.ndarray,
-    domain: ThetaDomain,
-    step0: float,
-) -> tuple[np.ndarray, float, int]:
-    """Coordinate-shrinking pattern search from a seed, projected to the
-    domain.  Never returns a contrast above the seed value."""
-
-    def contrast(theta: np.ndarray) -> float:
-        return float(-(weights_row @ log_psi(theta[None, :], freq)[0]))
-
-    best = np.asarray(start, dtype=float).copy()
-    best_val = contrast(best)
-    step = step0
-    iters = 0
-    free = 2 if domain.couple_l3 else 3
-    while step > _REFINE_TOL:
-        improved = False
-        for i in range(free):
-            for delta in (step, -step):
-                cand = best.copy()
-                cand[i] += delta
-                if domain.couple_l3:
-                    cand[2] = -cand[0] * cand[1]
-                if not domain.contains(cand):
-                    continue
-                val = contrast(cand)
-                iters += 1
-                if val < best_val - 1e-15:
-                    best, best_val = cand, val
-                    improved = True
-        if not improved:
-            step *= 0.5
-    return best, best_val, iters
 
 
 def _lexicographic_argmin(values: np.ndarray, thetas: np.ndarray) -> int:
@@ -155,54 +120,57 @@ def _lexicographic_argmin(values: np.ndarray, thetas: np.ndarray) -> int:
     return int(tied[order[0]])
 
 
-def estimate_node(
-    table: PeriodogramTable, domain: ThetaDomain
-) -> tuple[np.ndarray, float]:
-    """Minimum-contrast fit of one basis pair.
-
-    Returns the estimated theta and the contrast value at the optimum.
-    """
-    weights = contrast_weights(table.values, table.freq)
-    thetas, values, _ = _estimate_rows(weights[None, :], table.freq, domain)
-    return thetas[0], float(values[0])
-
-
 def _estimate_rows(
     weights: np.ndarray, freq: FrequencyGrid, domain: ThetaDomain
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batch node estimation over precomputed contrast weights."""
+    """Fit every row of full-plane contrast weights (rows, N); returns
+    thetas (rows, 3), contrasts and pattern-search evaluations.  A sweep
+    moves each free coordinate by +step, then -step, keeps a move that
+    lowers the contrast by more than 1e-15 and halves the step if none
+    did.  Each row keeps its own point, contrast, step and active flag.
+    """
+    table = freq.half_plane
+    hw = freq.fold(weights)
+
+    def contrasts(rows: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+        return -np.vecdot(hw[rows], _log_psi(thetas, *table))
+
     cand = domain.candidates()
-    contrasts = -(weights @ log_psi(cand, freq).T)
-    n_nodes = weights.shape[0]
-    thetas = np.empty((n_nodes, 3))
-    values = np.empty(n_nodes)
-    iters = np.zeros(n_nodes, dtype=int)
+    seeds = -(hw @ _log_psi(cand, *table).T)
+    n_rows = hw.shape[0]
+    first = np.array([_lexicographic_argmin(row, cand) for row in seeds], dtype=int)
+    seed_vals = seeds[np.arange(n_rows), first]
+    iters = np.zeros(n_rows, dtype=int)
     if domain.mode == "finite_grid":
-        for i in range(n_nodes):
-            j = _lexicographic_argmin(contrasts[i], cand)
-            thetas[i], values[i] = cand[j], contrasts[i, j]
-        return thetas, values, iters
-    step0 = max(
-        (hi - lo) / (_COARSE_POINTS - 1) for lo, hi in domain.bounds
-    ) * 0.5
-    for i in range(n_nodes):
-        j = _lexicographic_argmin(contrasts[i], cand)
-        theta, value, it = _pattern_search(
-            weights[i], freq, cand[j], domain, step0
-        )
-        # refinement must not fall behind its own seeding grid
-        if value > contrasts[i, j]:
-            theta, value = cand[j], contrasts[i, j]
-        thetas[i], values[i], iters[i] = theta, value, it
-    return thetas, values, iters
+        return cand[first], seed_vals, iters
 
-
-def estimate_sigma2(table: PeriodogramTable, theta) -> float:
-    """Scale of the fitted spectral density: the eta-weighted periodogram
-    moment, matching the weighted integral of the parametric density."""
-    if not stationarity_check(theta):
-        raise ValueError(f"non-stationary theta {tuple(theta)}")
-    return float(contrast_weights(table.values, table.freq).sum())
+    best = cand[first]
+    best_val = contrasts(np.arange(n_rows), best)
+    step = np.full(n_rows, max((hi - lo) / (_COARSE_POINTS - 1) for lo, hi in domain.bounds) * 0.5)
+    free = 2 if domain.couple_l3 else 3
+    active = np.flatnonzero(step > _REFINE_TOL)
+    while active.size:
+        improved = np.zeros(n_rows, dtype=bool)
+        for i in range(free):
+            for sign in (1.0, -1.0):
+                moved = best[active]
+                moved[:, i] += sign * step[active]
+                if domain.couple_l3:
+                    moved[:, 2] = -moved[:, 0] * moved[:, 1]
+                inside = domain.contains(moved)
+                rows, moved = active[inside], moved[inside]
+                val = contrasts(rows, moved)
+                iters[rows] += 1
+                better = val < best_val[rows] - 1e-15
+                rows = rows[better]
+                best[rows], best_val[rows] = moved[better], val[better]
+                improved[rows] = True
+        step[active[~improved[active]]] *= 0.5
+        active = active[step[active] > _REFINE_TOL]
+    # refinement must not fall behind its own seeding grid
+    behind = best_val > seed_vals
+    best[behind], best_val[behind] = cand[first[behind]], seed_vals[behind]
+    return best, best_val, iters
 
 
 def innovation_variance(table: PeriodogramTable, theta) -> float:
@@ -212,7 +180,7 @@ def innovation_variance(table: PeriodogramTable, theta) -> float:
     times the inverse squared symbol, so the moment is divided by the
     weighted integral of that shape.
     """
-    moment = estimate_sigma2(table, theta)
+    moment = float(contrast_weights(table.values, table.freq).sum())
     shape = _inverse_symbol_sq(_stationary(theta), table.freq)[0] / (2.0 * np.pi) ** 2
     return moment / float(shape @ table.freq.eta_measure)
 

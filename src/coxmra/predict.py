@@ -151,25 +151,25 @@ def loo_validate(
     held-out curve predicted from its observed causal neighbours, and the
     absolute functional error recorded.  `sites` restricts the folds
     (defaults to every interior site); fold order does not affect any
-    aggregate.
+    aggregate.  Folds that share a training block share its fit.
     """
     s1, s2 = fld.grid.s1, fld.grid.s2
     if sites is None:
         sites = [(p, q) for p in range(1, s1) for q in range(1, s2)]
     folds = []
+    fits = {}
     full_coeffs = field_dwt(fld, j0)
     for site in sorted(sites):
         p0, q0 = site
         if p0 < 1 or q0 < 1:
             raise ValueError(f"site {site} has no causal neighbours")
         rs, cs = _training_block(s1, s2, site, neighborhood_radius)
-        sub = FunctionalField(
-            SpatialGrid(rs.stop - rs.start, cs.stop - cs.start),
-            fld.time,
-            fld.values[rs, cs],
-        )
-        report = estimate_all(field_dwt(sub, j0), domain, include_cross=include_cross)
-        m1, m2, m3 = (op.matrix for op in report.operators)
+        key = (rs.start, rs.stop, cs.start, cs.stop)
+        if key not in fits:
+            grid = SpatialGrid(rs.stop - rs.start, cs.stop - cs.start)
+            sub = FunctionalField(grid, fld.time, fld.values[rs, cs])
+            fits[key] = estimate_all(field_dwt(sub, j0), domain, include_cross=include_cross)
+        m1, m2, m3 = (op.matrix for op in fits[key].operators)
         c = full_coeffs.coeffs
         pred_c = (
             m1 @ c[p0 - 1, q0] + m2 @ c[p0, q0 - 1] + m3 @ c[p0 - 1, q0 - 1]

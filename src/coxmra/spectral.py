@@ -1,17 +1,19 @@
 """Spatial frequency-domain machinery for coefficient fields.
 
 This module is the single home of the three quantities every contrast is
-built from: the AR symbol 1 - th1 e^{i w1} - th2 e^{i w2} - th3 e^{i(w1+w2)}
-(`_inverse_symbol_sq`), the fDFT with its 1-based site phase
-(`all_periodograms`), and the contrast weight eta = |w1|^2 |w2|^2
-(`FrequencyGrid.eta`).
+built from: the squared AR symbol |1 - th1 e^{i w1} - th2 e^{i w2} -
+th3 e^{i(w1+w2)}|^2 = c0 + c1 cos w1 + c2 cos w2 + c3 cos(w1+w2) +
+c4 cos(w1-w2), one product with the cosine table `FrequencyGrid.cosines`
+(`_symbol_sq`), the fDFT with its 1-based site phase (`all_periodograms`),
+and the contrast weight eta = |w1|^2 |w2|^2 (`FrequencyGrid.eta`).
 
 Frequencies live on the Fourier grid of the observation lattice, reported
 in the symmetric fundamental domain (-pi, pi]^2 so that eta is an even
 function.  All frequency integrals are Riemann sums over the N Fourier
 frequencies with cell measure (2 pi)^2 / N.  Grid-invariant tables are
 built once per `FrequencyGrid` instance and flattened in row-major
-(w1, w2) order.
+(w1, w2) order.  The estimator sums over the off-axis half plane, the
+eta support folded by evenness (`FrequencyGrid.fold`).
 """
 
 from __future__ import annotations
@@ -73,12 +75,33 @@ class FrequencyGrid:
         return TWO_PI**2 / self.n
 
     @cached_property
-    def phases(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """e^{i w1}, e^{i w2} and e^{i(w1+w2)} over the flattened grid."""
-        w1, w2 = self.mesh()
-        e1 = np.exp(1j * w1).ravel()
-        e2 = np.exp(1j * w2).ravel()
-        return _readonly(e1), _readonly(e2), _readonly(e1 * e2)
+    def cosines(self) -> np.ndarray:
+        """1, cos w1, cos w2, cos(w1 + w2), cos(w1 - w2) over the flattened grid, (5, N)."""
+        w1, w2 = (w.ravel() for w in self.mesh())
+        cos = [np.ones_like(w1), np.cos(w1), np.cos(w2), np.cos(w1 + w2), np.cos(w1 - w2)]
+        return _readonly(np.stack(cos))
+
+    @cached_property
+    def _pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Flat index of one point of each conjugate pair off the axes, and
+        of its partner at -w; (pi, pi) is its own partner."""
+        p, q = np.divmod(np.arange(self.n), self.s2)
+        mirror = (-p % self.s1) * self.s2 + (-q % self.s2)
+        keep = (p > 0) & (q > 0) & (np.arange(self.n) <= mirror)
+        return np.flatnonzero(keep), mirror[keep]
+
+    def fold(self, values: np.ndarray) -> np.ndarray:
+        """Sum of `values` (..., N) over each pair of `_pairs`, (..., N');
+        (pi, pi) counts once.  np.take keeps rows C-ordered, so a row
+        reduces alike in any batch."""
+        idx, mirror = self._pairs
+        pair = np.take(values, mirror, axis=-1) * (idx != mirror)
+        return np.take(values, idx, axis=-1) + pair
+
+    @cached_property
+    def half_plane(self) -> tuple[np.ndarray, np.ndarray]:
+        """`cosines` and folded `eta_measure` on the off-axis half plane, (5, N') and (N',)."""
+        return _readonly(self.cosines[:, self._pairs[0]]), _readonly(self.fold(self.eta_measure))
 
     @cached_property
     def eta(self) -> np.ndarray:
@@ -173,15 +196,34 @@ def contrast_weights(cross: np.ndarray, freq: FrequencyGrid) -> np.ndarray:
     return cross.real.ravel() * freq.eta_measure
 
 
+def _symbol_sq(thetas: np.ndarray, cosines: np.ndarray) -> np.ndarray:
+    """Squared AR symbol of m candidates over a cosine table, (m, N).
+
+    Each row is its own (1, 5) @ (5, N) product, and every row reduction
+    uses `np.vecdot`, so a candidate's values do not depend on its batch.
+    """
+    t1, t2, t3 = np.asarray(thetas, dtype=float).T
+    c = [1.0 + t1**2 + t2**2 + t3**2, 2.0 * (t2 * t3 - t1), 2.0 * (t1 * t3 - t2),
+         -2.0 * t3, 2.0 * t1 * t2]
+    return (np.stack(c, axis=-1)[:, None, :] @ cosines)[:, 0]
+
+
 def _inverse_symbol_sq(thetas: np.ndarray, freq: FrequencyGrid) -> np.ndarray:
     """1 / |1 - th1 e^{i w1} - th2 e^{i w2} - th3 e^{i(w1+w2)}|^2.
 
     `thetas` has shape (m, 3); the result has shape (m, N) over the
     flattened grid.
     """
-    e1, e2, e12 = freq.phases
-    sym = 1.0 - thetas[:, 0:1] * e1 - thetas[:, 1:2] * e2 - thetas[:, 2:3] * e12
-    return 1.0 / (np.abs(sym) ** 2)
+    return 1.0 / _symbol_sq(thetas, freq.cosines)
+
+
+def _log_psi(thetas: np.ndarray, cosines: np.ndarray, eta_measure: np.ndarray) -> np.ndarray:
+    """`log_psi` over any cosine table with its Riemann weights."""
+    sym = _symbol_sq(thetas, cosines)
+    scale = np.vecdot(1.0 / sym, eta_measure)
+    if np.any(scale <= 0):
+        raise ValueError("degenerate weight: eta-weighted density integrates to zero")
+    return -np.log(sym) - np.log(scale)[:, None]
 
 
 def log_psi(thetas: np.ndarray, freq: FrequencyGrid) -> np.ndarray:
@@ -192,11 +234,7 @@ def log_psi(thetas: np.ndarray, freq: FrequencyGrid) -> np.ndarray:
     sum(exp(log_psi) * eta) * cell_measure == 1 for every row.  The
     innovation variance cancels.
     """
-    inv = _inverse_symbol_sq(thetas, freq)
-    scale = (inv * freq.eta).sum(axis=1) * freq.cell_measure
-    if np.any(scale <= 0):
-        raise ValueError("degenerate weight: eta-weighted density integrates to zero")
-    return np.log(inv) - np.log(scale)[:, None]
+    return _log_psi(thetas, freq.cosines, freq.eta_measure)
 
 
 def _stationary(theta) -> np.ndarray:

@@ -2,14 +2,33 @@
 
 The library computes every fDFT through `coxmra.spectral.all_periodograms`;
 the direct sums here are its FFT-free oracles.  The AR recursion, the IDW
-interpolation and the CSV writer are vectorized in the library; their
-one-value-at-a-time loops here must give identical results.
+interpolation, the CSV writer and the lockstep pattern search are
+vectorized in the library; their one-value-at-a-time loops here must give
+identical results.
 """
 
 import numpy as np
 
+from coxmra.estimator import (
+    _COARSE_POINTS,
+    _REFINE_TOL,
+    ThetaDomain,
+    _estimate_rows,
+    _lexicographic_argmin,
+    estimate_all,
+)
+from coxmra.grids import FunctionalField, SpatialGrid
 from coxmra.ingest import _EXACT_HIT, IDW_NEIGHBOURS, IDW_POWER
-from coxmra.spectral import TWO_PI, FrequencyGrid, PeriodogramTable
+from coxmra.predict import _training_block
+from coxmra.spectral import (
+    TWO_PI,
+    FrequencyGrid,
+    PeriodogramTable,
+    _log_psi,
+    contrast_weights,
+    stationarity_check,
+)
+from coxmra.wavelet import field_dwt, idwt
 
 
 def fdft(coeff_field: np.ndarray, w: tuple[float, float]) -> complex:
@@ -86,3 +105,85 @@ def table_csv(header, rows) -> str:
         cells = [str(int(v)) if isinstance(v, (int, np.integer)) else repr(float(v)) for v in row]
         lines.append(",".join(cells) + "\n")
     return "".join(lines)
+
+
+def pattern_search(contrast, start, domain: ThetaDomain, step0: float) -> tuple[np.ndarray, float, int]:
+    """Coordinate-shrinking pattern search of one node from a seed, one
+    candidate per `contrast(theta)` call; returns (theta, value, evaluations)."""
+    best = np.asarray(start, dtype=float).copy()
+    best_val = contrast(best)
+    step = step0
+    iters = 0
+    free = 2 if domain.couple_l3 else 3
+    while step > _REFINE_TOL:
+        improved = False
+        for i in range(free):
+            for delta in (step, -step):
+                cand = best.copy()
+                cand[i] += delta
+                if domain.couple_l3:
+                    cand[2] = -cand[0] * cand[1]
+                if not domain.contains(cand):
+                    continue
+                val = contrast(cand)
+                iters += 1
+                if val < best_val - 1e-15:
+                    best, best_val = cand, val
+                    improved = True
+        if not improved:
+            step *= 0.5
+    return best, best_val, iters
+
+
+def estimate_rows_one_by_one(weights: np.ndarray, freq: FrequencyGrid, domain: ThetaDomain):
+    """`_estimate_rows` one row at a time: the seeding grid, then
+    `pattern_search` with one single-candidate half-plane contrast per call."""
+    table = freq.half_plane
+    hw = freq.fold(weights)
+    cand = domain.candidates()
+    seeds = -(hw @ _log_psi(cand, *table).T)
+    step0 = max((hi - lo) / (_COARSE_POINTS - 1) for lo, hi in domain.bounds) * 0.5
+    thetas, values, iters = [], [], []
+    for row, seed_row in zip(hw, seeds):
+        j = _lexicographic_argmin(seed_row, cand)
+        theta, value, it = cand[j], seed_row[j], 0
+        if domain.mode == "box":
+            theta, value, it = pattern_search(
+                lambda th: float(-(row @ _log_psi(th[None, :], *table)[0])), cand[j], domain, step0
+            )
+            if value > seed_row[j]:
+                theta, value = cand[j], seed_row[j]
+        thetas.append(theta)
+        values.append(value)
+        iters.append(it)
+    return np.array(thetas), np.array(values), np.array(iters)
+
+
+def loo_fold_by_fold(fld: FunctionalField, domain: ThetaDomain, j0: int, radius: int):
+    """(site, mafe, abs_error) of every interior fold, each with its own fit."""
+    s1, s2 = fld.grid.s1, fld.grid.s2
+    c = field_dwt(fld, j0).coeffs
+    out = []
+    for p0 in range(1, s1):
+        for q0 in range(1, s2):
+            rs, cs = _training_block(s1, s2, (p0, q0), radius)
+            sub = FunctionalField(SpatialGrid(rs.stop - rs.start, cs.stop - cs.start), fld.time, fld.values[rs, cs])
+            m1, m2, m3 = (op.matrix for op in estimate_all(field_dwt(sub, j0), domain).operators)
+            pred = idwt(m1 @ c[p0 - 1, q0] + m2 @ c[p0, q0 - 1] + m3 @ c[p0 - 1, q0 - 1], j0)
+            err = np.abs(fld.values[p0, q0] - pred)
+            out.append(((p0, q0), float(err.mean()), err))
+    return out
+
+
+def estimate_node(table: PeriodogramTable, domain: ThetaDomain) -> tuple[np.ndarray, float]:
+    """Minimum-contrast fit of one basis pair: (theta, contrast)."""
+    weights = contrast_weights(table.values, table.freq)
+    thetas, values, _ = _estimate_rows(weights[None, :], table.freq, domain)
+    return thetas[0], float(values[0])
+
+
+def estimate_sigma2(table: PeriodogramTable, theta) -> float:
+    """The eta-weighted periodogram moment of a table at a stationary theta."""
+    if not stationarity_check(theta):
+        raise ValueError(f"non-stationary theta {tuple(theta)}")
+    return float(contrast_weights(table.values, table.freq).sum())

@@ -56,10 +56,9 @@ def test_sample_counts_deterministic_and_order_free():
     a = sample_counts(means, seed=9)
     b = sample_counts(means, seed=9)
     np.testing.assert_array_equal(a.counts, b.counts)
-    # the draw at a cell depends only on (seed, flat index), so enlarging
-    # the grid preserves the leading row
+    # one stream draws the cells in C order, so enlarging the grid keeps
+    # the draws of the leading cells when their means are unchanged
     small = sample_counts(np.full((2, 3), 4.0), seed=9)
-    # flat indices 0..5 use the same per-cell seeds in both layouts
     np.testing.assert_array_equal(small.counts.ravel(), a.counts.ravel()[:6])
 
 

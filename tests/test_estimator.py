@@ -2,29 +2,31 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coxmra import (
     SpatialGrid,
     ThetaDomain,
     estimate_all,
-    estimate_node,
-    estimate_sigma2,
     innovation_variance,
     periodogram,
     truncation_parameter,
 )
 from coxmra.estimator import (
     EstimationReport,
+    _estimate_rows,
     load_report,
     save_eigenvalue_table,
     save_report,
 )
 from coxmra.sarh import simulate_component
-from oracles import EDGE_FLOATS, table_csv
+from oracles import EDGE_FLOATS, estimate_node, estimate_rows_one_by_one, estimate_sigma2, table_csv
 from coxmra.spectral import (
     FrequencyGrid,
     PeriodogramTable,
     all_periodograms,
+    contrast_weights,
     empirical_contrast,
     stationarity_check,
 )
@@ -154,6 +156,40 @@ def test_sigma2_moment_and_innovation_variance():
         estimate_sigma2(tabs[0], (0.8, 0.8, 0.0))
 
 
+_lower = st.floats(min_value=-0.95, max_value=-0.05)
+_upper = st.floats(min_value=0.05, max_value=0.95)
+box_domains = st.builds(
+    lambda couple, bounds: ThetaDomain(mode="box", bounds=bounds, couple_l3=couple),
+    st.booleans(),
+    st.tuples(*[st.tuples(_lower, _upper)] * 3),
+)
+
+
+@given(
+    st.integers(min_value=2, max_value=16),
+    st.integers(min_value=2, max_value=16),
+    st.integers(min_value=1, max_value=2),
+    st.booleans(),
+    box_domains,
+    st.integers(min_value=0, max_value=10**6),
+)
+@example(4, 4, 2, True, ThetaDomain(mode="box"), 0)
+@example(5, 8, 2, True, ThetaDomain(mode="box", couple_l3=True), 1)
+@settings(max_examples=60, deadline=None)
+def test_lockstep_search_matches_reference(s1, s2, n, cross, domain, seed):
+    # all rows searched at once must follow each row's own search exactly
+    coeffs = np.random.default_rng(seed).normal(size=(s1, s2, n))
+    freq = FrequencyGrid(s1, s2)
+    f = all_periodograms(coeffs).reshape(-1, n)
+    pairs = [(a, b) for a in range(n) for b in range(n) if cross or a == b]
+    weights = np.array([contrast_weights(f[:, a] * np.conj(f[:, b]), freq) for a, b in pairs])
+    thetas, values, iters = _estimate_rows(weights, freq, domain)
+    ref_thetas, ref_values, ref_iters = estimate_rows_one_by_one(weights, freq, domain)
+    assert np.array_equal(thetas, ref_thetas)
+    assert np.array_equal(iters, ref_iters)
+    np.testing.assert_allclose(values, ref_values, rtol=1e-12)
+
+
 def test_estimate_all_report_structure(reference_spec):
     from coxmra import simulate
 
@@ -184,6 +220,9 @@ def test_estimate_all_include_cross(reference_spec):
     n = mc.n_coeffs
     assert len(report.estimates) == n * n
     assert np.isfinite(report.operators[0].matrix).all()
+    # the (a, b) and (b, a) rows carry identical weights, hence identical fits
+    ops = np.stack([op.matrix for op in report.operators])
+    assert np.array_equal(ops, ops.transpose(0, 2, 1))
 
 
 def test_report_roundtrip(tmp_path, reference_spec):

@@ -1,7 +1,18 @@
+import importlib
+
 import numpy as np
 import pytest
 
-from coxmra import SpatialGrid, ThetaDomain, TimeGrid, loo_validate, predict, simulate
+from coxmra import (
+    SarhSpec,
+    SpatialGrid,
+    ThetaDomain,
+    TimeGrid,
+    default_variance_profile,
+    loo_validate,
+    predict,
+    simulate,
+)
 from coxmra.estimator import EstimationReport, estimate_all
 from coxmra.grids import FunctionalField, detrend
 from coxmra.predict import (
@@ -12,7 +23,10 @@ from coxmra.predict import (
     save_validation,
 )
 from coxmra.wavelet import MultiscaleCoefficients, field_dwt, level_slices
-from oracles import EDGE_FLOATS, table_csv
+from oracles import EDGE_FLOATS, loo_fold_by_fold, table_csv
+
+# the package re-exports the function `predict` under the module's name
+predict_module = importlib.import_module("coxmra.predict")
 
 
 def predict_coeffs_blockwise(
@@ -117,6 +131,28 @@ def test_loo_validate_structure(reference_spec):
     assert summary.aloocve == pytest.approx(
         np.mean([f.mafe for f in summary.folds])
     )
+
+
+def test_loo_validate_fits_each_training_block_once(monkeypatch):
+    lam1, lam2 = np.array([0.3, 0.2]), np.array([0.5, 0.4])
+    spec = SarhSpec(lam1, lam2, default_variance_profile(lam1, lam2), TimeGrid(1), couple_l3=True)
+    res, _ = detrend(simulate(spec, SpatialGrid(12, 12), 64, seed=34))
+    domain = ThetaDomain(couple_l3=True)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].grid)
+        return estimate_all(*args, **kwargs)
+
+    monkeypatch.setattr(predict_module, "estimate_all", counted)
+    summary = loo_validate(res, domain, j0=0, neighborhood_radius=1, period_length=1)
+    # the 121 folds of a 12 x 12 lattice with radius 1 use 20 distinct blocks
+    assert len(summary.folds) == 121
+    assert len(calls) == 20
+    reference = loo_fold_by_fold(res, domain, j0=0, radius=1)
+    assert [f.site for f in summary.folds] == [site for site, _, _ in reference]
+    assert np.array_equal([f.mafe for f in summary.folds], [m for _, m, _ in reference])
+    assert np.array_equal([f.abs_error for f in summary.folds], [e for _, _, e in reference])
 
 
 def test_loo_validate_rejects_boundary_site(reference_spec):

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coxmra import FrequencyGrid, divergence, log_psi, periodogram
 from coxmra.spectral import (
     _inverse_symbol_sq,
+    _log_psi,
     all_periodograms,
     contrast_functional,
     contrast_weights,
@@ -165,6 +166,41 @@ def test_log_psi_batched_matches_single(s1, s2, thetas, seed):
     np.testing.assert_allclose(
         seeded, [empirical_contrast(tab, th) for th in thetas], rtol=1e-12, atol=1e-14
     )
+
+
+@given(sides, sides)
+@settings(max_examples=50, deadline=None)
+def test_half_plane_pairs_each_conjugate_point_once(s1, s2):
+    freq = FrequencyGrid(s1, s2)
+    counts = freq.fold(np.ones(freq.n))
+    # every off-axis point is counted once; only (pi, pi) is its own pair
+    assert counts.sum() == (s1 - 1) * (s2 - 1)
+    assert (counts == 1).sum() == (s1 % 2 == 0 and s2 % 2 == 0)
+    cosines, eta_measure = freq.half_plane
+    assert cosines.shape == (5, counts.size)
+    assert eta_measure.sum() == pytest.approx(freq.eta_measure.sum(), rel=1e-12)
+
+
+@given(sides, sides, st.lists(stationary_thetas, min_size=1, max_size=6),
+       st.integers(min_value=0, max_value=10**6))
+@example(4, 4, [(0.3, 0.5, -0.15)], 0)
+@example(2, 2, [(0.3, 0.5, -0.15)], 1)
+@settings(max_examples=50, deadline=None)
+def test_half_plane_contrast_matches_full_plane(s1, s2, thetas, seed):
+    # the estimator's folded half-plane sum is the full-plane contrast
+    freq = FrequencyGrid(s1, s2)
+    x = np.random.default_rng(seed).normal(size=(s1, s2, 2))
+    f = all_periodograms(x).reshape(-1, 2)
+    weights = np.array([contrast_weights(f[:, a] * np.conj(f[:, b]), freq)
+                        for a, b in ((0, 0), (1, 1), (0, 1))])
+    th = np.array(thetas)
+    full_lp = log_psi(th, freq)
+    full = -(weights @ full_lp.T)
+    half = -(freq.fold(weights) @ _log_psi(th, *freq.half_plane).T)
+    # relative to the summed magnitudes: cross weights take both signs, so
+    # a contrast itself can cancel to near zero
+    magnitude = np.abs(weights) @ np.abs(full_lp).T
+    assert np.all(np.abs(half - full) <= 1e-12 * magnitude)
 
 
 def test_divergence_zero_at_truth_and_positive():
