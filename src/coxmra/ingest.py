@@ -4,6 +4,8 @@ Counts observed at scattered sites are turned into per-site log-intensity
 series with a log(count + 1) transform, interpolated onto a regular grid
 by inverse-distance weighting (power 2, 4 nearest sites, exact hits copy
 the site value), and resampled in time onto the dyadic midpoint grid.
+The nearest sites come from a partial selection (`np.partition`) equal to
+a full stable sort; time is resampled one output point at a time.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ def read_count_records(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for bad, what in (
         (~np.isfinite(xy).all(axis=1), "non-finite coordinate"),
         (rows["count"] < 0, "negative count"),
+        (rows["count"] != np.floor(rows["count"]), "non-integer count"),
     ):
         if bad.any():
             raise record_fault(path, lineno(int(np.argmax(bad))), what)
@@ -50,6 +53,25 @@ def read_count_records(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return coords, series, ids
 
 
+def _nearest(d: np.ndarray, k: int) -> np.ndarray:
+    """`np.argsort(d, axis=1, kind="stable")[:, :k]` without sorting whole rows.
+
+    A row whose k-th smallest distance has exactly k entries at or below it
+    sorts just those k columns; a tie across that cut keeps the full sort.
+    """
+    if k >= d.shape[1]:
+        return np.argsort(d, axis=1, kind="stable")[:, :k]
+    inside = d <= np.partition(d, k - 1, axis=1)[:, k - 1:k]
+    clean = np.count_nonzero(inside, axis=1) == k
+    rows = np.flatnonzero(clean)
+    cols = np.nonzero(inside[rows])[1].reshape(-1, k)  # ascending site index
+    order = np.argsort(d[rows[:, None], cols], axis=1, kind="stable")
+    nearest = np.empty((d.shape[0], k), dtype=np.intp)
+    nearest[rows] = np.take_along_axis(cols, order, axis=1)
+    nearest[~clean] = np.argsort(d[~clean], axis=1, kind="stable")[:, :k]
+    return nearest
+
+
 def idw_interpolate(
     coords: np.ndarray, values: np.ndarray, targets: np.ndarray
 ) -> np.ndarray:
@@ -64,10 +86,10 @@ def idw_interpolate(
     trail = (1,) * (values.ndim - 1)
     for start in range(0, targets.shape[0], _IDW_BLOCK):
         block = targets[start:start + _IDW_BLOCK]
-        dx = block[:, 0, None] - coords[None, :, 0]
-        dy = block[:, 1, None] - coords[None, :, 1]
-        d = np.sqrt(dx * dx + dy * dy)
-        nearest = np.argsort(d, axis=1, kind="stable")[:, :k]
+        d = np.square(block[:, 0, None] - coords[None, :, 0])
+        d += np.square(block[:, 1, None] - coords[None, :, 1])
+        np.sqrt(d, out=d)
+        nearest = _nearest(d, k)
         dn = np.take_along_axis(d, nearest, axis=1)
         hit = dn[:, 0] < _EXACT_HIT
         rows = out[start:start + _IDW_BLOCK]
@@ -90,11 +112,19 @@ def _grid_targets(coords: np.ndarray, grid: SpatialGrid) -> np.ndarray:
 
 def resample_time(series: np.ndarray, depth: int) -> np.ndarray:
     """Linear resampling from midpoint samples of the raw series onto the
-    dyadic midpoint grid (endpoints clamped)."""
+    dyadic midpoint grid (endpoints clamped).  One new time point at a time
+    for all series, by np.interp's formula, so finite series get its bits."""
     n_raw = series.shape[-1]
     t_raw = (np.arange(n_raw) + 0.5) / n_raw
     t_new = TimeGrid(depth).points
-    return np.apply_along_axis(lambda v: np.interp(t_new, t_raw, v), -1, series)
+    out = np.empty(series.shape[:-1] + t_new.shape)
+    for i, (x, j) in enumerate(zip(t_new, np.searchsorted(t_raw, t_new, side="right") - 1)):
+        if j < 0 or j >= n_raw - 1 or t_raw[j] == x:  # clamped ends and exact samples
+            out[..., i] = series[..., max(j, 0)]
+        else:
+            slope = (series[..., j + 1] - series[..., j]) / (t_raw[j + 1] - t_raw[j])
+            out[..., i] = slope * (x - t_raw[j]) + series[..., j]
+    return out
 
 
 def ingest_counts(path, grid: SpatialGrid, depth: int) -> FunctionalField:

@@ -2,9 +2,9 @@
 
 The library computes every fDFT through `coxmra.spectral.all_periodograms`;
 the direct sums here are its FFT-free oracles.  The AR recursion, the IDW
-interpolation, the CSV writer and the lockstep pattern search are
-vectorized in the library; their one-value-at-a-time loops here must give
-identical results.
+interpolation, the time resampling, the CSV writer and the lockstep pattern
+search are vectorized in the library; their one-value-at-a-time loops here
+must give identical results.
 """
 
 import numpy as np
@@ -17,7 +17,7 @@ from coxmra.estimator import (
     _lexicographic_argmin,
     estimate_all,
 )
-from coxmra.grids import FunctionalField, SpatialGrid
+from coxmra.grids import FunctionalField, SpatialGrid, TimeGrid
 from coxmra.ingest import _EXACT_HIT, IDW_NEIGHBOURS, IDW_POWER
 from coxmra.predict import _training_block
 from coxmra.spectral import (
@@ -92,6 +92,14 @@ def idw_interpolate(coords: np.ndarray, values: np.ndarray, targets: np.ndarray)
         w_ext = w.reshape((-1,) + (1,) * (values.ndim - 1))
         out[i] = (w_ext * values[nearest]).sum(axis=0) / w.sum()
     return out
+
+
+def resample_time(series: np.ndarray, depth: int) -> np.ndarray:
+    """One np.interp call per series onto the dyadic midpoint grid."""
+    n_raw = series.shape[-1]
+    t_raw = (np.arange(n_raw) + 0.5) / n_raw
+    t_new = TimeGrid(depth).points
+    return np.apply_along_axis(lambda v: np.interp(t_new, t_raw, v), -1, series)
 
 
 # floats whose shortest repr switches notation or sits at a range limit

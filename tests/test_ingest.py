@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from coxmra.grids import FieldFormatError, SpatialGrid
 from coxmra.ingest import (
+    _nearest,
     idw_interpolate,
     ingest_counts,
     read_count_records,
     resample_time,
 )
 from oracles import idw_interpolate as idw_oracle
+from oracles import resample_time as resample_oracle
 
 
 def _write_counts(path, rows, header="site_id,x,y,time_index,count"):
@@ -88,6 +93,55 @@ def test_idw_matches_per_target_loop(case):
     coords, values, targets = IDW_CASES[case]
     assert np.array_equal(idw_interpolate(coords, values, targets),
                           idw_oracle(coords, values, targets))
+
+
+@st.composite
+def lattice_sites(draw):
+    """1-40 distinct sites of a small integer lattice in random order, and
+    targets at half-integer points (ties across the k-nearest cut) and at
+    random points."""
+    side = draw(st.integers(1, 7))
+    cell = st.tuples(st.integers(0, side - 1), st.integers(0, side - 1))
+    coords = np.array(draw(st.lists(cell, min_size=1, max_size=40, unique=True)), dtype=float)
+    half = st.integers(-2, 2 * side).map(lambda v: v / 2)
+    free = st.floats(-1.0, side)
+    point = st.tuples(half, half) | st.tuples(free, free)
+    targets = np.array(draw(st.lists(point, min_size=1, max_size=30)), dtype=float)
+    trail = draw(st.sampled_from([(), (3,)]))
+    values = draw(arrays(float, (len(coords), *trail), elements=st.floats(-1e6, 1e6)))
+    return coords, values, targets
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=lattice_sites())
+def test_idw_selection_is_exact_under_ties(case):
+    coords, values, targets = case
+    assert np.array_equal(idw_interpolate(coords, values, targets),
+                          idw_oracle(coords, values, targets))
+    d = np.linalg.norm(targets[:, None, :] - coords[None, :, :], axis=2)
+    for k in range(1, len(coords) + 2):
+        assert np.array_equal(_nearest(d, k), np.argsort(d, axis=1, kind="stable")[:, :k])
+
+
+@st.composite
+def raw_series(draw):
+    """Raw series of 1-100 samples, or a multiple of 2^depth samples so that
+    new time points land exactly on raw samples, with 0-2 leading axes."""
+    depth = draw(st.integers(1, 6))
+    n_raw = draw(st.integers(1, 100) | st.integers(1, 4).map(lambda m: m * 2**depth))
+    lead = draw(st.lists(st.integers(1, 3), max_size=2))
+    # the full finite range: where a slope overflows, exact samples are still copied
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    return draw(arrays(float, (*lead, n_raw), elements=finite)), depth
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=raw_series())
+def test_resample_time_matches_np_interp(case):
+    series, depth = case
+    with np.errstate(over="ignore"):  # np.interp overflows silently
+        out = resample_time(series, depth)
+    assert np.array_equal(out, resample_oracle(series, depth))
 
 
 def test_resample_time_constant_and_linear():

@@ -261,6 +261,7 @@ def test_count_records_roundtrip(tmp_path, table):
 COUNTS = _csv_mutations(index_col=3, value_col=4)
 COUNTS["non-finite coordinate"] = lambda lines, j: _set_field(lines, j, 1, "inf")
 COUNTS["negative count"] = lambda lines, j: _set_field(lines, j, 4, "-1")
+COUNTS["non-integer count"] = lambda lines, j: _set_field(lines, j, 4, "2.5")
 
 
 @pytest.mark.parametrize("kind", sorted(COUNTS))
