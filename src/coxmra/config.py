@@ -8,10 +8,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+from typing import Literal
 
 import numpy as np
 from pydantic import BaseModel, ConfigDict, Field, ValidationError, model_validator
 
+from .estimator import ThetaDomain
 from .grids import FORMATS, SpatialGrid, TimeGrid
 from .sarh import SarhSpec, default_variance_profile
 
@@ -48,25 +50,20 @@ class TimeConfig(_Section):
 class ModelConfig(_Section):
     eigenvalues1: list[float] = list(REFERENCE_EIGENVALUES_1)
     eigenvalues2: list[float] = list(REFERENCE_EIGENVALUES_2)
-    innovation_variances: list[float] | str = "default"
+    innovation_variances: list[float] | Literal["default"] = "default"
     couple_l3: bool = True
     eigenvalues3: list[float] | None = None
     truncation: int | None = Field(default=None, ge=1)
 
 
 class EstimationConfig(_Section):
-    domain_mode: str = "box"
     bounds: list[tuple[float, float]] = [(-0.95, 0.95)] * 3
-    grid_points: list[tuple[float, float, float]] | None = None
     include_cross: bool = False
     couple_l3: bool = False
 
     @model_validator(mode="after")
-    def _check(self):
-        if self.domain_mode not in ("box", "finite_grid"):
-            raise ValueError(f"unknown domain_mode {self.domain_mode!r}")
-        if self.domain_mode == "finite_grid" and not self.grid_points:
-            raise ValueError("finite_grid mode requires grid_points")
+    def _check_domain(self):
+        ThetaDomain(self.bounds, self.couple_l3)
         return self
 
 
@@ -139,21 +136,8 @@ class RunConfig(_Section):
             eigenvalues3=lam3,
         )
 
-    def theta_domain(self):
-        from .estimator import ThetaDomain
-
-        est = self.estimation
-        if est.domain_mode == "finite_grid":
-            return ThetaDomain(
-                mode="finite_grid",
-                grid_points=tuple(tuple(p) for p in est.grid_points),
-                couple_l3=est.couple_l3,
-            )
-        return ThetaDomain(
-            mode="box",
-            bounds=tuple(tuple(b) for b in est.bounds),
-            couple_l3=est.couple_l3,
-        )
+    def theta_domain(self) -> ThetaDomain:
+        return ThetaDomain(self.estimation.bounds, self.estimation.couple_l3)
 
     def canonical_json(self) -> str:
         return json.dumps(self.model_dump(), sort_keys=True)

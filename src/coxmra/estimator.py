@@ -1,12 +1,11 @@
 """Minimum-contrast estimation of the wavelet-domain AR parameters.
 
 Each basis pair is fitted independently: the empirical contrast of its
-periodogram table is minimized over a theta domain, either by exhaustive
-search on a finite grid or by coarse seeding plus a derivative-free
-coordinate pattern search on a box, run in lockstep for all pairs: each
-move is one batched contrast evaluation over the off-axis half plane.
-Estimated entries are assembled into full wavelet-domain operator
-matrices, from which eigenvalue estimates follow.
+periodogram table is minimized over a box domain by coarse seeding plus
+a derivative-free coordinate pattern search, run in lockstep for all
+pairs: each move is one batched contrast evaluation over the off-axis
+half plane.  Estimated entries are assembled into full wavelet-domain
+operator matrices, from which eigenvalue estimates follow.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from .spectral import (
     all_periodograms,
     contrast_weights,
     edge_norm,
-    stationarity_check,
 )
 from .grids import place_records, read_ndjson, record_fault, write_csv, write_ndjson
 from .wavelet import MultiscaleCoefficients, OperatorWaveletMatrix, wavelet_to_operator_eigs
@@ -46,41 +44,27 @@ def truncation_parameter(n: int) -> int:
 
 @dataclass(frozen=True)
 class ThetaDomain:
-    """Search domain for one AR triple.
-
-    finite_grid mode evaluates the supplied candidates exhaustively; box
-    mode searches the per-coordinate intervals intersected with the
-    stationarity region.  With couple_l3 set the third coordinate is tied
-    to -theta1 * theta2 and only the first two are searched.
+    """Search domain for one AR triple: the per-coordinate intervals
+    intersected with the stationarity region.  With couple_l3 set the
+    third coordinate is tied to -theta1 * theta2 and only the first two
+    are searched.
     """
 
-    mode: str = "box"
     bounds: tuple = ((-0.95, 0.95), (-0.95, 0.95), (-0.95, 0.95))
-    grid_points: tuple = ()
     couple_l3: bool = False
 
     def __post_init__(self):
-        if self.mode not in ("finite_grid", "box"):
-            raise ValueError(f"unknown domain mode {self.mode!r}")
-        if self.mode == "finite_grid":
-            pts = tuple(tuple(float(v) for v in p) for p in self.grid_points)
-            if not pts:
-                raise ValueError("finite_grid domain must be nonempty")
-            bad = [p for p in pts if not stationarity_check(p)]
-            if bad:
-                raise ValueError(f"non-stationary grid point {bad[0]}")
-            object.__setattr__(self, "grid_points", pts)
-        else:
-            if len(self.bounds) != 3:
-                raise ValueError("box domain needs three coordinate intervals")
-            for lo, hi in self.bounds:
-                if not lo <= hi:
-                    raise ValueError(f"empty interval ({lo}, {hi})")
+        if len(self.bounds) != 3:
+            raise ValueError(f"box domain needs three coordinate intervals, got {len(self.bounds)}")
+        object.__setattr__(self, "bounds", tuple((float(lo), float(hi)) for lo, hi in self.bounds))
+        for lo, hi in self.bounds:
+            if not lo <= hi:
+                raise ValueError(f"empty interval ({lo}, {hi})")
+        if not len(self.candidates()):
+            raise ValueError(f"no stationary candidate in the box domain {self.bounds}")
 
     def candidates(self) -> np.ndarray:
         """Stationary seed candidates, shape (m, 3)."""
-        if self.mode == "finite_grid":
-            return np.asarray(self.grid_points, dtype=float)
         axes = [np.linspace(lo, hi, _COARSE_POINTS) for lo, hi in self.bounds]
         if self.couple_l3:
             t1, t2 = np.meshgrid(axes[0], axes[1], indexing="ij")
@@ -90,10 +74,7 @@ class ThetaDomain:
         else:
             t1, t2, t3 = np.meshgrid(*axes, indexing="ij")
             cand = np.column_stack([t1.ravel(), t2.ravel(), t3.ravel()])
-        cand = cand[edge_norm(cand, self.couple_l3) < 1 - _BOUNDARY_MARGIN]
-        if cand.size == 0:
-            raise ValueError("no stationary candidate in the box domain")
-        return cand
+        return cand[edge_norm(cand, self.couple_l3) < 1 - _BOUNDARY_MARGIN]
 
     def contains(self, theta):
         """Whether a triple, or each row of an (m, 3) array, is in the domain."""
@@ -141,9 +122,6 @@ def _estimate_rows(
     first = np.array([_lexicographic_argmin(row, cand) for row in seeds], dtype=int)
     seed_vals = seeds[np.arange(n_rows), first]
     iters = np.zeros(n_rows, dtype=int)
-    if domain.mode == "finite_grid":
-        return cand[first], seed_vals, iters
-
     best = cand[first]
     best_val = contrasts(np.arange(n_rows), best)
     step = np.full(n_rows, max((hi - lo) / (_COARSE_POINTS - 1) for lo, hi in domain.bounds) * 0.5)
@@ -244,40 +222,31 @@ def estimate_all(
         weights[idx] = contrast_weights(flat[:, a] * np.conj(flat[:, b]), freq)
 
     thetas, values, iters = _estimate_rows(weights, freq, domain)
+    estimates = [
+        NodeEstimate(a, b, tuple(float(v) for v in th), float(w.sum()), float(val), int(it),
+                     domain.near_boundary(th))
+        for (a, b), th, w, val, it in zip(pairs, thetas, weights, values, iters)
+    ]
+    return _report(coeffs.j0, coeffs.depth, s1 * s2, truncation_parameter(s1 * s2), estimates)
 
-    estimates = []
-    mats = [np.zeros((n, n)) for _ in range(3)]
-    for idx, (a, b) in enumerate(pairs):
-        th = thetas[idx]
-        moment = float(weights[idx].sum())
-        estimates.append(
-            NodeEstimate(
-                row=a,
-                col=b,
-                theta=tuple(float(v) for v in th),
-                sigma2=moment,
-                contrast=float(values[idx]),
-                iterations=int(iters[idx]),
-                near_boundary=domain.near_boundary(th),
-            )
-        )
-        for i in range(3):
-            mats[i][a, b] = th[i]
 
-    operators = tuple(
-        OperatorWaveletMatrix(coeffs.j0, coeffs.depth, m) for m in mats
-    )
-    k = min(truncation_parameter(s1 * s2), n)
-    lam1 = wavelet_to_operator_eigs(operators[0], k)
-    lam2 = wavelet_to_operator_eigs(operators[1], k)
+def _report(j0: int, depth: int, n_sites: int, k: int, estimates: list[NodeEstimate]) -> EstimationReport:
+    """Assemble the three operator matrices from per-pair estimates and
+    their leading eigenvalues; k is clipped to the layout size."""
+    n = 1 << depth
+    mats = np.zeros((3, n, n))
+    for est in estimates:
+        mats[:, est.row, est.col] = est.theta
+    operators = tuple(OperatorWaveletMatrix(j0, depth, m) for m in mats)
+    k = min(k, n)
     return EstimationReport(
-        j0=coeffs.j0,
-        depth=coeffs.depth,
-        n_sites=s1 * s2,
+        j0=j0,
+        depth=depth,
+        n_sites=n_sites,
         estimates=estimates,
         operators=operators,
-        eigenvalues1=lam1,
-        eigenvalues2=lam2,
+        eigenvalues1=wavelet_to_operator_eigs(operators[0], k),
+        eigenvalues2=wavelet_to_operator_eigs(operators[1], k),
     )
 
 
@@ -316,19 +285,7 @@ def load_report(path) -> EstimationReport:
         path, shape, pairs[:, : len(shape)], thetas, lineno,
         lambda key: f"pair ({key[0]}, {key[-1]})",
     )
-    mats = np.zeros((3, n, n))
-    mats[:, pairs[:, 0], pairs[:, 1]] = thetas.T
-    operators = tuple(OperatorWaveletMatrix(j0, depth, m) for m in mats)
-    k = min(k, n)
-    return EstimationReport(
-        j0=j0,
-        depth=depth,
-        n_sites=n_sites,
-        estimates=estimates,
-        operators=operators,
-        eigenvalues1=wavelet_to_operator_eigs(operators[0], k),
-        eigenvalues2=wavelet_to_operator_eigs(operators[1], k),
-    )
+    return _report(j0, depth, n_sites, k, estimates)
 
 
 def save_eigenvalue_table(report: EstimationReport, path) -> None:

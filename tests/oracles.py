@@ -154,13 +154,11 @@ def estimate_rows_one_by_one(weights: np.ndarray, freq: FrequencyGrid, domain: T
     thetas, values, iters = [], [], []
     for row, seed_row in zip(hw, seeds):
         j = _lexicographic_argmin(seed_row, cand)
-        theta, value, it = cand[j], seed_row[j], 0
-        if domain.mode == "box":
-            theta, value, it = pattern_search(
-                lambda th: float(-(row @ _log_psi(th[None, :], *table)[0])), cand[j], domain, step0
-            )
-            if value > seed_row[j]:
-                theta, value = cand[j], seed_row[j]
+        theta, value, it = pattern_search(
+            lambda th: float(-(row @ _log_psi(th[None, :], *table)[0])), cand[j], domain, step0
+        )
+        if value > seed_row[j]:
+            theta, value = cand[j], seed_row[j]
         thetas.append(theta)
         values.append(value)
         iters.append(it)

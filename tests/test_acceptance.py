@@ -78,7 +78,7 @@ def test_criterion_1_mse_decay():
         ],
         axis=1,
     )
-    domain = ThetaDomain(mode="box")
+    domain = ThetaDomain()
     sq_by_n: dict[int, list[np.ndarray]] = {100: [], 900: [], 2500: []}
     for rep in range(20):
         big = simulate(spec, SpatialGrid(50, 50), 64, seed=5000 + rep)
@@ -183,7 +183,7 @@ def test_criterion_5_eigenvalue_recovery():
     # N=2500 in at least 18 of 20 paired seeds
     spec = _reference_spec(4)
     tg4 = TimeGrid(4)
-    domain = ThetaDomain(mode="box")
+    domain = ThetaDomain()
     wins = 0
     for seed in range(20):
         big = simulate(spec, SpatialGrid(50, 50), 64, seed=9000 + seed)
@@ -345,7 +345,7 @@ def test_criterion_10_loo_validation_sanity():
     residual, _ = detrend(fld)
     sites = [(p, q) for p in (3, 6, 9) for q in (3, 6, 9)] + [(4, 8), (8, 4), (5, 5)]
     summary = loo_validate(
-        residual, ThetaDomain(mode="box"), j0=2, period_length=5, sites=sites
+        residual, ThetaDomain(), j0=2, period_length=5, sites=sites
     )
     per = summary.period_errors()
     ratio = float(per.max() / per.min())

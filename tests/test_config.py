@@ -10,6 +10,7 @@ from coxmra.config import (
     RunConfig,
     load_config,
 )
+from coxmra.estimator import ThetaDomain
 
 
 def _base():
@@ -26,7 +27,7 @@ def test_minimal_config_defaults(tmp_path):
     cfg = _load(tmp_path, _base())
     assert cfg.grid.s1 == 10
     assert cfg.model.couple_l3
-    assert cfg.estimation.domain_mode == "box"
+    assert cfg.theta_domain() == ThetaDomain()
     assert cfg.io.format == "csv"
     spec = cfg.sarh_spec()
     assert spec.truncation == 10
@@ -73,17 +74,24 @@ def test_truncation_slices_model(tmp_path):
         _load(tmp_path, payload).sarh_spec()
 
 
-def test_finite_grid_requires_points(tmp_path):
+def test_bad_domain_rejected_at_load(tmp_path):
     payload = _base()
-    payload["estimation"] = {"domain_mode": "finite_grid"}
-    with pytest.raises(ConfigError, match="grid_points"):
-        _load(tmp_path, payload)
-    payload["estimation"] = {
-        "domain_mode": "finite_grid",
-        "grid_points": [[0.1, 0.2, 0.0]],
-    }
-    dom = _load(tmp_path, payload).theta_domain()
-    assert dom.mode == "finite_grid"
+    for estimation, reason in (
+        ({"bounds": [[0.5, -0.5], [-0.9, 0.9], [-0.9, 0.9]]}, "empty interval"),
+        ({"bounds": [[-0.9, 0.9]] * 2}, "three coordinate intervals"),
+        ({"bounds": [[-0.9, 0.9]] * 4}, "three coordinate intervals"),
+        ({"bounds": [[0.9, 0.95]] * 3}, "no stationary candidate"),
+        # the finite-grid search is gone: its keys are unknown
+        ({"domain_mode": "box"}, "estimation.domain_mode"),
+        ({"grid_points": [[0.1, 0.2, 0.0]]}, "estimation.grid_points"),
+    ):
+        payload["estimation"] = estimation
+        with pytest.raises(ConfigError, match="estimation") as err:
+            _load(tmp_path, payload)
+        assert reason in str(err.value)
+    # coupled, the same box keeps stationary candidates
+    payload["estimation"] = {"bounds": [[0.9, 0.95]] * 3, "couple_l3": True}
+    assert _load(tmp_path, payload).theta_domain() == ThetaDomain(((0.9, 0.95),) * 3, True)
 
 
 def test_unsupported_weight_rejected(tmp_path):
@@ -110,3 +118,10 @@ def test_custom_innovation_variances(tmp_path):
     }
     spec = _load(tmp_path, payload).sarh_spec()
     np.testing.assert_allclose(spec.innovation_variances, [1.0, 0.5, 0.25])
+
+
+def test_innovation_variances_reject_other_strings(tmp_path):
+    payload = _base()
+    payload["model"] = {"innovation_variances": "uniform"}
+    with pytest.raises(ConfigError, match="model.innovation_variances"):
+        _load(tmp_path, payload)

@@ -16,6 +16,7 @@ from coxmra import (
 from coxmra.estimator import (
     EstimationReport,
     _estimate_rows,
+    _lexicographic_argmin,
     load_report,
     save_eigenvalue_table,
     save_report,
@@ -67,25 +68,16 @@ def test_truncation_parameter():
 
 
 def test_domain_candidates_are_stationary():
-    dom = ThetaDomain(mode="box")
+    dom = ThetaDomain()
     cand = dom.candidates()
     assert cand.shape[1] == 3
     assert all(stationarity_check(c) for c in cand)
 
 
 def test_domain_coupled_candidates():
-    dom = ThetaDomain(mode="box", couple_l3=True)
+    dom = ThetaDomain(couple_l3=True)
     cand = dom.candidates()
     np.testing.assert_allclose(cand[:, 2], -cand[:, 0] * cand[:, 1], atol=1e-12)
-
-
-def test_domain_finite_grid_validation():
-    with pytest.raises(ValueError):
-        ThetaDomain(mode="finite_grid", grid_points=())
-    with pytest.raises(ValueError):
-        ThetaDomain(mode="finite_grid", grid_points=((0.6, 0.6, 0.0),))
-    dom = ThetaDomain(mode="finite_grid", grid_points=((0.1, 0.2, 0.0), (0.0, 0.0, 0.0)))
-    assert dom.candidates().shape == (2, 3)
 
 
 def test_near_boundary_follows_domain_geometry():
@@ -105,43 +97,34 @@ def test_near_boundary_follows_domain_geometry():
     assert not est.near_boundary
 
 
-def test_finite_grid_estimation_picks_best_candidate():
-    tab = _ar_periodogram((0.3, 0.5, -0.15), 40, 40, seed=1)
-    points = ((0.3, 0.5, -0.15), (0.0, 0.0, 0.0), (-0.2, 0.1, 0.05))
-    dom = ThetaDomain(mode="finite_grid", grid_points=points)
-    theta, value = estimate_node(tab, dom)
-    assert tuple(theta) == points[0]
-    # the reported value must be the actual contrast at the optimum
-    assert value == pytest.approx(empirical_contrast(tab, theta), abs=1e-12)
-
-
 def test_box_estimation_consistent_on_ar_data():
     # well-specified scalar AR field: the estimate approaches the truth
     theta0 = np.array([0.3, 0.5, -0.15])
     tab = _ar_periodogram(theta0, 50, 50, seed=3)
-    theta, _ = estimate_node(tab, ThetaDomain(mode="box"))
+    theta, _ = estimate_node(tab, ThetaDomain())
     np.testing.assert_allclose(theta, theta0, atol=0.08)
 
 
 def test_box_estimation_never_worse_than_coarse_grid():
     tab = _ar_periodogram((0.2, 0.3, -0.06), 20, 20, seed=11)
-    dom = ThetaDomain(mode="box")
+    dom = ThetaDomain()
     theta, value = estimate_node(tab, dom)
     coarse = min(empirical_contrast(tab, c) for c in dom.candidates())
     assert value <= coarse + 1e-12
 
 
 def test_lexicographic_tie_break_deterministic():
-    # perfectly symmetric candidates with equal contrast: smallest
-    # lexicographic theta wins
-    tab = _ar_periodogram((0.0, 0.0, 0.0), 16, 16, seed=5)
-    pts = ((0.1, 0.0, 0.0), (-0.1, 0.0, 0.0))
-    dom = ThetaDomain(mode="finite_grid", grid_points=pts)
-    c0 = empirical_contrast(tab, pts[0])
-    c1 = empirical_contrast(tab, pts[1])
-    theta, _ = estimate_node(tab, dom)
-    if abs(c0 - c1) < 1e-15:
-        assert tuple(theta) == (-0.1, 0.0, 0.0)
+    # values within 1e-15 of the minimum tie; the smallest lexicographic
+    # theta among the tied wins
+    pts = np.array([(0.1, 0.0, 0.0), (-0.1, 0.0, 0.0), (-0.1, 0.2, 0.0), (-0.1, 0.0, -0.3)])
+    # exact ties, decided by the first, then the later coordinates
+    assert _lexicographic_argmin(np.array([1.0, 1.0]), pts[:2]) == 1
+    assert _lexicographic_argmin(np.full(4, 2.0), pts) == 3
+    # a gap of 1e-15 is a tie, a gap of 1e-14 is not
+    assert _lexicographic_argmin(np.array([1e-15, 0.0]), pts[1::-1]) == 0
+    assert _lexicographic_argmin(np.array([1e-14, 0.0]), pts[1::-1]) == 1
+    # a strictly smaller value wins whatever its theta
+    assert _lexicographic_argmin(np.array([0.5, 0.3, 0.4]), pts[:3]) == 1
 
 
 def test_sigma2_moment_and_innovation_variance():
@@ -159,7 +142,7 @@ def test_sigma2_moment_and_innovation_variance():
 _lower = st.floats(min_value=-0.95, max_value=-0.05)
 _upper = st.floats(min_value=0.05, max_value=0.95)
 box_domains = st.builds(
-    lambda couple, bounds: ThetaDomain(mode="box", bounds=bounds, couple_l3=couple),
+    lambda couple, bounds: ThetaDomain(bounds=bounds, couple_l3=couple),
     st.booleans(),
     st.tuples(*[st.tuples(_lower, _upper)] * 3),
 )
@@ -173,8 +156,8 @@ box_domains = st.builds(
     box_domains,
     st.integers(min_value=0, max_value=10**6),
 )
-@example(4, 4, 2, True, ThetaDomain(mode="box"), 0)
-@example(5, 8, 2, True, ThetaDomain(mode="box", couple_l3=True), 1)
+@example(4, 4, 2, True, ThetaDomain(), 0)
+@example(5, 8, 2, True, ThetaDomain(couple_l3=True), 1)
 @settings(max_examples=60, deadline=None)
 def test_lockstep_search_matches_reference(s1, s2, n, cross, domain, seed):
     # all rows searched at once must follow each row's own search exactly
@@ -196,7 +179,7 @@ def test_estimate_all_report_structure(reference_spec):
     fld = simulate(reference_spec, SpatialGrid(12, 12), 64, seed=21)
     res, _ = detrend(fld)
     mc = field_dwt(res, 2)
-    report = estimate_all(mc, ThetaDomain(mode="box"))
+    report = estimate_all(mc, ThetaDomain())
     n = mc.n_coeffs
     assert len(report.estimates) == n  # diagonal pairs only
     assert report.n_sites == 144
@@ -216,7 +199,7 @@ def test_estimate_all_include_cross(reference_spec):
     fld = simulate(reference_spec, SpatialGrid(10, 10), 64, seed=22)
     res, _ = detrend(fld)
     mc = field_dwt(res, 3)
-    report = estimate_all(mc, ThetaDomain(mode="box"), include_cross=True)
+    report = estimate_all(mc, ThetaDomain(), include_cross=True)
     n = mc.n_coeffs
     assert len(report.estimates) == n * n
     assert np.isfinite(report.operators[0].matrix).all()
@@ -231,13 +214,18 @@ def test_report_roundtrip(tmp_path, reference_spec):
     fld = simulate(reference_spec, SpatialGrid(10, 10), 64, seed=23)
     res, _ = detrend(fld)
     mc = field_dwt(res, 2)
-    report = estimate_all(mc, ThetaDomain(mode="box"))
     path = tmp_path / "report.ndjson"
-    save_report(report, path)
-    back = load_report(path)
-    assert (back.j0, back.depth, back.n_sites) == (report.j0, report.depth, report.n_sites)
-    np.testing.assert_allclose(back.diagonal_thetas(), report.diagonal_thetas())
-    np.testing.assert_allclose(back.eigenvalues1, report.eigenvalues1)
+    reports = {cross: estimate_all(mc, ThetaDomain(), include_cross=cross) for cross in (False, True)}
+    for cross, fitted in reports.items():
+        save_report(fitted, path)
+        back = load_report(path)
+        assert (back.j0, back.depth, back.n_sites) == (fitted.j0, fitted.depth, fitted.n_sites)
+        assert len(back.estimates) == len(fitted.estimates) == mc.n_coeffs ** (2 if cross else 1)
+        for op_back, op in zip(back.operators, fitted.operators, strict=True):
+            assert np.array_equal(op_back.matrix, op.matrix)
+        assert np.array_equal(back.eigenvalues1, fitted.eigenvalues1)
+        assert np.array_equal(back.eigenvalues2, fitted.eigenvalues2)
+    report = reports[False]
     save_eigenvalue_table(report, tmp_path / "eigs.csv")
     lines = (tmp_path / "eigs.csv").read_text().splitlines()
     assert lines[0] == "p,lambda1_hat,lambda2_hat"

@@ -56,7 +56,7 @@ def fitted(reference_spec):
     fld = simulate(reference_spec, SpatialGrid(15, 15), 64, seed=30)
     res, _ = detrend(fld)
     mc = field_dwt(res, 2)
-    report = estimate_all(mc, ThetaDomain(mode="box"))
+    report = estimate_all(mc, ThetaDomain())
     return mc, report
 
 
@@ -120,7 +120,7 @@ def test_loo_validate_structure(reference_spec):
     res, _ = detrend(fld)
     sites = [(3, 3), (6, 6), (9, 9)]
     summary = loo_validate(
-        res, ThetaDomain(mode="box"), j0=2, period_length=4, sites=sites
+        res, ThetaDomain(), j0=2, period_length=4, sites=sites
     )
     assert len(summary.folds) == 3
     assert summary.aloocve > 0
@@ -159,14 +159,14 @@ def test_loo_validate_rejects_boundary_site(reference_spec):
     fld = simulate(reference_spec, SpatialGrid(10, 10), 64, seed=32)
     res, _ = detrend(fld)
     with pytest.raises(ValueError, match="causal"):
-        loo_validate(res, ThetaDomain(mode="box"), j0=2, sites=[(0, 3)])
+        loo_validate(res, ThetaDomain(), j0=2, sites=[(0, 3)])
 
 
 def test_save_validation(tmp_path, reference_spec):
     fld = simulate(reference_spec, SpatialGrid(10, 10), 64, seed=33)
     res, _ = detrend(fld)
     summary = loo_validate(
-        res, ThetaDomain(mode="box"), j0=2, period_length=4, sites=[(5, 5)]
+        res, ThetaDomain(), j0=2, period_length=4, sites=[(5, 5)]
     )
     folds, periods = tmp_path / "f.csv", tmp_path / "p.csv"
     save_validation(summary, folds, periods)

@@ -64,7 +64,7 @@ def reports(tmp_path_factory):
     out = {}
     for cross in (False, True):
         path = tmp_path_factory.mktemp("reports") / f"cross{int(cross)}.ndjson"
-        report = estimate_all(mc, ThetaDomain(mode="box"), include_cross=cross)
+        report = estimate_all(mc, ThetaDomain(), include_cross=cross)
         save_report(report, path)
         out[cross] = (report, path.read_text().splitlines())
     return out
