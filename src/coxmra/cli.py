@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from pathlib import Path
 
 import click
@@ -60,6 +60,22 @@ def main(ctx, config_path, seed, out_dir, threads):
     }
 
 
+def _format_pool(threads: int):
+    """The pool that formats field-sized CSV tables: `threads` worker
+    processes, forked at its first `map`, or None (no process) for one
+    thread, without fork, or beside another thread, whose held locks a
+    fork would copy."""
+    if threads > 1:
+        # imported here: a one-thread command does not pay for the import
+        import multiprocessing
+        import threading
+        from concurrent.futures import ProcessPoolExecutor
+
+        if "fork" in multiprocessing.get_all_start_methods() and threading.active_count() == 1:
+            return ProcessPoolExecutor(threads, mp_context=multiprocessing.get_context("fork"))
+    return nullcontext()
+
+
 def _field_name(cfg: RunConfig, i: int) -> str:
     return f"field_{i:03d}.{cfg.io.format}"
 
@@ -74,15 +90,11 @@ def simulate(obj):
         grid = cfg.spatial_grid()
         reps = cfg.simulation.replications
         seeds = [obj["seed"] + i for i in range(reps)]
-
-        def run(i: int) -> str:
-            fld = sarh.simulate(spec, grid, cfg.simulation.burn_in, seeds[i])
-            name = _field_name(cfg, i)
-            grids.save_field(fld, obj["out"] / name, cfg.io.format)
-            return name
-
-        with ThreadPoolExecutor(max_workers=obj["threads"]) as pool:
-            files = list(pool.map(run, range(reps)))
+        files = [_field_name(cfg, i) for i in range(reps)]
+        with _format_pool(obj["threads"]) as pool:
+            for name, seed in zip(files, seeds):
+                fld = sarh.simulate(spec, grid, cfg.simulation.burn_in, seed)
+                grids.save_field(fld, obj["out"] / name, cfg.io.format, pool)
         _write_manifest(obj["out"], cfg, "simulate", files, seeds)
     except Exception as exc:  # noqa: BLE001 - single CLI error funnel
         _fail(exc)
@@ -136,11 +148,12 @@ def predict_cmd(obj, field_file, report_file):
         result = predict_field(mc, report)
         out = obj["out"] / (Path(field_file).stem + "_predicted.csv")
         # the mask holds exactly the sites from (1, 1) on
-        grids.write_csv(
-            out, ("p", "q", "t_index", "predicted", "residual"),
-            [result.predicted.values[1:, 1:] + mean.values, result.residuals.values[1:, 1:]],
-            origin=(1, 1, 0),
-        )
+        with _format_pool(obj["threads"]) as pool:
+            grids.write_csv(
+                out, ("p", "q", "t_index", "predicted", "residual"),
+                [result.predicted.values[1:, 1:] + mean.values, result.residuals.values[1:, 1:]],
+                origin=(1, 1, 0), pool=pool,
+            )
         click.echo(str(out))
     except Exception as exc:
         _fail(exc)
@@ -214,7 +227,8 @@ def ingest_cmd(obj, raw_csv):
     try:
         fld = ingest.ingest_counts(raw_csv, cfg.spatial_grid(), cfg.time.depth)
         out = obj["out"] / f"{Path(raw_csv).stem}_field.{cfg.io.format}"
-        grids.save_field(fld, out, cfg.io.format)
+        with _format_pool(obj["threads"]) as pool:
+            grids.save_field(fld, out, cfg.io.format, pool)
         click.echo(str(out))
     except Exception as exc:
         _fail(exc)

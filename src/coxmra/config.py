@@ -11,7 +11,7 @@ import json
 from typing import Literal
 
 import numpy as np
-from pydantic import BaseModel, ConfigDict, Field, ValidationError, model_validator
+from pydantic import BaseModel, ConfigDict, Field, ValidationError, field_validator, model_validator
 
 from .estimator import ThetaDomain
 from .grids import FORMATS, SpatialGrid, TimeGrid
@@ -54,6 +54,14 @@ class ModelConfig(_Section):
     couple_l3: bool = True
     eigenvalues3: list[float] | None = None
     truncation: int | None = Field(default=None, ge=1)
+
+    @field_validator("innovation_variances", mode="before")
+    @classmethod
+    def _check_variances_string(cls, v):
+        # a union error would name only its list branch
+        if isinstance(v, str) and v != "default":
+            raise ValueError(f'{v!r}: expected a list of floats or "default", the only string accepted')
+        return v
 
 
 class EstimationConfig(_Section):

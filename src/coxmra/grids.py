@@ -8,6 +8,7 @@ weight 2^-D (exact for the Haar system on this grid).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -246,7 +247,11 @@ def place_records(path, shape: tuple, index, values, lineno: Callable, name: Cal
     return out.reshape(tuple(shape) + values.shape[1:])
 
 
-def write_csv(path, header, columns, origin: tuple = ()) -> None:
+# rows per formatting block; a constant, so blocks never depend on the pool
+_CSV_BLOCK = 1 << 14
+
+
+def write_csv(path, header, columns, origin: tuple = (), pool=None) -> None:
     """CSV table with the column names `header` and one row per entry of
     the equal-shaped arrays `columns`, in C order.
 
@@ -254,26 +259,42 @@ def write_csv(path, header, columns, origin: tuple = ()) -> None:
     coordinates, offset by `origin`.  With origin=() the columns are one
     dimensional and rows hold only their values.  Integers are written in
     decimal, floats as their shortest repr.
+
+    Rows are formatted in blocks of whole leading indices, by `pool.map`
+    when a pool (for example a process pool) is given and by `map`
+    otherwise, and written in order, so the bytes do not depend on it.
     """
     columns = [np.asarray(c) for c in columns]
     shape = columns[0].shape
     if any(c.shape != shape for c in columns) or len(shape) != max(len(origin), 1):
         raise ValueError(f"columns of shapes {[c.shape for c in columns]} for origin {origin}")
-    if origin:
-        # the trailing axes' coordinate text is built once; one write per leading index
-        tail = [""]
-        for size, start in zip(shape[1:], origin[1:]):
-            tail = [f"{t}{i}," for t in tail for i in range(start, start + size)]
-        blocks = ((f"{j + origin[0]},", [c[j] for c in columns]) for j in range(shape[0]))
-    else:
-        tail, blocks = [""] * shape[0], [("", columns)]
+    step = max(1, _CSV_BLOCK // max(1, math.prod(shape[1:])))
+    blocks = [
+        ((j + origin[0], *origin[1:]) if origin else (), [c[j : j + step] for c in columns])
+        for j in range(0, shape[0], step)
+    ]
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for lead, block in blocks:
-            cells = _reprs(block[0])
-            for c in block[1:]:
-                cells = [f"{a},{b}" for a, b in zip(cells, _reprs(c))]
-            fh.write("".join([f"{lead}{t}{v}\n" for t, v in zip(tail, cells)]))
+        for text in (map if pool is None else pool.map)(_format_rows, blocks):
+            fh.write(text)
+
+
+def _format_rows(block) -> str:
+    """CSV rows of one block (origin, columns) of `write_csv`."""
+    origin, columns = block
+    cells = _reprs(columns[0])
+    for c in columns[1:]:
+        cells = [f"{a},{b}" for a, b in zip(cells, _reprs(c))]
+    if not origin:
+        return "".join([f"{v}\n" for v in cells])
+    # the trailing axes' coordinate text is built once per block
+    coords = [[f"{i}," for i in range(start, start + size)]
+              for size, start in zip(columns[0].shape, origin)]
+    tail = [""]
+    for axis in coords[1:]:
+        tail = [t + i for t in tail for i in axis]
+    rows = itertools.product(coords[0], tail)
+    return "".join([f"{lead}{t}{v}\n" for (lead, t), v in zip(rows, cells)])
 
 
 def _reprs(values: np.ndarray) -> list[str]:
@@ -301,9 +322,11 @@ FORMATS = ("csv", "ndjson")
 _CSV_COLUMNS = {"p": np.int64, "q": np.int64, "t_index": np.int64, "value": float}
 
 
-def save_field(fld: FunctionalField, path, fmt: str = "csv") -> None:
+def save_field(fld: FunctionalField, path, fmt: str = "csv", pool=None) -> None:
+    """Write `fld` as `fmt`; a CSV file is formatted through `pool` (see
+    `write_csv`)."""
     if fmt == "csv":
-        write_csv(path, _CSV_COLUMNS, [fld.values], origin=(0, 0, 0))
+        write_csv(path, _CSV_COLUMNS, [fld.values], origin=(0, 0, 0), pool=pool)
     elif fmt == "ndjson":
         meta = {"s1": fld.grid.s1, "s2": fld.grid.s2, "depth": fld.time.depth}
         write_ndjson(path, meta, (

@@ -1,7 +1,10 @@
+import concurrent.futures
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -165,17 +168,96 @@ def test_report_kinds(workspace):
 def test_ingest_command(workspace):
     tmp, config = workspace
     raw = tmp / "raw.csv"
-    rng = np.random.default_rng(2)
-    lines = ["site_id,x,y,time_index,count"]
-    for i in range(4):
-        for j in range(4):
-            for t in range(6):
-                lines.append(f"s{i}{j},{i}.0,{j}.0,{t},{rng.poisson(5)}")
-    raw.write_text("\n".join(lines) + "\n")
+    _raw_counts(raw, np.random.default_rng(2))
     out = tmp / "out"
     _run(["--config", str(config), "--out", str(out), "ingest", str(raw)])
     field = out / "raw_field.csv"
     assert field.read_text().startswith("p,q,t_index,value")
+
+
+def _raw_counts(path, rng, side=4, times=6):
+    lines = ["site_id,x,y,time_index,count"]
+    for i in range(side):
+        for j in range(side):
+            lines += [f"s{i}{j},{i}.0,{j}.0,{t},{rng.poisson(5)}" for t in range(times)]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_ingest_and_predict_identical_across_threads(tmp_path):
+    # 48x48 sites at depth 4: the field and prediction tables span several
+    # formatting blocks
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        **BASE_CONFIG, "grid": {"s1": 48, "s2": 48}, "time": {"depth": 4, "j0": 1},
+        "simulation": {"seed": 5, "replications": 1},
+    }))
+    raw = tmp_path / "raw.csv"
+    _raw_counts(raw, np.random.default_rng(4), side=5, times=9)
+    src = tmp_path / "src"
+    _run(["--config", str(config), "--out", str(src), "simulate"])
+    field = src / "field_000.csv"
+    _run(["--config", str(config), "--out", str(src), "estimate", str(field)])
+    report = src / "field_000_report.ndjson"
+    outputs = []
+    for threads in ("1", "3"):
+        out = tmp_path / f"t{threads}"
+        base = ["--config", str(config), "--out", str(out), "--threads", threads]
+        _run(base + ["predict", str(field), str(report)])
+        _run(base + ["ingest", str(raw)])
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert sorted(outputs[0]) == ["field_000_predicted.csv", "raw_field.csv"]
+    assert outputs[0] == outputs[1]
+
+
+def test_threads_leave_no_worker_processes(workspace):
+    tmp, config = workspace
+    raw = tmp / "raw.csv"
+    _raw_counts(raw, np.random.default_rng(2))
+    out = tmp / "out"
+    base = ["--config", str(config), "--out", str(out), "--threads", "2"]
+    field, report = out / "field_000.csv", out / "field_000_report.ndjson"
+    for args in (["simulate"], ["estimate", str(field)], ["predict", str(field), str(report)],
+                 ["ingest", str(raw)]):
+        _run(base + args)
+        assert multiprocessing.active_children() == []
+    # a directory in the way of an output file: simulate fails on its
+    # second replication, after the first went through the workers
+    bad = tmp / "bad"
+    for name in ("field_001.csv", "field_000_predicted.csv", "raw_field.csv"):
+        (bad / name).mkdir(parents=True)
+    bad_base = ["--config", str(config), "--out", str(bad), "--threads", "2"]
+    for args in (["simulate"], ["predict", str(field), str(report)], ["ingest", str(raw)]):
+        result = CliRunner().invoke(main, bad_base + args)
+        assert result.exit_code == 1
+        assert json.loads(result.stderr.strip().splitlines()[-1])["type"] == "IsADirectoryError"
+        assert multiprocessing.active_children() == []
+    assert (bad / "field_000.csv").read_bytes() == field.read_bytes()
+
+
+def test_no_process_for_one_thread_or_beside_another_thread(workspace, monkeypatch):
+    started = []
+
+    def no_pool(*args, **kwargs):
+        started.append(args)
+        raise RuntimeError("no process pool expected")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    tmp, config = workspace
+    _run(["--config", str(config), "--out", str(tmp / "t1"), "--threads", "1", "simulate"])
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:  # fork copies only the calling thread
+        _run(["--config", str(config), "--out", str(tmp / "t2"), "--threads", "2", "simulate"])
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive() and started == []
+    # the stub is the one --threads 2 uses where it may fork
+    if "fork" in multiprocessing.get_all_start_methods() and threading.active_count() == 1:
+        result = CliRunner().invoke(main, ["--config", str(config), "--out", str(tmp / "t3"),
+                                           "--threads", "2", "simulate"])
+        assert result.exit_code == 1 and started == [(2,)]
 
 
 def test_readme_documents_every_command():

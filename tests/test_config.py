@@ -123,5 +123,6 @@ def test_custom_innovation_variances(tmp_path):
 def test_innovation_variances_reject_other_strings(tmp_path):
     payload = _base()
     payload["model"] = {"innovation_variances": "uniform"}
-    with pytest.raises(ConfigError, match="model.innovation_variances"):
+    with pytest.raises(ConfigError, match="model.innovation_variances") as exc:
         _load(tmp_path, payload)
+    assert '"default", the only string accepted' in str(exc.value)

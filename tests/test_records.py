@@ -8,6 +8,8 @@ whole file (a dropped record) name the line after the last record.
 
 import ast
 import json
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +20,7 @@ from hypothesis.extra.numpy import arrays
 
 from coxmra import FunctionalField, SpatialGrid, TimeGrid, load_field, save_field
 from coxmra.estimator import ThetaDomain, estimate_all, load_report, save_report
-from coxmra.grids import FieldFormatError, write_csv, write_ndjson
+from coxmra.grids import _CSV_BLOCK, FieldFormatError, write_csv, write_ndjson
 from coxmra.ingest import read_count_records
 from coxmra.wavelet import field_dwt
 from oracles import EDGE_FLOATS, table_csv
@@ -291,14 +293,47 @@ def test_write_csv_matches_per_value_writer(tmp_path, origin):
     values.flat[: len(EDGE_VALUES)] = EDGE_VALUES[: values.size]
     counts = rng.integers(0, 2**63 - 1, size=shape, dtype=np.int64, endpoint=True)
     counts.flat[: len(EDGE_COUNTS)] = EDGE_COUNTS
-    coords = [f"i{axis}" for axis in range(len(origin))]
-    write_csv(tmp_path / "t.csv", (*coords, "value", "count"), [values, counts], origin)
+    header, expected = _per_value_table(values, counts, origin)
+    write_csv(tmp_path / "t.csv", header, [values, counts], origin)
+    assert (tmp_path / "t.csv").read_bytes() == expected
+
+
+def _per_value_table(values, counts, origin):
+    """Header and `table_csv` bytes of the rows (index + origin, value, count)."""
+    header = (*(f"i{axis}" for axis in range(len(origin))), "value", "count")
     rows = [
         (*(i + o for i, o in zip(index, origin)), v, counts[index])
         for index, v in np.ndenumerate(values)
     ]
-    expected = table_csv((*coords, "value", "count"), rows)
-    assert (tmp_path / "t.csv").read_bytes() == expected.encode()
+    return header, table_csv(header, rows).encode()
+
+
+@pytest.fixture(scope="module")
+def fork_pool():
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("no fork start method")
+    with ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("fork")) as pool:
+        yield pool
+
+
+@pytest.mark.parametrize("origin", [(0, 0, 0), (1, 1, 0), (1,), ()])
+@pytest.mark.parametrize("blocks", ["lead_1", "under_one", "one", "several"])
+def test_write_csv_through_a_pool_is_byte_identical(tmp_path, fork_pool, origin, blocks):
+    trailing = (8, 16) if len(origin) == 3 else ()  # 128 rows per leading index
+    per_block = _CSV_BLOCK // (128 if trailing else 1)
+    lead = {"lead_1": 1, "under_one": 3, "one": per_block, "several": 2 * per_block + 5}[blocks]
+    shape = (lead, *trailing)
+    rng = np.random.default_rng(11)
+    values = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+    k = min(len(EDGE_VALUES), values.size)
+    values.flat[:k] = EDGE_VALUES[:k]  # in the first block and in the last
+    values.flat[values.size - k:] = EDGE_VALUES[:k]
+    counts = rng.integers(0, 2**63 - 1, size=shape, dtype=np.int64, endpoint=True)
+    header, expected = _per_value_table(values, counts, origin)
+    write_csv(tmp_path / "pool.csv", header, [values, counts], origin, pool=fork_pool)
+    write_csv(tmp_path / "serial.csv", header, [values, counts], origin)
+    assert (tmp_path / "serial.csv").read_bytes() == expected
+    assert (tmp_path / "pool.csv").read_bytes() == expected
 
 
 def test_write_csv_rejects_mismatched_columns(tmp_path):
