@@ -1,8 +1,9 @@
 """Command-line pipeline binding the library modules.
 
 Every command is referentially transparent given (config, inputs, seed):
-reruns produce byte-identical outputs.  Multi-file outputs carry a
-manifest.json with the config digest and the seeds used.
+reruns produce byte-identical outputs.  `simulate`, `estimate` and
+`validate` also write a manifest named after the command (see
+`_write_manifest`) with the config digest, the files and the seeds used.
 """
 
 from __future__ import annotations
@@ -26,16 +27,17 @@ def _fail(exc: Exception) -> None:
     sys.exit(1)
 
 
-def _write_manifest(out_dir: Path, config: RunConfig, command: str, files, seeds) -> None:
+def _write_manifest(out_dir: Path, stem: str, config: RunConfig, command: str, files, seeds) -> None:
+    """One sorted-key JSON line in `<stem>_<command>_manifest.json`, or
+    `<command>_manifest.json` for an empty stem."""
     manifest = {
         "command": command,
         "config_sha256": config.digest(),
         "files": sorted(str(f) for f in files),
         "seeds": list(seeds),
     }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    )
+    prefix = f"{stem}_" if stem else ""
+    grids.write_ndjson(out_dir / f"{prefix}{command}_manifest.json", manifest, ())
 
 
 @click.group()
@@ -76,10 +78,6 @@ def _format_pool(threads: int):
     return nullcontext()
 
 
-def _field_name(cfg: RunConfig, i: int) -> str:
-    return f"field_{i:03d}.{cfg.io.format}"
-
-
 @main.command()
 @click.pass_obj
 def simulate(obj):
@@ -90,12 +88,12 @@ def simulate(obj):
         grid = cfg.spatial_grid()
         reps = cfg.simulation.replications
         seeds = [obj["seed"] + i for i in range(reps)]
-        files = [_field_name(cfg, i) for i in range(reps)]
+        files = [f"field_{i:03d}.csv" for i in range(reps)]
         with _format_pool(obj["threads"]) as pool:
             for name, seed in zip(files, seeds):
                 fld = sarh.simulate(spec, grid, cfg.simulation.burn_in, seed)
-                grids.save_field(fld, obj["out"] / name, cfg.io.format, pool)
-        _write_manifest(obj["out"], cfg, "simulate", files, seeds)
+                grids.save_field(fld, obj["out"] / name, pool)
+        _write_manifest(obj["out"], "", cfg, "simulate", files, seeds)
     except Exception as exc:  # noqa: BLE001 - single CLI error funnel
         _fail(exc)
 
@@ -116,7 +114,7 @@ def estimate(obj, field_file):
     """Detrend, transform and fit the wavelet-domain parameters."""
     cfg: RunConfig = obj["config"]
     try:
-        fld = grids.load_field(field_file, cfg.io.format)
+        fld = grids.load_field(field_file)
         report, mean, _ = _estimate_field(cfg, fld)
         stem = Path(field_file).stem
         report_path = obj["out"] / f"{stem}_report.ndjson"
@@ -126,7 +124,7 @@ def estimate(obj, field_file):
         estimator.save_eigenvalue_table(report, eig_path)
         grids.write_csv(mean_path, ("t_index", "value"), [mean.values], origin=(0,))
         _write_manifest(
-            obj["out"], cfg, "estimate",
+            obj["out"], stem, cfg, "estimate",
             [p.name for p in (report_path, eig_path, mean_path)], [],
         )
     except Exception as exc:
@@ -141,7 +139,7 @@ def predict_cmd(obj, field_file, report_file):
     """One-step plug-in prediction at every interior site."""
     cfg: RunConfig = obj["config"]
     try:
-        fld = grids.load_field(field_file, cfg.io.format)
+        fld = grids.load_field(field_file)
         report = estimator.load_report(report_file)
         residual, mean = grids.detrend(fld)
         mc = wavelet.field_dwt(residual, cfg.time.j0)
@@ -166,7 +164,7 @@ def validate(obj, field_file):
     """Leave-one-site-out validation with per-period error table."""
     cfg: RunConfig = obj["config"]
     try:
-        fld = grids.load_field(field_file, cfg.io.format)
+        fld = grids.load_field(field_file)
         residual, _ = grids.detrend(fld)
         sites = None
         if cfg.validation.max_folds is not None:
@@ -193,7 +191,7 @@ def validate(obj, field_file):
         periods_path = obj["out"] / f"{stem}_periods.csv"
         save_validation(summary, folds_path, periods_path)
         _write_manifest(
-            obj["out"], cfg, "validate",
+            obj["out"], stem, cfg, "validate",
             [folds_path.name, periods_path.name], [],
         )
     except Exception as exc:
@@ -207,7 +205,7 @@ def counts(obj, field_file):
     """Poisson counts from the integrated intensity of a log-field."""
     cfg: RunConfig = obj["config"]
     try:
-        fld = grids.load_field(field_file, cfg.io.format)
+        fld = grids.load_field(field_file)
         inten = cox.intensity(fld)
         means = cox.integrated_intensity(inten) * cfg.counts.area_scale
         cg = cox.sample_counts(means, cfg.counts.seed, fld.grid)
@@ -226,9 +224,9 @@ def ingest_cmd(obj, raw_csv):
     cfg: RunConfig = obj["config"]
     try:
         fld = ingest.ingest_counts(raw_csv, cfg.spatial_grid(), cfg.time.depth)
-        out = obj["out"] / f"{Path(raw_csv).stem}_field.{cfg.io.format}"
+        out = obj["out"] / f"{Path(raw_csv).stem}_field.csv"
         with _format_pool(obj["threads"]) as pool:
-            grids.save_field(fld, out, cfg.io.format, pool)
+            grids.save_field(fld, out, pool)
         click.echo(str(out))
     except Exception as exc:
         _fail(exc)
@@ -247,7 +245,7 @@ def report(obj, kind, t_at, inputs):
         if not inputs:
             raise ValueError("report requires at least one input file")
         if kind == "slice":
-            _report_slice(obj, cfg, inputs[0], t_at)
+            _report_slice(obj, inputs[0], t_at)
         elif kind == "eigs":
             _report_eigs(obj, inputs)
         else:
@@ -256,8 +254,8 @@ def report(obj, kind, t_at, inputs):
         _fail(exc)
 
 
-def _report_slice(obj, cfg: RunConfig, field_file, t_at: float):
-    fld = grids.load_field(field_file, cfg.io.format)
+def _report_slice(obj, field_file, t_at: float):
+    fld = grids.load_field(field_file)
     m = int(np.argmin(np.abs(fld.time.points - t_at)))
     out = obj["out"] / (Path(field_file).stem + f"_slice.csv")
     grids.write_csv(out, ("p", "q", "value"), [fld.values[:, :, m]], origin=(0, 0))

@@ -14,7 +14,7 @@ import numpy as np
 from pydantic import BaseModel, ConfigDict, Field, ValidationError, field_validator, model_validator
 
 from .estimator import ThetaDomain
-from .grids import FORMATS, SpatialGrid, TimeGrid
+from .grids import SpatialGrid, TimeGrid
 from .sarh import SarhSpec, default_variance_profile
 
 # Reference eigenvalue systems of the two autocorrelation operators used
@@ -92,16 +92,6 @@ class CountsConfig(_Section):
     area_scale: float = Field(default=1.0, gt=0)
 
 
-class IoConfig(_Section):
-    format: str = "csv"
-
-    @model_validator(mode="after")
-    def _check(self):
-        if self.format not in FORMATS:
-            raise ValueError(f"unknown field format {self.format!r}")
-        return self
-
-
 class RunConfig(_Section):
     grid: GridConfig
     time: TimeConfig
@@ -110,7 +100,6 @@ class RunConfig(_Section):
     simulation: SimulationConfig = SimulationConfig()
     validation: ValidationConfig = ValidationConfig()
     counts: CountsConfig = CountsConfig()
-    io: IoConfig = IoConfig()
 
     def spatial_grid(self) -> SpatialGrid:
         return SpatialGrid(self.grid.s1, self.grid.s2)

@@ -168,7 +168,7 @@ class NodeEstimate:
     row: int
     col: int
     theta: tuple[float, float, float]
-    sigma2: float
+    eta_moment: float  # eta-weighted periodogram moment: the sum of the pair's `contrast_weights`
     contrast: float
     iterations: int
     near_boundary: bool
@@ -268,7 +268,7 @@ def load_report(path) -> EstimationReport:
         path,
         {"j0": int, "depth": int, "n_sites": int, "k": int},
         # NodeEstimate field order
-        {"row": int, "col": int, "theta": list, "sigma2": float,
+        {"row": int, "col": int, "theta": list, "eta_moment": float,
          "contrast": float, "iterations": int, "near_boundary": bool},
     )
     if not (0 <= j0 <= depth and depth >= 1 and k >= 1):

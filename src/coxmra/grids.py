@@ -314,39 +314,20 @@ def write_ndjson(path, meta: dict, records) -> None:
 # ---------------------------------------------------------------------------
 # field files
 #
-# CSV-long: header "p,q,t_index,value", 0-based indices.
-# NDJSON: metadata line {"s1":..,"s2":..,"depth":..} then one object per
-# site {"p":..,"q":..,"curve":[..]}.
+# One format, CSV-long: header "p,q,t_index,value", 0-based indices, one
+# row per site and time index in C order.  NDJSON is for reports only.
 
-FORMATS = ("csv", "ndjson")
-_CSV_COLUMNS = {"p": np.int64, "q": np.int64, "t_index": np.int64, "value": float}
+_FIELD_COLUMNS = {"p": np.int64, "q": np.int64, "t_index": np.int64, "value": float}
 
 
-def save_field(fld: FunctionalField, path, fmt: str = "csv", pool=None) -> None:
-    """Write `fld` as `fmt`; a CSV file is formatted through `pool` (see
+def save_field(fld: FunctionalField, path, pool=None) -> None:
+    """Write `fld` as a CSV-long table, formatted through `pool` (see
     `write_csv`)."""
-    if fmt == "csv":
-        write_csv(path, _CSV_COLUMNS, [fld.values], origin=(0, 0, 0), pool=pool)
-    elif fmt == "ndjson":
-        meta = {"s1": fld.grid.s1, "s2": fld.grid.s2, "depth": fld.time.depth}
-        write_ndjson(path, meta, (
-            {"p": p, "q": q, "curve": list(fld.values[p, q])}
-            for p in range(fld.grid.s1) for q in range(fld.grid.s2)
-        ))
-    else:
-        raise ValueError(f"unknown format {fmt!r}, expected one of {FORMATS}")
+    write_csv(path, _FIELD_COLUMNS, [fld.values], origin=(0, 0, 0), pool=pool)
 
 
-def load_field(path, fmt: str = "csv") -> FunctionalField:
-    if fmt == "csv":
-        return _load_csv(path)
-    if fmt == "ndjson":
-        return _load_ndjson(path)
-    raise ValueError(f"unknown format {fmt!r}, expected one of {FORMATS}")
-
-
-def _load_csv(path) -> FunctionalField:
-    rows, lineno = read_csv_records(path, _CSV_COLUMNS)
+def load_field(path) -> FunctionalField:
+    rows, lineno = read_csv_records(path, _FIELD_COLUMNS)
     index = np.column_stack([rows["p"], rows["q"], rows["t_index"]])
     shape = tuple(int(v) + 1 for v in index.max(axis=0))
     values = place_records(path, shape, index, rows["value"], lineno, lambda k: f"entry {k}")
@@ -359,21 +340,3 @@ def _load_csv(path) -> FunctionalField:
     except ValueError as exc:
         raise record_fault(path, lineno(len(rows)), exc) from exc
     return FunctionalField(grid, time, values)
-
-
-def _load_ndjson(path) -> FunctionalField:
-    (s1, s2, depth), records, lineno = read_ndjson(
-        path, {"s1": int, "s2": int, "depth": int}, {"p": int, "q": int, "curve": list}
-    )
-    try:
-        grid, time = SpatialGrid(s1, s2), TimeGrid(depth)
-    except ValueError as exc:
-        raise record_fault(path, 1, exc) from exc
-    for i, (_, _, curve) in enumerate(records):
-        if len(curve) != time.n:
-            raise record_fault(path, lineno(i), f"curve length {len(curve)} != {time.n}")
-    values = np.array([curve for _, _, curve in records])
-    index = [site for *site, _ in records]
-    return FunctionalField(
-        grid, time, place_records(path, (s1, s2), index, values, lineno, lambda k: f"site {k}")
-    )

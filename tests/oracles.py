@@ -188,7 +188,7 @@ def estimate_node(table: PeriodogramTable, domain: ThetaDomain) -> tuple[np.ndar
     return thetas[0], float(values[0])
 
 
-def estimate_sigma2(table: PeriodogramTable, theta) -> float:
+def estimate_eta_moment(table: PeriodogramTable, theta) -> float:
     """The eta-weighted periodogram moment of a table at a stationary theta."""
     if not stationarity_check(theta):
         raise ValueError(f"non-stationary theta {tuple(theta)}")

@@ -48,10 +48,33 @@ def test_simulate_writes_fields_and_manifest(workspace):
     _run(["--config", str(config), "--out", str(out), "simulate"])
     files = sorted(p.name for p in out.glob("field_*.csv"))
     assert files == ["field_000.csv", "field_001.csv"]
-    manifest = json.loads((out / "manifest.json").read_text())
+    manifest = json.loads((out / "simulate_manifest.json").read_text())
     assert manifest["command"] == "simulate"
     assert manifest["seeds"] == [7, 8]
     assert len(manifest["config_sha256"]) == 64
+
+
+def test_each_command_keeps_its_own_manifest(workspace):
+    tmp, config = workspace
+    out = tmp / "out"
+    base = ["--config", str(config), "--out", str(out)]
+    _run(base + ["simulate"])
+    for i in range(2):
+        _run(base + ["estimate", str(out / f"field_{i:03d}.csv")])
+    _run(base + ["validate", str(out / "field_000.csv")])
+    names = ["simulate_manifest.json", "field_000_estimate_manifest.json",
+             "field_001_estimate_manifest.json", "field_000_validate_manifest.json"]
+    assert sorted(p.name for p in out.glob("*manifest*")) == sorted(names)
+    manifests = {}
+    for name in names:
+        text = (out / name).read_text()
+        manifests[name] = json.loads(text)
+        assert text == json.dumps(manifests[name], sort_keys=True) + "\n"  # one sorted-key line
+    assert manifests["simulate_manifest.json"]["seeds"] == [7, 8]
+    assert manifests["simulate_manifest.json"]["files"] == ["field_000.csv", "field_001.csv"]
+    assert manifests["field_001_estimate_manifest.json"]["files"] == [
+        "field_001_eigenvalues.csv", "field_001_mean.csv", "field_001_report.ndjson"]
+    assert manifests["field_000_validate_manifest.json"]["command"] == "validate"
 
 
 def test_simulate_deterministic_across_threads(workspace):
@@ -59,7 +82,7 @@ def test_simulate_deterministic_across_threads(workspace):
     out1, out4 = tmp / "t1", tmp / "t4"
     _run(["--config", str(config), "--out", str(out1), "--threads", "1", "simulate"])
     _run(["--config", str(config), "--out", str(out4), "--threads", "4", "simulate"])
-    for name in ("field_000.csv", "field_001.csv", "manifest.json"):
+    for name in ("field_000.csv", "field_001.csv", "simulate_manifest.json"):
         assert (out1 / name).read_bytes() == (out4 / name).read_bytes()
 
 
@@ -281,6 +304,20 @@ def test_bad_config_fails_with_json_error(tmp_path):
     payload = json.loads(result.stderr.strip().splitlines()[-1])
     assert payload["type"] == "ConfigError"
     assert "s1" in payload["error"]
+
+
+def test_ndjson_field_fails_with_json_error(workspace):
+    # the NDJSON field layout is gone; such a file fails at its header
+    tmp, config = workspace
+    field = tmp / "field.ndjson"
+    sites = "".join(f'{{"curve": [0.0, 0.0], "p": {p}, "q": {q}}}\n' for p in range(2) for q in range(2))
+    field.write_text('{"depth": 1, "s1": 2, "s2": 2}\n' + sites)
+    result = CliRunner().invoke(main, ["--config", str(config), "--out", str(tmp / "out"),
+                                       "estimate", str(field)])
+    assert result.exit_code == 1
+    payload = json.loads(result.stderr.strip().splitlines()[-1])
+    assert payload["type"] == "FieldFormatError"
+    assert f"{field}: line 1: unexpected header" in payload["error"]
 
 
 def test_missing_input_fails_cleanly(workspace):

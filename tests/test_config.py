@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +30,6 @@ def test_minimal_config_defaults(tmp_path):
     assert cfg.grid.s1 == 10
     assert cfg.model.couple_l3
     assert cfg.theta_domain() == ThetaDomain()
-    assert cfg.io.format == "csv"
     spec = cfg.sarh_spec()
     assert spec.truncation == 10
     np.testing.assert_allclose(spec.eigenvalues1, REFERENCE_EIGENVALUES_1)
@@ -99,6 +100,27 @@ def test_unsupported_weight_rejected(tmp_path):
     payload["estimation"] = {"eta": "uniform"}
     with pytest.raises(ConfigError, match="estimation.eta"):
         _load(tmp_path, payload)
+
+
+def test_io_section_rejected(tmp_path):
+    # field files are CSV only; the section that chose their format is gone
+    payload = _base()
+    payload["io"] = {"format": "csv"}
+    with pytest.raises(ConfigError, match=r"config\.json: io: Extra inputs are not permitted"):
+        _load(tmp_path, payload)
+
+
+def test_every_config_key_is_read():
+    """Each leaf key of RunConfig is read somewhere in the package as
+    `.<section>.<key>`, so a key that nothing consumes fails here."""
+    source = "\n".join(p.read_text() for p in (Path(__file__).parents[1] / "src" / "coxmra").glob("*.py"))
+    unread = [
+        f"{section}.{key}"
+        for section, info in RunConfig.model_fields.items()
+        for key in info.annotation.model_fields
+        if not re.search(rf"\.{section}\.{key}\b", source)
+    ]
+    assert unread == []
 
 
 def test_digest_stable_and_sensitive(tmp_path):

@@ -22,7 +22,7 @@ from coxmra.estimator import (
     save_report,
 )
 from coxmra.sarh import simulate_component
-from oracles import EDGE_FLOATS, estimate_node, estimate_rows_one_by_one, estimate_sigma2, table_csv
+from oracles import EDGE_FLOATS, estimate_node, estimate_rows_one_by_one, estimate_eta_moment, table_csv
 from coxmra.spectral import (
     FrequencyGrid,
     PeriodogramTable,
@@ -136,7 +136,7 @@ def test_sigma2_moment_and_innovation_variance():
     est = np.mean([innovation_variance(t, theta0) for t in tabs])
     assert est == pytest.approx(sig2, rel=0.1)
     with pytest.raises(ValueError):
-        estimate_sigma2(tabs[0], (0.8, 0.8, 0.0))
+        estimate_eta_moment(tabs[0], (0.8, 0.8, 0.0))
 
 
 _lower = st.floats(min_value=-0.95, max_value=-0.05)
@@ -191,6 +191,11 @@ def test_estimate_all_report_structure(reference_spec):
     np.testing.assert_allclose(np.diag(report.operators[0].matrix), diag[:, 0])
     # contrasts recomputed from scratch must match the stored values
     assert verify_report(report, mc) < 1e-10
+    # each pair's moment is the eta-weighted sum of its own periodogram
+    freq = FrequencyGrid(12, 12)
+    for est in report.estimates:
+        expected = contrast_weights(periodogram(mc.coeffs[:, :, est.row]).values, freq).sum()
+        assert est.eta_moment == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def test_estimate_all_include_cross(reference_spec):

@@ -66,13 +66,12 @@ def test_add_mean_rejects_wrong_grid():
         add_mean(fld, MeanCurve(TimeGrid(3), np.zeros(8)))
 
 
-@pytest.mark.parametrize("fmt", ["csv", "ndjson"])
-def test_save_load_roundtrip(tmp_path, fmt):
+def test_save_load_roundtrip(tmp_path):
     rng = np.random.default_rng(11)
     fld = FunctionalField(SpatialGrid(3, 4), TimeGrid(2), rng.normal(size=(3, 4, 4)))
-    path = tmp_path / f"field.{fmt}"
-    save_field(fld, path, fmt)
-    back = load_field(path, fmt)
+    path = tmp_path / "field.csv"
+    save_field(fld, path)
+    back = load_field(path)
     assert back.grid == fld.grid
     assert back.time == fld.time
     np.testing.assert_array_equal(back.values, fld.values)  # repr floats: exact
@@ -80,8 +79,8 @@ def test_save_load_roundtrip(tmp_path, fmt):
 
 def test_save_is_deterministic(tmp_path):
     fld = FunctionalField(SpatialGrid(2, 2), TimeGrid(1), np.arange(8.0).reshape(2, 2, 2))
-    save_field(fld, tmp_path / "a.csv", "csv")
-    save_field(fld, tmp_path / "b.csv", "csv")
+    save_field(fld, tmp_path / "a.csv")
+    save_field(fld, tmp_path / "b.csv")
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
@@ -90,7 +89,7 @@ def test_save_csv_matches_per_value_writer(tmp_path):
     values = rng.normal(size=(3, 5, 4)) * 10.0 ** rng.integers(-8, 8, size=(3, 5, 4))
     values.flat[: 2 * len(EDGE_FLOATS)] = EDGE_FLOATS + [-v for v in EDGE_FLOATS]
     fld = FunctionalField(SpatialGrid(3, 5), TimeGrid(2), values)
-    save_field(fld, tmp_path / "field.csv", "csv")
+    save_field(fld, tmp_path / "field.csv")
     rows = [(p, q, m, v) for (p, q, m), v in np.ndenumerate(values)]
     expected = table_csv(("p", "q", "t_index", "value"), rows)
     assert (tmp_path / "field.csv").read_bytes() == expected.encode()
@@ -100,33 +99,24 @@ def test_load_csv_reports_line_numbers(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("p,q,t_index,value\n0,0,0,1.0\n0,0,zero,2.0\n")
     with pytest.raises(FieldFormatError, match="line 3"):
-        load_field(path, "csv")
+        load_field(path)
 
 
 def test_load_csv_rejects_duplicates_and_gaps(tmp_path):
     dup = tmp_path / "dup.csv"
     dup.write_text("p,q,t_index,value\n0,0,0,1.0\n0,0,0,2.0\n")
     with pytest.raises(FieldFormatError, match="duplicate"):
-        load_field(dup, "csv")
+        load_field(dup)
     gap = tmp_path / "gap.csv"
     gap.write_text("p,q,t_index,value\n0,0,0,1.0\n1,1,1,2.0\n")
     with pytest.raises(FieldFormatError, match="incomplete"):
-        load_field(gap, "csv")
+        load_field(gap)
 
 
-def test_load_ndjson_missing_site(tmp_path):
-    path = tmp_path / "m.ndjson"
-    path.write_text(
-        '{"depth": 1, "s1": 2, "s2": 2}\n'
-        '{"curve": [0.0, 0.0], "p": 0, "q": 0}\n'
-    )
-    with pytest.raises(FieldFormatError, match="missing site"):
-        load_field(path, "ndjson")
-
-
-def test_unknown_format_rejected(tmp_path):
-    fld = FunctionalField(SpatialGrid(2, 2), TimeGrid(1), np.zeros((2, 2, 2)))
-    with pytest.raises(ValueError):
-        save_field(fld, tmp_path / "x", "parquet")
-    with pytest.raises(ValueError):
-        load_field(tmp_path / "x", "parquet")
+def test_load_rejects_the_ndjson_field_layout(tmp_path):
+    # fields are CSV only; NDJSON is the report format
+    path = tmp_path / "field.ndjson"
+    sites = "".join(f'{{"curve": [0.0, 0.0], "p": {p}, "q": {q}}}\n' for p in range(2) for q in range(2))
+    path.write_text('{"depth": 1, "s1": 2, "s2": 2}\n' + sites)
+    with pytest.raises(FieldFormatError, match="line 1: unexpected header"):
+        load_field(path)

@@ -145,15 +145,15 @@ def _assert_fault(path, lines, expected, load):
 
 
 # ---------------------------------------------------------------------------
-# field CSV and NDJSON
+# field CSV
 
 
 @FUZZ
-@given(fld=fields(), fmt=st.sampled_from(["csv", "ndjson"]))
-def test_field_roundtrip(tmp_path, fld, fmt):
-    path = tmp_path / f"field.{fmt}"
-    save_field(fld, path, fmt)
-    back = load_field(path, fmt)
+@given(fld=fields())
+def test_field_roundtrip(tmp_path, fld):
+    path = tmp_path / "field.csv"
+    save_field(fld, path)
+    back = load_field(path)
     assert (back.grid, back.time) == (fld.grid, fld.time)
     np.testing.assert_array_equal(back.values, fld.values)
 
@@ -166,7 +166,7 @@ CSV_FIELD = _csv_mutations(index_col=0, value_col=3)
 @given(fld=fields(), data=st.data())
 def test_field_csv_mutation(tmp_path, kind, fld, data):
     path = tmp_path / "field.csv"
-    save_field(fld, path, "csv")
+    save_field(fld, path)
     lines = path.read_text().splitlines()
     j = data.draw(st.integers(1, len(lines) - 1))
     _assert_fault(path, *CSV_FIELD[kind](lines, j), load_field)
@@ -175,38 +175,16 @@ def test_field_csv_mutation(tmp_path, kind, fld, data):
 def test_field_csv_stray_huge_index_is_incomplete(tmp_path):
     path = tmp_path / "field.csv"
     fld = FunctionalField(SpatialGrid(2, 2), TimeGrid(1), np.zeros((2, 2, 2)))
-    save_field(fld, path, "csv")
+    save_field(fld, path)
     lines, _ = _set_field(path.read_text().splitlines(), 3, 0, str(10**15))
     _assert_fault(path, lines, 10, load_field)
 
 
-JSON_KINDS = sorted(_json_mutations("p", 0, "v", "o"))
-
-
-@pytest.mark.parametrize("kind", JSON_KINDS)
-@FUZZ
-@given(fld=fields(), data=st.data())
-def test_field_ndjson_mutation(tmp_path, kind, fld, data):
-    path = tmp_path / "field.ndjson"
-    save_field(fld, path, "ndjson")
-    lines = path.read_text().splitlines()
-    mutations = _json_mutations("q", fld.grid.s2, "curve", "p")
-    j = data.draw(st.integers(1, len(lines) - 1))
-    _assert_fault(path, *mutations[kind](lines, j), lambda p: load_field(p, "ndjson"))
-
-
-def test_field_ndjson_bad_metadata_and_curve_length(tmp_path):
-    path = tmp_path / "field.ndjson"
-    save_field(FunctionalField(SpatialGrid(2, 2), TimeGrid(1), np.zeros((2, 2, 2))), path, "ndjson")
-    lines = path.read_text().splitlines()
-    for bad in ("{", '{"s1": 2, "s2": 2}', '{"s1": 1, "s2": 2, "depth": 1}'):
-        _assert_fault(path, [bad] + lines[1:], 1, lambda p: load_field(p, "ndjson"))
-    _assert_fault(path, lines[:1] + [lines[1].replace("0.0]", "0.0, 0.0]")], 2,
-                  lambda p: load_field(p, "ndjson"))
-
-
 # ---------------------------------------------------------------------------
 # report NDJSON
+
+
+JSON_KINDS = sorted(_json_mutations("p", 0, "v", "o"))
 
 
 @pytest.mark.parametrize("cross", [False, True])
@@ -228,7 +206,7 @@ def test_report_roundtrip_exact(tmp_path, reports, cross):
 def test_report_mutation(tmp_path, reports, kind, cross, data):
     report, lines = reports[cross]
     n = 1 << report.depth
-    value_key = data.draw(st.sampled_from(["theta", "sigma2", "contrast"]))
+    value_key = data.draw(st.sampled_from(["theta", "eta_moment", "contrast"]))
     mutations = _json_mutations(data.draw(st.sampled_from(["row", "col"])), n, value_key, "iterations")
     j = data.draw(st.integers(1, len(lines) - 1))
     _assert_fault(tmp_path / "report.ndjson", *mutations[kind](lines, j), load_report)
@@ -370,21 +348,14 @@ def _writes_file(call: ast.Call) -> bool:
 
 def test_only_grids_writes_files():
     """Every output file goes through `grids.write_csv` or
-    `grids.write_ndjson`; the CLI manifest is the one exception."""
+    `grids.write_ndjson`."""
     found = []
     for module in sorted((Path(__file__).parents[1] / "src" / "coxmra").glob("*.py")):
         if module.name == "grids.py":
             continue
-        tree = ast.parse(module.read_text())
-        exempt = {
-            node
-            for fn in tree.body
-            if isinstance(fn, ast.FunctionDef) and (module.name, fn.name) == ("cli.py", "_write_manifest")
-            for node in ast.walk(fn)
-        }
         found += [
             f"{module.name}:{node.lineno}"
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and node not in exempt and _writes_file(node)
+            for node in ast.walk(ast.parse(module.read_text()))
+            if isinstance(node, ast.Call) and _writes_file(node)
         ]
     assert found == []
