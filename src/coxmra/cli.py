@@ -44,7 +44,7 @@ def _write_manifest(out_dir: Path, stem: str, config: RunConfig, command: str, f
 @click.option("--config", "config_path", type=click.Path(exists=True), required=True)
 @click.option("--seed", type=int, default=None, help="Override the configured seed.")
 @click.option("--out", "out_dir", type=click.Path(), default=".", show_default=True)
-@click.option("--threads", type=int, default=1, show_default=True)
+@click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True)
 @click.pass_context
 def main(ctx, config_path, seed, out_dir, threads):
     """Multiscale spatial curve-field modelling pipeline."""
@@ -58,7 +58,7 @@ def main(ctx, config_path, seed, out_dir, threads):
         "config": cfg,
         "seed": seed if seed is not None else cfg.simulation.seed,
         "out": out,
-        "threads": max(1, threads),
+        "threads": threads,
     }
 
 

@@ -328,12 +328,51 @@ def test_missing_input_fails_cleanly(workspace):
     assert result.exit_code != 0
 
 
+def _modules_after_cli_import(*prefixes) -> list[str]:
+    """Modules a fresh interpreter holds after `import coxmra.cli` whose
+    names start with one of `prefixes`."""
+    src = str(Path(coxmra.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import json, sys, coxmra.cli; "
+            f"print(json.dumps(sorted(m for m in sys.modules if m.startswith({prefixes!r}))))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    return json.loads(out.stdout)
+
+
 def test_import_loads_no_scipy():
     # every CLI command starts a fresh interpreter, so import cost is paid
     # per command; the package must not pull scipy in
-    src = str(Path(coxmra.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, coxmra.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True, timeout=60)
-    assert out.stdout.strip() == "[]"
+    assert _modules_after_cli_import("scipy") == []
+
+
+def test_import_loads_no_pydantic():
+    # the config loader is plain dataclasses; a schema library would cost
+    # every command about 0.2 s of import
+    assert _modules_after_cli_import("pydantic", "pydantic_core", "annotated_types") == []
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_rejected(workspace, threads):
+    tmp, config = workspace
+    result = CliRunner().invoke(main, ["--config", str(config), "--out", str(tmp / "out"),
+                                       "--threads", threads, "simulate"])
+    assert result.exit_code == 2
+    assert "Invalid value for '--threads'" in result.output
+    assert not (tmp / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["estimate", "counts", "ingest"])
+def test_bad_model_fails_at_load(tmp_path, command):
+    # commands that never simulate still check the model section
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**BASE_CONFIG, "model": {"truncation": 11}}))
+    data = tmp_path / "input.csv"
+    data.write_text("unused\n")
+    result = CliRunner().invoke(main, ["--config", str(config), "--out", str(tmp_path / "out"),
+                                       command, str(data)])
+    assert result.exit_code == 1
+    payload = json.loads(result.stderr.strip().splitlines()[-1])
+    assert payload["type"] == "ConfigError"
+    assert payload["error"] == f"{config}: model: truncation 11 exceeds the 10 supplied eigenvalues"
+    assert not (tmp_path / "out").exists()

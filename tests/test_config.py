@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -115,10 +116,10 @@ def test_every_config_key_is_read():
     `.<section>.<key>`, so a key that nothing consumes fails here."""
     source = "\n".join(p.read_text() for p in (Path(__file__).parents[1] / "src" / "coxmra").glob("*.py"))
     unread = [
-        f"{section}.{key}"
-        for section, info in RunConfig.model_fields.items()
-        for key in info.annotation.model_fields
-        if not re.search(rf"\.{section}\.{key}\b", source)
+        f"{section.name}.{key.name}"
+        for section in fields(RunConfig)
+        for key in fields(section.type)
+        if not re.search(rf"\.{section.name}\.{key.name}\b", source)
     ]
     assert unread == []
 
@@ -148,3 +149,133 @@ def test_innovation_variances_reject_other_strings(tmp_path):
     with pytest.raises(ConfigError, match="model.innovation_variances") as exc:
         _load(tmp_path, payload)
     assert '"default", the only string accepted' in str(exc.value)
+
+
+# sha256 of canonical_json(), computed with the earlier pydantic loader:
+# every config_sha256 a manifest ever recorded must stay the same
+PINNED_DIGESTS = [
+    ("minimal", _base(), "65a52254cc0e86da28bb34b492e6efaff31d6fa4e5a4b3dd89c6a939954a0715"),
+    (
+        "all_keys",
+        {
+            "grid": {"s1": 12, "s2": 9},
+            "time": {"depth": 5, "j0": 2},
+            "model": {"eigenvalues1": [0.3, 0, 0.1], "eigenvalues2": [0.5, 0.4, 0],
+                      "innovation_variances": [1, 0.5, 0.25], "couple_l3": True,
+                      "eigenvalues3": None, "truncation": None},
+            "estimation": {"bounds": [[-1, 1], [-0.5, 0.5], [0, 1]], "include_cross": False,
+                           "couple_l3": True},
+            "simulation": {"burn_in": 32, "seed": 11, "replications": 3},
+            "validation": {"neighborhood_radius": 2, "period_length": 4, "max_folds": None},
+            "counts": {"seed": 5, "area_scale": 2},
+        },
+        "0c45d08d240fce29c2322eb59194ae8e0e20b0eb1620a5d474616fa67e7afad2",
+    ),
+    (
+        "all_keys_uncoupled",
+        {
+            "grid": {"s1": 2, "s2": 3},
+            "time": {"depth": 1, "j0": 0},
+            "model": {"eigenvalues1": [0.3, 0.2, 0.1], "eigenvalues2": [0.2, 0.1, 0.1],
+                      "innovation_variances": "default", "couple_l3": False,
+                      "eigenvalues3": [0.1, 0, 0.2], "truncation": 2},
+            "estimation": {"bounds": [[-0.9, 0.9], [-0.9, 0.9], [-0.5, 0.5]], "include_cross": True,
+                           "couple_l3": False},
+            "simulation": {"burn_in": 0, "seed": 0, "replications": 1},
+            "validation": {"neighborhood_radius": 0, "period_length": 1, "max_folds": 3},
+            "counts": {"seed": 0, "area_scale": 0.5},
+        },
+        "1ba619c909fd106bf0a168bed52ab14e831cce91bd1ebe323eef950364e94680",
+    ),
+    # the set-up configs of the perfbench workloads at seed 1
+    (
+        "mc_study",
+        {"grid": {"s1": 50, "s2": 50}, "time": {"depth": 4, "j0": 1},
+         "simulation": {"seed": 1, "replications": 2}},
+        "d830a8030ad11db408ef32f3b6015a0fa14eb6d91ed2197f34c0c1e34cabf2b3",
+    ),
+    (
+        "loo_cross_fit",
+        {"grid": {"s1": 12, "s2": 12}, "time": {"depth": 3, "j0": 1}, "model": {"truncation": 5},
+         "estimation": {"include_cross": True, "couple_l3": True}, "simulation": {"seed": 1}},
+        "def6d583d93fc2cf3c2cf3cb3a41d6ca77a07887532de58f509250fabfe8309e",
+    ),
+    (
+        "loo_cross_folds",
+        {"grid": {"s1": 12, "s2": 12}, "time": {"depth": 1, "j0": 0}, "model": {"truncation": 2},
+         "estimation": {"couple_l3": True}, "simulation": {"seed": 2},
+         "validation": {"neighborhood_radius": 1, "period_length": 1}},
+        "fd34c07d56f7f61ec5cd7e361f4a03541bca5e6e90e6e30908579afd85595910",
+    ),
+    (
+        "cli_counts",
+        {"grid": {"s1": 200, "s2": 200}, "time": {"depth": 4, "j0": 1},
+         "simulation": {"seed": 1, "replications": 2}, "counts": {"seed": 2}},
+        "b604f7d71ee40eb69f093a4ea941593b57a42ff65a60b7065209cd71f466bc77",
+    ),
+]
+
+
+@pytest.mark.parametrize("raw, digest", [c[1:] for c in PINNED_DIGESTS], ids=[c[0] for c in PINNED_DIGESTS])
+def test_digest_pinned(tmp_path, raw, digest):
+    assert RunConfig.model_validate(raw).digest() == digest
+    assert _load(tmp_path, raw).digest() == digest
+
+
+def test_int_in_float_key_stored_as_float():
+    cfg = RunConfig.model_validate({**_base(), "counts": {"area_scale": 2}})
+    assert type(cfg.counts.area_scale) is float
+    assert cfg.estimation.bounds == ((-0.95, 0.95),) * 3
+
+
+@pytest.mark.parametrize("section, patch, where, what", [
+    ("grid", {"s1": "10"}, "grid.s1", "Input should be a valid int"),
+    ("grid", {"s1": True}, "grid.s1", "Input should be a valid int"),
+    ("grid", {"s1": 10.0}, "grid.s1", "Input should be a valid int"),
+    ("grid", {"s1": 1}, "grid.s1", "Input should be greater than or equal to 2"),
+    ("counts", {"area_scale": "2"}, "counts.area_scale", "Input should be a valid float"),
+    ("counts", {"area_scale": 0}, "counts.area_scale", "Input should be greater than 0"),
+    ("model", {"couple_l3": 1}, "model.couple_l3", "Input should be a valid bool"),
+    ("model", {"truncation": 0}, "model.truncation", "Input should be greater than or equal to 1"),
+    ("model", {"eigenvalues1": [0.3, "x"]}, "model.eigenvalues1.1", "Input should be a valid float"),
+    ("model", {"eigenvalues3": 0.1}, "model.eigenvalues3", "Input should be a valid list"),
+    ("estimation", {"bounds": [[-0.9, 0.9, 0.1]] * 3}, "estimation.bounds.0",
+     "Input should be a list of 2 items, got 3"),
+    ("time", {"depth": 15}, "time.depth", "Input should be less than or equal to 14"),
+    ("validation", {"max_folds": "all"}, "validation.max_folds", "Input should be a valid int"),
+])
+def test_type_errors_name_the_key(tmp_path, section, patch, where, what):
+    payload = _base()
+    payload[section] = {**payload.get(section, {}), **patch}
+    with pytest.raises(ConfigError) as err:
+        _load(tmp_path, payload)
+    assert str(err.value) == f"{tmp_path / 'config.json'}: {where}: {what}"
+
+
+def test_section_level_errors(tmp_path):
+    path = tmp_path / "config.json"
+    for payload, message in (
+        ({"grid": {"s1": 10, "s2": 10}, "time": {"depth": 4, "j0": 5}}, "time: j0=5 exceeds depth=4"),
+        ({"time": {"depth": 4}}, "grid: Field required"),
+        ({"grid": {"s1": 10}, "time": {"depth": 4}}, "grid.s2: Field required"),
+        ({"grid": [10, 10], "time": {"depth": 4}}, "grid: Input should be an object"),
+        ([1, 2], "config: Input should be an object"),
+    ):
+        with pytest.raises(ConfigError) as err:
+            _load(tmp_path, payload)
+        assert str(err.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("model, reason", [
+    ({"truncation": 11}, "truncation 11 exceeds the 10 supplied eigenvalues"),
+    ({"eigenvalues1": [0.5, 1.0], "eigenvalues2": [0.1, 0.1]}, "require |lambda_p1| < 1"),
+    ({"eigenvalues1": [0.5, 0.4], "eigenvalues2": [0.1]}, "must share length"),
+    ({"truncation": 2, "innovation_variances": [1.0]}, "must share length"),
+    ({"couple_l3": False}, "eigenvalues3 required when couple_l3 is unset"),
+])
+def test_bad_model_rejected_at_load(tmp_path, model, reason):
+    payload = {**_base(), "model": model}
+    with pytest.raises(ConfigError) as err:
+        _load(tmp_path, payload)
+    assert str(err.value).startswith(f"{tmp_path / 'config.json'}: model: ")
+    assert reason in str(err.value)
