@@ -2,7 +2,7 @@
 
 import hashlib
 import json
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from typing import Literal, get_args, get_origin
 
 from .estimator import ThetaDomain
@@ -138,9 +138,10 @@ class RunConfig:
             raise ValueError(f"truncation {k} exceeds the {n} supplied eigenvalues")
         lam1, lam2 = self.model.eigenvalues1[:k], self.model.eigenvalues2[:k]
         sig2, lam3 = self.model.innovation_variances, self.model.eigenvalues3
-        sig2 = default_variance_profile(lam1, lam2) if sig2 == "default" else sig2[: len(lam1)]
-        lam3 = None if lam3 is None else lam3[: len(lam1)]
-        return SarhSpec(lam1, lam2, sig2, self.time_grid(), self.model.couple_l3, lam3)
+        default = sig2 == "default"  # the model is checked before the profile divides by 1 - lambda^2
+        spec = SarhSpec(lam1, lam2, (1.0,) * len(lam1) if default else sig2[: len(lam1)], self.time_grid(),
+                        self.model.couple_l3, None if lam3 is None else lam3[: len(lam1)])
+        return replace(spec, innovation_variances=default_variance_profile(lam1, lam2)) if default else spec
 
     def theta_domain(self) -> ThetaDomain:
         return ThetaDomain(self.estimation.bounds, self.estimation.couple_l3)

@@ -11,6 +11,7 @@ operator matrices, from which eigenvalue estimates follow.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, islice
 
 import numpy as np
 
@@ -102,22 +103,27 @@ def _lexicographic_argmin(values: np.ndarray, thetas: np.ndarray) -> int:
 
 
 def _estimate_rows(
-    weights: np.ndarray, freq: FrequencyGrid, domain: ThetaDomain
+    blocks: list[np.ndarray], freq: FrequencyGrid, domain: ThetaDomain
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fit every row of full-plane contrast weights (rows, N); returns
-    thetas (rows, 3), contrasts and pattern-search evaluations.  A sweep
-    moves each free coordinate by +step, then -step, keeps a move that
-    lowers the contrast by more than 1e-15 and halves the step if none
-    did.  Each row keeps its own point, contrast, step and active flag.
+    """Fit every row of blocks of full-plane contrast weights (rows_i, N);
+    returns the stacked thetas (rows, 3), contrasts and pattern-search
+    evaluations.  A sweep moves each free coordinate by +step, then -step,
+    keeps a move that lowers the contrast by more than 1e-15 and halves the
+    step if none did.  Each row keeps its own point, contrast, step and
+    active flag.  A matrix product's bits depend on its row count, so the
+    seed matrix is one product per block: no block's fit sees another.
     """
     table = freq.half_plane
-    hw = freq.fold(weights)
+    folded = [freq.fold(w) for w in blocks]
+    stack = lambda parts: parts[0] if len(parts) == 1 else np.concatenate(parts)  # noqa: E731
+    hw = stack(folded)
 
     def contrasts(rows: np.ndarray, thetas: np.ndarray) -> np.ndarray:
         return -np.vecdot(hw[rows], _log_psi(thetas, *table))
 
     cand = domain.candidates()
-    seeds = -(hw @ _log_psi(cand, *table).T)
+    log_psi_cand = _log_psi(cand, *table).T
+    seeds = -stack([f @ log_psi_cand for f in folded])
     n_rows = hw.shape[0]
     first = np.array([_lexicographic_argmin(row, cand) for row in seeds], dtype=int)
     seed_vals = seeds[np.arange(n_rows), first]
@@ -207,27 +213,42 @@ def estimate_all(
     the three operators only through the joint symbol; each pair yields
     one theta triple whose components populate the three matrices.
     """
-    n = coeffs.n_coeffs
-    s1, s2 = coeffs.grid.s1, coeffs.grid.s2
-    freq = FrequencyGrid(s1, s2)
-    fdfts = all_periodograms(coeffs.coeffs)  # (s1, s2, n) complex
+    return estimate_many([coeffs], domain, include_cross)[0]
 
+
+def estimate_many(coeff_sets: list[MultiscaleCoefficients], domain: ThetaDomain,
+                  include_cross: bool = False) -> list[EstimationReport]:
+    """`estimate_all` of every set, with one lockstep search per lattice
+    shape over the rows of all sets of that shape; each report has the
+    bits `estimate_all` gives the set alone."""
+    shapes: dict[tuple[int, int], list[tuple[int, MultiscaleCoefficients]]] = {}
+    for i, coeffs in enumerate(coeff_sets):
+        shapes.setdefault((coeffs.grid.s1, coeffs.grid.s2), []).append((i, coeffs))
+    reports = [None] * len(coeff_sets)
+    for (s1, s2), members in shapes.items():
+        freq = FrequencyGrid(s1, s2)
+        pairs, weights = zip(*(_pair_weights(coeffs, freq, include_cross) for _, coeffs in members))
+        thetas, values, iters = _estimate_rows(list(weights), freq, domain)
+        rows = zip(chain(*pairs), thetas, chain(*weights), values, iters)
+        for (i, coeffs), set_pairs in zip(members, pairs):
+            estimates = [NodeEstimate(a, b, tuple(map(float, th)), float(w.sum()), float(val), int(it),
+                                      domain.near_boundary(th))
+                         for (a, b), th, w, val, it in islice(rows, len(set_pairs))]
+            reports[i] = _report(coeffs.j0, coeffs.depth, freq.n, truncation_parameter(freq.n), estimates)
+    return reports
+
+
+def _pair_weights(coeffs: MultiscaleCoefficients, freq: FrequencyGrid, include_cross: bool):
+    """The fitted (row, col) pairs of one set and their contrast weights (pairs, N)."""
+    n = coeffs.n_coeffs
     pairs = [(a, a) for a in range(n)]
     if include_cross:
         pairs += [(a, b) for a in range(n) for b in range(n) if a != b]
-
-    flat = fdfts.reshape(-1, n)  # (N, n)
-    weights = np.empty((len(pairs), s1 * s2))
+    flat = all_periodograms(coeffs.coeffs).reshape(-1, n)  # (N, n) complex
+    weights = np.empty((len(pairs), freq.n))
     for idx, (a, b) in enumerate(pairs):
         weights[idx] = contrast_weights(flat[:, a] * np.conj(flat[:, b]), freq)
-
-    thetas, values, iters = _estimate_rows(weights, freq, domain)
-    estimates = [
-        NodeEstimate(a, b, tuple(float(v) for v in th), float(w.sum()), float(val), int(it),
-                     domain.near_boundary(th))
-        for (a, b), th, w, val, it in zip(pairs, thetas, weights, values, iters)
-    ]
-    return _report(coeffs.j0, coeffs.depth, s1 * s2, truncation_parameter(s1 * s2), estimates)
+    return pairs, weights
 
 
 def _report(j0: int, depth: int, n_sites: int, k: int, estimates: list[NodeEstimate]) -> EstimationReport:

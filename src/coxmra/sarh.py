@@ -75,6 +75,8 @@ class SarhSpec:
             raise ValueError("eigenvalue and variance vectors must share length")
         if lam1.size < 1:
             raise ValueError("need at least one component")
+        if not all(np.isfinite(v).all() for v in (lam1, lam2, sig2)):
+            raise ValueError("eigenvalues and innovation variances must be finite")
         if np.any(np.abs(lam1) >= 1) or np.any(np.abs(lam2) >= 1):
             raise ValueError("require |lambda_p1| < 1 and |lambda_p2| < 1")
         if np.any(sig2 <= 0):
@@ -90,6 +92,8 @@ class SarhSpec:
             lam3 = np.asarray(self.eigenvalues3, dtype=float)
             if lam3.size != lam1.size:
                 raise ValueError("eigenvalues3 length mismatch")
+            if not np.isfinite(lam3).all():
+                raise ValueError("eigenvalues3 must be finite")
             if np.any(np.abs(lam1) + np.abs(lam2) + np.abs(lam3) >= 1):
                 raise ValueError(
                     "require |lambda_p1| + |lambda_p2| + |lambda_p3| < 1 "

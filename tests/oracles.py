@@ -184,7 +184,7 @@ def loo_fold_by_fold(fld: FunctionalField, domain: ThetaDomain, j0: int, radius:
 def estimate_node(table: PeriodogramTable, domain: ThetaDomain) -> tuple[np.ndarray, float]:
     """Minimum-contrast fit of one basis pair: (theta, contrast)."""
     weights = contrast_weights(table.values, table.freq)
-    thetas, values, _ = _estimate_rows(weights[None, :], table.freq, domain)
+    thetas, values, _ = _estimate_rows([weights[None, :]], table.freq, domain)
     return thetas[0], float(values[0])
 
 

@@ -266,12 +266,21 @@ def test_section_level_errors(tmp_path):
         assert str(err.value) == f"{path}: {message}"
 
 
+NAN, INF = float("nan"), float("inf")  # json.dumps writes NaN and Infinity, json.load reads them
+
+
 @pytest.mark.parametrize("model, reason", [
     ({"truncation": 11}, "truncation 11 exceeds the 10 supplied eigenvalues"),
     ({"eigenvalues1": [0.5, 1.0], "eigenvalues2": [0.1, 0.1]}, "require |lambda_p1| < 1"),
     ({"eigenvalues1": [0.5, 0.4], "eigenvalues2": [0.1]}, "must share length"),
     ({"truncation": 2, "innovation_variances": [1.0]}, "must share length"),
     ({"couple_l3": False}, "eigenvalues3 required when couple_l3 is unset"),
+    ({"eigenvalues1": [0.5, 0.4], "eigenvalues2": [0.1, 0.1, 0.1]}, "must share length"),
+    ({"eigenvalues1": [NAN, 0.4], "eigenvalues2": [0.1, 0.1]}, "eigenvalues and innovation variances must be finite"),
+    ({"eigenvalues1": [0.5, 0.4], "eigenvalues2": [0.1, NAN]}, "eigenvalues and innovation variances must be finite"),
+    ({"eigenvalues1": [-INF, 0.4], "eigenvalues2": [0.1, 0.1]}, "eigenvalues and innovation variances must be finite"),
+    ({"truncation": 2, "innovation_variances": [1.0, NAN]}, "eigenvalues and innovation variances must be finite"),
+    ({"truncation": 2, "couple_l3": False, "eigenvalues3": [0.1, NAN]}, "eigenvalues3 must be finite"),
 ])
 def test_bad_model_rejected_at_load(tmp_path, model, reason):
     payload = {**_base(), "model": model}

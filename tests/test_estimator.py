@@ -1,3 +1,4 @@
+import importlib
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +17,7 @@ from coxmra import (
 from coxmra.estimator import (
     EstimationReport,
     _estimate_rows,
+    estimate_many,
     _lexicographic_argmin,
     load_report,
     save_eigenvalue_table,
@@ -33,6 +35,8 @@ from coxmra.spectral import (
 )
 from coxmra.wavelet import MultiscaleCoefficients, field_dwt
 from coxmra.grids import detrend
+
+estimator_module = importlib.import_module("coxmra.estimator")
 
 
 def verify_report(report: EstimationReport, coeffs: MultiscaleCoefficients) -> float:
@@ -166,11 +170,60 @@ def test_lockstep_search_matches_reference(s1, s2, n, cross, domain, seed):
     f = all_periodograms(coeffs).reshape(-1, n)
     pairs = [(a, b) for a in range(n) for b in range(n) if cross or a == b]
     weights = np.array([contrast_weights(f[:, a] * np.conj(f[:, b]), freq) for a, b in pairs])
-    thetas, values, iters = _estimate_rows(weights, freq, domain)
+    thetas, values, iters = _estimate_rows([weights], freq, domain)
     ref_thetas, ref_values, ref_iters = estimate_rows_one_by_one(weights, freq, domain)
     assert np.array_equal(thetas, ref_thetas)
     assert np.array_equal(iters, ref_iters)
     np.testing.assert_allclose(values, ref_values, rtol=1e-12)
+
+
+def _coeff_sets(shapes, picks, depth):
+    """One standard-normal coefficient set per (shape index, seed) pick."""
+    return [
+        MultiscaleCoefficients(
+            SpatialGrid(*shapes[k]), 0, depth, np.random.default_rng(seed).normal(size=(*shapes[k], 1 << depth))
+        )
+        for k, seed in picks
+    ]
+
+
+@given(
+    st.lists(st.tuples(st.integers(4, 10), st.integers(4, 10)), min_size=3, max_size=3, unique=True),
+    st.lists(st.tuples(st.integers(0, 2), st.integers(0, 10**6)), min_size=1, max_size=4),
+    st.integers(min_value=1, max_value=2),
+    st.booleans(),
+    box_domains,
+)
+@settings(max_examples=25, deadline=None)
+def test_estimate_many_matches_estimate_all(shapes, picks, depth, cross, domain):
+    # sets fitted together in one search per shape keep the bits of each
+    # set fitted alone
+    coeff_sets = _coeff_sets(shapes, picks, depth)
+    reports = estimate_many(coeff_sets, domain, include_cross=cross)
+    assert len(reports) == len(coeff_sets)
+    for coeffs, report in zip(coeff_sets, reports):
+        alone = estimate_all(coeffs, domain, include_cross=cross)
+        assert (report.j0, report.depth, report.n_sites) == (alone.j0, alone.depth, alone.n_sites)
+        # theta, contrast, iterations, eta_moment and near_boundary of every pair
+        assert report.estimates == alone.estimates
+        assert np.array_equal(report.eigenvalues1, alone.eigenvalues1)
+        assert np.array_equal(report.eigenvalues2, alone.eigenvalues2)
+
+
+def test_estimate_many_searches_once_per_shape(monkeypatch):
+    shapes = [(5, 6), (6, 5), (7, 7)]
+    coeff_sets = _coeff_sets(shapes, [(0, 1), (1, 2), (0, 3), (2, 4), (0, 5), (1, 6)], depth=1)
+    searches = []
+
+    def counted(blocks, freq, domain):
+        searches.append(((freq.s1, freq.s2), len(blocks)))
+        return _estimate_rows(blocks, freq, domain)
+
+    monkeypatch.setattr(estimator_module, "_estimate_rows", counted)
+    reports = estimate_many(coeff_sets, ThetaDomain())
+    assert sorted(searches) == [((5, 6), 3), ((6, 5), 2), ((7, 7), 1)]
+    assert [r.n_sites for r in reports] == [30, 30, 30, 49, 30, 30]
+    assert estimate_many([], ThetaDomain()) == []
 
 
 def test_estimate_all_report_structure(reference_spec):

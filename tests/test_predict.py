@@ -13,7 +13,7 @@ from coxmra import (
     predict,
     simulate,
 )
-from coxmra.estimator import EstimationReport, estimate_all
+from coxmra.estimator import EstimationReport, _estimate_rows, estimate_all, estimate_many
 from coxmra.grids import FunctionalField, detrend
 from coxmra.predict import (
     FoldResult,
@@ -27,6 +27,7 @@ from oracles import EDGE_FLOATS, loo_fold_by_fold, table_csv
 
 # the package re-exports the function `predict` under the module's name
 predict_module = importlib.import_module("coxmra.predict")
+estimator_module = importlib.import_module("coxmra.estimator")
 
 
 def predict_coeffs_blockwise(
@@ -138,21 +139,39 @@ def test_loo_validate_fits_each_training_block_once(monkeypatch):
     spec = SarhSpec(lam1, lam2, default_variance_profile(lam1, lam2), TimeGrid(1), couple_l3=True)
     res, _ = detrend(simulate(spec, SpatialGrid(12, 12), 64, seed=34))
     domain = ThetaDomain(couple_l3=True)
-    calls = []
+    calls, searches = [], []
 
-    def counted(*args, **kwargs):
-        calls.append(args[0].grid)
-        return estimate_all(*args, **kwargs)
+    def counted(coeff_sets, *args, **kwargs):
+        calls.append([c.grid for c in coeff_sets])
+        return estimate_many(coeff_sets, *args, **kwargs)
 
-    monkeypatch.setattr(predict_module, "estimate_all", counted)
+    def counted_rows(blocks, freq, *args):
+        searches.append((freq.s1, freq.s2))
+        return _estimate_rows(blocks, freq, *args)
+
+    monkeypatch.setattr(predict_module, "estimate_many", counted)
+    monkeypatch.setattr(estimator_module, "_estimate_rows", counted_rows)
     summary = loo_validate(res, domain, j0=0, neighborhood_radius=1, period_length=1)
-    # the 121 folds of a 12 x 12 lattice with radius 1 use 20 distinct blocks
+    # the 121 folds of a 12 x 12 lattice with radius 1 use 20 distinct
+    # blocks, fitted in one call, of 11 distinct lattice shapes
     assert len(summary.folds) == 121
-    assert len(calls) == 20
+    assert len(calls) == 1 and len(calls[0]) == 20
+    assert len(searches) == len(set(searches)) == 11
     reference = loo_fold_by_fold(res, domain, j0=0, radius=1)
     assert [f.site for f in summary.folds] == [site for site, _, _ in reference]
     assert np.array_equal([f.mafe for f in summary.folds], [m for _, m, _ in reference])
     assert np.array_equal([f.abs_error for f in summary.folds], [e for _, _, e in reference])
+
+
+def test_loo_validate_keeps_duplicate_sites(reference_spec):
+    res, _ = detrend(simulate(reference_spec, SpatialGrid(10, 10), 64, seed=35))
+    sites = [(6, 6), (3, 3), (6, 6), (3, 4)]
+    summary = loo_validate(res, ThetaDomain(), j0=2, period_length=4, sites=sites)
+    assert [f.site for f in summary.folds] == sorted(sites)
+    once = loo_validate(res, ThetaDomain(), j0=2, period_length=4, sites=[(3, 3), (3, 4), (6, 6)])
+    for i, j in ((0, 0), (1, 1), (2, 2), (3, 2)):
+        assert summary.folds[i].mafe == once.folds[j].mafe
+        assert np.array_equal(summary.folds[i].abs_error, once.folds[j].abs_error)
 
 
 def test_loo_validate_rejects_boundary_site(reference_spec):
