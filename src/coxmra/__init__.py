@@ -10,7 +10,6 @@ from .grids import (
     MeanCurve,
     SpatialGrid,
     TimeGrid,
-    add_mean,
     detrend,
     load_field,
     save_field,
@@ -20,18 +19,15 @@ from .wavelet import (
     OperatorWaveletMatrix,
     dwt,
     field_dwt,
-    field_idwt,
     idwt,
     normalized_eigenfunctions,
     operator_to_wavelet,
     wavelet_to_operator_eigs,
 )
-from .sarh import NodeParams, SarhSpec, default_variance_profile, simulate
+from .sarh import SarhSpec, default_variance_profile, simulate
 from .spectral import (
     FrequencyGrid,
-    PeriodogramTable,
     divergence,
-    empirical_contrast,
     log_psi,
     periodogram,
     stationarity_check,
@@ -40,7 +36,6 @@ from .estimator import (
     EstimationReport,
     ThetaDomain,
     estimate_all,
-    innovation_variance,
     truncation_parameter,
 )
 from .cox import CountGrid, IntensityField, integrated_intensity, intensity, moment_bound_check, sample_counts

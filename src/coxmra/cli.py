@@ -18,13 +18,27 @@ import numpy as np
 
 from . import cox, estimator, grids, ingest, sarh, wavelet
 from .predict import loo_validate, predict as predict_field, save_validation
-from .config import ConfigError, RunConfig, load_config
+from .config import RunConfig, load_config
 
 
 def _fail(exc: Exception) -> None:
     payload = {"error": str(exc), "type": type(exc).__name__}
     click.echo(json.dumps(payload, sort_keys=True), err=True)
     sys.exit(1)
+
+
+class _Pipeline(click.Group):
+    """The single CLI error funnel: an exception from the group or any
+    command prints one JSON line on stderr and exits 1.  click's own usage
+    errors, exits and aborts (the last two are RuntimeErrors) pass through."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (click.ClickException, click.exceptions.Exit, click.Abort):
+            raise
+        except Exception as exc:  # noqa: BLE001 - single CLI error funnel
+            _fail(exc)
 
 
 def _write_manifest(out_dir: Path, stem: str, config: RunConfig, command: str, files, seeds) -> None:
@@ -40,7 +54,7 @@ def _write_manifest(out_dir: Path, stem: str, config: RunConfig, command: str, f
     grids.write_ndjson(out_dir / f"{prefix}{command}_manifest.json", manifest, ())
 
 
-@click.group()
+@click.group(cls=_Pipeline)
 @click.option("--config", "config_path", type=click.Path(exists=True), required=True)
 @click.option("--seed", type=int, default=None, help="Override the configured seed.")
 @click.option("--out", "out_dir", type=click.Path(), default=".", show_default=True)
@@ -48,10 +62,7 @@ def _write_manifest(out_dir: Path, stem: str, config: RunConfig, command: str, f
 @click.pass_context
 def main(ctx, config_path, seed, out_dir, threads):
     """Multiscale spatial curve-field modelling pipeline."""
-    try:
-        cfg = load_config(config_path)
-    except ConfigError as exc:
-        _fail(exc)
+    cfg = load_config(config_path)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ctx.obj = {
@@ -83,19 +94,16 @@ def _format_pool(threads: int):
 def simulate(obj):
     """Simulate curve fields; one file per replication plus a manifest."""
     cfg: RunConfig = obj["config"]
-    try:
-        spec = cfg.sarh_spec()
-        grid = cfg.spatial_grid()
-        reps = cfg.simulation.replications
-        seeds = [obj["seed"] + i for i in range(reps)]
-        files = [f"field_{i:03d}.csv" for i in range(reps)]
-        with _format_pool(obj["threads"]) as pool:
-            for name, seed in zip(files, seeds):
-                fld = sarh.simulate(spec, grid, cfg.simulation.burn_in, seed)
-                grids.save_field(fld, obj["out"] / name, pool)
-        _write_manifest(obj["out"], "", cfg, "simulate", files, seeds)
-    except Exception as exc:  # noqa: BLE001 - single CLI error funnel
-        _fail(exc)
+    spec = cfg.sarh_spec()
+    grid = cfg.spatial_grid()
+    reps = cfg.simulation.replications
+    seeds = [obj["seed"] + i for i in range(reps)]
+    files = [f"field_{i:03d}.csv" for i in range(reps)]
+    with _format_pool(obj["threads"]) as pool:
+        for name, seed in zip(files, seeds):
+            fld = sarh.simulate(spec, grid, cfg.simulation.burn_in, seed)
+            grids.save_field(fld, obj["out"] / name, pool)
+    _write_manifest(obj["out"], "", cfg, "simulate", files, seeds)
 
 
 def _estimate_field(cfg: RunConfig, fld: grids.FunctionalField):
@@ -113,22 +121,19 @@ def _estimate_field(cfg: RunConfig, fld: grids.FunctionalField):
 def estimate(obj, field_file):
     """Detrend, transform and fit the wavelet-domain parameters."""
     cfg: RunConfig = obj["config"]
-    try:
-        fld = grids.load_field(field_file)
-        report, mean, _ = _estimate_field(cfg, fld)
-        stem = Path(field_file).stem
-        report_path = obj["out"] / f"{stem}_report.ndjson"
-        eig_path = obj["out"] / f"{stem}_eigenvalues.csv"
-        mean_path = obj["out"] / f"{stem}_mean.csv"
-        estimator.save_report(report, report_path)
-        estimator.save_eigenvalue_table(report, eig_path)
-        grids.write_csv(mean_path, ("t_index", "value"), [mean.values], origin=(0,))
-        _write_manifest(
-            obj["out"], stem, cfg, "estimate",
-            [p.name for p in (report_path, eig_path, mean_path)], [],
-        )
-    except Exception as exc:
-        _fail(exc)
+    fld = grids.load_field(field_file)
+    report, mean, _ = _estimate_field(cfg, fld)
+    stem = Path(field_file).stem
+    report_path = obj["out"] / f"{stem}_report.ndjson"
+    eig_path = obj["out"] / f"{stem}_eigenvalues.csv"
+    mean_path = obj["out"] / f"{stem}_mean.csv"
+    estimator.save_report(report, report_path)
+    estimator.save_eigenvalue_table(report, eig_path)
+    grids.write_csv(mean_path, ("t_index", "value"), [mean.values], origin=(0,))
+    _write_manifest(
+        obj["out"], stem, cfg, "estimate",
+        [p.name for p in (report_path, eig_path, mean_path)], [],
+    )
 
 
 @main.command("predict")
@@ -138,23 +143,20 @@ def estimate(obj, field_file):
 def predict_cmd(obj, field_file, report_file):
     """One-step plug-in prediction at every interior site."""
     cfg: RunConfig = obj["config"]
-    try:
-        fld = grids.load_field(field_file)
-        report = estimator.load_report(report_file)
-        residual, mean = grids.detrend(fld)
-        mc = wavelet.field_dwt(residual, cfg.time.j0)
-        result = predict_field(mc, report)
-        out = obj["out"] / (Path(field_file).stem + "_predicted.csv")
-        # the mask holds exactly the sites from (1, 1) on
-        with _format_pool(obj["threads"]) as pool:
-            grids.write_csv(
-                out, ("p", "q", "t_index", "predicted", "residual"),
-                [result.predicted.values[1:, 1:] + mean.values, result.residuals.values[1:, 1:]],
-                origin=(1, 1, 0), pool=pool,
-            )
-        click.echo(str(out))
-    except Exception as exc:
-        _fail(exc)
+    fld = grids.load_field(field_file)
+    report = estimator.load_report(report_file)
+    residual, mean = grids.detrend(fld)
+    mc = wavelet.field_dwt(residual, cfg.time.j0)
+    result = predict_field(mc, report)
+    out = obj["out"] / (Path(field_file).stem + "_predicted.csv")
+    # the mask holds exactly the sites from (1, 1) on
+    with _format_pool(obj["threads"]) as pool:
+        grids.write_csv(
+            out, ("p", "q", "t_index", "predicted", "residual"),
+            [result.predicted.values[1:, 1:] + mean.values, result.residuals.values[1:, 1:]],
+            origin=(1, 1, 0), pool=pool,
+        )
+    click.echo(str(out))
 
 
 @main.command()
@@ -163,39 +165,36 @@ def predict_cmd(obj, field_file, report_file):
 def validate(obj, field_file):
     """Leave-one-site-out validation with per-period error table."""
     cfg: RunConfig = obj["config"]
-    try:
-        fld = grids.load_field(field_file)
-        residual, _ = grids.detrend(fld)
-        sites = None
-        if cfg.validation.max_folds is not None:
-            all_sites = [
-                (p, q)
-                for p in range(1, fld.grid.s1)
-                for q in range(1, fld.grid.s2)
-            ]
-            idx = np.linspace(
-                0, len(all_sites) - 1, min(cfg.validation.max_folds, len(all_sites))
-            ).astype(int)
-            sites = [all_sites[i] for i in idx]
-        summary = loo_validate(
-            residual,
-            cfg.theta_domain(),
-            j0=cfg.time.j0,
-            neighborhood_radius=cfg.validation.neighborhood_radius,
-            period_length=cfg.validation.period_length,
-            include_cross=cfg.estimation.include_cross,
-            sites=sites,
-        )
-        stem = Path(field_file).stem
-        folds_path = obj["out"] / f"{stem}_folds.csv"
-        periods_path = obj["out"] / f"{stem}_periods.csv"
-        save_validation(summary, folds_path, periods_path)
-        _write_manifest(
-            obj["out"], stem, cfg, "validate",
-            [folds_path.name, periods_path.name], [],
-        )
-    except Exception as exc:
-        _fail(exc)
+    fld = grids.load_field(field_file)
+    residual, _ = grids.detrend(fld)
+    sites = None
+    if cfg.validation.max_folds is not None:
+        all_sites = [
+            (p, q)
+            for p in range(1, fld.grid.s1)
+            for q in range(1, fld.grid.s2)
+        ]
+        idx = np.linspace(
+            0, len(all_sites) - 1, min(cfg.validation.max_folds, len(all_sites))
+        ).astype(int)
+        sites = [all_sites[i] for i in idx]
+    summary = loo_validate(
+        residual,
+        cfg.theta_domain(),
+        j0=cfg.time.j0,
+        neighborhood_radius=cfg.validation.neighborhood_radius,
+        period_length=cfg.validation.period_length,
+        include_cross=cfg.estimation.include_cross,
+        sites=sites,
+    )
+    stem = Path(field_file).stem
+    folds_path = obj["out"] / f"{stem}_folds.csv"
+    periods_path = obj["out"] / f"{stem}_periods.csv"
+    save_validation(summary, folds_path, periods_path)
+    _write_manifest(
+        obj["out"], stem, cfg, "validate",
+        [folds_path.name, periods_path.name], [],
+    )
 
 
 @main.command()
@@ -204,16 +203,13 @@ def validate(obj, field_file):
 def counts(obj, field_file):
     """Poisson counts from the integrated intensity of a log-field."""
     cfg: RunConfig = obj["config"]
-    try:
-        fld = grids.load_field(field_file)
-        inten = cox.intensity(fld)
-        means = cox.integrated_intensity(inten) * cfg.counts.area_scale
-        cg = cox.sample_counts(means, cfg.counts.seed, fld.grid)
-        out = obj["out"] / (Path(field_file).stem + "_counts.csv")
-        cox.save_counts(cg, out)
-        click.echo(str(out))
-    except Exception as exc:
-        _fail(exc)
+    fld = grids.load_field(field_file)
+    inten = cox.intensity(fld)
+    means = cox.integrated_intensity(inten) * cfg.counts.area_scale
+    cg = cox.sample_counts(means, cfg.counts.seed, fld.grid)
+    out = obj["out"] / (Path(field_file).stem + "_counts.csv")
+    cox.save_counts(cg, out)
+    click.echo(str(out))
 
 
 @main.command("ingest")
@@ -222,14 +218,11 @@ def counts(obj, field_file):
 def ingest_cmd(obj, raw_csv):
     """Interpolate raw count records onto the configured grid."""
     cfg: RunConfig = obj["config"]
-    try:
-        fld = ingest.ingest_counts(raw_csv, cfg.spatial_grid(), cfg.time.depth)
-        out = obj["out"] / f"{Path(raw_csv).stem}_field.csv"
-        with _format_pool(obj["threads"]) as pool:
-            grids.save_field(fld, out, pool)
-        click.echo(str(out))
-    except Exception as exc:
-        _fail(exc)
+    fld = ingest.ingest_counts(raw_csv, cfg.spatial_grid(), cfg.time.depth)
+    out = obj["out"] / f"{Path(raw_csv).stem}_field.csv"
+    with _format_pool(obj["threads"]) as pool:
+        grids.save_field(fld, out, pool)
+    click.echo(str(out))
 
 
 @main.command()
@@ -241,23 +234,20 @@ def ingest_cmd(obj, raw_csv):
 def report(obj, kind, t_at, inputs):
     """Plot-ready CSV tables from earlier pipeline outputs."""
     cfg: RunConfig = obj["config"]
-    try:
-        if not inputs:
-            raise ValueError("report requires at least one input file")
-        if kind == "slice":
-            _report_slice(obj, inputs[0], t_at)
-        elif kind == "eigs":
-            _report_eigs(obj, inputs)
-        else:
-            _report_mse(obj, cfg, inputs)
-    except Exception as exc:
-        _fail(exc)
+    if not inputs:
+        raise ValueError("report requires at least one input file")
+    if kind == "slice":
+        _report_slice(obj, inputs[0], t_at)
+    elif kind == "eigs":
+        _report_eigs(obj, inputs)
+    else:
+        _report_mse(obj, cfg, inputs)
 
 
 def _report_slice(obj, field_file, t_at: float):
     fld = grids.load_field(field_file)
     m = int(np.argmin(np.abs(fld.time.points - t_at)))
-    out = obj["out"] / (Path(field_file).stem + f"_slice.csv")
+    out = obj["out"] / (Path(field_file).stem + "_slice.csv")
     grids.write_csv(out, ("p", "q", "value"), [fld.values[:, :, m]], origin=(0, 0))
     click.echo(str(out))
 

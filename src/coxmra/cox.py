@@ -1,9 +1,8 @@
 """Log-Gaussian Cox layer: intensities, integrated means, Poisson counts.
 
-The intensity at a site is the exponential of the (mean-restored)
-log-intensity curve; integrating over the unit time interval gives the
-per-cell Poisson mean (cell area normalized to one, so means are additive
-over cells).
+The intensity at a site is the exponential of its log-intensity curve;
+integrating over the unit time interval gives the per-cell Poisson mean
+(cell area normalized to one, so means are additive over cells).
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import FunctionalField, MeanCurve, SpatialGrid, TimeGrid, write_csv
+from .grids import FunctionalField, SpatialGrid, TimeGrid, write_csv
 from .sarh import SarhSpec
 from .wavelet import normalized_eigenfunctions
 
@@ -55,13 +54,9 @@ class CountGrid:
         object.__setattr__(self, "means", m)
 
 
-def intensity(logfield: FunctionalField, mean: MeanCurve | None = None) -> IntensityField:
-    """Exponentiate the log-intensity field, restoring the mean curve first."""
+def intensity(logfield: FunctionalField) -> IntensityField:
+    """Exponentiate the log-intensity field."""
     log_values = logfield.values
-    if mean is not None:
-        if mean.time != logfield.time:
-            raise ValueError("mean curve time grid does not match field")
-        log_values = log_values + mean.values
     peak = np.max(log_values)
     if peak > _EXP_GUARD:
         flat = np.argmax(log_values.max(axis=2))

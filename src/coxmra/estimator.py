@@ -17,7 +17,6 @@ import numpy as np
 
 from .spectral import (
     FrequencyGrid,
-    PeriodogramTable,
     _inverse_symbol_sq,
     _log_psi,
     _stationary,
@@ -157,16 +156,18 @@ def _estimate_rows(
     return best, best_val, iters
 
 
-def innovation_variance(table: PeriodogramTable, theta) -> float:
-    """Innovation variance recovered from the moment identity.
+def innovation_variance(cross: np.ndarray, theta) -> float:
+    """Innovation variance recovered from the moment identity of one
+    (s1, s2) periodogram table.
 
     The expected periodogram of the AR field is sigma2_eps / (2 pi)^2
     times the inverse squared symbol, so the moment is divided by the
     weighted integral of that shape.
     """
-    moment = float(contrast_weights(table.values, table.freq).sum())
-    shape = _inverse_symbol_sq(_stationary(theta), table.freq)[0] / (2.0 * np.pi) ** 2
-    return moment / float(shape @ table.freq.eta_measure)
+    freq = FrequencyGrid(*cross.shape)
+    moment = float(contrast_weights(cross, freq).sum())
+    shape = _inverse_symbol_sq(_stationary(theta), freq)[0] / (2.0 * np.pi) ** 2
+    return moment / float(shape @ freq.eta_measure)
 
 
 @dataclass(frozen=True)

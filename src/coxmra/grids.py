@@ -44,10 +44,6 @@ class TimeGrid:
         """Quadrature weight of each sample in the Riemann sum."""
         return 1.0 / self.n
 
-    def inner(self, f: np.ndarray, g: np.ndarray) -> float:
-        """Discrete L2(0,1) inner product of two sampled curves."""
-        return float(np.dot(f, g) * self.weight)
-
 
 @dataclass(frozen=True)
 class SpatialGrid:
@@ -109,12 +105,6 @@ def detrend(fld: FunctionalField) -> tuple[FunctionalField, MeanCurve]:
         FunctionalField(fld.grid, fld.time, residual),
         MeanCurve(fld.time, mean),
     )
-
-
-def add_mean(fld: FunctionalField, mean: MeanCurve) -> FunctionalField:
-    if mean.time != fld.time:
-        raise ValueError("mean curve time grid does not match field")
-    return FunctionalField(fld.grid, fld.time, fld.values + mean.values)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +207,8 @@ def place_records(path, shape: tuple, index, values, lineno: Callable, name: Cal
     `index` holds one row of indices per record, `lineno(i)` is the line
     of record i (i = record count: the line after the last) and
     `name(key)` words an index tuple.  Keys are checked by sorting, so a
-    stray huge index allocates nothing.
+    stray huge index allocates nothing; where `shape` has more entries
+    than a flat index can hold, the keys are the ranks of the index rows.
     """
     index = np.asarray(index, dtype=np.int64).reshape(-1, len(shape))
     values = np.asarray(values, dtype=float)
@@ -230,21 +221,36 @@ def place_records(path, shape: tuple, index, values, lineno: Callable, name: Cal
         i = int(np.argmax(outside))
         what = "negative index" if (index[i] < 0).any() else f"index outside {shape}"
         raise record_fault(path, lineno(i), f"{name(tuple(map(int, index[i])))}: {what}")
-    flat = np.ravel_multi_index(tuple(index.T), shape)
-    order = np.argsort(flat, kind="stable")
-    ranked = flat[order]
+    size = math.prod(shape)
+    if size <= np.iinfo(np.intp).max:
+        keys = np.ravel_multi_index(tuple(index.T), shape)
+    else:  # a flat index would overflow: rank the index rows in C order
+        keys = np.unique(index, axis=0, return_inverse=True)[1].reshape(-1)
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
     repeats = order[1:][ranked[1:] == ranked[:-1]]
     if repeats.size:
         i = int(repeats.min())
         raise record_fault(path, lineno(i), f"duplicate {name(tuple(map(int, index[i])))}")
-    size = math.prod(shape)
     if n < size:  # no repeats and all in range: the first gap in the sorted keys
-        gap = np.flatnonzero(ranked != np.arange(n))
-        missing = np.unravel_index(int(gap[0]) if gap.size else n, shape)
+        expected = _c_order_indices(n + 1, shape)
+        gap = np.flatnonzero((index[order] != expected[:n]).any(axis=1))
+        missing = expected[int(gap[0]) if gap.size else n]
         raise record_fault(path, lineno(n), f"incomplete: missing {name(tuple(map(int, missing)))}")
     out = np.empty((size,) + values.shape[1:])
-    out[flat] = values
+    out[keys] = values
     return out.reshape(tuple(shape) + values.shape[1:])
+
+
+def _c_order_indices(m: int, shape: tuple) -> np.ndarray:
+    """The first m index tuples of `shape` in C order, (m, len(shape)),
+    without forming a flat index: an axis of length >= m is never wrapped."""
+    pos, columns = np.arange(m), []
+    for size in reversed(shape):
+        radix = min(size, m)
+        columns.append(pos % radix)
+        pos = pos // radix
+    return np.column_stack(columns[::-1])
 
 
 # rows per formatting block; a constant, so blocks never depend on the pool

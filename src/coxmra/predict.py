@@ -157,6 +157,8 @@ def loo_validate(
     s1, s2 = fld.grid.s1, fld.grid.s2
     if sites is None:
         sites = [(p, q) for p in range(1, s1) for q in range(1, s2)]
+    if len(sites) == 0:
+        raise ValueError("no sites to validate: sites is empty")
     c = field_dwt(fld, j0).coeffs
     blocks = []
     for site in sorted(sites):

@@ -25,24 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import FunctionalField, SpatialGrid, TimeGrid
-from .spectral import FrequencyGrid, _inverse_symbol_sq, edge_norm, stationarity_check
+from .spectral import FrequencyGrid, _inverse_symbol_sq, edge_norm
 from .wavelet import normalized_eigenfunctions
 
 DEFAULT_BURN_IN = 64
-
-
-@dataclass(frozen=True)
-class NodeParams:
-    """AR triple plus innovation variance for one basis pair."""
-
-    theta: tuple[float, float, float]
-    sigma2: float
-
-    def __post_init__(self):
-        if self.sigma2 < 0:
-            raise ValueError(f"sigma2 must be >= 0, got {self.sigma2}")
-        if not stationarity_check(self.theta):
-            raise ValueError(f"non-stationary theta {self.theta}")
 
 
 def default_variance_profile(eigenvalues1, eigenvalues2) -> np.ndarray:
@@ -77,15 +63,8 @@ class SarhSpec:
             raise ValueError("need at least one component")
         if not all(np.isfinite(v).all() for v in (lam1, lam2, sig2)):
             raise ValueError("eigenvalues and innovation variances must be finite")
-        if np.any(np.abs(lam1) >= 1) or np.any(np.abs(lam2) >= 1):
-            raise ValueError("require |lambda_p1| < 1 and |lambda_p2| < 1")
-        if np.any(sig2 <= 0):
-            raise ValueError("innovation variances must be positive")
-        object.__setattr__(self, "eigenvalues1", lam1)
-        object.__setattr__(self, "eigenvalues2", lam2)
-        object.__setattr__(self, "innovation_variances", sig2)
         if self.couple_l3:
-            object.__setattr__(self, "eigenvalues3", -lam1 * lam2)
+            lam3 = -lam1 * lam2
         else:
             if self.eigenvalues3 is None:
                 raise ValueError("eigenvalues3 required when couple_l3 is unset")
@@ -94,28 +73,21 @@ class SarhSpec:
                 raise ValueError("eigenvalues3 length mismatch")
             if not np.isfinite(lam3).all():
                 raise ValueError("eigenvalues3 must be finite")
-            if np.any(np.abs(lam1) + np.abs(lam2) + np.abs(lam3) >= 1):
-                raise ValueError(
-                    "require |lambda_p1| + |lambda_p2| + |lambda_p3| < 1 "
-                    "for uncoupled L3"
-                )
-            object.__setattr__(self, "eigenvalues3", lam3)
+        if np.any(edge_norm(np.column_stack([lam1, lam2, lam3]), self.couple_l3) >= 1):
+            raise ValueError(
+                "require |lambda_p1| < 1 and |lambda_p2| < 1" if self.couple_l3 else
+                "require |lambda_p1| + |lambda_p2| + |lambda_p3| < 1 for uncoupled L3"
+            )
+        if np.any(sig2 <= 0):
+            raise ValueError("innovation variances must be positive")
+        object.__setattr__(self, "eigenvalues1", lam1)
+        object.__setattr__(self, "eigenvalues2", lam2)
+        object.__setattr__(self, "eigenvalues3", lam3)
+        object.__setattr__(self, "innovation_variances", sig2)
 
     @property
     def truncation(self) -> int:
         return self.eigenvalues1.size
-
-    def node_params(self, p: int) -> NodeParams:
-        """Parameters of component p (1-based)."""
-        i = p - 1
-        return NodeParams(
-            (
-                float(self.eigenvalues1[i]),
-                float(self.eigenvalues2[i]),
-                float(self.eigenvalues3[i]),
-            ),
-            float(self.innovation_variances[i]),
-        )
 
     def stationary_variances(self) -> np.ndarray:
         """Marginal variance of each component field.
@@ -179,19 +151,6 @@ def _innovations(sigma2: float, grid: SpatialGrid, burn_in: int, rng) -> np.ndar
     return rng.normal(0.0, np.sqrt(sigma2), size=(r1, r2))
 
 
-def simulate_component(
-    theta,
-    sigma2: float,
-    grid: SpatialGrid,
-    burn_in: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """One scalar AR component field, cropped to (s1, s2)."""
-    thetas = np.asarray(theta, dtype=float).reshape(1, 3)
-    e = _innovations(sigma2, grid, burn_in, rng)
-    return _ar_fields(thetas, e[None])[0, burn_in:, burn_in:]
-
-
 def simulate(
     spec: SarhSpec,
     grid: SpatialGrid,
@@ -226,8 +185,3 @@ def simulate(
         values += comp[:, :, None] * phi_p[None, None, :]
     return FunctionalField(grid, spec.time, values)
 
-
-def component_scores(fld: FunctionalField, truncation: int) -> np.ndarray:
-    """Project curves onto the normalized eigenfunctions, shape (s1, s2, k)."""
-    phi = normalized_eigenfunctions(fld.time, truncation)
-    return np.tensordot(fld.values, phi.T, axes=1) * fld.time.weight

@@ -18,7 +18,7 @@ eta support folded by evenness (`FrequencyGrid.fold`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -27,17 +27,12 @@ TWO_PI = 2.0 * np.pi
 
 
 def stationarity_check(theta) -> bool:
-    """Sufficient stationarity condition for one AR triple.
-
-    Accepts either |th1| + |th2| + |th3| < 1 (keeps the AR symbol away
-    from zero) or the factorized form th3 = -th1*th2 with |th1|, |th2| < 1.
-    """
-    th1, th2, th3 = (float(v) for v in theta)
-    if abs(th1) + abs(th2) + abs(th3) < 1.0:
+    """Sufficient stationarity condition for one AR triple: the uncoupled
+    edge norm is below one, or th3 = -th1*th2 and the coupled one is."""
+    th = np.asarray(theta, dtype=float)
+    if edge_norm(th, couple_l3=False) < 1.0:
         return True
-    if abs(th1) < 1.0 and abs(th2) < 1.0 and np.isclose(th3, -th1 * th2, atol=1e-12):
-        return True
-    return False
+    return bool(np.isclose(th[2], -th[0] * th[1], atol=1e-12) and edge_norm(th, couple_l3=True) < 1.0)
 
 
 def edge_norm(thetas, couple_l3: bool) -> np.ndarray:
@@ -131,25 +126,6 @@ def _fundamental(w: np.ndarray) -> np.ndarray:
     return np.where(np.isclose(out, -np.pi), np.pi, out)
 
 
-@dataclass(frozen=True)
-class PeriodogramTable:
-    """Periodogram values of one basis pair at all Fourier frequencies."""
-
-    freq: FrequencyGrid
-    values: np.ndarray = field(repr=False)
-    diagonal: bool = False
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex)
-        if v.shape != (self.freq.s1, self.freq.s2):
-            raise ValueError(f"table shape {v.shape} != ({self.freq.s1}, {self.freq.s2})")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def real_values(self) -> np.ndarray:
-        return self.values.real
-
-
 def all_periodograms(coeffs: np.ndarray) -> np.ndarray:
     """fDFT tables for every coefficient simultaneously.
 
@@ -169,22 +145,19 @@ def all_periodograms(coeffs: np.ndarray) -> np.ndarray:
     return f / (TWO_PI * np.sqrt(s1 * s2))
 
 
-def periodogram(coeff_a: np.ndarray, coeff_b: np.ndarray | None = None) -> PeriodogramTable:
-    """Cross-periodogram of two coefficient fields (diagonal if b is None).
+def periodogram(coeff_a: np.ndarray, coeff_b: np.ndarray | None = None) -> np.ndarray:
+    """Complex (s1, s2) cross-periodogram table of two coefficient fields
+    (diagonal if b is None).
 
     Computed as fdft(a) * conj(fdft(b)) at every Fourier frequency, the
     product of two columns of `all_periodograms`.
     """
     a = np.asarray(coeff_a, dtype=float)
-    diagonal = coeff_b is None or coeff_b is coeff_a
-    b = a if diagonal else np.asarray(coeff_b, dtype=float)
+    b = a if coeff_b is None else np.asarray(coeff_b, dtype=float)
     if a.shape != b.shape:
         raise ValueError(f"field shapes differ: {a.shape} vs {b.shape}")
-    f = all_periodograms(np.stack([a] if diagonal else [a, b], axis=-1))
-    values = f[:, :, 0] * np.conj(f[:, :, -1])
-    if diagonal:
-        values = values.real.astype(complex)
-    return PeriodogramTable(FrequencyGrid(*a.shape), values, diagonal=diagonal)
+    f = all_periodograms(np.stack([a] if coeff_b is None else [a, b], axis=-1))
+    return f[:, :, 0] * np.conj(f[:, :, -1])
 
 
 def contrast_weights(cross: np.ndarray, freq: FrequencyGrid) -> np.ndarray:
@@ -251,14 +224,15 @@ def _population_weights(theta0, freq: FrequencyGrid) -> np.ndarray:
     return f0 * freq.eta_measure
 
 
-def empirical_contrast(table: PeriodogramTable, theta) -> float:
-    """Empirical contrast: minus the eta-weighted log-density sum.
+def empirical_contrast(cross: np.ndarray, theta) -> float:
+    """Empirical contrast of one (s1, s2) periodogram table: minus the
+    eta-weighted log-density sum.
 
     Uses the real part of the periodogram, so diagonal and cross tables
     share one code path.
     """
-    weights = contrast_weights(table.values, table.freq)
-    return float(-(weights @ log_psi(_stationary(theta), table.freq)[0]))
+    freq = FrequencyGrid(*cross.shape)
+    return float(-(contrast_weights(cross, freq) @ log_psi(_stationary(theta), freq)[0]))
 
 
 def contrast_functional(theta0, theta, freq: FrequencyGrid) -> float:

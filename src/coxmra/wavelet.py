@@ -101,11 +101,6 @@ def field_dwt(fld: FunctionalField, j0: int) -> MultiscaleCoefficients:
     return MultiscaleCoefficients(fld.grid, j0, fld.time.depth, coeffs)
 
 
-def field_idwt(mc: MultiscaleCoefficients) -> FunctionalField:
-    values = idwt(mc.coeffs, mc.j0)
-    return FunctionalField(mc.grid, TimeGrid(mc.depth), values)
-
-
 @dataclass(frozen=True)
 class OperatorWaveletMatrix:
     """Two-dimensional wavelet-domain representation of a kernel operator.

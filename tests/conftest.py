@@ -3,6 +3,7 @@ import pytest
 from hypothesis import strategies as st
 
 from coxmra import SarhSpec, SpatialGrid, TimeGrid, default_variance_profile
+from coxmra.sarh import _ar_fields, _innovations
 
 # Ten-component reference eigenvalue systems used across the test suite.
 LAMBDA1 = np.array([0.300, 0.270, 0.230, 0.200, 0.170, 0.130, 0.100, 0.030, 0.010, 0.005])
@@ -18,6 +19,13 @@ coupled_thetas = st.tuples(_unit, _unit).map(
     lambda ab: (0.95 * ab[0], 0.95 * ab[1], -(0.95 * ab[0]) * (0.95 * ab[1]))
 )
 stationary_thetas = st.one_of(triangle_thetas, coupled_thetas)
+
+
+def ar_field(theta, sigma2, grid: SpatialGrid, burn_in: int, rng) -> np.ndarray:
+    """One scalar AR component field cropped to the grid, drawn as
+    `simulate` draws each component: `_ar_fields` on an `_innovations` draw."""
+    e = _innovations(sigma2, grid, burn_in, rng)
+    return _ar_fields(np.array([theta], dtype=float), e[None])[0, burn_in:, burn_in:]
 
 
 @pytest.fixture(scope="session")

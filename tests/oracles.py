@@ -23,7 +23,6 @@ from coxmra.predict import _training_block
 from coxmra.spectral import (
     TWO_PI,
     FrequencyGrid,
-    PeriodogramTable,
     _log_psi,
     contrast_weights,
     stationarity_check,
@@ -45,8 +44,9 @@ def fdft(coeff_field: np.ndarray, w: tuple[float, float]) -> complex:
     return complex(np.sum(x * phase) / (TWO_PI * np.sqrt(s1 * s2)))
 
 
-def periodogram_direct(coeff_a: np.ndarray, coeff_b: np.ndarray | None = None) -> PeriodogramTable:
-    """Quadruple-sum periodogram, the FFT-free reference path."""
+def periodogram_direct(coeff_a: np.ndarray, coeff_b: np.ndarray | None = None) -> np.ndarray:
+    """Quadruple-sum complex (s1, s2) periodogram table, the FFT-free
+    reference path."""
     a = np.asarray(coeff_a, dtype=float)
     b = a if coeff_b is None else np.asarray(coeff_b, dtype=float)
     s1, s2 = a.shape
@@ -57,7 +57,7 @@ def periodogram_direct(coeff_a: np.ndarray, coeff_b: np.ndarray | None = None) -
             fa = fdft(a, (w1, w2))
             fb = fa if coeff_b is None else fdft(b, (w1, w2))
             values[i, j] = fa * np.conj(fb)
-    return PeriodogramTable(freq, values, diagonal=coeff_b is None)
+    return values
 
 
 def ar_component(theta, e: np.ndarray) -> np.ndarray:
@@ -181,15 +181,17 @@ def loo_fold_by_fold(fld: FunctionalField, domain: ThetaDomain, j0: int, radius:
     return out
 
 
-def estimate_node(table: PeriodogramTable, domain: ThetaDomain) -> tuple[np.ndarray, float]:
-    """Minimum-contrast fit of one basis pair: (theta, contrast)."""
-    weights = contrast_weights(table.values, table.freq)
-    thetas, values, _ = _estimate_rows([weights[None, :]], table.freq, domain)
+def estimate_node(table: np.ndarray, domain: ThetaDomain) -> tuple[np.ndarray, float]:
+    """Minimum-contrast fit of one basis pair's (s1, s2) periodogram
+    table: (theta, contrast)."""
+    freq = FrequencyGrid(*table.shape)
+    weights = contrast_weights(table, freq)
+    thetas, values, _ = _estimate_rows([weights[None, :]], freq, domain)
     return thetas[0], float(values[0])
 
 
-def estimate_eta_moment(table: PeriodogramTable, theta) -> float:
+def estimate_eta_moment(table: np.ndarray, theta) -> float:
     """The eta-weighted periodogram moment of a table at a stationary theta."""
     if not stationarity_check(theta):
         raise ValueError(f"non-stationary theta {tuple(theta)}")
-    return float(contrast_weights(table.values, table.freq).sum())
+    return float(contrast_weights(table, FrequencyGrid(*table.shape)).sum())

@@ -362,6 +362,21 @@ def test_threads_below_one_rejected(workspace, threads):
     assert not (tmp / "out").exists()
 
 
+def test_error_funnel_passes_click_exits(workspace):
+    # a command's exception is one JSON line and exit 1; click's own
+    # help exit and usage errors, raised inside the group, keep their codes
+    tmp, config = workspace
+    base = ["--config", str(config), "--out", str(tmp / "out")]
+    result = CliRunner().invoke(main, base + ["report", "--kind", "eigs"])
+    assert result.exit_code == 1
+    assert json.loads(result.stderr.strip().splitlines()[-1]) == {
+        "error": "report requires at least one input file", "type": "ValueError"}
+    result = CliRunner().invoke(main, base + ["report", "--help"])
+    assert result.exit_code == 0 and result.output.startswith("Usage:")
+    result = CliRunner().invoke(main, base + ["report", "--kind", "nope"])
+    assert result.exit_code == 2 and "Invalid value for '--kind'" in result.output
+
+
 @pytest.mark.parametrize("command", ["estimate", "counts", "ingest"])
 def test_bad_model_fails_at_load(tmp_path, command):
     # commands that never simulate still check the model section

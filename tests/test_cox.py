@@ -5,7 +5,6 @@ from coxmra import (
     CountGrid,
     FunctionalField,
     IntensityField,
-    MeanCurve,
     SpatialGrid,
     TimeGrid,
     integrated_intensity,
@@ -26,13 +25,6 @@ def test_intensity_exponentiates():
     fld = _logfield(np.zeros((2, 2, 4)))
     inten = intensity(fld)
     np.testing.assert_allclose(inten.values, 1.0)
-
-
-def test_intensity_restores_mean():
-    fld = _logfield(np.zeros((2, 2, 4)))
-    mean = MeanCurve(TimeGrid(2), np.log([1.0, 2.0, 3.0, 4.0]))
-    inten = intensity(fld, mean)
-    np.testing.assert_allclose(inten.values[0, 0], [1.0, 2.0, 3.0, 4.0])
 
 
 def test_intensity_overflow_guard():

@@ -10,7 +10,6 @@ from coxmra import (
     SpatialGrid,
     ThetaDomain,
     estimate_all,
-    innovation_variance,
     periodogram,
     truncation_parameter,
 )
@@ -18,16 +17,16 @@ from coxmra.estimator import (
     EstimationReport,
     _estimate_rows,
     estimate_many,
+    innovation_variance,
     _lexicographic_argmin,
     load_report,
     save_eigenvalue_table,
     save_report,
 )
-from coxmra.sarh import simulate_component
+from conftest import ar_field
 from oracles import EDGE_FLOATS, estimate_node, estimate_rows_one_by_one, estimate_eta_moment, table_csv
 from coxmra.spectral import (
     FrequencyGrid,
-    PeriodogramTable,
     all_periodograms,
     contrast_weights,
     empirical_contrast,
@@ -42,22 +41,18 @@ estimator_module = importlib.import_module("coxmra.estimator")
 def verify_report(report: EstimationReport, coeffs: MultiscaleCoefficients) -> float:
     """Re-evaluate the contrast at every reported optimum; returns the
     largest absolute discrepancy (guards against stale caching)."""
-    freq = FrequencyGrid(coeffs.grid.s1, coeffs.grid.s2)
-    fdfts = all_periodograms(coeffs.coeffs).reshape(-1, coeffs.n_coeffs)
+    fdfts = all_periodograms(coeffs.coeffs)
     worst = 0.0
     for est in report.estimates:
-        cross = fdfts[:, est.row] * np.conj(fdfts[:, est.col])
-        table = PeriodogramTable(
-            freq, cross.reshape(freq.s1, freq.s2), diagonal=est.row == est.col
-        )
-        val = empirical_contrast(table, est.theta)
+        cross = fdfts[:, :, est.row] * np.conj(fdfts[:, :, est.col])
+        val = empirical_contrast(cross, est.theta)
         worst = max(worst, abs(val - est.contrast))
     return worst
 
 
 def _ar_periodogram(theta, s1, s2, seed, sigma2=1.0):
     rng = np.random.default_rng(seed)
-    x = simulate_component(theta, sigma2, SpatialGrid(s1, s2), 64, rng)
+    x = ar_field(theta, sigma2, SpatialGrid(s1, s2), 64, rng)
     return periodogram(x - x.mean())
 
 
@@ -93,7 +88,7 @@ def test_near_boundary_follows_domain_geometry():
     assert not box.near_boundary((0.4, 0.3, -0.19))
     # a coupled fit well inside the square is not flagged
     th0 = (0.56, 0.56, -0.56 * 0.56)
-    x = simulate_component(th0, 1.0, SpatialGrid(30, 30), 64, np.random.default_rng(0))
+    x = ar_field(th0, 1.0, SpatialGrid(30, 30), 64, np.random.default_rng(0))
     mc = MultiscaleCoefficients(SpatialGrid(30, 30), 0, 0, (x - x.mean())[:, :, None])
     (est,) = estimate_all(mc, coupled).estimates
     np.testing.assert_allclose(est.theta, th0, atol=0.01)
@@ -247,7 +242,7 @@ def test_estimate_all_report_structure(reference_spec):
     # each pair's moment is the eta-weighted sum of its own periodogram
     freq = FrequencyGrid(12, 12)
     for est in report.estimates:
-        expected = contrast_weights(periodogram(mc.coeffs[:, :, est.row]).values, freq).sum()
+        expected = contrast_weights(periodogram(mc.coeffs[:, :, est.row]), freq).sum()
         assert est.eta_moment == pytest.approx(expected, rel=1e-12, abs=0)
 
 

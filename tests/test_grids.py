@@ -3,10 +3,8 @@ import pytest
 
 from coxmra import (
     FunctionalField,
-    MeanCurve,
     SpatialGrid,
     TimeGrid,
-    add_mean,
     detrend,
     load_field,
     save_field,
@@ -22,15 +20,6 @@ def test_time_grid_points_are_midpoints():
     assert tg.n == 8
     np.testing.assert_allclose(tg.points, expected)
     assert tg.weight == pytest.approx(1.0 / 8.0)
-
-
-def test_time_grid_inner_product_is_riemann_sum():
-    tg = TimeGrid(6)
-    # oracle: int_0^1 t * t dt = 1/3, midpoint rule error O(h^2)
-    t = tg.points
-    assert tg.inner(t, t) == pytest.approx(1.0 / 3.0, abs=1e-4)
-    # constant functions integrate exactly
-    assert tg.inner(np.ones(tg.n), np.ones(tg.n)) == pytest.approx(1.0)
 
 
 def test_time_grid_rejects_bad_depth():
@@ -56,14 +45,7 @@ def test_detrend_roundtrip_and_zero_mean():
     fld = FunctionalField(SpatialGrid(4, 5), TimeGrid(3), rng.normal(2.0, 1.0, (4, 5, 8)))
     residual, mean = detrend(fld)
     np.testing.assert_allclose(residual.values.mean(axis=(0, 1)), 0.0, atol=1e-12)
-    restored = add_mean(residual, mean)
-    np.testing.assert_allclose(restored.values, fld.values)
-
-
-def test_add_mean_rejects_wrong_grid():
-    fld = FunctionalField(SpatialGrid(2, 2), TimeGrid(2), np.zeros((2, 2, 4)))
-    with pytest.raises(ValueError):
-        add_mean(fld, MeanCurve(TimeGrid(3), np.zeros(8)))
+    np.testing.assert_allclose(residual.values + mean.values, fld.values)
 
 
 def test_save_load_roundtrip(tmp_path):

@@ -181,6 +181,15 @@ def test_loo_validate_rejects_boundary_site(reference_spec):
         loo_validate(res, ThetaDomain(), j0=2, sites=[(0, 3)])
 
 
+def test_loo_validate_rejects_no_sites(monkeypatch):
+    # an empty fold list has no ALOOCVE and no period errors: rejected
+    # before any fit
+    fld = FunctionalField(SpatialGrid(8, 8), TimeGrid(1), np.random.default_rng(36).normal(size=(8, 8, 2)))
+    monkeypatch.setattr(predict_module, "estimate_many", lambda *args, **kwargs: pytest.fail("fitted"))
+    with pytest.raises(ValueError, match="no sites"):
+        loo_validate(fld, ThetaDomain(), sites=[])
+
+
 def test_save_validation(tmp_path, reference_spec):
     fld = simulate(reference_spec, SpatialGrid(10, 10), 64, seed=33)
     res, _ = detrend(fld)

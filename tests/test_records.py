@@ -1,5 +1,5 @@
 """Round trips and single-mutation faults of every record file format,
-and the one writer every output file goes through.
+the one writer every output file goes through, and the public surface.
 
 Each mutation changes one record of a valid file and must raise
 FieldFormatError naming the file and the line of the fault; faults of the
@@ -8,9 +8,11 @@ whole file (a dropped record) name the line after the last record.
 
 import ast
 import json
+import re
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+from types import ModuleType
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import coxmra
 from coxmra import FunctionalField, SpatialGrid, TimeGrid, load_field, save_field
 from coxmra.estimator import ThetaDomain, estimate_all, load_report, save_report
 from coxmra.grids import _CSV_BLOCK, FieldFormatError, write_csv, write_ndjson
@@ -180,6 +183,18 @@ def test_field_csv_stray_huge_index_is_incomplete(tmp_path):
     _assert_fault(path, lines, 10, load_field)
 
 
+@pytest.mark.parametrize("rows, fault", [
+    # 2 x 2 x 2**62 entries: more than a flat index can hold
+    (["0,0,0,1.0", f"1,1,{2**62},1.0"], "line 4: incomplete: missing entry (0, 0, 1)"),
+    ([f"1,1,{2**62},1.0", "0,0,0,1.0", f"1,1,{2**62},2.0"], f"line 4: duplicate entry (1, 1, {2**62})"),
+], ids=["incomplete", "duplicate"])
+def test_field_csv_oversized_shape_is_a_record_fault(tmp_path, rows, fault):
+    path = tmp_path / "field.csv"
+    path.write_text("\n".join(["p,q,t_index,value", *rows]) + "\n")
+    with pytest.raises(FieldFormatError, match=re.escape(f"{path}: {fault}") + "$"):
+        load_field(path)
+
+
 # ---------------------------------------------------------------------------
 # report NDJSON
 
@@ -210,6 +225,17 @@ def test_report_mutation(tmp_path, reports, kind, cross, data):
     mutations = _json_mutations(data.draw(st.sampled_from(["row", "col"])), n, value_key, "iterations")
     j = data.draw(st.integers(1, len(lines) - 1))
     _assert_fault(tmp_path / "report.ndjson", *mutations[kind](lines, j), load_report)
+
+
+@pytest.mark.parametrize("depth", [63, 64])
+def test_report_oversized_layout_is_incomplete(tmp_path, reports, depth):
+    # a layout of 2**depth coefficients, beyond any flat index, with one record
+    _, lines = reports[False]
+    meta = {**json.loads(lines[0]), "j0": 0, "depth": depth}
+    path = tmp_path / "report.ndjson"
+    path.write_text("\n".join([json.dumps(meta), lines[1]]) + "\n")
+    with pytest.raises(FieldFormatError, match=re.escape(f"{path}: line 3: incomplete: missing pair (1, 1)") + "$"):
+        load_report(path)
 
 
 def test_report_partial_cross_pairs_rejected(tmp_path, reports):
@@ -359,3 +385,21 @@ def test_only_grids_writes_files():
             if isinstance(node, ast.Call) and _writes_file(node)
         ]
     assert found == []
+
+
+def test_public_names_are_reached_by_the_pipeline():
+    """Every non-module name `coxmra` exports is referenced in code by a
+    library module, the benchmark or the acceptance criteria; a name only
+    tests call is a side door to delete, not a public name."""
+    root = Path(__file__).parents[1]
+    sources = [p for p in sorted((root / "src" / "coxmra").glob("*.py")) if p.name != "__init__.py"]
+    sources += sorted((root / "perfbench").glob("*.py")) + [root / "tests" / "test_acceptance.py"]
+    # a def or class statement binds its name without a Name node
+    used = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    exported = [name for name in coxmra.__all__ if not isinstance(getattr(coxmra, name), ModuleType)]
+    assert [name for name in exported if name not in used] == []

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coxmra import (
-    NodeParams,
     SarhSpec,
     SpatialGrid,
     TimeGrid,
@@ -14,9 +13,9 @@ from coxmra import (
     simulate,
     stationarity_check,
 )
-from coxmra.sarh import _spectral_variance, component_scores, simulate_component
+from coxmra.sarh import _spectral_variance
 from coxmra.wavelet import normalized_eigenfunctions
-from conftest import stationary_thetas
+from conftest import ar_field, stationary_thetas
 from oracles import ar_component
 
 
@@ -26,14 +25,11 @@ def test_stationarity_check_triangle_and_factorized():
     # factorized form passes even though the absolute sum reaches 1.17
     assert stationarity_check((0.9, 0.3, -0.27))
     assert not stationarity_check((1.1, 0.0, 0.0))
-
-
-def test_node_params_validation():
-    NodeParams((0.3, 0.5, -0.15), 1.0)
-    with pytest.raises(ValueError):
-        NodeParams((0.6, 0.6, 0.0), 1.0)
-    with pytest.raises(ValueError):
-        NodeParams((0.1, 0.1, 0.0), -1.0)
+    # both edges are open: |th|_1 = 1 off the factorized curve, and
+    # max(|th1|, |th2|) = 1 on it
+    assert not stationarity_check((0.5, 0.5, 0.0))
+    assert stationarity_check((0.99, -0.99, 0.9801))
+    assert not stationarity_check((1.0, 0.0, 0.0))
 
 
 def test_default_variance_profile_unit_trace(reference_spec):
@@ -50,8 +46,9 @@ def test_coupled_spec_ties_third_eigenvalues(reference_spec):
         reference_spec.eigenvalues3,
         -reference_spec.eigenvalues1 * reference_spec.eigenvalues2,
     )
-    params = reference_spec.node_params(1)
-    assert params.theta == pytest.approx((0.3, 0.5, -0.15))
+    spec = reference_spec
+    theta = (spec.eigenvalues1[0], spec.eigenvalues2[0], spec.eigenvalues3[0])
+    assert theta == pytest.approx((0.3, 0.5, -0.15))
 
 
 def test_uncoupled_spec_requires_triangle_condition():
@@ -65,6 +62,12 @@ def test_uncoupled_spec_requires_triangle_condition():
             couple_l3=False,
             eigenvalues3=np.array([0.2]),
         )
+    # |lambda_p1| >= 1 fails the uncoupled rule too, with its message
+    with pytest.raises(ValueError, match="uncoupled"):
+        SarhSpec(np.array([1.0]), np.array([0.0]), np.array([1.0]), tg,
+                 couple_l3=False, eigenvalues3=np.array([0.0]))
+    with pytest.raises(ValueError, match=r"require \|lambda_p1\| < 1 and \|lambda_p2\| < 1"):
+        SarhSpec(np.array([1.0]), np.array([0.0]), np.array([1.0]), tg)
     spec = SarhSpec(
         eigenvalues1=np.array([0.3]),
         eigenvalues2=np.array([0.4]),
@@ -89,7 +92,7 @@ def test_spectral_variance_matches_closed_form():
 def test_component_recursion_definition(th, s1, s2, burn_in, seed):
     # the simulated field is the AR recursion bit for bit, zeros outside
     # the enlarged lattice, first row and column included
-    x = simulate_component(th, 1.3, SpatialGrid(s1, s2), burn_in, np.random.default_rng(seed))
+    x = ar_field(th, 1.3, SpatialGrid(s1, s2), burn_in, np.random.default_rng(seed))
     e = np.random.default_rng(seed).normal(0.0, np.sqrt(1.3), size=(s1 + burn_in, s2 + burn_in))
     assert np.array_equal(x, ar_component(th, e)[burn_in:, burn_in:])
 
@@ -102,16 +105,17 @@ def test_simulate_is_sum_of_components(reference_spec):
     phi = normalized_eigenfunctions(reference_spec.time, reference_spec.truncation)
     seeds = np.random.SeedSequence(seed).spawn(reference_spec.truncation)
     expected = np.zeros_like(fld.values)
-    for p, ss in enumerate(seeds, start=1):
-        prm = reference_spec.node_params(p)
-        comp = simulate_component(prm.theta, prm.sigma2, grid, burn_in, np.random.default_rng(ss))
-        expected += comp[:, :, None] * phi[p - 1][None, None, :]
+    spec = reference_spec
+    thetas = zip(spec.eigenvalues1, spec.eigenvalues2, spec.eigenvalues3)
+    for p, (theta, sigma2, ss) in enumerate(zip(thetas, spec.innovation_variances, seeds)):
+        comp = ar_field(theta, sigma2, grid, burn_in, np.random.default_rng(ss))
+        expected += comp[:, :, None] * phi[p][None, None, :]
     assert np.array_equal(fld.values, expected)
 
 
 def test_component_stationary_variance():
     rng = np.random.default_rng(42)
-    x = simulate_component((0.3, 0.5, -0.15), 1.0, SpatialGrid(200, 200), 64, rng)
+    x = ar_field((0.3, 0.5, -0.15), 1.0, SpatialGrid(200, 200), 64, rng)
     target = 1.0 / ((1 - 0.09) * (1 - 0.25))
     assert x.var() == pytest.approx(target, rel=0.05)
 
@@ -146,10 +150,3 @@ def test_simulate_total_variance(reference_spec):
     norms = (fld.values**2).sum(axis=2) * fld.time.weight
     assert norms.mean() == pytest.approx(1.0, rel=0.05)
 
-
-def test_component_scores_recover_components(reference_spec):
-    fld = simulate(reference_spec, SpatialGrid(10, 10), 64, seed=3)
-    scores = component_scores(fld, reference_spec.truncation)
-    phi = normalized_eigenfunctions(reference_spec.time, reference_spec.truncation)
-    recon = np.tensordot(scores, phi, axes=([2], [0]))
-    np.testing.assert_allclose(recon, fld.values, atol=1e-10)
