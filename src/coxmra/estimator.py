@@ -3,15 +3,17 @@
 Each basis pair is fitted independently: the empirical contrast of its
 periodogram table is minimized over a box domain by coarse seeding plus
 a derivative-free coordinate pattern search, run in lockstep for all
-pairs: each move is one batched contrast evaluation over the off-axis
-half plane.  Estimated entries are assembled into full wavelet-domain
-operator matrices, from which eigenvalue estimates follow.
+pairs of every lattice shape fitted together: each move is one batched
+contrast evaluation over the off-axis half plane of each shape.
+Estimated entries are assembled into full wavelet-domain operator
+matrices, from which eigenvalue estimates follow.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import islice
 
 import numpy as np
 
@@ -20,6 +22,7 @@ from .spectral import (
     _inverse_symbol_sq,
     _log_psi,
     _stationary,
+    _symbol_coefficients,
     all_periodograms,
     contrast_weights,
     edge_norm,
@@ -33,6 +36,9 @@ _BOUNDARY_MARGIN = 1e-3
 _BOUNDARY_SLACK = 0.05
 _COARSE_POINTS = 11
 _REFINE_TOL = 1e-6
+# folded weight elements (rows x half-plane points) one lockstep search
+# packs lattice shapes up to; a shape larger than this is searched alone
+_SEARCH_BLOCK = 1 << 16
 
 
 def truncation_parameter(n: int) -> int:
@@ -62,6 +68,8 @@ class ThetaDomain:
                 raise ValueError(f"empty interval ({lo}, {hi})")
         if not len(self.candidates()):
             raise ValueError(f"no stationary candidate in the box domain {self.bounds}")
+        # the (lo, hi) arrays of the free coordinates that `contains` compares against
+        object.__setattr__(self, "_box", np.array(self.bounds[: 2 if self.couple_l3 else 3]).T)
 
     def candidates(self) -> np.ndarray:
         """Stationary seed candidates, shape (m, 3)."""
@@ -79,9 +87,9 @@ class ThetaDomain:
     def contains(self, theta):
         """Whether a triple, or each row of an (m, 3) array, is in the domain."""
         th = np.asarray(theta, dtype=float)
-        free = 2 if self.couple_l3 else 3
-        lo, hi = np.asarray(self.bounds[:free], dtype=float).T
-        in_box = ((lo <= th[..., :free]) & (th[..., :free] <= hi)).all(axis=-1)
+        lo, hi = self._box
+        free = th[..., : lo.size]
+        in_box = ((lo <= free) & (free <= hi)).all(axis=-1)
         return in_box & (edge_norm(th, self.couple_l3) < 1 - _BOUNDARY_MARGIN)
 
     def near_boundary(self, theta) -> bool:
@@ -102,30 +110,41 @@ def _lexicographic_argmin(values: np.ndarray, thetas: np.ndarray) -> int:
 
 
 def _estimate_rows(
-    blocks: list[np.ndarray], freq: FrequencyGrid, domain: ThetaDomain
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fit every row of blocks of full-plane contrast weights (rows_i, N);
-    returns the stacked thetas (rows, 3), contrasts and pattern-search
-    evaluations.  A sweep moves each free coordinate by +step, then -step,
-    keeps a move that lowers the contrast by more than 1e-15 and halves the
-    step if none did.  Each row keeps its own point, contrast, step and
-    active flag.  A matrix product's bits depend on its row count, so the
-    seed matrix is one product per block: no block's fit sees another.
+    groups: Iterable[tuple[FrequencyGrid, list[np.ndarray]]], domain: ThetaDomain
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Fit every row of the (FrequencyGrid, blocks) groups, each block a
+    (rows_i, N) array of full-plane contrast weights on its group's grid,
+    in one lockstep search.  Returns, in group then block order, the
+    thetas (rows, 3), contrasts, pattern-search evaluations and eta
+    moments (each row's weight sum).
+
+    `groups` is consumed once: a group's full-plane weights and seed
+    matrix are dropped once it is seeded.  A matrix product's bits depend
+    on its row count, so the seed matrix is one product per block, and a
+    move evaluates the contrast once per group with that group's
+    half-plane table: no block's fit sees another.  A sweep moves each
+    free coordinate by +step, then -step, keeps a move that lowers the
+    contrast by more than 1e-15 and halves the step if none did.  Each
+    row keeps its own point, contrast, step and active flag.
     """
-    table = freq.half_plane
-    folded = [freq.fold(w) for w in blocks]
-    stack = lambda parts: parts[0] if len(parts) == 1 else np.concatenate(parts)  # noqa: E731
-    hw = stack(folded)
+    cand = domain.candidates()
+    cand_coefs = _symbol_coefficients(cand)
+    seeded = [(freq.half_plane, *_seed_group(freq, blocks, cand, cand_coefs)) for freq, blocks in groups]
+    tables, folded, moments, first, seed_vals = zip(*seeded)
+    moments, first, seed_vals = map(np.concatenate, (moments, first, seed_vals))
+    offsets = np.cumsum([0] + [hw.shape[0] for hw in folded])
 
     def contrasts(rows: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-        return -np.vecdot(hw[rows], _log_psi(thetas, *table))
+        # rows ascend, so each group's rows are one slice
+        coefs = _symbol_coefficients(thetas)
+        cuts = np.searchsorted(rows, offsets)
+        out = np.empty(rows.size)
+        for hw, table, lo, a, b in zip(folded, tables, offsets, cuts[:-1], cuts[1:]):
+            if a < b:
+                out[a:b] = -np.vecdot(hw[rows[a:b] - lo], _log_psi(coefs[a:b], *table))
+        return out
 
-    cand = domain.candidates()
-    log_psi_cand = _log_psi(cand, *table).T
-    seeds = -stack([f @ log_psi_cand for f in folded])
-    n_rows = hw.shape[0]
-    first = np.array([_lexicographic_argmin(row, cand) for row in seeds], dtype=int)
-    seed_vals = seeds[np.arange(n_rows), first]
+    n_rows = offsets[-1]
     iters = np.zeros(n_rows, dtype=int)
     best = cand[first]
     best_val = contrasts(np.arange(n_rows), best)
@@ -153,7 +172,26 @@ def _estimate_rows(
     # refinement must not fall behind its own seeding grid
     behind = best_val > seed_vals
     best[behind], best_val[behind] = cand[first[behind]], seed_vals[behind]
-    return best, best_val, iters
+    return best, best_val, iters, moments
+
+
+def _seed_group(freq: FrequencyGrid, blocks: list[np.ndarray], cand: np.ndarray, cand_coefs: np.ndarray):
+    """Seed the rows of one shape group from the candidate grid: returns
+    its folded weights (rows, N'), eta moments, seed indices and seed
+    contrasts.  The candidates' log-density table and the seed matrices
+    live only in this call."""
+    log_psi_cand = _log_psi(cand_coefs, *freq.half_plane).T
+    folded, moments, first, seed_vals = [], [], [], []
+    for w in blocks:
+        hw = freq.fold(w)
+        seeds = -(hw @ log_psi_cand)
+        idx = [_lexicographic_argmin(row, cand) for row in seeds]
+        folded.append(hw)
+        moments += [float(row.sum()) for row in w]
+        first += idx
+        seed_vals.append(seeds[np.arange(len(idx)), idx])
+    return (folded[0] if len(folded) == 1 else np.concatenate(folded), np.array(moments),
+            np.array(first, dtype=int), np.concatenate(seed_vals))
 
 
 def innovation_variance(cross: np.ndarray, theta) -> float:
@@ -219,37 +257,64 @@ def estimate_all(
 
 def estimate_many(coeff_sets: list[MultiscaleCoefficients], domain: ThetaDomain,
                   include_cross: bool = False) -> list[EstimationReport]:
-    """`estimate_all` of every set, with one lockstep search per lattice
-    shape over the rows of all sets of that shape; each report has the
-    bits `estimate_all` gives the set alone."""
-    shapes: dict[tuple[int, int], list[tuple[int, MultiscaleCoefficients]]] = {}
-    for i, coeffs in enumerate(coeff_sets):
-        shapes.setdefault((coeffs.grid.s1, coeffs.grid.s2), []).append((i, coeffs))
+    """`estimate_all` of every set, with one lockstep search over the rows
+    of all sets, whatever their lattice shape, as long as their folded
+    weights stay within `_SEARCH_BLOCK` elements; past it the shapes are
+    packed into several searches.  Each report has the bits
+    `estimate_all` gives the set alone."""
     reports = [None] * len(coeff_sets)
-    for (s1, s2), members in shapes.items():
-        freq = FrequencyGrid(s1, s2)
-        pairs, weights = zip(*(_pair_weights(coeffs, freq, include_cross) for _, coeffs in members))
-        thetas, values, iters = _estimate_rows(list(weights), freq, domain)
-        rows = zip(chain(*pairs), thetas, chain(*weights), values, iters)
-        for (i, coeffs), set_pairs in zip(members, pairs):
-            estimates = [NodeEstimate(a, b, tuple(map(float, th)), float(w.sum()), float(val), int(it),
-                                      domain.near_boundary(th))
-                         for (a, b), th, w, val, it in islice(rows, len(set_pairs))]
-            reports[i] = _report(coeffs.j0, coeffs.depth, freq.n, truncation_parameter(freq.n), estimates)
+    for search in _searches(coeff_sets, include_cross):
+        groups = ((freq, [_pair_weights(coeffs, freq, p) for (_, coeffs), p in zip(members, pairs)])
+                  for freq, members, pairs in search)
+        rows = zip(*_estimate_rows(groups, domain))
+        for freq, members, pairs in search:
+            for (i, coeffs), set_pairs in zip(members, pairs):
+                estimates = [NodeEstimate(a, b, tuple(map(float, th)), float(moment), float(val), int(it),
+                                          domain.near_boundary(th))
+                             for (a, b), (th, val, it, moment) in zip(set_pairs, islice(rows, len(set_pairs)))]
+                reports[i] = _report(coeffs.j0, coeffs.depth, freq.n, truncation_parameter(freq.n), estimates)
     return reports
 
 
-def _pair_weights(coeffs: MultiscaleCoefficients, freq: FrequencyGrid, include_cross: bool):
-    """The fitted (row, col) pairs of one set and their contrast weights (pairs, N)."""
-    n = coeffs.n_coeffs
+def _searches(coeff_sets: list[MultiscaleCoefficients], include_cross: bool):
+    """The lockstep searches of `estimate_many`, yielded one at a time so
+    that a search's grid tables are dropped with it: lists of (freq,
+    [(set index, coeffs)], [pairs of each set]) shape groups in order of
+    first appearance, packed while their folded weights stay within
+    `_SEARCH_BLOCK` elements."""
+    shapes: dict[tuple[int, int], list[tuple[int, MultiscaleCoefficients]]] = {}
+    for i, coeffs in enumerate(coeff_sets):
+        shapes.setdefault((coeffs.grid.s1, coeffs.grid.s2), []).append((i, coeffs))
+    search, size = [], 0
+    for (s1, s2), members in shapes.items():
+        freq = FrequencyGrid(s1, s2)
+        pairs = [_fitted_pairs(coeffs.n_coeffs, include_cross) for _, coeffs in members]
+        elements = sum(map(len, pairs)) * freq.half_plane[1].size
+        if search and size + elements > _SEARCH_BLOCK:
+            yield search
+            search, size = [], 0
+        search.append((freq, members, pairs))
+        size += elements
+    if search:
+        yield search
+
+
+def _fitted_pairs(n: int, include_cross: bool) -> list[tuple[int, int]]:
+    """The (row, col) basis pairs fitted for n coefficients: the diagonal,
+    then the off-diagonal pairs if requested."""
     pairs = [(a, a) for a in range(n)]
     if include_cross:
         pairs += [(a, b) for a in range(n) for b in range(n) if a != b]
-    flat = all_periodograms(coeffs.coeffs).reshape(-1, n)  # (N, n) complex
+    return pairs
+
+
+def _pair_weights(coeffs: MultiscaleCoefficients, freq: FrequencyGrid, pairs) -> np.ndarray:
+    """Contrast weights (pairs, N) of the given (row, col) pairs of one set."""
+    flat = all_periodograms(coeffs.coeffs).reshape(-1, coeffs.n_coeffs)  # (N, n) complex
     weights = np.empty((len(pairs), freq.n))
     for idx, (a, b) in enumerate(pairs):
         weights[idx] = contrast_weights(flat[:, a] * np.conj(flat[:, b]), freq)
-    return pairs, weights
+    return weights
 
 
 def _report(j0: int, depth: int, n_sites: int, k: int, estimates: list[NodeEstimate]) -> EstimationReport:

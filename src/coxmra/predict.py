@@ -152,7 +152,8 @@ def loo_validate(
     held-out curve predicted from its observed causal neighbours, and the
     absolute functional error recorded.  `sites` restricts the folds
     (defaults to every interior site); fold order does not affect any
-    aggregate.  Each training block is fitted once, in one `estimate_many`.
+    aggregate.  Each training block is fitted once, in one `estimate_many`
+    call, whose lockstep search packs the blocks of every lattice shape.
     """
     s1, s2 = fld.grid.s1, fld.grid.s2
     if sites is None:

@@ -3,9 +3,10 @@
 This module is the single home of the three quantities every contrast is
 built from: the squared AR symbol |1 - th1 e^{i w1} - th2 e^{i w2} -
 th3 e^{i(w1+w2)}|^2 = c0 + c1 cos w1 + c2 cos w2 + c3 cos(w1+w2) +
-c4 cos(w1-w2), one product with the cosine table `FrequencyGrid.cosines`
-(`_symbol_sq`), the fDFT with its 1-based site phase (`all_periodograms`),
-and the contrast weight eta = |w1|^2 |w2|^2 (`FrequencyGrid.eta`).
+c4 cos(w1-w2), the coefficients of a triple (`_symbol_coefficients`)
+times the cosine table `FrequencyGrid.cosines` (`_symbol_sq`), the fDFT
+with its 1-based site phase (`all_periodograms`), and the contrast weight
+eta = |w1|^2 |w2|^2 (`FrequencyGrid.eta`).
 
 Frequencies live on the Fourier grid of the observation lattice, reported
 in the symmetric fundamental domain (-pi, pi]^2 so that eta is an even
@@ -32,7 +33,7 @@ def stationarity_check(theta) -> bool:
     th = np.asarray(theta, dtype=float)
     if edge_norm(th, couple_l3=False) < 1.0:
         return True
-    return bool(np.isclose(th[2], -th[0] * th[1], atol=1e-12) and edge_norm(th, couple_l3=True) < 1.0)
+    return bool(np.isclose(th[2], -th[0] * th[1], rtol=0, atol=1e-12) and edge_norm(th, couple_l3=True) < 1.0)
 
 
 def edge_norm(thetas, couple_l3: bool) -> np.ndarray:
@@ -169,16 +170,23 @@ def contrast_weights(cross: np.ndarray, freq: FrequencyGrid) -> np.ndarray:
     return cross.real.ravel() * freq.eta_measure
 
 
-def _symbol_sq(thetas: np.ndarray, cosines: np.ndarray) -> np.ndarray:
-    """Squared AR symbol of m candidates over a cosine table, (m, N).
+def _symbol_coefficients(thetas: np.ndarray) -> np.ndarray:
+    """Cosine coefficients c0..c4 of the squared AR symbol of m candidates,
+    (m, 5); elementwise, so a candidate's values do not depend on its batch."""
+    t1, t2, t3 = np.asarray(thetas, dtype=float).T
+    c = [1.0 + t1**2 + t2**2 + t3**2, 2.0 * (t2 * t3 - t1), 2.0 * (t1 * t3 - t2),
+         -2.0 * t3, 2.0 * t1 * t2]
+    return np.stack(c, axis=-1)
+
+
+def _symbol_sq(coefs: np.ndarray, cosines: np.ndarray) -> np.ndarray:
+    """Squared AR symbol of m candidates' `_symbol_coefficients` over a
+    cosine table, (m, N).
 
     Each row is its own (1, 5) @ (5, N) product, and every row reduction
     uses `np.vecdot`, so a candidate's values do not depend on its batch.
     """
-    t1, t2, t3 = np.asarray(thetas, dtype=float).T
-    c = [1.0 + t1**2 + t2**2 + t3**2, 2.0 * (t2 * t3 - t1), 2.0 * (t1 * t3 - t2),
-         -2.0 * t3, 2.0 * t1 * t2]
-    return (np.stack(c, axis=-1)[:, None, :] @ cosines)[:, 0]
+    return (coefs[:, None, :] @ cosines)[:, 0]
 
 
 def _inverse_symbol_sq(thetas: np.ndarray, freq: FrequencyGrid) -> np.ndarray:
@@ -187,14 +195,15 @@ def _inverse_symbol_sq(thetas: np.ndarray, freq: FrequencyGrid) -> np.ndarray:
     `thetas` has shape (m, 3); the result has shape (m, N) over the
     flattened grid.
     """
-    return 1.0 / _symbol_sq(thetas, freq.cosines)
+    return 1.0 / _symbol_sq(_symbol_coefficients(thetas), freq.cosines)
 
 
-def _log_psi(thetas: np.ndarray, cosines: np.ndarray, eta_measure: np.ndarray) -> np.ndarray:
-    """`log_psi` over any cosine table with its Riemann weights."""
-    sym = _symbol_sq(thetas, cosines)
+def _log_psi(coefs: np.ndarray, cosines: np.ndarray, eta_measure: np.ndarray) -> np.ndarray:
+    """`log_psi` of m candidates' `_symbol_coefficients` over any cosine
+    table with its Riemann weights."""
+    sym = _symbol_sq(coefs, cosines)
     scale = np.vecdot(1.0 / sym, eta_measure)
-    if np.any(scale <= 0):
+    if (scale <= 0).any():
         raise ValueError("degenerate weight: eta-weighted density integrates to zero")
     return -np.log(sym) - np.log(scale)[:, None]
 
@@ -207,7 +216,7 @@ def log_psi(thetas: np.ndarray, freq: FrequencyGrid) -> np.ndarray:
     sum(exp(log_psi) * eta) * cell_measure == 1 for every row.  The
     innovation variance cancels.
     """
-    return _log_psi(thetas, freq.cosines, freq.eta_measure)
+    return _log_psi(_symbol_coefficients(thetas), freq.cosines, freq.eta_measure)
 
 
 def _stationary(theta) -> np.ndarray:

@@ -24,6 +24,7 @@ from coxmra.spectral import (
     TWO_PI,
     FrequencyGrid,
     _log_psi,
+    _symbol_coefficients,
     contrast_weights,
     stationarity_check,
 )
@@ -149,13 +150,14 @@ def estimate_rows_one_by_one(weights: np.ndarray, freq: FrequencyGrid, domain: T
     table = freq.half_plane
     hw = freq.fold(weights)
     cand = domain.candidates()
-    seeds = -(hw @ _log_psi(cand, *table).T)
+    seeds = -(hw @ _log_psi(_symbol_coefficients(cand), *table).T)
     step0 = max((hi - lo) / (_COARSE_POINTS - 1) for lo, hi in domain.bounds) * 0.5
     thetas, values, iters = [], [], []
     for row, seed_row in zip(hw, seeds):
         j = _lexicographic_argmin(seed_row, cand)
         theta, value, it = pattern_search(
-            lambda th: float(-(row @ _log_psi(th[None, :], *table)[0])), cand[j], domain, step0
+            lambda th: float(-(row @ _log_psi(_symbol_coefficients(th[None, :]), *table)[0])),
+            cand[j], domain, step0,
         )
         if value > seed_row[j]:
             theta, value = cand[j], seed_row[j]
@@ -186,7 +188,7 @@ def estimate_node(table: np.ndarray, domain: ThetaDomain) -> tuple[np.ndarray, f
     table: (theta, contrast)."""
     freq = FrequencyGrid(*table.shape)
     weights = contrast_weights(table, freq)
-    thetas, values, _ = _estimate_rows([weights[None, :]], freq, domain)
+    thetas, values, _, _ = _estimate_rows([(freq, [weights[None, :]])], domain)
     return thetas[0], float(values[0])
 
 

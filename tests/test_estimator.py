@@ -79,6 +79,49 @@ def test_domain_coupled_candidates():
     np.testing.assert_allclose(cand[:, 2], -cand[:, 0] * cand[:, 1], atol=1e-12)
 
 
+_EDGE = 1 - estimator_module._BOUNDARY_MARGIN
+
+
+def _contains_rule(domain: ThetaDomain, th) -> bool:
+    """The domain rule for one triple: in the box of the free coordinates,
+    and the stationarity-edge norm below 1 - margin."""
+    free = 2 if domain.couple_l3 else 3
+    in_box = all(lo <= th[i] <= hi for i, (lo, hi) in enumerate(domain.bounds[:free]))
+    norm = max(abs(th[0]), abs(th[1])) if domain.couple_l3 else abs(th[0]) + abs(th[1]) + abs(th[2])
+    return in_box and norm < _EDGE
+
+
+@given(
+    st.booleans(),
+    st.tuples(*[st.tuples(st.floats(-1.0, -0.05), st.floats(0.05, 1.0))] * 3),
+    st.data(),
+)
+@settings(max_examples=100, deadline=None)
+def test_domain_contains_matches_per_triple_rule(couple, bounds, data):
+    domain = ThetaDomain(bounds, couple)
+    # points exactly on the bounds and on the margin, and anywhere around
+    special = [v for lo, hi in domain.bounds for v in (lo, hi)] + [_EDGE, -_EDGE, 0.0]
+    coord = st.one_of(st.sampled_from(special), st.floats(-1.2, 1.2))
+    points = data.draw(st.lists(st.tuples(coord, coord, coord), min_size=1, max_size=30))
+    expected = [_contains_rule(domain, th) for th in points]
+    assert domain.contains(np.array(points)).tolist() == expected
+    assert [bool(domain.contains(th)) for th in points] == expected
+
+
+def test_domain_contains_at_bounds_and_margin():
+    wide = ThetaDomain(((-1.0, 1.0),) * 3)
+    coupled = ThetaDomain(((-1.0, 1.0),) * 3, couple_l3=True)
+    on_margin = [(_EDGE, 0.0, 0.0), (0.0, -_EDGE, 0.0)]
+    assert not wide.contains(np.array(on_margin)).any()
+    assert not coupled.contains(np.array(on_margin)).any()
+    # just inside the margin, and a bound reached exactly, are in the domain
+    inside = np.nextafter(_EDGE, 0.0)
+    assert coupled.contains(np.array([(inside, -inside, 0.5), (0.3, 0.2, 0.0)])).all()
+    box = ThetaDomain(((-0.3, 0.2), (-0.1, 0.4), (-0.2, 0.25)))
+    assert box.contains(np.array([(-0.3, 0.4, -0.2), (0.2, -0.1, 0.25)])).all()
+    assert not box.contains(np.array([(np.nextafter(-0.3, -1), 0.0, 0.0), (0.0, 0.0, np.nextafter(0.25, 1))])).any()
+
+
 def test_near_boundary_follows_domain_geometry():
     # the coupled domain is the square |th1|, |th2| < 1, not the triangle
     coupled, box = ThetaDomain(couple_l3=True), ThetaDomain()
@@ -148,28 +191,37 @@ box_domains = st.builds(
 
 
 @given(
-    st.integers(min_value=2, max_value=16),
-    st.integers(min_value=2, max_value=16),
+    st.lists(st.tuples(st.integers(2, 16), st.integers(2, 16)), min_size=1, max_size=3, unique=True),
     st.integers(min_value=1, max_value=2),
     st.booleans(),
     box_domains,
     st.integers(min_value=0, max_value=10**6),
 )
-@example(4, 4, 2, True, ThetaDomain(), 0)
-@example(5, 8, 2, True, ThetaDomain(couple_l3=True), 1)
+@example([(4, 4)], 2, True, ThetaDomain(), 0)
+@example([(5, 8)], 2, True, ThetaDomain(couple_l3=True), 1)
+@example([(4, 4), (5, 8), (3, 7)], 2, True, ThetaDomain(couple_l3=True), 2)
+@example([(6, 4), (4, 6)], 2, False, ThetaDomain(), 3)
+@example([(7, 5), (2, 9)], 1, True, ThetaDomain(couple_l3=True), 4)
 @settings(max_examples=60, deadline=None)
-def test_lockstep_search_matches_reference(s1, s2, n, cross, domain, seed):
-    # all rows searched at once must follow each row's own search exactly
-    coeffs = np.random.default_rng(seed).normal(size=(s1, s2, n))
-    freq = FrequencyGrid(s1, s2)
-    f = all_periodograms(coeffs).reshape(-1, n)
+def test_lockstep_search_matches_reference(shapes, n, cross, domain, seed):
+    # all rows of every shape searched at once must follow each row's own
+    # search exactly
+    rng = np.random.default_rng(seed)
     pairs = [(a, b) for a in range(n) for b in range(n) if cross or a == b]
-    weights = np.array([contrast_weights(f[:, a] * np.conj(f[:, b]), freq) for a, b in pairs])
-    thetas, values, iters = _estimate_rows([weights], freq, domain)
-    ref_thetas, ref_values, ref_iters = estimate_rows_one_by_one(weights, freq, domain)
+    groups = []
+    for s1, s2 in shapes:
+        freq = FrequencyGrid(s1, s2)
+        f = all_periodograms(rng.normal(size=(s1, s2, n))).reshape(-1, n)
+        groups.append((freq, [np.array([contrast_weights(f[:, a] * np.conj(f[:, b]), freq) for a, b in pairs])]))
+    thetas, values, iters, moments = _estimate_rows(groups, domain)
+    refs = [estimate_rows_one_by_one(weights, freq, domain) for freq, (weights,) in groups]
+    ref_thetas, ref_values, ref_iters = (np.concatenate(parts) for parts in zip(*refs))
     assert np.array_equal(thetas, ref_thetas)
     assert np.array_equal(iters, ref_iters)
     np.testing.assert_allclose(values, ref_values, rtol=1e-12)
+    assert np.array_equal(moments, [row.sum() for _, (weights,) in groups for row in weights])
+    # a returned theta, coupled or not, passes the stationarity check
+    assert all(stationarity_check(th) for th in thetas)
 
 
 def _coeff_sets(shapes, picks, depth):
@@ -205,20 +257,55 @@ def test_estimate_many_matches_estimate_all(shapes, picks, depth, cross, domain)
         assert np.array_equal(report.eigenvalues2, alone.eigenvalues2)
 
 
-def test_estimate_many_searches_once_per_shape(monkeypatch):
-    shapes = [(5, 6), (6, 5), (7, 7)]
-    coeff_sets = _coeff_sets(shapes, [(0, 1), (1, 2), (0, 3), (2, 4), (0, 5), (1, 6)], depth=1)
+def _count_searches(monkeypatch) -> list:
+    """Record the (shape, blocks) groups of every `_estimate_rows` call."""
     searches = []
 
-    def counted(blocks, freq, domain):
-        searches.append(((freq.s1, freq.s2), len(blocks)))
-        return _estimate_rows(blocks, freq, domain)
+    def counted(groups, domain):
+        groups = list(groups)
+        searches.append([((freq.s1, freq.s2), len(blocks)) for freq, blocks in groups])
+        return _estimate_rows(groups, domain)
 
     monkeypatch.setattr(estimator_module, "_estimate_rows", counted)
+    return searches
+
+
+_SHAPES = [(5, 6), (6, 5), (7, 7)]
+_PICKS = [(0, 1), (1, 2), (0, 3), (2, 4), (0, 5), (1, 6)]
+
+
+def test_estimate_many_searches_all_shapes_at_once(monkeypatch):
+    coeff_sets = _coeff_sets(_SHAPES, _PICKS, depth=1)
+    searches = _count_searches(monkeypatch)
     reports = estimate_many(coeff_sets, ThetaDomain())
-    assert sorted(searches) == [((5, 6), 3), ((6, 5), 2), ((7, 7), 1)]
+    assert searches == [[((5, 6), 3), ((6, 5), 2), ((7, 7), 1)]]
     assert [r.n_sites for r in reports] == [30, 30, 30, 49, 30, 30]
     assert estimate_many([], ThetaDomain()) == []
+
+
+@pytest.mark.parametrize("cross", [False, True])
+def test_estimate_many_splits_searches_at_the_element_budget(monkeypatch, cross):
+    coeff_sets = _coeff_sets(_SHAPES, _PICKS, depth=1)
+    rows = 4 if cross else 2
+    size = {shape: rows * FrequencyGrid(*shape).half_plane[1].size for shape in _SHAPES}
+    sets = {(5, 6): 3, (6, 5): 2, (7, 7): 1}
+    first_two = size[(5, 6)] * sets[(5, 6)] + size[(6, 5)] * sets[(6, 5)]
+    domain = ThetaDomain(couple_l3=True)
+    alone = [estimate_all(coeffs, domain, include_cross=cross) for coeffs in coeff_sets]
+    for budget, expected in (
+        (1, [[((5, 6), 3)], [((6, 5), 2)], [((7, 7), 1)]]),
+        (first_two, [[((5, 6), 3), ((6, 5), 2)], [((7, 7), 1)]]),
+        (first_two - 1, [[((5, 6), 3)], [((6, 5), 2), ((7, 7), 1)]]),
+    ):
+        monkeypatch.setattr(estimator_module, "_SEARCH_BLOCK", budget)
+        searches = _count_searches(monkeypatch)
+        reports = estimate_many(coeff_sets, domain, include_cross=cross)
+        monkeypatch.undo()
+        assert searches == expected
+        for report, ref in zip(reports, alone, strict=True):
+            assert report.estimates == ref.estimates
+            assert np.array_equal(report.eigenvalues1, ref.eigenvalues1)
+            assert np.array_equal(report.eigenvalues2, ref.eigenvalues2)
 
 
 def test_estimate_all_report_structure(reference_spec):

@@ -30,6 +30,9 @@ def test_stationarity_check_triangle_and_factorized():
     assert not stationarity_check((0.5, 0.5, 0.0))
     assert stationarity_check((0.99, -0.99, 0.9801))
     assert not stationarity_check((1.0, 0.0, 0.0))
+    # the coupled curve is matched to 1e-12 absolute, with no relative slack
+    assert stationarity_check((-0.95, -0.95, -0.9025))
+    assert not stationarity_check((0.999, 0.999, -0.998001 + 9e-6))
 
 
 def test_default_variance_profile_unit_trace(reference_spec):

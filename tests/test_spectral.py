@@ -7,6 +7,7 @@ from coxmra import FrequencyGrid, divergence, log_psi, periodogram
 from coxmra.spectral import (
     _inverse_symbol_sq,
     _log_psi,
+    _symbol_coefficients,
     all_periodograms,
     contrast_functional,
     contrast_weights,
@@ -115,16 +116,24 @@ def test_ar_symbol_sq_zero_frequency(s1, s2, th):
 
 
 def test_contrast_rejects_nonstationary():
-    bad, good = (0.7, 0.7, 0.0), (0.3, 0.5, -0.15)
+    # the second triple is 9e-6 off the coupled curve, where the AR
+    # polynomial vanishes inside the unit bidisk: no relative tolerance
+    good = (0.3, 0.5, -0.15)
     tab = periodogram(np.random.default_rng(3).normal(size=(6, 6)))
     freq = FrequencyGrid(6, 6)
-    with pytest.raises(ValueError):
-        empirical_contrast(tab, bad)
-    for pair in ((bad, good), (good, bad)):
+    for bad in ((0.7, 0.7, 0.0), (0.999, 0.999, -0.998001 + 9e-6)):
         with pytest.raises(ValueError):
-            divergence(*pair, freq)
-        with pytest.raises(ValueError):
-            contrast_functional(*pair, freq)
+            empirical_contrast(tab, bad)
+        for pair in ((bad, good), (good, bad)):
+            with pytest.raises(ValueError):
+                divergence(*pair, freq)
+            with pytest.raises(ValueError):
+                contrast_functional(*pair, freq)
+    # the exact coupled corner of the default box passes
+    corner = (-0.95, -0.95, -0.9025)
+    assert stationarity_check(corner)
+    assert np.isfinite(empirical_contrast(tab, corner))
+    assert divergence(corner, corner, freq) == 0.0
 
 
 @given(sides, sides)
@@ -198,7 +207,7 @@ def test_half_plane_contrast_matches_full_plane(s1, s2, thetas, seed):
     th = np.array(thetas)
     full_lp = log_psi(th, freq)
     full = -(weights @ full_lp.T)
-    half = -(freq.fold(weights) @ _log_psi(th, *freq.half_plane).T)
+    half = -(freq.fold(weights) @ _log_psi(_symbol_coefficients(th), *freq.half_plane).T)
     # relative to the summed magnitudes: cross weights take both signs, so
     # a contrast itself can cancel to near zero
     magnitude = np.abs(weights) @ np.abs(full_lp).T
