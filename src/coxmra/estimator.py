@@ -3,10 +3,11 @@
 Each basis pair is fitted independently: the empirical contrast of its
 periodogram table is minimized over a box domain by coarse seeding plus
 a derivative-free coordinate pattern search, run in lockstep for all
-pairs of every lattice shape fitted together: each move is one batched
-contrast evaluation over the off-axis half plane of each shape.
-Estimated entries are assembled into full wavelet-domain operator
-matrices, from which eigenvalue estimates follow.
+pairs of every lattice shape fitted together.  Seeds and moves alike
+evaluate the contrast as one dot product per row over the off-axis half
+plane of its shape, so a pair's fit does not depend on what is fitted
+beside it.  Estimated entries are assembled into full wavelet-domain
+operator matrices, from which eigenvalue estimates follow.
 """
 
 from __future__ import annotations
@@ -110,28 +111,34 @@ def _lexicographic_argmin(values: np.ndarray, thetas: np.ndarray) -> int:
 
 
 def _estimate_rows(
-    groups: Iterable[tuple[FrequencyGrid, list[np.ndarray]]], domain: ThetaDomain
+    groups: Iterable[tuple[FrequencyGrid, np.ndarray]], domain: ThetaDomain
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Fit every row of the (FrequencyGrid, blocks) groups, each block a
-    (rows_i, N) array of full-plane contrast weights on its group's grid,
-    in one lockstep search.  Returns, in group then block order, the
-    thetas (rows, 3), contrasts, pattern-search evaluations and eta
-    moments (each row's weight sum).
+    """Fit every row of the (FrequencyGrid, weights) groups, the weights a
+    (rows, N) array of full-plane contrast weights on the group's grid, in
+    one lockstep search.  Returns, in group order, the thetas (rows, 3),
+    contrasts, pattern-search evaluations and eta moments (each row's
+    weight sum).
 
     `groups` is consumed once: a group's full-plane weights and seed
-    matrix are dropped once it is seeded.  A matrix product's bits depend
-    on its row count, so the seed matrix is one product per block, and a
-    move evaluates the contrast once per group with that group's
-    half-plane table: no block's fit sees another.  A sweep moves each
-    free coordinate by +step, then -step, keeps a move that lowers the
-    contrast by more than 1e-15 and halves the step if none did.  Each
-    row keeps its own point, contrast, step and active flag.
+    values are dropped once it is seeded.  Every contrast, of a seed
+    candidate or of a move, is the `np.vecdot` of one row's folded
+    weights with one candidate's half-plane log-density, so its bits do
+    not depend on the rows beside it, and a row's search starts from its
+    seed's own value.  A sweep moves each free coordinate by +step, then
+    -step, keeps a move that lowers the contrast by more than 1e-15 and
+    halves the step if none did.  Each row keeps its own point, contrast,
+    step and active flag.
     """
     cand = domain.candidates()
     cand_coefs = _symbol_coefficients(cand)
-    seeded = [(freq.half_plane, *_seed_group(freq, blocks, cand, cand_coefs)) for freq, blocks in groups]
-    tables, folded, moments, first, seed_vals = zip(*seeded)
-    moments, first, seed_vals = map(np.concatenate, (moments, first, seed_vals))
+    seeded = []
+    for freq, w in groups:
+        hw = freq.fold(w)
+        seeds = -np.vecdot(hw[:, None, :], _log_psi(cand_coefs, *freq.half_plane))
+        idx = np.array([_lexicographic_argmin(row, cand) for row in seeds], dtype=int)
+        seeded.append((freq.half_plane, hw, w.sum(axis=1), idx, seeds[np.arange(idx.size), idx]))
+    tables, folded, moments, first, best_val = zip(*seeded)
+    moments, first, best_val = map(np.concatenate, (moments, first, best_val))
     offsets = np.cumsum([0] + [hw.shape[0] for hw in folded])
 
     def contrasts(rows: np.ndarray, thetas: np.ndarray) -> np.ndarray:
@@ -147,7 +154,6 @@ def _estimate_rows(
     n_rows = offsets[-1]
     iters = np.zeros(n_rows, dtype=int)
     best = cand[first]
-    best_val = contrasts(np.arange(n_rows), best)
     step = np.full(n_rows, max((hi - lo) / (_COARSE_POINTS - 1) for lo, hi in domain.bounds) * 0.5)
     free = 2 if domain.couple_l3 else 3
     active = np.flatnonzero(step > _REFINE_TOL)
@@ -169,29 +175,7 @@ def _estimate_rows(
                 improved[rows] = True
         step[active[~improved[active]]] *= 0.5
         active = active[step[active] > _REFINE_TOL]
-    # refinement must not fall behind its own seeding grid
-    behind = best_val > seed_vals
-    best[behind], best_val[behind] = cand[first[behind]], seed_vals[behind]
     return best, best_val, iters, moments
-
-
-def _seed_group(freq: FrequencyGrid, blocks: list[np.ndarray], cand: np.ndarray, cand_coefs: np.ndarray):
-    """Seed the rows of one shape group from the candidate grid: returns
-    its folded weights (rows, N'), eta moments, seed indices and seed
-    contrasts.  The candidates' log-density table and the seed matrices
-    live only in this call."""
-    log_psi_cand = _log_psi(cand_coefs, *freq.half_plane).T
-    folded, moments, first, seed_vals = [], [], [], []
-    for w in blocks:
-        hw = freq.fold(w)
-        seeds = -(hw @ log_psi_cand)
-        idx = [_lexicographic_argmin(row, cand) for row in seeds]
-        folded.append(hw)
-        moments += [float(row.sum()) for row in w]
-        first += idx
-        seed_vals.append(seeds[np.arange(len(idx)), idx])
-    return (folded[0] if len(folded) == 1 else np.concatenate(folded), np.array(moments),
-            np.array(first, dtype=int), np.concatenate(seed_vals))
 
 
 def innovation_variance(cross: np.ndarray, theta) -> float:
@@ -260,18 +244,22 @@ def estimate_many(coeff_sets: list[MultiscaleCoefficients], domain: ThetaDomain,
     """`estimate_all` of every set, with one lockstep search over the rows
     of all sets, whatever their lattice shape, as long as their folded
     weights stay within `_SEARCH_BLOCK` elements; past it the shapes are
-    packed into several searches.  Each report has the bits
-    `estimate_all` gives the set alone."""
+    packed into several searches.  The sets of one shape are one weight
+    array.  Each report has the bits `estimate_all` gives the set alone."""
     reports = [None] * len(coeff_sets)
     for search in _searches(coeff_sets, include_cross):
-        groups = ((freq, [_pair_weights(coeffs, freq, p) for (_, coeffs), p in zip(members, pairs)])
-                  for freq, members, pairs in search)
+        groups = ((freq, _pair_weights(freq, members, pairs)) for freq, members, pairs in search)
         rows = zip(*_estimate_rows(groups, domain))
         for freq, members, pairs in search:
             for (i, coeffs), set_pairs in zip(members, pairs):
-                estimates = [NodeEstimate(a, b, tuple(map(float, th)), float(moment), float(val), int(it),
-                                          domain.near_boundary(th))
-                             for (a, b), (th, val, it, moment) in zip(set_pairs, islice(rows, len(set_pairs)))]
+                fits = {}
+                for (a, b), (th, val, it, moment) in zip(set_pairs, islice(rows, len(set_pairs))):
+                    # (b, a) reports the fit of (a, b): see `_fitted_pairs`
+                    fits[a, b] = fits[b, a] = (tuple(map(float, th)), float(moment), float(val), int(it),
+                                               domain.near_boundary(th))
+                # the diagonal first, then the off-diagonal pairs in row-major order
+                order = sorted(fits, key=lambda p: (p[0] != p[1], p))
+                estimates = [NodeEstimate(a, b, *fits[a, b]) for a, b in order]
                 reports[i] = _report(coeffs.j0, coeffs.depth, freq.n, truncation_parameter(freq.n), estimates)
     return reports
 
@@ -301,19 +289,23 @@ def _searches(coeff_sets: list[MultiscaleCoefficients], include_cross: bool):
 
 def _fitted_pairs(n: int, include_cross: bool) -> list[tuple[int, int]]:
     """The (row, col) basis pairs fitted for n coefficients: the diagonal,
-    then the off-diagonal pairs if requested."""
+    then, if requested, the pairs a < b.  Re I_ab = Re I_ba, so (b, a)
+    has the weights, and so the fit, of (a, b)."""
     pairs = [(a, a) for a in range(n)]
     if include_cross:
-        pairs += [(a, b) for a in range(n) for b in range(n) if a != b]
+        pairs += [(a, b) for a in range(n) for b in range(a + 1, n)]
     return pairs
 
 
-def _pair_weights(coeffs: MultiscaleCoefficients, freq: FrequencyGrid, pairs) -> np.ndarray:
-    """Contrast weights (pairs, N) of the given (row, col) pairs of one set."""
-    flat = all_periodograms(coeffs.coeffs).reshape(-1, coeffs.n_coeffs)  # (N, n) complex
-    weights = np.empty((len(pairs), freq.n))
-    for idx, (a, b) in enumerate(pairs):
-        weights[idx] = contrast_weights(flat[:, a] * np.conj(flat[:, b]), freq)
+def _pair_weights(freq: FrequencyGrid, members, pairs) -> np.ndarray:
+    """Contrast weights (rows, N) of the given (row, col) pairs of every
+    (set index, coeffs) member of one shape, in member order."""
+    weights = np.empty((sum(map(len, pairs)), freq.n))
+    rows = iter(weights)
+    for (_, coeffs), set_pairs in zip(members, pairs):
+        flat = all_periodograms(coeffs.coeffs).reshape(-1, coeffs.n_coeffs)  # (N, n) complex
+        for (a, b), row in zip(set_pairs, rows):
+            row[:] = contrast_weights(flat[:, a] * np.conj(flat[:, b]), freq)
     return weights
 
 

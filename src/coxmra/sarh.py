@@ -61,6 +61,8 @@ class SarhSpec:
             raise ValueError("eigenvalue and variance vectors must share length")
         if lam1.size < 1:
             raise ValueError("need at least one component")
+        if lam1.size > self.time.n:
+            raise ValueError(f"cannot build {lam1.size} orthogonal eigenfunctions on {self.time.n} time points")
         if not all(np.isfinite(v).all() for v in (lam1, lam2, sig2)):
             raise ValueError("eigenvalues and innovation variances must be finite")
         if self.couple_l3:

@@ -116,11 +116,13 @@ def table_csv(header, rows) -> str:
     return "".join(lines)
 
 
-def pattern_search(contrast, start, domain: ThetaDomain, step0: float) -> tuple[np.ndarray, float, int]:
-    """Coordinate-shrinking pattern search of one node from a seed, one
-    candidate per `contrast(theta)` call; returns (theta, value, evaluations)."""
+def pattern_search(contrast, start, start_val: float, domain: ThetaDomain,
+                   step0: float) -> tuple[np.ndarray, float, int]:
+    """Coordinate-shrinking pattern search of one node from a seed and its
+    contrast, one candidate per `contrast(theta)` call; returns (theta,
+    value, evaluations)."""
     best = np.asarray(start, dtype=float).copy()
-    best_val = contrast(best)
+    best_val = start_val
     step = step0
     iters = 0
     free = 2 if domain.couple_l3 else 3
@@ -148,19 +150,17 @@ def estimate_rows_one_by_one(weights: np.ndarray, freq: FrequencyGrid, domain: T
     """`_estimate_rows` one row at a time: the seeding grid, then
     `pattern_search` with one single-candidate half-plane contrast per call."""
     table = freq.half_plane
-    hw = freq.fold(weights)
     cand = domain.candidates()
-    seeds = -(hw @ _log_psi(_symbol_coefficients(cand), *table).T)
+    log_psi_cand = _log_psi(_symbol_coefficients(cand), *table)
     step0 = max((hi - lo) / (_COARSE_POINTS - 1) for lo, hi in domain.bounds) * 0.5
     thetas, values, iters = [], [], []
-    for row, seed_row in zip(hw, seeds):
-        j = _lexicographic_argmin(seed_row, cand)
+    for row in freq.fold(weights):
+        seeds = -np.vecdot(row, log_psi_cand)
+        j = _lexicographic_argmin(seeds, cand)
         theta, value, it = pattern_search(
-            lambda th: float(-(row @ _log_psi(_symbol_coefficients(th[None, :]), *table)[0])),
-            cand[j], domain, step0,
+            lambda th: float(-np.vecdot(row, _log_psi(_symbol_coefficients(th[None, :]), *table)[0])),
+            cand[j], seeds[j], domain, step0,
         )
-        if value > seed_row[j]:
-            theta, value = cand[j], seed_row[j]
         thetas.append(theta)
         values.append(value)
         iters.append(it)
@@ -188,7 +188,7 @@ def estimate_node(table: np.ndarray, domain: ThetaDomain) -> tuple[np.ndarray, f
     table: (theta, contrast)."""
     freq = FrequencyGrid(*table.shape)
     weights = contrast_weights(table, freq)
-    thetas, values, _, _ = _estimate_rows([(freq, [weights[None, :]])], domain)
+    thetas, values, _, _ = _estimate_rows([(freq, weights[None, :])], domain)
     return thetas[0], float(values[0])
 
 

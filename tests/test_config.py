@@ -281,6 +281,8 @@ NAN, INF = float("nan"), float("inf")  # json.dumps writes NaN and Infinity, jso
     ({"eigenvalues1": [-INF, 0.4], "eigenvalues2": [0.1, 0.1]}, "eigenvalues and innovation variances must be finite"),
     ({"truncation": 2, "innovation_variances": [1.0, NAN]}, "eigenvalues and innovation variances must be finite"),
     ({"truncation": 2, "couple_l3": False, "eigenvalues3": [0.1, NAN]}, "eigenvalues3 must be finite"),
+    # more components than the 16 time points of depth 4
+    ({"eigenvalues1": [0.1] * 17, "eigenvalues2": [0.1] * 17}, "cannot build 17 orthogonal eigenfunctions on 16"),
 ])
 def test_bad_model_rejected_at_load(tmp_path, model, reason):
     payload = {**_base(), "model": model}

@@ -202,6 +202,8 @@ box_domains = st.builds(
 @example([(4, 4), (5, 8), (3, 7)], 2, True, ThetaDomain(couple_l3=True), 2)
 @example([(6, 4), (4, 6)], 2, False, ThetaDomain(), 3)
 @example([(7, 5), (2, 9)], 1, True, ThetaDomain(couple_l3=True), 4)
+# on this input seeding by matrix product picks another seed, and theta moves by ~0.1
+@example([(8, 2)], 1, False, ThetaDomain(bounds=((-0.95, 0.0625), (-0.95, 0.125), (-0.95, 0.0625))), 0)
 @settings(max_examples=60, deadline=None)
 def test_lockstep_search_matches_reference(shapes, n, cross, domain, seed):
     # all rows of every shape searched at once must follow each row's own
@@ -212,14 +214,14 @@ def test_lockstep_search_matches_reference(shapes, n, cross, domain, seed):
     for s1, s2 in shapes:
         freq = FrequencyGrid(s1, s2)
         f = all_periodograms(rng.normal(size=(s1, s2, n))).reshape(-1, n)
-        groups.append((freq, [np.array([contrast_weights(f[:, a] * np.conj(f[:, b]), freq) for a, b in pairs])]))
+        groups.append((freq, np.array([contrast_weights(f[:, a] * np.conj(f[:, b]), freq) for a, b in pairs])))
     thetas, values, iters, moments = _estimate_rows(groups, domain)
-    refs = [estimate_rows_one_by_one(weights, freq, domain) for freq, (weights,) in groups]
+    refs = [estimate_rows_one_by_one(weights, freq, domain) for freq, weights in groups]
     ref_thetas, ref_values, ref_iters = (np.concatenate(parts) for parts in zip(*refs))
     assert np.array_equal(thetas, ref_thetas)
     assert np.array_equal(iters, ref_iters)
-    np.testing.assert_allclose(values, ref_values, rtol=1e-12)
-    assert np.array_equal(moments, [row.sum() for _, (weights,) in groups for row in weights])
+    assert np.array_equal(values, ref_values)
+    assert np.array_equal(moments, [row.sum() for _, weights in groups for row in weights])
     # a returned theta, coupled or not, passes the stationarity check
     assert all(stationarity_check(th) for th in thetas)
 
@@ -258,12 +260,12 @@ def test_estimate_many_matches_estimate_all(shapes, picks, depth, cross, domain)
 
 
 def _count_searches(monkeypatch) -> list:
-    """Record the (shape, blocks) groups of every `_estimate_rows` call."""
+    """Record the (shape, rows) groups of every `_estimate_rows` call."""
     searches = []
 
     def counted(groups, domain):
         groups = list(groups)
-        searches.append([((freq.s1, freq.s2), len(blocks)) for freq, blocks in groups])
+        searches.append([((freq.s1, freq.s2), len(weights)) for freq, weights in groups])
         return _estimate_rows(groups, domain)
 
     monkeypatch.setattr(estimator_module, "_estimate_rows", counted)
@@ -278,7 +280,8 @@ def test_estimate_many_searches_all_shapes_at_once(monkeypatch):
     coeff_sets = _coeff_sets(_SHAPES, _PICKS, depth=1)
     searches = _count_searches(monkeypatch)
     reports = estimate_many(coeff_sets, ThetaDomain())
-    assert searches == [[((5, 6), 3), ((6, 5), 2), ((7, 7), 1)]]
+    # two diagonal pairs of each of 3, 2 and 1 sets
+    assert searches == [[((5, 6), 6), ((6, 5), 4), ((7, 7), 2)]]
     assert [r.n_sites for r in reports] == [30, 30, 30, 49, 30, 30]
     assert estimate_many([], ThetaDomain()) == []
 
@@ -286,16 +289,18 @@ def test_estimate_many_searches_all_shapes_at_once(monkeypatch):
 @pytest.mark.parametrize("cross", [False, True])
 def test_estimate_many_splits_searches_at_the_element_budget(monkeypatch, cross):
     coeff_sets = _coeff_sets(_SHAPES, _PICKS, depth=1)
-    rows = 4 if cross else 2
+    # the two diagonal pairs, and the cross pair (0, 1) once
+    rows = 3 if cross else 2
     size = {shape: rows * FrequencyGrid(*shape).half_plane[1].size for shape in _SHAPES}
     sets = {(5, 6): 3, (6, 5): 2, (7, 7): 1}
     first_two = size[(5, 6)] * sets[(5, 6)] + size[(6, 5)] * sets[(6, 5)]
     domain = ThetaDomain(couple_l3=True)
     alone = [estimate_all(coeffs, domain, include_cross=cross) for coeffs in coeff_sets]
+    a, b, c = (((5, 6), 3 * rows),), (((6, 5), 2 * rows),), (((7, 7), rows),)
     for budget, expected in (
-        (1, [[((5, 6), 3)], [((6, 5), 2)], [((7, 7), 1)]]),
-        (first_two, [[((5, 6), 3), ((6, 5), 2)], [((7, 7), 1)]]),
-        (first_two - 1, [[((5, 6), 3)], [((6, 5), 2), ((7, 7), 1)]]),
+        (1, [[*a], [*b], [*c]]),
+        (first_two, [[*a, *b], [*c]]),
+        (first_two - 1, [[*a], [*b, *c]]),
     ):
         monkeypatch.setattr(estimator_module, "_SEARCH_BLOCK", budget)
         searches = _count_searches(monkeypatch)
@@ -343,7 +348,13 @@ def test_estimate_all_include_cross(reference_spec):
     n = mc.n_coeffs
     assert len(report.estimates) == n * n
     assert np.isfinite(report.operators[0].matrix).all()
-    # the (a, b) and (b, a) rows carry identical weights, hence identical fits
+    # the (a, b) and (b, a) rows carry identical weights, so one fit serves both
+    f = all_periodograms(mc.coeffs).reshape(-1, n)
+    freq = FrequencyGrid(10, 10)
+    for a in range(n):
+        for b in range(a):
+            ab, ba = (contrast_weights(f[:, i] * np.conj(f[:, j]), freq) for i, j in ((a, b), (b, a)))
+            assert np.array_equal(ab, ba)
     ops = np.stack([op.matrix for op in report.operators])
     assert np.array_equal(ops, ops.transpose(0, 2, 1))
 

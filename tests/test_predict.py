@@ -147,20 +147,21 @@ def test_loo_validate_fits_each_training_block_once(monkeypatch):
 
     def counted_rows(groups, *args):
         groups = list(groups)
-        searches.append([((freq.s1, freq.s2), len(blocks)) for freq, blocks in groups])
+        searches.append([((freq.s1, freq.s2), len(weights)) for freq, weights in groups])
         return _estimate_rows(groups, *args)
 
     monkeypatch.setattr(predict_module, "estimate_many", counted)
     monkeypatch.setattr(estimator_module, "_estimate_rows", counted_rows)
     summary = loo_validate(res, domain, j0=0, neighborhood_radius=1, period_length=1)
     # the 121 folds of a 12 x 12 lattice with radius 1 use 20 distinct
-    # blocks, fitted in one call and one search, of 11 distinct lattice shapes
+    # blocks, fitted in one call and one search, of 11 distinct lattice
+    # shapes: 40 rows, the two diagonal pairs of each block
     assert len(summary.folds) == 121
     assert len(calls) == 1 and len(calls[0]) == 20
     assert len(searches) == 1
     shapes = [shape for shape, _ in searches[0]]
     assert len(shapes) == len(set(shapes)) == 11
-    assert sum(blocks for _, blocks in searches[0]) == 20
+    assert sum(rows for _, rows in searches[0]) == 40
     reference = loo_fold_by_fold(res, domain, j0=0, radius=1)
     assert [f.site for f in summary.folds] == [site for site, _, _ in reference]
     assert np.array_equal([f.mafe for f in summary.folds], [m for _, m, _ in reference])

@@ -10,6 +10,8 @@ import ast
 import json
 import re
 import multiprocessing
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from types import ModuleType
@@ -403,3 +405,21 @@ def test_public_names_are_reached_by_the_pipeline():
     }
     exported = [name for name in coxmra.__all__ if not isinstance(getattr(coxmra, name), ModuleType)]
     assert [name for name in exported if name not in used] == []
+
+
+def test_falsified_property_reports_its_example(tmp_path):
+    """Under the project's warning filters a failing Hypothesis test is
+    reported with its example, not turned into a pytest internal error."""
+    (tmp_path / "test_falsified.py").write_text(
+        "from hypothesis import given, settings, strategies as st\n\n\n"
+        "@given(st.integers())\n@settings(database=None)\n"
+        "def test_always_fails(x):\n    assert x != x\n"
+    )
+    root = Path(__file__).parents[1]
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-p", "no:cacheprovider", "-c", str(root / "pyproject.toml"),
+         "--rootdir", str(root), "test_falsified.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "Falsifying example" in run.stdout
