@@ -28,7 +28,6 @@ from .sarh import SarhSpec, default_variance_profile, simulate
 from .spectral import (
     FrequencyGrid,
     divergence,
-    log_psi,
     periodogram,
     stationarity_check,
 )

@@ -106,23 +106,17 @@ def simulate(obj):
     _write_manifest(obj["out"], "", cfg, "simulate", files, seeds)
 
 
-def _estimate_field(cfg: RunConfig, fld: grids.FunctionalField):
-    residual, mean = grids.detrend(fld)
-    mc = wavelet.field_dwt(residual, cfg.time.j0)
-    report = estimator.estimate_all(
-        mc, cfg.theta_domain(), include_cross=cfg.estimation.include_cross
-    )
-    return report, mean, mc
-
-
 @main.command()
 @click.argument("field_file", type=click.Path(exists=True))
 @click.pass_obj
 def estimate(obj, field_file):
     """Detrend, transform and fit the wavelet-domain parameters."""
     cfg: RunConfig = obj["config"]
-    fld = grids.load_field(field_file)
-    report, mean, _ = _estimate_field(cfg, fld)
+    residual, mean = grids.detrend(grids.load_field(field_file))
+    report = estimator.estimate_all(
+        wavelet.field_dwt(residual, cfg.time.j0), cfg.theta_domain(),
+        include_cross=cfg.estimation.include_cross,
+    )
     stem = Path(field_file).stem
     report_path = obj["out"] / f"{stem}_report.ndjson"
     eig_path = obj["out"] / f"{stem}_eigenvalues.csv"
@@ -206,7 +200,7 @@ def counts(obj, field_file):
     fld = grids.load_field(field_file)
     inten = cox.intensity(fld)
     means = cox.integrated_intensity(inten) * cfg.counts.area_scale
-    cg = cox.sample_counts(means, cfg.counts.seed, fld.grid)
+    cg = cox.sample_counts(means, cfg.counts.seed)
     out = obj["out"] / (Path(field_file).stem + "_counts.csv")
     cox.save_counts(cg, out)
     click.echo(str(out))
@@ -288,3 +282,7 @@ def _report_mse(obj, cfg: RunConfig, report_files):
     labels = [f"{kind}_{level}" for kind, level in slices]
     grids.write_csv(out, ("n", *labels), [ns, *mse.T])
     click.echo(str(out))
+
+
+if __name__ == "__main__":
+    main()

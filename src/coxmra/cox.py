@@ -72,7 +72,7 @@ def integrated_intensity(fld: IntensityField) -> np.ndarray:
     return fld.values.sum(axis=2) * fld.time.weight
 
 
-def sample_counts(means: np.ndarray, seed: int, grid: SpatialGrid | None = None) -> CountGrid:
+def sample_counts(means: np.ndarray, seed: int) -> CountGrid:
     """Independent Poisson draws per cell, deterministic given the seed.
 
     One generator draws the cells in C order, so the count of a cell
@@ -81,9 +81,7 @@ def sample_counts(means: np.ndarray, seed: int, grid: SpatialGrid | None = None)
     m = np.asarray(means, dtype=float)
     if np.any(m <= 0):
         raise ValueError("Poisson means must be positive")
-    if grid is None:
-        grid = SpatialGrid(*m.shape)
-    return CountGrid(grid, np.random.default_rng(seed).poisson(m), m)
+    return CountGrid(SpatialGrid(*m.shape), np.random.default_rng(seed).poisson(m), m)
 
 
 def moment_bound_check(

@@ -4,10 +4,11 @@ Each basis pair is fitted independently: the empirical contrast of its
 periodogram table is minimized over a box domain by coarse seeding plus
 a derivative-free coordinate pattern search, run in lockstep for all
 pairs of every lattice shape fitted together.  Seeds and moves alike
-evaluate the contrast as one dot product per row over the off-axis half
-plane of its shape, so a pair's fit does not depend on what is fitted
-beside it.  Estimated entries are assembled into full wavelet-domain
-operator matrices, from which eigenvalue estimates follow.
+evaluate the contrast with `spectral._contrast`, one dot product per row
+over the off-axis half plane of its shape, so a pair's fit does not
+depend on what is fitted beside it.  Estimated entries are assembled
+into full wavelet-domain operator matrices, from which eigenvalue
+estimates follow.
 """
 
 from __future__ import annotations
@@ -20,9 +21,7 @@ import numpy as np
 
 from .spectral import (
     FrequencyGrid,
-    _inverse_symbol_sq,
-    _log_psi,
-    _stationary,
+    _contrast,
     _symbol_coefficients,
     all_periodograms,
     contrast_weights,
@@ -121,7 +120,7 @@ def _estimate_rows(
 
     `groups` is consumed once: a group's full-plane weights and seed
     values are dropped once it is seeded.  Every contrast, of a seed
-    candidate or of a move, is the `np.vecdot` of one row's folded
+    candidate or of a move, is the `_contrast` of one row's folded
     weights with one candidate's half-plane log-density, so its bits do
     not depend on the rows beside it, and a row's search starts from its
     seed's own value.  A sweep moves each free coordinate by +step, then
@@ -134,7 +133,7 @@ def _estimate_rows(
     seeded = []
     for freq, w in groups:
         hw = freq.fold(w)
-        seeds = -np.vecdot(hw[:, None, :], _log_psi(cand_coefs, *freq.half_plane))
+        seeds = _contrast(hw[:, None, :], cand_coefs, freq.half_plane)
         idx = np.array([_lexicographic_argmin(row, cand) for row in seeds], dtype=int)
         seeded.append((freq.half_plane, hw, w.sum(axis=1), idx, seeds[np.arange(idx.size), idx]))
     tables, folded, moments, first, best_val = zip(*seeded)
@@ -148,7 +147,7 @@ def _estimate_rows(
         out = np.empty(rows.size)
         for hw, table, lo, a, b in zip(folded, tables, offsets, cuts[:-1], cuts[1:]):
             if a < b:
-                out[a:b] = -np.vecdot(hw[rows[a:b] - lo], _log_psi(coefs[a:b], *table))
+                out[a:b] = _contrast(hw[rows[a:b] - lo], coefs[a:b], table)
         return out
 
     n_rows = offsets[-1]
@@ -178,20 +177,6 @@ def _estimate_rows(
     return best, best_val, iters, moments
 
 
-def innovation_variance(cross: np.ndarray, theta) -> float:
-    """Innovation variance recovered from the moment identity of one
-    (s1, s2) periodogram table.
-
-    The expected periodogram of the AR field is sigma2_eps / (2 pi)^2
-    times the inverse squared symbol, so the moment is divided by the
-    weighted integral of that shape.
-    """
-    freq = FrequencyGrid(*cross.shape)
-    moment = float(contrast_weights(cross, freq).sum())
-    shape = _inverse_symbol_sq(_stationary(theta), freq)[0] / (2.0 * np.pi) ** 2
-    return moment / float(shape @ freq.eta_measure)
-
-
 @dataclass(frozen=True)
 class NodeEstimate:
     row: int
@@ -217,12 +202,7 @@ class EstimationReport:
 
     def diagonal_thetas(self) -> np.ndarray:
         """Theta triples of the diagonal pairs in layout order, (n, 3)."""
-        n = 1 << self.depth
-        out = np.full((n, 3), np.nan)
-        for est in self.estimates:
-            if est.row == est.col:
-                out[est.row] = est.theta
-        return out
+        return np.stack([op.matrix.diagonal() for op in self.operators], axis=1)
 
 
 def estimate_all(

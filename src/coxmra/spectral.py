@@ -4,16 +4,18 @@ This module is the single home of the three quantities every contrast is
 built from: the squared AR symbol |1 - th1 e^{i w1} - th2 e^{i w2} -
 th3 e^{i(w1+w2)}|^2 = c0 + c1 cos w1 + c2 cos w2 + c3 cos(w1+w2) +
 c4 cos(w1-w2), the coefficients of a triple (`_symbol_coefficients`)
-times the cosine table `FrequencyGrid.cosines` (`_symbol_sq`), the fDFT
-with its 1-based site phase (`all_periodograms`), and the contrast weight
-eta = |w1|^2 |w2|^2 (`FrequencyGrid.eta`).
+times a cosine table (`_symbol_sq`), the fDFT with its 1-based site
+phase (`all_periodograms`), and the contrast weight eta = |w1|^2 |w2|^2
+(`FrequencyGrid.eta`).  It also holds the one contrast evaluator,
+`_contrast`, which the estimator's seeds and moves and the population
+`contrast_functional` all call.
 
 Frequencies live on the Fourier grid of the observation lattice, reported
 in the symmetric fundamental domain (-pi, pi]^2 so that eta is an even
 function.  All frequency integrals are Riemann sums over the N Fourier
 frequencies with cell measure (2 pi)^2 / N.  Grid-invariant tables are
 built once per `FrequencyGrid` instance and flattened in row-major
-(w1, w2) order.  The estimator sums over the off-axis half plane, the
+(w1, w2) order.  Every contrast sums over the off-axis half plane, the
 eta support folded by evenness (`FrequencyGrid.fold`).
 """
 
@@ -164,8 +166,8 @@ def periodogram(coeff_a: np.ndarray, coeff_b: np.ndarray | None = None) -> np.nd
 def contrast_weights(cross: np.ndarray, freq: FrequencyGrid) -> np.ndarray:
     """Re(I) * eta * cell_measure of one periodogram table, flattened.
 
-    The empirical contrast of a candidate is minus the dot product of
-    these weights with its `log_psi` row.
+    The empirical contrast of a candidate is the `_contrast` of these
+    weights folded onto the half plane.
     """
     return cross.real.ravel() * freq.eta_measure
 
@@ -199,8 +201,10 @@ def _inverse_symbol_sq(thetas: np.ndarray, freq: FrequencyGrid) -> np.ndarray:
 
 
 def _log_psi(coefs: np.ndarray, cosines: np.ndarray, eta_measure: np.ndarray) -> np.ndarray:
-    """`log_psi` of m candidates' `_symbol_coefficients` over any cosine
-    table with its Riemann weights."""
+    """log Psi = log(f / sigma2) of m candidates' `_symbol_coefficients`
+    over a cosine table, f the spectral density at unit innovation variance
+    and sigma2 its integral under the Riemann weights `eta_measure`, so
+    every row of exp(log Psi) has unit weighted mass."""
     sym = _symbol_sq(coefs, cosines)
     scale = np.vecdot(1.0 / sym, eta_measure)
     if (scale <= 0).any():
@@ -208,46 +212,34 @@ def _log_psi(coefs: np.ndarray, cosines: np.ndarray, eta_measure: np.ndarray) ->
     return -np.log(sym) - np.log(scale)[:, None]
 
 
-def log_psi(thetas: np.ndarray, freq: FrequencyGrid) -> np.ndarray:
-    """log of the scale-free density Psi for m candidates, shape (m, N).
-
-    Psi = f / sigma2(theta) with f the spectral density at unit innovation
-    variance and sigma2(theta) its eta-weighted Riemann integral, so
-    sum(exp(log_psi) * eta) * cell_measure == 1 for every row.  The
-    innovation variance cancels.
-    """
-    return _log_psi(_symbol_coefficients(thetas), freq.cosines, freq.eta_measure)
+def _contrast(folded: np.ndarray, coefs: np.ndarray, table: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """The one contrast evaluator: folded weights against the `_log_psi`
+    rows of candidates' coefficients on a `half_plane` table, one dot
+    product per row, so a contrast's bits do not depend on its batch."""
+    return -np.vecdot(folded, _log_psi(coefs, *table))
 
 
-def _stationary(theta) -> np.ndarray:
-    """One AR triple as a (1, 3) candidate array; rejects a non-stationary one."""
+def _stationary_coefficients(theta) -> np.ndarray:
+    """`_symbol_coefficients` of one AR triple, (1, 5); rejects a
+    non-stationary one."""
     if not stationarity_check(theta):
         raise ValueError(f"non-stationary theta {tuple(theta)}")
-    return np.asarray(theta, dtype=float).reshape(1, 3)
+    return _symbol_coefficients(np.asarray(theta, dtype=float).reshape(1, 3))
 
 
 def _population_weights(theta0, freq: FrequencyGrid) -> np.ndarray:
     """Model density 1 / (2 pi^2) / |symbol|^2 at theta0 (unit innovation
-    variance) times eta and the cell measure: the expected contrast weights."""
-    f0 = _inverse_symbol_sq(_stationary(theta0), freq)[0] / (2.0 * np.pi**2)
-    return f0 * freq.eta_measure
-
-
-def empirical_contrast(cross: np.ndarray, theta) -> float:
-    """Empirical contrast of one (s1, s2) periodogram table: minus the
-    eta-weighted log-density sum.
-
-    Uses the real part of the periodogram, so diagonal and cross tables
-    share one code path.
-    """
-    freq = FrequencyGrid(*cross.shape)
-    return float(-(contrast_weights(cross, freq) @ log_psi(_stationary(theta), freq)[0]))
+    variance) times the folded eta measure on the half plane: the expected
+    folded contrast weights."""
+    cosines, eta_measure = freq.half_plane
+    f0 = 1.0 / _symbol_sq(_stationary_coefficients(theta0), cosines)[0] / (2.0 * np.pi**2)
+    return f0 * eta_measure
 
 
 def contrast_functional(theta0, theta, freq: FrequencyGrid) -> float:
     """Population analogue of the empirical contrast under theta0."""
     weights = _population_weights(theta0, freq)
-    return float(-(weights @ log_psi(_stationary(theta), freq)[0]))
+    return float(_contrast(weights, _stationary_coefficients(theta), freq.half_plane)[0])
 
 
 def divergence(theta0, theta, freq: FrequencyGrid) -> float:
@@ -257,5 +249,6 @@ def divergence(theta0, theta, freq: FrequencyGrid) -> float:
     the same eta-weighted mass) and exactly zero at theta = theta0.
     """
     weights = _population_weights(theta0, freq)
-    lp = log_psi(np.vstack([_stationary(theta0), _stationary(theta)]), freq)
+    coefs = np.vstack([_stationary_coefficients(theta0), _stationary_coefficients(theta)])
+    lp = _log_psi(coefs, *freq.half_plane)
     return float(weights @ (lp[0] - lp[1]))

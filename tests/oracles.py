@@ -1,10 +1,13 @@
 """Plain-loop reference implementations the library is checked against.
 
 The library computes every fDFT through `coxmra.spectral.all_periodograms`;
-the direct sums here are its FFT-free oracles.  The AR recursion, the IDW
-interpolation, the time resampling, the CSV writer and the lockstep pattern
-search are vectorized in the library; their one-value-at-a-time loops here
-must give identical results.
+the direct sums here are its FFT-free oracles.  It evaluates every
+contrast on the folded half plane (`coxmra.spectral._contrast`); the
+full-plane log-density, empirical contrast and innovation variance here
+are its unfolded references.  The AR recursion, the IDW interpolation,
+the time resampling, the CSV writer and the lockstep pattern search are
+vectorized in the library; their one-value-at-a-time loops here must
+give identical results.
 """
 
 import numpy as np
@@ -23,6 +26,7 @@ from coxmra.predict import _training_block
 from coxmra.spectral import (
     TWO_PI,
     FrequencyGrid,
+    _inverse_symbol_sq,
     _log_psi,
     _symbol_coefficients,
     contrast_weights,
@@ -59,6 +63,41 @@ def periodogram_direct(coeff_a: np.ndarray, coeff_b: np.ndarray | None = None) -
             fb = fa if coeff_b is None else fdft(b, (w1, w2))
             values[i, j] = fa * np.conj(fb)
     return values
+
+
+def _stationary(theta) -> np.ndarray:
+    """One AR triple as a (1, 3) candidate array; rejects a non-stationary one."""
+    if not stationarity_check(theta):
+        raise ValueError(f"non-stationary theta {tuple(theta)}")
+    return np.asarray(theta, dtype=float).reshape(1, 3)
+
+
+def log_psi(thetas: np.ndarray, freq: FrequencyGrid) -> np.ndarray:
+    """log of the scale-free density Psi for m candidates over the full
+    grid, shape (m, N): sum(exp(log_psi) * eta) * cell_measure == 1 for
+    every row."""
+    return _log_psi(_symbol_coefficients(thetas), freq.cosines, freq.eta_measure)
+
+
+def empirical_contrast(cross: np.ndarray, theta) -> float:
+    """Empirical contrast of one (s1, s2) periodogram table: minus the
+    eta-weighted log-density sum over the full grid."""
+    freq = FrequencyGrid(*cross.shape)
+    return float(-(contrast_weights(cross, freq) @ log_psi(_stationary(theta), freq)[0]))
+
+
+def innovation_variance(cross: np.ndarray, theta) -> float:
+    """Innovation variance recovered from the moment identity of one
+    (s1, s2) periodogram table.
+
+    The expected periodogram of the AR field is sigma2_eps / (2 pi)^2
+    times the inverse squared symbol, so the moment is divided by the
+    weighted integral of that shape.
+    """
+    freq = FrequencyGrid(*cross.shape)
+    moment = float(contrast_weights(cross, freq).sum())
+    shape = _inverse_symbol_sq(_stationary(theta), freq)[0] / (2.0 * np.pi) ** 2
+    return moment / float(shape @ freq.eta_measure)
 
 
 def ar_component(theta, e: np.ndarray) -> np.ndarray:
@@ -194,6 +233,5 @@ def estimate_node(table: np.ndarray, domain: ThetaDomain) -> tuple[np.ndarray, f
 
 def estimate_eta_moment(table: np.ndarray, theta) -> float:
     """The eta-weighted periodogram moment of a table at a stationary theta."""
-    if not stationarity_check(theta):
-        raise ValueError(f"non-stationary theta {tuple(theta)}")
+    _stationary(theta)
     return float(contrast_weights(table, FrequencyGrid(*table.shape)).sum())

@@ -54,6 +54,19 @@ def test_simulate_writes_fields_and_manifest(workspace):
     assert len(manifest["config_sha256"]) == 64
 
 
+def test_module_entry_writes_what_the_group_writes(workspace):
+    # `python -m coxmra.cli` runs the same command group as the console script
+    tmp, config = workspace
+    args = ["--config", str(config), "simulate"]
+    run = subprocess.run([sys.executable, "-m", "coxmra.cli", "--out", str(tmp / "module"), *args],
+                         env=_package_env(), capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    _run(["--out", str(tmp / "group"), *args])
+    written = {p.name: p.read_bytes() for p in (tmp / "module").iterdir()}
+    assert sorted(written) == ["field_000.csv", "field_001.csv", "simulate_manifest.json"]
+    assert written == {p.name: p.read_bytes() for p in (tmp / "group").iterdir()}
+
+
 def test_each_command_keeps_its_own_manifest(workspace):
     tmp, config = workspace
     out = tmp / "out"
@@ -328,14 +341,18 @@ def test_missing_input_fails_cleanly(workspace):
     assert result.exit_code != 0
 
 
+def _package_env() -> dict:
+    """The environment of a fresh interpreter that imports this `coxmra`."""
+    src = str(Path(coxmra.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
 def _modules_after_cli_import(*prefixes) -> list[str]:
     """Modules a fresh interpreter holds after `import coxmra.cli` whose
     names start with one of `prefixes`."""
-    src = str(Path(coxmra.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = ("import json, sys, coxmra.cli; "
             f"print(json.dumps(sorted(m for m in sys.modules if m.startswith({prefixes!r}))))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+    out = subprocess.run([sys.executable, "-c", code], env=_package_env(), capture_output=True, text=True,
                          check=True, timeout=60)
     return json.loads(out.stdout)
 

@@ -17,19 +17,25 @@ from coxmra.estimator import (
     EstimationReport,
     _estimate_rows,
     estimate_many,
-    innovation_variance,
     _lexicographic_argmin,
     load_report,
     save_eigenvalue_table,
     save_report,
 )
 from conftest import ar_field
-from oracles import EDGE_FLOATS, estimate_node, estimate_rows_one_by_one, estimate_eta_moment, table_csv
+from oracles import (
+    EDGE_FLOATS,
+    empirical_contrast,
+    estimate_eta_moment,
+    estimate_node,
+    estimate_rows_one_by_one,
+    innovation_variance,
+    table_csv,
+)
 from coxmra.spectral import (
     FrequencyGrid,
     all_periodograms,
     contrast_weights,
-    empirical_contrast,
     stationarity_check,
 )
 from coxmra.wavelet import MultiscaleCoefficients, field_dwt

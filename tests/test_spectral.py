@@ -3,19 +3,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coxmra import FrequencyGrid, divergence, log_psi, periodogram
+from coxmra import FrequencyGrid, divergence, periodogram
 from coxmra.spectral import (
+    _contrast,
     _inverse_symbol_sq,
     _log_psi,
     _symbol_coefficients,
     all_periodograms,
     contrast_functional,
     contrast_weights,
-    empirical_contrast,
     stationarity_check,
 )
 from conftest import stationary_thetas
-from oracles import fdft, periodogram_direct
+from oracles import empirical_contrast, fdft, log_psi, periodogram_direct
 
 sides = st.integers(min_value=2, max_value=16)
 
@@ -129,10 +129,13 @@ def test_contrast_rejects_nonstationary():
                 divergence(*pair, freq)
             with pytest.raises(ValueError):
                 contrast_functional(*pair, freq)
-    # the exact coupled corner of the default box passes
+    # the exact coupled corner of the default box passes, and the
+    # estimator's evaluator is finite there
     corner = (-0.95, -0.95, -0.9025)
     assert stationarity_check(corner)
     assert np.isfinite(empirical_contrast(tab, corner))
+    folded = freq.fold(contrast_weights(tab, freq))
+    assert np.isfinite(_contrast(folded, _symbol_coefficients(np.array([corner])), freq.half_plane)).all()
     assert divergence(corner, corner, freq) == 0.0
 
 
@@ -160,6 +163,11 @@ def test_normalised_density_unit_mass(s1, s2, th):
     assert lp.shape == (1, freq.n) and np.isfinite(lp).all()
     mass = np.exp(lp[0]) @ freq.eta * freq.cell_measure
     assert mass == pytest.approx(1.0, rel=1e-12)
+    # the estimator's density has unit mass on the folded half plane too
+    cosines, eta_measure = freq.half_plane
+    half = _log_psi(_symbol_coefficients(np.array([th])), cosines, eta_measure)
+    assert half.shape == (1, eta_measure.size) and np.isfinite(half).all()
+    assert np.exp(half[0]) @ eta_measure == pytest.approx(1.0, rel=1e-12)
 
 
 @given(sides, sides, st.lists(stationary_thetas, min_size=1, max_size=6),
@@ -167,13 +175,16 @@ def test_normalised_density_unit_mass(s1, s2, th):
 @settings(max_examples=50, deadline=None)
 def test_log_psi_batched_matches_single(s1, s2, thetas, seed):
     freq = FrequencyGrid(s1, s2)
-    batch = log_psi(np.array(thetas), freq)
-    single = np.vstack([log_psi(np.array([th]), freq) for th in thetas])
+    coefs = _symbol_coefficients(np.array(thetas))
+    batch = _log_psi(coefs, *freq.half_plane)
+    single = np.vstack([_log_psi(c[None, :], *freq.half_plane) for c in coefs])
     assert np.array_equal(batch, single)
-    # the contrasts the estimator seeds from batched rows match the public
-    # per-candidate contrast (the BLAS reduction order may differ)
+    # the contrasts the estimator seeds from batched rows equal those of
+    # one candidate at a time, and match the full-plane reference
     tab = periodogram(np.random.default_rng(seed).normal(size=(s1, s2)))
-    seeded = -(contrast_weights(tab, freq) @ batch.T)
+    folded = freq.fold(contrast_weights(tab, freq))
+    seeded = _contrast(folded, coefs, freq.half_plane)
+    assert np.array_equal(seeded, [_contrast(folded, c[None, :], freq.half_plane)[0] for c in coefs])
     np.testing.assert_allclose(
         seeded, [empirical_contrast(tab, th) for th in thetas], rtol=1e-12, atol=1e-14
     )
@@ -207,7 +218,7 @@ def test_half_plane_contrast_matches_full_plane(s1, s2, thetas, seed):
     th = np.array(thetas)
     full_lp = log_psi(th, freq)
     full = -(weights @ full_lp.T)
-    half = -(freq.fold(weights) @ _log_psi(_symbol_coefficients(th), *freq.half_plane).T)
+    half = _contrast(freq.fold(weights)[:, None, :], _symbol_coefficients(th), freq.half_plane)
     # relative to the summed magnitudes: cross weights take both signs, so
     # a contrast itself can cancel to near zero
     magnitude = np.abs(weights) @ np.abs(full_lp).T
