@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from typing import Literal, get_args, get_origin
 
@@ -13,7 +14,8 @@ from .sarh import SarhSpec, default_variance_profile
 REFERENCE_EIGENVALUES_1 = (0.300, 0.270, 0.230, 0.200, 0.170, 0.130, 0.100, 0.030, 0.010, 0.005)
 REFERENCE_EIGENVALUES_2 = (0.500, 0.470, 0.430, 0.400, 0.370, 0.330, 0.300, 0.230, 0.200, 0.150)
 
-_RANGES = {"ge": "greater than or equal to", "le": "less than or equal to", "gt": "greater than"}
+_RANGES = {"ge": "greater than or equal to {}", "le": "less than or equal to {}", "gt": "greater than {}",
+           "finite": "a finite number"}
 
 
 class ConfigError(ValueError):
@@ -51,8 +53,8 @@ def _validate(tp, v, loc: str = "", bounds=None):
     if type(v) is not tp and (tp, type(v)) != (float, int):
         raise ConfigError(f"{loc}: Input should be a valid {tp.__name__}")
     for key, bound in (bounds or {}).items():
-        if not {"ge": v >= bound, "le": v <= bound, "gt": v > bound}[key]:
-            raise ConfigError(f"{loc}: Input should be {_RANGES[key]} {bound}")
+        if not {"ge": v >= bound, "le": v <= bound, "gt": v > bound, "finite": math.isfinite(v)}[key]:
+            raise ConfigError(f"{loc}: Input should be {_RANGES[key].format(bound)}")
     return tp(v)
 
 
@@ -102,7 +104,7 @@ class ValidationConfig:
 @dataclass(frozen=True)
 class CountsConfig:
     seed: int = field(default=0, metadata={"ge": 0})
-    area_scale: float = field(default=1.0, metadata={"gt": 0})
+    area_scale: float = field(default=1.0, metadata={"gt": 0, "finite": True})
 
 
 @dataclass(frozen=True)

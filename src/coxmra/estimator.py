@@ -1,18 +1,27 @@
 """Minimum-contrast estimation of the wavelet-domain AR parameters.
 
-Each basis pair is fitted independently: the empirical contrast of its
-periodogram table is minimized over a box domain by coarse seeding plus
-a derivative-free coordinate pattern search, run in lockstep for all
-pairs of every lattice shape fitted together.  Seeds and moves alike
-evaluate the contrast with `spectral._contrast`, one dot product per row
-over the off-axis half plane of its shape, so a pair's fit does not
-depend on what is fitted beside it.  Estimated entries are assembled
-into full wavelet-domain operator matrices, from which eigenvalue
-estimates follow.
+Every fit is made of rows: one scalar coefficient field each, whose
+periodogram is a density.  A diagonal fit has one row per wavelet
+coefficient and puts its AR triple on the operators' diagonal.  A cross
+fit (`include_cross`) has one row per component of the empirical
+eigenbasis: the top k eigenvectors U_k of the coefficients' uncentred
+lag-0 second moment C, whose score fields c.U_k are fitted, and each
+operator is sym(U_k diag(theta) U_k^T), the projection estimator of
+ARH(1) theory.  In the SARH model the three operators and C share one
+eigenbasis, so k rows stand for the whole matrix.
+
+The empirical contrast of each row is minimized over a box domain by
+coarse seeding plus a derivative-free coordinate pattern search, run in
+lockstep for all rows of every lattice shape fitted together.  Seeds and
+moves alike evaluate the contrast with `spectral._contrast`, one dot
+product per row over the off-axis half plane of its shape, so a row's fit
+does not depend on what is fitted beside it.  Eigenvalue estimates follow
+from the assembled operator matrices.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import islice
@@ -64,6 +73,8 @@ class ThetaDomain:
             raise ValueError(f"box domain needs three coordinate intervals, got {len(self.bounds)}")
         object.__setattr__(self, "bounds", tuple((float(lo), float(hi)) for lo, hi in self.bounds))
         for lo, hi in self.bounds:
+            if not math.isfinite(hi - lo):  # the search steps by a tenth of the width
+                raise ValueError(f"interval ({lo}, {hi}) has no finite width")
             if not lo <= hi:
                 raise ValueError(f"empty interval ({lo}, {hi})")
         if not len(self.candidates()):
@@ -179,18 +190,37 @@ def _estimate_rows(
 
 @dataclass(frozen=True)
 class NodeEstimate:
+    """The fit of one row: a wavelet coefficient (row == col == its layout
+    index) or, in a cross fit, a component of the eigenbasis (its column
+    in `EigenBasis.vectors`)."""
+
     row: int
     col: int
     theta: tuple[float, float, float]
-    eta_moment: float  # eta-weighted periodogram moment: the sum of the pair's `contrast_weights`
+    eta_moment: float  # eta-weighted periodogram moment: the sum of the row's `contrast_weights`
     contrast: float
     iterations: int
     near_boundary: bool
 
 
 @dataclass(frozen=True)
+class EigenBasis:
+    """The basis a cross fit is made in: the top k eigenvectors of the
+    coefficients' uncentred lag-0 second moment C, as the columns of
+    `vectors` (n, k), and their eigenvalues, descending.  `eigengap` is
+    the smallest gap between adjacent eigenvalues of C, among the k and
+    the first one left out, relative to the largest eigenvalue; U_k is
+    ill-determined when it is small."""
+
+    vectors: np.ndarray
+    eigenvalues: np.ndarray
+    eigengap: float
+
+
+@dataclass(frozen=True)
 class EstimationReport:
-    """Per-pair estimates plus assembled operator matrices."""
+    """Per-row estimates plus assembled operator matrices; `basis` is the
+    eigenbasis of a cross fit, None for a diagonal one."""
 
     j0: int
     depth: int
@@ -199,9 +229,10 @@ class EstimationReport:
     operators: tuple[OperatorWaveletMatrix, OperatorWaveletMatrix, OperatorWaveletMatrix]
     eigenvalues1: np.ndarray
     eigenvalues2: np.ndarray
+    basis: EigenBasis | None = field(default=None, repr=False)
 
     def diagonal_thetas(self) -> np.ndarray:
-        """Theta triples of the diagonal pairs in layout order, (n, 3)."""
+        """Theta triples of the operators' diagonal entries in layout order, (n, 3)."""
         return np.stack([op.matrix.diagonal() for op in self.operators], axis=1)
 
 
@@ -210,11 +241,12 @@ def estimate_all(
     domain: ThetaDomain,
     include_cross: bool = False,
 ) -> EstimationReport:
-    """Fit every requested basis pair and assemble the operator matrices.
+    """Fit the diagonal rows, or with `include_cross` the eigenbasis rows,
+    and assemble the operator matrices.
 
-    The periodogram-based contrast is blind to the AR triple split across
-    the three operators only through the joint symbol; each pair yields
-    one theta triple whose components populate the three matrices.
+    The periodogram-based contrast sees the AR triple split across the
+    three operators only through the joint symbol; each row yields one
+    theta triple whose components populate the three matrices.
     """
     return estimate_many([coeffs], domain, include_cross)[0]
 
@@ -225,77 +257,91 @@ def estimate_many(coeff_sets: list[MultiscaleCoefficients], domain: ThetaDomain,
     of all sets, whatever their lattice shape, as long as their folded
     weights stay within `_SEARCH_BLOCK` elements; past it the shapes are
     packed into several searches.  The sets of one shape are one weight
-    array.  Each report has the bits `estimate_all` gives the set alone."""
+    array; a cross fit's eigenbasis is each set's own.  Each report has
+    the bits `estimate_all` gives the set alone."""
     reports = [None] * len(coeff_sets)
     for search in _searches(coeff_sets, include_cross):
-        groups = ((freq, _pair_weights(freq, members, pairs)) for freq, members, pairs in search)
+        groups = ((freq, _row_weights(freq, fields)) for freq, fields, _ in search)
         rows = zip(*_estimate_rows(groups, domain))
-        for freq, members, pairs in search:
-            for (i, coeffs), set_pairs in zip(members, pairs):
-                fits = {}
-                for (a, b), (th, val, it, moment) in zip(set_pairs, islice(rows, len(set_pairs))):
-                    # (b, a) reports the fit of (a, b): see `_fitted_pairs`
-                    fits[a, b] = fits[b, a] = (tuple(map(float, th)), float(moment), float(val), int(it),
-                                               domain.near_boundary(th))
-                # the diagonal first, then the off-diagonal pairs in row-major order
-                order = sorted(fits, key=lambda p: (p[0] != p[1], p))
-                estimates = [NodeEstimate(a, b, *fits[a, b]) for a, b in order]
-                reports[i] = _report(coeffs.j0, coeffs.depth, freq.n, truncation_parameter(freq.n), estimates)
+        for freq, fields, members in search:
+            for (i, coeffs, basis), x in zip(members, fields):
+                estimates = [
+                    NodeEstimate(r, r, tuple(map(float, th)), float(moment), float(val), int(it),
+                                 domain.near_boundary(th))
+                    for r, (th, val, it, moment) in enumerate(islice(rows, x.shape[-1]))
+                ]
+                reports[i] = _report(coeffs.j0, coeffs.depth, freq.n, truncation_parameter(freq.n),
+                                     estimates, basis)
     return reports
 
 
 def _searches(coeff_sets: list[MultiscaleCoefficients], include_cross: bool):
     """The lockstep searches of `estimate_many`, yielded one at a time so
-    that a search's grid tables are dropped with it: lists of (freq,
-    [(set index, coeffs)], [pairs of each set]) shape groups in order of
-    first appearance, packed while their folded weights stay within
-    `_SEARCH_BLOCK` elements."""
-    shapes: dict[tuple[int, int], list[tuple[int, MultiscaleCoefficients]]] = {}
+    that a search's grid tables and fields are dropped with it: lists of
+    (freq, [fitted (s1, s2, rows) field of each set], [(set index, coeffs,
+    basis)]) shape groups in order of first appearance, packed while their
+    folded weights stay within `_SEARCH_BLOCK` elements.  A set's fitted
+    field is its coefficients, or their scores in its eigenbasis."""
+    shapes: dict[tuple[int, int], list] = {}
     for i, coeffs in enumerate(coeff_sets):
-        shapes.setdefault((coeffs.grid.s1, coeffs.grid.s2), []).append((i, coeffs))
+        basis = _eigenbasis(coeffs) if include_cross else None
+        shapes.setdefault((coeffs.grid.s1, coeffs.grid.s2), []).append((i, coeffs, basis))
     search, size = [], 0
     for (s1, s2), members in shapes.items():
         freq = FrequencyGrid(s1, s2)
-        pairs = [_fitted_pairs(coeffs.n_coeffs, include_cross) for _, coeffs in members]
-        elements = sum(map(len, pairs)) * freq.half_plane[1].size
+        fields = [c.coeffs if b is None else c.coeffs @ b.vectors for _, c, b in members]
+        elements = sum(x.shape[-1] for x in fields) * freq.half_plane[1].size
         if search and size + elements > _SEARCH_BLOCK:
             yield search
             search, size = [], 0
-        search.append((freq, members, pairs))
+        search.append((freq, fields, members))
         size += elements
     if search:
         yield search
 
 
-def _fitted_pairs(n: int, include_cross: bool) -> list[tuple[int, int]]:
-    """The (row, col) basis pairs fitted for n coefficients: the diagonal,
-    then, if requested, the pairs a < b.  Re I_ab = Re I_ba, so (b, a)
-    has the weights, and so the fit, of (a, b)."""
-    pairs = [(a, a) for a in range(n)]
-    if include_cross:
-        pairs += [(a, b) for a in range(n) for b in range(a + 1, n)]
-    return pairs
+def _eigenbasis(coeffs: MultiscaleCoefficients) -> EigenBasis:
+    """The top k eigenvectors of C = (1/N) sum_pq c_pq c_pq^T over the
+    set's N sites, k = `truncation_parameter(N)` clipped to n; ties keep
+    `eigh`'s order."""
+    c = coeffs.coeffs.reshape(-1, coeffs.n_coeffs)
+    lam, vectors = np.linalg.eigh(c.T @ c / c.shape[0])
+    order = np.argsort(-lam, kind="stable")
+    lam = lam[order]
+    k = min(truncation_parameter(c.shape[0]), lam.size)
+    # one eigenvalue alone has no neighbour to be confused with
+    gap = float(np.min((lam[:-1] - lam[1:])[:k] / max(lam[0], np.finfo(float).tiny), initial=1.0))
+    return EigenBasis(vectors[:, order[:k]], lam[:k], gap)
 
 
-def _pair_weights(freq: FrequencyGrid, members, pairs) -> np.ndarray:
-    """Contrast weights (rows, N) of the given (row, col) pairs of every
-    (set index, coeffs) member of one shape, in member order."""
-    weights = np.empty((sum(map(len, pairs)), freq.n))
+def _row_weights(freq: FrequencyGrid, fields: list[np.ndarray]) -> np.ndarray:
+    """Contrast weights (rows, N) of every column of the (s1, s2, m)
+    fitted fields of one shape, in order: each column's periodogram."""
+    weights = np.empty((sum(x.shape[-1] for x in fields), freq.n))
     rows = iter(weights)
-    for (_, coeffs), set_pairs in zip(members, pairs):
-        flat = all_periodograms(coeffs.coeffs).reshape(-1, coeffs.n_coeffs)  # (N, n) complex
-        for (a, b), row in zip(set_pairs, rows):
-            row[:] = contrast_weights(flat[:, a] * np.conj(flat[:, b]), freq)
+    for x in fields:
+        for f, row in zip(all_periodograms(x).reshape(-1, x.shape[-1]).T, rows):
+            row[:] = contrast_weights(f * np.conj(f), freq)
     return weights
 
 
-def _report(j0: int, depth: int, n_sites: int, k: int, estimates: list[NodeEstimate]) -> EstimationReport:
-    """Assemble the three operator matrices from per-pair estimates and
-    their leading eigenvalues; k is clipped to the layout size."""
+def _report(j0: int, depth: int, n_sites: int, k: int, estimates: list[NodeEstimate],
+            basis: EigenBasis | None = None) -> EstimationReport:
+    """Assemble the three operator matrices from per-row estimates, whose
+    rows are 0, 1, ... in any order, and their leading eigenvalues; k is
+    clipped to the layout size.  Without a basis each row's theta is a
+    diagonal entry; with one each operator is sym(U diag(theta) U^T), so
+    its (a, b) and (b, a) entries are equal bits."""
     n = 1 << depth
-    mats = np.zeros((3, n, n))
-    for est in estimates:
-        mats[:, est.row, est.col] = est.theta
+    thetas = np.empty((len(estimates), 3))
+    thetas[[est.row for est in estimates]] = [est.theta for est in estimates]
+    if basis is None:
+        mats = np.zeros((3, n, n))
+        mats[:, np.arange(n), np.arange(n)] = thetas.T
+    else:
+        u = basis.vectors
+        b = (u * thetas.T[:, None, :]) @ u.T
+        mats = 0.5 * (b + b.transpose(0, 2, 1))
     operators = tuple(OperatorWaveletMatrix(j0, depth, m) for m in mats)
     k = min(k, n)
     return EstimationReport(
@@ -306,45 +352,63 @@ def _report(j0: int, depth: int, n_sites: int, k: int, estimates: list[NodeEstim
         operators=operators,
         eigenvalues1=wavelet_to_operator_eigs(operators[0], k),
         eigenvalues2=wavelet_to_operator_eigs(operators[1], k),
+        basis=basis,
     )
 
 
 # ---------------------------------------------------------------------------
 # serialization
 
+_REPORT_META = {"j0": int, "depth": int, "n_sites": int, "k": int}
+# a cross report's metadata also holds its basis: the k eigenvectors one
+# after another, their eigenvalues and the eigengap
+_CROSS_META = {**_REPORT_META, "basis": list, "basis_eigenvalues": list, "basis_eigengap": float}
+
 
 def save_report(report: EstimationReport, path) -> None:
-    """NDJSON: one metadata line, then one record per basis pair."""
+    """NDJSON: one metadata line, then one record per fitted row."""
     meta = {"j0": report.j0, "depth": report.depth, "n_sites": report.n_sites,
             "k": int(report.eigenvalues1.size)}
+    if report.basis is not None:
+        meta.update(basis=report.basis.vectors.T.ravel().tolist(),
+                    basis_eigenvalues=report.basis.eigenvalues.tolist(),
+                    basis_eigengap=report.basis.eigengap)
     write_ndjson(path, meta, ({**vars(est), "theta": list(est.theta)} for est in report.estimates))
 
 
 def load_report(path) -> EstimationReport:
-    """Read a `save_report` file.  Every diagonal pair must be present;
-    the off-diagonal pairs are either all present or all absent."""
-    (j0, depth, n_sites, k), records, lineno = read_ndjson(
+    """Read a `save_report` file.  Every record is one fitted row (p, p):
+    a diagonal report holds one per layout entry, a cross report one per
+    basis vector, and the operators are rebuilt from them."""
+    head, records, lineno = read_ndjson(
         path,
-        {"j0": int, "depth": int, "n_sites": int, "k": int},
+        (_REPORT_META, _CROSS_META),
         # NodeEstimate field order
         {"row": int, "col": int, "theta": list, "eta_moment": float,
          "contrast": float, "iterations": int, "near_boundary": bool},
     )
-    if not (0 <= j0 <= depth and depth >= 1 and k >= 1):
+    (j0, depth, n_sites, k), cross = head[:4], head[4:]
+    if not (0 <= j0 <= depth and depth >= 1 and 1 <= k <= 1 << depth):
         raise record_fault(path, 1, f"bad layout j0={j0}, depth={depth}, k={k}")
     n = 1 << depth
-    for i, (_, _, theta, *_) in enumerate(records):
+    basis = None
+    if cross:
+        vectors, eigenvalues, gap = cross
+        if len(vectors) != n * k or len(eigenvalues) != k:
+            raise record_fault(path, 1, f"basis of {len(vectors)} values and {len(eigenvalues)} eigenvalues, "
+                                        f"expected {n * k} and {k}")
+        basis = EigenBasis(np.reshape(vectors, (k, n)).T, np.array(eigenvalues), gap)
+    for i, (row, col, theta, *_) in enumerate(records):
         if len(theta) != 3:
             raise record_fault(path, lineno(i), f"theta has {len(theta)} values, expected 3")
+        if row != col:
+            raise record_fault(path, lineno(i), f"pair ({row}, {col}) is not a fitted row")
     estimates = [NodeEstimate(*rec) for rec in records]
-    pairs = np.array([(e.row, e.col) for e in estimates], dtype=np.int64).reshape(-1, 2)
-    thetas = np.array([e.theta for e in estimates]).reshape(-1, 3)
-    shape = (n, n) if (pairs[:, 0] != pairs[:, 1]).any() else (n,)
     place_records(
-        path, shape, pairs[:, : len(shape)], thetas, lineno,
-        lambda key: f"pair ({key[0]}, {key[-1]})",
+        path, (n if basis is None else k,), [e.row for e in estimates], [e.theta for e in estimates],
+        lineno, lambda key: f"pair ({key[0]}, {key[0]})",
     )
-    return _report(j0, depth, n_sites, k, estimates)
+    return _report(j0, depth, n_sites, k, estimates, basis)
 
 
 def save_eigenvalue_table(report: EstimationReport, path) -> None:

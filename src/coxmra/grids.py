@@ -159,28 +159,31 @@ def _record_lines(path) -> list[tuple[int, str]]:
     return lines + [(lines[-1][0] + 1 if lines else 2, "")]
 
 
-def read_ndjson(path, meta: dict, record: dict) -> tuple[tuple, list[tuple], Callable]:
+def read_ndjson(path, metas: tuple[dict, ...], record: dict) -> tuple[tuple, list[tuple], Callable]:
     """Parse the metadata line and one record per non-empty line after it.
 
-    `meta` and `record` map each key to its JSON kind (int, float, bool, or
-    list of floats); values come in schema order, with the line lookup of
-    `place_records`.
+    Each schema maps each key to its JSON kind (int, float, bool, or list
+    of floats); the metadata line has the keys of one of `metas`, and the
+    values come in the order of the schema it matched, with the line
+    lookup of `place_records`.
     """
     with open(path) as fh:
-        head = _json_values(path, 1, fh.readline(), meta)
+        head = _json_values(path, 1, fh.readline(), *metas)
     lines = _record_lines(path)
     records = [_json_values(path, n, text, record) for n, text in lines[:-1]]
     return head, records, lambda i: lines[i][0]
 
 
-def _json_values(path, lineno: int, line: str, schema: dict) -> tuple:
+def _json_values(path, lineno: int, line: str, *schemas: dict) -> tuple:
     try:
         obj = json.loads(line.rstrip())
     except json.JSONDecodeError as exc:
         raise record_fault(path, lineno, f"bad JSON at column {exc.colno}: {exc.msg}") from exc
-    if not isinstance(obj, dict) or obj.keys() != schema.keys():
+    schema = next((s for s in schemas if isinstance(obj, dict) and obj.keys() == s.keys()), None)
+    if schema is None:
         keys = sorted(obj) if isinstance(obj, dict) else type(obj).__name__
-        raise record_fault(path, lineno, f"expected keys {sorted(schema)}, got {keys}")
+        expected = " or ".join(str(sorted(s)) for s in schemas)
+        raise record_fault(path, lineno, f"expected keys {expected}, got {keys}")
     try:
         return tuple(_typed(obj[key], kind) for key, kind in schema.items())
     except (TypeError, ValueError) as exc:

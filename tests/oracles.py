@@ -231,6 +231,48 @@ def estimate_node(table: np.ndarray, domain: ThetaDomain) -> tuple[np.ndarray, f
     return thetas[0], float(values[0])
 
 
+def second_moment(coeffs: np.ndarray) -> np.ndarray:
+    """Uncentred lag-0 second moment C = (1/N) sum of c c^T over the N
+    sites of an (s1, s2, n) coefficient array, one site at a time."""
+    s1, s2, n = coeffs.shape
+    out = np.zeros((n, n))
+    for p in range(s1):
+        for q in range(s2):
+            out += np.outer(coeffs[p, q], coeffs[p, q])
+    return out / (s1 * s2)
+
+
+def top_eigenvectors(coeffs: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every eigenvalue of C, descending, and the top k unit eigenvectors
+    (n, k), from the SVD of the (N, n) site matrix instead of an
+    eigensolver: its right singular vectors are the eigenvectors of C and
+    its squared singular values N times the eigenvalues (N >= n)."""
+    sites = coeffs.reshape(-1, coeffs.shape[-1])
+    _, sv, vt = np.linalg.svd(sites, full_matrices=False)
+    return sv**2 / sites.shape[0], vt[:k].T
+
+
+def eigengap(eigenvalues: np.ndarray, k: int) -> float:
+    """Smallest gap between adjacent descending eigenvalues, among the top
+    k and the first one after them, relative to the largest."""
+    gaps = [(eigenvalues[r] - eigenvalues[r + 1]) / eigenvalues[0] for r in range(min(k, eigenvalues.size - 1))]
+    return min(gaps, default=1.0)
+
+
+def projection_operators(vectors: np.ndarray, thetas) -> np.ndarray:
+    """sym(U diag(theta_i) U^T) of the three operators, (3, n, n), entry by
+    entry, with theta row r the fit of basis vector r."""
+    n, k = vectors.shape
+    out = np.zeros((3, n, n))
+    for i in range(3):
+        for a in range(n):
+            for b in range(n):
+                ab = sum(vectors[a, r] * thetas[r][i] * vectors[b, r] for r in range(k))
+                ba = sum(vectors[b, r] * thetas[r][i] * vectors[a, r] for r in range(k))
+                out[i, a, b] = 0.5 * (ab + ba)
+    return out
+
+
 def estimate_eta_moment(table: np.ndarray, theta) -> float:
     """The eta-weighted periodogram moment of a table at a stationary theta."""
     _stationary(theta)

@@ -408,3 +408,18 @@ def test_bad_model_fails_at_load(tmp_path, command):
     assert payload["type"] == "ConfigError"
     assert payload["error"] == f"{config}: model: truncation 11 exceeds the 10 supplied eigenvalues"
     assert not (tmp_path / "out").exists()
+
+
+def test_infinite_bound_fails_at_load(tmp_path):
+    # an infinite bound once made the pattern search's step infinite, and estimate never returned
+    config = tmp_path / "config.json"
+    bounds = [[-float("inf"), 0.5], [-0.5, 0.5], [-0.5, 0.5]]
+    config.write_text(json.dumps({**BASE_CONFIG, "estimation": {"bounds": bounds}}))
+    data = tmp_path / "input.csv"
+    data.write_text("unused\n")
+    result = CliRunner().invoke(main, ["--config", str(config), "--out", str(tmp_path / "out"),
+                                       "estimate", str(data)])
+    assert result.exit_code == 1
+    payload = json.loads(result.stderr.strip().splitlines()[-1])
+    assert payload == {"error": f"{config}: estimation: interval (-inf, 0.5) has no finite width", "type": "ConfigError"}
+    assert not (tmp_path / "out").exists()

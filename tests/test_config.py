@@ -86,6 +86,10 @@ def test_bad_domain_rejected_at_load(tmp_path):
         # the finite-grid search is gone: its keys are unknown
         ({"domain_mode": "box"}, "estimation.domain_mode"),
         ({"grid_points": [[0.1, 0.2, 0.0]]}, "estimation.grid_points"),
+        # json reads Infinity and NaN; an infinite step would never shrink below the tolerance
+        ({"bounds": [[-INF, 0.5], [-0.5, 0.5], [-0.5, 0.5]]}, "interval (-inf, 0.5) has no finite width"),
+        ({"bounds": [[-0.5, 0.5], [-0.5, NAN], [-0.5, 0.5]]}, "interval (-0.5, nan) has no finite width"),
+        ({"bounds": [[-1e308, 1e308], [-0.5, 0.5], [-0.5, 0.5]]}, "interval (-1e+308, 1e+308) has no finite width"),
     ):
         payload["estimation"] = estimation
         with pytest.raises(ConfigError, match="estimation") as err:
@@ -243,6 +247,7 @@ def test_int_in_float_key_stored_as_float():
      "Input should be a list of 2 items, got 3"),
     ("time", {"depth": 15}, "time.depth", "Input should be less than or equal to 14"),
     ("validation", {"max_folds": "all"}, "validation.max_folds", "Input should be a valid int"),
+    ("counts", {"area_scale": float("inf")}, "counts.area_scale", "Input should be a finite number"),
 ])
 def test_type_errors_name_the_key(tmp_path, section, patch, where, what):
     payload = _base()

@@ -1,9 +1,10 @@
 """Golden digests of the pipeline's output bytes.
 
 `tests/golden.json` holds the sha256 of every file that one small CLI
-chain writes, once diagonal-only and once with cross pairs, and of the
-theta tables, predictions and fold errors of reduced Monte Carlo and LOO
-designs, together with the numpy version it was written under.  A change
+chain writes, once diagonal-only and once with `include_cross` (the fit
+in the empirical eigenbasis), and of the theta tables, predictions and
+fold errors of reduced Monte Carlo and LOO designs, together with the
+numpy version it was written under.  A change
 that alters any of these bytes fails here and names every digest that
 moved.  A change meant to alter them rewrites the file with
 
@@ -91,7 +92,7 @@ def _mc_study() -> dict[str, str]:
 
 
 def _loo_cross() -> dict[str, str]:
-    """The cross-pair fit and prediction of an 8 x 8 field, and the fold
+    """The `include_cross` fit and prediction of an 8 x 8 field, and the fold
     errors of every LOO fold of a 10 x 10 one, as the LOO workload runs
     them (10 is the smallest side every fold can train at radius 1)."""
     fit_cfg = RunConfig.model_validate({

@@ -64,7 +64,7 @@ def _write_counts(path, coords, series, ids):
 
 @pytest.fixture(scope="module")
 def reports(tmp_path_factory):
-    """A diagonal-only and a cross-pair report of one small field."""
+    """A diagonal-only and an `include_cross` report of one small field."""
     rng = np.random.default_rng(3)
     fld = FunctionalField(SpatialGrid(6, 6), TimeGrid(2), rng.normal(size=(6, 6, 4)))
     mc = field_dwt(fld, 1)
@@ -240,14 +240,37 @@ def test_report_oversized_layout_is_incomplete(tmp_path, reports, depth):
         load_report(path)
 
 
-def test_report_partial_cross_pairs_rejected(tmp_path, reports):
-    _, lines = reports[True]
-    # keep the diagonal pairs and one off-diagonal pair
-    diagonal = [ln for ln in lines[1:] if json.loads(ln)["row"] == json.loads(ln)["col"]]
-    cross = [ln for ln in lines[1:] if json.loads(ln)["row"] != json.loads(ln)["col"]]
+def _edit_meta(edit):
+    return lambda lines: _edit_json(lines, 0, edit)[0]
+
+
+def _poison_basis(meta):
+    meta["basis"][2] = float("inf")
+
+
+# faults of a cross report's basis (n = 4 coefficients, k = 3 basis vectors)
+# and of its records: (edit, line, message)
+CROSS_FAULTS = {
+    "short basis": (_edit_meta(lambda meta: meta["basis"].pop()), 1,
+                    "basis of 11 values and 3 eigenvalues, expected 12 and 3"),
+    "extra eigenvalue": (_edit_meta(lambda meta: meta["basis_eigenvalues"].append(0.5)), 1,
+                         "basis of 12 values and 4 eigenvalues, expected 12 and 3"),
+    "non-finite basis entry": (_edit_meta(_poison_basis), 1, "non-finite number inf"),
+    "row beyond k": (lambda lines: _edit_json(lines, 2, lambda rec: rec.update(row=3, col=3))[0], 3,
+                     "pair (3, 3): index outside (3,)"),
+    "row is not col": (lambda lines: _edit_json(lines, 3, lambda rec: rec.update(col=0))[0], 4,
+                       "pair (2, 0) is not a fitted row"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CROSS_FAULTS))
+def test_report_basis_faults(tmp_path, reports, kind):
+    report, lines = reports[True]
+    assert (report.depth, len(report.estimates)) == (2, 3)
+    edit, line, what = CROSS_FAULTS[kind]
     path = tmp_path / "report.ndjson"
-    path.write_text("\n".join(lines[:1] + diagonal + cross[:1]) + "\n")
-    with pytest.raises(FieldFormatError, match=r"line 7: incomplete: missing pair"):
+    path.write_text("\n".join(edit(lines)) + "\n")
+    with pytest.raises(FieldFormatError, match=re.escape(f"{path}: line {line}: {what}") + "$"):
         load_report(path)
 
 
