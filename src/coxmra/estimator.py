@@ -10,13 +10,15 @@ operator is sym(U_k diag(theta) U_k^T), the projection estimator of
 ARH(1) theory.  In the SARH model the three operators and C share one
 eigenbasis, so k rows stand for the whole matrix.
 
-The empirical contrast of each row is minimized over a box domain by
-coarse seeding plus a derivative-free coordinate pattern search, run in
-lockstep for all rows of every lattice shape fitted together.  Seeds and
-moves alike evaluate the contrast with `spectral._contrast`, one dot
-product per row over the off-axis half plane of its shape, so a row's fit
-does not depend on what is fitted beside it.  Eigenvalue estimates follow
-from the assembled operator matrices.
+The empirical contrast of each row is minimized over a box domain: each
+row is seeded at the best candidate of a coarse grid and refined by a
+projected Newton search in the free coordinates, run in lockstep for all
+rows of every lattice shape fitted together (`_newton`).  Seeds and steps
+alike evaluate the contrast with `spectral._contrast`, a fixed-order sum
+per row over the off-axis half plane of its shape, and take its
+derivatives from `spectral._contrast_derivatives`, so a row's fit depends
+neither on what is fitted beside it nor on the BLAS thread count.
+Eigenvalue estimates follow from the assembled operator matrices.
 """
 
 from __future__ import annotations
@@ -24,13 +26,14 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import islice, product
 
 import numpy as np
 
 from .spectral import (
     FrequencyGrid,
     _contrast,
+    _contrast_derivatives,
     _symbol_coefficients,
     all_periodograms,
     contrast_weights,
@@ -44,7 +47,20 @@ _BOUNDARY_MARGIN = 1e-3
 # fits within this distance of the margin are reported as near_boundary
 _BOUNDARY_SLACK = 0.05
 _COARSE_POINTS = 11
-_REFINE_TOL = 1e-6
+# the Newton search: the damping, relative to a row's weight sum, starts
+# at _DAMPING_START, shrinks tenfold on an accepted step and otherwise
+# grows tenfold, to _DAMPING_START at least; a row stops once its step is
+# below _STEP_TOL in max norm or cannot lower the contrast by _EPS of its
+# size, its damping passes _DAMPING_CEILING, or it has made _MAX_EVALS
+# evaluations
+_DAMPING_START = 1e-3
+_DAMPING_CEILING = 1e10
+_STEP_TOL = 1e-9
+_EPS = np.finfo(float).eps
+_MAX_EVALS = 32
+# the search's stationarity facets lie this far inside the strict edge, so
+# a point on one is in the domain
+_FACET_INSET = 1e-12
 # folded weight elements (rows x half-plane points) one lockstep search
 # packs lattice shapes up to; a shape larger than this is searched alone
 _SEARCH_BLOCK = 1 << 16
@@ -81,6 +97,25 @@ class ThetaDomain:
             raise ValueError(f"no stationary candidate in the box domain {self.bounds}")
         # the (lo, hi) arrays of the free coordinates that `contains` compares against
         object.__setattr__(self, "_box", np.array(self.bounds[: 2 if self.couple_l3 else 3]).T)
+        object.__setattr__(self, "_facets", self._search_facets())
+
+    def _search_facets(self) -> tuple[np.ndarray, np.ndarray]:
+        """Outward normals (K, f) and offsets (K,) of the facets the Newton
+        search holds, n . theta <= offset inside, over the f free
+        coordinates: first the lower, then the upper box faces, then, in the
+        uncoupled box, the eight facets s . theta <= edge of the |theta|_1
+        ball, s a sign pattern.  In the coupled box the edge max(|th1|,
+        |th2|) clips the box faces instead."""
+        lo, hi = self._box
+        edge = 1 - _BOUNDARY_MARGIN - _FACET_INSET
+        if self.couple_l3:
+            lo, hi = np.maximum(lo, -edge), np.minimum(hi, edge)
+        eye = np.eye(lo.size)
+        normals, offsets = [-eye, eye], [-lo, hi]
+        if not self.couple_l3:
+            normals.append(np.array(list(product((-1.0, 1.0), repeat=3))))
+            offsets.append(np.full(8, edge))
+        return np.vstack(normals), np.concatenate(offsets)
 
     def candidates(self) -> np.ndarray:
         """Stationary seed candidates, shape (m, 3)."""
@@ -126,18 +161,15 @@ def _estimate_rows(
     """Fit every row of the (FrequencyGrid, weights) groups, the weights a
     (rows, N) array of full-plane contrast weights on the group's grid, in
     one lockstep search.  Returns, in group order, the thetas (rows, 3),
-    contrasts, pattern-search evaluations and eta moments (each row's
-    weight sum).
+    contrasts, Newton evaluations and eta moments (each row's weight sum).
 
-    `groups` is consumed once: a group's full-plane weights and seed
-    values are dropped once it is seeded.  Every contrast, of a seed
-    candidate or of a move, is the `_contrast` of one row's folded
-    weights with one candidate's half-plane log-density, so its bits do
-    not depend on the rows beside it, and a row's search starts from its
-    seed's own value.  A sweep moves each free coordinate by +step, then
-    -step, keeps a move that lowers the contrast by more than 1e-15 and
-    halves the step if none did.  Each row keeps its own point, contrast,
-    step and active flag.
+    `groups` is consumed once: a group's full-plane weights are dropped
+    once it is seeded.  Each row is seeded at the candidate of least
+    `_contrast`, ties broken by `_lexicographic_argmin`, and refined by
+    `_newton`, whose evaluations of the rows of one lattice shape are one
+    `_contrast_derivatives` call.  Every value is the `_contrast` of one
+    row's folded weights at one candidate, so a row's bits do not depend
+    on the rows beside it.
     """
     cand = domain.candidates()
     cand_coefs = _symbol_coefficients(cand)
@@ -145,47 +177,115 @@ def _estimate_rows(
     for freq, w in groups:
         hw = freq.fold(w)
         seeds = _contrast(hw[:, None, :], cand_coefs, freq.half_plane)
-        idx = np.array([_lexicographic_argmin(row, cand) for row in seeds], dtype=int)
-        seeded.append((freq.half_plane, hw, w.sum(axis=1), idx, seeds[np.arange(idx.size), idx]))
-    tables, folded, moments, first, best_val = zip(*seeded)
-    moments, first, best_val = map(np.concatenate, (moments, first, best_val))
+        first = np.array([_lexicographic_argmin(row, cand) for row in seeds], dtype=int)
+        seeded.append((freq.half_plane, hw, w.sum(axis=1), first))
+    tables, folded, moments, first = zip(*seeded)
+    moments, first = map(np.concatenate, (moments, first))
     offsets = np.cumsum([0] + [hw.shape[0] for hw in folded])
 
-    def contrasts(rows: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    def evaluate(rows: np.ndarray, thetas: np.ndarray):
         # rows ascend, so each group's rows are one slice
-        coefs = _symbol_coefficients(thetas)
         cuts = np.searchsorted(rows, offsets)
-        out = np.empty(rows.size)
+        free = 2 if domain.couple_l3 else 3
+        out = np.empty(rows.size), np.empty((rows.size, free)), np.empty((rows.size, free, free))
         for hw, table, lo, a, b in zip(folded, tables, offsets, cuts[:-1], cuts[1:]):
             if a < b:
-                out[a:b] = _contrast(hw[rows[a:b] - lo], coefs[a:b], table)
+                parts = _contrast_derivatives(hw[rows[a:b] - lo], thetas[a:b], domain.couple_l3, table)
+                for whole, part in zip(out, parts):
+                    whole[a:b] = part
         return out
 
-    n_rows = offsets[-1]
-    iters = np.zeros(n_rows, dtype=int)
-    best = cand[first]
-    step = np.full(n_rows, max((hi - lo) / (_COARSE_POINTS - 1) for lo, hi in domain.bounds) * 0.5)
-    free = 2 if domain.couple_l3 else 3
-    active = np.flatnonzero(step > _REFINE_TOL)
-    while active.size:
-        improved = np.zeros(n_rows, dtype=bool)
-        for i in range(free):
-            for sign in (1.0, -1.0):
-                moved = best[active]
-                moved[:, i] += sign * step[active]
-                if domain.couple_l3:
-                    moved[:, 2] = -moved[:, 0] * moved[:, 1]
-                inside = domain.contains(moved)
-                rows, moved = active[inside], moved[inside]
-                val = contrasts(rows, moved)
-                iters[rows] += 1
-                better = val < best_val[rows] - 1e-15
-                rows = rows[better]
-                best[rows], best_val[rows] = moved[better], val[better]
-                improved[rows] = True
-        step[active[~improved[active]]] *= 0.5
-        active = active[step[active] > _REFINE_TOL]
-    return best, best_val, iters, moments
+    return (*_newton(evaluate, cand[first], moments, domain), moments)
+
+
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Stacked matrix product of (..., p, q) and (..., q, r) as an
+    elementwise product summed over q, so a row's bits do not depend on
+    the rows beside it."""
+    return (a[..., :, :, None] * b[..., None, :, :]).sum(axis=-2)
+
+
+def _newton(evaluate, theta: np.ndarray, scale: np.ndarray, domain: ThetaDomain):
+    """Lockstep projected Newton from the seeds `theta` (rows, 3); returns
+    each row's theta, contrast and evaluations.
+
+    `evaluate(rows, thetas)` gives the contrast, gradient and Hessian in
+    the free coordinates of the ascending `rows` at `thetas`.  Each row
+    keeps its own point, damping mu, value and working set: the domain
+    facets (`ThetaDomain._search_facets`) it holds as equalities, at first
+    those its seed lies on.  A round steps by -(H + mu s I)^-1 g in the
+    null space of the held facets, s the row's weight sum, with negative
+    curvature taken by its absolute value so that the step descends.  A
+    step cut by a facet ends on it, and the facet is held once the step is
+    accepted.  A step is accepted only if the contrast falls; mu then
+    shrinks, and grows otherwise, also when a facet the row touches blocks
+    the whole step.  A row at rest lets go of the held facets whose
+    least-squares multiplier is negative, or stops.  The 3 x 3 algebra
+    runs once over all rows of the search."""
+    normals, offsets = domain._facets
+    n, free = theta.shape[0], normals.shape[1]
+    # the coordinate of each box face, -1 for a facet of the |theta|_1 ball
+    face = np.where(np.arange(offsets.size) < 2 * free, np.arange(offsets.size) % free, -1)
+    theta = theta.copy()
+    value, grad, hess = evaluate(np.arange(n), theta)
+    evals = np.ones(n, dtype=int)
+    mu = np.full(n, _DAMPING_START)
+    held = (normals * theta[:, None, :free]).sum(axis=-1) >= offsets
+    live = np.ones(n, dtype=bool)
+    while live.any():
+        r = np.flatnonzero(live)
+        th, g, work = theta[r, :free], grad[r], held[r]
+        # projector on the null space of the held facets, and their
+        # least-squares multipliers
+        proj = np.broadcast_to(np.eye(free), (r.size, free, free)).copy()
+        lam = np.zeros(work.shape)
+        some = np.flatnonzero(work.any(axis=1))
+        if some.size:
+            active = normals.T * work[some, None, :]
+            pinv = np.linalg.pinv(active)
+            proj[some] -= _mul(active, pinv)
+            lam[some] = -(pinv * g[some, None, :]).sum(axis=-1)
+        curv, vecs = np.linalg.eigh(_mul(_mul(proj, hess[r]), proj))
+        denom = np.abs(curv) + (mu[r] * scale[r])[:, None]
+        coef = (vecs * (proj * g[:, None, :]).sum(axis=-1)[:, :, None]).sum(axis=1) / np.where(denom > 0, denom, 1.0)
+        d = -(proj * (vecs * coef[:, None, :]).sum(axis=-1)[:, None, :]).sum(axis=-1)
+        d[work[:, : 2 * free].reshape(-1, 2, free).any(axis=1)] = 0.0
+        # cut by the first facet not held that the step would cross
+        towards = (normals * d[:, None, :]).sum(axis=-1)
+        slack = offsets - (normals * th[:, None, :]).sum(axis=-1)
+        crossing = ~work & (towards > 0)
+        reach = np.where(crossing, np.maximum(slack, 0.0) / np.where(crossing, towards, 1.0), np.inf)
+        block = reach.argmin(axis=1)
+        alpha = np.minimum(reach[np.arange(r.size), block], 1.0)
+        blocked = alpha < 1.0
+        step = alpha[:, None] * d
+        # at rest: a step below the tolerance, or one whose first-order
+        # decrease -g . step could not move the contrast's last bit
+        small = (np.abs(step).max(axis=1) < _STEP_TOL) | (-(g * step).sum(axis=1) < _EPS * np.abs(value[r]))
+        release = (~blocked & small)[:, None] & work & (lam < 0)
+        work &= ~release
+        release = release.any(axis=1)
+        done = ~blocked & small & ~release
+        trial = theta[r].copy()
+        trial[:, :free] += step
+        box = blocked & (face[block] >= 0)
+        trial[box, face[block[box]]] = offsets[block[box]] * normals[block[box], face[block[box]]]
+        if domain.couple_l3:
+            trial[:, 2] = -(trial[:, 0] * trial[:, 1])
+        move = np.flatnonzero(~done & ~release & (alpha > 0) & domain.contains(trial))
+        val, gr, he = evaluate(r[move], trial[move])
+        evals[r[move]] += 1
+        keep = val < value[r[move]]
+        acc = np.zeros(r.size, dtype=bool)
+        acc[move[keep]] = True
+        theta[r[acc]], value[r[acc]], grad[r[acc]], hess[r[acc]] = trial[acc], val[keep], gr[keep], he[keep]
+        # an accepted step holds the facet that cut it; a facet the row
+        # touches that blocks the whole step is held too
+        work[blocked & (acc | (alpha == 0)), block[blocked & (acc | (alpha == 0))]] = True
+        held[r] = work
+        mu[r] = np.where(acc, mu[r] / 10, np.where(release, mu[r], np.maximum(mu[r] * 10, _DAMPING_START)))
+        live[r] = ~done & (mu[r] <= _DAMPING_CEILING) & (evals[r] < _MAX_EVALS)
+    return theta, value, evals
 
 
 @dataclass(frozen=True)
@@ -199,7 +299,7 @@ class NodeEstimate:
     theta: tuple[float, float, float]
     eta_moment: float  # eta-weighted periodogram moment: the sum of the row's `contrast_weights`
     contrast: float
-    iterations: int
+    iterations: int  # contrast evaluations of the row's Newton search, its seed's included
     near_boundary: bool
 
 

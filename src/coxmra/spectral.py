@@ -7,8 +7,9 @@ c4 cos(w1-w2), the coefficients of a triple (`_symbol_coefficients`)
 times a cosine table (`_symbol_sq`), the fDFT with its 1-based site
 phase (`all_periodograms`), and the contrast weight eta = |w1|^2 |w2|^2
 (`FrequencyGrid.eta`).  It also holds the one contrast evaluator,
-`_contrast`, which the estimator's seeds and moves and the population
-`contrast_functional` all call.
+`_contrast`, which the estimator's seeds and Newton steps and the
+population `contrast_functional` all call, and its gradient and Hessian
+in the AR coefficients (`_contrast_derivatives`).
 
 Frequencies live on the Fourier grid of the observation lattice, reported
 in the symmetric fundamental domain (-pi, pi]^2 so that eta is an even
@@ -27,6 +28,9 @@ from functools import cached_property
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
+# log-density elements (candidates x half-plane points) `_contrast` scores
+# every row against at once
+_SCORE_BLOCK = 1 << 16
 
 
 def stationarity_check(theta) -> bool:
@@ -98,8 +102,9 @@ class FrequencyGrid:
 
     @cached_property
     def half_plane(self) -> tuple[np.ndarray, np.ndarray]:
-        """`cosines` and folded `eta_measure` on the off-axis half plane, (5, N') and (N',)."""
-        return _readonly(self.cosines[:, self._pairs[0]]), _readonly(self.fold(self.eta_measure))
+        """`cosines` and folded `eta_measure` on the off-axis half plane, (5, N') and (N',).
+        Both are C-ordered, so every product with them sums a contiguous row."""
+        return _readonly(np.take(self.cosines, self._pairs[0], axis=-1)), _readonly(self.fold(self.eta_measure))
 
     @cached_property
     def eta(self) -> np.ndarray:
@@ -185,8 +190,8 @@ def _symbol_sq(coefs: np.ndarray, cosines: np.ndarray) -> np.ndarray:
     """Squared AR symbol of m candidates' `_symbol_coefficients` over a
     cosine table, (m, N).
 
-    Each row is its own (1, 5) @ (5, N) product, and every row reduction
-    uses `np.vecdot`, so a candidate's values do not depend on its batch.
+    Each row is its own (1, 5) @ (5, N) product, so a candidate's values do
+    not depend on its batch.
     """
     return (coefs[:, None, :] @ cosines)[:, 0]
 
@@ -206,17 +211,105 @@ def _log_psi(coefs: np.ndarray, cosines: np.ndarray, eta_measure: np.ndarray) ->
     and sigma2 its integral under the Riemann weights `eta_measure`, so
     every row of exp(log Psi) has unit weighted mass."""
     sym = _symbol_sq(coefs, cosines)
-    scale = np.vecdot(1.0 / sym, eta_measure)
+    scale = (eta_measure / sym).sum(axis=-1)
     if (scale <= 0).any():
         raise ValueError("degenerate weight: eta-weighted density integrates to zero")
     return -np.log(sym) - np.log(scale)[:, None]
 
 
 def _contrast(folded: np.ndarray, coefs: np.ndarray, table: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """The one contrast evaluator: folded weights against the `_log_psi`
-    rows of candidates' coefficients on a `half_plane` table, one dot
-    product per row, so a contrast's bits do not depend on its batch."""
-    return -np.vecdot(folded, _log_psi(coefs, *table))
+    """The one contrast evaluator: minus folded weights times the `_log_psi`
+    rows of candidates' coefficients on a `half_plane` table, summed over
+    each row by numpy's pairwise sum.  That sum has a fixed order for a
+    given length and uses no BLAS, so a contrast's bits depend neither on
+    its batch nor on the BLAS thread count.
+
+    Folded weights (m, N') pair row i with candidate i.  Folded weights
+    (rows, 1, N') score every row against every candidate, (rows, m), one
+    row and one block of candidates at a time, so the largest temporary
+    holds `_SCORE_BLOCK` elements whatever the rows and candidates."""
+    if folded.ndim < 3:
+        return -(folded * _log_psi(coefs, *table)).sum(axis=-1)
+    out = np.empty((folded.shape[0], coefs.shape[0]))
+    step = max(1, _SCORE_BLOCK // table[1].size)
+    for i in range(0, coefs.shape[0], step):
+        log_psi = _log_psi(coefs[i : i + step], *table)
+        for row, scores in zip(folded[:, 0], out):
+            scores[i : i + step] = -(row * log_psi).sum(axis=-1)
+    return out
+
+
+def _coefficient_derivatives(thetas: np.ndarray, couple_l3: bool) -> tuple[np.ndarray, np.ndarray]:
+    """First and second derivatives of m candidates' `_symbol_coefficients`
+    in their free coordinates, (m, f, 5) and (m, f, f, 5): th1, th2 and th3,
+    or th1 and th2 with th3 = -th1 th2 entering by the chain rule."""
+    t1, t2, t3 = np.asarray(thetas, dtype=float).T
+    one, zero = np.ones_like(t1), np.zeros_like(t1)
+    # d c / d th_i, rows th1, th2, th3
+    dc = 2.0 * np.stack([np.stack(d, axis=-1) for d in (
+        (t1, -one, t3, zero, t2), (t2, t3, -one, zero, t1), (t3, t2, t1, -one, zero))], axis=1)
+    # d2 c / d th_i d th_j: constant, since every coefficient is quadratic
+    d2c = np.zeros((t1.size, 3, 3, 5))
+    d2c[:, [0, 1, 2], [0, 1, 2], 0] = 2.0  # c0: th1^2 + th2^2 + th3^2
+    d2c[:, [1, 2], [2, 1], 1] = 2.0  # c1: 2 th2 th3
+    d2c[:, [0, 2], [2, 0], 2] = 2.0  # c2: 2 th1 th3
+    d2c[:, [0, 1], [1, 0], 4] = 2.0  # c4: 2 th1 th2
+    if not couple_l3:
+        return dc, d2c
+    # th3 = -th1 th2: d th3 / d th1 = -th2, d th3 / d th2 = -th1, d2 th3 / d th1 d th2 = -1
+    u1, u2 = -t2[:, None], -t1[:, None]
+    free_dc = np.stack([dc[:, 0] + u1 * dc[:, 2], dc[:, 1] + u2 * dc[:, 2]], axis=1)
+    c00 = d2c[:, 0, 0] + 2.0 * u1 * d2c[:, 0, 2] + u1 * u1 * d2c[:, 2, 2]
+    c11 = d2c[:, 1, 1] + 2.0 * u2 * d2c[:, 1, 2] + u2 * u2 * d2c[:, 2, 2]
+    c01 = d2c[:, 0, 1] + u2 * d2c[:, 0, 2] + u1 * d2c[:, 2, 1] + u1 * u2 * d2c[:, 2, 2] - dc[:, 2]
+    return free_dc, np.stack([np.stack([c00, c01], axis=1), np.stack([c01, c11], axis=1)], axis=1)
+
+
+def _contrast_derivatives(
+    folded: np.ndarray, thetas: np.ndarray, couple_l3: bool, table: tuple[np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`_contrast` of m rows (m, N') at one candidate each (m, 3), with its
+    gradient (m, f) and Hessian (m, f, f) in the candidates' free
+    coordinates (`_coefficient_derivatives`).
+
+    With S the squared symbol, A = cos / S, h the folded weights, e the
+    folded eta measure, H = sum h and Z = sum e / S, the contrast is
+    L = sum h log S + H log Z, so
+
+        dL/dc = sum h A - (H / Z) g_Z,  g_Z = sum (e / S) A,
+        d2L/dc2 = -sum h A A^T + (2 H / Z) sum (e / S) A A^T - (H / Z^2) g_Z g_Z^T,
+
+    mapped to theta through dc/dtheta (whose columns B = dS/dtheta / S
+    carry the A A^T terms) plus the second derivatives of c against dL/dc.
+    Every sum over the half plane is a pairwise row sum, as in `_contrast`;
+    the largest temporary is (m, 5, N')."""
+    cosines, eta_measure = table
+    coefs = _symbol_coefficients(thetas)
+    values = _contrast(folded, coefs, table)
+    dc, d2c = _coefficient_derivatives(thetas, couple_l3)
+    m, f = dc.shape[:2]
+    sym = _symbol_sq(coefs, cosines)
+    tilt = eta_measure / sym  # e / S
+    total, z = folded.sum(axis=-1), tilt.sum(axis=-1)
+    ratio = total / z  # H / Z
+    # dL/dc and g_Z, (m, 5)
+    dl_dc = (((folded - ratio[:, None] * tilt) / sym)[:, None, :] * cosines).sum(axis=-1)
+    gz_dc = ((tilt / sym)[:, None, :] * cosines).sum(axis=-1)
+    grad = (dc * dl_dc[:, None, :]).sum(axis=-1)
+    g_z = (dc * gz_dc[:, None, :]).sum(axis=-1)
+    hess = (d2c * dl_dc[:, None, None, :]).sum(axis=-1)
+    hess -= (ratio / z)[:, None, None] * g_z[:, :, None] * g_z[:, None, :]
+    # the A A^T terms: sum (2 (H / Z) e / S - h) B_a B_b
+    b = _symbol_sq(dc.reshape(-1, 5), cosines).reshape(m, f, -1) / sym[:, None, :]
+    w = 2.0 * ratio[:, None] * tilt - folded
+    for i in range(f):
+        wb = w * b[:, i]
+        for j in range(i, f):
+            term = (wb * b[:, j]).sum(axis=-1)
+            hess[:, i, j] += term
+            if j != i:
+                hess[:, j, i] += term
+    return values, grad, hess
 
 
 def _stationary_coefficients(theta) -> np.ndarray:
@@ -251,4 +344,4 @@ def divergence(theta0, theta, freq: FrequencyGrid) -> float:
     weights = _population_weights(theta0, freq)
     coefs = np.vstack([_stationary_coefficients(theta0), _stationary_coefficients(theta)])
     lp = _log_psi(coefs, *freq.half_plane)
-    return float(weights @ (lp[0] - lp[1]))
+    return float((weights * (lp[0] - lp[1])).sum())

@@ -5,16 +5,17 @@ the direct sums here are its FFT-free oracles.  It evaluates every
 contrast on the folded half plane (`coxmra.spectral._contrast`); the
 full-plane log-density, empirical contrast and innovation variance here
 are its unfolded references.  The AR recursion, the IDW interpolation,
-the time resampling, the CSV writer and the lockstep pattern search are
-vectorized in the library; their one-value-at-a-time loops here must
-give identical results.
+the time resampling and the CSV writer are vectorized in the library;
+their one-value-at-a-time loops here must give identical results.  The
+library fits each row by a projected Newton search; the coordinate
+pattern search here, one row at a time, is the reference its contrasts
+must match or beat.
 """
 
 import numpy as np
 
 from coxmra.estimator import (
     _COARSE_POINTS,
-    _REFINE_TOL,
     ThetaDomain,
     _estimate_rows,
     _lexicographic_argmin,
@@ -153,6 +154,10 @@ def table_csv(header, rows) -> str:
         cells = [str(int(v)) if isinstance(v, (int, np.integer)) else repr(float(v)) for v in row]
         lines.append(",".join(cells) + "\n")
     return "".join(lines)
+
+
+# the pattern search halves its step until it is no longer above this
+_REFINE_TOL = 1e-6
 
 
 def pattern_search(contrast, start, start_val: float, domain: ThetaDomain,

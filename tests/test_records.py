@@ -412,6 +412,41 @@ def test_only_grids_writes_files():
     assert found == []
 
 
+# the matrix products the contrast modules may write with `@`, by (module,
+# function), each with why its reduction order cannot change a contrast's bits
+_MATMUL_ALLOWED = {
+    ("spectral.py", "_symbol_sq"): "K = 5 cosine coefficients per point, byte-stable under 1 and 2 BLAS threads",
+    ("estimator.py", "_searches"): "n x k basis scores of the coefficients, a sum over n <= 2^depth",
+    ("estimator.py", "_eigenbasis"): "the n x n second moment, byte-stable under 1 and 2 BLAS threads at 150 x 150",
+    ("estimator.py", "_report"): "U diag(theta) U^T, a sum over k <= n basis vectors",
+}
+# reductions whose order BLAS or an optimizer chooses
+_BLAS_REDUCTIONS = {"vecdot", "dot", "inner", "matmul", "tensordot"}
+
+
+def test_contrast_reductions_have_a_fixed_order():
+    """`spectral.py` and `estimator.py` reduce over the half plane only by
+    numpy's pairwise `(a * b).sum(axis=-1)`: no `np.vecdot`, `np.dot`,
+    `np.inner`, `np.matmul`, `np.tensordot` or optimized `einsum`, and `@`
+    only where `_MATMUL_ALLOWED` says why, so no fit's bits depend on the
+    BLAS thread count."""
+    found = []
+    for name in ("spectral.py", "estimator.py"):
+        tree = ast.parse((Path(__file__).parents[1] / "src" / "coxmra" / name).read_text())
+        for definition in ast.walk(tree):
+            if not isinstance(definition, ast.FunctionDef):
+                continue
+            for node in ast.walk(definition):
+                if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+                    if (name, definition.name) not in _MATMUL_ALLOWED:
+                        found.append(f"{name}:{node.lineno} @ in {definition.name}")
+                elif isinstance(node, ast.Call):
+                    func = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+                    if func in _BLAS_REDUCTIONS or (func == "einsum" and any(k.arg == "optimize" for k in node.keywords)):
+                        found.append(f"{name}:{node.lineno} {func}")
+    assert found == []
+
+
 def _is_command(definition: ast.FunctionDef | ast.ClassDef) -> bool:
     """Whether a def is registered as a click command on a group."""
     return any(

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from coxmra import FrequencyGrid, divergence, periodogram
 from coxmra.spectral import (
     _contrast,
+    _contrast_derivatives,
     _inverse_symbol_sq,
     _log_psi,
     _symbol_coefficients,
@@ -260,3 +261,46 @@ def test_empirical_contrast_matches_quadrature():
             total -= tab.real[i, j] * eta[i, j] * np.log(psi[i, j])
     total *= freq.cell_measure
     assert empirical_contrast(tab, th) == pytest.approx(total, rel=1e-12)
+
+
+_inner = st.floats(min_value=-1.0, max_value=1.0)
+# AR triples well inside both stationarity regions, where central
+# differences of the contrast are accurate
+inner_thetas = st.tuples(_inner, _inner, _inner).map(
+    lambda th: tuple(0.8 * v / max(1.0, sum(abs(u) for u in th)) for v in th)
+)
+
+
+@given(sides, sides, st.lists(inner_thetas, min_size=1, max_size=4), st.booleans(),
+       st.integers(min_value=0, max_value=10**6))
+@example(2, 2, [(0.3, 0.5, -0.15)], False, 0)
+@settings(max_examples=50, deadline=None)
+def test_contrast_derivatives_match_finite_differences(s1, s2, thetas, couple, seed):
+    # the gradient and Hessian in the free coordinates are central
+    # differences of `_contrast` and of the gradient; th3 = -th1 th2 when coupled
+    freq = FrequencyGrid(s1, s2)
+    x = np.random.default_rng(seed).normal(size=(s1, s2, len(thetas)))
+    f = all_periodograms(x).reshape(-1, len(thetas))
+    folded = freq.fold(np.array([contrast_weights(np.abs(f[:, a]) ** 2 + 0j, freq) for a in range(len(thetas))]))
+    th = np.array(thetas)
+    if couple:
+        th[:, 2] = -th[:, 0] * th[:, 1]
+    values, grad, hess = _contrast_derivatives(folded, th, couple, freq.half_plane)
+    assert np.array_equal(values, _contrast(folded, _symbol_coefficients(th), freq.half_plane))
+    # a row's bits do not depend on the rows beside it
+    for i in range(len(thetas)):
+        alone = _contrast_derivatives(folded[i : i + 1], th[i : i + 1], couple, freq.half_plane)
+        assert all(np.array_equal(part[i], one[0]) for part, one in zip((values, grad, hess), alone))
+    free, eps = (2 if couple else 3), 1e-5
+    scale = folded.sum(axis=1) + np.abs(values)
+    for i in range(free):
+        moved = []
+        for sign in (1.0, -1.0):
+            t = th.copy()
+            t[:, i] += sign * eps
+            if couple:
+                t[:, 2] = -t[:, 0] * t[:, 1]
+            moved.append(_contrast_derivatives(folded, t, couple, freq.half_plane))
+        (vp, gp, _), (vm, gm, _) = moved
+        assert np.all(np.abs((vp - vm) / (2 * eps) - grad[:, i]) <= 1e-6 * scale)
+        assert np.all(np.abs((gp - gm) / (2 * eps) - hess[:, :, i]) <= 1e-5 * scale[:, None])
