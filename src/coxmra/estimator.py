@@ -13,10 +13,11 @@ eigenbasis, so k rows stand for the whole matrix.
 The empirical contrast of each row is minimized over a box domain: each
 row is seeded at the best candidate of a coarse grid and refined by a
 projected Newton search in the free coordinates, run in lockstep for all
-rows of every lattice shape fitted together (`_newton`).  Seeds and steps
-alike evaluate the contrast with `spectral._contrast`, a fixed-order sum
-per row over the off-axis half plane of its shape, and take its
-derivatives from `spectral._contrast_derivatives`, so a row's fit depends
+rows of every lattice shape fitted together (`_newton`).  The seeds are
+scored by `spectral._contrast`; each Newton round takes the contrast and
+its derivatives of its moving rows, whatever their shape, from one
+`spectral._contrast_derivatives` call.  Both sum per row, in a fixed
+order, over the off-axis half plane of its shape, so a row's fit depends
 neither on what is fitted beside it nor on the BLAS thread count.
 Eigenvalue estimates follow from the assembled operator matrices.
 """
@@ -145,14 +146,12 @@ class ThetaDomain:
         return bool(edge_norm(th, self.couple_l3) > 1 - _BOUNDARY_MARGIN - _BOUNDARY_SLACK)
 
 
-def _lexicographic_argmin(values: np.ndarray, thetas: np.ndarray) -> int:
-    """Index of the minimum, ties broken by smallest lexicographic theta."""
-    min_val = values.min()
-    tied = np.flatnonzero(values <= min_val + 1e-15)
-    if tied.size == 1:
-        return int(tied[0])
-    order = np.lexsort((thetas[tied, 2], thetas[tied, 1], thetas[tied, 0]))
-    return int(tied[order[0]])
+def _lexicographic_argmin(values: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """Index of the least of each row of values (..., m) over the candidates
+    `thetas` (m, 3); ties within 1e-15 go to the lexicographically least theta."""
+    order = np.lexsort(thetas.T[::-1])
+    tied = values[..., order] <= values.min(axis=-1, keepdims=True) + 1e-15
+    return order[tied.argmax(axis=-1)]
 
 
 def _estimate_rows(
@@ -166,18 +165,17 @@ def _estimate_rows(
     `groups` is consumed once: a group's full-plane weights are dropped
     once it is seeded.  Each row is seeded at the candidate of least
     `_contrast`, ties broken by `_lexicographic_argmin`, and refined by
-    `_newton`, whose evaluations of the rows of one lattice shape are one
-    `_contrast_derivatives` call.  Every value is the `_contrast` of one
-    row's folded weights at one candidate, so a row's bits do not depend
-    on the rows beside it.
+    `_newton`, each of whose rounds evaluates its moving rows of every
+    lattice shape in one `_contrast_derivatives` call.  Every value is the
+    contrast of one row's folded weights at one candidate, so a row's bits
+    do not depend on the rows beside it.
     """
     cand = domain.candidates()
     cand_coefs = _symbol_coefficients(cand)
     seeded = []
     for freq, w in groups:
         hw = freq.fold(w)
-        seeds = _contrast(hw[:, None, :], cand_coefs, freq.half_plane)
-        first = np.array([_lexicographic_argmin(row, cand) for row in seeds], dtype=int)
+        first = _lexicographic_argmin(_contrast(hw[:, None, :], cand_coefs, freq.half_plane), cand)
         seeded.append((freq.half_plane, hw, w.sum(axis=1), first))
     tables, folded, moments, first = zip(*seeded)
     moments, first = map(np.concatenate, (moments, first))
@@ -186,14 +184,9 @@ def _estimate_rows(
     def evaluate(rows: np.ndarray, thetas: np.ndarray):
         # rows ascend, so each group's rows are one slice
         cuts = np.searchsorted(rows, offsets)
-        free = 2 if domain.couple_l3 else 3
-        out = np.empty(rows.size), np.empty((rows.size, free)), np.empty((rows.size, free, free))
-        for hw, table, lo, a, b in zip(folded, tables, offsets, cuts[:-1], cuts[1:]):
-            if a < b:
-                parts = _contrast_derivatives(hw[rows[a:b] - lo], thetas[a:b], domain.couple_l3, table)
-                for whole, part in zip(out, parts):
-                    whole[a:b] = part
-        return out
+        moving = [(hw[rows[a:b] - lo], table)
+                  for hw, table, lo, a, b in zip(folded, tables, offsets, cuts[:-1], cuts[1:]) if a < b]
+        return _contrast_derivatives(moving, thetas, domain.couple_l3)
 
     return (*_newton(evaluate, cand[first], moments, domain), moments)
 
@@ -273,12 +266,13 @@ def _newton(evaluate, theta: np.ndarray, scale: np.ndarray, domain: ThetaDomain)
         if domain.couple_l3:
             trial[:, 2] = -(trial[:, 0] * trial[:, 1])
         move = np.flatnonzero(~done & ~release & (alpha > 0) & domain.contains(trial))
-        val, gr, he = evaluate(r[move], trial[move])
-        evals[r[move]] += 1
-        keep = val < value[r[move]]
         acc = np.zeros(r.size, dtype=bool)
-        acc[move[keep]] = True
-        theta[r[acc]], value[r[acc]], grad[r[acc]], hess[r[acc]] = trial[acc], val[keep], gr[keep], he[keep]
+        if move.size:
+            val, gr, he = evaluate(r[move], trial[move])
+            evals[r[move]] += 1
+            keep = val < value[r[move]]
+            acc[move[keep]] = True
+            theta[r[acc]], value[r[acc]], grad[r[acc]], hess[r[acc]] = trial[acc], val[keep], gr[keep], he[keep]
         # an accepted step holds the facet that cut it; a facet the row
         # touches that blocks the whole step is held too
         work[blocked & (acc | (alpha == 0)), block[blocked & (acc | (alpha == 0))]] = True

@@ -6,10 +6,12 @@ th3 e^{i(w1+w2)}|^2 = c0 + c1 cos w1 + c2 cos w2 + c3 cos(w1+w2) +
 c4 cos(w1-w2), the coefficients of a triple (`_symbol_coefficients`)
 times a cosine table (`_symbol_sq`), the fDFT with its 1-based site
 phase (`all_periodograms`), and the contrast weight eta = |w1|^2 |w2|^2
-(`FrequencyGrid.eta`).  It also holds the one contrast evaluator,
-`_contrast`, which the estimator's seeds and Newton steps and the
-population `contrast_functional` all call, and its gradient and Hessian
-in the AR coefficients (`_contrast_derivatives`).
+(`FrequencyGrid.eta`).  It also holds the one contrast, minus folded
+weights times the normalised log-density `_log_psi` of a squared symbol:
+`_contrast` scores the estimator's seeds and the population
+`contrast_functional` with it, and `_contrast_derivatives` gives it with
+its gradient and Hessian in the AR coefficients for every row of a
+Newton round, all lattice shapes in one call.
 
 Frequencies live on the Fourier grid of the observation lattice, reported
 in the symmetric fundamental domain (-pi, pi]^2 so that eta is an even
@@ -28,8 +30,8 @@ from functools import cached_property
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
-# log-density elements (candidates x half-plane points) `_contrast` scores
-# every row against at once
+# elements (rows x candidates x half-plane points) of one product in which
+# `_contrast` scores rows against candidates
 _SCORE_BLOCK = 1 << 16
 
 
@@ -68,8 +70,9 @@ class FrequencyGrid:
     def w2(self) -> np.ndarray:
         return _fundamental(TWO_PI * np.arange(self.s2) / self.s2)
 
+    @cached_property
     def mesh(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.meshgrid(self.w1, self.w2, indexing="ij")
+        return tuple(map(_readonly, np.meshgrid(self.w1, self.w2, indexing="ij")))
 
     @property
     def cell_measure(self) -> float:
@@ -79,7 +82,7 @@ class FrequencyGrid:
     @cached_property
     def cosines(self) -> np.ndarray:
         """1, cos w1, cos w2, cos(w1 + w2), cos(w1 - w2) over the flattened grid, (5, N)."""
-        w1, w2 = (w.ravel() for w in self.mesh())
+        w1, w2 = (w.ravel() for w in self.mesh)
         cos = [np.ones_like(w1), np.cos(w1), np.cos(w2), np.cos(w1 + w2), np.cos(w1 - w2)]
         return _readonly(np.stack(cos))
 
@@ -113,7 +116,7 @@ class FrequencyGrid:
         Vanishes on the axes, removing the zero frequency (and with it any
         imperfect-detrending DC bias) from every contrast integral.
         """
-        w1, w2 = self.mesh()
+        w1, w2 = self.mesh
         return _readonly((np.abs(w1) ** 2 * np.abs(w2) ** 2).ravel())
 
     @cached_property
@@ -205,12 +208,11 @@ def _inverse_symbol_sq(thetas: np.ndarray, freq: FrequencyGrid) -> np.ndarray:
     return 1.0 / _symbol_sq(_symbol_coefficients(thetas), freq.cosines)
 
 
-def _log_psi(coefs: np.ndarray, cosines: np.ndarray, eta_measure: np.ndarray) -> np.ndarray:
-    """log Psi = log(f / sigma2) of m candidates' `_symbol_coefficients`
-    over a cosine table, f the spectral density at unit innovation variance
-    and sigma2 its integral under the Riemann weights `eta_measure`, so
-    every row of exp(log Psi) has unit weighted mass."""
-    sym = _symbol_sq(coefs, cosines)
+def _log_psi(sym: np.ndarray, eta_measure: np.ndarray) -> np.ndarray:
+    """log Psi = log(f / sigma2) of m candidates' squared symbols
+    (`_symbol_sq`, (m, N)), f the spectral density at unit innovation
+    variance and sigma2 its integral under the Riemann weights
+    `eta_measure`, so every row of exp(log Psi) has unit weighted mass."""
     scale = (eta_measure / sym).sum(axis=-1)
     if (scale <= 0).any():
         raise ValueError("degenerate weight: eta-weighted density integrates to zero")
@@ -218,7 +220,7 @@ def _log_psi(coefs: np.ndarray, cosines: np.ndarray, eta_measure: np.ndarray) ->
 
 
 def _contrast(folded: np.ndarray, coefs: np.ndarray, table: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """The one contrast evaluator: minus folded weights times the `_log_psi`
+    """The contrast of candidates: minus folded weights times the `_log_psi`
     rows of candidates' coefficients on a `half_plane` table, summed over
     each row by numpy's pairwise sum.  That sum has a fixed order for a
     given length and uses no BLAS, so a contrast's bits depend neither on
@@ -226,16 +228,17 @@ def _contrast(folded: np.ndarray, coefs: np.ndarray, table: tuple[np.ndarray, np
 
     Folded weights (m, N') pair row i with candidate i.  Folded weights
     (rows, 1, N') score every row against every candidate, (rows, m), one
-    row and one block of candidates at a time, so the largest temporary
-    holds `_SCORE_BLOCK` elements whatever the rows and candidates."""
+    block of candidates and as many rows as fit beside it at a time, so
+    the largest temporary holds `_SCORE_BLOCK` elements whatever they are."""
     if folded.ndim < 3:
-        return -(folded * _log_psi(coefs, *table)).sum(axis=-1)
+        return -(folded * _log_psi(_symbol_sq(coefs, table[0]), table[1])).sum(axis=-1)
     out = np.empty((folded.shape[0], coefs.shape[0]))
     step = max(1, _SCORE_BLOCK // table[1].size)
     for i in range(0, coefs.shape[0], step):
-        log_psi = _log_psi(coefs[i : i + step], *table)
-        for row, scores in zip(folded[:, 0], out):
-            scores[i : i + step] = -(row * log_psi).sum(axis=-1)
+        log_psi = _log_psi(_symbol_sq(coefs[i : i + step], table[0]), table[1])
+        rows = max(1, _SCORE_BLOCK // log_psi.size)
+        for r in range(0, folded.shape[0], rows):
+            out[r : r + rows, i : i + step] = -(folded[r : r + rows] * log_psi).sum(axis=-1)
     return out
 
 
@@ -243,34 +246,36 @@ def _coefficient_derivatives(thetas: np.ndarray, couple_l3: bool) -> tuple[np.nd
     """First and second derivatives of m candidates' `_symbol_coefficients`
     in their free coordinates, (m, f, 5) and (m, f, f, 5): th1, th2 and th3,
     or th1 and th2 with th3 = -th1 th2 entering by the chain rule."""
-    t1, t2, t3 = np.asarray(thetas, dtype=float).T
-    one, zero = np.ones_like(t1), np.zeros_like(t1)
-    # d c / d th_i, rows th1, th2, th3
-    dc = 2.0 * np.stack([np.stack(d, axis=-1) for d in (
-        (t1, -one, t3, zero, t2), (t2, t3, -one, zero, t1), (t3, t2, t1, -one, zero))], axis=1)
-    # d2 c / d th_i d th_j: constant, since every coefficient is quadratic
-    d2c = np.zeros((t1.size, 3, 3, 5))
-    d2c[:, [0, 1, 2], [0, 1, 2], 0] = 2.0  # c0: th1^2 + th2^2 + th3^2
-    d2c[:, [1, 2], [2, 1], 1] = 2.0  # c1: 2 th2 th3
-    d2c[:, [0, 2], [2, 0], 2] = 2.0  # c2: 2 th1 th3
-    d2c[:, [0, 1], [1, 0], 4] = 2.0  # c4: 2 th1 th2
+    th = np.asarray(thetas, dtype=float)
+    m = th.shape[0]
+    # d c / d th_i, rows th1, th2, th3, gathered from 2 (th1, th2, th3, -1, 0);
+    # np.take keeps them C-ordered, as `_symbol_sq` needs for batch-free bits
+    gather = [[0, 3, 2, 4, 1], [1, 2, 3, 4, 0], [2, 1, 0, 3, 4]]
+    dc = 2.0 * np.take(np.hstack([th, np.full((m, 1), -1.0), np.zeros((m, 1))]), gather, axis=1)
+    # d2 c / d th_i d th_j: constant, since every coefficient is quadratic;
+    # c0 = 1 + th1^2 + th2^2 + th3^2, c1 = 2 th2 th3, c2 = 2 th1 th3, c4 = 2 th1 th2
+    d2c = np.zeros((3, 3, 5))
+    for i, j, k in (0, 0, 0), (1, 1, 0), (2, 2, 0), (1, 2, 1), (2, 1, 1), (0, 2, 2), (2, 0, 2), (0, 1, 4), (1, 0, 4):
+        d2c[i, j, k] = 2.0
     if not couple_l3:
-        return dc, d2c
+        return dc, np.broadcast_to(d2c, (m, 3, 3, 5))
     # th3 = -th1 th2: d th3 / d th1 = -th2, d th3 / d th2 = -th1, d2 th3 / d th1 d th2 = -1
-    u1, u2 = -t2[:, None], -t1[:, None]
-    free_dc = np.stack([dc[:, 0] + u1 * dc[:, 2], dc[:, 1] + u2 * dc[:, 2]], axis=1)
-    c00 = d2c[:, 0, 0] + 2.0 * u1 * d2c[:, 0, 2] + u1 * u1 * d2c[:, 2, 2]
-    c11 = d2c[:, 1, 1] + 2.0 * u2 * d2c[:, 1, 2] + u2 * u2 * d2c[:, 2, 2]
-    c01 = d2c[:, 0, 1] + u2 * d2c[:, 0, 2] + u1 * d2c[:, 2, 1] + u1 * u2 * d2c[:, 2, 2] - dc[:, 2]
-    return free_dc, np.stack([np.stack([c00, c01], axis=1), np.stack([c01, c11], axis=1)], axis=1)
+    u = -th[:, [1, 0], None]
+    u1, u2 = u[:, 0], u[:, 1]
+    free_dc = dc[:, :2] + u * dc[:, 2:]
+    c00 = d2c[0, 0] + 2.0 * u1 * d2c[0, 2] + u1 * u1 * d2c[2, 2]
+    c11 = d2c[1, 1] + 2.0 * u2 * d2c[1, 2] + u2 * u2 * d2c[2, 2]
+    c01 = d2c[0, 1] + u2 * d2c[0, 2] + u1 * d2c[2, 1] + u1 * u2 * d2c[2, 2] - dc[:, 2]
+    return free_dc, np.stack([c00, c01, c01, c11], axis=1).reshape(m, 2, 2, 5)
 
 
 def _contrast_derivatives(
-    folded: np.ndarray, thetas: np.ndarray, couple_l3: bool, table: tuple[np.ndarray, np.ndarray]
+    groups: list[tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]], thetas: np.ndarray, couple_l3: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`_contrast` of m rows (m, N') at one candidate each (m, 3), with its
-    gradient (m, f) and Hessian (m, f, f) in the candidates' free
-    coordinates (`_coefficient_derivatives`).
+    """`_contrast` of the rows of every (folded weights (m_g, N'_g),
+    `half_plane` table) group, in order, at one candidate each (sum m_g,
+    3), with its gradient (rows, f) and Hessian (rows, f, f) in the
+    candidates' free coordinates (`_coefficient_derivatives`).
 
     With S the squared symbol, A = cos / S, h the folded weights, e the
     folded eta measure, H = sum h and Z = sum e / S, the contrast is
@@ -281,34 +286,35 @@ def _contrast_derivatives(
 
     mapped to theta through dc/dtheta (whose columns B = dS/dtheta / S
     carry the A A^T terms) plus the second derivatives of c against dL/dc.
-    Every sum over the half plane is a pairwise row sum, as in `_contrast`;
-    the largest temporary is (m, 5, N')."""
-    cosines, eta_measure = table
+    Only the half-plane sums, pairwise row sums as in `_contrast`, run per
+    group, whose largest temporary is (m_g, 5, N'_g); the algebra in theta
+    runs once over all rows, elementwise, so a row's bits depend neither on
+    its group nor on the rows beside it."""
     coefs = _symbol_coefficients(thetas)
-    values = _contrast(folded, coefs, table)
     dc, d2c = _coefficient_derivatives(thetas, couple_l3)
     m, f = dc.shape[:2]
-    sym = _symbol_sq(coefs, cosines)
-    tilt = eta_measure / sym  # e / S
-    total, z = folded.sum(axis=-1), tilt.sum(axis=-1)
-    ratio = total / z  # H / Z
-    # dL/dc and g_Z, (m, 5)
-    dl_dc = (((folded - ratio[:, None] * tilt) / sym)[:, None, :] * cosines).sum(axis=-1)
-    gz_dc = ((tilt / sym)[:, None, :] * cosines).sum(axis=-1)
+    values, ratio, z = np.empty(m), np.empty(m), np.empty(m)  # L, H / Z and Z
+    dl_dc, gz_dc, terms = np.empty((m, 5)), np.empty((m, 5)), np.empty((m, f, f))
+    stops = np.cumsum([len(folded) for folded, _ in groups])
+    for (folded, (cosines, eta_measure)), stop in zip(groups, stops):
+        g = slice(stop - len(folded), stop)
+        sym = _symbol_sq(coefs[g], cosines)
+        values[g] = -(folded * _log_psi(sym, eta_measure)).sum(axis=-1)
+        tilt = eta_measure / sym  # e / S
+        z[g] = tilt.sum(axis=-1)
+        ratio[g] = folded.sum(axis=-1) / z[g]
+        dl_dc[g] = (((folded - ratio[g, None] * tilt) / sym)[:, None, :] * cosines).sum(axis=-1)
+        gz_dc[g] = ((tilt / sym)[:, None, :] * cosines).sum(axis=-1)
+        # the A A^T terms: sum (2 (H / Z) e / S - h) B_a B_b
+        b = _symbol_sq(dc[g].reshape(-1, 5), cosines).reshape(-1, f, sym.shape[1]) / sym[:, None, :]
+        wb = (2.0 * ratio[g, None] * tilt - folded)[:, None, :] * b
+        for i in range(f):
+            terms[g, i, i:] = terms[g, i:, i] = (wb[:, i, None, :] * b[:, i:]).sum(axis=-1)
     grad = (dc * dl_dc[:, None, :]).sum(axis=-1)
     g_z = (dc * gz_dc[:, None, :]).sum(axis=-1)
     hess = (d2c * dl_dc[:, None, None, :]).sum(axis=-1)
     hess -= (ratio / z)[:, None, None] * g_z[:, :, None] * g_z[:, None, :]
-    # the A A^T terms: sum (2 (H / Z) e / S - h) B_a B_b
-    b = _symbol_sq(dc.reshape(-1, 5), cosines).reshape(m, f, -1) / sym[:, None, :]
-    w = 2.0 * ratio[:, None] * tilt - folded
-    for i in range(f):
-        wb = w * b[:, i]
-        for j in range(i, f):
-            term = (wb * b[:, j]).sum(axis=-1)
-            hess[:, i, j] += term
-            if j != i:
-                hess[:, j, i] += term
+    hess += terms
     return values, grad, hess
 
 
@@ -343,5 +349,5 @@ def divergence(theta0, theta, freq: FrequencyGrid) -> float:
     """
     weights = _population_weights(theta0, freq)
     coefs = np.vstack([_stationary_coefficients(theta0), _stationary_coefficients(theta)])
-    lp = _log_psi(coefs, *freq.half_plane)
+    lp = _log_psi(_symbol_sq(coefs, freq.half_plane[0]), freq.half_plane[1])
     return float((weights * (lp[0] - lp[1])).sum())

@@ -30,6 +30,7 @@ from coxmra.spectral import (
     _inverse_symbol_sq,
     _log_psi,
     _symbol_coefficients,
+    _symbol_sq,
     contrast_weights,
     stationarity_check,
 )
@@ -77,7 +78,7 @@ def log_psi(thetas: np.ndarray, freq: FrequencyGrid) -> np.ndarray:
     """log of the scale-free density Psi for m candidates over the full
     grid, shape (m, N): sum(exp(log_psi) * eta) * cell_measure == 1 for
     every row."""
-    return _log_psi(_symbol_coefficients(thetas), freq.cosines, freq.eta_measure)
+    return _log_psi(_symbol_sq(_symbol_coefficients(thetas), freq.cosines), freq.eta_measure)
 
 
 def empirical_contrast(cross: np.ndarray, theta) -> float:
@@ -193,17 +194,21 @@ def pattern_search(contrast, start, start_val: float, domain: ThetaDomain,
 def estimate_rows_one_by_one(weights: np.ndarray, freq: FrequencyGrid, domain: ThetaDomain):
     """`_estimate_rows` one row at a time: the seeding grid, then
     `pattern_search` with one single-candidate half-plane contrast per call."""
-    table = freq.half_plane
+    cosines, eta_measure = freq.half_plane
+
+    def half_plane_log_psi(thetas):
+        return _log_psi(_symbol_sq(_symbol_coefficients(thetas), cosines), eta_measure)
+
     cand = domain.candidates()
-    log_psi_cand = _log_psi(_symbol_coefficients(cand), *table)
+    log_psi_cand = half_plane_log_psi(cand)
     step0 = max((hi - lo) / (_COARSE_POINTS - 1) for lo, hi in domain.bounds) * 0.5
     thetas, values, iters = [], [], []
-    for row in freq.fold(weights):
-        seeds = -np.vecdot(row, log_psi_cand)
-        j = _lexicographic_argmin(seeds, cand)
+    folded = freq.fold(weights)
+    seeds = np.array([-np.vecdot(row, log_psi_cand) for row in folded])
+    for row, row_seeds, j in zip(folded, seeds, _lexicographic_argmin(seeds, cand)):
         theta, value, it = pattern_search(
-            lambda th: float(-np.vecdot(row, _log_psi(_symbol_coefficients(th[None, :]), *table)[0])),
-            cand[j], seeds[j], domain, step0,
+            lambda th: float(-np.vecdot(row, half_plane_log_psi(th[None, :])[0])),
+            cand[j], row_seeds[j], domain, step0,
         )
         thetas.append(theta)
         values.append(value)

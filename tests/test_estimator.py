@@ -183,6 +183,17 @@ def test_lexicographic_tie_break_deterministic():
     assert _lexicographic_argmin(np.array([1e-14, 0.0]), pts[1::-1]) == 1
     # a strictly smaller value wins whatever its theta
     assert _lexicographic_argmin(np.array([0.5, 0.3, 0.4]), pts[:3]) == 1
+    # many rows at once: each row's answer is its own, row by row and by
+    # brute force over its ties
+    rng = np.random.default_rng(0)
+    cand = ThetaDomain().candidates()
+    cand = cand[rng.permutation(len(cand))]
+    values = 1.0 + rng.choice([0.0, 5e-16, 1e-15, 3e-15, 1.0], size=(40, len(cand)), p=[0.02, 0.02, 0.02, 0.04, 0.9])
+    rows = _lexicographic_argmin(values, cand)
+    assert rows.shape == (40,)
+    assert rows.tolist() == [_lexicographic_argmin(row, cand) for row in values]
+    assert rows.tolist() == [min(np.flatnonzero(row <= row.min() + 1e-15), key=lambda j: tuple(cand[j]))
+                             for row in values]
 
 
 def test_sigma2_moment_and_innovation_variance():
@@ -282,7 +293,7 @@ def test_lockstep_search_is_optimal(shapes, n, cross, domain, seed):
     for freq, weights in groups:
         for folded in freq.fold(weights):
             theta, value = next(rows)
-            contrast, grad, _ = _contrast_derivatives(folded[None], theta[None], domain.couple_l3, freq.half_plane)
+            contrast, grad, _ = _contrast_derivatives([(folded[None], freq.half_plane)], theta[None], domain.couple_l3)
             assert contrast[0] == value
             # zero gradient inside, nonnegative multipliers on the facets
             assert _kkt_residual(grad[0], _tight_normals(theta, domain)) <= 1e-6 * (folded.sum() + abs(value))
@@ -346,6 +357,32 @@ def test_estimate_many_searches_all_shapes_at_once(monkeypatch):
     assert searches == [[((5, 6), 6), ((6, 5), 4), ((7, 7), 2)]]
     assert [r.n_sites for r in reports] == [30, 30, 30, 49, 30, 30]
     assert estimate_many([], ThetaDomain()) == []
+
+
+def test_newton_round_makes_one_derivative_call(monkeypatch):
+    # a round of the lockstep search evaluates its moving rows of every
+    # lattice shape in one `_contrast_derivatives` call
+    calls = {"derivatives": 0, "evaluate": 0}
+    derivatives, newton = estimator_module._contrast_derivatives, estimator_module._newton
+
+    def counted_derivatives(*args):
+        calls["derivatives"] += 1
+        return derivatives(*args)
+
+    def counted_newton(evaluate, *args):
+        def counted_evaluate(*rows_thetas):
+            calls["evaluate"] += 1
+            return evaluate(*rows_thetas)
+
+        return newton(counted_evaluate, *args)
+
+    monkeypatch.setattr(estimator_module, "_contrast_derivatives", counted_derivatives)
+    monkeypatch.setattr(estimator_module, "_newton", counted_newton)
+    searches = _count_searches(monkeypatch)
+    estimate_many(_coeff_sets(_SHAPES, _PICKS, depth=1), ThetaDomain())
+    assert [len(groups) for groups in searches] == [3]
+    assert calls["evaluate"] > 1
+    assert calls["derivatives"] == calls["evaluate"]
 
 
 @pytest.mark.parametrize("cross", [False, True])

@@ -10,6 +10,7 @@ from coxmra.spectral import (
     _inverse_symbol_sq,
     _log_psi,
     _symbol_coefficients,
+    _symbol_sq,
     all_periodograms,
     contrast_functional,
     contrast_weights,
@@ -52,7 +53,7 @@ def test_fdft_single_site_phase():
     expected = np.exp(-1j * (w[0] + w[1])) / (2 * np.pi * 3.0)
     assert fdft(x, w) == pytest.approx(expected, abs=1e-14)
     # the FFT path applies the same 1-based phase at every Fourier frequency
-    w1, w2 = FrequencyGrid(3, 3).mesh()
+    w1, w2 = FrequencyGrid(3, 3).mesh
     np.testing.assert_allclose(
         all_periodograms(x[:, :, None])[:, :, 0],
         np.exp(-1j * (w1 + w2)) / (2 * np.pi * 3.0),
@@ -145,7 +146,7 @@ def test_contrast_rejects_nonstationary():
 def test_eta_weight_even_and_axis_zero(s1, s2):
     freq = FrequencyGrid(s1, s2)
     eta = freq.eta.reshape(s1, s2)
-    w1, w2 = freq.mesh()
+    w1, w2 = freq.mesh
     np.testing.assert_allclose(eta, w1**2 * w2**2, rtol=1e-15)
     # zero frequency sits at index 0 of each axis
     assert not eta[0].any() and not eta[:, 0].any()
@@ -166,7 +167,7 @@ def test_normalised_density_unit_mass(s1, s2, th):
     assert mass == pytest.approx(1.0, rel=1e-12)
     # the estimator's density has unit mass on the folded half plane too
     cosines, eta_measure = freq.half_plane
-    half = _log_psi(_symbol_coefficients(np.array([th])), cosines, eta_measure)
+    half = _log_psi(_symbol_sq(_symbol_coefficients(np.array([th])), cosines), eta_measure)
     assert half.shape == (1, eta_measure.size) and np.isfinite(half).all()
     assert np.exp(half[0]) @ eta_measure == pytest.approx(1.0, rel=1e-12)
 
@@ -177,8 +178,9 @@ def test_normalised_density_unit_mass(s1, s2, th):
 def test_log_psi_batched_matches_single(s1, s2, thetas, seed):
     freq = FrequencyGrid(s1, s2)
     coefs = _symbol_coefficients(np.array(thetas))
-    batch = _log_psi(coefs, *freq.half_plane)
-    single = np.vstack([_log_psi(c[None, :], *freq.half_plane) for c in coefs])
+    cosines, eta_measure = freq.half_plane
+    batch = _log_psi(_symbol_sq(coefs, cosines), eta_measure)
+    single = np.vstack([_log_psi(_symbol_sq(c[None, :], cosines), eta_measure) for c in coefs])
     assert np.array_equal(batch, single)
     # the contrasts the estimator seeds from batched rows equal those of
     # one candidate at a time, and match the full-plane reference
@@ -272,27 +274,40 @@ inner_thetas = st.tuples(_inner, _inner, _inner).map(
 
 
 @given(sides, sides, st.lists(inner_thetas, min_size=1, max_size=4), st.booleans(),
-       st.integers(min_value=0, max_value=10**6))
-@example(2, 2, [(0.3, 0.5, -0.15)], False, 0)
+       st.integers(min_value=0, max_value=10**6), st.lists(inner_thetas, min_size=1, max_size=3))
+@example(2, 2, [(0.3, 0.5, -0.15)], False, 0, [(0.1, -0.2, 0.05)])
 @settings(max_examples=50, deadline=None)
-def test_contrast_derivatives_match_finite_differences(s1, s2, thetas, couple, seed):
+def test_contrast_derivatives_match_finite_differences(s1, s2, thetas, couple, seed, other):
     # the gradient and Hessian in the free coordinates are central
-    # differences of `_contrast` and of the gradient; th3 = -th1 th2 when coupled
-    freq = FrequencyGrid(s1, s2)
-    x = np.random.default_rng(seed).normal(size=(s1, s2, len(thetas)))
-    f = all_periodograms(x).reshape(-1, len(thetas))
-    folded = freq.fold(np.array([contrast_weights(np.abs(f[:, a]) ** 2 + 0j, freq) for a in range(len(thetas))]))
-    th = np.array(thetas)
-    if couple:
-        th[:, 2] = -th[:, 0] * th[:, 1]
-    values, grad, hess = _contrast_derivatives(folded, th, couple, freq.half_plane)
-    assert np.array_equal(values, _contrast(folded, _symbol_coefficients(th), freq.half_plane))
-    # a row's bits do not depend on the rows beside it
-    for i in range(len(thetas)):
-        alone = _contrast_derivatives(folded[i : i + 1], th[i : i + 1], couple, freq.half_plane)
-        assert all(np.array_equal(part[i], one[0]) for part, one in zip((values, grad, hess), alone))
+    # differences of `_contrast` and of the gradient; th3 = -th1 th2 when
+    # coupled.  A second group of another shape, (s2, s1 + 1), rides along.
+    groups, ths = [], []
+    for shape, group_thetas in (((s1, s2), thetas), ((s2, s1 + 1), other)):
+        freq = FrequencyGrid(*shape)
+        x = np.random.default_rng(seed + len(groups)).normal(size=(*shape, len(group_thetas)))
+        f = all_periodograms(x).reshape(-1, len(group_thetas))
+        weights = [contrast_weights(np.abs(f[:, a]) ** 2 + 0j, freq) for a in range(len(group_thetas))]
+        th = np.array(group_thetas)
+        if couple:
+            th[:, 2] = -th[:, 0] * th[:, 1]
+        groups.append((freq.fold(np.array(weights)), freq.half_plane))
+        ths.append(th)
+    th = np.vstack(ths)
+    values, grad, hess = _contrast_derivatives(groups, th, couple)
+    # a row's bits depend neither on its group nor on the rows beside it,
+    # and its value is `_contrast`'s
+    start = 0
+    for (folded, table), group_th in zip(groups, ths):
+        rows = slice(start, start + len(folded))
+        start = rows.stop
+        assert np.array_equal(values[rows], _contrast(folded, _symbol_coefficients(group_th), table))
+        group = _contrast_derivatives([(folded, table)], group_th, couple)
+        assert all(np.array_equal(part[rows], one) for part, one in zip((values, grad, hess), group))
+        for i in range(len(folded)):
+            alone = _contrast_derivatives([(folded[i : i + 1], table)], group_th[i : i + 1], couple)
+            assert all(np.array_equal(part[rows][i], one[0]) for part, one in zip((values, grad, hess), alone))
     free, eps = (2 if couple else 3), 1e-5
-    scale = folded.sum(axis=1) + np.abs(values)
+    scale = np.concatenate([folded.sum(axis=1) for folded, _ in groups]) + np.abs(values)
     for i in range(free):
         moved = []
         for sign in (1.0, -1.0):
@@ -300,7 +315,7 @@ def test_contrast_derivatives_match_finite_differences(s1, s2, thetas, couple, s
             t[:, i] += sign * eps
             if couple:
                 t[:, 2] = -t[:, 0] * t[:, 1]
-            moved.append(_contrast_derivatives(folded, t, couple, freq.half_plane))
+            moved.append(_contrast_derivatives(groups, t, couple))
         (vp, gp, _), (vm, gm, _) = moved
         assert np.all(np.abs((vp - vm) / (2 * eps) - grad[:, i]) <= 1e-6 * scale)
         assert np.all(np.abs((gp - gm) / (2 * eps) - hess[:, :, i]) <= 1e-5 * scale[:, None])
