@@ -7,7 +7,6 @@ domain, plug-in prediction, and Poisson count generation.
 
 from .grids import (
     FunctionalField,
-    MeanCurve,
     SpatialGrid,
     TimeGrid,
     detrend,
@@ -37,7 +36,7 @@ from .estimator import (
     estimate_all,
     truncation_parameter,
 )
-from .cox import CountGrid, IntensityField, integrated_intensity, intensity, moment_bound_check, sample_counts
+from .cox import CountGrid, integrated_intensity, intensity, moment_bound_check, sample_counts
 from .predict import PredictionResult, ValidationSummary, loo_validate, predict
 
 __all__ = [name for name in dir() if not name.startswith("_")]

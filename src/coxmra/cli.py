@@ -123,7 +123,7 @@ def estimate(obj, field_file):
     mean_path = obj["out"] / f"{stem}_mean.csv"
     estimator.save_report(report, report_path)
     estimator.save_eigenvalue_table(report, eig_path)
-    grids.write_csv(mean_path, ("t_index", "value"), [mean.values], origin=(0,))
+    grids.write_csv(mean_path, ("t_index", "value"), [mean], origin=(0,))
     _write_manifest(
         obj["out"], stem, cfg, "estimate",
         [p.name for p in (report_path, eig_path, mean_path)], [],
@@ -143,11 +143,11 @@ def predict_cmd(obj, field_file, report_file):
     mc = wavelet.field_dwt(residual, cfg.time.j0)
     result = predict_field(mc, report)
     out = obj["out"] / (Path(field_file).stem + "_predicted.csv")
-    # the mask holds exactly the sites from (1, 1) on
+    # the predicted sites are exactly those from (1, 1) on
     with _format_pool(obj["threads"]) as pool:
         grids.write_csv(
             out, ("p", "q", "t_index", "predicted", "residual"),
-            [result.predicted.values[1:, 1:] + mean.values, result.residuals.values[1:, 1:]],
+            [result.predicted.values[1:, 1:] + mean, result.residuals.values[1:, 1:]],
             origin=(1, 1, 0), pool=pool,
         )
     click.echo(str(out))

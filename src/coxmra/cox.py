@@ -7,31 +7,15 @@ integrating over the unit time interval gives the per-cell Poisson mean
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import FunctionalField, SpatialGrid, TimeGrid, write_csv
+from .grids import FunctionalField, SpatialGrid, write_csv
 from .sarh import SarhSpec
 from .wavelet import normalized_eigenfunctions
 
 _EXP_GUARD = 700.0  # exp overflow threshold for float64
-
-
-@dataclass(frozen=True)
-class IntensityField:
-    grid: SpatialGrid
-    time: TimeGrid
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        expected = (self.grid.s1, self.grid.s2, self.time.n)
-        if v.shape != expected:
-            raise ValueError(f"intensity shape {v.shape} != {expected}")
-        if not np.all(v > 0):
-            raise ValueError("intensity must be strictly positive")
-        object.__setattr__(self, "values", v)
 
 
 @dataclass(frozen=True)
@@ -54,20 +38,24 @@ class CountGrid:
         object.__setattr__(self, "means", m)
 
 
-def intensity(logfield: FunctionalField) -> IntensityField:
-    """Exponentiate the log-intensity field."""
+def intensity(logfield: FunctionalField) -> FunctionalField:
+    """Exponentiate the log-intensity field.  The intensity is finite and
+    strictly positive: a log-intensity whose exp overflows or underflows
+    to zero is rejected, naming its site."""
     log_values = logfield.values
     peak = np.max(log_values)
     if peak > _EXP_GUARD:
-        flat = np.argmax(log_values.max(axis=2))
-        site = tuple(int(i) for i in np.unravel_index(flat, (logfield.grid.s1, logfield.grid.s2)))
-        raise OverflowError(
-            f"log-intensity {peak:.1f} at site {site} would overflow exp"
-        )
-    return IntensityField(logfield.grid, logfield.time, np.exp(log_values))
+        site = np.unravel_index(log_values.max(axis=2).argmax(), log_values.shape[:2])
+        raise OverflowError(f"log-intensity {peak:.1f} at site {tuple(map(int, site))} would overflow exp")
+    values = np.exp(log_values)
+    if not np.all(values > 0):
+        low = log_values.min(axis=2)
+        site = np.unravel_index(low.argmin(), low.shape)
+        raise ValueError(f"log-intensity {low.min():.1f} at site {tuple(map(int, site))} underflows exp to zero")
+    return FunctionalField(logfield.grid, logfield.time, values)
 
 
-def integrated_intensity(fld: IntensityField) -> np.ndarray:
+def integrated_intensity(fld: FunctionalField) -> np.ndarray:
     """Per-cell time integral of the intensity (midpoint Riemann sum)."""
     return fld.values.sum(axis=2) * fld.time.weight
 

@@ -146,11 +146,13 @@ class ThetaDomain:
         return bool(edge_norm(th, self.couple_l3) > 1 - _BOUNDARY_MARGIN - _BOUNDARY_SLACK)
 
 
-def _lexicographic_argmin(values: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+def _lexicographic_argmin(values: np.ndarray, thetas: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """Index of the least of each row of values (..., m) over the candidates
-    `thetas` (m, 3); ties within 1e-15 go to the lexicographically least theta."""
+    `thetas` (m, 3); ties within 1e-15 times the row's `scale` (...,), its
+    weight sum, go to the lexicographically least theta, so scaling a
+    row's weights by a power of two leaves its choice unchanged."""
     order = np.lexsort(thetas.T[::-1])
-    tied = values[..., order] <= values.min(axis=-1, keepdims=True) + 1e-15
+    tied = values[..., order] <= values.min(axis=-1, keepdims=True) + 1e-15 * np.asarray(scale)[..., None]
     return order[tied.argmax(axis=-1)]
 
 
@@ -164,7 +166,8 @@ def _estimate_rows(
 
     `groups` is consumed once: a group's full-plane weights are dropped
     once it is seeded.  Each row is seeded at the candidate of least
-    `_contrast`, ties broken by `_lexicographic_argmin`, and refined by
+    `_contrast`, ties within 1e-15 times its weight sum broken by
+    `_lexicographic_argmin`, and refined by
     `_newton`, each of whose rounds evaluates its moving rows of every
     lattice shape in one `_contrast_derivatives` call.  Every value is the
     contrast of one row's folded weights at one candidate, so a row's bits
@@ -174,9 +177,9 @@ def _estimate_rows(
     cand_coefs = _symbol_coefficients(cand)
     seeded = []
     for freq, w in groups:
-        hw = freq.fold(w)
-        first = _lexicographic_argmin(_contrast(hw[:, None, :], cand_coefs, freq.half_plane), cand)
-        seeded.append((freq.half_plane, hw, w.sum(axis=1), first))
+        hw, moment = freq.fold(w), w.sum(axis=1)
+        first = _lexicographic_argmin(_contrast(hw[:, None, :], cand_coefs, freq.half_plane), cand, moment)
+        seeded.append((freq.half_plane, hw, moment, first))
     tables, folded, moments, first = zip(*seeded)
     moments, first = map(np.concatenate, (moments, first))
     offsets = np.cumsum([0] + [hw.shape[0] for hw in folded])

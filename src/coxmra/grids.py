@@ -62,20 +62,6 @@ class SpatialGrid:
 
 
 @dataclass(frozen=True)
-class MeanCurve:
-    time: TimeGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (self.time.n,):
-            raise ValueError(f"mean curve shape {v.shape} != ({self.time.n},)")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("mean curve contains non-finite values")
-        object.__setattr__(self, "values", v)
-
-
-@dataclass(frozen=True)
 class FunctionalField:
     """Array of curves over a spatial grid, shape (s1, s2, 2**depth)."""
 
@@ -93,18 +79,14 @@ class FunctionalField:
         object.__setattr__(self, "values", v)
 
 
-def detrend(fld: FunctionalField) -> tuple[FunctionalField, MeanCurve]:
+def detrend(fld: FunctionalField) -> tuple[FunctionalField, np.ndarray]:
     """Remove the cross-site sample mean curve.
 
-    Returns the residual field together with the removed mean; adding the
-    mean back reproduces the input exactly.
+    Returns the residual field together with the removed mean curve
+    (2**depth,); adding the mean back reproduces the input exactly.
     """
     mean = fld.values.mean(axis=(0, 1))
-    residual = fld.values - mean
-    return (
-        FunctionalField(fld.grid, fld.time, residual),
-        MeanCurve(fld.time, mean),
-    )
+    return FunctionalField(fld.grid, fld.time, fld.values - mean), mean
 
 
 # ---------------------------------------------------------------------------

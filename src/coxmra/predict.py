@@ -2,8 +2,9 @@
 
 Prediction applies the estimated operator matrices to the wavelet
 coefficients of the three causal neighbours (west, south, south-west in
-lattice order).  Sites on the first row or column lack a neighbour and
-are flagged as unpredicted rather than extrapolated.
+lattice order), one kernel (`_plug_in`) for the whole lattice and for
+every held-out fold.  Sites on the first row or column lack a neighbour
+and are left at zero rather than extrapolated.
 """
 
 from __future__ import annotations
@@ -20,54 +21,47 @@ from .wavelet import MultiscaleCoefficients, field_dwt, idwt
 
 @dataclass(frozen=True)
 class PredictionResult:
-    predicted: FunctionalField
+    predicted: FunctionalField  # zero on the first row and column
     residuals: FunctionalField
-    mask: np.ndarray  # True where a prediction exists
-
-    def __post_init__(self):
-        m = np.asarray(self.mask, dtype=bool)
-        if m.shape != (self.predicted.grid.s1, self.predicted.grid.s2):
-            raise ValueError("mask shape mismatch")
-        object.__setattr__(self, "mask", m)
 
 
-def predict_coeffs(
-    coeffs: MultiscaleCoefficients, report: EstimationReport
-) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficient-domain one-step prediction; returns (predicted, mask)."""
+def _plug_in(report: EstimationReport, west: np.ndarray, south: np.ndarray, southwest: np.ndarray) -> np.ndarray:
+    """M1 c_west + M2 c_south + M3 c_southwest of the report's operators,
+    over any leading axes of the neighbours' coefficients: three
+    non-optimised einsum terms added in this order, so a site's bits do
+    not depend on the sites beside it."""
+    m1, m2, m3 = (op.matrix for op in report.operators)
+    return (
+        np.einsum("ab,...b->...a", m1, west)
+        + np.einsum("ab,...b->...a", m2, south)
+        + np.einsum("ab,...b->...a", m3, southwest)
+    )
+
+
+def predict_coeffs(coeffs: MultiscaleCoefficients, report: EstimationReport) -> np.ndarray:
+    """Coefficient-domain one-step prediction, zero on the first row and
+    column."""
     if (report.j0, report.depth) != (coeffs.j0, coeffs.depth):
         raise ValueError(
             f"report layout (j0={report.j0}, depth={report.depth}) does not "
             f"match coefficients (j0={coeffs.j0}, depth={coeffs.depth})"
         )
     c = coeffs.coeffs
-    s1, s2, _ = c.shape
-    m1, m2, m3 = (op.matrix for op in report.operators)
     pred = np.zeros_like(c)
-    pred[1:, 1:] = (
-        np.einsum("ab,pqb->pqa", m1, c[:-1, 1:])
-        + np.einsum("ab,pqb->pqa", m2, c[1:, :-1])
-        + np.einsum("ab,pqb->pqa", m3, c[:-1, :-1])
-    )
-    mask = np.zeros((s1, s2), dtype=bool)
-    mask[1:, 1:] = True
-    return pred, mask
+    pred[1:, 1:] = _plug_in(report, c[:-1, 1:], c[1:, :-1], c[:-1, :-1])
+    return pred
 
 
-def predict(
-    coeffs: MultiscaleCoefficients, report: EstimationReport
-) -> PredictionResult:
+def predict(coeffs: MultiscaleCoefficients, report: EstimationReport) -> PredictionResult:
     """One-step plug-in prediction of every interior site's curve."""
-    pred_c, mask = predict_coeffs(coeffs, report)
     time = TimeGrid(coeffs.depth)
-    predicted = idwt(pred_c, coeffs.j0)
-    observed = idwt(coeffs.coeffs, coeffs.j0)
-    residuals = np.where(mask[:, :, None], observed - predicted, 0.0)
-    predicted = np.where(mask[:, :, None], predicted, 0.0)
+    predicted = idwt(predict_coeffs(coeffs, report), coeffs.j0)
+    residuals = idwt(coeffs.coeffs, coeffs.j0) - predicted
+    for values in predicted, residuals:
+        values[0] = values[:, 0] = 0.0
     return PredictionResult(
         FunctionalField(coeffs.grid, time, predicted),
         FunctionalField(coeffs.grid, time, residuals),
-        mask,
     )
 
 
@@ -149,7 +143,8 @@ def loo_validate(
 
     For each held-out interior site the model is re-estimated on the
     largest rectangular subgrid excluding the hold-out neighbourhood, the
-    held-out curve predicted from its observed causal neighbours, and the
+    held-out curve predicted from its observed causal neighbours, with the
+    bits `predict_coeffs` gives that site under the fold's fit, and the
     absolute functional error recorded.  `sites` restricts the folds
     (defaults to every interior site); fold order does not affect any
     aggregate.  Each training block is fitted once, in one `estimate_many`
@@ -161,24 +156,23 @@ def loo_validate(
     if len(sites) == 0:
         raise ValueError("no sites to validate: sites is empty")
     c = field_dwt(fld, j0).coeffs
-    blocks = []
-    for site in sorted(sites):
+    sites = sorted(sites)
+    blocks: dict[tuple[int, int, int, int], list[int]] = {}  # training block -> its folds
+    for i, site in enumerate(sites):
         if min(site) < 1:
             raise ValueError(f"site {site} has no causal neighbours")
         rs, cs = _training_block(s1, s2, site, neighborhood_radius)
-        blocks.append((site, (rs.start, rs.stop, cs.start, cs.stop)))
+        blocks.setdefault((rs.start, rs.stop, cs.start, cs.stop), []).append(i)
     # the Haar transform acts site by site: a block's coefficients are a slice of c
-    keys = list(dict.fromkeys(key for _, key in blocks))
     subs = [MultiscaleCoefficients(SpatialGrid(r1 - r0, c1 - c0), j0, fld.time.depth, c[r0:r1, c0:c1])
-            for r0, r1, c0, c1 in keys]
-    fits = dict(zip(keys, estimate_many(subs, domain, include_cross=include_cross)))
-    folds = []
-    for site, key in blocks:
-        p0, q0 = site
-        m1, m2, m3 = (op.matrix for op in fits[key].operators)
-        pred_c = m1 @ c[p0 - 1, q0] + m2 @ c[p0, q0 - 1] + m3 @ c[p0 - 1, q0 - 1]
-        abs_err = np.abs(fld.values[p0, q0] - idwt(pred_c, j0))
-        folds.append(FoldResult(site, float(abs_err.mean()), abs_err))
+            for r0, r1, c0, c1 in blocks]
+    folds = [None] * len(sites)
+    # a block's folds are predicted together; `_plug_in` gives each its lattice bits
+    for members, report in zip(blocks.values(), estimate_many(subs, domain, include_cross=include_cross)):
+        p, q = np.array([sites[i] for i in members]).T
+        errors = np.abs(fld.values[p, q] - idwt(_plug_in(report, c[p - 1, q], c[p, q - 1], c[p - 1, q - 1]), j0))
+        for i, err in zip(members, errors):
+            folds[i] = FoldResult(sites[i], float(err.mean()), err)
     return ValidationSummary(folds, period_length, fld.time.n)
 
 

@@ -193,10 +193,11 @@ def _symbol_sq(coefs: np.ndarray, cosines: np.ndarray) -> np.ndarray:
     """Squared AR symbol of m candidates' `_symbol_coefficients` over a
     cosine table, (m, N).
 
-    Each row is its own (1, 5) @ (5, N) product, so a candidate's values do
-    not depend on its batch.
+    Each row is its own (1, 5) @ (5, N) product of a C-ordered copy of the
+    rows, so a candidate's values depend neither on its batch nor on the
+    layout of the rows passed in.
     """
-    return (coefs[:, None, :] @ cosines)[:, 0]
+    return (np.ascontiguousarray(coefs)[:, None, :] @ cosines)[:, 0]
 
 
 def _inverse_symbol_sq(thetas: np.ndarray, freq: FrequencyGrid) -> np.ndarray:
@@ -220,18 +221,14 @@ def _log_psi(sym: np.ndarray, eta_measure: np.ndarray) -> np.ndarray:
 
 
 def _contrast(folded: np.ndarray, coefs: np.ndarray, table: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """The contrast of candidates: minus folded weights times the `_log_psi`
-    rows of candidates' coefficients on a `half_plane` table, summed over
-    each row by numpy's pairwise sum.  That sum has a fixed order for a
-    given length and uses no BLAS, so a contrast's bits depend neither on
-    its batch nor on the BLAS thread count.
-
-    Folded weights (m, N') pair row i with candidate i.  Folded weights
-    (rows, 1, N') score every row against every candidate, (rows, m), one
-    block of candidates and as many rows as fit beside it at a time, so
-    the largest temporary holds `_SCORE_BLOCK` elements whatever they are."""
-    if folded.ndim < 3:
-        return -(folded * _log_psi(_symbol_sq(coefs, table[0]), table[1])).sum(axis=-1)
+    """The contrast of every row of folded weights (rows, 1, N') at every
+    candidate's coefficients, (rows, m): minus the weights times the
+    candidate's `_log_psi` row on a `half_plane` table, summed over each
+    row by numpy's pairwise sum.  That sum has a fixed order for a given
+    length and uses no BLAS, so a contrast's bits depend neither on its
+    batch nor on the BLAS thread count.  Candidates are scored one block
+    at a time, beside as many rows as fit, so the largest temporary holds
+    `_SCORE_BLOCK` elements whatever they are."""
     out = np.empty((folded.shape[0], coefs.shape[0]))
     step = max(1, _SCORE_BLOCK // table[1].size)
     for i in range(0, coefs.shape[0], step):
@@ -248,8 +245,7 @@ def _coefficient_derivatives(thetas: np.ndarray, couple_l3: bool) -> tuple[np.nd
     or th1 and th2 with th3 = -th1 th2 entering by the chain rule."""
     th = np.asarray(thetas, dtype=float)
     m = th.shape[0]
-    # d c / d th_i, rows th1, th2, th3, gathered from 2 (th1, th2, th3, -1, 0);
-    # np.take keeps them C-ordered, as `_symbol_sq` needs for batch-free bits
+    # d c / d th_i, rows th1, th2, th3, gathered from 2 (th1, th2, th3, -1, 0)
     gather = [[0, 3, 2, 4, 1], [1, 2, 3, 4, 0], [2, 1, 0, 3, 4]]
     dc = 2.0 * np.take(np.hstack([th, np.full((m, 1), -1.0), np.zeros((m, 1))]), gather, axis=1)
     # d2 c / d th_i d th_j: constant, since every coefficient is quadratic;
@@ -338,7 +334,7 @@ def _population_weights(theta0, freq: FrequencyGrid) -> np.ndarray:
 def contrast_functional(theta0, theta, freq: FrequencyGrid) -> float:
     """Population analogue of the empirical contrast under theta0."""
     weights = _population_weights(theta0, freq)
-    return float(_contrast(weights, _stationary_coefficients(theta), freq.half_plane)[0])
+    return float(_contrast(weights[None, None, :], _stationary_coefficients(theta), freq.half_plane)[0, 0])
 
 
 def divergence(theta0, theta, freq: FrequencyGrid) -> float:

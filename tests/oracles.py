@@ -23,7 +23,7 @@ from coxmra.estimator import (
 )
 from coxmra.grids import FunctionalField, SpatialGrid, TimeGrid
 from coxmra.ingest import _EXACT_HIT, IDW_NEIGHBOURS, IDW_POWER
-from coxmra.predict import _training_block
+from coxmra.predict import _training_block, predict_coeffs
 from coxmra.spectral import (
     TWO_PI,
     FrequencyGrid,
@@ -205,7 +205,7 @@ def estimate_rows_one_by_one(weights: np.ndarray, freq: FrequencyGrid, domain: T
     thetas, values, iters = [], [], []
     folded = freq.fold(weights)
     seeds = np.array([-np.vecdot(row, log_psi_cand) for row in folded])
-    for row, row_seeds, j in zip(folded, seeds, _lexicographic_argmin(seeds, cand)):
+    for row, row_seeds, j in zip(folded, seeds, _lexicographic_argmin(seeds, cand, weights.sum(axis=1))):
         theta, value, it = pattern_search(
             lambda th: float(-np.vecdot(row, half_plane_log_psi(th[None, :])[0])),
             cand[j], row_seeds[j], domain, step0,
@@ -216,17 +216,19 @@ def estimate_rows_one_by_one(weights: np.ndarray, freq: FrequencyGrid, domain: T
     return np.array(thetas), np.array(values), np.array(iters)
 
 
-def loo_fold_by_fold(fld: FunctionalField, domain: ThetaDomain, j0: int, radius: int):
-    """(site, mafe, abs_error) of every interior fold, each with its own fit."""
+def loo_fold_by_fold(fld: FunctionalField, domain: ThetaDomain, j0: int, radius: int,
+                     include_cross: bool = False):
+    """(site, mafe, abs_error) of every interior fold, each with its own
+    fit and the lattice prediction `predict_coeffs` makes at its site."""
     s1, s2 = fld.grid.s1, fld.grid.s2
-    c = field_dwt(fld, j0).coeffs
+    mc = field_dwt(fld, j0)
     out = []
     for p0 in range(1, s1):
         for q0 in range(1, s2):
             rs, cs = _training_block(s1, s2, (p0, q0), radius)
             sub = FunctionalField(SpatialGrid(rs.stop - rs.start, cs.stop - cs.start), fld.time, fld.values[rs, cs])
-            m1, m2, m3 = (op.matrix for op in estimate_all(field_dwt(sub, j0), domain).operators)
-            pred = idwt(m1 @ c[p0 - 1, q0] + m2 @ c[p0, q0 - 1] + m3 @ c[p0 - 1, q0 - 1], j0)
+            report = estimate_all(field_dwt(sub, j0), domain, include_cross=include_cross)
+            pred = idwt(predict_coeffs(mc, report)[p0, q0], j0)
             err = np.abs(fld.values[p0, q0] - pred)
             out.append(((p0, q0), float(err.mean()), err))
     return out

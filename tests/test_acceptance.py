@@ -220,7 +220,7 @@ def test_criterion_6_predictor_optimality():
             j0=j0, depth=depth, n_sites=2500, estimates=[],
             operators=ops, eigenvalues1=l1[:7], eigenvalues2=l2[:7],
         )
-        pred, _ = predict_coeffs(mc, report)
+        pred = predict_coeffs(mc, report)
         resid = (mc.coeffs - pred)[1:, 1:]
         return resid, float((resid**2).sum())
 

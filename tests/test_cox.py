@@ -4,7 +4,6 @@ import pytest
 from coxmra import (
     CountGrid,
     FunctionalField,
-    IntensityField,
     SpatialGrid,
     TimeGrid,
     integrated_intensity,
@@ -103,6 +102,9 @@ def test_save_counts_matches_per_cell_writer(tmp_path):
     assert (tmp_path / "counts.csv").read_bytes() == expected.encode()
 
 
-def test_intensity_field_requires_positive():
-    with pytest.raises(ValueError):
-        IntensityField(SpatialGrid(2, 2), TimeGrid(1), np.zeros((2, 2, 2)))
+def test_intensity_underflow_guard():
+    # exp(-800) underflows to zero: the intensity would not be positive
+    vals = np.zeros((2, 2, 4))
+    vals[1, 0, 2] = -800.0
+    with pytest.raises(ValueError, match=r"\(1, 0\)"):
+        intensity(_logfield(vals))

@@ -12,10 +12,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coxmra import (
+    FunctionalField,
+    SarhSpec,
     SpatialGrid,
     ThetaDomain,
+    TimeGrid,
+    default_variance_profile,
     estimate_all,
     periodogram,
+    simulate,
     truncation_parameter,
 )
 from coxmra.estimator import (
@@ -172,28 +177,50 @@ def test_box_estimation_never_worse_than_coarse_grid():
 
 
 def test_lexicographic_tie_break_deterministic():
-    # values within 1e-15 of the minimum tie; the smallest lexicographic
-    # theta among the tied wins
+    # values within 1e-15 times the row's scale of the minimum tie; the
+    # smallest lexicographic theta among the tied wins
     pts = np.array([(0.1, 0.0, 0.0), (-0.1, 0.0, 0.0), (-0.1, 0.2, 0.0), (-0.1, 0.0, -0.3)])
     # exact ties, decided by the first, then the later coordinates
-    assert _lexicographic_argmin(np.array([1.0, 1.0]), pts[:2]) == 1
-    assert _lexicographic_argmin(np.full(4, 2.0), pts) == 3
-    # a gap of 1e-15 is a tie, a gap of 1e-14 is not
-    assert _lexicographic_argmin(np.array([1e-15, 0.0]), pts[1::-1]) == 0
-    assert _lexicographic_argmin(np.array([1e-14, 0.0]), pts[1::-1]) == 1
+    assert _lexicographic_argmin(np.array([1.0, 1.0]), pts[:2], 1.0) == 1
+    assert _lexicographic_argmin(np.full(4, 2.0), pts, 1.0) == 3
+    # a gap of 1e-15 is a tie at scale 1, a gap of 1e-14 is not; at
+    # scale 16 it is
+    assert _lexicographic_argmin(np.array([1e-15, 0.0]), pts[1::-1], 1.0) == 0
+    assert _lexicographic_argmin(np.array([1e-14, 0.0]), pts[1::-1], 1.0) == 1
+    assert _lexicographic_argmin(np.array([1e-14, 0.0]), pts[1::-1], 16.0) == 0
     # a strictly smaller value wins whatever its theta
-    assert _lexicographic_argmin(np.array([0.5, 0.3, 0.4]), pts[:3]) == 1
+    assert _lexicographic_argmin(np.array([0.5, 0.3, 0.4]), pts[:3], 1.0) == 1
     # many rows at once: each row's answer is its own, row by row and by
     # brute force over its ties
     rng = np.random.default_rng(0)
     cand = ThetaDomain().candidates()
     cand = cand[rng.permutation(len(cand))]
     values = 1.0 + rng.choice([0.0, 5e-16, 1e-15, 3e-15, 1.0], size=(40, len(cand)), p=[0.02, 0.02, 0.02, 0.04, 0.9])
-    rows = _lexicographic_argmin(values, cand)
+    scale = rng.choice([0.5, 1.0, 4.0], size=40)
+    rows = _lexicographic_argmin(values, cand, scale)
     assert rows.shape == (40,)
-    assert rows.tolist() == [_lexicographic_argmin(row, cand) for row in values]
-    assert rows.tolist() == [min(np.flatnonzero(row <= row.min() + 1e-15), key=lambda j: tuple(cand[j]))
-                             for row in values]
+    assert rows.tolist() == [_lexicographic_argmin(row, cand, s) for row, s in zip(values, scale)]
+    assert rows.tolist() == [min(np.flatnonzero(row <= row.min() + 1e-15 * s), key=lambda j: tuple(cand[j]))
+                             for row, s in zip(values, scale)]
+
+
+@pytest.mark.parametrize("shape", [(5, 5), (12, 7), (9, 11)])
+def test_fit_is_scale_free(shape):
+    # a field and the same field times 2^-20 give the same thetas, bit for
+    # bit: every contrast, derivative and tie tolerance scales exactly.  At
+    # amplitude 2^-5 the smaller field's contrasts are near 1e-15, where an
+    # absolute tie tolerance would tie every seed candidate
+    lam1, lam2 = LAMBDA1[:3], LAMBDA2[:3]
+    spec = SarhSpec(lam1, lam2, default_variance_profile(lam1, lam2), TimeGrid(2))
+    for seed in (1, 2, 3):
+        values = simulate(spec, SpatialGrid(*shape), 32, seed).values * 2.0**-5
+        fld, small = (FunctionalField(SpatialGrid(*shape), TimeGrid(2), values * s) for s in (1.0, 2.0**-20))
+        for include_cross in (False, True):
+            thetas = [
+                [e.theta for e in estimate_all(field_dwt(detrend(f)[0], 1), ThetaDomain(), include_cross).estimates]
+                for f in (fld, small)
+            ]
+            assert thetas[0] == thetas[1], (seed, include_cross)
 
 
 def test_sigma2_moment_and_innovation_variance():
@@ -488,7 +515,7 @@ def test_cross_fit_beats_diagonal_on_the_loo_cross_design(seed):
     for cross in (False, True):
         report = estimate_all(mc, cfg.theta_domain(), include_cross=cross)
         mse[cross] = np.mean((np.stack([op.matrix for op in report.operators]) - truth) ** 2)
-        pred, _ = predict_coeffs(mc, report)
+        pred = predict_coeffs(mc, report)
         residual[cross] = np.mean((mc.coeffs - pred)[1:, 1:] ** 2)
     assert mse[True] < mse[False]
     # in-sample one-step residuals over seeds 1-10 range from 0.974 to 1.031 times diagonal-only's

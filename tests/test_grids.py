@@ -45,7 +45,7 @@ def test_detrend_roundtrip_and_zero_mean():
     fld = FunctionalField(SpatialGrid(4, 5), TimeGrid(3), rng.normal(2.0, 1.0, (4, 5, 8)))
     residual, mean = detrend(fld)
     np.testing.assert_allclose(residual.values.mean(axis=(0, 1)), 0.0, atol=1e-12)
-    np.testing.assert_allclose(residual.values + mean.values, fld.values)
+    np.testing.assert_allclose(residual.values + mean, fld.values)
 
 
 def test_save_load_roundtrip(tmp_path):

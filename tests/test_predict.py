@@ -22,7 +22,7 @@ from coxmra.predict import (
     predict_coeffs,
     save_validation,
 )
-from coxmra.wavelet import MultiscaleCoefficients, field_dwt, level_slices
+from coxmra.wavelet import MultiscaleCoefficients, field_dwt, idwt, level_slices
 from oracles import EDGE_FLOATS, loo_fold_by_fold, table_csv
 
 # the package re-exports the function `predict` under the module's name
@@ -64,16 +64,17 @@ def fitted(reference_spec):
 def test_prediction_mask_excludes_first_row_col(fitted):
     mc, report = fitted
     result = predict(mc, report)
-    assert not result.mask[0].any()
-    assert not result.mask[:, 0].any()
-    assert result.mask[1:, 1:].all()
-    # unpredicted sites carry zero placeholders
-    np.testing.assert_array_equal(result.predicted.values[0], 0.0)
+    pred = predict_coeffs(mc, report)
+    # unpredicted sites carry zero placeholders, in coefficients and curves
+    for values in (pred, result.predicted.values, result.residuals.values):
+        assert not values[0].any() and not values[:, 0].any()
+    assert (result.predicted.values[1:, 1:] != 0).any(axis=2).all()
+    assert np.array_equal(result.predicted.values[1:, 1:], idwt(pred, mc.j0)[1:, 1:])
 
 
 def test_prediction_is_affine_in_neighbours(fitted):
     mc, report = fitted
-    pred, mask = predict_coeffs(mc, report)
+    pred = predict_coeffs(mc, report)
     # direct recomputation at one site
     p, q = 3, 7
     m1, m2, m3 = (op.matrix for op in report.operators)
@@ -84,7 +85,7 @@ def test_prediction_is_affine_in_neighbours(fitted):
 
 def test_blockwise_prediction_identical(fitted):
     mc, report = fitted
-    pred, _ = predict_coeffs(mc, report)
+    pred = predict_coeffs(mc, report)
     np.testing.assert_allclose(predict_coeffs_blockwise(mc, report), pred, atol=1e-10)
 
 
@@ -92,8 +93,6 @@ def test_residuals_consistent(fitted):
     mc, report = fitted
     result = predict(mc, report)
     recon = result.predicted.values + result.residuals.values
-    from coxmra.wavelet import idwt
-
     observed = idwt(mc.coeffs, mc.j0)
     np.testing.assert_allclose(recon[1:, 1:], observed[1:, 1:], atol=1e-10)
 
@@ -163,6 +162,21 @@ def test_loo_validate_fits_each_training_block_once(monkeypatch):
     assert len(shapes) == len(set(shapes)) == 11
     assert sum(rows for _, rows in searches[0]) == 40
     reference = loo_fold_by_fold(res, domain, j0=0, radius=1)
+    assert [f.site for f in summary.folds] == [site for site, _, _ in reference]
+    assert np.array_equal([f.mafe for f in summary.folds], [m for _, m, _ in reference])
+    assert np.array_equal([f.abs_error for f in summary.folds], [e for _, _, e in reference])
+
+
+def test_loo_folds_predict_as_the_lattice_does():
+    # with dense operators (the eigenbasis fit, depth 3) each fold's
+    # prediction has the bits of `predict_coeffs` at its site under the
+    # fold's fit, not merely its value
+    lam1, lam2 = np.array([0.3, 0.25, 0.2]), np.array([0.45, 0.4, 0.35])
+    spec = SarhSpec(lam1, lam2, default_variance_profile(lam1, lam2), TimeGrid(3), couple_l3=True)
+    res, _ = detrend(simulate(spec, SpatialGrid(10, 10), 64, seed=37))
+    domain = ThetaDomain(couple_l3=True)
+    summary = loo_validate(res, domain, j0=1, neighborhood_radius=1, period_length=4, include_cross=True)
+    reference = loo_fold_by_fold(res, domain, j0=1, radius=1, include_cross=True)
     assert [f.site for f in summary.folds] == [site for site, _, _ in reference]
     assert np.array_equal([f.mafe for f in summary.folds], [m for _, m, _ in reference])
     assert np.array_equal([f.abs_error for f in summary.folds], [e for _, _, e in reference])

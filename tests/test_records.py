@@ -426,12 +426,13 @@ _BLAS_REDUCTIONS = {"vecdot", "dot", "inner", "matmul", "tensordot"}
 
 def test_contrast_reductions_have_a_fixed_order():
     """`spectral.py` and `estimator.py` reduce over the half plane only by
-    numpy's pairwise `(a * b).sum(axis=-1)`: no `np.vecdot`, `np.dot`,
-    `np.inner`, `np.matmul`, `np.tensordot` or optimized `einsum`, and `@`
-    only where `_MATMUL_ALLOWED` says why, so no fit's bits depend on the
-    BLAS thread count."""
+    numpy's pairwise `(a * b).sum(axis=-1)`, and `predict.py` predicts
+    only by non-optimized `einsum`: no `np.vecdot`, `np.dot`, `np.inner`,
+    `np.matmul`, `np.tensordot` or optimized `einsum`, and `@` only where
+    `_MATMUL_ALLOWED` says why, so no fit's or prediction's bits depend on
+    the BLAS thread count or on the sites predicted beside it."""
     found = []
-    for name in ("spectral.py", "estimator.py"):
+    for name in ("spectral.py", "estimator.py", "predict.py"):
         tree = ast.parse((Path(__file__).parents[1] / "src" / "coxmra" / name).read_text())
         for definition in ast.walk(tree):
             if not isinstance(definition, ast.FunctionDef):

@@ -117,6 +117,18 @@ def test_ar_symbol_sq_zero_frequency(s1, s2, th):
     assert 1.0 / inv[0, 0] == pytest.approx((1 - sum(th)) ** 2, rel=1e-12)
 
 
+@pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 3)])
+def test_symbol_sq_bits_do_not_depend_on_row_layout(shape):
+    # F-ordered rows and a transposed view give the bits of a C copy on
+    # the half-plane table, whose products are the shortest
+    cosines = FrequencyGrid(*shape).half_plane[0]
+    coefs = _symbol_coefficients(np.random.default_rng(12).uniform(-0.3, 0.3, size=(400, 3)))
+    expected = _symbol_sq(np.ascontiguousarray(coefs), cosines)
+    for layout in (np.asfortranarray(coefs), np.ascontiguousarray(coefs.T).T):
+        assert not layout.flags.c_contiguous
+        assert np.array_equal(_symbol_sq(layout, cosines), expected)
+
+
 def test_contrast_rejects_nonstationary():
     # the second triple is 9e-6 off the coupled curve, where the AR
     # polynomial vanishes inside the unit bidisk: no relative tolerance
@@ -137,7 +149,7 @@ def test_contrast_rejects_nonstationary():
     assert stationarity_check(corner)
     assert np.isfinite(empirical_contrast(tab, corner))
     folded = freq.fold(contrast_weights(tab, freq))
-    assert np.isfinite(_contrast(folded, _symbol_coefficients(np.array([corner])), freq.half_plane)).all()
+    assert np.isfinite(_contrast(folded[None, None, :], _symbol_coefficients(np.array([corner])), freq.half_plane)).all()
     assert divergence(corner, corner, freq) == 0.0
 
 
@@ -186,8 +198,8 @@ def test_log_psi_batched_matches_single(s1, s2, thetas, seed):
     # one candidate at a time, and match the full-plane reference
     tab = periodogram(np.random.default_rng(seed).normal(size=(s1, s2)))
     folded = freq.fold(contrast_weights(tab, freq))
-    seeded = _contrast(folded, coefs, freq.half_plane)
-    assert np.array_equal(seeded, [_contrast(folded, c[None, :], freq.half_plane)[0] for c in coefs])
+    seeded = _contrast(folded[None, None, :], coefs, freq.half_plane)[0]
+    assert np.array_equal(seeded, [_contrast(folded[None, None, :], c[None, :], freq.half_plane)[0, 0] for c in coefs])
     np.testing.assert_allclose(
         seeded, [empirical_contrast(tab, th) for th in thetas], rtol=1e-12, atol=1e-14
     )
@@ -300,7 +312,7 @@ def test_contrast_derivatives_match_finite_differences(s1, s2, thetas, couple, s
     for (folded, table), group_th in zip(groups, ths):
         rows = slice(start, start + len(folded))
         start = rows.stop
-        assert np.array_equal(values[rows], _contrast(folded, _symbol_coefficients(group_th), table))
+        assert np.array_equal(values[rows], np.diagonal(_contrast(folded[:, None, :], _symbol_coefficients(group_th), table)))
         group = _contrast_derivatives([(folded, table)], group_th, couple)
         assert all(np.array_equal(part[rows], one) for part, one in zip((values, grad, hess), group))
         for i in range(len(folded)):
