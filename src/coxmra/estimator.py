@@ -13,13 +13,18 @@ eigenbasis, so k rows stand for the whole matrix.
 The empirical contrast of each row is minimized over a box domain: each
 row is seeded at the best candidate of a coarse grid and refined by a
 projected Newton search in the free coordinates, run in lockstep for all
-rows of every lattice shape fitted together (`_newton`).  The seeds are
-scored by `spectral._contrast`; each Newton round takes the contrast and
-its derivatives of its moving rows, whatever their shape, from one
-`spectral._contrast_derivatives` call.  Both sum per row, in a fixed
-order, over the off-axis half plane of its shape, so a row's fit depends
-neither on what is fitted beside it nor on the BLAS thread count.
-Eigenvalue estimates follow from the assembled operator matrices.
+rows of every lattice shape fitted together (`_newton`).  The seeds
+(`_seeds`) are ranked against every candidate by one rows x candidates
+product per shape, and only the candidates whose rounding bound leaves
+them within the tie tolerance of the row's least are scored exactly by
+`spectral._contrast`, so each seed is the one an exact score of every
+candidate picks.  Each Newton round takes the contrast and its
+derivatives of its moving rows, whatever their shape, from one
+`spectral._contrast_derivatives` call, and projects only the rows that
+hold a facet.  Every exact value sums per row, in a fixed order, over
+the off-axis half plane of its shape, so a row's fit depends neither on
+what is fitted beside it nor on the BLAS thread count.  Eigenvalue
+estimates follow from the assembled operator matrices.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import islice, product
 
 import numpy as np
@@ -35,6 +41,7 @@ from .spectral import (
     FrequencyGrid,
     _contrast,
     _contrast_derivatives,
+    _readonly,
     _symbol_coefficients,
     all_periodograms,
     contrast_weights,
@@ -48,6 +55,8 @@ _BOUNDARY_MARGIN = 1e-3
 # fits within this distance of the margin are reported as near_boundary
 _BOUNDARY_SLACK = 0.05
 _COARSE_POINTS = 11
+# seed contrasts within this fraction of a row's weight sum are ties
+_TIE = 1e-15
 # the Newton search: the damping, relative to a row's weight sum, starts
 # at _DAMPING_START, shrinks tenfold on an accepted step and otherwise
 # grows tenfold, to _DAMPING_START at least; a row stops once its step is
@@ -65,6 +74,9 @@ _FACET_INSET = 1e-12
 # folded weight elements (rows x half-plane points) one lockstep search
 # packs lattice shapes up to; a shape larger than this is searched alone
 _SEARCH_BLOCK = 1 << 16
+# one FrequencyGrid per recent lattice shape, so that its tables are
+# built once, not once per fit
+_frequency_grid = lru_cache(maxsize=16)(FrequencyGrid)
 
 
 def truncation_parameter(n: int) -> int:
@@ -94,8 +106,10 @@ class ThetaDomain:
                 raise ValueError(f"interval ({lo}, {hi}) has no finite width")
             if not lo <= hi:
                 raise ValueError(f"empty interval ({lo}, {hi})")
-        if not len(self.candidates()):
+        object.__setattr__(self, "_candidates", _readonly(self._stationary_grid()))
+        if not len(self._candidates):
             raise ValueError(f"no stationary candidate in the box domain {self.bounds}")
+        object.__setattr__(self, "_candidate_coefs", _readonly(_symbol_coefficients(self._candidates)))
         # the (lo, hi) arrays of the free coordinates that `contains` compares against
         object.__setattr__(self, "_box", np.array(self.bounds[: 2 if self.couple_l3 else 3]).T)
         object.__setattr__(self, "_facets", self._search_facets())
@@ -119,7 +133,12 @@ class ThetaDomain:
         return np.vstack(normals), np.concatenate(offsets)
 
     def candidates(self) -> np.ndarray:
-        """Stationary seed candidates, shape (m, 3)."""
+        """Stationary seed candidates, shape (m, 3), built once with the
+        domain and read-only."""
+        return self._candidates
+
+    def _stationary_grid(self) -> np.ndarray:
+        """The stationary points of the coarse grid over the box."""
         axes = [np.linspace(lo, hi, _COARSE_POINTS) for lo, hi in self.bounds]
         if self.couple_l3:
             t1, t2 = np.meshgrid(axes[0], axes[1], indexing="ij")
@@ -139,11 +158,10 @@ class ThetaDomain:
         in_box = ((lo <= free) & (free <= hi)).all(axis=-1)
         return in_box & (edge_norm(th, self.couple_l3) < 1 - _BOUNDARY_MARGIN)
 
-    def near_boundary(self, theta) -> bool:
-        """Whether a fit lies within the reporting slack of the domain's
-        stationarity edge."""
-        th = np.asarray(theta, dtype=float)
-        return bool(edge_norm(th, self.couple_l3) > 1 - _BOUNDARY_MARGIN - _BOUNDARY_SLACK)
+    def near_boundary(self, theta):
+        """Whether a fit, or each row of an (m, 3) array of fits, lies
+        within the reporting slack of the domain's stationarity edge."""
+        return edge_norm(theta, self.couple_l3) > 1 - _BOUNDARY_MARGIN - _BOUNDARY_SLACK
 
 
 def _lexicographic_argmin(values: np.ndarray, thetas: np.ndarray, scale: np.ndarray) -> np.ndarray:
@@ -152,7 +170,7 @@ def _lexicographic_argmin(values: np.ndarray, thetas: np.ndarray, scale: np.ndar
     weight sum, go to the lexicographically least theta, so scaling a
     row's weights by a power of two leaves its choice unchanged."""
     order = np.lexsort(thetas.T[::-1])
-    tied = values[..., order] <= values.min(axis=-1, keepdims=True) + 1e-15 * np.asarray(scale)[..., None]
+    tied = values[..., order] <= values.min(axis=-1, keepdims=True) + _TIE * np.asarray(scale)[..., None]
     return order[tied.argmax(axis=-1)]
 
 
@@ -165,21 +183,16 @@ def _estimate_rows(
     contrasts, Newton evaluations and eta moments (each row's weight sum).
 
     `groups` is consumed once: a group's full-plane weights are dropped
-    once it is seeded.  Each row is seeded at the candidate of least
-    `_contrast`, ties within 1e-15 times its weight sum broken by
-    `_lexicographic_argmin`, and refined by
+    once it is seeded.  Each row is seeded by `_seeds` and refined by
     `_newton`, each of whose rounds evaluates its moving rows of every
     lattice shape in one `_contrast_derivatives` call.  Every value is the
     contrast of one row's folded weights at one candidate, so a row's bits
     do not depend on the rows beside it.
     """
-    cand = domain.candidates()
-    cand_coefs = _symbol_coefficients(cand)
     seeded = []
     for freq, w in groups:
         hw, moment = freq.fold(w), w.sum(axis=1)
-        first = _lexicographic_argmin(_contrast(hw[:, None, :], cand_coefs, freq.half_plane), cand, moment)
-        seeded.append((freq.half_plane, hw, moment, first))
+        seeded.append((freq.half_plane, hw, moment, _seeds(hw, moment, freq.half_plane, domain)))
     tables, folded, moments, first = zip(*seeded)
     moments, first = map(np.concatenate, (moments, first))
     offsets = np.cumsum([0] + [hw.shape[0] for hw in folded])
@@ -191,7 +204,19 @@ def _estimate_rows(
                   for hw, table, lo, a, b in zip(folded, tables, offsets, cuts[:-1], cuts[1:]) if a < b]
         return _contrast_derivatives(moving, thetas, domain.couple_l3)
 
-    return (*_newton(evaluate, cand[first], moments, domain), moments)
+    return (*_newton(evaluate, domain.candidates()[first], moments, domain), moments)
+
+
+def _seeds(folded: np.ndarray, scale: np.ndarray, table: tuple[np.ndarray, np.ndarray],
+           domain: ThetaDomain) -> np.ndarray:
+    """Index among `domain.candidates()` of the seed of every row of folded
+    weights (rows, N') on a `half_plane` table: its least `_contrast`, ties
+    within `_TIE` times its weight sum `scale` (rows,) going to the
+    lexicographically least theta.  Only the candidates a rows x candidates
+    ranking cannot exclude from that tie are scored exactly, so the choice
+    is the one an exact score of every candidate gives."""
+    cand = domain.candidates()
+    return _lexicographic_argmin(_contrast(folded, domain._candidate_coefs, table, _TIE * scale), cand, scale)
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -199,6 +224,25 @@ def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     elementwise product summed over q, so a row's bits do not depend on
     the rows beside it."""
     return (a[..., :, :, None] * b[..., None, :, :]).sum(axis=-2)
+
+
+def _held_projections(domain: ThetaDomain, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The projectors P = I - A A^+ on the null space of the facets each
+    row of `work` (rows, K) holds, and the pseudo-inverses A^+ of their
+    normals A, (rows, f, f) and (rows, K, f).  Both depend only on the held
+    set, so each set is computed once per domain (`_held_projection`)."""
+    codes = (work * (1 << np.arange(work.shape[1]))).sum(axis=1)
+    proj, pinv = zip(*(_held_projection(domain, code) for code in codes.tolist()))
+    return np.stack(proj), np.stack(pinv)
+
+
+@lru_cache(maxsize=1024)
+def _held_projection(domain: ThetaDomain, code: int) -> tuple[np.ndarray, np.ndarray]:
+    """`_held_projections` of one held set, a bit per facet of `code`."""
+    normals = domain._facets[0]
+    active = (normals.T * ((code >> np.arange(normals.shape[0])) & 1))[None]
+    pinv = np.linalg.pinv(active)
+    return _readonly(np.eye(normals.shape[1]) - _mul(active, pinv)[0]), _readonly(pinv[0])
 
 
 def _newton(evaluate, theta: np.ndarray, scale: np.ndarray, domain: ThetaDomain):
@@ -217,7 +261,8 @@ def _newton(evaluate, theta: np.ndarray, scale: np.ndarray, domain: ThetaDomain)
     shrinks, and grows otherwise, also when a facet the row touches blocks
     the whole step.  A row at rest lets go of the held facets whose
     least-squares multiplier is negative, or stops.  The 3 x 3 algebra
-    runs once over all rows of the search."""
+    runs once over all rows of the search; the projection, only over the
+    rows that hold a facet, from projectors computed once per held set."""
     normals, offsets = domain._facets
     n, free = theta.shape[0], normals.shape[1]
     # the coordinate of each box face, -1 for a facet of the |theta|_1 ball
@@ -230,25 +275,29 @@ def _newton(evaluate, theta: np.ndarray, scale: np.ndarray, domain: ThetaDomain)
     live = np.ones(n, dtype=bool)
     while live.any():
         r = np.flatnonzero(live)
-        th, g, work = theta[r, :free], grad[r], held[r]
-        # projector on the null space of the held facets, and their
-        # least-squares multipliers
-        proj = np.broadcast_to(np.eye(free), (r.size, free, free)).copy()
-        lam = np.zeros(work.shape)
+        trial, g, work, mat, damping = theta[r], grad[r], held[r], hess[r], mu[r]
+        # on the rows that hold a facet: the projector P on the null space
+        # of the held facets, which turns H into P H P and g into P g, and
+        # their least-squares multipliers; the other rows skip the identity
+        lam, pg = np.zeros(work.shape), g
         some = np.flatnonzero(work.any(axis=1))
         if some.size:
-            active = normals.T * work[some, None, :]
-            pinv = np.linalg.pinv(active)
-            proj[some] -= _mul(active, pinv)
+            proj, pinv = _held_projections(domain, work[some])
+            mat[some] = _mul(_mul(proj, mat[some]), proj)
+            pg = g.copy()
+            pg[some] = (proj * g[some, None, :]).sum(axis=-1)
             lam[some] = -(pinv * g[some, None, :]).sum(axis=-1)
-        curv, vecs = np.linalg.eigh(_mul(_mul(proj, hess[r]), proj))
-        denom = np.abs(curv) + (mu[r] * scale[r])[:, None]
-        coef = (vecs * (proj * g[:, None, :]).sum(axis=-1)[:, :, None]).sum(axis=1) / np.where(denom > 0, denom, 1.0)
-        d = -(proj * (vecs * coef[:, None, :]).sum(axis=-1)[:, None, :]).sum(axis=-1)
+        curv, vecs = np.linalg.eigh(mat)
+        denom = np.abs(curv) + (damping * scale[r])[:, None]
+        coef = (vecs * pg[:, :, None]).sum(axis=1) / np.where(denom > 0, denom, 1.0)
+        d = (vecs * coef[:, None, :]).sum(axis=-1)
+        if some.size:
+            d[some] = (proj * d[some, None, :]).sum(axis=-1)
+        d = np.negative(d, out=d)
         d[work[:, : 2 * free].reshape(-1, 2, free).any(axis=1)] = 0.0
         # cut by the first facet not held that the step would cross
         towards = (normals * d[:, None, :]).sum(axis=-1)
-        slack = offsets - (normals * th[:, None, :]).sum(axis=-1)
+        slack = offsets - (normals * trial[:, None, :free]).sum(axis=-1)
         crossing = ~work & (towards > 0)
         reach = np.where(crossing, np.maximum(slack, 0.0) / np.where(crossing, towards, 1.0), np.inf)
         block = reach.argmin(axis=1)
@@ -262,7 +311,6 @@ def _newton(evaluate, theta: np.ndarray, scale: np.ndarray, domain: ThetaDomain)
         work &= ~release
         release = release.any(axis=1)
         done = ~blocked & small & ~release
-        trial = theta[r].copy()
         trial[:, :free] += step
         box = blocked & (face[block] >= 0)
         trial[box, face[block[box]]] = offsets[block[box]] * normals[block[box], face[block[box]]]
@@ -280,8 +328,9 @@ def _newton(evaluate, theta: np.ndarray, scale: np.ndarray, domain: ThetaDomain)
         # touches that blocks the whole step is held too
         work[blocked & (acc | (alpha == 0)), block[blocked & (acc | (alpha == 0))]] = True
         held[r] = work
-        mu[r] = np.where(acc, mu[r] / 10, np.where(release, mu[r], np.maximum(mu[r] * 10, _DAMPING_START)))
-        live[r] = ~done & (mu[r] <= _DAMPING_CEILING) & (evals[r] < _MAX_EVALS)
+        damping = np.where(acc, damping / 10, np.where(release, damping, np.maximum(damping * 10, _DAMPING_START)))
+        mu[r] = damping
+        live[r] = ~done & (damping <= _DAMPING_CEILING) & (evals[r] < _MAX_EVALS)
     return theta, value, evals
 
 
@@ -359,13 +408,13 @@ def estimate_many(coeff_sets: list[MultiscaleCoefficients], domain: ThetaDomain,
     reports = [None] * len(coeff_sets)
     for search in _searches(coeff_sets, include_cross):
         groups = ((freq, _row_weights(freq, fields)) for freq, fields, _ in search)
-        rows = zip(*_estimate_rows(groups, domain))
+        thetas, values, evals, moments = _estimate_rows(groups, domain)
+        rows = zip(thetas, values, evals, moments, domain.near_boundary(thetas))
         for freq, fields, members in search:
             for (i, coeffs, basis), x in zip(members, fields):
                 estimates = [
-                    NodeEstimate(r, r, tuple(map(float, th)), float(moment), float(val), int(it),
-                                 domain.near_boundary(th))
-                    for r, (th, val, it, moment) in enumerate(islice(rows, x.shape[-1]))
+                    NodeEstimate(r, r, tuple(map(float, th)), float(moment), float(val), int(it), bool(near))
+                    for r, (th, val, it, moment, near) in enumerate(islice(rows, x.shape[-1]))
                 ]
                 reports[i] = _report(coeffs.j0, coeffs.depth, freq.n, truncation_parameter(freq.n),
                                      estimates, basis)
@@ -385,7 +434,7 @@ def _searches(coeff_sets: list[MultiscaleCoefficients], include_cross: bool):
         shapes.setdefault((coeffs.grid.s1, coeffs.grid.s2), []).append((i, coeffs, basis))
     search, size = [], 0
     for (s1, s2), members in shapes.items():
-        freq = FrequencyGrid(s1, s2)
+        freq = _frequency_grid(s1, s2)
         fields = [c.coeffs if b is None else c.coeffs @ b.vectors for _, c, b in members]
         elements = sum(x.shape[-1] for x in fields) * freq.half_plane[1].size
         if search and size + elements > _SEARCH_BLOCK:

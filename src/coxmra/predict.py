@@ -146,21 +146,25 @@ def loo_validate(
     held-out curve predicted from its observed causal neighbours, with the
     bits `predict_coeffs` gives that site under the fold's fit, and the
     absolute functional error recorded.  `sites` restricts the folds
-    (defaults to every interior site); fold order does not affect any
-    aggregate.  Each training block is fitted once, in one `estimate_many`
-    call, whose lockstep search packs the blocks of every lattice shape.
+    (defaults to every interior site) and is checked, site by site, before
+    any transform or fit; fold order does not affect any aggregate.  Each
+    training block is fitted once, in one `estimate_many` call, whose
+    lockstep search packs the blocks of every lattice shape.
     """
     s1, s2 = fld.grid.s1, fld.grid.s2
     if sites is None:
         sites = [(p, q) for p in range(1, s1) for q in range(1, s2)]
     if len(sites) == 0:
         raise ValueError("no sites to validate: sites is empty")
+    for site in sites:
+        if min(site) < 1:
+            raise ValueError(f"site {site} has no causal neighbours")
+        if site[0] >= s1 or site[1] >= s2:
+            raise ValueError(f"site {site} is outside the {s1}x{s2} lattice: a fold needs 1 <= p < {s1}, 1 <= q < {s2}")
     c = field_dwt(fld, j0).coeffs
     sites = sorted(sites)
     blocks: dict[tuple[int, int, int, int], list[int]] = {}  # training block -> its folds
     for i, site in enumerate(sites):
-        if min(site) < 1:
-            raise ValueError(f"site {site} has no causal neighbours")
         rs, cs = _training_block(s1, s2, site, neighborhood_radius)
         blocks.setdefault((rs.start, rs.stop, cs.start, cs.stop), []).append(i)
     # the Haar transform acts site by site: a block's coefficients are a slice of c

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import FunctionalField, SpatialGrid, TimeGrid
-from .spectral import FrequencyGrid, _inverse_symbol_sq, edge_norm
+from .spectral import FrequencyGrid, _symbol_coefficients, _symbol_sq, edge_norm
 from .wavelet import normalized_eigenfunctions
 
 DEFAULT_BURN_IN = 64
@@ -118,8 +118,8 @@ class SarhSpec:
 
 def _spectral_variance(theta, sigma2: float, n: int = 256) -> float:
     """Variance of a stationary AR field via its spectral representation."""
-    thetas = np.asarray(theta, dtype=float).reshape(1, 3)
-    return float(sigma2 * np.mean(_inverse_symbol_sq(thetas, FrequencyGrid(n, n))))
+    coefs = _symbol_coefficients(np.asarray(theta, dtype=float).reshape(1, 3))
+    return float(sigma2 * np.mean(1.0 / _symbol_sq(coefs, FrequencyGrid(n, n).cosines)))
 
 
 def _ar_fields(thetas: np.ndarray, e: np.ndarray) -> np.ndarray:

@@ -30,9 +30,10 @@ from functools import cached_property
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
-# elements (rows x candidates x half-plane points) of one product in which
-# `_contrast` scores rows against candidates
+# elements (candidates or pairs x half-plane points) of the largest
+# temporary of `_contrast`
 _SCORE_BLOCK = 1 << 16
+_EPS = np.finfo(float).eps
 
 
 def stationarity_check(theta) -> bool:
@@ -200,42 +201,74 @@ def _symbol_sq(coefs: np.ndarray, cosines: np.ndarray) -> np.ndarray:
     return (np.ascontiguousarray(coefs)[:, None, :] @ cosines)[:, 0]
 
 
-def _inverse_symbol_sq(thetas: np.ndarray, freq: FrequencyGrid) -> np.ndarray:
-    """1 / |1 - th1 e^{i w1} - th2 e^{i w2} - th3 e^{i(w1+w2)}|^2.
-
-    `thetas` has shape (m, 3); the result has shape (m, N) over the
-    flattened grid.
-    """
-    return 1.0 / _symbol_sq(_symbol_coefficients(thetas), freq.cosines)
-
-
 def _log_psi(sym: np.ndarray, eta_measure: np.ndarray) -> np.ndarray:
     """log Psi = log(f / sigma2) of m candidates' squared symbols
     (`_symbol_sq`, (m, N)), f the spectral density at unit innovation
     variance and sigma2 its integral under the Riemann weights
     `eta_measure`, so every row of exp(log Psi) has unit weighted mass."""
-    scale = (eta_measure / sym).sum(axis=-1)
+    out = _minus_log_psi(sym, (eta_measure / sym).sum(axis=-1))
+    return np.negative(out, out=out)
+
+
+def _minus_log_psi(sym: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """log S + log scale = -log Psi of squared symbols S (m, N) whose
+    weighted integrals of 1 / S are `scale` (m,), in one new array; its
+    negation has the bits of -log S - log scale."""
     if (scale <= 0).any():
         raise ValueError("degenerate weight: eta-weighted density integrates to zero")
-    return -np.log(sym) - np.log(scale)[:, None]
+    out = np.log(sym)
+    out += np.log(scale)[:, None]
+    return out
 
 
-def _contrast(folded: np.ndarray, coefs: np.ndarray, table: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """The contrast of every row of folded weights (rows, 1, N') at every
+def _contrast(folded: np.ndarray, coefs: np.ndarray, table: tuple[np.ndarray, np.ndarray],
+              within: np.ndarray | None = None) -> np.ndarray:
+    """The contrast of every row of folded weights (rows, N') at every
     candidate's coefficients, (rows, m): minus the weights times the
     candidate's `_log_psi` row on a `half_plane` table, summed over each
-    row by numpy's pairwise sum.  That sum has a fixed order for a given
+    pair by numpy's pairwise sum.  That sum has a fixed order for a given
     length and uses no BLAS, so a contrast's bits depend neither on its
-    batch nor on the BLAS thread count.  Candidates are scored one block
-    at a time, beside as many rows as fit, so the largest temporary holds
-    `_SCORE_BLOCK` elements whatever they are."""
-    out = np.empty((folded.shape[0], coefs.shape[0]))
-    step = max(1, _SCORE_BLOCK // table[1].size)
-    for i in range(0, coefs.shape[0], step):
-        log_psi = _log_psi(_symbol_sq(coefs[i : i + step], table[0]), table[1])
-        rows = max(1, _SCORE_BLOCK // log_psi.size)
-        for r in range(0, folded.shape[0], rows):
-            out[r : r + rows, i : i + step] = -(folded[r : r + rows] * log_psi).sum(axis=-1)
+    batch nor on the BLAS thread count.
+
+    With `within` (rows,), only the pairs that may lie within it of their
+    row's least contrast are summed so, and the others are +inf.  They are
+    ranked by a rows x candidates BLAS product.  It and the pairwise sum
+    each err by at most gamma sum |h| |log Psi|, gamma = N' eps / (1 - N'
+    eps), whatever their order, so the two differ by at most E, twice
+    that.  A pair is dropped only if its ranked contrast less E exceeds
+    the row's least ranked contrast plus E, plus `within`.  gamma counts
+    N' + 4 terms, so E also covers its own rounding and the comparison's.
+    No output bit depends on the product.  Candidates are ranked, and
+    pairs summed, one block at a time, so no temporary holds more than
+    `_SCORE_BLOCK` elements.
+    """
+    cosines, eta_measure = table
+    rows, m, n = folded.shape[0], coefs.shape[0], eta_measure.size
+    step = max(1, _SCORE_BLOCK // n)
+    reach, last = np.ones((rows, m), dtype=bool), None
+    if within is not None:
+        ranked, error = np.empty((rows, m)), np.empty((rows, m))
+        size = np.abs(folded)
+        for i in range(0, m, step):
+            last = i, _log_psi(_symbol_sq(coefs[i : i + step], cosines), eta_measure)
+            ranked[:, i : i + step] = folded @ last[1].T
+            error[:, i : i + step] = size @ np.abs(last[1]).T
+        np.negative(ranked, out=ranked)
+        error *= 2.0 * (n + 4) * _EPS / (1.0 - (n + 4) * _EPS)
+        reach = ranked - error <= ((ranked + error).min(axis=1) + within)[:, None]
+    out = np.full((rows, m), np.inf)
+    for i in range(0, m, step):
+        cols = i + np.flatnonzero(reach[:, i : i + step].any(axis=0))
+        if not cols.size:
+            continue
+        if last and last[0] == i:  # the last block ranked is still at hand
+            log_psi = last[1][cols - i]
+        else:
+            log_psi = _log_psi(_symbol_sq(coefs[cols], cosines), eta_measure)
+        r, c = np.nonzero(reach[:, cols])
+        for k in range(0, r.size, step):
+            pair = slice(k, k + step)
+            out[r[pair], cols[c[pair]]] = -(folded[r[pair]] * log_psi[c[pair]]).sum(axis=-1)
     return out
 
 
@@ -295,9 +328,10 @@ def _contrast_derivatives(
     for (folded, (cosines, eta_measure)), stop in zip(groups, stops):
         g = slice(stop - len(folded), stop)
         sym = _symbol_sq(coefs[g], cosines)
-        values[g] = -(folded * _log_psi(sym, eta_measure)).sum(axis=-1)
         tilt = eta_measure / sym  # e / S
         z[g] = tilt.sum(axis=-1)
+        # sum h (log S + log Z): minus the weights times `_log_psi`, bit for bit
+        values[g] = (folded * _minus_log_psi(sym, z[g])).sum(axis=-1)
         ratio[g] = folded.sum(axis=-1) / z[g]
         dl_dc[g] = (((folded - ratio[g, None] * tilt) / sym)[:, None, :] * cosines).sum(axis=-1)
         gz_dc[g] = ((tilt / sym)[:, None, :] * cosines).sum(axis=-1)
@@ -334,7 +368,7 @@ def _population_weights(theta0, freq: FrequencyGrid) -> np.ndarray:
 def contrast_functional(theta0, theta, freq: FrequencyGrid) -> float:
     """Population analogue of the empirical contrast under theta0."""
     weights = _population_weights(theta0, freq)
-    return float(_contrast(weights[None, None, :], _stationary_coefficients(theta), freq.half_plane)[0, 0])
+    return float(_contrast(weights[None, :], _stationary_coefficients(theta), freq.half_plane)[0, 0])
 
 
 def divergence(theta0, theta, freq: FrequencyGrid) -> float:

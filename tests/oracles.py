@@ -27,7 +27,6 @@ from coxmra.predict import _training_block, predict_coeffs
 from coxmra.spectral import (
     TWO_PI,
     FrequencyGrid,
-    _inverse_symbol_sq,
     _log_psi,
     _symbol_coefficients,
     _symbol_sq,
@@ -74,6 +73,12 @@ def _stationary(theta) -> np.ndarray:
     return np.asarray(theta, dtype=float).reshape(1, 3)
 
 
+def inverse_symbol_sq(thetas: np.ndarray, freq: FrequencyGrid) -> np.ndarray:
+    """1 / |1 - th1 e^{i w1} - th2 e^{i w2} - th3 e^{i(w1+w2)}|^2 of m
+    candidates (m, 3) over the flattened full grid, (m, N)."""
+    return 1.0 / _symbol_sq(_symbol_coefficients(thetas), freq.cosines)
+
+
 def log_psi(thetas: np.ndarray, freq: FrequencyGrid) -> np.ndarray:
     """log of the scale-free density Psi for m candidates over the full
     grid, shape (m, N): sum(exp(log_psi) * eta) * cell_measure == 1 for
@@ -98,7 +103,7 @@ def innovation_variance(cross: np.ndarray, theta) -> float:
     """
     freq = FrequencyGrid(*cross.shape)
     moment = float(contrast_weights(cross, freq).sum())
-    shape = _inverse_symbol_sq(_stationary(theta), freq)[0] / (2.0 * np.pi) ** 2
+    shape = inverse_symbol_sq(_stationary(theta), freq)[0] / (2.0 * np.pi) ** 2
     return moment / float(shape @ freq.eta_measure)
 
 

@@ -48,7 +48,11 @@ from oracles import (
 )
 from coxmra.spectral import (
     FrequencyGrid,
+    _contrast,
     _contrast_derivatives,
+    _log_psi,
+    _symbol_coefficients,
+    _symbol_sq,
     all_periodograms,
     contrast_weights,
     stationarity_check,
@@ -174,6 +178,72 @@ def test_box_estimation_never_worse_than_coarse_grid():
     theta, value = estimate_node(tab, dom)
     coarse = min(empirical_contrast(tab, c) for c in dom.candidates())
     assert value <= coarse + 1e-12
+
+
+def _exhaustive_seeds(folded, scale, table, domain):
+    """The seed rule over every candidate: each row's pairwise contrast at
+    every candidate, summed as `_contrast` sums a pair, and the tie rule."""
+    cand = domain.candidates()
+    log_psi = _log_psi(_symbol_sq(_symbol_coefficients(cand), table[0]), table[1])
+    values = np.array([-(row * log_psi).sum(axis=-1) for row in folded])
+    return _lexicographic_argmin(values, cand, scale), values
+
+
+def _meeting_rows(folded, scale, values, offsets):
+    """Rows on the segment between each two adjacent rows of folded weights
+    whose least contrasts are at different candidates a and b, where the
+    two candidates' contrasts meet, and at relative `offsets` from there:
+    contrasts are linear in the weights, so a and b tie up to rounding at
+    the meeting point and part by about the offset beside it."""
+    rows, scales = [folded], [scale]
+    for i in range(len(folded) - 1):
+        a, b = values[i : i + 2].argmin(axis=1)
+        if a != b:
+            gaps = values[i : i + 2, b] - values[i : i + 2, a]  # c_b - c_a, > 0 and < 0
+            t = gaps[0] / (gaps[0] - gaps[1]) * (1 + offsets)
+            rows.append((1 - t)[:, None] * folded[i] + t[:, None] * folded[i + 1])
+            scales.append((1 - t) * scale[i] + t * scale[i + 1])
+    return np.vstack(rows), np.concatenate(scales)
+
+
+@pytest.mark.parametrize("domain", [ThetaDomain(), ThetaDomain(couple_l3=True)])
+def test_seed_is_the_exhaustive_argmin(domain):
+    # the ranked, partly re-scored seed is the exhaustive one on every
+    # lattice shape from 2 x 2 to 16 x 16 and on 50 x 50, on random rows
+    # and on rows where two candidates' contrasts meet (`_meeting_rows`),
+    # at amplitudes scaled by 2^-40 and 2^40 too
+    rng = np.random.default_rng(42)
+    tied = near = 0
+    for s1, s2 in [(a, b) for a in range(2, 17) for b in range(2, 17)] + [(50, 50)]:
+        freq = FrequencyGrid(s1, s2)
+        f = all_periodograms(rng.normal(size=(s1, s2, 4))).reshape(-1, 4)
+        weights = np.array([contrast_weights(f[:, a] * np.conj(f[:, a]), freq) for a in range(4)])
+        folded, scale = freq.fold(weights), weights.sum(axis=1)
+        folded, scale = _meeting_rows(folded, scale, _exhaustive_seeds(folded, scale, freq.half_plane, domain)[1],
+                                      np.array([0.0, 1e-15, -1e-15, 1e-14, -1e-14, 1e-13, -1e-13]))
+        seeds = estimator_module._seeds(folded, scale, freq.half_plane, domain)
+        for k in (0, -40, 40):
+            h, s = np.ldexp(folded, k), np.ldexp(scale, k)
+            scored = _contrast(h, domain._candidate_coefs, freq.half_plane, estimator_module._TIE * s)
+            exhaustive, values = _exhaustive_seeds(h, s, freq.half_plane, domain)
+            assert np.array_equal(estimator_module._seeds(h, s, freq.half_plane, domain), exhaustive)
+            assert np.array_equal(seeds, exhaustive)
+            # every pair scored has the exhaustive bits, and every pair
+            # within the tie tolerance of its row's least is scored
+            gap = values - values.min(axis=1, keepdims=True)
+            tolerance = estimator_module._TIE * s[:, None]
+            assert np.array_equal(scored[np.isfinite(scored)], values[np.isfinite(scored)])
+            assert np.isfinite(scored[gap <= tolerance]).all()
+        # any `within` scores every pair within it of its row's least: a
+        # wide one, and 0, whose pairs are each row's exact least even where
+        # the ranking's rounding puts another candidate first
+        for within in np.median(gap, axis=1), np.zeros(len(h)):
+            scored = _contrast(h, domain._candidate_coefs, freq.half_plane, within)
+            assert np.isfinite(scored[gap <= within[:, None]]).all()
+        tied += ((gap <= tolerance).sum(axis=1) > 1).sum()
+        near += ((tolerance < gap) & (gap <= 10 * tolerance)).any(axis=1).sum()
+    # the rows exercise real ties and near misses of the tolerance
+    assert tied > 0 and near > 0
 
 
 def test_lexicographic_tie_break_deterministic():
@@ -324,6 +394,51 @@ def test_lockstep_search_is_optimal(shapes, n, cross, domain, seed):
             assert contrast[0] == value
             # zero gradient inside, nonnegative multipliers on the facets
             assert _kkt_residual(grad[0], _tight_normals(theta, domain)) <= 1e-6 * (folded.sum() + abs(value))
+
+
+def _model_weights(theta0, freq: FrequencyGrid, rng, rows: int) -> np.ndarray:
+    """Full-plane contrast weights (rows, N) of periodograms scattered
+    about the AR density of theta0 by gamma noise of mean one."""
+    density = 1.0 / _symbol_sq(_symbol_coefficients(np.array([theta0])), freq.cosines)[0]
+    return density * freq.eta_measure * rng.gamma(16.0, 1 / 16.0, size=(rows, freq.n))
+
+
+@pytest.mark.parametrize("domain, truths, kinds", [
+    # the narrow uncoupled box: rows inside, on a box face, on an |theta|_1
+    # facet and on both
+    (ThetaDomain(bounds=((-0.5, 0.5),) * 3),
+     [(0.2, 0.1, 0.05), (0.8, 0.1, -0.08), (0.45, 0.45, -0.2025), (0.2, 0.7, 0.1), (0.8, 0.6, -0.48)],
+     {"free", "box", "l1"}),
+    # the coupled box past the edge: rows inside and on the edge
+    (ThetaDomain(bounds=((-1.5, 1.5),) * 3, couple_l3=True),
+     [(0.2, 0.1, -0.02), (0.9999, 0.3, -0.29997), (-0.3, -0.9999, -0.29997)],
+     {"free", "edge"}),
+])
+def test_newton_batch_fits_each_row_as_alone(domain, truths, kinds):
+    # one lockstep batch of two lattice shapes that mixes rows holding no
+    # facet with rows ending on facets: each row's theta, contrast and
+    # evaluations are those of the row fitted alone
+    rng = np.random.default_rng(41)
+    groups = []
+    for shape in [(16, 12), (10, 14)]:
+        freq = FrequencyGrid(*shape)
+        groups.append((freq, np.vstack([_model_weights(th, freq, rng, 2) for th in truths])))
+    thetas, values, evals, _ = _estimate_rows(groups, domain)
+    alone = [_estimate_rows([(freq, weights[i : i + 1])], domain)
+             for freq, weights in groups for i in range(len(weights))]
+    for row, (theta, value, evaluations, _) in enumerate(alone):
+        assert np.array_equal(thetas[row], theta[0])
+        assert values[row] == value[0] and evals[row] == evaluations[0]
+    # the facets the rows end on
+    found = set()
+    for th in np.abs(thetas):
+        if domain.couple_l3:
+            held = {"edge"} if th[:2].max() >= _EDGE - 1e-9 else set()
+        else:
+            held = {"box"} if np.isclose(th, 0.5, rtol=0, atol=1e-12).any() else set()
+            held |= {"l1"} if th.sum() >= _EDGE - 1e-9 else set()
+        found |= held or {"free"}
+    assert found == kinds
 
 
 def _coeff_sets(shapes, picks, depth):

@@ -200,6 +200,17 @@ def test_loo_validate_rejects_boundary_site(reference_spec):
         loo_validate(res, ThetaDomain(), j0=2, sites=[(0, 3)])
 
 
+@pytest.mark.parametrize("site", [(12, 3), (30, 3), (3, 12)])
+def test_loo_validate_rejects_site_past_the_lattice(monkeypatch, site):
+    # a site past the last row or column is named with the lattice before
+    # any transform or fit, not left to an index error after every fit
+    fld = FunctionalField(SpatialGrid(12, 12), TimeGrid(1), np.random.default_rng(38).normal(size=(12, 12, 2)))
+    monkeypatch.setattr(predict_module, "field_dwt", lambda *args, **kwargs: pytest.fail("transformed"))
+    monkeypatch.setattr(predict_module, "estimate_many", lambda *args, **kwargs: pytest.fail("fitted"))
+    with pytest.raises(ValueError, match=rf"site \({site[0]}, {site[1]}\) is outside the 12x12 lattice"):
+        loo_validate(fld, ThetaDomain(), sites=[(3, 3), site])
+
+
 def test_loo_validate_rejects_no_sites(monkeypatch):
     # an empty fold list has no ALOOCVE and no period errors: rejected
     # before any fit

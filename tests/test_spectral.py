@@ -7,7 +7,6 @@ from coxmra import FrequencyGrid, divergence, periodogram
 from coxmra.spectral import (
     _contrast,
     _contrast_derivatives,
-    _inverse_symbol_sq,
     _log_psi,
     _symbol_coefficients,
     _symbol_sq,
@@ -112,7 +111,7 @@ def test_periodogram_mean_relation():
 @settings(max_examples=50, deadline=None)
 def test_ar_symbol_sq_zero_frequency(s1, s2, th):
     # at w = 0 (the first flattened frequency) the symbol is 1 - th1 - th2 - th3
-    inv = _inverse_symbol_sq(np.array([th]), FrequencyGrid(s1, s2))
+    inv = 1.0 / _symbol_sq(_symbol_coefficients(np.array([th])), FrequencyGrid(s1, s2).cosines)
     assert inv.shape == (1, s1 * s2)
     assert 1.0 / inv[0, 0] == pytest.approx((1 - sum(th)) ** 2, rel=1e-12)
 
@@ -149,7 +148,7 @@ def test_contrast_rejects_nonstationary():
     assert stationarity_check(corner)
     assert np.isfinite(empirical_contrast(tab, corner))
     folded = freq.fold(contrast_weights(tab, freq))
-    assert np.isfinite(_contrast(folded[None, None, :], _symbol_coefficients(np.array([corner])), freq.half_plane)).all()
+    assert np.isfinite(_contrast(folded[None, :], _symbol_coefficients(np.array([corner])), freq.half_plane)).all()
     assert divergence(corner, corner, freq) == 0.0
 
 
@@ -198,8 +197,8 @@ def test_log_psi_batched_matches_single(s1, s2, thetas, seed):
     # one candidate at a time, and match the full-plane reference
     tab = periodogram(np.random.default_rng(seed).normal(size=(s1, s2)))
     folded = freq.fold(contrast_weights(tab, freq))
-    seeded = _contrast(folded[None, None, :], coefs, freq.half_plane)[0]
-    assert np.array_equal(seeded, [_contrast(folded[None, None, :], c[None, :], freq.half_plane)[0, 0] for c in coefs])
+    seeded = _contrast(folded[None, :], coefs, freq.half_plane)[0]
+    assert np.array_equal(seeded, [_contrast(folded[None, :], c[None, :], freq.half_plane)[0, 0] for c in coefs])
     np.testing.assert_allclose(
         seeded, [empirical_contrast(tab, th) for th in thetas], rtol=1e-12, atol=1e-14
     )
@@ -233,7 +232,7 @@ def test_half_plane_contrast_matches_full_plane(s1, s2, thetas, seed):
     th = np.array(thetas)
     full_lp = log_psi(th, freq)
     full = -(weights @ full_lp.T)
-    half = _contrast(freq.fold(weights)[:, None, :], _symbol_coefficients(th), freq.half_plane)
+    half = _contrast(freq.fold(weights), _symbol_coefficients(th), freq.half_plane)
     # relative to the summed magnitudes: cross weights take both signs, so
     # a contrast itself can cancel to near zero
     magnitude = np.abs(weights) @ np.abs(full_lp).T
@@ -312,7 +311,7 @@ def test_contrast_derivatives_match_finite_differences(s1, s2, thetas, couple, s
     for (folded, table), group_th in zip(groups, ths):
         rows = slice(start, start + len(folded))
         start = rows.stop
-        assert np.array_equal(values[rows], np.diagonal(_contrast(folded[:, None, :], _symbol_coefficients(group_th), table)))
+        assert np.array_equal(values[rows], np.diagonal(_contrast(folded, _symbol_coefficients(group_th), table)))
         group = _contrast_derivatives([(folded, table)], group_th, couple)
         assert all(np.array_equal(part[rows], one) for part, one in zip((values, grad, hess), group))
         for i in range(len(folded)):
