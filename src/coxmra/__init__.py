@@ -27,7 +27,6 @@ from .sarh import SarhSpec, default_variance_profile, simulate
 from .spectral import (
     FrequencyGrid,
     divergence,
-    periodogram,
     stationarity_check,
 )
 from .estimator import (
@@ -36,7 +35,7 @@ from .estimator import (
     estimate_all,
     truncation_parameter,
 )
-from .cox import CountGrid, integrated_intensity, intensity, moment_bound_check, sample_counts
+from .cox import CountGrid, integrated_intensity, intensity, sample_counts
 from .predict import PredictionResult, ValidationSummary, loo_validate, predict
 
 __all__ = [name for name in dir() if not name.startswith("_")]

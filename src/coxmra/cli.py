@@ -17,7 +17,7 @@ import click
 import numpy as np
 
 from . import cox, estimator, grids, ingest, sarh, wavelet
-from .predict import loo_validate, predict as predict_field, save_validation
+from .predict import interior_sites, loo_validate, predict as predict_field, save_validation
 from .config import RunConfig, load_config
 
 
@@ -163,11 +163,7 @@ def validate(obj, field_file):
     residual, _ = grids.detrend(fld)
     sites = None
     if cfg.validation.max_folds is not None:
-        all_sites = [
-            (p, q)
-            for p in range(1, fld.grid.s1)
-            for q in range(1, fld.grid.s2)
-        ]
+        all_sites = interior_sites(fld.grid.s1, fld.grid.s2)
         idx = np.linspace(
             0, len(all_sites) - 1, min(cfg.validation.max_folds, len(all_sites))
         ).astype(int)

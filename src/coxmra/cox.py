@@ -2,7 +2,10 @@
 
 The intensity at a site is the exponential of its log-intensity curve;
 integrating over the unit time interval gives the per-cell Poisson mean
-(cell area normalized to one, so means are additive over cells).
+(cell area normalized to one, so means are additive over cells).  The
+layer reads curve fields only, never the model that simulated them: the
+second-moment bound on the integrated intensity is a Monte Carlo check
+of the test suite, not a library function.
 """
 
 from __future__ import annotations
@@ -12,30 +15,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import FunctionalField, SpatialGrid, write_csv
-from .sarh import SarhSpec
-from .wavelet import normalized_eigenfunctions
 
 _EXP_GUARD = 700.0  # exp overflow threshold for float64
 
 
 @dataclass(frozen=True)
 class CountGrid:
+    """Counts and means per cell as `sample_counts` draws them: the means
+    are checked before the draw, and Poisson draws are nonnegative ints."""
+
     grid: SpatialGrid
     counts: np.ndarray
     means: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.counts)
-        m = np.asarray(self.means, dtype=float)
-        shape = (self.grid.s1, self.grid.s2)
-        if c.shape != shape or m.shape != shape:
-            raise ValueError("counts/means shape mismatch")
-        if np.any(c < 0) or not np.issubdtype(c.dtype, np.integer):
-            raise ValueError("counts must be nonnegative integers")
-        if np.any(m <= 0):
-            raise ValueError("means must be positive")
-        object.__setattr__(self, "counts", c)
-        object.__setattr__(self, "means", m)
 
 
 def intensity(logfield: FunctionalField) -> FunctionalField:
@@ -70,37 +61,6 @@ def sample_counts(means: np.ndarray, seed: int) -> CountGrid:
     if np.any(m <= 0):
         raise ValueError("Poisson means must be positive")
     return CountGrid(SpatialGrid(*m.shape), np.random.default_rng(seed).poisson(m), m)
-
-
-def moment_bound_check(
-    spec: SarhSpec, n_mc: int = 1000, seed: int = 0
-) -> tuple[float, float, bool]:
-    """Monte Carlo check of the second-moment bound on the integrated
-    intensity of a single site.
-
-    Draws iid stationary component scores, forms Psi = int exp(X(t)) dt,
-    and compares the sample second moment against
-    exp(4 * trace * M^2), where trace is the summed component variance
-    and M the sup of the (normalized) eigenfunctions on the grid.
-
-    Returns (mc_second_moment, analytic_bound, pass_flag).
-    """
-    if n_mc < 100:
-        raise ValueError("need n_mc >= 100")
-    variances = spec.stationary_variances()
-    phi = normalized_eigenfunctions(spec.time, spec.truncation)
-    sup_m = float(np.max(np.abs(phi)))
-    trace = float(variances.sum())
-    bound = float(np.exp(4.0 * trace * sup_m**2))  # |T| = 1
-
-    rng = np.random.default_rng(seed)
-    scores = rng.normal(size=(n_mc, spec.truncation)) * np.sqrt(variances)[None, :]
-    curves = scores @ phi  # (n_mc, 2**D)
-    psi = np.exp(curves).sum(axis=1) * spec.time.weight
-    second = float(np.mean(psi**2))
-    stderr = float(np.std(psi**2, ddof=1) / np.sqrt(n_mc))
-    passed = second <= bound * (1.0 + 3.0 * stderr / max(second, 1e-300))
-    return second, bound, bool(passed)
 
 
 def save_counts(cg: CountGrid, path) -> None:

@@ -98,10 +98,15 @@ class ValidationSummary:
         return out
 
 
-def _training_block(
-    s1: int, s2: int, site: tuple[int, int], radius: int
-) -> tuple[slice, slice]:
-    """Largest complete rectangular subgrid avoiding the hold-out band.
+def interior_sites(s1: int, s2: int) -> list[tuple[int, int]]:
+    """Every site with all three causal neighbours, in C order: the folds
+    of a full leave-one-out run."""
+    return [(p, q) for p in range(1, s1) for q in range(1, s2)]
+
+
+def _largest_block(s1: int, s2: int, site: tuple[int, int], radius: int) -> tuple[slice, slice] | None:
+    """Largest complete rectangular subgrid avoiding the hold-out band, or
+    None when no candidate keeps at least 4 rows and 4 columns.
 
     Candidates strip away all rows (or all columns) within the Chebyshev
     neighbourhood of the held-out site; frequency-domain estimation then
@@ -114,20 +119,22 @@ def _training_block(
         (slice(0, s1), slice(0, q0 - radius)),
         (slice(0, s1), slice(q0 + radius + 1, s2)),
     ]
-    best = None
-    best_size = 0
-    for rs, cs in candidates:
-        nr = max(0, rs.stop - rs.start)
-        nc = max(0, cs.stop - cs.start)
-        if nr < 4 or nc < 4:
-            continue
-        if nr * nc > best_size:
-            best, best_size = (rs, cs), nr * nc
-    if best is None:
-        raise ValueError(
-            f"degenerate training set for hold-out {site} with radius {radius}"
-        )
-    return best
+    sides = [(rs.stop - rs.start, cs.stop - cs.start) for rs, cs in candidates]
+    trainable = [(nr * nc, block) for (nr, nc), block in zip(sides, candidates) if nr >= 4 and nc >= 4]
+    # the first of the largest, as `max` picks it
+    return max(trainable, key=lambda t: t[0], default=(0, None))[1]
+
+
+def _training_block(s1: int, s2: int, site: tuple[int, int], radius: int) -> tuple[slice, slice]:
+    """`_largest_block` of a hold-out.  An untrainable one is named with its
+    lattice and the largest smaller radius at which it trains: a smaller
+    radius only widens every candidate."""
+    block = _largest_block(s1, s2, site, radius)
+    if block is None:
+        fit = next((r for r in range(radius - 1, -1, -1) if _largest_block(s1, s2, site, r)), None)
+        hint = "it trains at no radius" if fit is None else f"it trains at radius {fit}"
+        raise ValueError(f"degenerate training set for hold-out {site} on the {s1}x{s2} lattice with radius {radius}: {hint}")
+    return block
 
 
 def loo_validate(
@@ -146,14 +153,15 @@ def loo_validate(
     held-out curve predicted from its observed causal neighbours, with the
     bits `predict_coeffs` gives that site under the fold's fit, and the
     absolute functional error recorded.  `sites` restricts the folds
-    (defaults to every interior site) and is checked, site by site, before
-    any transform or fit; fold order does not affect any aggregate.  Each
-    training block is fitted once, in one `estimate_many` call, whose
-    lockstep search packs the blocks of every lattice shape.
+    (defaults to `interior_sites`); each is checked to lie inside the
+    lattice and to have a training block before any transform or fit.
+    Fold order does not affect any aggregate.  Each training block is
+    fitted once, in one `estimate_many` call, whose lockstep search packs
+    the blocks of every lattice shape.
     """
     s1, s2 = fld.grid.s1, fld.grid.s2
     if sites is None:
-        sites = [(p, q) for p in range(1, s1) for q in range(1, s2)]
+        sites = interior_sites(s1, s2)
     if len(sites) == 0:
         raise ValueError("no sites to validate: sites is empty")
     for site in sites:
@@ -161,12 +169,12 @@ def loo_validate(
             raise ValueError(f"site {site} has no causal neighbours")
         if site[0] >= s1 or site[1] >= s2:
             raise ValueError(f"site {site} is outside the {s1}x{s2} lattice: a fold needs 1 <= p < {s1}, 1 <= q < {s2}")
-    c = field_dwt(fld, j0).coeffs
     sites = sorted(sites)
     blocks: dict[tuple[int, int, int, int], list[int]] = {}  # training block -> its folds
     for i, site in enumerate(sites):
         rs, cs = _training_block(s1, s2, site, neighborhood_radius)
         blocks.setdefault((rs.start, rs.stop, cs.start, cs.stop), []).append(i)
+    c = field_dwt(fld, j0).coeffs
     # the Haar transform acts site by site: a block's coefficients are a slice of c
     subs = [MultiscaleCoefficients(SpatialGrid(r1 - r0, c1 - c0), j0, fld.time.depth, c[r0:r1, c0:c1])
             for r0, r1, c0, c1 in blocks]

@@ -6,12 +6,14 @@ th3 e^{i(w1+w2)}|^2 = c0 + c1 cos w1 + c2 cos w2 + c3 cos(w1+w2) +
 c4 cos(w1-w2), the coefficients of a triple (`_symbol_coefficients`)
 times a cosine table (`_symbol_sq`), the fDFT with its 1-based site
 phase (`all_periodograms`), and the contrast weight eta = |w1|^2 |w2|^2
-(`FrequencyGrid.eta`).  It also holds the one contrast, minus folded
-weights times the normalised log-density `_log_psi` of a squared symbol:
-`_contrast` scores the estimator's seeds and the population
-`contrast_functional` with it, and `_contrast_derivatives` gives it with
-its gradient and Hessian in the AR coefficients for every row of a
-Newton round, all lattice shapes in one call.
+(`FrequencyGrid.eta`).  A periodogram table is a product of fDFT
+columns, f_a * conj(f_b), taken where it is used (the estimator's
+`_row_weights`); the module builds no table of its own.  It also holds
+the one contrast, minus folded weights times the normalised log-density
+`_log_psi` of a squared symbol: `_contrast` scores the estimator's seeds
+and the population `contrast_functional` with it, and
+`_contrast_derivatives` gives it with its gradient and Hessian in the AR
+coefficients for every row of a Newton round, all lattice shapes in one call.
 
 Frequencies live on the Fourier grid of the observation lattice, reported
 in the symmetric fundamental domain (-pi, pi]^2 so that eta is an even
@@ -155,21 +157,6 @@ def all_periodograms(coeffs: np.ndarray) -> np.ndarray:
     w2 = TWO_PI * np.arange(s2) / s2
     f *= (np.exp(-1j * w1)[:, None] * np.exp(-1j * w2)[None, :])[:, :, None]
     return f / (TWO_PI * np.sqrt(s1 * s2))
-
-
-def periodogram(coeff_a: np.ndarray, coeff_b: np.ndarray | None = None) -> np.ndarray:
-    """Complex (s1, s2) cross-periodogram table of two coefficient fields
-    (diagonal if b is None).
-
-    Computed as fdft(a) * conj(fdft(b)) at every Fourier frequency, the
-    product of two columns of `all_periodograms`.
-    """
-    a = np.asarray(coeff_a, dtype=float)
-    b = a if coeff_b is None else np.asarray(coeff_b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"field shapes differ: {a.shape} vs {b.shape}")
-    f = all_periodograms(np.stack([a] if coeff_b is None else [a, b], axis=-1))
-    return f[:, :, 0] * np.conj(f[:, :, -1])
 
 
 def contrast_weights(cross: np.ndarray, freq: FrequencyGrid) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Plain-loop reference implementations the library is checked against.
 
 The library computes every fDFT through `coxmra.spectral.all_periodograms`;
-the direct sums here are its FFT-free oracles.  It evaluates every
+the direct sums here are its FFT-free oracles, and `column_periodogram`
+is the table the estimator takes from it.  It evaluates every
 contrast on the folded half plane (`coxmra.spectral._contrast`); the
 full-plane log-density, empirical contrast and innovation variance here
 are its unfolded references.  The AR recursion, the IDW interpolation,
@@ -9,7 +10,9 @@ the time resampling and the CSV writer are vectorized in the library;
 their one-value-at-a-time loops here must give identical results.  The
 library fits each row by a projected Newton search; the coordinate
 pattern search here, one row at a time, is the reference its contrasts
-must match or beat.
+must match or beat.  The components' stationary variances and the Monte
+Carlo second-moment bound on the integrated intensity (criterion 7) are
+model facts no pipeline step computes, so they live here only.
 """
 
 import numpy as np
@@ -24,16 +27,18 @@ from coxmra.estimator import (
 from coxmra.grids import FunctionalField, SpatialGrid, TimeGrid
 from coxmra.ingest import _EXACT_HIT, IDW_NEIGHBOURS, IDW_POWER
 from coxmra.predict import _training_block, predict_coeffs
+from coxmra.sarh import SarhSpec
 from coxmra.spectral import (
     TWO_PI,
     FrequencyGrid,
     _log_psi,
     _symbol_coefficients,
     _symbol_sq,
+    all_periodograms,
     contrast_weights,
     stationarity_check,
 )
-from coxmra.wavelet import field_dwt, idwt
+from coxmra.wavelet import field_dwt, idwt, normalized_eigenfunctions
 
 
 def fdft(coeff_field: np.ndarray, w: tuple[float, float]) -> complex:
@@ -64,6 +69,13 @@ def periodogram_direct(coeff_a: np.ndarray, coeff_b: np.ndarray | None = None) -
             fb = fa if coeff_b is None else fdft(b, (w1, w2))
             values[i, j] = fa * np.conj(fb)
     return values
+
+
+def column_periodogram(coeff_a: np.ndarray, coeff_b: np.ndarray | None = None) -> np.ndarray:
+    """Complex (s1, s2) table f_a * conj(f_b) of two `all_periodograms`
+    columns (diagonal if b is None), the product `_row_weights` takes."""
+    f = all_periodograms(np.stack([coeff_a] if coeff_b is None else [coeff_a, coeff_b], axis=-1))
+    return f[:, :, 0] * np.conj(f[:, :, -1])
 
 
 def _stationary(theta) -> np.ndarray:
@@ -105,6 +117,51 @@ def innovation_variance(cross: np.ndarray, theta) -> float:
     moment = float(contrast_weights(cross, freq).sum())
     shape = inverse_symbol_sq(_stationary(theta), freq)[0] / (2.0 * np.pi) ** 2
     return moment / float(shape @ freq.eta_measure)
+
+
+def spectral_variance(theta, sigma2: float, n: int = 256) -> float:
+    """Variance of a stationary AR field via its spectral representation:
+    sigma2 times the mean inverse squared symbol over an n x n grid."""
+    inverse = inverse_symbol_sq(np.asarray(theta, dtype=float).reshape(1, 3), FrequencyGrid(n, n))
+    return float(sigma2 * np.mean(inverse))
+
+
+def stationary_variances(spec: SarhSpec) -> np.ndarray:
+    """Marginal variance of each component field: closed form for the
+    factorized model, `spectral_variance` otherwise."""
+    if spec.couple_l3:
+        return spec.innovation_variances / ((1.0 - spec.eigenvalues1**2) * (1.0 - spec.eigenvalues2**2))
+    thetas = np.column_stack([spec.eigenvalues1, spec.eigenvalues2, spec.eigenvalues3])
+    return np.array([spectral_variance(theta, sigma2) for theta, sigma2 in zip(thetas, spec.innovation_variances)])
+
+
+def moment_bound_check(spec: SarhSpec, n_mc: int = 1000, seed: int = 0) -> tuple[float, float, bool]:
+    """Monte Carlo check of the second-moment bound on the integrated
+    intensity of a single site.
+
+    Draws iid stationary component scores, forms Psi = int exp(X(t)) dt,
+    and compares the sample second moment against
+    exp(4 * trace * M^2), where trace is the summed component variance
+    and M the sup of the (normalized) eigenfunctions on the grid.
+
+    Returns (mc_second_moment, analytic_bound, pass_flag).
+    """
+    if n_mc < 100:
+        raise ValueError("need n_mc >= 100")
+    variances = stationary_variances(spec)
+    phi = normalized_eigenfunctions(spec.time, spec.truncation)
+    sup_m = float(np.max(np.abs(phi)))
+    trace = float(variances.sum())
+    bound = float(np.exp(4.0 * trace * sup_m**2))  # |T| = 1
+
+    rng = np.random.default_rng(seed)
+    scores = rng.normal(size=(n_mc, spec.truncation)) * np.sqrt(variances)[None, :]
+    curves = scores @ phi  # (n_mc, 2**D)
+    psi = np.exp(curves).sum(axis=1) * spec.time.weight
+    second = float(np.mean(psi**2))
+    stderr = float(np.std(psi**2, ddof=1) / np.sqrt(n_mc))
+    passed = second <= bound * (1.0 + 3.0 * stderr / max(second, 1e-300))
+    return second, bound, bool(passed)
 
 
 def ar_component(theta, e: np.ndarray) -> np.ndarray:

@@ -22,10 +22,8 @@ from coxmra import (
     dwt,
     idwt,
     loo_validate,
-    moment_bound_check,
     normalized_eigenfunctions,
     operator_to_wavelet,
-    periodogram,
     sample_counts,
     simulate,
     wavelet_to_operator_eigs,
@@ -35,9 +33,9 @@ from coxmra.cox import integrated_intensity, intensity, save_counts
 from coxmra.estimator import EstimationReport, estimate_all
 from coxmra.grids import FunctionalField, detrend
 from coxmra.predict import predict_coeffs
-from coxmra.spectral import FrequencyGrid, contrast_functional, stationarity_check
+from coxmra.spectral import FrequencyGrid, all_periodograms, contrast_functional, stationarity_check
 from coxmra.wavelet import field_dwt, level_slices
-from oracles import periodogram_direct
+from oracles import moment_bound_check, periodogram_direct
 
 LAMBDA1 = np.array([0.300, 0.270, 0.230, 0.200, 0.170, 0.130, 0.100, 0.030, 0.010, 0.005])
 LAMBDA2 = np.array([0.500, 0.470, 0.430, 0.400, 0.370, 0.330, 0.300, 0.230, 0.200, 0.150])
@@ -139,16 +137,22 @@ def test_criterion_2_divergence_properties():
 
 
 def test_criterion_3_periodogram_oracle():
+    # every column of one multi-column fDFT call, squared as the estimator's
+    # `_row_weights` squares it, against the FFT-free direct sum; the first
+    # column and the 50 shapes are the draws of `rng` alone
     rng = np.random.default_rng(2024)
+    more = np.random.default_rng(2025)
     ok = True
     for _ in range(50):
         s1 = int(rng.integers(2, 17))
         s2 = int(rng.integers(2, 17))
-        x = rng.normal(size=(s1, s2))
-        fast = periodogram(x)
-        slow = periodogram_direct(x)
-        scale = np.abs(slow).max()
-        ok &= bool(np.abs(fast - slow).max() <= 1e-10 * max(scale, 1.0))
+        x = np.dstack([rng.normal(size=(s1, s2)), more.normal(size=(s1, s2, 2))])
+        f = all_periodograms(x)
+        for a in range(x.shape[-1]):
+            fast = f[:, :, a] * np.conj(f[:, :, a])
+            slow = periodogram_direct(x[:, :, a])
+            scale = np.abs(slow).max()
+            ok &= bool(np.abs(fast - slow).max() <= 1e-10 * max(scale, 1.0))
     _verdict(3, "periodogram oracle", ok)
 
 

@@ -333,6 +333,21 @@ def test_ndjson_field_fails_with_json_error(workspace):
     assert f"{field}: line 1: unexpected header" in payload["error"]
 
 
+def test_validate_names_an_untrainable_site_and_writes_nothing(tmp_path):
+    # every fold of an 8 x 8 lattice at the default radius 1 is resolved
+    # before the first fit; the failing one is named and no table is written
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**BASE_CONFIG, "grid": {"s1": 8, "s2": 8}, "validation": {"period_length": 2}}))
+    out = tmp_path / "out"
+    _run(["--config", str(config), "--out", str(out), "simulate"])
+    before = sorted(out.iterdir())
+    result = CliRunner().invoke(main, ["--config", str(config), "--out", str(out), "validate", str(out / "field_000.csv")])
+    assert result.exit_code == 1
+    payload = json.loads(result.stderr.strip().splitlines()[-1])
+    assert "hold-out (3, 3) on the 8x8 lattice with radius 1: it trains at radius 0" in payload["error"]
+    assert sorted(out.iterdir()) == before
+
+
 def test_missing_input_fails_cleanly(workspace):
     tmp, config = workspace
     result = CliRunner().invoke(

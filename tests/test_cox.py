@@ -8,11 +8,10 @@ from coxmra import (
     TimeGrid,
     integrated_intensity,
     intensity,
-    moment_bound_check,
     sample_counts,
 )
 from coxmra.cox import save_counts
-from oracles import table_csv
+from oracles import moment_bound_check, table_csv
 
 
 def _logfield(values):
@@ -62,10 +61,7 @@ def test_sample_counts_distribution():
 
 
 def test_count_grid_validation():
-    with pytest.raises(ValueError):
-        CountGrid(SpatialGrid(2, 2), np.zeros((2, 2)), np.ones((2, 2)))  # float counts
-    with pytest.raises(ValueError):
-        CountGrid(SpatialGrid(2, 2), -np.ones((2, 2), dtype=int), np.ones((2, 2)))
+    # the one producer checks the means; Poisson draws need no re-check
     with pytest.raises(ValueError):
         sample_counts(np.zeros((2, 2)), seed=0)
 

@@ -19,7 +19,6 @@ from coxmra import (
     TimeGrid,
     default_variance_profile,
     estimate_all,
-    periodogram,
     simulate,
     truncation_parameter,
 )
@@ -34,6 +33,7 @@ from coxmra.estimator import (
 )
 from conftest import LAMBDA1, LAMBDA2, ar_field
 from oracles import (
+    column_periodogram,
     EDGE_FLOATS,
     empirical_contrast,
     estimate_eta_moment,
@@ -78,7 +78,7 @@ def verify_report(report: EstimationReport, coeffs: MultiscaleCoefficients) -> f
 def _ar_periodogram(theta, s1, s2, seed, sigma2=1.0):
     rng = np.random.default_rng(seed)
     x = ar_field(theta, sigma2, SpatialGrid(s1, s2), 64, rng)
-    return periodogram(x - x.mean())
+    return column_periodogram(x - x.mean())
 
 
 def test_truncation_parameter():
@@ -575,7 +575,7 @@ def test_estimate_all_report_structure(reference_spec):
     # each pair's moment is the eta-weighted sum of its own periodogram
     freq = FrequencyGrid(12, 12)
     for est in report.estimates:
-        expected = contrast_weights(periodogram(mc.coeffs[:, :, est.row]), freq).sum()
+        expected = contrast_weights(column_periodogram(mc.coeffs[:, :, est.row]), freq).sum()
         assert est.eta_moment == pytest.approx(expected, rel=1e-12, abs=0)
 
 
@@ -600,7 +600,7 @@ def test_estimate_all_include_cross(reference_spec):
     # each row is the fit of its score field's own periodogram
     scores = mc.coeffs @ basis.vectors
     for est in report.estimates:
-        assert abs(empirical_contrast(periodogram(scores[:, :, est.row]), est.theta) - est.contrast) < 1e-10
+        assert abs(empirical_contrast(column_periodogram(scores[:, :, est.row]), est.theta) - est.contrast) < 1e-10
     ops = np.stack([op.matrix for op in report.operators])
     assert np.array_equal(ops, ops.transpose(0, 2, 1))
     expected = projection_operators(basis.vectors, [e.theta for e in report.estimates])

@@ -211,6 +211,21 @@ def test_loo_validate_rejects_site_past_the_lattice(monkeypatch, site):
         loo_validate(fld, ThetaDomain(), sites=[(3, 3), site])
 
 
+@pytest.mark.parametrize("s1, s2, sites, radius, message", [
+    (8, 8, None, 1, r"hold-out \(3, 3\) on the 8x8 lattice with radius 1: it trains at radius 0"),
+    (8, 8, None, 2, r"hold-out \(2, 2\) on the 8x8 lattice with radius 2: it trains at radius 1"),
+    (5, 5, [(1, 3), (2, 2)], 1, r"hold-out \(1, 3\) on the 5x5 lattice with radius 1: it trains at no radius"),
+], ids=["8x8-radius-1", "8x8-radius-2", "5x5-no-radius"])
+def test_loo_validate_names_an_untrainable_site(monkeypatch, s1, s2, sites, radius, message):
+    # a hold-out with no 4 x 4 training block is named with the lattice
+    # and the largest smaller radius it trains at, before any transform or fit
+    fld = FunctionalField(SpatialGrid(s1, s2), TimeGrid(1), np.random.default_rng(39).normal(size=(s1, s2, 2)))
+    monkeypatch.setattr(predict_module, "field_dwt", lambda *args, **kwargs: pytest.fail("transformed"))
+    monkeypatch.setattr(predict_module, "estimate_many", lambda *args, **kwargs: pytest.fail("fitted"))
+    with pytest.raises(ValueError, match=message):
+        loo_validate(fld, ThetaDomain(), neighborhood_radius=radius, sites=sites)
+
+
 def test_loo_validate_rejects_no_sites(monkeypatch):
     # an empty fold list has no ALOOCVE and no period errors: rejected
     # before any fit

@@ -462,21 +462,24 @@ def _is_command(definition: ast.FunctionDef | ast.ClassDef) -> bool:
 
 def test_public_names_are_reached_by_the_pipeline():
     """Every top-level function and class in `src/coxmra`, and so every
-    non-module name `coxmra` exports, is referenced outside its own
-    definition by a library module, the benchmark or the acceptance
-    criteria, or is a CLI command.  Code only tests call is a side door
-    to delete, or a reference that belongs in `tests/oracles.py`."""
+    non-module name `coxmra` exports, and every public method and
+    property of a library class, is referenced outside its own definition
+    by a library module, the benchmark or the acceptance criteria, or is
+    a CLI command.  Code only tests call is a side door to delete, or a
+    reference that belongs in `tests/oracles.py`."""
     root = Path(__file__).parents[1]
     library = [p for p in sorted((root / "src" / "coxmra").glob("*.py")) if p.name != "__init__.py"]
     sources = library + sorted((root / "perfbench").glob("*.py")) + [root / "tests" / "test_acceptance.py"]
     trees = {path: ast.parse(path.read_text()) for path in sources}
-    # the names each top-level statement references; a def or class
-    # statement binds its own name without a Name node
+    # the names each part of a top-level statement references: a class's
+    # parts are its bases, decorators and body statements, anything else
+    # is one part; a def or class binds its own name without a Name node
     references = [
-        (stmt, {node.id if isinstance(node, ast.Name) else node.attr
-                for node in ast.walk(stmt) if isinstance(node, (ast.Name, ast.Attribute))})
+        (stmt, part, {node.id if isinstance(node, ast.Name) else node.attr
+                      for node in ast.walk(part) if isinstance(node, (ast.Name, ast.Attribute))})
         for tree in trees.values()
         for stmt in tree.body
+        for part in (stmt.bases + stmt.decorator_list + stmt.body if isinstance(stmt, ast.ClassDef) else [stmt])
     ]
     defined = {
         f"{path.name}:{stmt.name}": stmt
@@ -484,10 +487,19 @@ def test_public_names_are_reached_by_the_pipeline():
         for stmt in trees[path].body
         if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
     }
+    methods = {
+        f"{key}.{method.name}": method
+        for key, stmt in defined.items() if isinstance(stmt, ast.ClassDef)
+        for method in stmt.body
+        if isinstance(method, ast.FunctionDef) and not method.name.startswith("_")
+    }
     unreached = [
         key for key, definition in defined.items()
         if not _is_command(definition)
-        and not any(definition.name in names for stmt, names in references if stmt is not definition)
+        and not any(definition.name in names for stmt, _, names in references if stmt is not definition)
+    ] + [
+        key for key, method in methods.items()
+        if not any(method.name in names for _, part, names in references if part is not method)
     ]
     assert unreached == []
     names = {definition.name for definition in defined.values()}

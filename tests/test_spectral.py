@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coxmra import FrequencyGrid, divergence, periodogram
+from coxmra import FrequencyGrid, divergence
 from coxmra.spectral import (
     _contrast,
     _contrast_derivatives,
@@ -16,7 +16,7 @@ from coxmra.spectral import (
     stationarity_check,
 )
 from conftest import stationary_thetas
-from oracles import empirical_contrast, fdft, log_psi, periodogram_direct
+from oracles import column_periodogram, empirical_contrast, fdft, log_psi, periodogram_direct
 
 sides = st.integers(min_value=2, max_value=16)
 
@@ -64,10 +64,10 @@ def test_fdft_single_site_phase():
 @settings(max_examples=50, deadline=None)
 def test_periodogram_matches_direct_sum(s1, s2, seed):
     x, y = np.random.default_rng(seed).normal(size=(2, s1, s2))
-    fast = periodogram(x)
+    fast = column_periodogram(x)
     slow = periodogram_direct(x)
     np.testing.assert_allclose(fast, slow, rtol=1e-10, atol=1e-12)
-    fast = periodogram(x, y)
+    fast = column_periodogram(x, y)
     slow = periodogram_direct(x, y)
     np.testing.assert_allclose(fast, slow, rtol=1e-10, atol=1e-12)
 
@@ -75,33 +75,34 @@ def test_periodogram_matches_direct_sum(s1, s2, seed):
 def test_cross_periodogram_conjugate_symmetry():
     rng = np.random.default_rng(8)
     a, b = rng.normal(size=(2, 6, 5))
-    iab = periodogram(a, b)
-    iba = periodogram(b, a)
+    iab = column_periodogram(a, b)
+    iba = column_periodogram(b, a)
     np.testing.assert_allclose(iab, np.conj(iba), atol=1e-12)
 
 
 def test_diagonal_periodogram_nonnegative():
     x = np.random.default_rng(1).normal(size=(7, 7))
-    tab = periodogram(x)
+    tab = column_periodogram(x)
     assert tab.shape == (7, 7)
     assert np.all(tab.real >= -1e-15)
     np.testing.assert_allclose(tab.imag, 0.0, rtol=0, atol=1e-15)
 
 
 def test_all_periodograms_consistent():
+    # every column product of one call, cross pairs too, is the direct sum
     rng = np.random.default_rng(4)
     coeffs = rng.normal(size=(5, 6, 3))
     f = all_periodograms(coeffs)
-    for a in range(3):
-        expected = periodogram(coeffs[:, :, a])
-        np.testing.assert_allclose(f[:, :, a] * np.conj(f[:, :, a]), expected, atol=1e-12)
+    for a, b in np.ndindex(3, 3):
+        expected = periodogram_direct(coeffs[:, :, a], coeffs[:, :, b])
+        np.testing.assert_allclose(f[:, :, a] * np.conj(f[:, :, b]), expected, atol=1e-12)
 
 
 def test_periodogram_mean_relation():
     # Parseval-type oracle: the plain sum of the diagonal periodogram over
     # all Fourier frequencies equals sum(x^2) / (2 pi)^2
     x = np.random.default_rng(2).normal(size=(8, 5))
-    tab = periodogram(x)
+    tab = column_periodogram(x)
     assert np.sum(tab.real) == pytest.approx(
         np.sum(x**2) / (2 * np.pi) ** 2, rel=1e-10
     )
@@ -132,7 +133,7 @@ def test_contrast_rejects_nonstationary():
     # the second triple is 9e-6 off the coupled curve, where the AR
     # polynomial vanishes inside the unit bidisk: no relative tolerance
     good = (0.3, 0.5, -0.15)
-    tab = periodogram(np.random.default_rng(3).normal(size=(6, 6)))
+    tab = column_periodogram(np.random.default_rng(3).normal(size=(6, 6)))
     freq = FrequencyGrid(6, 6)
     for bad in ((0.7, 0.7, 0.0), (0.999, 0.999, -0.998001 + 9e-6)):
         with pytest.raises(ValueError):
@@ -195,7 +196,7 @@ def test_log_psi_batched_matches_single(s1, s2, thetas, seed):
     assert np.array_equal(batch, single)
     # the contrasts the estimator seeds from batched rows equal those of
     # one candidate at a time, and match the full-plane reference
-    tab = periodogram(np.random.default_rng(seed).normal(size=(s1, s2)))
+    tab = column_periodogram(np.random.default_rng(seed).normal(size=(s1, s2)))
     folded = freq.fold(contrast_weights(tab, freq))
     seeded = _contrast(folded[None, :], coefs, freq.half_plane)[0]
     assert np.array_equal(seeded, [_contrast(folded[None, :], c[None, :], freq.half_plane)[0, 0] for c in coefs])
@@ -257,7 +258,7 @@ def test_divergence_equals_contrast_difference():
 def test_empirical_contrast_matches_quadrature():
     # independent re-computation of the contrast as explicit loops
     x = np.random.default_rng(9).normal(size=(6, 6))
-    tab = periodogram(x)
+    tab = column_periodogram(x)
     th = (0.25, 0.4, -0.1)
     freq = FrequencyGrid(6, 6)
     dens = np.empty((6, 6))
