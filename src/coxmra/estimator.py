@@ -462,13 +462,12 @@ def _eigenbasis(coeffs: MultiscaleCoefficients) -> EigenBasis:
 
 def _row_weights(freq: FrequencyGrid, fields: list[np.ndarray]) -> np.ndarray:
     """Contrast weights (rows, N) of every column of the (s1, s2, m)
-    fitted fields of one shape, in order: each column's periodogram."""
-    weights = np.empty((sum(x.shape[-1] for x in fields), freq.n))
-    rows = iter(weights)
-    for x in fields:
-        for f, row in zip(all_periodograms(x).reshape(-1, x.shape[-1]).T, rows):
-            row[:] = contrast_weights(f * np.conj(f), freq)
-    return weights
+    fitted fields of one shape, in order: each column's periodogram, from
+    one fDFT of all the columns.  The rows are C-contiguous, so a row's
+    sum has the bits of the row alone."""
+    f = all_periodograms(np.concatenate(fields, axis=-1))
+    f *= np.conj(f)
+    return np.ascontiguousarray(contrast_weights(np.moveaxis(f, -1, 0), freq))
 
 
 def _report(j0: int, depth: int, n_sites: int, k: int, estimates: list[NodeEstimate],

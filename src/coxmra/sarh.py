@@ -14,7 +14,9 @@ burn-in margin.
 The recursion runs as a wavefront: a cell on the anti-diagonal r + c = d
 depends only on diagonals d - 1 and d - 2, so each diagonal is one
 vectorized step, shared by all components.  An (r1, r2) lattice takes
-r1 + r2 - 1 steps whatever the number of components.
+r1 + r2 - 1 steps whatever the number of components.  It runs in place on
+one zero-bordered (K, r1 + 1, r2 + 1) array that holds the innovations
+and is overwritten by the fields; a diagonal is a strided slice of it.
 
 Beyond the unit-trace scaling of `default_variance_profile`, the module
 evaluates no moment of the model: the components' stationary variances,
@@ -97,35 +99,27 @@ class SarhSpec:
         return self.eigenvalues1.size
 
 
-def _ar_fields(thetas: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """AR fields of K components at once: thetas (K, 3), innovations
-    (K, r1, r2) -> fields (K, r1, r2), zero-initialized outside the lattice.
+def _ar_fields(thetas: np.ndarray, x: np.ndarray) -> None:
+    """AR fields of K components at once, in place: thetas (K, 3), and a
+    C-contiguous x (K, r1 + 1, r2 + 1) whose row and column 0 are zero and
+    whose x[:, 1:, 1:] holds the innovations, which the fields overwrite.
 
-    Storage is skewed, s[:, r + c + 2, r + 1] = x[:, r, c], so diagonal
-    d = r + c is the contiguous slice s[:, d + 2, lo + 1:hi + 2] and its
-    three neighbours are slices of the two diagonals before it, s[:, d + 1]
-    and s[:, d].  The entries s[:, j, i] with j <= i or i = 0 are never
-    written and hold the zero boundary.
+    In the flattened rows of x, lattice cell (r, c) sits at
+    (r + 1)(r2 + 1) + c + 1, so diagonal d = r + c, r = lo..hi, is the
+    basic slice from r2 + 2 + d + lo r2 in steps of r2, and its west,
+    north and north-west neighbours are that slice shifted by -1,
+    -(r2 + 1) and -(r2 + 2), on diagonals already computed or on the zero
+    border.  Each cell reads its own innovation before it is overwritten.
     """
-    k, r1, r2 = e.shape
+    k, r1, r2 = x.shape[0], x.shape[1] - 1, x.shape[2] - 1
     th1, th2, th3 = (thetas[:, i, None] for i in range(3))
-    rows, cols = np.indices((r1, r2))
-    skew = (slice(None), rows + cols + 2, rows + 1)
-    s = np.zeros((k, r1 + r2 + 1, r1 + 1))
-    es = np.zeros_like(s)
-    es[skew] = e
+    flat = x.reshape(k, -1)
     for d in range(r1 + r2 - 1):
         lo, hi = max(0, d - r2 + 1), min(d, r1 - 1)
-        i, up = slice(lo + 1, hi + 2), slice(lo, hi + 1)
-        s[:, d + 2, i] = th2 * s[:, d + 1, i] + (
-            es[:, d + 2, i] + (th1 * s[:, d + 1, up] + th3 * s[:, d, up])
-        )
-    return s[skew]
-
-
-def _innovations(sigma2: float, grid: SpatialGrid, burn_in: int, rng) -> np.ndarray:
-    r1, r2 = grid.s1 + burn_in, grid.s2 + burn_in
-    return rng.normal(0.0, np.sqrt(sigma2), size=(r1, r2))
+        start = r2 + 2 + d + lo * r2
+        stop = start + (hi - lo) * r2 + 1
+        cells, west, north, northwest = (flat[:, start - o:stop - o:r2] for o in (0, 1, r2 + 1, r2 + 2))
+        cells[:] = th2 * west + (cells + (th1 * north + th3 * northwest))
 
 
 def simulate(
@@ -152,11 +146,12 @@ def simulate(
         )
     phi = normalized_eigenfunctions(spec.time, spec.truncation)
     seeds = np.random.SeedSequence(seed).spawn(spec.truncation)
-    e = np.stack([
-        _innovations(sigma2, grid, burn_in, np.random.default_rng(ss))
-        for sigma2, ss in zip(spec.innovation_variances, seeds)
-    ])
-    comps = _ar_fields(thetas, e)[:, burn_in:, burn_in:]
+    r1, r2 = grid.s1 + burn_in, grid.s2 + burn_in
+    x = np.zeros((spec.truncation, r1 + 1, r2 + 1))
+    for xp, sigma2, ss in zip(x, spec.innovation_variances, seeds):
+        xp[1:, 1:] = np.random.default_rng(ss).normal(0.0, np.sqrt(sigma2), size=(r1, r2))
+    _ar_fields(thetas, x)
+    comps = x[:, 1 + burn_in:, 1 + burn_in:]
     values = np.zeros((grid.s1, grid.s2, spec.time.n))
     for comp, phi_p in zip(comps, phi):
         values += comp[:, :, None] * phi_p[None, None, :]

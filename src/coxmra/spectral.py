@@ -156,16 +156,18 @@ def all_periodograms(coeffs: np.ndarray) -> np.ndarray:
     w1 = TWO_PI * np.arange(s1) / s1
     w2 = TWO_PI * np.arange(s2) / s2
     f *= (np.exp(-1j * w1)[:, None] * np.exp(-1j * w2)[None, :])[:, :, None]
-    return f / (TWO_PI * np.sqrt(s1 * s2))
+    f /= TWO_PI * np.sqrt(s1 * s2)
+    return f
 
 
 def contrast_weights(cross: np.ndarray, freq: FrequencyGrid) -> np.ndarray:
-    """Re(I) * eta * cell_measure of one periodogram table, flattened.
+    """Re(I) * eta * cell_measure of one periodogram table, (s1, s2) or
+    flattened, as (N,), or of a stack (m, s1, s2) of tables, as (m, N).
 
     The empirical contrast of a candidate is the `_contrast` of these
     weights folded onto the half plane.
     """
-    return cross.real.ravel() * freq.eta_measure
+    return cross.real.reshape(cross.shape[:-2] + (freq.n,)) * freq.eta_measure
 
 
 def _symbol_coefficients(thetas: np.ndarray) -> np.ndarray:
@@ -259,30 +261,34 @@ def _contrast(folded: np.ndarray, coefs: np.ndarray, table: tuple[np.ndarray, np
     return out
 
 
+# d2 c / d th_i d th_j of `_symbol_coefficients`, (3, 3, 5): constant, since
+# every coefficient is quadratic; c0 = 1 + th1^2 + th2^2 + th3^2,
+# c1 = 2 th2 th3, c2 = 2 th1 th3, c4 = 2 th1 th2
+_D2C = np.zeros((3, 3, 5))
+_D2C[(0, 1, 2, 1, 2, 0, 2, 0, 1), (0, 1, 2, 2, 1, 2, 0, 1, 0), (0, 0, 0, 1, 1, 2, 2, 4, 4)] = 2.0
+
+
 def _coefficient_derivatives(thetas: np.ndarray, couple_l3: bool) -> tuple[np.ndarray, np.ndarray]:
     """First and second derivatives of m candidates' `_symbol_coefficients`
     in their free coordinates, (m, f, 5) and (m, f, f, 5): th1, th2 and th3,
     or th1 and th2 with th3 = -th1 th2 entering by the chain rule."""
     th = np.asarray(thetas, dtype=float)
     m = th.shape[0]
-    # d c / d th_i, rows th1, th2, th3, gathered from 2 (th1, th2, th3, -1, 0)
-    gather = [[0, 3, 2, 4, 1], [1, 2, 3, 4, 0], [2, 1, 0, 3, 4]]
-    dc = 2.0 * np.take(np.hstack([th, np.full((m, 1), -1.0), np.zeros((m, 1))]), gather, axis=1)
-    # d2 c / d th_i d th_j: constant, since every coefficient is quadratic;
-    # c0 = 1 + th1^2 + th2^2 + th3^2, c1 = 2 th2 th3, c2 = 2 th1 th3, c4 = 2 th1 th2
-    d2c = np.zeros((3, 3, 5))
-    for i, j, k in (0, 0, 0), (1, 1, 0), (2, 2, 0), (1, 2, 1), (2, 1, 1), (0, 2, 2), (2, 0, 2), (0, 1, 4), (1, 0, 4):
-        d2c[i, j, k] = 2.0
+    # d c / d th_i, rows th1, th2, th3, gathered from (2 th1, 2 th2, 2 th3, -2, 0)
+    doubled = np.empty((m, 5))
+    doubled[:, :3] = 2.0 * th
+    doubled[:, 3:] = (-2.0, 0.0)
+    dc = np.take(doubled, [[0, 3, 2, 4, 1], [1, 2, 3, 4, 0], [2, 1, 0, 3, 4]], axis=1)
     if not couple_l3:
-        return dc, np.broadcast_to(d2c, (m, 3, 3, 5))
-    # th3 = -th1 th2: d th3 / d th1 = -th2, d th3 / d th2 = -th1, d2 th3 / d th1 d th2 = -1
+        return dc, np.broadcast_to(_D2C, (m, 3, 3, 5))
+    # th3 = -th1 th2: d th3 / d th_i = u_i = -th2, -th1 and d2 th3 / d th1 d th2 = -1
     u = -th[:, [1, 0], None]
     u1, u2 = u[:, 0], u[:, 1]
-    free_dc = dc[:, :2] + u * dc[:, 2:]
-    c00 = d2c[0, 0] + 2.0 * u1 * d2c[0, 2] + u1 * u1 * d2c[2, 2]
-    c11 = d2c[1, 1] + 2.0 * u2 * d2c[1, 2] + u2 * u2 * d2c[2, 2]
-    c01 = d2c[0, 1] + u2 * d2c[0, 2] + u1 * d2c[2, 1] + u1 * u2 * d2c[2, 2] - dc[:, 2]
-    return free_dc, np.stack([c00, c01, c01, c11], axis=1).reshape(m, 2, 2, 5)
+    d2c = np.empty((m, 4, 5))  # entries 00, 01, 10, 11
+    # both diagonal entries at once: D_ii + 2 u_i D_i3 + u_i^2 D_33, where D_ii = D_33
+    d2c[:, ::3] = _D2C[2, 2] + 2.0 * u * _D2C[:2, 2] + u * u * _D2C[2, 2]
+    d2c[:, 1] = d2c[:, 2] = _D2C[0, 1] + u2 * _D2C[0, 2] + u1 * _D2C[2, 1] + u1 * u2 * _D2C[2, 2] - dc[:, 2]
+    return dc[:, :2] + u * dc[:, 2:], d2c.reshape(m, 2, 2, 5)
 
 
 def _contrast_derivatives(

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import strategies as st
 
 from coxmra import SarhSpec, SpatialGrid, TimeGrid, default_variance_profile
-from coxmra.sarh import _ar_fields, _innovations
+from coxmra.sarh import _ar_fields
 
 # Ten-component reference eigenvalue systems used across the test suite.
 LAMBDA1 = np.array([0.300, 0.270, 0.230, 0.200, 0.170, 0.130, 0.100, 0.030, 0.010, 0.005])
@@ -23,9 +23,13 @@ stationary_thetas = st.one_of(triangle_thetas, coupled_thetas)
 
 def ar_field(theta, sigma2, grid: SpatialGrid, burn_in: int, rng) -> np.ndarray:
     """One scalar AR component field cropped to the grid, drawn as
-    `simulate` draws each component: `_ar_fields` on an `_innovations` draw."""
-    e = _innovations(sigma2, grid, burn_in, rng)
-    return _ar_fields(np.array([theta], dtype=float), e[None])[0, burn_in:, burn_in:]
+    `simulate` draws each component: innovations into the interior of a
+    zero-bordered lattice, which `_ar_fields` overwrites."""
+    r1, r2 = grid.s1 + burn_in, grid.s2 + burn_in
+    x = np.zeros((1, r1 + 1, r2 + 1))
+    x[0, 1:, 1:] = rng.normal(0.0, np.sqrt(sigma2), size=(r1, r2))
+    _ar_fields(np.array([theta], dtype=float), x)
+    return x[0, 1 + burn_in:, 1 + burn_in:]
 
 
 @pytest.fixture(scope="session")

@@ -59,6 +59,7 @@ from coxmra.spectral import (
 )
 from coxmra.wavelet import MultiscaleCoefficients, field_dwt
 from coxmra.grids import detrend
+from coxmra.predict import _training_block, interior_sites
 
 estimator_module = importlib.import_module("coxmra.estimator")
 
@@ -489,6 +490,38 @@ def _count_searches(monkeypatch) -> list:
 
 _SHAPES = [(5, 6), (6, 5), (7, 7)]
 _PICKS = [(0, 1), (1, 2), (0, 3), (2, 4), (0, 5), (1, 6)]
+
+
+def _row_weight_groups():
+    """Sets of one lattice shape as `_row_weights` receives them: the
+    mc_study crops (10, 30, 50) of two 50 x 50 depth-4 replications, and
+    every training block a 12 x 12 LOO run fits at radius 1, views into
+    one coefficient array."""
+    rng = np.random.default_rng(8)
+    reps = rng.normal(size=(2, 50, 50, 16))
+    groups = [[field_dwt(FunctionalField(SpatialGrid(s, s), TimeGrid(4), x[:s, :s]), 1).coeffs for x in reps]
+              for s in (10, 30, 50)]
+    c = rng.normal(size=(12, 12, 2))
+    blocks = {}
+    for site in interior_sites(12, 12):
+        rs, cs = _training_block(12, 12, site, 1)
+        blocks.setdefault((rs.stop - rs.start, cs.stop - cs.start), {})[rs.start, cs.start] = c[rs, cs]
+    return groups + [list(sets.values()) for sets in blocks.values()]
+
+
+def test_stacked_fdft_matches_per_set_calls():
+    # `_row_weights` takes one fDFT over the columns of every set of a
+    # shape; each column keeps the bits of its own set's call, and each
+    # weight row and its sum (the eta moment) the bits of the row alone
+    for sets in _row_weight_groups():
+        stacked = all_periodograms(np.concatenate(sets, axis=-1))
+        assert stacked.tobytes() == np.concatenate([all_periodograms(x) for x in sets], axis=-1).tobytes()
+        freq = FrequencyGrid(*sets[0].shape[:2])
+        weights = estimator_module._row_weights(freq, sets)
+        f = stacked.reshape(freq.n, -1)
+        rows = np.array([contrast_weights(f[:, a] * np.conj(f[:, a]), freq) for a in range(f.shape[1])])
+        assert weights.flags.c_contiguous and weights.tobytes() == rows.tobytes()
+        assert weights.sum(axis=1).tobytes() == np.array([row.sum() for row in rows]).tobytes()
 
 
 def test_estimate_many_searches_all_shapes_at_once(monkeypatch):

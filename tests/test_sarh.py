@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,8 +14,9 @@ from coxmra import (
     simulate,
     stationarity_check,
 )
+from coxmra.sarh import _ar_fields
 from coxmra.wavelet import normalized_eigenfunctions
-from conftest import ar_field, stationary_thetas
+from conftest import ar_field, coupled_thetas, stationary_thetas, triangle_thetas
 from oracles import ar_component, spectral_variance, stationary_variances
 
 
@@ -88,15 +90,43 @@ def test_spectral_variance_matches_closed_form():
     assert spectral_variance(th, 2.0) == pytest.approx(closed, rel=1e-6)
 
 
-@given(stationary_thetas, st.integers(2, 12), st.integers(2, 12), st.integers(0, 3),
-       st.integers(0, 10**6))
+@given(st.tuples(triangle_thetas, coupled_thetas, st.lists(stationary_thetas, max_size=2)),
+       st.one_of(st.tuples(st.integers(1, 12), st.integers(1, 12)), st.sampled_from([(2, 12), (12, 2)])),
+       st.integers(0, 3), st.integers(0, 10**6))
 @settings(max_examples=60, deadline=None)
-def test_component_recursion_definition(th, s1, s2, burn_in, seed):
-    # the simulated field is the AR recursion bit for bit, zeros outside
-    # the enlarged lattice, first row and column included
-    x = ar_field(th, 1.3, SpatialGrid(s1, s2), burn_in, np.random.default_rng(seed))
-    e = np.random.default_rng(seed).normal(0.0, np.sqrt(1.3), size=(s1 + burn_in, s2 + burn_in))
-    assert np.array_equal(x, ar_component(th, e)[burn_in:, burn_in:])
+def test_component_recursion_definition(ths, sides, burn_in, seed):
+    # every component of one batched in-place sweep is its own AR
+    # recursion bit for bit, zeros outside the enlarged lattice, first row
+    # and column included; very unequal sides catch a flat offset that
+    # mixes up r1 and r2
+    thetas = np.array([ths[0], ths[1], *ths[2]], dtype=float)
+    r1, r2 = sides[0] + burn_in, sides[1] + burn_in
+    e = np.random.default_rng(seed).normal(size=(len(thetas), r1, r2))
+    x = np.zeros((len(thetas), r1 + 1, r2 + 1))
+    x[:, 1:, 1:] = e
+    _ar_fields(thetas, x)
+    assert not x[:, 0].any() and not x[:, :, 0].any()
+    for th, xp, ep in zip(thetas, x, e):
+        assert np.array_equal(xp[1 + burn_in:, 1 + burn_in:], ar_component(th, ep)[burn_in:, burn_in:])
+
+
+def test_simulate_peak_memory(reference_spec):
+    # one padded (K, r1 + 1, r2 + 1) lattice, one component's innovation
+    # draw and the output field with one temporary: no skewed or stacked
+    # copy.  The slack is the two operand buffers of numpy's broadcasting
+    # ufunc loop, which tracemalloc sees too, and small Python objects.
+    grid, burn_in = SpatialGrid(30, 30), 64
+    k, r1, r2 = reference_spec.truncation, grid.s1 + burn_in, grid.s2 + burn_in
+    bound = 8 * (k * (r1 + 1) * (r2 + 1) + r1 * r2 + 2 * grid.s1 * grid.s2 * reference_spec.time.n)
+    slack = 2 * 8 * np.getbufsize() + 16 * 1024
+    simulate(reference_spec, grid, burn_in, seed=0)  # warm caches outside the trace
+    tracemalloc.start()
+    try:
+        simulate(reference_spec, grid, burn_in, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound + slack, (peak, bound)
 
 
 def test_simulate_is_sum_of_components(reference_spec):
