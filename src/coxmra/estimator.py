@@ -183,25 +183,26 @@ def _estimate_rows(
     contrasts, Newton evaluations and eta moments (each row's weight sum).
 
     `groups` is consumed once: a group's full-plane weights are dropped
-    once it is seeded.  Each row is seeded by `_seeds` and refined by
-    `_newton`, each of whose rounds evaluates its moving rows of every
-    lattice shape in one `_contrast_derivatives` call.  Every value is the
+    once it is seeded, and its folded weights are summed once per row.
+    Each row is seeded by `_seeds` and refined by `_newton`, each of whose
+    rounds evaluates its moving rows, with their sums, of every lattice
+    shape in one `_contrast_derivatives` call.  Every value is the
     contrast of one row's folded weights at one candidate, so a row's bits
     do not depend on the rows beside it.
     """
     seeded = []
     for freq, w in groups:
         hw, moment = freq.fold(w), w.sum(axis=1)
-        seeded.append((freq.half_plane, hw, moment, _seeds(hw, moment, freq.half_plane, domain)))
-    tables, folded, moments, first = zip(*seeded)
+        seeded.append((freq.half_plane, hw, hw.sum(axis=1), moment, _seeds(hw, moment, freq.half_plane, domain)))
+    tables, folded, sums, moments, first = zip(*seeded)
     moments, first = map(np.concatenate, (moments, first))
     offsets = np.cumsum([0] + [hw.shape[0] for hw in folded])
 
     def evaluate(rows: np.ndarray, thetas: np.ndarray):
         # rows ascend, so each group's rows are one slice
         cuts = np.searchsorted(rows, offsets)
-        moving = [(hw[rows[a:b] - lo], table)
-                  for hw, table, lo, a, b in zip(folded, tables, offsets, cuts[:-1], cuts[1:]) if a < b]
+        moving = [(hw[rows[a:b] - lo], hs[rows[a:b] - lo], table)
+                  for hw, hs, table, lo, a, b in zip(folded, sums, tables, offsets, cuts[:-1], cuts[1:]) if a < b]
         return _contrast_derivatives(moving, thetas, domain.couple_l3)
 
     return (*_newton(evaluate, domain.candidates()[first], moments, domain), moments)
@@ -550,7 +551,7 @@ def load_report(path) -> EstimationReport:
             raise record_fault(path, lineno(i), f"pair ({row}, {col}) is not a fitted row")
     estimates = [NodeEstimate(*rec) for rec in records]
     place_records(
-        path, (n if basis is None else k,), [e.row for e in estimates], [e.theta for e in estimates],
+        path, (n if basis is None else k,), ([e.row for e in estimates],), [e.theta for e in estimates],
         lineno, lambda key: f"pair ({key[0]}, {key[0]})",
     )
     return _report(j0, depth, n_sites, k, estimates, basis)

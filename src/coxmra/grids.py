@@ -93,9 +93,10 @@ def detrend(fld: FunctionalField) -> tuple[FunctionalField, np.ndarray]:
 # record files
 #
 # Every loader reads through `read_csv_records` or `read_ndjson` and then
-# `place_records`.  Faults raise FieldFormatError "<path>: line <n>: <what>";
-# faults of the whole file name the line after the last record.  Every
-# output file is written by `write_csv` or `write_ndjson`.
+# `place_records`, which places records given in any order.  Faults raise
+# FieldFormatError "<path>: line <n>: <what>"; faults of the whole file name
+# the line after the last record.  Every output file is written by
+# `write_csv` or `write_ndjson`.
 
 
 def record_fault(path, lineno: int, what) -> FieldFormatError:
@@ -185,46 +186,40 @@ def _typed(v, kind: type):
     return v
 
 
-def place_records(path, shape: tuple, index, values, lineno: Callable, name: Callable) -> np.ndarray:
+def place_records(path, shape: tuple, columns, values, lineno: Callable, name: Callable) -> np.ndarray:
     """Scatter one finite value per record into an array of `shape` + value
     shape; every index tuple of `shape` must occur exactly once.
 
-    `index` holds one row of indices per record, `lineno(i)` is the line
-    of record i (i = record count: the line after the last) and
-    `name(key)` words an index tuple.  Keys are checked by sorting, so a
-    stray huge index allocates nothing; where `shape` has more entries
-    than a flat index can hold, the keys are the ranks of the index rows.
+    `columns` holds one index column per axis, `lineno(i)` is the line of
+    record i (i = record count: the line after the last) and `name(key)`
+    words an index tuple.  Records are placed by one stable sort of the
+    columns, with no flat index, so a stray huge index allocates nothing:
+    a repeat sits next to its first occurrence, the first gap is the first
+    sorted tuple off C order, and a complete set sorts into C order.
     """
-    index = np.asarray(index, dtype=np.int64).reshape(-1, len(shape))
+    columns = [np.asarray(c, dtype=np.int64).reshape(-1) for c in columns]
     values = np.asarray(values, dtype=float)
-    n = index.shape[0]
+    n = values.shape[0]
     finite = np.isfinite(values).all(axis=tuple(range(1, values.ndim)))
     if not finite.all():
         raise record_fault(path, lineno(int(np.argmin(finite))), "non-finite value")
-    outside = ((index < 0) | (index >= np.asarray(shape))).any(axis=1)
+    outside = np.any([(c < 0) | (c >= size) for c, size in zip(columns, shape)], axis=0)
     if outside.any():
         i = int(np.argmax(outside))
-        what = "negative index" if (index[i] < 0).any() else f"index outside {shape}"
-        raise record_fault(path, lineno(i), f"{name(tuple(map(int, index[i])))}: {what}")
-    size = math.prod(shape)
-    if size <= np.iinfo(np.intp).max:
-        keys = np.ravel_multi_index(tuple(index.T), shape)
-    else:  # a flat index would overflow: rank the index rows in C order
-        keys = np.unique(index, axis=0, return_inverse=True)[1].reshape(-1)
-    order = np.argsort(keys, kind="stable")
-    ranked = keys[order]
-    repeats = order[1:][ranked[1:] == ranked[:-1]]
+        key = tuple(int(c[i]) for c in columns)
+        what = "negative index" if min(key) < 0 else f"index outside {shape}"
+        raise record_fault(path, lineno(i), f"{name(key)}: {what}")
+    order = np.lexsort(columns[::-1])
+    repeats = order[1:][np.all([r[1:] == r[:-1] for r in (c[order] for c in columns)], axis=0)]
     if repeats.size:
         i = int(repeats.min())
-        raise record_fault(path, lineno(i), f"duplicate {name(tuple(map(int, index[i])))}")
-    if n < size:  # no repeats and all in range: the first gap in the sorted keys
+        raise record_fault(path, lineno(i), f"duplicate {name(tuple(int(c[i]) for c in columns))}")
+    if n < math.prod(shape):  # no repeats and all in range: the first sorted tuple off C order
         expected = _c_order_indices(n + 1, shape)
-        gap = np.flatnonzero((index[order] != expected[:n]).any(axis=1))
-        missing = expected[int(gap[0]) if gap.size else n]
+        off = np.any([c[order] != e[:n] for c, e in zip(columns, expected.T)], axis=0)
+        missing = expected[int(np.argmax(off)) if off.any() else n]
         raise record_fault(path, lineno(n), f"incomplete: missing {name(tuple(map(int, missing)))}")
-    out = np.empty((size,) + values.shape[1:])
-    out[keys] = values
-    return out.reshape(tuple(shape) + values.shape[1:])
+    return values[order].reshape(tuple(shape) + values.shape[1:])
 
 
 def _c_order_indices(m: int, shape: tuple) -> np.ndarray:
@@ -319,9 +314,9 @@ def save_field(fld: FunctionalField, path, pool=None) -> None:
 
 def load_field(path) -> FunctionalField:
     rows, lineno = read_csv_records(path, _FIELD_COLUMNS)
-    index = np.column_stack([rows["p"], rows["q"], rows["t_index"]])
-    shape = tuple(int(v) + 1 for v in index.max(axis=0))
-    values = place_records(path, shape, index, rows["value"], lineno, lambda k: f"entry {k}")
+    columns = [rows["p"], rows["q"], rows["t_index"]]
+    shape = tuple(int(c.max()) + 1 for c in columns)
+    values = place_records(path, shape, columns, rows["value"], lineno, lambda k: f"entry {k}")
     s1, s2, nt = shape
     depth = nt.bit_length() - 1
     try:

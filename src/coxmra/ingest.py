@@ -1,11 +1,13 @@
 """Ingestion of raw count records into a curve field.
 
 Counts observed at scattered sites are turned into per-site log-intensity
-series with a log(count + 1) transform, interpolated onto a regular grid
-by inverse-distance weighting (power 2, 4 nearest sites, exact hits copy
-the site value), and resampled in time onto the dyadic midpoint grid.
-The nearest sites come from a partial selection (`np.partition`) equal to
-a full stable sort; time is resampled one output point at a time.
+series with a log(count + 1) transform, resampled in time onto the dyadic
+midpoint grid, and interpolated onto a regular grid by inverse-distance
+weighting (power 2, 4 nearest sites, exact hits copy the site value).
+Both maps are linear, so their order moves only rounding; resampling the
+sites first means no array holds targets x raw times.  The nearest sites
+come from a partial selection (`np.partition`) equal to a full stable
+sort; time is resampled one output point at a time.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ def read_count_records(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise record_fault(path, lineno(i), f"site {ids[site[i]]} moved")
     t = rows["time_index"]
     shape = (ids.size, int(t.max()) + 1)
-    series = place_records(path, shape, np.column_stack([site, t]), rows["count"], lineno,
+    series = place_records(path, shape, (site, t), rows["count"], lineno,
                            lambda k: f"time index {k[1]} of site {ids[k[0]]}")
     return coords, series, ids
 
@@ -128,9 +130,8 @@ def resample_time(series: np.ndarray, depth: int) -> np.ndarray:
 
 
 def ingest_counts(path, grid: SpatialGrid, depth: int) -> FunctionalField:
-    """Full ingestion pipeline: parse, log1p, interpolate, resample."""
+    """Full ingestion pipeline: parse, log1p, resample, interpolate."""
     coords, series, _ = read_count_records(path)
     targets = _grid_targets(coords, grid)
-    interpolated = idw_interpolate(coords, np.log1p(series), targets)
-    values = resample_time(interpolated, depth).reshape(grid.s1, grid.s2, -1)
-    return FunctionalField(grid, TimeGrid(depth), values)
+    values = idw_interpolate(coords, resample_time(np.log1p(series), depth), targets)
+    return FunctionalField(grid, TimeGrid(depth), values.reshape(grid.s1, grid.s2, -1))

@@ -292,12 +292,12 @@ def _coefficient_derivatives(thetas: np.ndarray, couple_l3: bool) -> tuple[np.nd
 
 
 def _contrast_derivatives(
-    groups: list[tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]], thetas: np.ndarray, couple_l3: bool
+    groups: list[tuple[np.ndarray, np.ndarray, tuple]], thetas: np.ndarray, couple_l3: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`_contrast` of the rows of every (folded weights (m_g, N'_g),
-    `half_plane` table) group, in order, at one candidate each (sum m_g,
-    3), with its gradient (rows, f) and Hessian (rows, f, f) in the
-    candidates' free coordinates (`_coefficient_derivatives`).
+    """`_contrast` of the rows of every (folded weights (m_g, N'_g), their
+    row sums (m_g,), `half_plane` table) group, in order, at one candidate
+    each (sum m_g, 3), with its gradient (rows, f) and Hessian (rows, f, f)
+    in the candidates' free coordinates (`_coefficient_derivatives`).
 
     With S the squared symbol, A = cos / S, h the folded weights, e the
     folded eta measure, H = sum h and Z = sum e / S, the contrast is
@@ -317,15 +317,15 @@ def _contrast_derivatives(
     m, f = dc.shape[:2]
     values, ratio, z = np.empty(m), np.empty(m), np.empty(m)  # L, H / Z and Z
     dl_dc, gz_dc, terms = np.empty((m, 5)), np.empty((m, 5)), np.empty((m, f, f))
-    stops = np.cumsum([len(folded) for folded, _ in groups])
-    for (folded, (cosines, eta_measure)), stop in zip(groups, stops):
+    stops = np.cumsum([len(folded) for folded, _, _ in groups])
+    for (folded, sums, (cosines, eta_measure)), stop in zip(groups, stops):
         g = slice(stop - len(folded), stop)
         sym = _symbol_sq(coefs[g], cosines)
         tilt = eta_measure / sym  # e / S
         z[g] = tilt.sum(axis=-1)
         # sum h (log S + log Z): minus the weights times `_log_psi`, bit for bit
         values[g] = (folded * _minus_log_psi(sym, z[g])).sum(axis=-1)
-        ratio[g] = folded.sum(axis=-1) / z[g]
+        ratio[g] = sums / z[g]
         dl_dc[g] = (((folded - ratio[g, None] * tilt) / sym)[:, None, :] * cosines).sum(axis=-1)
         gz_dc[g] = ((tilt / sym)[:, None, :] * cosines).sum(axis=-1)
         # the A A^T terms: sum (2 (H / Z) e / S - h) B_a B_b

@@ -391,7 +391,8 @@ def test_lockstep_search_is_optimal(shapes, n, cross, domain, seed):
     for freq, weights in groups:
         for folded in freq.fold(weights):
             theta, value = next(rows)
-            contrast, grad, _ = _contrast_derivatives([(folded[None], freq.half_plane)], theta[None], domain.couple_l3)
+            group = [(folded[None], folded.sum(keepdims=True), freq.half_plane)]
+            contrast, grad, _ = _contrast_derivatives(group, theta[None], domain.couple_l3)
             assert contrast[0] == value
             # zero gradient inside, nonnegative multipliers on the facets
             assert _kkt_residual(grad[0], _tight_normals(theta, domain)) <= 1e-6 * (folded.sum() + abs(value))

@@ -1,10 +1,11 @@
 """Golden digests of the pipeline's output bytes.
 
 `tests/golden.json` holds the sha256 of every file that one small CLI
-chain writes, once diagonal-only and once with `include_cross` (the fit
-in the empirical eigenbasis), and of the theta tables, predictions and
-fold errors of reduced Monte Carlo and LOO designs, together with the
-numpy version it was written under.  A change
+chain writes (ingest included, on a raw-count file of scattered sites),
+once diagonal-only and once with `include_cross` (the fit in the
+empirical eigenbasis), and of the theta tables, predictions and fold
+errors of reduced Monte Carlo and LOO designs, together with the numpy
+version it was written under.  A change
 that alters any of these bytes fails here and names every digest that
 moved.  A change meant to alter them rewrites the file with
 
@@ -44,12 +45,24 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _raw_counts(path: Path) -> None:
+    """Raw count records of 12 scattered sites over 6 time indices."""
+    rng = np.random.default_rng(8)
+    xy, counts = rng.uniform(0.0, 1.0, (12, 2)), rng.poisson(4.0, (12, 6))
+    lines = ["site_id,x,y,time_index,count"]
+    for i, (x, y) in enumerate(xy):
+        lines.extend(f"s{i},{float(x)!r},{float(y)!r},{m},{c}" for m, c in enumerate(counts[i]))
+    path.write_text("\n".join(lines) + "\n")
+
+
 def _chain(workdir: Path, include_cross: bool) -> dict[str, str]:
     """Digests of every file simulate, estimate, predict, validate,
-    counts and the three report kinds write into one output directory."""
+    counts, ingest and the three report kinds write into one output
+    directory."""
     raw = {**CHAIN_CONFIG, "estimation": {"include_cross": include_cross}}
     config = workdir / "config.json"
     config.write_text(json.dumps(raw))
+    _raw_counts(workdir / "raw.csv")
     out = workdir / "out"
     fields = [str(out / f"field_{i:03d}.csv") for i in range(2)]
     reports = [str(out / f"field_{i:03d}_report.ndjson") for i in range(2)]
@@ -60,6 +73,7 @@ def _chain(workdir: Path, include_cross: bool) -> dict[str, str]:
         ["predict", fields[0], reports[0]],
         ["validate", fields[0]],
         ["counts", fields[0]],
+        ["ingest", str(workdir / "raw.csv")],
         ["report", "--kind", "mse", *reports],
         ["report", "--kind", "eigs", *reports],
         ["report", "--kind", "slice", "--at", "0.3", fields[1]],

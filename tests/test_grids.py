@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,25 @@ def test_load_csv_rejects_duplicates_and_gaps(tmp_path):
     gap.write_text("p,q,t_index,value\n0,0,0,1.0\n1,1,1,2.0\n")
     with pytest.raises(FieldFormatError, match="incomplete"):
         load_field(gap)
+
+
+def test_load_field_peak_memory(tmp_path):
+    # the parsed rows (four 8-byte columns) plus four 8-byte values per
+    # record: the sort order, one sorted index column, the placed values
+    # and the comparison flags.  No (n, 3) index array, flat key or second
+    # copy of the rows; the slack covers small Python objects.
+    path = tmp_path / "field.csv"
+    fld = FunctionalField(SpatialGrid(40, 40), TimeGrid(4), np.random.default_rng(0).normal(size=(40, 40, 16)))
+    save_field(fld, path)
+    load_field(path)  # warm caches outside the trace
+    tracemalloc.start()
+    try:
+        back = load_field(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.values, fld.values)
+    assert peak <= fld.values.size * (4 * 8 + 4 * 8) + 16 * 1024, peak
 
 
 def test_load_rejects_the_ndjson_field_layout(tmp_path):

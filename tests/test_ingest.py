@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from coxmra.grids import FieldFormatError, SpatialGrid
 from coxmra.ingest import (
+    _IDW_BLOCK,
     _nearest,
     idw_interpolate,
     ingest_counts,
@@ -171,3 +174,27 @@ def test_ingest_counts_end_to_end(tmp_path):
     coords, series, ids = read_count_records(path)
     corner = np.log1p(series[list(ids).index("s0_0")])
     np.testing.assert_allclose(fld.values[0, 0], resample_time(corner[None, :], 3)[0])
+
+
+def test_ingest_counts_peak_memory(tmp_path):
+    # many raw times, few sites, many targets: the sites' series are
+    # resampled before IDW, so no array has a targets x raw times term.
+    # The bound sums every stage: the parsed rows with their site-id
+    # strings (192 B a record), four raw-series arrays, four IDW distance
+    # blocks and the output twice, plus 64 KiB of small objects.
+    sites, n_raw, grid, depth = 36, 256, SpatialGrid(60, 60), 3
+    rng = np.random.default_rng(4)
+    xy, counts = rng.uniform(0.0, 1.0, (sites, 2)), rng.poisson(5.0, (sites, n_raw))
+    path = tmp_path / "raw.csv"
+    _write_counts(path, [f"s{i},{float(x)!r},{float(y)!r},{m},{counts[i, m]}"
+                         for i, (x, y) in enumerate(xy) for m in range(n_raw)])
+    ingest_counts(path, grid, depth)  # warm caches outside the trace
+    tracemalloc.start()
+    try:
+        ingest_counts(path, grid, depth)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = min(_IDW_BLOCK, grid.n)
+    bound = sites * n_raw * 192 + 8 * (4 * sites * n_raw + 4 * block * sites + 2 * grid.n * (1 << depth))
+    assert peak <= bound + 64 * 1024, (peak, bound)

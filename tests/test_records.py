@@ -142,6 +142,11 @@ def _json_mutations(index_key, size, value_key, other_key):
     }
 
 
+def _shuffled(lines, data):
+    """The header or metadata line, then the record lines in a drawn order."""
+    return lines[:1] + data.draw(st.permutations(lines[1:]))
+
+
 def _assert_fault(path, lines, expected, load):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(FieldFormatError) as info:
@@ -161,6 +166,17 @@ def test_field_roundtrip(tmp_path, fld):
     back = load_field(path)
     assert (back.grid, back.time) == (fld.grid, fld.time)
     np.testing.assert_array_equal(back.values, fld.values)
+
+
+@FUZZ
+@given(fld=fields(), data=st.data())
+def test_field_records_in_any_order(tmp_path, fld, data):
+    path = tmp_path / "field.csv"
+    save_field(fld, path)
+    path.write_text("\n".join(_shuffled(path.read_text().splitlines(), data)) + "\n")
+    back = load_field(path)
+    assert (back.grid, back.time) == (fld.grid, fld.time)
+    assert back.values.tobytes() == fld.values.tobytes()
 
 
 CSV_FIELD = _csv_mutations(index_col=0, value_col=3)
@@ -229,6 +245,30 @@ def test_report_mutation(tmp_path, reports, kind, cross, data):
     _assert_fault(tmp_path / "report.ndjson", *mutations[kind](lines, j), load_report)
 
 
+@pytest.mark.parametrize("cross", [False, True])
+@FUZZ
+@given(data=st.data())
+def test_report_records_in_any_order(tmp_path, reports, cross, data):
+    report, lines = reports[cross]
+    path = tmp_path / "report.ndjson"
+    path.write_text("\n".join(_shuffled(lines, data)) + "\n")
+    back = load_report(path)
+    assert sorted(back.estimates, key=lambda e: e.row) == report.estimates
+    for a, b in zip(back.operators, report.operators):
+        assert a.matrix.tobytes() == b.matrix.tobytes()
+    assert back.eigenvalues1.tobytes() == report.eigenvalues1.tobytes()
+    assert back.eigenvalues2.tobytes() == report.eigenvalues2.tobytes()
+
+
+@pytest.mark.parametrize("cross", [False, True])
+def test_report_without_records_is_incomplete(tmp_path, reports, cross):
+    _, lines = reports[cross]
+    path = tmp_path / "report.ndjson"
+    path.write_text(lines[0] + "\n")
+    with pytest.raises(FieldFormatError, match=re.escape(f"{path}: line 2: incomplete: missing pair (0, 0)") + "$"):
+        load_report(path)
+
+
 @pytest.mark.parametrize("depth", [63, 64])
 def test_report_oversized_layout_is_incomplete(tmp_path, reports, depth):
     # a layout of 2**depth coefficients, beyond any flat index, with one record
@@ -287,6 +327,20 @@ def test_count_records_roundtrip(tmp_path, table):
     np.testing.assert_array_equal(coords, table[0])
     np.testing.assert_array_equal(series, table[1])
     assert list(ids) == table[2]
+
+
+@FUZZ
+@given(table=count_tables(), data=st.data())
+def test_count_records_in_any_order(tmp_path, table, data):
+    # sites keep the order of their first appearance, so compare site by site
+    path = tmp_path / "raw.csv"
+    _write_counts(path, *table)
+    path.write_text("\n".join(_shuffled(path.read_text().splitlines(), data)) + "\n")
+    coords, series, ids = read_count_records(path)
+    site = [list(ids).index(sid) for sid in table[2]]
+    assert sorted(ids) == sorted(table[2])
+    assert coords[site].tobytes() == np.asarray(table[0], dtype=float).tobytes()
+    assert series[site].tobytes() == np.asarray(table[1], dtype=float).tobytes()
 
 
 COUNTS = _csv_mutations(index_col=3, value_col=4)

@@ -302,24 +302,25 @@ def test_contrast_derivatives_match_finite_differences(s1, s2, thetas, couple, s
         th = np.array(group_thetas)
         if couple:
             th[:, 2] = -th[:, 0] * th[:, 1]
-        groups.append((freq.fold(np.array(weights)), freq.half_plane))
+        folded = freq.fold(np.array(weights))
+        groups.append((folded, folded.sum(axis=1), freq.half_plane))
         ths.append(th)
     th = np.vstack(ths)
     values, grad, hess = _contrast_derivatives(groups, th, couple)
     # a row's bits depend neither on its group nor on the rows beside it,
     # and its value is `_contrast`'s
     start = 0
-    for (folded, table), group_th in zip(groups, ths):
+    for (folded, sums, table), group_th in zip(groups, ths):
         rows = slice(start, start + len(folded))
         start = rows.stop
         assert np.array_equal(values[rows], np.diagonal(_contrast(folded, _symbol_coefficients(group_th), table)))
-        group = _contrast_derivatives([(folded, table)], group_th, couple)
+        group = _contrast_derivatives([(folded, sums, table)], group_th, couple)
         assert all(np.array_equal(part[rows], one) for part, one in zip((values, grad, hess), group))
         for i in range(len(folded)):
-            alone = _contrast_derivatives([(folded[i : i + 1], table)], group_th[i : i + 1], couple)
+            alone = _contrast_derivatives([(folded[i : i + 1], sums[i : i + 1], table)], group_th[i : i + 1], couple)
             assert all(np.array_equal(part[rows][i], one[0]) for part, one in zip((values, grad, hess), alone))
     free, eps = (2 if couple else 3), 1e-5
-    scale = np.concatenate([folded.sum(axis=1) for folded, _ in groups]) + np.abs(values)
+    scale = np.concatenate([sums for _, sums, _ in groups]) + np.abs(values)
     for i in range(free):
         moved = []
         for sign in (1.0, -1.0):
