@@ -418,7 +418,7 @@ def estimate_many(coeff_sets: list[MultiscaleCoefficients], domain: ThetaDomain,
                     for r, (th, val, it, moment, near) in enumerate(islice(rows, x.shape[-1]))
                 ]
                 reports[i] = _report(coeffs.j0, coeffs.depth, freq.n, truncation_parameter(freq.n),
-                                     estimates, basis)
+                                     estimates, np.array([est.theta for est in estimates]), basis)
     return reports
 
 
@@ -472,15 +472,14 @@ def _row_weights(freq: FrequencyGrid, fields: list[np.ndarray]) -> np.ndarray:
 
 
 def _report(j0: int, depth: int, n_sites: int, k: int, estimates: list[NodeEstimate],
-            basis: EigenBasis | None = None) -> EstimationReport:
-    """Assemble the three operator matrices from per-row estimates, whose
-    rows are 0, 1, ... in any order, and their leading eigenvalues; k is
-    clipped to the layout size.  Without a basis each row's theta is a
-    diagonal entry; with one each operator is sym(U diag(theta) U^T), so
-    its (a, b) and (b, a) entries are equal bits."""
+            thetas: np.ndarray, basis: EigenBasis | None = None) -> EstimationReport:
+    """Assemble the three operator matrices from the (rows, 3) `thetas`,
+    row r's at r, and their leading eigenvalues; `estimates` are kept as
+    given and k is clipped to the layout size.  Without a basis each row's
+    theta is a diagonal entry; with one each operator is
+    sym(U diag(theta) U^T), so its (a, b) and (b, a) entries are equal
+    bits."""
     n = 1 << depth
-    thetas = np.empty((len(estimates), 3))
-    thetas[[est.row for est in estimates]] = [est.theta for est in estimates]
     if basis is None:
         mats = np.zeros((3, n, n))
         mats[:, np.arange(n), np.arange(n)] = thetas.T
@@ -550,11 +549,11 @@ def load_report(path) -> EstimationReport:
         if row != col:
             raise record_fault(path, lineno(i), f"pair ({row}, {col}) is not a fitted row")
     estimates = [NodeEstimate(*rec) for rec in records]
-    place_records(
+    thetas = place_records(
         path, (n if basis is None else k,), ([e.row for e in estimates],), [e.theta for e in estimates],
         lineno, lambda key: f"pair ({key[0]}, {key[0]})",
     )
-    return _report(j0, depth, n_sites, k, estimates, basis)
+    return _report(j0, depth, n_sites, k, estimates, thetas, basis)
 
 
 def save_eigenvalue_table(report: EstimationReport, path) -> None:

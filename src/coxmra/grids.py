@@ -192,10 +192,11 @@ def place_records(path, shape: tuple, columns, values, lineno: Callable, name: C
 
     `columns` holds one index column per axis, `lineno(i)` is the line of
     record i (i = record count: the line after the last) and `name(key)`
-    words an index tuple.  Records are placed by one stable sort of the
-    columns, with no flat index, so a stray huge index allocates nothing:
-    a repeat sits next to its first occurrence, the first gap is the first
-    sorted tuple off C order, and a complete set sorts into C order.
+    words an index tuple.  Records already in C order are copied as they
+    are.  Others are placed by one stable sort of the columns, with no
+    flat index, so a stray huge index allocates nothing: a repeat sits
+    next to its first occurrence, the first gap is the first sorted tuple
+    off C order, and a complete set sorts into C order.
     """
     columns = [np.asarray(c, dtype=np.int64).reshape(-1) for c in columns]
     values = np.asarray(values, dtype=float)
@@ -203,6 +204,11 @@ def place_records(path, shape: tuple, columns, values, lineno: Callable, name: C
     finite = np.isfinite(values).all(axis=tuple(range(1, values.ndim)))
     if not finite.all():
         raise record_fault(path, lineno(int(np.argmin(finite))), "non-finite value")
+    if n == math.prod(shape) and all(
+        (c.reshape(shape) == np.arange(size).reshape((-1,) + (1,) * (len(shape) - 1 - axis))).all()
+        for axis, (c, size) in enumerate(zip(columns, shape))
+    ):  # already in C order; a copy, so the placed values hold no parsed rows
+        return values.reshape(tuple(shape) + values.shape[1:]).copy()
     outside = np.any([(c < 0) | (c >= size) for c, size in zip(columns, shape)], axis=0)
     if outside.any():
         i = int(np.argmax(outside))

@@ -6,8 +6,10 @@ midpoint grid, and interpolated onto a regular grid by inverse-distance
 weighting (power 2, 4 nearest sites, exact hits copy the site value).
 Both maps are linear, so their order moves only rounding; resampling the
 sites first means no array holds targets x raw times.  The nearest sites
-come from a partial selection (`np.partition`) equal to a full stable
-sort; time is resampled one output point at a time.
+come from a uniform bucket grid of the sites, with the same values bit
+for bit as measuring every site, and a partial selection
+(`np.partition`) equal to a full stable sort; time is resampled one
+output point at a time.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ IDW_POWER = 2
 IDW_NEIGHBOURS = 4
 _EXACT_HIT = 1e-12
 _IDW_BLOCK = 2048
+_IDW_REACH = 2  # bucket cells searched on each side of a target's cell
+_IDW_SLACK = 1e-9  # rounding margin of the searched radius, relative to the coordinates
 _COLUMNS = {"site_id": object, "x": float, "y": float, "time_index": np.int64, "count": float}
 
 
@@ -81,18 +85,31 @@ def idw_interpolate(
 
     `values` may carry trailing axes (e.g. a time series per site); an
     exact positional hit copies the site value.  Targets are processed in
-    blocks, so memory grows with the block, not with targets x sites.
+    blocks, so memory grows with the block times the candidate width of
+    `_site_buckets`, not with targets x sites.
+
+    Each target measures its distance only to the candidates of its
+    bucket cell, by the same formula as to all sites, and `_nearest`
+    picks from them.  The result is the selection over all sites when
+    every site at or below the k-th candidate distance is a candidate:
+    candidates keep ascending site order, so the stable tie rule ranks
+    them as it would among all sites.  A site off the candidate list lies
+    in a cell past one side of the searched box, so it is at least that
+    side's distance from the target; sides on the sites' bounding box
+    have no sites beyond them.  The k-th distance must therefore lie
+    below the nearest other side, less a margin of `_IDW_SLACK` times the
+    box's coordinate scale, which covers the rounding of the cell
+    assignment, the sides and the distances (a few ulps of that scale).
+    Every other target, and every one with fewer than k candidates, runs
+    the selection over all sites.
     """
     out = np.empty(targets.shape[:1] + values.shape[1:])
     k = min(IDW_NEIGHBOURS, coords.shape[0])
     trail = (1,) * (values.ndim - 1)
+    buckets = _site_buckets(coords, k)
     for start in range(0, targets.shape[0], _IDW_BLOCK):
         block = targets[start:start + _IDW_BLOCK]
-        d = np.square(block[:, 0, None] - coords[None, :, 0])
-        d += np.square(block[:, 1, None] - coords[None, :, 1])
-        np.sqrt(d, out=d)
-        nearest = _nearest(d, k)
-        dn = np.take_along_axis(d, nearest, axis=1)
+        nearest, dn = _nearest_sites(block, buckets, k)
         hit = dn[:, 0] < _EXACT_HIT
         rows = out[start:start + _IDW_BLOCK]
         rows[hit] = values[nearest[hit, 0]]
@@ -100,6 +117,70 @@ def idw_interpolate(
         weighted = w.reshape(w.shape + trail) * values[nearest[~hit]]
         rows[~hit] = weighted.sum(axis=1) / w.sum(axis=1).reshape((-1,) + trail)
     return out
+
+
+def _nearest_sites(block: np.ndarray, buckets: tuple, k: int):
+    """(index, distance) of the k nearest sites of each target, nearest
+    first, as `_nearest` picks them from the distances to all sites; see
+    `idw_interpolate`."""
+    lo, size, cells, candidates, xs, ys = buckets
+    local = block - lo
+    cell = np.minimum(np.floor(local / size).clip(0), cells - 1).astype(np.intp)
+    near = candidates[cell[:, 0] * cells[1] + cell[:, 1]]
+    d = _distances(block, xs, ys, near)
+    pick = _nearest(d, k)
+    nearest, dn = np.take_along_axis(near, pick, axis=1), np.take_along_axis(d, pick, axis=1)
+    # the searched box's sides that are not edges of the bounding box
+    below = np.where(cell > _IDW_REACH, local - (cell - _IDW_REACH) * size, np.inf)
+    above = np.where(cell + _IDW_REACH + 1 < cells, (cell + _IDW_REACH + 1) * size - local, np.inf)
+    scale = (cells * size)[cells > 1].sum() + np.abs(local).sum(axis=1)
+    miss = np.flatnonzero(~(dn[:, -1] < np.minimum(below, above).min(axis=1) - _IDW_SLACK * scale))
+    if miss.size:
+        every = np.broadcast_to(np.arange(xs.size - 1), (miss.size, xs.size - 1))
+        d = _distances(block[miss], xs, ys, every)
+        nearest[miss] = _nearest(d, k)
+        dn[miss] = np.take_along_axis(d, nearest[miss], axis=1)
+    return nearest, dn
+
+
+def _distances(points: np.ndarray, xs: np.ndarray, ys: np.ndarray, sites: np.ndarray) -> np.ndarray:
+    """Distance from each point to the sites in its row of `sites`, by
+    the one formula whose bits every selection shares."""
+    d, dy = xs[sites], ys[sites]
+    np.square(np.subtract(points[:, 0, None], d, out=d), out=d)
+    d += np.square(np.subtract(points[:, 1, None], dy, out=dy), out=dy)
+    return np.sqrt(d, out=d)
+
+
+def _site_buckets(coords: np.ndarray, k: int):
+    """Uniform bucket grid of the sites for `idw_interpolate`.
+
+    Returns (lo, size, cells, candidates, xs, ys): the grid's lower
+    corner, cell size and cell count per axis; per cell (row-major) the
+    sites of the (2 `_IDW_REACH` + 1)^2 cells around it in ascending site
+    index, padded to a common width of at least k with the sentinel index
+    n_sites; and the site coordinates followed by the sentinel's, +inf.
+    About sqrt(n_sites) cells per axis span the sites' bounding box, so a
+    cell holds about one site; an axis of zero span gets one cell.
+    """
+    m = coords.shape[0]
+    lo = coords.min(axis=0)
+    span = coords.max(axis=0) - lo
+    g = int(np.sqrt(m))
+    step = span / g
+    cells = np.where((step > 0) & np.isfinite(step), g, 1)
+    size = np.where(cells > 1, step, 1.0)
+    site = np.minimum(np.floor((coords - lo) / size), cells - 1).astype(np.intp)
+    reach = np.arange(-_IDW_REACH, _IDW_REACH + 1)
+    i, j = site[:, 0, None] + reach, site[:, 1, None] + reach  # (m, 2 reach + 1)
+    around = (i[:, :, None] * cells[1] + j[:, None, :]) * m + np.arange(m)[:, None, None]
+    inside = ((i >= 0) & (i < cells[0]))[:, :, None] & ((j >= 0) & (j < cells[1]))[:, None, :]
+    cell, member = np.divmod(np.sort(around[inside]), m)  # by cell, then site index
+    counts = np.bincount(cell, minlength=cells[0] * cells[1])
+    candidates = np.full((counts.size, max(counts.max(), k)), m, dtype=np.intp)
+    candidates[cell, np.arange(cell.size) - np.repeat(np.cumsum(counts) - counts, counts)] = member
+    xs, ys = (np.append(coords[:, a], np.inf) for a in (0, 1))  # the sentinel at +inf
+    return lo, size, cells, candidates, xs, ys
 
 
 def _grid_targets(coords: np.ndarray, grid: SpatialGrid) -> np.ndarray:

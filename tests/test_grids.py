@@ -98,10 +98,11 @@ def test_load_csv_rejects_duplicates_and_gaps(tmp_path):
 
 
 def test_load_field_peak_memory(tmp_path):
-    # the parsed rows (four 8-byte columns) plus four 8-byte values per
-    # record: the sort order, one sorted index column, the placed values
-    # and the comparison flags.  No (n, 3) index array, flat key or second
-    # copy of the rows; the slack covers small Python objects.
+    # the parsed rows (four 8-byte columns) plus two 8-byte values per
+    # record: the placed values and the one-byte flags of the finite and
+    # C-order checks.  A file in C order is not sorted, and there is no
+    # (n, 3) index array, flat key or second copy of the rows; the slack
+    # covers small Python objects.
     path = tmp_path / "field.csv"
     fld = FunctionalField(SpatialGrid(40, 40), TimeGrid(4), np.random.default_rng(0).normal(size=(40, 40, 16)))
     save_field(fld, path)
@@ -113,7 +114,7 @@ def test_load_field_peak_memory(tmp_path):
     finally:
         tracemalloc.stop()
     assert np.array_equal(back.values, fld.values)
-    assert peak <= fld.values.size * (4 * 8 + 4 * 8) + 16 * 1024, peak
+    assert peak <= fld.values.size * (4 * 8 + 2 * 8) + 16 * 1024, peak
 
 
 def test_load_rejects_the_ndjson_field_layout(tmp_path):

@@ -2,14 +2,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from coxmra.grids import FieldFormatError, SpatialGrid
+from coxmra import ingest
 from coxmra.ingest import (
     _IDW_BLOCK,
+    _IDW_REACH,
+    IDW_NEIGHBOURS,
     _nearest,
+    _site_buckets,
     idw_interpolate,
     ingest_counts,
     read_count_records,
@@ -79,7 +83,19 @@ def _lattice(n):
     return np.stack(np.meshgrid(np.arange(n), np.arange(n), indexing="ij"), -1).reshape(-1, 2) * 1.0
 
 
+def _square_targets(lo, hi, n):
+    side = np.linspace(lo, hi, n)
+    return np.stack(np.meshgrid(side, side, indexing="ij"), -1).reshape(-1, 2)
+
+
 _rng = np.random.default_rng(5)
+# an 8 x 8 integer lattice less one site: 63 sites, so 7 bucket cells of
+# side 1 per axis, and every cell boundary runs through a row of sites
+_BOUNDARY_LATTICE = np.delete(_lattice(8), 27, axis=0)
+# two tight clusters and a far site: targets between the clusters find
+# no k sites inside their searched box
+_CLUSTERED = np.vstack([_rng.normal(0.0, 0.01, (30, 2)), _rng.normal(5.0, 0.01, (30, 2)), [[9.0, 0.0]]])
+_UNIFORM = _rng.uniform(0.0, 1.0, (400, 2))
 IDW_CASES = {
     # half-integer targets sit at equal distance from 2 or 4 lattice sites,
     # and further sites tie across the k-nearest cut
@@ -88,6 +104,17 @@ IDW_CASES = {
     "k >= sites": (_lattice(2)[:3], _rng.normal(size=(3, 5)), _rng.uniform(-1, 2, size=(40, 2))),
     "several blocks": (_rng.uniform(0, 9, size=(50, 2)), _rng.normal(size=(50, 7)),
                        np.vstack([_rng.uniform(0, 9, size=(4999, 2)), _lattice(3)])),
+    "clustered sites": (_CLUSTERED, _rng.normal(size=(61, 2)), _square_targets(-1.0, 10.0, 50)),
+    "sites on cell boundaries": (_BOUNDARY_LATTICE, _rng.normal(size=63),
+                                 np.vstack([_lattice(15) / 2.0, _square_targets(-1.0, 8.0, 37)])),
+    "collinear sites": (np.column_stack([_rng.uniform(0, 5, 40), np.full(40, 2.0)]), _rng.normal(size=(40, 2)),
+                        np.vstack([_rng.uniform(-1, 6, size=(300, 2)), [[1.0, 2.0]]])),
+    "one site": (np.array([[0.5, 0.5]]), np.array([[1.0, 2.0]]), np.vstack([_lattice(5) / 4.0, [[0.5, 0.5]]])),
+    "equal sites": (np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([3.0, 4.0]),
+                    np.vstack([_rng.uniform(0, 2, size=(20, 2)), [[1.0, 1.0]]])),
+    "targets outside the box": (_rng.uniform(0, 1, size=(60, 2)), _rng.normal(size=(60, 3)),
+                                np.vstack([_rng.uniform(-3, 4, size=(500, 2)), _square_targets(-2.0, 3.0, 11)])),
+    "400 uniform sites": (_UNIFORM, _rng.normal(size=(400, 4)), _square_targets(_UNIFORM.min(), _UNIFORM.max(), 60)),
 }
 
 
@@ -96,6 +123,43 @@ def test_idw_matches_per_target_loop(case):
     coords, values, targets = IDW_CASES[case]
     assert np.array_equal(idw_interpolate(coords, values, targets),
                           idw_oracle(coords, values, targets))
+
+
+def test_idw_buckets_fall_back_to_all_sites(monkeypatch):
+    # the clustered case sends some targets to the selection over all
+    # sites, and the boundary lattice has cells of side exactly 1
+    widths = []
+    monkeypatch.setattr(ingest, "_nearest", lambda d, k: widths.append(d.shape[1]) or _nearest(d, k))
+    coords, values, targets = IDW_CASES["clustered sites"]
+    idw_interpolate(coords, values, targets)
+    first, *rest = widths
+    assert first < len(coords) and len(coords) in rest, widths
+    assert np.array_equal(_site_buckets(_BOUNDARY_LATTICE, IDW_NEIGHBOURS)[1], [1.0, 1.0])
+
+
+def test_idw_peak_memory():
+    # 400 uniform sites onto 64 x 64 targets with 16 values.  The peak
+    # holds the output, the weights stage's gathered site values and
+    # weighted terms with the previous block's weighted terms (three
+    # block x k x 16 arrays), and four block x width arrays of the
+    # candidate search (indices, distances and two temporaries); no array
+    # grows with block x sites.  A cell holds about one site, so the
+    # candidate width stays near the (2 reach + 1)^2 cells searched.
+    rng = np.random.default_rng(3)
+    coords, values = rng.uniform(0.0, 1.0, (400, 2)), rng.normal(size=(400, 16))
+    targets = _square_targets(0.0, 1.0, 64)
+    width = _site_buckets(coords, IDW_NEIGHBOURS)[3].shape[1]
+    assert width <= 2 * (2 * _IDW_REACH + 1) ** 2, width
+    idw_interpolate(coords, values, targets)  # warm caches outside the trace
+    tracemalloc.start()
+    try:
+        out = idw_interpolate(coords, values, targets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = min(_IDW_BLOCK, len(targets))
+    bound = out.nbytes + 8 * block * (3 * IDW_NEIGHBOURS * 16 + 4 * width)
+    assert peak <= bound + 64 * 1024, (peak, bound)
 
 
 @st.composite
@@ -117,6 +181,7 @@ def lattice_sites(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(case=lattice_sites())
+@example(case=(np.array([[0.0, 0.0]]), np.array([0.0]), np.array([[0.0, 0.5]])))
 def test_idw_selection_is_exact_under_ties(case):
     coords, values, targets = case
     assert np.array_equal(idw_interpolate(coords, values, targets),
