@@ -73,11 +73,11 @@ def main(ctx, config_path, seed, out_dir, threads):
     }
 
 
-def _format_pool(threads: int):
-    """The pool that formats field-sized CSV tables: `threads` worker
-    processes, forked at its first `map`, or None (no process) for one
-    thread, without fork, or beside another thread, whose held locks a
-    fork would copy."""
+def _pool(threads: int):
+    """The pool that parses field files and formats field-sized CSV
+    tables: `threads` worker processes, forked at its first `map`, or None
+    (no process) for one thread, without fork, or beside another thread,
+    whose held locks a fork would copy."""
     if threads > 1:
         # imported here: a one-thread command does not pay for the import
         import multiprocessing
@@ -87,6 +87,13 @@ def _format_pool(threads: int):
         if "fork" in multiprocessing.get_all_start_methods() and threading.active_count() == 1:
             return ProcessPoolExecutor(threads, mp_context=multiprocessing.get_context("fork"))
     return nullcontext()
+
+
+def _load_field(obj, field_file) -> grids.FunctionalField:
+    """The field in `field_file`, parsed on a pool of the command's
+    threads that is shut down before it returns."""
+    with _pool(obj["threads"]) as pool:
+        return grids.load_field(field_file, pool)
 
 
 @main.command()
@@ -99,7 +106,7 @@ def simulate(obj):
     reps = cfg.simulation.replications
     seeds = [obj["seed"] + i for i in range(reps)]
     files = [f"field_{i:03d}.csv" for i in range(reps)]
-    with _format_pool(obj["threads"]) as pool:
+    with _pool(obj["threads"]) as pool:
         for name, seed in zip(files, seeds):
             fld = sarh.simulate(spec, grid, cfg.simulation.burn_in, seed)
             grids.save_field(fld, obj["out"] / name, pool)
@@ -112,7 +119,7 @@ def simulate(obj):
 def estimate(obj, field_file):
     """Detrend, transform and fit the wavelet-domain parameters."""
     cfg: RunConfig = obj["config"]
-    residual, mean = grids.detrend(grids.load_field(field_file))
+    residual, mean = grids.detrend(_load_field(obj, field_file))
     report = estimator.estimate_all(
         wavelet.field_dwt(residual, cfg.time.j0), cfg.theta_domain(),
         include_cross=cfg.estimation.include_cross,
@@ -137,14 +144,14 @@ def estimate(obj, field_file):
 def predict_cmd(obj, field_file, report_file):
     """One-step plug-in prediction at every interior site."""
     cfg: RunConfig = obj["config"]
-    fld = grids.load_field(field_file)
-    report = estimator.load_report(report_file)
-    residual, mean = grids.detrend(fld)
-    mc = wavelet.field_dwt(residual, cfg.time.j0)
-    result = predict_field(mc, report)
     out = obj["out"] / (Path(field_file).stem + "_predicted.csv")
-    # the predicted sites are exactly those from (1, 1) on
-    with _format_pool(obj["threads"]) as pool:
+    with _pool(obj["threads"]) as pool:
+        fld = grids.load_field(field_file, pool)
+        report = estimator.load_report(report_file)
+        residual, mean = grids.detrend(fld)
+        mc = wavelet.field_dwt(residual, cfg.time.j0)
+        result = predict_field(mc, report)
+        # the predicted sites are exactly those from (1, 1) on
         grids.write_csv(
             out, ("p", "q", "t_index", "predicted", "residual"),
             [result.predicted.values[1:, 1:] + mean, result.residuals.values[1:, 1:]],
@@ -159,7 +166,7 @@ def predict_cmd(obj, field_file, report_file):
 def validate(obj, field_file):
     """Leave-one-site-out validation with per-period error table."""
     cfg: RunConfig = obj["config"]
-    fld = grids.load_field(field_file)
+    fld = _load_field(obj, field_file)
     residual, _ = grids.detrend(fld)
     sites = None
     if cfg.validation.max_folds is not None:
@@ -193,7 +200,7 @@ def validate(obj, field_file):
 def counts(obj, field_file):
     """Poisson counts from the integrated intensity of a log-field."""
     cfg: RunConfig = obj["config"]
-    fld = grids.load_field(field_file)
+    fld = _load_field(obj, field_file)
     inten = cox.intensity(fld)
     means = cox.integrated_intensity(inten) * cfg.counts.area_scale
     cg = cox.sample_counts(means, cfg.counts.seed)
@@ -210,7 +217,7 @@ def ingest_cmd(obj, raw_csv):
     cfg: RunConfig = obj["config"]
     fld = ingest.ingest_counts(raw_csv, cfg.spatial_grid(), cfg.time.depth)
     out = obj["out"] / f"{Path(raw_csv).stem}_field.csv"
-    with _format_pool(obj["threads"]) as pool:
+    with _pool(obj["threads"]) as pool:
         grids.save_field(fld, out, pool)
     click.echo(str(out))
 
@@ -235,7 +242,7 @@ def report(obj, kind, t_at, inputs):
 
 
 def _report_slice(obj, field_file, t_at: float):
-    fld = grids.load_field(field_file)
+    fld = _load_field(obj, field_file)
     m = int(np.argmin(np.abs(fld.time.points - t_at)))
     out = obj["out"] / (Path(field_file).stem + "_slice.csv")
     grids.write_csv(out, ("p", "q", "value"), [fld.values[:, :, m]], origin=(0, 0))

@@ -8,6 +8,8 @@ weight 2^-D (exact for the Haar system on this grid).
 
 from __future__ import annotations
 
+import codecs
+import io
 import itertools
 import json
 import math
@@ -95,7 +97,9 @@ def detrend(fld: FunctionalField) -> tuple[FunctionalField, np.ndarray]:
 # Every loader reads through `read_csv_records` or `read_ndjson` and then
 # `place_records`, which places records given in any order.  Faults raise
 # FieldFormatError "<path>: line <n>: <what>"; faults of the whole file name
-# the line after the last record.  Every output file is written by
+# the line after the last record.  A field file in C order is first read by
+# `load_field` in byte ranges and kept only as values; anything else in it
+# goes through the same two functions.  Every output file is written by
 # `write_csv` or `write_ndjson`.
 
 
@@ -204,10 +208,8 @@ def place_records(path, shape: tuple, columns, values, lineno: Callable, name: C
     finite = np.isfinite(values).all(axis=tuple(range(1, values.ndim)))
     if not finite.all():
         raise record_fault(path, lineno(int(np.argmin(finite))), "non-finite value")
-    if n == math.prod(shape) and all(
-        (c.reshape(shape) == np.arange(size).reshape((-1,) + (1,) * (len(shape) - 1 - axis))).all()
-        for axis, (c, size) in enumerate(zip(columns, shape))
-    ):  # already in C order; a copy, so the placed values hold no parsed rows
+    if n == math.prod(shape) and _c_order_start(columns, shape) == 0:
+        # already in C order; a copy, so the placed values hold no parsed rows
         return values.reshape(tuple(shape) + values.shape[1:]).copy()
     outside = np.any([(c < 0) | (c >= size) for c, size in zip(columns, shape)], axis=0)
     if outside.any():
@@ -226,6 +228,37 @@ def place_records(path, shape: tuple, columns, values, lineno: Callable, name: C
         missing = expected[int(np.argmax(off)) if off.any() else n]
         raise record_fault(path, lineno(n), f"incomplete: missing {name(tuple(map(int, missing)))}")
     return values[order].reshape(tuple(shape) + values.shape[1:])
+
+
+# index tuples per block of the C-order test; it bounds the test's arrays
+_RUN_BLOCK = 1 << 16
+
+
+def _c_order_start(columns, shape: tuple) -> int | None:
+    """The C-order position of the first index tuple of `columns` if the
+    tuples are the run of `shape`'s tuples in C order from there, else None.
+    The shape's size must fit an int64.  Indices inside their axes name
+    one position each, so the tuples are that run when those positions
+    count up from the first."""
+    n = len(columns[0])
+    if not n:
+        return None
+    start = 0
+    for c, size in zip(columns, shape):
+        start = start * size + int(c[0])
+    if not 0 <= start <= math.prod(shape) - n:
+        return None
+    for lo in range(0, n, _RUN_BLOCK):
+        pos = np.zeros(min(n - lo, _RUN_BLOCK), dtype=np.int64)
+        for c, size in zip(columns, shape):
+            index = c[lo:lo + pos.size]
+            if not ((index >= 0) & (index < size)).all():
+                return None
+            pos *= size
+            pos += index
+        if not (pos == np.arange(start + lo, start + lo + pos.size)).all():
+            return None
+    return start
 
 
 def _c_order_indices(m: int, shape: tuple) -> np.ndarray:
@@ -310,6 +343,11 @@ def write_ndjson(path, meta: dict, records) -> None:
 # row per site and time index in C order.  NDJSON is for reports only.
 
 _FIELD_COLUMNS = {"p": np.int64, "q": np.int64, "t_index": np.int64, "value": float}
+_FIELD_DTYPE = np.dtype(list(_FIELD_COLUMNS.items()))
+
+# bytes per parsing range of `load_field`; a constant, so ranges never
+# depend on the pool
+_LOAD_CHUNK = 1 << 18
 
 
 def save_field(fld: FunctionalField, path, pool=None) -> None:
@@ -318,17 +356,105 @@ def save_field(fld: FunctionalField, path, pool=None) -> None:
     write_csv(path, _FIELD_COLUMNS, [fld.values], origin=(0, 0, 0), pool=pool)
 
 
-def load_field(path) -> FunctionalField:
+def load_field(path, pool=None) -> FunctionalField:
+    """Read a CSV-long field file.
+
+    Records in C order are parsed in line-aligned byte ranges of about
+    `_LOAD_CHUNK` bytes, by `pool.map` when a pool is given and by `map`
+    otherwise, and only their values are kept.  Any other file, and any
+    fault, takes the record path (`read_csv_records`, `place_records`),
+    so the values and the fault texts do not depend on the pool.
+    """
+    fld = _load_c_order(path, pool)
+    if fld is not None:
+        return fld
     rows, lineno = read_csv_records(path, _FIELD_COLUMNS)
     columns = [rows["p"], rows["q"], rows["t_index"]]
     shape = tuple(int(c.max()) + 1 for c in columns)
     values = place_records(path, shape, columns, rows["value"], lineno, lambda k: f"entry {k}")
-    s1, s2, nt = shape
-    depth = nt.bit_length() - 1
     try:
-        if 1 << depth != nt:
-            raise ValueError(f"time grid size {nt} is not a power of two")
-        grid, time = SpatialGrid(s1, s2), TimeGrid(depth)
+        grids = _field_grids(shape)
     except ValueError as exc:
         raise record_fault(path, lineno(len(rows)), exc) from exc
-    return FunctionalField(grid, time, values)
+    return FunctionalField(*grids, values)
+
+
+def _field_grids(shape: tuple) -> tuple[SpatialGrid, TimeGrid]:
+    """The grids of a field of `shape`; ValueError if it has none."""
+    s1, s2, nt = shape
+    depth = nt.bit_length() - 1
+    if 1 << depth != nt:
+        raise ValueError(f"time grid size {nt} is not a power of two")
+    return SpatialGrid(s1, s2), TimeGrid(depth)
+
+
+def _load_c_order(path, pool) -> FunctionalField | None:
+    """The field of a UTF-8 field file whose records are in C order, for
+    the shape its last line names, or None.
+
+    Every record takes at least 8 bytes, so a shape of more entries than
+    an eighth of the file's bytes names no such file and is not allocated.
+    The ranges start after the header's first newline byte: a newline
+    byte always ends a line, so each range holds whole lines.
+    """
+    header = ",".join(_FIELD_COLUMNS)
+    with open(path) as fh:
+        if fh.readline().strip() != header or codecs.lookup(fh.encoding).name != "utf-8":
+            return None
+    with open(path, "rb") as fh:
+        first = fh.readline()
+        size = fh.seek(0, io.SEEK_END)
+        fh.seek(max(len(first), size - 4096))  # a longer last line fails the shape
+        last = fh.read().rstrip(b"\r\n").replace(b"\r", b"\n").rsplit(b"\n", 1)[-1].split(b",")
+        try:
+            shape = tuple(int(i) + 1 for i in last[:3])
+            grids = _field_grids(shape)
+        except ValueError:
+            return None
+        # a lone CR before the first newline byte would end the header there
+        if b"\r" in first[:-2] or len(last) != 4 or math.prod(shape) * 8 > size:
+            return None
+        bounds = [len(first)]
+        for at in range(len(first) + _LOAD_CHUNK, size, _LOAD_CHUNK):
+            if at >= bounds[-1]:
+                fh.seek(at)
+                fh.readline()
+                bounds.append(fh.tell())
+    bounds.append(size)
+    ranges = [(path, a, b, shape) for a, b in zip(bounds, bounds[1:]) if b > a]
+    out, done = np.empty(math.prod(shape)), 0
+    for part in (map if pool is None else pool.map)(_field_chunk, ranges):
+        if part is None:
+            return None
+        pos, values = part
+        if values.size and pos != done:
+            return None
+        out[done:done + values.size] = values
+        done += values.size
+    # `out` is uninitialised until every entry has been copied in
+    return FunctionalField(*grids, out.reshape(shape)) if done == out.size else None
+
+
+def _field_chunk(task) -> tuple[int | None, np.ndarray] | None:
+    """(C-order position of the first record, values) of the records in
+    one byte range (path, start, stop, shape) of `_load_c_order`, if they
+    are a run of finite records of `shape` in C order, (None, no values)
+    for a range of blank lines, and None otherwise.  The range is read
+    through the text layer of `open`, so its lines and characters are
+    those `read_csv_records` reads."""
+    path, start, stop, shape = task
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        data = fh.read(stop - start)
+    if not data.strip(b"\r\n"):
+        return None, np.empty(0)  # loadtxt warns on a range of no records
+    try:
+        rows = _parse_csv(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), _FIELD_DTYPE)
+    except ValueError:
+        return None
+    del data  # the text is not held beside the C-order test's arrays
+    values = rows["value"]
+    first = _c_order_start([rows["p"], rows["q"], rows["t_index"]], shape)
+    if first is None or not np.isfinite(values).all():
+        return None
+    return first, values.copy()

@@ -116,6 +116,7 @@ def idw_interpolate(
         w = 1.0 / dn[~hit] ** IDW_POWER
         weighted = w.reshape(w.shape + trail) * values[nearest[~hit]]
         rows[~hit] = weighted.sum(axis=1) / w.sum(axis=1).reshape((-1,) + trail)
+        del weighted  # freed before the next block's candidates are made
     return out
 
 

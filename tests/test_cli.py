@@ -221,7 +221,8 @@ def _raw_counts(path, rng, side=4, times=6):
 
 def test_ingest_and_predict_identical_across_threads(tmp_path):
     # 48x48 sites at depth 4: the field and prediction tables span several
-    # formatting blocks
+    # formatting blocks, and the field file several parsing ranges; counts,
+    # estimate and validate load it through the pool
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         **BASE_CONFIG, "grid": {"s1": 48, "s2": 48}, "time": {"depth": 4, "j0": 1},
@@ -238,10 +239,15 @@ def test_ingest_and_predict_identical_across_threads(tmp_path):
     for threads in ("1", "3"):
         out = tmp_path / f"t{threads}"
         base = ["--config", str(config), "--out", str(out), "--threads", threads]
-        _run(base + ["predict", str(field), str(report)])
-        _run(base + ["ingest", str(raw)])
+        for args in (["predict", str(field), str(report)], ["ingest", str(raw)], ["counts", str(field)],
+                     ["estimate", str(field)], ["validate", str(field)]):
+            _run(base + args)
         outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
-    assert sorted(outputs[0]) == ["field_000_predicted.csv", "raw_field.csv"]
+    assert sorted(outputs[0]) == [
+        "field_000_counts.csv", "field_000_eigenvalues.csv", "field_000_estimate_manifest.json",
+        "field_000_folds.csv", "field_000_mean.csv", "field_000_periods.csv", "field_000_predicted.csv",
+        "field_000_report.ndjson", "field_000_validate_manifest.json", "raw_field.csv",
+    ]
     assert outputs[0] == outputs[1]
 
 
@@ -253,7 +259,8 @@ def test_threads_leave_no_worker_processes(workspace):
     base = ["--config", str(config), "--out", str(out), "--threads", "2"]
     field, report = out / "field_000.csv", out / "field_000_report.ndjson"
     for args in (["simulate"], ["estimate", str(field)], ["predict", str(field), str(report)],
-                 ["ingest", str(raw)]):
+                 ["ingest", str(raw)], ["counts", str(field)], ["validate", str(field)],
+                 ["report", "--kind", "slice", str(field)]):
         _run(base + args)
         assert multiprocessing.active_children() == []
     # a directory in the way of an output file: simulate fails on its

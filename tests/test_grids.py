@@ -11,6 +11,7 @@ from coxmra import (
     load_field,
     save_field,
 )
+from coxmra import grids
 from coxmra.grids import FieldFormatError
 from oracles import EDGE_FLOATS, table_csv
 
@@ -98,14 +99,16 @@ def test_load_csv_rejects_duplicates_and_gaps(tmp_path):
 
 
 def test_load_field_peak_memory(tmp_path):
-    # the parsed rows (four 8-byte columns) plus two 8-byte values per
-    # record: the placed values and the one-byte flags of the finite and
-    # C-order checks.  A file in C order is not sorted, and there is no
-    # (n, 3) index array, flat key or second copy of the rows; the slack
-    # covers small Python objects.
+    # a file of more than 8 parsing ranges in C order: the peak holds the
+    # placed values and about two ranges of parsed rows (four 8-byte
+    # columns; one range's text is about as large), never a row array of
+    # the whole file.  The slack covers the previous range's values and
+    # small Python objects.
     path = tmp_path / "field.csv"
-    fld = FunctionalField(SpatialGrid(40, 40), TimeGrid(4), np.random.default_rng(0).normal(size=(40, 40, 16)))
+    fld = FunctionalField(SpatialGrid(64, 64), TimeGrid(5), np.random.default_rng(0).normal(size=(64, 64, 32)))
     save_field(fld, path)
+    size = path.stat().st_size
+    assert size >= 8 * grids._LOAD_CHUNK
     load_field(path)  # warm caches outside the trace
     tracemalloc.start()
     try:
@@ -114,7 +117,8 @@ def test_load_field_peak_memory(tmp_path):
     finally:
         tracemalloc.stop()
     assert np.array_equal(back.values, fld.values)
-    assert peak <= fld.values.size * (4 * 8 + 2 * 8) + 16 * 1024, peak
+    range_records = fld.values.size * grids._LOAD_CHUNK // size
+    assert peak <= fld.values.nbytes + 2 * 4 * 8 * range_records + 128 * 1024, peak
 
 
 def test_load_rejects_the_ndjson_field_layout(tmp_path):

@@ -139,12 +139,13 @@ def test_idw_buckets_fall_back_to_all_sites(monkeypatch):
 
 def test_idw_peak_memory():
     # 400 uniform sites onto 64 x 64 targets with 16 values.  The peak
-    # holds the output, the weights stage's gathered site values and
-    # weighted terms with the previous block's weighted terms (three
-    # block x k x 16 arrays), and four block x width arrays of the
-    # candidate search (indices, distances and two temporaries); no array
-    # grows with block x sites.  A cell holds about one site, so the
-    # candidate width stays near the (2 reach + 1)^2 cells searched.
+    # holds the output and either the weights stage's gathered site values
+    # and weighted terms (two block x k x 16 arrays) or four block x width
+    # arrays of the candidate search (indices, distances and two
+    # temporaries), never both: a block's weighted terms are freed before
+    # the next block's search.  No array grows with block x sites.  A cell
+    # holds about one site, so the candidate width stays near the
+    # (2 reach + 1)^2 cells searched.
     rng = np.random.default_rng(3)
     coords, values = rng.uniform(0.0, 1.0, (400, 2)), rng.normal(size=(400, 16))
     targets = _square_targets(0.0, 1.0, 64)
@@ -158,7 +159,7 @@ def test_idw_peak_memory():
     finally:
         tracemalloc.stop()
     block = min(_IDW_BLOCK, len(targets))
-    bound = out.nbytes + 8 * block * (3 * IDW_NEIGHBOURS * 16 + 4 * width)
+    bound = out.nbytes + 8 * block * max(2 * IDW_NEIGHBOURS * 16, 4 * width)
     assert peak <= bound + 64 * 1024, (peak, bound)
 
 
@@ -245,8 +246,9 @@ def test_ingest_counts_peak_memory(tmp_path):
     # many raw times, few sites, many targets: the sites' series are
     # resampled before IDW, so no array has a targets x raw times term.
     # The bound sums every stage: the parsed rows with their site-id
-    # strings (192 B a record), four raw-series arrays, four IDW distance
-    # blocks and the output twice, plus 64 KiB of small objects.
+    # strings (192 B a record), four raw-series arrays and the output
+    # twice, plus 64 KiB of small objects.  It has no room for block x
+    # sites IDW distance arrays.
     sites, n_raw, grid, depth = 36, 256, SpatialGrid(60, 60), 3
     rng = np.random.default_rng(4)
     xy, counts = rng.uniform(0.0, 1.0, (sites, 2)), rng.poisson(5.0, (sites, n_raw))
@@ -260,6 +262,5 @@ def test_ingest_counts_peak_memory(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    block = min(_IDW_BLOCK, grid.n)
-    bound = sites * n_raw * 192 + 8 * (4 * sites * n_raw + 4 * block * sites + 2 * grid.n * (1 << depth))
+    bound = sites * n_raw * 192 + 8 * (4 * sites * n_raw + 2 * grid.n * (1 << depth))
     assert peak <= bound + 64 * 1024, (peak, bound)

@@ -12,7 +12,7 @@ import re
 import multiprocessing
 import subprocess
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from pathlib import Path
 from types import ModuleType
 
@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import coxmra
-from coxmra import FunctionalField, SpatialGrid, TimeGrid, load_field, save_field
+from coxmra import FunctionalField, SpatialGrid, TimeGrid, grids, load_field, save_field
 from coxmra.estimator import ThetaDomain, estimate_all, load_report, save_report
 from coxmra.grids import _CSV_BLOCK, FieldFormatError, write_csv, write_ndjson
 from coxmra.ingest import read_count_records
@@ -158,6 +158,21 @@ def _assert_fault(path, lines, expected, load):
 # field CSV
 
 
+@pytest.fixture
+def field_loaders(monkeypatch):
+    """`load_field` without a pool over its own byte ranges and over ranges
+    of one line each, and through a pool (threads stand in for processes)
+    over ranges of a line or two."""
+    def ranged(size, pool=None):
+        def load(path):
+            monkeypatch.setattr(grids, "_LOAD_CHUNK", size)
+            return load_field(path, pool)
+        return load
+
+    with ThreadPoolExecutor(2) as pool:
+        yield [ranged(grids._LOAD_CHUNK), ranged(1), ranged(48, pool)]
+
+
 @FUZZ
 @given(fld=fields())
 def test_field_roundtrip(tmp_path, fld):
@@ -170,13 +185,14 @@ def test_field_roundtrip(tmp_path, fld):
 
 @FUZZ
 @given(fld=fields(), data=st.data())
-def test_field_records_in_any_order(tmp_path, fld, data):
+def test_field_records_in_any_order(tmp_path, field_loaders, fld, data):
     path = tmp_path / "field.csv"
     save_field(fld, path)
     path.write_text("\n".join(_shuffled(path.read_text().splitlines(), data)) + "\n")
-    back = load_field(path)
-    assert (back.grid, back.time) == (fld.grid, fld.time)
-    assert back.values.tobytes() == fld.values.tobytes()
+    for load in field_loaders:
+        back = load(path)
+        assert (back.grid, back.time) == (fld.grid, fld.time)
+        assert back.values.tobytes() == fld.values.tobytes()
 
 
 CSV_FIELD = _csv_mutations(index_col=0, value_col=3)
@@ -185,12 +201,13 @@ CSV_FIELD = _csv_mutations(index_col=0, value_col=3)
 @pytest.mark.parametrize("kind", sorted(CSV_FIELD))
 @FUZZ
 @given(fld=fields(), data=st.data())
-def test_field_csv_mutation(tmp_path, kind, fld, data):
+def test_field_csv_mutation(tmp_path, field_loaders, kind, fld, data):
     path = tmp_path / "field.csv"
     save_field(fld, path)
     lines = path.read_text().splitlines()
     j = data.draw(st.integers(1, len(lines) - 1))
-    _assert_fault(path, *CSV_FIELD[kind](lines, j), load_field)
+    for load in field_loaders:
+        _assert_fault(path, *CSV_FIELD[kind](lines, j), load)
 
 
 def test_field_csv_stray_huge_index_is_incomplete(tmp_path):
@@ -205,12 +222,75 @@ def test_field_csv_stray_huge_index_is_incomplete(tmp_path):
     # 2 x 2 x 2**62 entries: more than a flat index can hold
     (["0,0,0,1.0", f"1,1,{2**62},1.0"], "line 4: incomplete: missing entry (0, 0, 1)"),
     ([f"1,1,{2**62},1.0", "0,0,0,1.0", f"1,1,{2**62},2.0"], f"line 4: duplicate entry (1, 1, {2**62})"),
-], ids=["incomplete", "duplicate"])
-def test_field_csv_oversized_shape_is_a_record_fault(tmp_path, rows, fault):
+    # a field shape, 2 x 2 x 2**40, that no file of this size can fill
+    (["0,0,0,1.0", f"1,1,{2**40 - 1},1.0"], "line 4: incomplete: missing entry (0, 0, 1)"),
+], ids=["incomplete", "duplicate", "unfillable"])
+def test_field_csv_oversized_shape_is_a_record_fault(tmp_path, field_loaders, rows, fault):
     path = tmp_path / "field.csv"
     path.write_text("\n".join(["p,q,t_index,value", *rows]) + "\n")
-    with pytest.raises(FieldFormatError, match=re.escape(f"{path}: {fault}") + "$"):
-        load_field(path)
+    for load in field_loaders:
+        with pytest.raises(FieldFormatError, match=re.escape(f"{path}: {fault}") + "$"):
+            load(path)
+
+
+def _field_text(lines, newline="\n", end="\n"):
+    return newline.join(lines) + end
+
+
+# layouts of a 2 x 2 x 2 field file that each loader must read alike:
+# lines -> file text
+FIELD_LAYOUTS = {
+    "blank lines at every cut": lambda lines: _field_text([line + "\n" for line in lines]),
+    "first two records swapped": lambda lines: _field_text([lines[0], lines[2], lines[1], *lines[3:]]),
+    # (0, 1, t) written as (0, 0, 2 + t): the same position if t_index ran past its axis
+    "index past its axis": lambda lines: _field_text(
+        [*lines[:3], *(f"0,0,{2 + t},{lines[3 + t].rsplit(',', 1)[1]}" for t in (0, 1)), *lines[5:]]),
+    "blank lines past a range": lambda lines: _field_text(lines[:4] + [""] * 60 + lines[4:]),
+    "no trailing newline": lambda lines: _field_text(lines, end=""),
+    "CRLF line ends": lambda lines: _field_text(lines, "\r\n", "\r\n"),
+    "lone CR line ends": lambda lines: _field_text(lines, "\r", "\r"),
+    "form feed after a value": lambda lines: _field_text(lines[:3] + [lines[3] + "\x0c"] + lines[4:]),
+    "form feed inside a number": lambda lines: _field_text(lines[:3] + [lines[3] + "\x0c5"] + lines[4:]),
+    "form feed between two records": lambda lines: _field_text([*lines[:3], lines[3] + "\x0c" + lines[4], *lines[5:]]),
+    "short last line": lambda lines: _field_text(lines[:-1] + [lines[-1].rsplit(",", 1)[0]]),
+    "bad number on the last line": lambda lines: _field_text(lines[:-1] + [lines[-1] + "x"]),
+    "text for the last line": lambda lines: _field_text(lines[:-1] + ["end"]),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(FIELD_LAYOUTS))
+def test_field_layouts_load_alike_through_ranges(tmp_path, monkeypatch, field_loaders, layout):
+    # each loader returns the values of the record path or raises its
+    # fault, with the same text, whatever the ranges and the pool
+    path = tmp_path / "field.csv"
+    save_field(FunctionalField(SpatialGrid(2, 2), TimeGrid(1), np.arange(8.0).reshape(2, 2, 2) / 3), path)
+    path.write_bytes(FIELD_LAYOUTS[layout](path.read_text().splitlines()).encode())
+
+    def outcome(load):
+        try:
+            return load(path).values.tobytes()
+        except FieldFormatError as exc:
+            return str(exc)
+
+    seen = [outcome(load) for load in field_loaders]
+    monkeypatch.setattr(grids, "_load_c_order", lambda path, pool: None)
+    assert seen == [outcome(load_field)] * len(seen)
+
+
+@pytest.mark.parametrize("layout", ["blank lines at every cut", "blank lines past a range", "no trailing newline",
+                                    "CRLF line ends", "form feed after a value"])
+def test_field_in_c_order_skips_the_record_path(tmp_path, monkeypatch, field_loaders, layout):
+    path = tmp_path / "field.csv"
+    fld = FunctionalField(SpatialGrid(3, 2), TimeGrid(2), np.arange(24.0).reshape(3, 2, 4) / 7)
+    save_field(fld, path)
+    path.write_bytes(FIELD_LAYOUTS[layout](path.read_text().splitlines()).encode())
+
+    def no_records(*args):
+        raise AssertionError("the record path was taken")
+
+    monkeypatch.setattr(grids, "read_csv_records", no_records)
+    for load in field_loaders:
+        assert load(path).values.tobytes() == fld.values.tobytes()
 
 
 # ---------------------------------------------------------------------------
