@@ -9,8 +9,8 @@ weight 2^-D (exact for the Haar system on this grid).
 from __future__ import annotations
 
 import codecs
+import functools
 import io
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -100,7 +100,10 @@ def detrend(fld: FunctionalField) -> tuple[FunctionalField, np.ndarray]:
 # the line after the last record.  A field file in C order is first read by
 # `load_field` in byte ranges and kept only as values; anything else in it
 # goes through the same two functions.  Every output file is written by
-# `write_csv` or `write_ndjson`.
+# `write_csv` or `write_ndjson`; `write_csv` fills a cached row template of
+# the index coordinates with each block's values by one `%` substitution,
+# so a float costs its `repr` and little else.  A file of one formatting
+# block or one parsing range is handled in the calling process.
 
 
 def record_fault(path, lineno: int, what) -> FieldFormatError:
@@ -286,8 +289,9 @@ def write_csv(path, header, columns, origin: tuple = (), pool=None) -> None:
     decimal, floats as their shortest repr.
 
     Rows are formatted in blocks of whole leading indices, by `pool.map`
-    when a pool (for example a process pool) is given and by `map`
-    otherwise, and written in order, so the bytes do not depend on it.
+    when a pool (for example a process pool) is given and there is more
+    than one block, and by `map` otherwise, and written in order, so the
+    bytes do not depend on it.
     """
     columns = [np.asarray(c) for c in columns]
     shape = columns[0].shape
@@ -300,32 +304,39 @@ def write_csv(path, header, columns, origin: tuple = (), pool=None) -> None:
     ]
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for text in (map if pool is None else pool.map)(_format_rows, blocks):
+        for text in (map if pool is None or len(blocks) == 1 else pool.map)(_format_rows, blocks):
             fh.write(text)
 
 
 def _format_rows(block) -> str:
-    """CSV rows of one block (origin, columns) of `write_csv`."""
+    """CSV rows of one block (origin, columns) of `write_csv`: the block's
+    row template filled with its values by one `%` substitution."""
     origin, columns = block
-    cells = _reprs(columns[0])
-    for c in columns[1:]:
-        cells = [f"{a},{b}" for a, b in zip(cells, _reprs(c))]
+    n, k = columns[0].size, len(columns)
+    if not n:
+        return ""
+    values = [None] * (n * k)
+    for j, c in enumerate(columns):
+        values[j::k] = c.ravel().tolist()  # Python ints and floats, interleaved by row
     if not origin:
-        return "".join([f"{v}\n" for v in cells])
-    # the trailing axes' coordinate text is built once per block
-    coords = [[f"{i}," for i in range(start, start + size)]
-              for size, start in zip(columns[0].shape, origin)]
-    tail = [""]
-    for axis in coords[1:]:
-        tail = [t + i for t in tail for i in axis]
-    rows = itertools.product(coords[0], tail)
-    return "".join([f"{lead}{t}{v}\n" for (lead, t), v in zip(rows, cells)])
+        return _row_template((), (), k) * n % tuple(values)
+    rows = _row_template(columns[0].shape[1:], origin[1:], k)
+    leads = [f"{i}," for i in range(origin[0], origin[0] + len(columns[0]))]
+    # every row of the trailing axes, once per leading index, prefixed with it
+    text = "".join([lead + rows.replace("\n", "\n" + lead)[: -len(lead)] for lead in leads])
+    return text % tuple(values)
 
 
-def _reprs(values: np.ndarray) -> list[str]:
-    """`repr` of every value as a Python int or float, in C order, from
-    one list repr."""
-    return repr(values.ravel().tolist())[1:-1].split(", ")
+@functools.lru_cache(maxsize=8)
+def _row_template(shape: tuple, origin: tuple, k: int) -> str:
+    """One line per index tuple of `shape` in C order: its coordinates,
+    offset by `origin`, then k `%r` cells.  `%r` of a Python int or float
+    is its decimal or shortest repr."""
+    cells = ",".join(["%r"] * k) + "\n"
+    coords = [""]
+    for size, start in zip(shape, origin):
+        coords = [f"{c}{i}," for c in coords for i in range(start, start + size)]
+    return "".join([c + cells for c in coords])
 
 
 def write_ndjson(path, meta: dict, records) -> None:
@@ -360,10 +371,11 @@ def load_field(path, pool=None) -> FunctionalField:
     """Read a CSV-long field file.
 
     Records in C order are parsed in line-aligned byte ranges of about
-    `_LOAD_CHUNK` bytes, by `pool.map` when a pool is given and by `map`
-    otherwise, and only their values are kept.  Any other file, and any
-    fault, takes the record path (`read_csv_records`, `place_records`),
-    so the values and the fault texts do not depend on the pool.
+    `_LOAD_CHUNK` bytes, by `pool.map` when a pool is given and there is
+    more than one range, and by `map` otherwise, and only their values are
+    kept.  Any other file, and any fault, takes the record path
+    (`read_csv_records`, `place_records`), so the values and the fault
+    texts do not depend on the pool.
     """
     fld = _load_c_order(path, pool)
     if fld is not None:
@@ -423,7 +435,7 @@ def _load_c_order(path, pool) -> FunctionalField | None:
     bounds.append(size)
     ranges = [(path, a, b, shape) for a, b in zip(bounds, bounds[1:]) if b > a]
     out, done = np.empty(math.prod(shape)), 0
-    for part in (map if pool is None else pool.map)(_field_chunk, ranges):
+    for part in (map if pool is None or len(ranges) == 1 else pool.map)(_field_chunk, ranges):
         if part is None:
             return None
         pos, values = part

@@ -251,8 +251,20 @@ def test_ingest_and_predict_identical_across_threads(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def test_threads_leave_no_worker_processes(workspace):
+def test_threads_leave_no_worker_processes(workspace, monkeypatch):
+    # 48x48 sites at depth 3: a field file spans two formatting blocks and
+    # two parsing ranges, so every command below maps work on the workers
     tmp, config = workspace
+    config.write_text(json.dumps({**BASE_CONFIG, "grid": {"s1": 48, "s2": 48}}))
+    mapped = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def map(self, fn, *iterables, **kwargs):
+            mapped.append(fn.__name__)
+            return super().map(fn, *iterables, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    forks = "fork" in multiprocessing.get_all_start_methods() and threading.active_count() == 1
     raw = tmp / "raw.csv"
     _raw_counts(raw, np.random.default_rng(2))
     out = tmp / "out"
@@ -261,7 +273,9 @@ def test_threads_leave_no_worker_processes(workspace):
     for args in (["simulate"], ["estimate", str(field)], ["predict", str(field), str(report)],
                  ["ingest", str(raw)], ["counts", str(field)], ["validate", str(field)],
                  ["report", "--kind", "slice", str(field)]):
+        mapped.clear()
         _run(base + args)
+        assert bool(mapped) == forks, args
         assert multiprocessing.active_children() == []
     # a directory in the way of an output file: simulate fails on its
     # second replication, after the first went through the workers
@@ -270,10 +284,13 @@ def test_threads_leave_no_worker_processes(workspace):
         (bad / name).mkdir(parents=True)
     bad_base = ["--config", str(config), "--out", str(bad), "--threads", "2"]
     for args in (["simulate"], ["predict", str(field), str(report)], ["ingest", str(raw)]):
+        mapped.clear()
         result = CliRunner().invoke(main, bad_base + args)
         assert result.exit_code == 1
         assert json.loads(result.stderr.strip().splitlines()[-1])["type"] == "IsADirectoryError"
         assert multiprocessing.active_children() == []
+        if args == ["simulate"]:
+            assert mapped == (["_format_rows"] if forks else [])
     assert (bad / "field_000.csv").read_bytes() == field.read_bytes()
 
 

@@ -8,6 +8,7 @@ whole file (a dropped record) name the line after the last record.
 
 import ast
 import json
+import math
 import re
 import multiprocessing
 import subprocess
@@ -448,6 +449,10 @@ EDGE_VALUES = EDGE_FLOATS + [-v for v in EDGE_FLOATS]
 EDGE_COUNTS = [0, 1, 2**62, 2**63 - 1]
 
 
+# column layouts of the per-value test: "f" a float column, "i" an int column
+COLUMN_KINDS = ["f", "i", "fi", "if", "ffi", "ifi", "iff"]
+
+
 @pytest.mark.parametrize("origin", [(0, 0, 0), (1, 1, 0), (1,), ()])
 def test_write_csv_matches_per_value_writer(tmp_path, origin):
     rng = np.random.default_rng(9)
@@ -456,19 +461,34 @@ def test_write_csv_matches_per_value_writer(tmp_path, origin):
     values.flat[: len(EDGE_VALUES)] = EDGE_VALUES[: values.size]
     counts = rng.integers(0, 2**63 - 1, size=shape, dtype=np.int64, endpoint=True)
     counts.flat[: len(EDGE_COUNTS)] = EDGE_COUNTS
-    header, expected = _per_value_table(values, counts, origin)
-    write_csv(tmp_path / "t.csv", header, [values, counts], origin)
-    assert (tmp_path / "t.csv").read_bytes() == expected
+    for kinds in COLUMN_KINDS:
+        # column j is rolled by j entries, so no two columns match
+        columns = [np.roll(values if kind == "f" else counts, j) for j, kind in enumerate(kinds)]
+        header, expected = _per_value_table(columns, origin)
+        write_csv(tmp_path / "t.csv", header, columns, origin)
+        assert (tmp_path / "t.csv").read_bytes() == expected, kinds
 
 
-def _per_value_table(values, counts, origin):
-    """Header and `table_csv` bytes of the rows (index + origin, value, count)."""
-    header = (*(f"i{axis}" for axis in range(len(origin))), "value", "count")
+def _per_value_table(columns, origin):
+    """Header and `table_csv` bytes of the rows (index + origin, column values)."""
+    header = (*(f"i{axis}" for axis in range(len(origin))), *(f"c{j}" for j in range(len(columns))))
     rows = [
-        (*(i + o for i, o in zip(index, origin)), v, counts[index])
-        for index, v in np.ndenumerate(values)
+        (*(i + o for i, o in zip(index, origin)), *(c[index] for c in columns))
+        for index in np.ndindex(columns[0].shape)
     ]
     return header, table_csv(header, rows).encode()
+
+
+# every finite float64, drawn as a bit pattern
+_FINITE_BITS = st.integers(0, 2**64 - 1).map(lambda b: float(np.uint64(b).view(np.float64))).filter(math.isfinite)
+
+
+@FUZZ
+@given(values=st.lists(_FINITE_BITS, min_size=1, max_size=64))
+def test_write_csv_writes_the_repr_of_any_finite_float(tmp_path, values):
+    path = tmp_path / "t.csv"
+    write_csv(path, ("value",), [np.array(values)])
+    assert path.read_text().split("\n") == ["value", *map(repr, values), ""]
 
 
 @pytest.fixture(scope="module")
@@ -492,11 +512,20 @@ def test_write_csv_through_a_pool_is_byte_identical(tmp_path, fork_pool, origin,
     values.flat[:k] = EDGE_VALUES[:k]  # in the first block and in the last
     values.flat[values.size - k:] = EDGE_VALUES[:k]
     counts = rng.integers(0, 2**63 - 1, size=shape, dtype=np.int64, endpoint=True)
-    header, expected = _per_value_table(values, counts, origin)
+    header, expected = _per_value_table([values, counts], origin)
     write_csv(tmp_path / "pool.csv", header, [values, counts], origin, pool=fork_pool)
     write_csv(tmp_path / "serial.csv", header, [values, counts], origin)
     assert (tmp_path / "serial.csv").read_bytes() == expected
     assert (tmp_path / "pool.csv").read_bytes() == expected
+
+
+@pytest.mark.parametrize("shape, origin", [((0,), (0,)), ((0, 3), (1, 0)), ((2, 0), (0, 1)), ((2, 0, 4), (1, 1, 0))])
+def test_write_csv_without_rows_writes_only_the_header(tmp_path, fork_pool, shape, origin):
+    # no rows: an empty leading axis, or an empty trailing axis under every leading index
+    header = (*(f"i{axis}" for axis in range(len(shape))), "value", "count")
+    for pool in (None, fork_pool):
+        write_csv(tmp_path / "t.csv", header, [np.zeros(shape), np.zeros(shape, int)], origin, pool)
+        assert (tmp_path / "t.csv").read_text() == ",".join(header) + "\n"
 
 
 def test_write_csv_rejects_mismatched_columns(tmp_path):
