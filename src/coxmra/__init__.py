@@ -36,7 +36,7 @@ from .estimator import (
     truncation_parameter,
 )
 from .cox import CountGrid, integrated_intensity, intensity, sample_counts
-from .predict import PredictionResult, ValidationSummary, loo_validate, predict
+from .predict import PredictionResult, ValidationSummary, loo_validate
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

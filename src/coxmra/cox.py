@@ -58,9 +58,14 @@ def sample_counts(means: np.ndarray, seed: int) -> CountGrid:
     depends only on the seed and the means of the cells up to it.
     """
     m = np.asarray(means, dtype=float)
-    if np.any(m <= 0):
+    if not np.all(m > 0):
         raise ValueError("Poisson means must be positive")
-    return CountGrid(SpatialGrid(*m.shape), np.random.default_rng(seed).poisson(m), m)
+    try:
+        counts = np.random.default_rng(seed).poisson(m)
+    except ValueError as exc:  # the means are positive: one is beyond numpy's largest draw
+        cell = np.unravel_index(m.argmax(), m.shape)
+        raise ValueError(f"Poisson mean {m.max():.6g} at cell {tuple(map(int, cell))} is too large to draw") from exc
+    return CountGrid(SpatialGrid(*m.shape), counts, m)
 
 
 def save_counts(cg: CountGrid, path) -> None:

@@ -337,12 +337,11 @@ def _newton(evaluate, theta: np.ndarray, scale: np.ndarray, domain: ThetaDomain)
 
 @dataclass(frozen=True)
 class NodeEstimate:
-    """The fit of one row: a wavelet coefficient (row == col == its layout
+    """The fit of one row: a wavelet coefficient (`row` is its layout
     index) or, in a cross fit, a component of the eigenbasis (its column
     in `EigenBasis.vectors`)."""
 
     row: int
-    col: int
     theta: tuple[float, float, float]
     eta_moment: float  # eta-weighted periodogram moment: the sum of the row's `contrast_weights`
     contrast: float
@@ -414,11 +413,10 @@ def estimate_many(coeff_sets: list[MultiscaleCoefficients], domain: ThetaDomain,
         for freq, fields, members in search:
             for (i, coeffs, basis), x in zip(members, fields):
                 estimates = [
-                    NodeEstimate(r, r, tuple(map(float, th)), float(moment), float(val), int(it), bool(near))
+                    NodeEstimate(r, tuple(map(float, th)), float(moment), float(val), int(it), bool(near))
                     for r, (th, val, it, moment, near) in enumerate(islice(rows, x.shape[-1]))
                 ]
-                reports[i] = _report(coeffs.j0, coeffs.depth, freq.n, truncation_parameter(freq.n),
-                                     estimates, np.array([est.theta for est in estimates]), basis)
+                reports[i] = _report(coeffs.j0, coeffs.depth, freq.n, truncation_parameter(freq.n), estimates, basis)
     return reports
 
 
@@ -472,14 +470,14 @@ def _row_weights(freq: FrequencyGrid, fields: list[np.ndarray]) -> np.ndarray:
 
 
 def _report(j0: int, depth: int, n_sites: int, k: int, estimates: list[NodeEstimate],
-            thetas: np.ndarray, basis: EigenBasis | None = None) -> EstimationReport:
-    """Assemble the three operator matrices from the (rows, 3) `thetas`,
-    row r's at r, and their leading eigenvalues; `estimates` are kept as
-    given and k is clipped to the layout size.  Without a basis each row's
-    theta is a diagonal entry; with one each operator is
-    sym(U diag(theta) U^T), so its (a, b) and (b, a) entries are equal
-    bits."""
+            basis: EigenBasis | None = None) -> EstimationReport:
+    """Assemble the three operator matrices from the thetas of `estimates`,
+    in row order, and their leading eigenvalues; k is clipped to the
+    layout size.  Without a basis each row's theta is a diagonal entry;
+    with one each operator is sym(U diag(theta) U^T), so its (a, b) and
+    (b, a) entries are equal bits."""
     n = 1 << depth
+    thetas = np.array([est.theta for est in estimates])
     if basis is None:
         mats = np.zeros((3, n, n))
         mats[:, np.arange(n), np.arange(n)] = thetas.T
@@ -522,14 +520,14 @@ def save_report(report: EstimationReport, path) -> None:
 
 
 def load_report(path) -> EstimationReport:
-    """Read a `save_report` file.  Every record is one fitted row (p, p):
-    a diagonal report holds one per layout entry, a cross report one per
-    basis vector, and the operators are rebuilt from them."""
+    """Read a `save_report` file: one record per fitted row, a layout entry
+    of a diagonal report or a basis vector of a cross report.  The
+    estimates come back in row order; the operators are rebuilt from them."""
     head, records, lineno = read_ndjson(
         path,
         (_REPORT_META, _CROSS_META),
         # NodeEstimate field order
-        {"row": int, "col": int, "theta": list, "eta_moment": float,
+        {"row": int, "theta": list, "eta_moment": float,
          "contrast": float, "iterations": int, "near_boundary": bool},
     )
     (j0, depth, n_sites, k), cross = head[:4], head[4:]
@@ -543,17 +541,13 @@ def load_report(path) -> EstimationReport:
             raise record_fault(path, 1, f"basis of {len(vectors)} values and {len(eigenvalues)} eigenvalues, "
                                         f"expected {n * k} and {k}")
         basis = EigenBasis(np.reshape(vectors, (k, n)).T, np.array(eigenvalues), gap)
-    for i, (row, col, theta, *_) in enumerate(records):
+    for i, (_, theta, *_) in enumerate(records):
         if len(theta) != 3:
             raise record_fault(path, lineno(i), f"theta has {len(theta)} values, expected 3")
-        if row != col:
-            raise record_fault(path, lineno(i), f"pair ({row}, {col}) is not a fitted row")
-    estimates = [NodeEstimate(*rec) for rec in records]
-    thetas = place_records(
-        path, (n if basis is None else k,), ([e.row for e in estimates],), [e.theta for e in estimates],
-        lineno, lambda key: f"pair ({key[0]}, {key[0]})",
-    )
-    return _report(j0, depth, n_sites, k, estimates, thetas, basis)
+    place_records(path, (n if basis is None else k,), ([rec[0] for rec in records],),
+                  [rec[1] for rec in records], lineno, lambda key: f"row {key[0]}")
+    # placed, the rows are 0..m-1 once each, so sorted records are in row order
+    return _report(j0, depth, n_sites, k, [NodeEstimate(*rec) for rec in sorted(records)], basis)
 
 
 def save_eigenvalue_table(report: EstimationReport, path) -> None:

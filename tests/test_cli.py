@@ -372,6 +372,22 @@ def test_validate_names_an_untrainable_site_and_writes_nothing(tmp_path):
     assert sorted(out.iterdir()) == before
 
 
+def test_counts_names_a_mean_too_large_to_draw(tmp_path):
+    # numpy's own "lam value too large" names no cell
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**BASE_CONFIG, "counts": {"area_scale": 1e20}}))
+    out = tmp_path / "out"
+    _run(["--config", str(config), "--out", str(out), "simulate"])
+    result = CliRunner().invoke(main, ["--config", str(config), "--out", str(out), "counts", str(out / "field_000.csv")])
+    assert result.exit_code == 1
+    values = load_field(out / "field_000.csv").values
+    means = np.exp(values).sum(axis=2) / values.shape[2] * 1e20
+    cell = tuple(map(int, np.unravel_index(means.argmax(), means.shape)))
+    assert json.loads(result.stderr.strip().splitlines()[-1]) == {
+        "error": f"Poisson mean {means.max():.6g} at cell {cell} is too large to draw", "type": "ValueError"}
+    assert not (out / "field_000_counts.csv").exists()
+
+
 def test_missing_input_fails_cleanly(workspace):
     tmp, config = workspace
     result = CliRunner().invoke(

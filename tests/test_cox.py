@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -62,8 +64,19 @@ def test_sample_counts_distribution():
 
 def test_count_grid_validation():
     # the one producer checks the means; Poisson draws need no re-check
-    with pytest.raises(ValueError):
-        sample_counts(np.zeros((2, 2)), seed=0)
+    for bad in (0.0, -1.0, np.nan):
+        means = np.full((2, 2), 3.0)
+        means[1, 0] = bad
+        with pytest.raises(ValueError, match="^Poisson means must be positive$"):
+            sample_counts(means, seed=0)
+
+
+def test_sample_counts_names_a_mean_too_large_to_draw():
+    # numpy draws no Poisson count from a mean beyond about 9.2e18
+    means = np.full((3, 4), 2.0)
+    means[1, 2], means[2, 0] = 1e20, 1e19
+    with pytest.raises(ValueError, match=re.escape("Poisson mean 1e+20 at cell (1, 2) is too large to draw") + "$"):
+        sample_counts(means, seed=0)
 
 
 def test_moment_bound_holds(reference_spec):

@@ -23,10 +23,11 @@ from pathlib import Path
 import numpy as np
 from click.testing import CliRunner
 
-from coxmra import estimate_all, loo_validate, predict, simulate
+from coxmra import estimate_all, loo_validate, simulate
 from coxmra.cli import main
 from coxmra.config import RunConfig
 from coxmra.grids import FunctionalField, SpatialGrid, detrend
+from coxmra.predict import predict
 from coxmra.wavelet import field_dwt
 
 GOLDEN = Path(__file__).with_name("golden.json")

@@ -1,8 +1,8 @@
-import importlib
-
 import numpy as np
 import pytest
 
+import coxmra.estimator as estimator_module
+import coxmra.predict as predict_module
 from coxmra import (
     SarhSpec,
     SpatialGrid,
@@ -10,7 +10,6 @@ from coxmra import (
     TimeGrid,
     default_variance_profile,
     loo_validate,
-    predict,
     simulate,
 )
 from coxmra.estimator import EstimationReport, _estimate_rows, estimate_all, estimate_many
@@ -19,15 +18,12 @@ from coxmra.predict import (
     FoldResult,
     ValidationSummary,
     _training_block,
+    predict,
     predict_coeffs,
     save_validation,
 )
 from coxmra.wavelet import MultiscaleCoefficients, field_dwt, idwt, level_slices
 from oracles import EDGE_FLOATS, loo_fold_by_fold, table_csv
-
-# the package re-exports the function `predict` under the module's name
-predict_module = importlib.import_module("coxmra.predict")
-estimator_module = importlib.import_module("coxmra.estimator")
 
 
 def predict_coeffs_blockwise(

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import coxmra
+import coxmra.predict
 from coxmra import FunctionalField, SpatialGrid, TimeGrid, grids, load_field, save_field
 from coxmra.estimator import ThetaDomain, estimate_all, load_report, save_report
 from coxmra.grids import _CSV_BLOCK, FieldFormatError, write_csv, write_ndjson
@@ -321,7 +322,7 @@ def test_report_mutation(tmp_path, reports, kind, cross, data):
     report, lines = reports[cross]
     n = 1 << report.depth
     value_key = data.draw(st.sampled_from(["theta", "eta_moment", "contrast"]))
-    mutations = _json_mutations(data.draw(st.sampled_from(["row", "col"])), n, value_key, "iterations")
+    mutations = _json_mutations("row", n, value_key, "iterations")
     j = data.draw(st.integers(1, len(lines) - 1))
     _assert_fault(tmp_path / "report.ndjson", *mutations[kind](lines, j), load_report)
 
@@ -334,7 +335,7 @@ def test_report_records_in_any_order(tmp_path, reports, cross, data):
     path = tmp_path / "report.ndjson"
     path.write_text("\n".join(_shuffled(lines, data)) + "\n")
     back = load_report(path)
-    assert sorted(back.estimates, key=lambda e: e.row) == report.estimates
+    assert back.estimates == report.estimates
     for a, b in zip(back.operators, report.operators):
         assert a.matrix.tobytes() == b.matrix.tobytes()
     assert back.eigenvalues1.tobytes() == report.eigenvalues1.tobytes()
@@ -346,7 +347,7 @@ def test_report_without_records_is_incomplete(tmp_path, reports, cross):
     _, lines = reports[cross]
     path = tmp_path / "report.ndjson"
     path.write_text(lines[0] + "\n")
-    with pytest.raises(FieldFormatError, match=re.escape(f"{path}: line 2: incomplete: missing pair (0, 0)") + "$"):
+    with pytest.raises(FieldFormatError, match=re.escape(f"{path}: line 2: incomplete: missing row 0") + "$"):
         load_report(path)
 
 
@@ -357,7 +358,7 @@ def test_report_oversized_layout_is_incomplete(tmp_path, reports, depth):
     meta = {**json.loads(lines[0]), "j0": 0, "depth": depth}
     path = tmp_path / "report.ndjson"
     path.write_text("\n".join([json.dumps(meta), lines[1]]) + "\n")
-    with pytest.raises(FieldFormatError, match=re.escape(f"{path}: line 3: incomplete: missing pair (1, 1)") + "$"):
+    with pytest.raises(FieldFormatError, match=re.escape(f"{path}: line 3: incomplete: missing row 1") + "$"):
         load_report(path)
 
 
@@ -377,10 +378,12 @@ CROSS_FAULTS = {
     "extra eigenvalue": (_edit_meta(lambda meta: meta["basis_eigenvalues"].append(0.5)), 1,
                          "basis of 12 values and 4 eigenvalues, expected 12 and 3"),
     "non-finite basis entry": (_edit_meta(_poison_basis), 1, "non-finite number inf"),
-    "row beyond k": (lambda lines: _edit_json(lines, 2, lambda rec: rec.update(row=3, col=3))[0], 3,
-                     "pair (3, 3): index outside (3,)"),
-    "row is not col": (lambda lines: _edit_json(lines, 3, lambda rec: rec.update(col=0))[0], 4,
-                       "pair (2, 0) is not a fitted row"),
+    "row beyond k": (lambda lines: _edit_json(lines, 2, lambda rec: rec.update(row=3))[0], 3,
+                     "row 3: index outside (3,)"),
+    "record with a col": (lambda lines: _edit_json(lines, 3, lambda rec: rec.update(col=rec["row"]))[0], 4,
+                          "expected keys ['contrast', 'eta_moment', 'iterations', 'near_boundary', 'row', "
+                          "'theta'], got ['col', 'contrast', 'eta_moment', 'iterations', 'near_boundary', "
+                          "'row', 'theta']"),
 }
 
 
@@ -668,6 +671,16 @@ def test_public_names_are_reached_by_the_pipeline():
     names = {definition.name for definition in defined.values()}
     exported = [name for name in coxmra.__all__ if not isinstance(getattr(coxmra, name), ModuleType)]
     assert [name for name in exported if name not in names] == []
+
+
+def test_exports_do_not_shadow_submodules():
+    """A package name that is also a module of the package is the module:
+    an export bound over it hides the module from `import coxmra.<name>`."""
+    package = Path(coxmra.__file__).parent
+    shadowed = [name for name in coxmra.__all__
+                if (package / f"{name}.py").exists() and not isinstance(getattr(coxmra, name), ModuleType)]
+    assert shadowed == []
+    assert coxmra.predict.loo_validate is coxmra.loo_validate
 
 
 def test_falsified_property_reports_its_example(tmp_path):
