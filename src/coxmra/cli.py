@@ -75,18 +75,41 @@ def main(ctx, config_path, seed, out_dir, threads):
 
 def _pool(threads: int):
     """The pool that parses field files and formats field-sized CSV
-    tables: `threads` worker processes, forked at its first `map`, or None
-    (no process) for one thread, without fork, or beside another thread,
-    whose held locks a fork would copy."""
-    if threads > 1:
-        # imported here: a one-thread command does not pay for the import
-        import multiprocessing
-        import threading
-        from concurrent.futures import ProcessPoolExecutor
+    tables: a `_ForkPool` of `threads` workers, or None (no process) for
+    one thread."""
+    return _ForkPool(threads) if threads > 1 else nullcontext()
 
-        if "fork" in multiprocessing.get_all_start_methods() and threading.active_count() == 1:
-            return ProcessPoolExecutor(threads, mp_context=multiprocessing.get_context("fork"))
-    return nullcontext()
+
+class _ForkPool:
+    """`threads` worker processes, forked at the first `map` of more than
+    one item; a map of one item, like every map without fork or beside
+    another thread (whose held locks a fork would copy), runs in the
+    calling process.  So a command whose files are one block or one range
+    each starts no process and imports nothing of `multiprocessing`."""
+
+    def __init__(self, threads: int):
+        self.threads, self.executor, self.mapper = threads, None, None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self.executor is not None:
+            self.executor.shutdown()
+
+    def map(self, fn, items):
+        if len(items) < 2:
+            return map(fn, items)
+        if self.mapper is None:
+            import multiprocessing
+            import threading
+            from concurrent.futures import ProcessPoolExecutor
+
+            self.mapper = map
+            if "fork" in multiprocessing.get_all_start_methods() and threading.active_count() == 1:
+                self.executor = ProcessPoolExecutor(self.threads, mp_context=multiprocessing.get_context("fork"))
+                self.mapper = self.executor.map
+        return self.mapper(fn, items)
 
 
 def _load_field(obj, field_file) -> grids.FunctionalField:

@@ -289,9 +289,8 @@ def write_csv(path, header, columns, origin: tuple = (), pool=None) -> None:
     decimal, floats as their shortest repr.
 
     Rows are formatted in blocks of whole leading indices, by `pool.map`
-    when a pool (for example a process pool) is given and there is more
-    than one block, and by `map` otherwise, and written in order, so the
-    bytes do not depend on it.
+    when a pool (for example a process pool) is given and by `map`
+    otherwise, and written in order, so the bytes do not depend on it.
     """
     columns = [np.asarray(c) for c in columns]
     shape = columns[0].shape
@@ -304,7 +303,7 @@ def write_csv(path, header, columns, origin: tuple = (), pool=None) -> None:
     ]
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for text in (map if pool is None or len(blocks) == 1 else pool.map)(_format_rows, blocks):
+        for text in (map if pool is None else pool.map)(_format_rows, blocks):
             fh.write(text)
 
 
@@ -371,11 +370,10 @@ def load_field(path, pool=None) -> FunctionalField:
     """Read a CSV-long field file.
 
     Records in C order are parsed in line-aligned byte ranges of about
-    `_LOAD_CHUNK` bytes, by `pool.map` when a pool is given and there is
-    more than one range, and by `map` otherwise, and only their values are
-    kept.  Any other file, and any fault, takes the record path
-    (`read_csv_records`, `place_records`), so the values and the fault
-    texts do not depend on the pool.
+    `_LOAD_CHUNK` bytes, by `pool.map` when a pool is given and by `map`
+    otherwise, and only their values are kept.  Any other file, and any
+    fault, takes the record path (`read_csv_records`, `place_records`), so
+    the values and the fault texts do not depend on the pool.
     """
     fld = _load_c_order(path, pool)
     if fld is not None:
@@ -435,7 +433,7 @@ def _load_c_order(path, pool) -> FunctionalField | None:
     bounds.append(size)
     ranges = [(path, a, b, shape) for a, b in zip(bounds, bounds[1:]) if b > a]
     out, done = np.empty(math.prod(shape)), 0
-    for part in (map if pool is None or len(ranges) == 1 else pool.map)(_field_chunk, ranges):
+    for part in (map if pool is None else pool.map)(_field_chunk, ranges):
         if part is None:
             return None
         pos, values = part

@@ -13,7 +13,12 @@ the one contrast, minus folded weights times the normalised log-density
 `_log_psi` of a squared symbol: `_contrast` scores the estimator's seeds
 and the population `contrast_functional` with it, and
 `_contrast_derivatives` gives it with its gradient and Hessian in the AR
-coefficients for every row of a Newton round, all lattice shapes in one call.
+coefficients for every row of a Newton round, all lattice shapes in one
+call, from three contractions of each row against the half plane's
+cosines and their 15 products (`FrequencyGrid.half_plane`).  Every
+half-plane sum an output bit depends on is a row reduction of fixed order,
+numpy's pairwise sum or a non-optimised `einsum`, never BLAS, so a row's
+bits depend neither on its batch nor on the BLAS thread count.
 
 Frequencies live on the Fourier grid of the observation lattice, reported
 in the symmetric fundamental domain (-pi, pi]^2 so that eta is an even
@@ -36,6 +41,8 @@ TWO_PI = 2.0 * np.pi
 # temporary of `_contrast`
 _SCORE_BLOCK = 1 << 16
 _EPS = np.finfo(float).eps
+# the (k, l) index pairs, k <= l, of the cosine products cos_k cos_l
+_PRODUCTS = np.triu_indices(5)
 
 
 def stationarity_check(theta) -> bool:
@@ -107,10 +114,14 @@ class FrequencyGrid:
         return np.take(values, idx, axis=-1) + pair
 
     @cached_property
-    def half_plane(self) -> tuple[np.ndarray, np.ndarray]:
-        """`cosines` and folded `eta_measure` on the off-axis half plane, (5, N') and (N',).
-        Both are C-ordered, so every product with them sums a contiguous row."""
-        return _readonly(np.take(self.cosines, self._pairs[0], axis=-1)), _readonly(self.fold(self.eta_measure))
+    def half_plane(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """`cosines`, folded `eta_measure` and the 15 cosine products
+        cos_k cos_l, k <= l in `_PRODUCTS` order, on the off-axis half
+        plane, (5, N'), (N',) and (15, N').  All are C-ordered, so every
+        product with them sums a contiguous row."""
+        cosines = np.take(self.cosines, self._pairs[0], axis=-1)
+        products = cosines[_PRODUCTS[0]] * cosines[_PRODUCTS[1]]
+        return _readonly(cosines), _readonly(self.fold(self.eta_measure)), _readonly(products)
 
     @cached_property
     def eta(self) -> np.ndarray:
@@ -210,7 +221,7 @@ def _minus_log_psi(sym: np.ndarray, scale: np.ndarray) -> np.ndarray:
     return out
 
 
-def _contrast(folded: np.ndarray, coefs: np.ndarray, table: tuple[np.ndarray, np.ndarray],
+def _contrast(folded: np.ndarray, coefs: np.ndarray, table: tuple[np.ndarray, ...],
               within: np.ndarray | None = None) -> np.ndarray:
     """The contrast of every row of folded weights (rows, N') at every
     candidate's coefficients, (rows, m): minus the weights times the
@@ -231,7 +242,7 @@ def _contrast(folded: np.ndarray, coefs: np.ndarray, table: tuple[np.ndarray, np
     pairs summed, one block at a time, so no temporary holds more than
     `_SCORE_BLOCK` elements.
     """
-    cosines, eta_measure = table
+    cosines, eta_measure = table[:2]
     rows, m, n = folded.shape[0], coefs.shape[0], eta_measure.size
     step = max(1, _SCORE_BLOCK // n)
     reach, last = np.ones((rows, m), dtype=bool), None
@@ -299,45 +310,58 @@ def _contrast_derivatives(
     each (sum m_g, 3), with its gradient (rows, f) and Hessian (rows, f, f)
     in the candidates' free coordinates (`_coefficient_derivatives`).
 
-    With S the squared symbol, A = cos / S, h the folded weights, e the
-    folded eta measure, H = sum h and Z = sum e / S, the contrast is
-    L = sum h log S + H log Z, so
+    With S the squared symbol, h the folded weights, e the folded eta
+    measure, H = sum h and Z = sum e / S, the contrast is
+    L = sum h log S + H log Z, so in the symbol coefficients c
 
-        dL/dc = sum h A - (H / Z) g_Z,  g_Z = sum (e / S) A,
-        d2L/dc2 = -sum h A A^T + (2 H / Z) sum (e / S) A A^T - (H / Z^2) g_Z g_Z^T,
+        dL/dc_k = sum u cos_k,  u = (h - (H / Z) e / S) / S,
+        d2L/dc_k dc_l = M_kl - (H / Z^2) g_k g_l,  M_kl = sum w cos_k cos_l,
+        w = (2 (H / Z) e / S - h) / S^2,  g_k = -dZ/dc_k = sum (e / S^2) cos_k,
 
-    mapped to theta through dc/dtheta (whose columns B = dS/dtheta / S
-    carry the A A^T terms) plus the second derivatives of c against dL/dc.
-    Only the half-plane sums, pairwise row sums as in `_contrast`, run per
-    group, whose largest temporary is (m_g, 5, N'_g); the algebra in theta
-    runs once over all rows, elementwise, so a row's bits depend neither on
-    its group nor on the rows beside it."""
+    mapped to theta as dc^T (d2L/dc2) dc through dc/dtheta, plus the
+    second derivatives of c against dL/dc.  The value and Z are pairwise
+    row sums as in `_contrast`.  The three half-plane sums, over cos_k and
+    over the table's 15 products cos_k cos_l, are contractions by
+    non-optimised `einsum`: no BLAS, and each row summed on its own, in an
+    order fixed by N'_g, so the largest temporary is (m_g, N'_g).  The
+    algebra in theta runs once over all rows, elementwise, so a row's bits
+    depend neither on its group nor on the rows beside it."""
     coefs = _symbol_coefficients(thetas)
     dc, d2c = _coefficient_derivatives(thetas, couple_l3)
-    m, f = dc.shape[:2]
+    m = dc.shape[0]
     values, ratio, z = np.empty(m), np.empty(m), np.empty(m)  # L, H / Z and Z
-    dl_dc, gz_dc, terms = np.empty((m, 5)), np.empty((m, 5)), np.empty((m, f, f))
+    dl_dc, gz_dc, moments = np.empty((m, 5)), np.empty((m, 5)), np.empty((m, 5, 5))
     stops = np.cumsum([len(folded) for folded, _, _ in groups])
-    for (folded, sums, (cosines, eta_measure)), stop in zip(groups, stops):
+    for (folded, sums, (cosines, eta_measure, products)), stop in zip(groups, stops):
         g = slice(stop - len(folded), stop)
         sym = _symbol_sq(coefs[g], cosines)
-        tilt = eta_measure / sym  # e / S
-        z[g] = tilt.sum(axis=-1)
+        v = eta_measure / sym  # e / S
+        z[g] = v.sum(axis=-1)
         # sum h (log S + log Z): minus the weights times `_log_psi`, bit for bit
-        values[g] = (folded * _minus_log_psi(sym, z[g])).sum(axis=-1)
+        u = _minus_log_psi(sym, z[g])
+        u *= folded
+        values[g] = u.sum(axis=-1)
         ratio[g] = sums / z[g]
-        dl_dc[g] = (((folded - ratio[g, None] * tilt) / sym)[:, None, :] * cosines).sum(axis=-1)
-        gz_dc[g] = ((tilt / sym)[:, None, :] * cosines).sum(axis=-1)
-        # the A A^T terms: sum (2 (H / Z) e / S - h) B_a B_b
-        b = _symbol_sq(dc[g].reshape(-1, 5), cosines).reshape(-1, f, sym.shape[1]) / sym[:, None, :]
-        wb = (2.0 * ratio[g, None] * tilt - folded)[:, None, :] * b
-        for i in range(f):
-            terms[g, i, i:] = terms[g, i:, i] = (wb[:, i, None, :] * b[:, i:]).sum(axis=-1)
+        # v = e / S^2, u = h / S - (H / Z) v and w = ((H / Z) v - u) / S, in
+        # place: three (m_g, N'_g) arrays in all, as fresh ones cost more
+        # than the arithmetic
+        v /= sym
+        w = ratio[g, None] * v
+        u = np.divide(folded, sym, out=u)
+        u -= w
+        w -= u
+        w /= sym
+        dl_dc[g] = np.einsum("rn,kn->rk", u, cosines)
+        gz_dc[g] = np.einsum("rn,kn->rk", v, cosines)
+        moments[g, _PRODUCTS[0], _PRODUCTS[1]] = moments[g, _PRODUCTS[1], _PRODUCTS[0]] = np.einsum(
+            "rn,kn->rk", w, products)
     grad = (dc * dl_dc[:, None, :]).sum(axis=-1)
-    g_z = (dc * gz_dc[:, None, :]).sum(axis=-1)
+    # the Hessian in c, M - (H / Z^2) g g^T, mapped to theta and made exactly symmetric
+    moments -= (ratio / z)[:, None, None] * gz_dc[:, :, None] * gz_dc[:, None, :]
+    terms = (dc[:, :, None, :] * moments[:, None]).sum(axis=-1)
+    terms = (terms[:, :, None, :] * dc[:, None]).sum(axis=-1)
     hess = (d2c * dl_dc[:, None, None, :]).sum(axis=-1)
-    hess -= (ratio / z)[:, None, None] * g_z[:, :, None] * g_z[:, None, :]
-    hess += terms
+    hess += 0.5 * (terms + terms.transpose(0, 2, 1))
     return values, grad, hess
 
 
@@ -353,7 +377,7 @@ def _population_weights(theta0, freq: FrequencyGrid) -> np.ndarray:
     """Model density 1 / (2 pi^2) / |symbol|^2 at theta0 (unit innovation
     variance) times the folded eta measure on the half plane: the expected
     folded contrast weights."""
-    cosines, eta_measure = freq.half_plane
+    cosines, eta_measure, _ = freq.half_plane
     f0 = 1.0 / _symbol_sq(_stationary_coefficients(theta0), cosines)[0] / (2.0 * np.pi**2)
     return f0 * eta_measure
 

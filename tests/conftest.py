@@ -1,3 +1,5 @@
+import concurrent.futures
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -47,3 +49,18 @@ def reference_spec():
 @pytest.fixture
 def small_grid():
     return SpatialGrid(8, 8)
+
+
+@pytest.fixture
+def pool_maps(monkeypatch):
+    """The names of the functions a process pool maps, in order: the CLI's
+    pools record each `map` made on their workers here."""
+    mapped = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def map(self, fn, *iterables, **kwargs):
+            mapped.append(fn.__name__)
+            return super().map(fn, *iterables, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return mapped

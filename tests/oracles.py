@@ -256,7 +256,7 @@ def pattern_search(contrast, start, start_val: float, domain: ThetaDomain,
 def estimate_rows_one_by_one(weights: np.ndarray, freq: FrequencyGrid, domain: ThetaDomain):
     """`_estimate_rows` one row at a time: the seeding grid, then
     `pattern_search` with one single-candidate half-plane contrast per call."""
-    cosines, eta_measure = freq.half_plane
+    cosines, eta_measure, _ = freq.half_plane
 
     def half_plane_log_psi(thetas):
         return _log_psi(_symbol_sq(_symbol_coefficients(thetas), cosines), eta_measure)

@@ -251,19 +251,12 @@ def test_ingest_and_predict_identical_across_threads(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def test_threads_leave_no_worker_processes(workspace, monkeypatch):
+def test_threads_leave_no_worker_processes(workspace, pool_maps):
     # 48x48 sites at depth 3: a field file spans two formatting blocks and
     # two parsing ranges, so every command below maps work on the workers
     tmp, config = workspace
     config.write_text(json.dumps({**BASE_CONFIG, "grid": {"s1": 48, "s2": 48}}))
-    mapped = []
-
-    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-        def map(self, fn, *iterables, **kwargs):
-            mapped.append(fn.__name__)
-            return super().map(fn, *iterables, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    mapped = pool_maps
     forks = "fork" in multiprocessing.get_all_start_methods() and threading.active_count() == 1
     raw = tmp / "raw.csv"
     _raw_counts(raw, np.random.default_rng(2))
@@ -303,21 +296,38 @@ def test_no_process_for_one_thread_or_beside_another_thread(workspace, monkeypat
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     tmp, config = workspace
-    _run(["--config", str(config), "--out", str(tmp / "t1"), "--threads", "1", "simulate"])
+    # 48x48 sites at depth 3: each field file spans two formatting blocks
+    big = tmp / "big.json"
+    big.write_text(json.dumps({**BASE_CONFIG, "grid": {"s1": 48, "s2": 48}}))
+    _run(["--config", str(big), "--out", str(tmp / "t1"), "--threads", "1", "simulate"])
+    # a 10x10 field is one block: --threads 2 has nothing to map on a worker
+    _run(["--config", str(config), "--out", str(tmp / "t0"), "--threads", "2", "simulate"])
     release = threading.Event()
     other = threading.Thread(target=release.wait)
     other.start()
     try:  # fork copies only the calling thread
-        _run(["--config", str(config), "--out", str(tmp / "t2"), "--threads", "2", "simulate"])
+        _run(["--config", str(big), "--out", str(tmp / "t2"), "--threads", "2", "simulate"])
     finally:
         release.set()
         other.join(timeout=10)
     assert not other.is_alive() and started == []
     # the stub is the one --threads 2 uses where it may fork
     if "fork" in multiprocessing.get_all_start_methods() and threading.active_count() == 1:
-        result = CliRunner().invoke(main, ["--config", str(config), "--out", str(tmp / "t3"),
+        result = CliRunner().invoke(main, ["--config", str(big), "--out", str(tmp / "t3"),
                                            "--threads", "2", "simulate"])
         assert result.exit_code == 1 and started == [(2,)]
+
+
+def test_one_block_at_two_threads_imports_no_process_pool(workspace):
+    # a 10x10, depth-3 field is one parsing range and one formatting block,
+    # so `counts --threads 2` maps nothing on a worker and imports nothing
+    # to start one
+    tmp, config = workspace
+    out = tmp / "out"
+    _run(["--config", str(config), "--out", str(out), "simulate"])
+    args = ["--config", str(config), "--out", str(out), "--threads", "2", "counts", str(out / "field_000.csv")]
+    assert _modules_after_cli_import("multiprocessing", "concurrent", args=args) == []
+    assert (out / "field_000_counts.csv").is_file()
 
 
 def test_readme_documents_every_command():
@@ -402,14 +412,16 @@ def _package_env() -> dict:
     return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
 
 
-def _modules_after_cli_import(*prefixes) -> list[str]:
-    """Modules a fresh interpreter holds after `import coxmra.cli` whose
-    names start with one of `prefixes`."""
-    code = ("import json, sys, coxmra.cli; "
+def _modules_after_cli_import(*prefixes, args=()) -> list[str]:
+    """Modules a fresh interpreter holds after `import coxmra.cli`, and
+    after running the command line `args` if there is one, whose names
+    start with one of `prefixes`."""
+    code = ("import json, sys, coxmra.cli\n"
+            f"if {list(args)!r}:\n    coxmra.cli.main({list(args)!r}, standalone_mode=False)\n"
             f"print(json.dumps(sorted(m for m in sys.modules if m.startswith({prefixes!r}))))")
     out = subprocess.run([sys.executable, "-c", code], env=_package_env(), capture_output=True, text=True,
                          check=True, timeout=60)
-    return json.loads(out.stdout)
+    return json.loads(out.stdout.splitlines()[-1])
 
 
 def test_import_loads_no_scipy():

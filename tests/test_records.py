@@ -593,12 +593,15 @@ _BLAS_REDUCTIONS = {"vecdot", "dot", "inner", "matmul", "tensordot"}
 
 def test_contrast_reductions_have_a_fixed_order():
     """`spectral.py` and `estimator.py` reduce over the half plane only by
-    numpy's pairwise `(a * b).sum(axis=-1)`, and `predict.py` predicts
-    only by non-optimized `einsum`: no `np.vecdot`, `np.dot`, `np.inner`,
-    `np.matmul`, `np.tensordot` or optimized `einsum`, and `@` only where
-    `_MATMUL_ALLOWED` says why, so no fit's or prediction's bits depend on
-    the BLAS thread count or on the sites predicted beside it.  An allowed
-    function that no longer writes `@` is a stale entry, and fails too."""
+    numpy's pairwise `(a * b).sum(axis=-1)` or, in
+    `spectral._contrast_derivatives`, by the non-optimized `einsum`
+    contractions "rn,kn->rk" of each row against the cosines and their
+    products, and `predict.py` predicts only by non-optimized `einsum`: no
+    `np.vecdot`, `np.dot`, `np.inner`, `np.matmul`, `np.tensordot` or
+    optimized `einsum`, and `@` only where `_MATMUL_ALLOWED` says why, so
+    no fit's or prediction's bits depend on the BLAS thread count or on
+    the rows fitted or sites predicted beside it.  An allowed function
+    that no longer writes `@` is a stale entry, and fails too."""
     found, stale = [], set(_MATMUL_ALLOWED)
     for name in ("spectral.py", "estimator.py", "predict.py"):
         tree = ast.parse((Path(__file__).parents[1] / "src" / "coxmra" / name).read_text())

@@ -178,7 +178,7 @@ def test_normalised_density_unit_mass(s1, s2, th):
     mass = np.exp(lp[0]) @ freq.eta * freq.cell_measure
     assert mass == pytest.approx(1.0, rel=1e-12)
     # the estimator's density has unit mass on the folded half plane too
-    cosines, eta_measure = freq.half_plane
+    cosines, eta_measure, _ = freq.half_plane
     half = _log_psi(_symbol_sq(_symbol_coefficients(np.array([th])), cosines), eta_measure)
     assert half.shape == (1, eta_measure.size) and np.isfinite(half).all()
     assert np.exp(half[0]) @ eta_measure == pytest.approx(1.0, rel=1e-12)
@@ -190,7 +190,7 @@ def test_normalised_density_unit_mass(s1, s2, th):
 def test_log_psi_batched_matches_single(s1, s2, thetas, seed):
     freq = FrequencyGrid(s1, s2)
     coefs = _symbol_coefficients(np.array(thetas))
-    cosines, eta_measure = freq.half_plane
+    cosines, eta_measure, _ = freq.half_plane
     batch = _log_psi(_symbol_sq(coefs, cosines), eta_measure)
     single = np.vstack([_log_psi(_symbol_sq(c[None, :], cosines), eta_measure) for c in coefs])
     assert np.array_equal(batch, single)
@@ -213,7 +213,7 @@ def test_half_plane_pairs_each_conjugate_point_once(s1, s2):
     # every off-axis point is counted once; only (pi, pi) is its own pair
     assert counts.sum() == (s1 - 1) * (s2 - 1)
     assert (counts == 1).sum() == (s1 % 2 == 0 and s2 % 2 == 0)
-    cosines, eta_measure = freq.half_plane
+    cosines, eta_measure, _ = freq.half_plane
     assert cosines.shape == (5, counts.size)
     assert eta_measure.sum() == pytest.approx(freq.eta_measure.sum(), rel=1e-12)
 
@@ -332,3 +332,40 @@ def test_contrast_derivatives_match_finite_differences(s1, s2, thetas, couple, s
         (vp, gp, _), (vm, gm, _) = moved
         assert np.all(np.abs((vp - vm) / (2 * eps) - grad[:, i]) <= 1e-6 * scale)
         assert np.all(np.abs((gp - gm) / (2 * eps) - hess[:, :, i]) <= 1e-5 * scale[:, None])
+
+
+@pytest.mark.parametrize("couple", [False, True])
+@pytest.mark.parametrize("offset", [1, 3])
+def test_contrast_derivatives_keep_their_bits_in_any_batch(couple, offset):
+    # two groups of unequal shapes whose folded weights are unaligned views,
+    # rows of buffers sliced `offset` doubles in: every row has the bits it
+    # has evaluated alone, from a fresh C-contiguous copy
+    rng = np.random.default_rng(30 + offset)
+    groups, ths = [], []
+    for shape, rows in (((9, 14), 5), ((16, 15), 3)):
+        freq = FrequencyGrid(*shape)
+        n = freq.half_plane[1].size
+        folded = np.empty((rows, n + 8))[:, offset : offset + n]
+        folded[:] = rng.gamma(1.0, size=(rows, n)) * freq.half_plane[1]
+        th = rng.uniform(-0.45, 0.45, size=(rows, 3))
+        if couple:
+            th[:, 2] = -th[:, 0] * th[:, 1]
+        groups.append((folded, folded.sum(axis=1), freq.half_plane))
+        ths.append(th)
+    batch = _contrast_derivatives(groups, np.vstack(ths), couple)
+    alone = [
+        _contrast_derivatives([(folded[i : i + 1].copy(), sums[i : i + 1], table)], th[i : i + 1], couple)
+        for (folded, sums, table), th in zip(groups, ths)
+        for i in range(len(folded))
+    ]
+    for part, single in zip(batch, zip(*alone)):
+        assert np.array_equal(part, np.concatenate(single))
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (7, 9), (16, 15)])
+def test_half_plane_cosine_products_are_a_frozen_table(shape):
+    cosines, eta_measure, products = FrequencyGrid(*shape).half_plane
+    k, l = np.triu_indices(5)
+    assert products.shape == (15, eta_measure.size)
+    assert np.array_equal(products, cosines[k] * cosines[l])
+    assert not products.flags.writeable and products.flags.c_contiguous
