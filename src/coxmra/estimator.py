@@ -15,10 +15,12 @@ row is seeded at the best candidate of a coarse grid and refined by a
 projected Newton search in the free coordinates, run in lockstep for all
 rows of every lattice shape fitted together (`_newton`).  The seeds
 (`_seeds`) are ranked against every candidate by one rows x candidates
-product per shape, and only the candidates whose rounding bound leaves
-them within the tie tolerance of the row's least are scored exactly by
-`spectral._contrast`, so each seed is the one an exact score of every
-candidate picks.  Each Newton round takes the contrast and its
+product per shape, against the candidates' log-density rounded to
+float32, built once per lattice shape and domain and kept while the kept
+tables fit a 4 MiB budget.  Only the candidates whose rounding bound
+leaves them within the tie tolerance of the row's least are scored
+exactly by `spectral._contrast`, so each seed is the one an exact score
+of every candidate picks.  Each Newton round takes the contrast and its
 derivatives of its moving rows, whatever their shape, from one
 `spectral._contrast_derivatives` call, and projects only the rows that
 hold a facet.  Every exact value sums per row, in a fixed order, over
@@ -193,7 +195,8 @@ def _estimate_rows(
     seeded = []
     for freq, w in groups:
         hw, moment = freq.fold(w), w.sum(axis=1)
-        seeded.append((freq.half_plane, hw, hw.sum(axis=1), moment, _seeds(hw, moment, freq.half_plane, domain)))
+        seeds = _seeds(hw, moment, freq.half_plane, domain, (freq.s1, freq.s2))
+        seeded.append((freq.half_plane, hw, hw.sum(axis=1), moment, seeds))
     tables, folded, sums, moments, first = zip(*seeded)
     moments, first = map(np.concatenate, (moments, first))
     offsets = np.cumsum([0] + [hw.shape[0] for hw in folded])
@@ -208,16 +211,19 @@ def _estimate_rows(
     return (*_newton(evaluate, domain.candidates()[first], moments, domain), moments)
 
 
-def _seeds(folded: np.ndarray, scale: np.ndarray, table: tuple[np.ndarray, np.ndarray],
-           domain: ThetaDomain) -> np.ndarray:
+def _seeds(folded: np.ndarray, scale: np.ndarray, table: tuple[np.ndarray, np.ndarray, np.ndarray],
+           domain: ThetaDomain, shape: tuple[int, int] | None = None) -> np.ndarray:
     """Index among `domain.candidates()` of the seed of every row of folded
     weights (rows, N') on a `half_plane` table: its least `_contrast`, ties
     within `_TIE` times its weight sum `scale` (rows,) going to the
     lexicographically least theta.  Only the candidates a rows x candidates
     ranking cannot exclude from that tie are scored exactly, so the choice
-    is the one an exact score of every candidate gives."""
-    cand = domain.candidates()
-    return _lexicographic_argmin(_contrast(folded, domain._candidate_coefs, table, _TIE * scale), cand, scale)
+    is the one an exact score of every candidate gives.  Given the table's
+    lattice `shape` (s1, s2), the candidates' ranking table is kept between
+    calls under the shape and the domain; the seeds are the same bits."""
+    retain = None if shape is None else (shape, domain)
+    values = _contrast(folded, domain._candidate_coefs, table, _TIE * scale, retain)
+    return _lexicographic_argmin(values, domain.candidates(), scale)
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

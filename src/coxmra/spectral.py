@@ -8,17 +8,19 @@ times a cosine table (`_symbol_sq`), the fDFT with its 1-based site
 phase (`all_periodograms`), and the contrast weight eta = |w1|^2 |w2|^2
 (`FrequencyGrid.eta`).  A periodogram table is a product of fDFT
 columns, f_a * conj(f_b), taken where it is used (the estimator's
-`_row_weights`); the module builds no table of its own.  It also holds
-the one contrast, minus folded weights times the normalised log-density
-`_log_psi` of a squared symbol: `_contrast` scores the estimator's seeds
-and the population `contrast_functional` with it, and
+`_row_weights`).  It also holds the one contrast, minus folded weights
+times the normalised log-density `_log_psi` of a squared symbol:
+`_contrast` scores the estimator's seeds and the population
+`contrast_functional` with it, and
 `_contrast_derivatives` gives it with its gradient and Hessian in the AR
 coefficients for every row of a Newton round, all lattice shapes in one
 call, from three contractions of each row against the half plane's
 cosines and their 15 products (`FrequencyGrid.half_plane`).  Every
 half-plane sum an output bit depends on is a row reduction of fixed order,
 numpy's pairwise sum or a non-optimised `einsum`, never BLAS, so a row's
-bits depend neither on its batch nor on the BLAS thread count.
+bits depend neither on its batch nor on the BLAS thread count.  The one
+table the module keeps of its own is the seed candidates' log-density
+rounded to float32 (`_ranking_table`), which only ranks candidates.
 
 Frequencies live on the Fourier grid of the observation lattice, reported
 in the symmetric fundamental domain (-pi, pi]^2 so that eta is an even
@@ -31,15 +33,24 @@ eta support folded by evenness (`FrequencyGrid.fold`).
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
-# elements (candidates or pairs x half-plane points) of the largest
-# temporary of `_contrast`
+# elements (candidates, rows or pairs x half-plane points) of the largest
+# temporary of `_contrast`, a block of a ranking table included
 _SCORE_BLOCK = 1 << 16
+# float32 elements (candidates x half-plane points) the ranking tables
+# kept between `_contrast` calls hold in all, 4 MiB
+_RANKING_BUDGET = 1 << 20
+# the kept ranking tables by name, least recently used first, and the
+# lock that fits on several threads take to use them
+_ranking_tables: OrderedDict = OrderedDict()
+_ranking_lock = threading.Lock()
 _EPS = np.finfo(float).eps
 # the (k, l) index pairs, k <= l, of the cosine products cos_k cos_l
 _PRODUCTS = np.triu_indices(5)
@@ -221,8 +232,44 @@ def _minus_log_psi(sym: np.ndarray, scale: np.ndarray) -> np.ndarray:
     return out
 
 
+def _rounded_log_psi(coefs: np.ndarray, table: tuple[np.ndarray, ...]):
+    """`_log_psi` of m candidates' coefficients on a `half_plane` table,
+    (m, N'), with its rows rounded to float32, each row's rounding error
+    delta = max |log Psi - float32(log Psi)|, exact, and its peak max |log
+    Psi|, (m,) each."""
+    exact = _log_psi(_symbol_sq(coefs, table[0]), table[1])
+    rounded = exact.astype(np.float32)
+    diff = exact - rounded  # without rounding: the two lie within a factor 2
+    peak = np.maximum(exact.max(axis=1), -exact.min(axis=1))
+    return exact, rounded, np.abs(diff, out=diff).max(axis=1), peak
+
+
+def _ranking_table(coefs: np.ndarray, table: tuple[np.ndarray, ...], step: int, retain):
+    """The rounded rows, rounding errors and peaks of `_rounded_log_psi`
+    kept under the hashable name `retain` of (coefs, table), built `step`
+    candidates at a time on first use; None without a name, or for a table
+    over `_RANKING_BUDGET` elements.  The least recently used tables are
+    dropped while the kept ones would hold more than the budget.  Every
+    use holds `_ranking_lock`, so fits on several threads share the tables."""
+    m, n = coefs.shape[0], table[1].size
+    if retain is None or m * n > _RANKING_BUDGET:
+        return None
+    with _ranking_lock:
+        kept = _ranking_tables.pop(retain, None)
+        if kept is None:
+            kept = np.empty((m, n), dtype=np.float32), np.empty(m), np.empty(m)
+            for i in range(0, m, step):
+                for part, block in zip(kept, _rounded_log_psi(coefs[i : i + step], table)[1:]):
+                    part[i : i + step] = block
+            kept = tuple(map(_readonly, kept))
+            while _ranking_tables and sum(t[0].size for t in _ranking_tables.values()) + m * n > _RANKING_BUDGET:
+                _ranking_tables.popitem(last=False)
+        _ranking_tables[retain] = kept
+    return kept
+
+
 def _contrast(folded: np.ndarray, coefs: np.ndarray, table: tuple[np.ndarray, ...],
-              within: np.ndarray | None = None) -> np.ndarray:
+              within: np.ndarray | None = None, retain=None) -> np.ndarray:
     """The contrast of every row of folded weights (rows, N') at every
     candidate's coefficients, (rows, m): minus the weights times the
     candidate's `_log_psi` row on a `half_plane` table, summed over each
@@ -232,29 +279,41 @@ def _contrast(folded: np.ndarray, coefs: np.ndarray, table: tuple[np.ndarray, ..
 
     With `within` (rows,), only the pairs that may lie within it of their
     row's least contrast are summed so, and the others are +inf.  They are
-    ranked by a rows x candidates BLAS product.  It and the pairwise sum
-    each err by at most gamma sum |h| |log Psi|, gamma = N' eps / (1 - N'
-    eps), whatever their order, so the two differ by at most E, twice
-    that.  A pair is dropped only if its ranked contrast less E exceeds
-    the row's least ranked contrast plus E, plus `within`.  gamma counts
-    N' + 4 terms, so E also covers its own rounding and the comparison's.
-    No output bit depends on the product.  Candidates are ranked, and
-    pairs summed, one block at a time, so no temporary holds more than
-    `_SCORE_BLOCK` elements.
+    ranked by a rows x candidates BLAS product against the candidates'
+    log Psi rows rounded to float32 (`_rounded_log_psi`), each within
+    delta_c of the exact row and at most M_c in size.  The product and the
+    pairwise sum each err by at most gamma sum |h| |log Psi|, gamma = N'
+    eps / (1 - N' eps), whatever their order, so a ranked contrast lies
+    within E = |h|_1 (delta_c + gamma (2 M_c + delta_c)) of the exact one.
+    A pair is dropped only if its ranked contrast less E exceeds the row's
+    least ranked contrast plus E, plus `within`.  gamma counts N' + 4
+    terms, so E also covers its own rounding and the comparison's, and E
+    is taken 0.1 % larger still.  No output bit depends on the product.
+    The rounded table is kept between calls under the name `retain` while
+    it fits `_RANKING_BUDGET` (`_ranking_table`); otherwise each block of
+    it is built, used and dropped in the ranking loop.  Candidates are
+    ranked, and pairs summed, one block at a time, so no temporary holds
+    more than `_SCORE_BLOCK` elements.
     """
     cosines, eta_measure = table[:2]
     rows, m, n = folded.shape[0], coefs.shape[0], eta_measure.size
     step = max(1, _SCORE_BLOCK // n)
     reach, last = np.ones((rows, m), dtype=bool), None
     if within is not None:
-        ranked, error = np.empty((rows, m)), np.empty((rows, m))
-        size = np.abs(folded)
+        kept = _ranking_table(coefs, table, step, retain)
+        ranked, bound = np.empty((rows, m)), np.empty(m)
+        gamma = (n + 4) * _EPS / (1.0 - (n + 4) * _EPS)
         for i in range(0, m, step):
-            last = i, _log_psi(_symbol_sq(coefs[i : i + step], cosines), eta_measure)
-            ranked[:, i : i + step] = folded @ last[1].T
-            error[:, i : i + step] = size @ np.abs(last[1]).T
+            if kept is None:
+                exact, rounded, delta, peak = _rounded_log_psi(coefs[i : i + step], table)
+                last = i, exact
+            else:
+                rounded, delta, peak = (part[i : i + step] for part in kept)
+            ranked[:, i : i + step] = folded @ rounded.astype(float).T
+            bound[i : i + step] = (delta + gamma * (2.0 * peak + delta)) * 1.001
         np.negative(ranked, out=ranked)
-        error *= 2.0 * (n + 4) * _EPS / (1.0 - (n + 4) * _EPS)
+        norm = np.concatenate([np.abs(folded[k : k + step]).sum(axis=1) for k in range(0, rows, step)])
+        error = np.multiply.outer(norm, bound)
         reach = ranked - error <= ((ranked + error).min(axis=1) + within)[:, None]
     out = np.full((rows, m), np.inf)
     for i in range(0, m, step):

@@ -1,7 +1,10 @@
+import concurrent.futures
 import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
+from collections import OrderedDict
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import coxmra.estimator as estimator_module
+import coxmra.spectral as spectral_module
 from coxmra import (
     FunctionalField,
     SarhSpec,
@@ -242,6 +246,149 @@ def test_seed_is_the_exhaustive_argmin(domain):
         near += ((tolerance < gap) & (gap <= 10 * tolerance)).any(axis=1).sum()
     # the rows exercise real ties and near misses of the tolerance
     assert tied > 0 and near > 0
+
+
+@pytest.fixture
+def ranking_tables(monkeypatch):
+    """An empty store of kept ranking tables for the test alone."""
+    tables = OrderedDict()
+    monkeypatch.setattr(spectral_module, "_ranking_tables", tables)
+    return tables
+
+
+def _seed_rows(freq: FrequencyGrid, domain: ThetaDomain, rng):
+    """Folded weights of four random fields on `freq`, with the rows where
+    two candidates' contrasts meet (`_meeting_rows`), and their weight sums."""
+    f = all_periodograms(rng.normal(size=(freq.s1, freq.s2, 4))).reshape(-1, 4)
+    weights = np.array([contrast_weights(f[:, a] * np.conj(f[:, a]), freq) for a in range(4)])
+    folded, scale = freq.fold(weights), weights.sum(axis=1)
+    return _meeting_rows(folded, scale, _exhaustive_seeds(folded, scale, freq.half_plane, domain)[1],
+                         np.array([0.0, 1e-15, -1e-15, 1e-14, -1e-14, 1e-13, -1e-13]))
+
+
+@pytest.mark.parametrize("domain", [ThetaDomain(), ThetaDomain(couple_l3=True)])
+def test_kept_ranking_tables_give_cold_seeds(ranking_tables, domain):
+    # shapes that share N' (4 x 12 and 12 x 4; 3 x 7, 4 x 5 and 7 x 3),
+    # seeded one after another from kept tables, twice, each get the seeds
+    # of an empty store, which are the exhaustive ones
+    shapes = [(4, 12), (12, 4), (3, 7), (4, 5), (7, 3)]
+    freqs = [FrequencyGrid(*shape) for shape in shapes]
+    sizes = [freq.half_plane[1].size for freq in freqs]
+    assert sizes[0] == sizes[1] and sizes[2] == sizes[3] == sizes[4]
+    rng = np.random.default_rng(7)
+    rows = [_seed_rows(freq, domain, rng) for freq in freqs]
+    cold = []
+    for freq, (folded, scale) in zip(freqs, rows):
+        ranking_tables.clear()
+        cold.append(estimator_module._seeds(folded, scale, freq.half_plane, domain, (freq.s1, freq.s2)))
+        assert np.array_equal(cold[-1], _exhaustive_seeds(folded, scale, freq.half_plane, domain)[0])
+    ranking_tables.clear()
+    for _ in range(2):
+        for freq, (folded, scale), seeds in zip(freqs, rows, cold):
+            assert np.array_equal(estimator_module._seeds(folded, scale, freq.half_plane, domain, (freq.s1, freq.s2)), seeds)
+    assert list(ranking_tables) == [(shape, domain) for shape in shapes]
+
+
+def test_fits_from_a_kept_ranking_table_are_the_cold_fits(ranking_tables):
+    # a fit whose seeds rank against the kept table has the bits of the fit
+    # that built it
+    x = np.random.default_rng(4).normal(size=(9, 14, 4))
+    coeffs = MultiscaleCoefficients(SpatialGrid(9, 14), 1, 2, x)
+    for cross in (False, True):
+        ranking_tables.clear()
+        cold, warm = (estimate_all(coeffs, ThetaDomain(), cross) for _ in range(2))
+        assert list(ranking_tables) == [((9, 14), ThetaDomain())]
+        assert [vars(e) for e in cold.estimates] == [vars(e) for e in warm.estimates]
+
+
+def test_ranking_tables_are_keyed_by_shape_and_domain_value(ranking_tables):
+    # equal domains, built apart, share one table; another coupling or
+    # other bounds, or another shape, get their own
+    freq = FrequencyGrid(6, 5)
+    folded, scale = _seed_rows(freq, ThetaDomain(), np.random.default_rng(0))
+    other_bounds = ThetaDomain(((-0.9, 0.95), (-0.95, 0.95), (-0.95, 0.95)))
+    domains = [ThetaDomain(), ThetaDomain(((-0.95, 0.95),) * 3), ThetaDomain(couple_l3=True), other_bounds,
+               ThetaDomain(((-1, 1),) * 3), ThetaDomain(((-1.0, 1.0),) * 3)]
+    for domain in domains:
+        estimator_module._seeds(folded, scale, freq.half_plane, domain, (6, 5))
+    assert list(ranking_tables) == [((6, 5), d) for d in [ThetaDomain(), ThetaDomain(couple_l3=True), other_bounds,
+                                                           ThetaDomain(((-1.0, 1.0),) * 3)]]
+    estimator_module._seeds(folded, scale, FrequencyGrid(5, 6).half_plane, ThetaDomain(), (5, 6))
+    assert len(ranking_tables) == 5
+
+
+def test_kept_ranking_tables_stay_within_the_budget(ranking_tables):
+    # after seeding every shape from 2 x 2 to 40 x 40 the kept tables hold
+    # at most the budget, the last shape's table is kept, and one seeded
+    # again becomes the most recent
+    domain, rng = ThetaDomain(), np.random.default_rng(1)
+    for s1 in range(2, 41):
+        for s2 in range(2, 41):
+            freq = FrequencyGrid(s1, s2)
+            folded = rng.random((1, freq.half_plane[1].size))
+            estimator_module._seeds(folded, folded.sum(axis=1), freq.half_plane, domain, (s1, s2))
+            assert sum(t[0].size for t in ranking_tables.values()) <= spectral_module._RANKING_BUDGET
+    assert next(reversed(ranking_tables)) == ((40, 40), domain)
+    assert len(ranking_tables) > 4
+    first = next(iter(ranking_tables))
+    freq = FrequencyGrid(*first[0])
+    estimator_module._seeds(np.ones((1, freq.half_plane[1].size)), np.ones(1), freq.half_plane, domain, first[0])
+    assert next(reversed(ranking_tables)) == first
+
+
+def test_threads_share_the_kept_ranking_tables(ranking_tables):
+    # six threads on two cores seed the 36 shapes from 20 x 20 to 25 x 25,
+    # whose tables together hold about twice the budget, three times each,
+    # with a short switch interval: no thread fails (unlocked, the
+    # eviction's walk over the tables sees them change), every seed is the
+    # cold one, and the kept tables stay within the budget
+    shapes = [(s1, s2) for s1 in range(20, 26) for s2 in range(20, 26)]
+    freqs = [FrequencyGrid(*shape) for shape in shapes]
+    assert sum(231 * freq.half_plane[1].size for freq in freqs) > 1.5 * spectral_module._RANKING_BUDGET
+    rng, domain = np.random.default_rng(5), ThetaDomain()
+    rows = [rng.random((1, freq.half_plane[1].size)) for freq in freqs]
+    cold = [estimator_module._seeds(h, h.sum(axis=1), freq.half_plane, domain) for freq, h in zip(freqs, rows)]
+    wrong = []
+
+    def seed_all(offset: int) -> None:
+        for k in range(3 * len(shapes)):
+            j = (7 * k + offset) % len(shapes)
+            seeds = estimator_module._seeds(rows[j], rows[j].sum(axis=1), freqs[j].half_plane, domain, shapes[j])
+            if not np.array_equal(seeds, cold[j]):
+                wrong.append(shapes[j])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(6) as pool:
+            futures = [pool.submit(seed_all, offset) for offset in range(6)]
+            for future in futures:
+                future.result(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []
+    assert sum(t[0].size for t in ranking_tables.values()) <= spectral_module._RANKING_BUDGET
+
+
+def test_ranking_table_over_the_budget_is_blocked(ranking_tables):
+    # a 120 x 120 table (231 candidates x 7,081 points) is over the budget:
+    # seeding keeps nothing, and the peak holds a few `_SCORE_BLOCK` blocks
+    # of float64 (the exact block, its float32 rounding, their difference
+    # and the block product), never the 6.5 MB rounded table.  The slack
+    # covers the rows and the (rows, candidates) outputs.
+    freq, domain = FrequencyGrid(120, 120), ThetaDomain()
+    folded, scale = _seed_rows(freq, domain, np.random.default_rng(3))
+    assert len(domain.candidates()) * folded.shape[1] > spectral_module._RANKING_BUDGET
+    seeds = estimator_module._seeds(folded, scale, freq.half_plane, domain, (120, 120))  # warm the grid
+    tracemalloc.start()
+    try:
+        again = estimator_module._seeds(folded, scale, freq.half_plane, domain, (120, 120))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(again, seeds)
+    assert not ranking_tables
+    assert peak <= 6 * 8 * spectral_module._SCORE_BLOCK + 128 * 1024, peak
 
 
 def test_lexicographic_tie_break_deterministic():
