@@ -16,17 +16,21 @@ projected Newton search in the free coordinates, run in lockstep for all
 rows of every lattice shape fitted together (`_newton`).  The seeds
 (`_seeds`) are ranked against every candidate by one rows x candidates
 product per shape, against the candidates' log-density rounded to
-float32, built once per lattice shape and domain and kept while the kept
-tables fit a 4 MiB budget.  Only the candidates whose rounding bound
-leaves them within the tie tolerance of the row's least are scored
-exactly by `spectral._contrast`, so each seed is the one an exact score
-of every candidate picks.  Each Newton round takes the contrast and its
-derivatives of its moving rows, whatever their shape, from one
-`spectral._contrast_derivatives` call, and projects only the rows that
-hold a facet.  Every exact value sums per row, in a fixed order, over
-the off-axis half plane of its shape, so a row's fit depends neither on
-what is fitted beside it nor on the BLAS thread count.  Eigenvalue
-estimates follow from the assembled operator matrices.
+float32, built a block at a time on a lattice shape's first use with a
+domain, and from its second use kept while the kept tables fit a 4 MiB
+budget.  Only the candidates whose rounding bound leaves them within the
+tie tolerance of the row's least are scored exactly by
+`spectral._contrast`, so each seed is the one an exact score of every
+candidate picks; ties go to the lexicographically least candidate, in an
+order the domain keeps.  A Newton round keeps only its live rows' state,
+compacted, and takes the contrast and its derivatives of its moving
+rows, whatever their shape, from one `spectral._contrast_derivatives`
+call; it does the facet work only for rows that hold a facet, and tests
+the domain only on trials that would move.  Every exact value sums per
+row, in a fixed order, over the off-axis half plane of its shape, so a
+row's fit depends neither on what is fitted beside it nor on the BLAS
+thread count.  Eigenvalue estimates follow from the assembled operator
+matrices, computed when first read.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import islice, product
 
 import numpy as np
@@ -112,6 +116,7 @@ class ThetaDomain:
         if not len(self._candidates):
             raise ValueError(f"no stationary candidate in the box domain {self.bounds}")
         object.__setattr__(self, "_candidate_coefs", _readonly(_symbol_coefficients(self._candidates)))
+        object.__setattr__(self, "_order", _readonly(_lexicographic_order(self._candidates)))
         # the (lo, hi) arrays of the free coordinates that `contains` compares against
         object.__setattr__(self, "_box", np.array(self.bounds[: 2 if self.couple_l3 else 3]).T)
         object.__setattr__(self, "_facets", self._search_facets())
@@ -166,12 +171,20 @@ class ThetaDomain:
         return edge_norm(theta, self.couple_l3) > 1 - _BOUNDARY_MARGIN - _BOUNDARY_SLACK
 
 
-def _lexicographic_argmin(values: np.ndarray, thetas: np.ndarray, scale: np.ndarray) -> np.ndarray:
+def _lexicographic_order(thetas: np.ndarray) -> np.ndarray:
+    """The indices that sort the candidates `thetas` (m, 3) lexicographically."""
+    return np.lexsort(thetas.T[::-1])
+
+
+def _lexicographic_argmin(values: np.ndarray, thetas: np.ndarray, scale: np.ndarray,
+                          order: np.ndarray | None = None) -> np.ndarray:
     """Index of the least of each row of values (..., m) over the candidates
     `thetas` (m, 3); ties within 1e-15 times the row's `scale` (...,), its
     weight sum, go to the lexicographically least theta, so scaling a
-    row's weights by a power of two leaves its choice unchanged."""
-    order = np.lexsort(thetas.T[::-1])
+    row's weights by a power of two leaves its choice unchanged.  `order`
+    is the candidates' `_lexicographic_order`, when the caller keeps it."""
+    if order is None:
+        order = _lexicographic_order(thetas)
     tied = values[..., order] <= values.min(axis=-1, keepdims=True) + _TIE * np.asarray(scale)[..., None]
     return order[tied.argmax(axis=-1)]
 
@@ -202,9 +215,10 @@ def _estimate_rows(
     offsets = np.cumsum([0] + [hw.shape[0] for hw in folded])
 
     def evaluate(rows: np.ndarray, thetas: np.ndarray):
-        # rows ascend, so each group's rows are one slice
-        cuts = np.searchsorted(rows, offsets)
-        moving = [(hw[rows[a:b] - lo], hs[rows[a:b] - lo], table)
+        # rows ascend, so each group's rows are one slice; a group whose rows
+        # all move passes its arrays as they are
+        cuts = np.searchsorted(rows, offsets).tolist()
+        moving = [(hw, hs, table) if b - a == len(hw) else (hw[rows[a:b] - lo], hs[rows[a:b] - lo], table)
                   for hw, hs, table, lo, a, b in zip(folded, sums, tables, offsets, cuts[:-1], cuts[1:]) if a < b]
         return _contrast_derivatives(moving, thetas, domain.couple_l3)
 
@@ -220,10 +234,11 @@ def _seeds(folded: np.ndarray, scale: np.ndarray, table: tuple[np.ndarray, np.nd
     ranking cannot exclude from that tie are scored exactly, so the choice
     is the one an exact score of every candidate gives.  Given the table's
     lattice `shape` (s1, s2), the candidates' ranking table is kept between
-    calls under the shape and the domain; the seeds are the same bits."""
+    calls under the shape and the domain, from their second use; the seeds
+    are the same bits."""
     retain = None if shape is None else (shape, domain)
     values = _contrast(folded, domain._candidate_coefs, table, _TIE * scale, retain)
-    return _lexicographic_argmin(values, domain.candidates(), scale)
+    return _lexicographic_argmin(values, domain.candidates(), scale, domain._order)
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -239,8 +254,8 @@ def _held_projections(domain: ThetaDomain, work: np.ndarray) -> tuple[np.ndarray
     normals A, (rows, f, f) and (rows, K, f).  Both depend only on the held
     set, so each set is computed once per domain (`_held_projection`)."""
     codes = (work * (1 << np.arange(work.shape[1]))).sum(axis=1)
-    proj, pinv = zip(*(_held_projection(domain, code) for code in codes.tolist()))
-    return np.stack(proj), np.stack(pinv)
+    proj, pinv = zip(*[_held_projection(domain, code) for code in codes.tolist()])
+    return np.array(proj), np.array(pinv)
 
 
 @lru_cache(maxsize=1024)
@@ -267,78 +282,98 @@ def _newton(evaluate, theta: np.ndarray, scale: np.ndarray, domain: ThetaDomain)
     accepted.  A step is accepted only if the contrast falls; mu then
     shrinks, and grows otherwise, also when a facet the row touches blocks
     the whole step.  A row at rest lets go of the held facets whose
-    least-squares multiplier is negative, or stops.  The 3 x 3 algebra
-    runs once over all rows of the search; the projection, only over the
-    rows that hold a facet, from projectors computed once per held set."""
+    least-squares multiplier is negative, or stops.
+
+    The live rows' state is kept compacted, in row order, and a row is
+    written out once, when it stops.  A round's 3 x 3 algebra runs once
+    over all live rows; the facet work (projection, multipliers, release)
+    only over the rows that hold a facet, from projectors computed once per
+    held set; the domain test only over the trials that would move."""
     normals, offsets = domain._facets
     n, free = theta.shape[0], normals.shape[1]
     # the coordinate of each box face, -1 for a facet of the |theta|_1 ball
     face = np.where(np.arange(offsets.size) < 2 * free, np.arange(offsets.size) % free, -1)
-    theta = theta.copy()
-    value, grad, hess = evaluate(np.arange(n), theta)
+    out = np.empty_like(theta), np.empty(n), np.empty(n, dtype=int)
+    rows, theta = np.arange(n), theta.copy()
+    value, grad, hess = evaluate(rows, theta)
     evals = np.ones(n, dtype=int)
     mu = np.full(n, _DAMPING_START)
     held = (normals * theta[:, None, :free]).sum(axis=-1) >= offsets
-    live = np.ones(n, dtype=bool)
-    while live.any():
-        r = np.flatnonzero(live)
-        trial, g, work, mat, damping = theta[r], grad[r], held[r], hess[r], mu[r]
+    while rows.size:
         # on the rows that hold a facet: the projector P on the null space
         # of the held facets, which turns H into P H P and g into P g, and
         # their least-squares multipliers; the other rows skip the identity
-        lam, pg = np.zeros(work.shape), g
-        some = np.flatnonzero(work.any(axis=1))
+        mat, pg, release = hess, grad, None
+        some = np.flatnonzero(held.any(axis=1))
         if some.size:
-            proj, pinv = _held_projections(domain, work[some])
+            proj, pinv = _held_projections(domain, held[some])
+            mat, pg = hess.copy(), grad.copy()
             mat[some] = _mul(_mul(proj, mat[some]), proj)
-            pg = g.copy()
-            pg[some] = (proj * g[some, None, :]).sum(axis=-1)
-            lam[some] = -(pinv * g[some, None, :]).sum(axis=-1)
+            pg[some] = (proj * grad[some, None, :]).sum(axis=-1)
+            lam = -(pinv * grad[some, None, :]).sum(axis=-1)
         curv, vecs = np.linalg.eigh(mat)
-        denom = np.abs(curv) + (damping * scale[r])[:, None]
+        denom = np.abs(curv) + (mu * scale)[:, None]
         coef = (vecs * pg[:, :, None]).sum(axis=1) / np.where(denom > 0, denom, 1.0)
         d = (vecs * coef[:, None, :]).sum(axis=-1)
         if some.size:
             d[some] = (proj * d[some, None, :]).sum(axis=-1)
         d = np.negative(d, out=d)
-        d[work[:, : 2 * free].reshape(-1, 2, free).any(axis=1)] = 0.0
+        if some.size:
+            d[held[:, : 2 * free].reshape(-1, 2, free).any(axis=1)] = 0.0
         # cut by the first facet not held that the step would cross
         towards = (normals * d[:, None, :]).sum(axis=-1)
-        slack = offsets - (normals * trial[:, None, :free]).sum(axis=-1)
-        crossing = ~work & (towards > 0)
+        slack = offsets - (normals * theta[:, None, :free]).sum(axis=-1)
+        crossing = ~held & (towards > 0)
         reach = np.where(crossing, np.maximum(slack, 0.0) / np.where(crossing, towards, 1.0), np.inf)
-        block = reach.argmin(axis=1)
-        alpha = np.minimum(reach[np.arange(r.size), block], 1.0)
+        alpha = np.minimum(reach.min(axis=1), 1.0)
         blocked = alpha < 1.0
+        cut = blocked.any()
         step = alpha[:, None] * d
         # at rest: a step below the tolerance, or one whose first-order
         # decrease -g . step could not move the contrast's last bit
-        small = (np.abs(step).max(axis=1) < _STEP_TOL) | (-(g * step).sum(axis=1) < _EPS * np.abs(value[r]))
-        release = (~blocked & small)[:, None] & work & (lam < 0)
-        work &= ~release
-        release = release.any(axis=1)
-        done = ~blocked & small & ~release
+        small = (np.abs(step).max(axis=1) < _STEP_TOL) | (-(grad * step).sum(axis=1) < _EPS * np.abs(value))
+        done = ~blocked & small
+        if some.size:
+            freed = done[some, None] & held[some] & (lam < 0)
+            held[some] &= ~freed
+            release = np.zeros(rows.size, dtype=bool)
+            release[some] = freed.any(axis=1)
+            done &= ~release
+        trial = theta.copy()
         trial[:, :free] += step
-        box = blocked & (face[block] >= 0)
-        trial[box, face[block[box]]] = offsets[block[box]] * normals[block[box], face[block[box]]]
+        if cut:
+            block = reach.argmin(axis=1)
+            box = blocked & (face[block] >= 0)
+            trial[box, face[block[box]]] = offsets[block[box]] * normals[block[box], face[block[box]]]
         if domain.couple_l3:
             trial[:, 2] = -(trial[:, 0] * trial[:, 1])
-        move = np.flatnonzero(~done & ~release & (alpha > 0) & domain.contains(trial))
-        acc = np.zeros(r.size, dtype=bool)
+        move = ~done & (alpha > 0)
+        if release is not None:
+            move &= ~release
+        move = np.flatnonzero(move)
+        move = move[domain.contains(trial[move])]
+        acc = np.zeros(rows.size, dtype=bool)
         if move.size:
-            val, gr, he = evaluate(r[move], trial[move])
-            evals[r[move]] += 1
-            keep = val < value[r[move]]
+            val, gr, he = evaluate(rows[move], trial[move])
+            evals[move] += 1
+            keep = val < value[move]
             acc[move[keep]] = True
-            theta[r[acc]], value[r[acc]], grad[r[acc]], hess[r[acc]] = trial[acc], val[keep], gr[keep], he[keep]
+            theta[acc], value[acc], grad[acc], hess[acc] = trial[acc], val[keep], gr[keep], he[keep]
         # an accepted step holds the facet that cut it; a facet the row
         # touches that blocks the whole step is held too
-        work[blocked & (acc | (alpha == 0)), block[blocked & (acc | (alpha == 0))]] = True
-        held[r] = work
-        damping = np.where(acc, damping / 10, np.where(release, damping, np.maximum(damping * 10, _DAMPING_START)))
-        mu[r] = damping
-        live[r] = ~done & (damping <= _DAMPING_CEILING) & (evals[r] < _MAX_EVALS)
-    return theta, value, evals
+        if cut:
+            hold = blocked & (acc | (alpha == 0))
+            held[hold, block[hold]] = True
+        grown = np.maximum(mu * 10, _DAMPING_START)
+        mu = np.where(acc, mu / 10, grown if release is None else np.where(release, mu, grown))
+        live = ~done & (mu <= _DAMPING_CEILING) & (evals < _MAX_EVALS)
+        if not live.all():
+            stop = rows[~live]
+            for part, state in zip(out, (theta, value, evals)):
+                part[stop] = state[~live]
+            rows, theta, value, grad, hess, held, mu, evals, scale = (
+                a[live] for a in (rows, theta, value, grad, hess, held, mu, evals, scale))
+    return out
 
 
 @dataclass(frozen=True)
@@ -372,16 +407,27 @@ class EigenBasis:
 @dataclass(frozen=True)
 class EstimationReport:
     """Per-row estimates plus assembled operator matrices; `basis` is the
-    eigenbasis of a cross fit, None for a diagonal one."""
+    eigenbasis of a cross fit, None for a diagonal one.  `k` eigenvalues
+    of each of the first two operators are reported, computed on first
+    read, as a fit that only predicts never reads them."""
 
     j0: int
     depth: int
     n_sites: int
     estimates: list[NodeEstimate] = field(repr=False)
     operators: tuple[OperatorWaveletMatrix, OperatorWaveletMatrix, OperatorWaveletMatrix]
-    eigenvalues1: np.ndarray
-    eigenvalues2: np.ndarray
+    k: int
     basis: EigenBasis | None = field(default=None, repr=False)
+
+    @cached_property
+    def eigenvalues1(self) -> np.ndarray:
+        """The k leading eigenvalues of the first operator (`wavelet_to_operator_eigs`)."""
+        return wavelet_to_operator_eigs(self.operators[0], self.k)
+
+    @cached_property
+    def eigenvalues2(self) -> np.ndarray:
+        """The k leading eigenvalues of the second operator (`wavelet_to_operator_eigs`)."""
+        return wavelet_to_operator_eigs(self.operators[1], self.k)
 
     def diagonal_thetas(self) -> np.ndarray:
         """Theta triples of the operators' diagonal entries in layout order, (n, 3)."""
@@ -478,7 +524,7 @@ def _row_weights(freq: FrequencyGrid, fields: list[np.ndarray]) -> np.ndarray:
 def _report(j0: int, depth: int, n_sites: int, k: int, estimates: list[NodeEstimate],
             basis: EigenBasis | None = None) -> EstimationReport:
     """Assemble the three operator matrices from the thetas of `estimates`,
-    in row order, and their leading eigenvalues; k is clipped to the
+    in row order, into a report of k leading eigenvalues, k clipped to the
     layout size.  Without a basis each row's theta is a diagonal entry;
     with one each operator is sym(U diag(theta) U^T), so its (a, b) and
     (b, a) entries are equal bits."""
@@ -492,17 +538,7 @@ def _report(j0: int, depth: int, n_sites: int, k: int, estimates: list[NodeEstim
         b = (u * thetas.T[:, None, :]) @ u.T
         mats = 0.5 * (b + b.transpose(0, 2, 1))
     operators = tuple(OperatorWaveletMatrix(j0, depth, m) for m in mats)
-    k = min(k, n)
-    return EstimationReport(
-        j0=j0,
-        depth=depth,
-        n_sites=n_sites,
-        estimates=estimates,
-        operators=operators,
-        eigenvalues1=wavelet_to_operator_eigs(operators[0], k),
-        eigenvalues2=wavelet_to_operator_eigs(operators[1], k),
-        basis=basis,
-    )
+    return EstimationReport(j0, depth, n_sites, estimates, operators, min(k, n), basis)
 
 
 # ---------------------------------------------------------------------------
@@ -516,8 +552,7 @@ _CROSS_META = {**_REPORT_META, "basis": list, "basis_eigenvalues": list, "basis_
 
 def save_report(report: EstimationReport, path) -> None:
     """NDJSON: one metadata line, then one record per fitted row."""
-    meta = {"j0": report.j0, "depth": report.depth, "n_sites": report.n_sites,
-            "k": int(report.eigenvalues1.size)}
+    meta = {"j0": report.j0, "depth": report.depth, "n_sites": report.n_sites, "k": report.k}
     if report.basis is not None:
         meta.update(basis=report.basis.vectors.T.ravel().tolist(),
                     basis_eigenvalues=report.basis.eigenvalues.tolist(),

@@ -183,8 +183,9 @@ def loo_validate(
     for members, report in zip(blocks.values(), estimate_many(subs, domain, include_cross=include_cross)):
         p, q = np.array([sites[i] for i in members]).T
         errors = np.abs(fld.values[p, q] - idwt(_plug_in(report, c[p - 1, q], c[p, q - 1], c[p - 1, q - 1]), j0))
-        for i, err in zip(members, errors):
-            folds[i] = FoldResult(sites[i], float(err.mean()), err)
+        # each row's mean is a pairwise sum of its own contiguous row, as err.mean() is
+        for i, err, mafe in zip(members, errors, errors.mean(axis=-1).tolist()):
+            folds[i] = FoldResult(sites[i], mafe, err)
     return ValidationSummary(folds, period_length, fld.time.n)
 
 

@@ -37,6 +37,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -45,10 +46,11 @@ TWO_PI = 2.0 * np.pi
 # temporary of `_contrast`, a block of a ranking table included
 _SCORE_BLOCK = 1 << 16
 # float32 elements (candidates x half-plane points) the ranking tables
-# kept between `_contrast` calls hold in all, 4 MiB
+# recorded between `_contrast` calls hold in all, 4 MiB
 _RANKING_BUDGET = 1 << 20
-# the kept ranking tables by name, least recently used first, and the
-# lock that fits on several threads take to use them
+# the recorded ranking-table names, least recently used first, each with
+# the elements of its table and the table once kept, and the lock that
+# fits on several threads take to use them
 _ranking_tables: OrderedDict = OrderedDict()
 _ranking_lock = threading.Lock()
 _EPS = np.finfo(float).eps
@@ -196,9 +198,13 @@ def _symbol_coefficients(thetas: np.ndarray) -> np.ndarray:
     """Cosine coefficients c0..c4 of the squared AR symbol of m candidates,
     (m, 5); elementwise, so a candidate's values do not depend on its batch."""
     t1, t2, t3 = np.asarray(thetas, dtype=float).T
-    c = [1.0 + t1**2 + t2**2 + t3**2, 2.0 * (t2 * t3 - t1), 2.0 * (t1 * t3 - t2),
-         -2.0 * t3, 2.0 * t1 * t2]
-    return np.stack(c, axis=-1)
+    c = np.empty(t1.shape + (5,))
+    c[..., 0] = 1.0 + t1**2 + t2**2 + t3**2
+    c[..., 1] = 2.0 * (t2 * t3 - t1)
+    c[..., 2] = 2.0 * (t1 * t3 - t2)
+    c[..., 3] = -2.0 * t3
+    c[..., 4] = 2.0 * t1 * t2
+    return c
 
 
 def _symbol_sq(coefs: np.ndarray, cosines: np.ndarray) -> np.ndarray:
@@ -247,24 +253,32 @@ def _rounded_log_psi(coefs: np.ndarray, table: tuple[np.ndarray, ...]):
 def _ranking_table(coefs: np.ndarray, table: tuple[np.ndarray, ...], step: int, retain):
     """The rounded rows, rounding errors and peaks of `_rounded_log_psi`
     kept under the hashable name `retain` of (coefs, table), built `step`
-    candidates at a time on first use; None without a name, or for a table
-    over `_RANKING_BUDGET` elements.  The least recently used tables are
-    dropped while the kept ones would hold more than the budget.  Every
-    use holds `_ranking_lock`, so fits on several threads share the tables."""
+    candidates at a time; None without a name, for a table over
+    `_RANKING_BUDGET` elements, or on the name's first use.  A first use
+    only records the name, as (elements, None), and the second builds and
+    keeps the table, as (elements, table), so a shape fitted once builds
+    nothing.  A recorded name counts in the budget as the table it would
+    keep, and the least recently used names are dropped while the recorded
+    ones would hold more than the budget.  Every use holds `_ranking_lock`,
+    so fits on several threads share the tables."""
     m, n = coefs.shape[0], table[1].size
     if retain is None or m * n > _RANKING_BUDGET:
         return None
     with _ranking_lock:
-        kept = _ranking_tables.pop(retain, None)
-        if kept is None:
+        entry = _ranking_tables.pop(retain, None)
+        if entry is None:
+            while _ranking_tables and sum(size for size, _ in _ranking_tables.values()) + m * n > _RANKING_BUDGET:
+                _ranking_tables.popitem(last=False)
+            kept = None
+        elif entry[1] is None:
             kept = np.empty((m, n), dtype=np.float32), np.empty(m), np.empty(m)
             for i in range(0, m, step):
                 for part, block in zip(kept, _rounded_log_psi(coefs[i : i + step], table)[1:]):
                     part[i : i + step] = block
             kept = tuple(map(_readonly, kept))
-            while _ranking_tables and sum(t[0].size for t in _ranking_tables.values()) + m * n > _RANKING_BUDGET:
-                _ranking_tables.popitem(last=False)
-        _ranking_tables[retain] = kept
+        else:
+            kept = entry[1]
+        _ranking_tables[retain] = m * n, kept
     return kept
 
 
@@ -289,9 +303,10 @@ def _contrast(folded: np.ndarray, coefs: np.ndarray, table: tuple[np.ndarray, ..
     least ranked contrast plus E, plus `within`.  gamma counts N' + 4
     terms, so E also covers its own rounding and the comparison's, and E
     is taken 0.1 % larger still.  No output bit depends on the product.
-    The rounded table is kept between calls under the name `retain` while
-    it fits `_RANKING_BUDGET` (`_ranking_table`); otherwise each block of
-    it is built, used and dropped in the ranking loop.  Candidates are
+    The rounded table is kept between calls under the name `retain`, from
+    the name's second use, while it fits `_RANKING_BUDGET`
+    (`_ranking_table`); otherwise each block of it is built, used and
+    dropped in the ranking loop.  Candidates are
     ranked, and pairs summed, one block at a time, so no temporary holds
     more than `_SCORE_BLOCK` elements.
     """
@@ -336,23 +351,26 @@ def _contrast(folded: np.ndarray, coefs: np.ndarray, table: tuple[np.ndarray, ..
 # c1 = 2 th2 th3, c2 = 2 th1 th3, c4 = 2 th1 th2
 _D2C = np.zeros((3, 3, 5))
 _D2C[(0, 1, 2, 1, 2, 0, 2, 0, 1), (0, 1, 2, 2, 1, 2, 0, 1, 0), (0, 0, 0, 1, 1, 2, 2, 4, 4)] = 2.0
+_D2C.setflags(write=False)
+# d c / d th_i, rows th1, th2, th3, as indices into (2 th1, 2 th2, 2 th3, -2, 0)
+_DC = np.array([[0, 3, 2, 4, 1], [1, 2, 3, 4, 0], [2, 1, 0, 3, 4]])
 
 
 def _coefficient_derivatives(thetas: np.ndarray, couple_l3: bool) -> tuple[np.ndarray, np.ndarray]:
     """First and second derivatives of m candidates' `_symbol_coefficients`
-    in their free coordinates, (m, f, 5) and (m, f, f, 5): th1, th2 and th3,
-    or th1 and th2 with th3 = -th1 th2 entering by the chain rule."""
+    in their free coordinates, (m, f, 5) and (m, f, f, 5) or, uncoupled,
+    the constant (3, 3, 5): th1, th2 and th3, or th1 and th2 with th3 =
+    -th1 th2 entering by the chain rule."""
     th = np.asarray(thetas, dtype=float)
     m = th.shape[0]
-    # d c / d th_i, rows th1, th2, th3, gathered from (2 th1, 2 th2, 2 th3, -2, 0)
     doubled = np.empty((m, 5))
-    doubled[:, :3] = 2.0 * th
+    np.multiply(th, 2.0, out=doubled[:, :3])
     doubled[:, 3:] = (-2.0, 0.0)
-    dc = np.take(doubled, [[0, 3, 2, 4, 1], [1, 2, 3, 4, 0], [2, 1, 0, 3, 4]], axis=1)
+    dc = doubled.take(_DC, axis=1)
     if not couple_l3:
-        return dc, np.broadcast_to(_D2C, (m, 3, 3, 5))
+        return dc, _D2C
     # th3 = -th1 th2: d th3 / d th_i = u_i = -th2, -th1 and d2 th3 / d th1 d th2 = -1
-    u = -th[:, [1, 0], None]
+    u = -th[:, 1::-1, None]
     u1, u2 = u[:, 0], u[:, 1]
     d2c = np.empty((m, 4, 5))  # entries 00, 01, 10, 11
     # both diagonal entries at once: D_ii + 2 u_i D_i3 + u_i^2 D_33, where D_ii = D_33
@@ -390,7 +408,7 @@ def _contrast_derivatives(
     m = dc.shape[0]
     values, ratio, z = np.empty(m), np.empty(m), np.empty(m)  # L, H / Z and Z
     dl_dc, gz_dc, moments = np.empty((m, 5)), np.empty((m, 5)), np.empty((m, 5, 5))
-    stops = np.cumsum([len(folded) for folded, _, _ in groups])
+    stops = accumulate(len(folded) for folded, _, _ in groups)
     for (folded, sums, (cosines, eta_measure, products)), stop in zip(groups, stops):
         g = slice(stop - len(folded), stop)
         sym = _symbol_sq(coefs[g], cosines)

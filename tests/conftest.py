@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from coxmra import SarhSpec, SpatialGrid, TimeGrid, default_variance_profile
+from coxmra import SarhSpec, SpatialGrid, ThetaDomain, TimeGrid, default_variance_profile
 from coxmra.sarh import _ar_fields
+from coxmra.spectral import FrequencyGrid, _symbol_coefficients, _symbol_sq
 
 # Ten-component reference eigenvalue systems used across the test suite.
 LAMBDA1 = np.array([0.300, 0.270, 0.230, 0.200, 0.170, 0.130, 0.100, 0.030, 0.010, 0.005])
@@ -32,6 +33,39 @@ def ar_field(theta, sigma2, grid: SpatialGrid, burn_in: int, rng) -> np.ndarray:
     x[0, 1:, 1:] = rng.normal(0.0, np.sqrt(sigma2), size=(r1, r2))
     _ar_fields(np.array([theta], dtype=float), x)
     return x[0, 1 + burn_in:, 1 + burn_in:]
+
+
+# two lockstep Newton batches that mix rows holding no facet with rows
+# ending on facets: each a domain, the AR triples its rows scatter about
+# and the kinds of facet they end on
+FACET_BATCHES = [
+    # the narrow uncoupled box: rows inside, on a box face, on an |theta|_1
+    # facet and on both
+    (ThetaDomain(bounds=((-0.5, 0.5),) * 3),
+     [(0.2, 0.1, 0.05), (0.8, 0.1, -0.08), (0.45, 0.45, -0.2025), (0.2, 0.7, 0.1), (0.8, 0.6, -0.48)],
+     {"free", "box", "l1"}),
+    # the coupled box past the edge: rows inside and on the edge
+    (ThetaDomain(bounds=((-1.5, 1.5),) * 3, couple_l3=True),
+     [(0.2, 0.1, -0.02), (0.9999, 0.3, -0.29997), (-0.3, -0.9999, -0.29997)],
+     {"free", "edge"}),
+]
+
+
+def facet_batch(domain: ThetaDomain, truths) -> list[tuple[FrequencyGrid, np.ndarray]]:
+    """The (FrequencyGrid, weights) groups of a `FACET_BATCHES` batch: on a
+    16 x 12 and a 10 x 14 lattice, two rows per triple of full-plane
+    contrast weights (rows, N), periodograms scattered about the AR density
+    of the triple by gamma noise of mean one."""
+    rng = np.random.default_rng(41)
+    groups = []
+    for shape in [(16, 12), (10, 14)]:
+        freq = FrequencyGrid(*shape)
+        weights = []
+        for theta in truths:
+            density = 1.0 / _symbol_sq(_symbol_coefficients(np.array([theta])), freq.cosines)[0]
+            weights.append(density * freq.eta_measure * rng.gamma(16.0, 1 / 16.0, size=(2, freq.n)))
+        groups.append((freq, np.vstack(weights)))
+    return groups
 
 
 @pytest.fixture(scope="session")

@@ -224,7 +224,7 @@ def test_criterion_6_predictor_optimality():
         ops = tuple(operator_to_wavelet(lam, phi, tg, j0) for lam in (l1, l2, l3))
         report = EstimationReport(
             j0=j0, depth=depth, n_sites=2500, estimates=[],
-            operators=ops, eigenvalues1=l1[:7], eigenvalues2=l2[:7],
+            operators=ops, k=7,
         )
         pred = predict_coeffs(mc, report)
         resid = (mc.coeffs - pred)[1:, 1:]

@@ -35,7 +35,7 @@ from coxmra.estimator import (
     save_eigenvalue_table,
     save_report,
 )
-from conftest import LAMBDA1, LAMBDA2, ar_field
+from conftest import FACET_BATCHES, LAMBDA1, LAMBDA2, ar_field, facet_batch
 from oracles import (
     column_periodogram,
     EDGE_FLOATS,
@@ -269,7 +269,8 @@ def _seed_rows(freq: FrequencyGrid, domain: ThetaDomain, rng):
 @pytest.mark.parametrize("domain", [ThetaDomain(), ThetaDomain(couple_l3=True)])
 def test_kept_ranking_tables_give_cold_seeds(ranking_tables, domain):
     # shapes that share N' (4 x 12 and 12 x 4; 3 x 7, 4 x 5 and 7 x 3),
-    # seeded one after another from kept tables, twice, each get the seeds
+    # seeded one after another three times (ranked a block at a time, then
+    # from the tables built, then from the tables kept) each get the seeds
     # of an empty store, which are the exhaustive ones
     shapes = [(4, 12), (12, 4), (3, 7), (4, 5), (7, 3)]
     freqs = [FrequencyGrid(*shape) for shape in shapes]
@@ -283,22 +284,25 @@ def test_kept_ranking_tables_give_cold_seeds(ranking_tables, domain):
         cold.append(estimator_module._seeds(folded, scale, freq.half_plane, domain, (freq.s1, freq.s2)))
         assert np.array_equal(cold[-1], _exhaustive_seeds(folded, scale, freq.half_plane, domain)[0])
     ranking_tables.clear()
-    for _ in range(2):
+    for use in range(3):
         for freq, (folded, scale), seeds in zip(freqs, rows, cold):
             assert np.array_equal(estimator_module._seeds(folded, scale, freq.half_plane, domain, (freq.s1, freq.s2)), seeds)
+        # a shape's first use records its name, and its second keeps its table
+        assert [table is None for _, table in ranking_tables.values()] == [use == 0] * len(shapes)
     assert list(ranking_tables) == [(shape, domain) for shape in shapes]
 
 
 def test_fits_from_a_kept_ranking_table_are_the_cold_fits(ranking_tables):
     # a fit whose seeds rank against the kept table has the bits of the fit
-    # that built it
+    # that built it and of the first fit, which ranked a block at a time
     x = np.random.default_rng(4).normal(size=(9, 14, 4))
     coeffs = MultiscaleCoefficients(SpatialGrid(9, 14), 1, 2, x)
     for cross in (False, True):
         ranking_tables.clear()
-        cold, warm = (estimate_all(coeffs, ThetaDomain(), cross) for _ in range(2))
+        cold, built, warm = (estimate_all(coeffs, ThetaDomain(), cross) for _ in range(3))
         assert list(ranking_tables) == [((9, 14), ThetaDomain())]
-        assert [vars(e) for e in cold.estimates] == [vars(e) for e in warm.estimates]
+        assert ranking_tables[(9, 14), ThetaDomain()][1] is not None
+        assert [vars(e) for e in cold.estimates] == [vars(e) for e in built.estimates] == [vars(e) for e in warm.estimates]
 
 
 def test_ranking_tables_are_keyed_by_shape_and_domain_value(ranking_tables):
@@ -318,16 +322,20 @@ def test_ranking_tables_are_keyed_by_shape_and_domain_value(ranking_tables):
 
 
 def test_kept_ranking_tables_stay_within_the_budget(ranking_tables):
-    # after seeding every shape from 2 x 2 to 40 x 40 the kept tables hold
-    # at most the budget, the last shape's table is kept, and one seeded
-    # again becomes the most recent
+    # after seeding every shape from 2 x 2 to 40 x 40 twice in a row the
+    # kept tables, with the names recorded without one counted as the
+    # tables they would keep, hold at most the budget, the last shape's
+    # table is kept, and one seeded again becomes the most recent
     domain, rng = ThetaDomain(), np.random.default_rng(1)
     for s1 in range(2, 41):
         for s2 in range(2, 41):
             freq = FrequencyGrid(s1, s2)
             folded = rng.random((1, freq.half_plane[1].size))
-            estimator_module._seeds(folded, folded.sum(axis=1), freq.half_plane, domain, (s1, s2))
-            assert sum(t[0].size for t in ranking_tables.values()) <= spectral_module._RANKING_BUDGET
+            for _ in range(2):
+                estimator_module._seeds(folded, folded.sum(axis=1), freq.half_plane, domain, (s1, s2))
+                assert sum(t[0].size for _, t in ranking_tables.values() if t) <= spectral_module._RANKING_BUDGET
+                assert sum(size for size, _ in ranking_tables.values()) <= spectral_module._RANKING_BUDGET
+            assert ranking_tables[(s1, s2), domain][0] == ranking_tables[(s1, s2), domain][1][0].size
     assert next(reversed(ranking_tables)) == ((40, 40), domain)
     assert len(ranking_tables) > 4
     first = next(iter(ranking_tables))
@@ -367,7 +375,8 @@ def test_threads_share_the_kept_ranking_tables(ranking_tables):
     finally:
         sys.setswitchinterval(interval)
     assert wrong == []
-    assert sum(t[0].size for t in ranking_tables.values()) <= spectral_module._RANKING_BUDGET
+    assert sum(size for size, _ in ranking_tables.values()) <= spectral_module._RANKING_BUDGET
+    assert sum(t[0].size for _, t in ranking_tables.values() if t) <= spectral_module._RANKING_BUDGET
 
 
 def test_ranking_table_over_the_budget_is_blocked(ranking_tables):
@@ -542,33 +551,12 @@ def test_lockstep_search_is_optimal(shapes, n, cross, domain, seed):
             assert _kkt_residual(grad[0], _tight_normals(theta, domain)) <= 1e-6 * (folded.sum() + abs(value))
 
 
-def _model_weights(theta0, freq: FrequencyGrid, rng, rows: int) -> np.ndarray:
-    """Full-plane contrast weights (rows, N) of periodograms scattered
-    about the AR density of theta0 by gamma noise of mean one."""
-    density = 1.0 / _symbol_sq(_symbol_coefficients(np.array([theta0])), freq.cosines)[0]
-    return density * freq.eta_measure * rng.gamma(16.0, 1 / 16.0, size=(rows, freq.n))
-
-
-@pytest.mark.parametrize("domain, truths, kinds", [
-    # the narrow uncoupled box: rows inside, on a box face, on an |theta|_1
-    # facet and on both
-    (ThetaDomain(bounds=((-0.5, 0.5),) * 3),
-     [(0.2, 0.1, 0.05), (0.8, 0.1, -0.08), (0.45, 0.45, -0.2025), (0.2, 0.7, 0.1), (0.8, 0.6, -0.48)],
-     {"free", "box", "l1"}),
-    # the coupled box past the edge: rows inside and on the edge
-    (ThetaDomain(bounds=((-1.5, 1.5),) * 3, couple_l3=True),
-     [(0.2, 0.1, -0.02), (0.9999, 0.3, -0.29997), (-0.3, -0.9999, -0.29997)],
-     {"free", "edge"}),
-])
+@pytest.mark.parametrize("domain, truths, kinds", FACET_BATCHES)
 def test_newton_batch_fits_each_row_as_alone(domain, truths, kinds):
     # one lockstep batch of two lattice shapes that mixes rows holding no
     # facet with rows ending on facets: each row's theta, contrast and
     # evaluations are those of the row fitted alone
-    rng = np.random.default_rng(41)
-    groups = []
-    for shape in [(16, 12), (10, 14)]:
-        freq = FrequencyGrid(*shape)
-        groups.append((freq, np.vstack([_model_weights(th, freq, rng, 2) for th in truths])))
+    groups = facet_batch(domain, truths)
     thetas, values, evals, _ = _estimate_rows(groups, domain)
     alone = [_estimate_rows([(freq, weights[i : i + 1])], domain)
              for freq, weights in groups for i in range(len(weights))]
@@ -815,6 +803,28 @@ def test_cross_fit_beats_diagonal_on_the_loo_cross_design(seed):
     assert residual[True] <= 1.05 * residual[False]
 
 
+@pytest.mark.parametrize("cross", [False, True])
+def test_report_eigenvalues_are_computed_on_first_read(monkeypatch, cross):
+    # a fit computes no eigenvalues; the first read of each computes it once,
+    # with the bits of the eager computation from the report's operators
+    # and k = floor(ln 99) = 4
+    coeffs = MultiscaleCoefficients(SpatialGrid(9, 11), 1, 3, np.random.default_rng(6).normal(size=(9, 11, 8)))
+    eigs, calls = estimator_module.wavelet_to_operator_eigs, []
+
+    def counted(op, k):
+        calls.append(k)
+        return eigs(op, k)
+
+    monkeypatch.setattr(estimator_module, "wavelet_to_operator_eigs", counted)
+    report = estimate_all(coeffs, ThetaDomain(), include_cross=cross)
+    assert calls == [] and report.k == 4
+    eager = [eigs(op, 4) for op in report.operators[:2]]
+    second, first = report.eigenvalues2, report.eigenvalues1
+    assert report.eigenvalues1 is first and report.eigenvalues2 is second
+    assert calls == [4, 4]
+    assert first.tobytes() == eager[0].tobytes() and second.tobytes() == eager[1].tobytes()
+
+
 def test_report_roundtrip(tmp_path, reference_spec):
     from coxmra import simulate
 
@@ -844,7 +854,9 @@ def test_report_roundtrip(tmp_path, reference_spec):
     lines = (tmp_path / "eigs.csv").read_text().splitlines()
     assert lines[0] == "p,lambda1_hat,lambda2_hat"
     assert len(lines) == 1 + report.eigenvalues1.size
-    edge = replace(report, eigenvalues1=np.array(EDGE_FLOATS), eigenvalues2=-np.array(EDGE_FLOATS))
+    # a report whose eigenvalues are already computed, as the edge floats
+    edge = replace(report)
+    vars(edge).update(eigenvalues1=np.array(EDGE_FLOATS), eigenvalues2=-np.array(EDGE_FLOATS))
     for rep in (report, edge):
         save_eigenvalue_table(rep, tmp_path / "eigs.csv")
         rows = [(p, l1, l2) for p, (l1, l2) in enumerate(zip(rep.eigenvalues1, rep.eigenvalues2), 1)]

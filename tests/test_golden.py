@@ -3,11 +3,13 @@
 `tests/golden.json` holds the sha256 of every file that one small CLI
 chain writes (ingest included, on a raw-count file of scattered sites),
 once diagonal-only and once with `include_cross` (the fit in the
-empirical eigenbasis), and of the theta tables, predictions and fold
-errors of reduced Monte Carlo and LOO designs, together with the numpy
-version it was written under.  A change
-that alters any of these bytes fails here and names every digest that
-moved.  A change meant to alter them rewrites the file with
+empirical eigenbasis), of the theta tables, predictions and fold
+errors of reduced Monte Carlo and LOO designs, and of the lockstep
+Newton search's thetas, contrasts and evaluations on two batches whose
+rows end on facets, together with the numpy version it was written
+under.  A change that alters any of these bytes fails here and names
+every digest that moved.  A change meant to alter them rewrites the
+file with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -26,9 +28,12 @@ from click.testing import CliRunner
 from coxmra import estimate_all, loo_validate, simulate
 from coxmra.cli import main
 from coxmra.config import RunConfig
+from coxmra.estimator import _estimate_rows
 from coxmra.grids import FunctionalField, SpatialGrid, detrend
 from coxmra.predict import predict
 from coxmra.wavelet import field_dwt
+
+from conftest import FACET_BATCHES, facet_batch
 
 GOLDEN = Path(__file__).with_name("golden.json")
 
@@ -137,13 +142,26 @@ def _loo_cross() -> dict[str, str]:
     }
 
 
+def _newton_facets() -> dict[str, str]:
+    """The thetas, contrasts and Newton evaluations `_estimate_rows` gives
+    the two `FACET_BATCHES` batches, whose rows mix free ones with ones
+    ending on box faces, |theta|_1 facets and the coupled edge."""
+    out = {}
+    for (domain, truths, _), label in zip(FACET_BATCHES, ("uncoupled", "coupled")):
+        thetas, values, evals, _ = _estimate_rows(facet_batch(domain, truths), domain)
+        out[f"{label}_theta"] = _sha(thetas.tobytes())
+        out[f"{label}_contrast"] = _sha(values.tobytes())
+        out[f"{label}_evaluations"] = _sha(np.asarray(evals, dtype=np.int64).tobytes())
+    return out
+
+
 def pipeline_digests(workdir: Path) -> dict[str, str]:
     """Every golden digest, keyed `<source>/<name>`."""
     digests = {}
     for label, cross in (("chain_diagonal", False), ("chain_cross", True)):
         (workdir / label).mkdir()
         digests.update({f"{label}/{k}": v for k, v in _chain(workdir / label, cross).items()})
-    for label, design in (("mc_study", _mc_study), ("loo_cross", _loo_cross)):
+    for label, design in (("mc_study", _mc_study), ("loo_cross", _loo_cross), ("newton_facets", _newton_facets)):
         digests.update({f"{label}/{k}": v for k, v in design().items()})
     return digests
 

@@ -163,6 +163,26 @@ def test_loo_validate_fits_each_training_block_once(monkeypatch):
     assert np.array_equal([f.abs_error for f in summary.folds], [e for _, _, e in reference])
 
 
+@pytest.mark.parametrize("cross", [False, True])
+def test_loo_validate_reads_no_report_eigenvalues(monkeypatch, cross):
+    # validation only predicts, and a report computes its operators'
+    # eigenvalues on first read, so no training block's fit computes them
+    lam1, lam2 = np.array([0.3, 0.2]), np.array([0.5, 0.4])
+    spec = SarhSpec(lam1, lam2, default_variance_profile(lam1, lam2), TimeGrid(1), couple_l3=True)
+    res, _ = detrend(simulate(spec, SpatialGrid(10, 10), 64, seed=35))
+    domain = ThetaDomain(couple_l3=True)
+
+    def no_eigenvalues(*args):
+        raise AssertionError("a report's eigenvalues were computed")
+
+    monkeypatch.setattr(estimator_module, "wavelet_to_operator_eigs", no_eigenvalues)
+    summary = loo_validate(res, domain, j0=0, neighborhood_radius=1, period_length=1, include_cross=cross)
+    assert len(summary.folds) == 81
+    # a read would have computed them
+    with pytest.raises(AssertionError, match="eigenvalues were computed"):
+        estimate_all(field_dwt(res, 0), domain, include_cross=cross).eigenvalues1
+
+
 def test_loo_folds_predict_as_the_lattice_does():
     # with dense operators (the eigenbasis fit, depth 3) each fold's
     # prediction has the bits of `predict_coeffs` at its site under the
