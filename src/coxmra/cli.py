@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import sys
-from contextlib import nullcontext
 from pathlib import Path
 
 import click
@@ -73,19 +72,14 @@ def main(ctx, config_path, seed, out_dir, threads):
     }
 
 
-def _pool(threads: int):
-    """The pool that parses field files and formats field-sized CSV
-    tables: a `_ForkPool` of `threads` workers, or None (no process) for
-    one thread."""
-    return _ForkPool(threads) if threads > 1 else nullcontext()
-
-
 class _ForkPool:
-    """`threads` worker processes, forked at the first `map` of more than
-    one item; a map of one item, like every map without fork or beside
-    another thread (whose held locks a fork would copy), runs in the
-    calling process.  So a command whose files are one block or one range
-    each starts no process and imports nothing of `multiprocessing`."""
+    """The pool that parses field files and formats field-sized CSV
+    tables: `threads` worker processes, forked at the first `map` of more
+    than one item.  A map for one thread or of one item, like every map
+    without fork or beside another thread (whose held locks a fork would
+    copy), runs in the calling process.  So a command at one thread, or
+    whose files are one block or one range each, starts no process and
+    imports nothing of `multiprocessing`."""
 
     def __init__(self, threads: int):
         self.threads, self.executor, self.mapper = threads, None, None
@@ -98,7 +92,7 @@ class _ForkPool:
             self.executor.shutdown()
 
     def map(self, fn, items):
-        if len(items) < 2:
+        if self.threads < 2 or len(items) < 2:
             return map(fn, items)
         if self.mapper is None:
             import multiprocessing
@@ -115,7 +109,7 @@ class _ForkPool:
 def _load_field(obj, field_file) -> grids.FunctionalField:
     """The field in `field_file`, parsed on a pool of the command's
     threads that is shut down before it returns."""
-    with _pool(obj["threads"]) as pool:
+    with _ForkPool(obj["threads"]) as pool:
         return grids.load_field(field_file, pool)
 
 
@@ -129,7 +123,7 @@ def simulate(obj):
     reps = cfg.simulation.replications
     seeds = [obj["seed"] + i for i in range(reps)]
     files = [f"field_{i:03d}.csv" for i in range(reps)]
-    with _pool(obj["threads"]) as pool:
+    with _ForkPool(obj["threads"]) as pool:
         for name, seed in zip(files, seeds):
             fld = sarh.simulate(spec, grid, cfg.simulation.burn_in, seed)
             grids.save_field(fld, obj["out"] / name, pool)
@@ -168,7 +162,7 @@ def predict_cmd(obj, field_file, report_file):
     """One-step plug-in prediction at every interior site."""
     cfg: RunConfig = obj["config"]
     out = obj["out"] / (Path(field_file).stem + "_predicted.csv")
-    with _pool(obj["threads"]) as pool:
+    with _ForkPool(obj["threads"]) as pool:
         fld = grids.load_field(field_file, pool)
         report = estimator.load_report(report_file)
         residual, mean = grids.detrend(fld)
@@ -240,7 +234,7 @@ def ingest_cmd(obj, raw_csv):
     cfg: RunConfig = obj["config"]
     fld = ingest.ingest_counts(raw_csv, cfg.spatial_grid(), cfg.time.depth)
     out = obj["out"] / f"{Path(raw_csv).stem}_field.csv"
-    with _pool(obj["threads"]) as pool:
+    with _ForkPool(obj["threads"]) as pool:
         grids.save_field(fld, out, pool)
     click.echo(str(out))
 

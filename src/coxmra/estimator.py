@@ -15,22 +15,21 @@ row is seeded at the best candidate of a coarse grid and refined by a
 projected Newton search in the free coordinates, run in lockstep for all
 rows of every lattice shape fitted together (`_newton`).  The seeds
 (`_seeds`) are ranked against every candidate by one rows x candidates
-product per shape, against the candidates' log-density rounded to
-float32, built a block at a time on a lattice shape's first use with a
-domain, and from its second use kept while the kept tables fit a 4 MiB
-budget.  Only the candidates whose rounding bound leaves them within the
-tie tolerance of the row's least are scored exactly by
-`spectral._contrast`, so each seed is the one an exact score of every
-candidate picks; ties go to the lexicographically least candidate, in an
-order the domain keeps.  A Newton round keeps only its live rows' state,
-compacted, and takes the contrast and its derivatives of its moving
-rows, whatever their shape, from one `spectral._contrast_derivatives`
-call; it does the facet work only for rows that hold a facet, and tests
-the domain only on trials that would move.  Every exact value sums per
-row, in a fixed order, over the off-axis half plane of its shape, so a
-row's fit depends neither on what is fitted beside it nor on the BLAS
-thread count.  Eigenvalue estimates follow from the assembled operator
-matrices, computed when first read.
+product per shape, against the candidates' log-density, which is kept
+per lattice shape and domain while the kept tables fit a 4 MiB budget.
+In the same pass over the candidates, those whose rounding bound leaves
+them within the tie tolerance of the row's least are scored exactly from
+the same rows by `spectral._contrast`, so each seed is the one an exact
+score of every candidate picks; ties go to the first tied candidate,
+and the candidates ascend lexicographically.  A Newton round keeps only
+its live rows' state, compacted, and takes the contrast and its
+derivatives of its moving rows, whatever their shape, from one
+`spectral._contrast_derivatives` call; it does the facet work only for
+rows that hold a facet, and tests the domain only on trials that would
+move.  Every exact value sums per row, in a fixed order, over the
+off-axis half plane of its shape, so a row's fit depends neither on what
+is fitted beside it nor on the BLAS thread count.  Eigenvalue estimates
+follow from the assembled operator matrices, computed when first read.
 """
 
 from __future__ import annotations
@@ -116,7 +115,6 @@ class ThetaDomain:
         if not len(self._candidates):
             raise ValueError(f"no stationary candidate in the box domain {self.bounds}")
         object.__setattr__(self, "_candidate_coefs", _readonly(_symbol_coefficients(self._candidates)))
-        object.__setattr__(self, "_order", _readonly(_lexicographic_order(self._candidates)))
         # the (lo, hi) arrays of the free coordinates that `contains` compares against
         object.__setattr__(self, "_box", np.array(self.bounds[: 2 if self.couple_l3 else 3]).T)
         object.__setattr__(self, "_facets", self._search_facets())
@@ -140,13 +138,18 @@ class ThetaDomain:
         return np.vstack(normals), np.concatenate(offsets)
 
     def candidates(self) -> np.ndarray:
-        """Stationary seed candidates, shape (m, 3), built once with the
-        domain and read-only."""
+        """Stationary seed candidates, shape (m, 3), one per grid point in
+        ascending lexicographic order, built once with the domain and
+        read-only."""
         return self._candidates
 
     def _stationary_grid(self) -> np.ndarray:
-        """The stationary points of the coarse grid over the box."""
+        """The distinct stationary points of the coarse grid over the box,
+        in ascending lexicographic order: each axis keeps one point per
+        value (a zero-width interval one), and the grid runs over them in
+        C order.  (`np.unique` would import `numpy.ma`, 1.4 MB.)"""
         axes = [np.linspace(lo, hi, _COARSE_POINTS) for lo, hi in self.bounds]
+        axes = [axis[np.append(True, axis[1:] > axis[:-1])] for axis in axes]
         if self.couple_l3:
             t1, t2 = np.meshgrid(axes[0], axes[1], indexing="ij")
             cand = np.column_stack(
@@ -171,22 +174,14 @@ class ThetaDomain:
         return edge_norm(theta, self.couple_l3) > 1 - _BOUNDARY_MARGIN - _BOUNDARY_SLACK
 
 
-def _lexicographic_order(thetas: np.ndarray) -> np.ndarray:
-    """The indices that sort the candidates `thetas` (m, 3) lexicographically."""
-    return np.lexsort(thetas.T[::-1])
-
-
-def _lexicographic_argmin(values: np.ndarray, thetas: np.ndarray, scale: np.ndarray,
-                          order: np.ndarray | None = None) -> np.ndarray:
-    """Index of the least of each row of values (..., m) over the candidates
-    `thetas` (m, 3); ties within 1e-15 times the row's `scale` (...,), its
-    weight sum, go to the lexicographically least theta, so scaling a
-    row's weights by a power of two leaves its choice unchanged.  `order`
-    is the candidates' `_lexicographic_order`, when the caller keeps it."""
-    if order is None:
-        order = _lexicographic_order(thetas)
-    tied = values[..., order] <= values.min(axis=-1, keepdims=True) + _TIE * np.asarray(scale)[..., None]
-    return order[tied.argmax(axis=-1)]
+def _lexicographic_argmin(values: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Index of the least of each row of values (..., m) over candidates in
+    ascending lexicographic order; ties within 1e-15 times the row's
+    `scale` (...,), its weight sum, go to the first, the lexicographically
+    least theta, so scaling a row's weights by a power of two leaves its
+    choice unchanged."""
+    tied = values <= values.min(axis=-1, keepdims=True) + _TIE * np.asarray(scale)[..., None]
+    return tied.argmax(axis=-1)
 
 
 def _estimate_rows(
@@ -234,11 +229,10 @@ def _seeds(folded: np.ndarray, scale: np.ndarray, table: tuple[np.ndarray, np.nd
     ranking cannot exclude from that tie are scored exactly, so the choice
     is the one an exact score of every candidate gives.  Given the table's
     lattice `shape` (s1, s2), the candidates' ranking table is kept between
-    calls under the shape and the domain, from their second use; the seeds
-    are the same bits."""
+    calls under the shape and the domain; the seeds are the same bits."""
     retain = None if shape is None else (shape, domain)
     values = _contrast(folded, domain._candidate_coefs, table, _TIE * scale, retain)
-    return _lexicographic_argmin(values, domain.candidates(), scale, domain._order)
+    return _lexicographic_argmin(values, scale)
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ half-plane sum an output bit depends on is a row reduction of fixed order,
 numpy's pairwise sum or a non-optimised `einsum`, never BLAS, so a row's
 bits depend neither on its batch nor on the BLAS thread count.  The one
 table the module keeps of its own is the seed candidates' log-density
-rounded to float32 (`_ranking_table`), which only ranks candidates.
+(`_ranking_table`), which both ranks and scores them.
 
 Frequencies live on the Fourier grid of the observation lattice, reported
 in the symmetric fundamental domain (-pi, pi]^2 so that eta is an even
@@ -43,14 +43,14 @@ import numpy as np
 
 TWO_PI = 2.0 * np.pi
 # elements (candidates, rows or pairs x half-plane points) of the largest
-# temporary of `_contrast`, a block of a ranking table included
+# temporary of `_contrast`, a block of log-density rows built without a
+# kept table included
 _SCORE_BLOCK = 1 << 16
-# float32 elements (candidates x half-plane points) the ranking tables
-# recorded between `_contrast` calls hold in all, 4 MiB
-_RANKING_BUDGET = 1 << 20
-# the recorded ranking-table names, least recently used first, each with
-# the elements of its table and the table once kept, and the lock that
-# fits on several threads take to use them
+# float64 log-density elements (candidates x half-plane points) the
+# ranking tables kept between `_contrast` calls hold in all, 4 MiB
+_RANKING_BUDGET = 1 << 19
+# the kept ranking tables by name, least recently used first, and the lock
+# that fits on several threads take to use them
 _ranking_tables: OrderedDict = OrderedDict()
 _ranking_lock = threading.Lock()
 _EPS = np.finfo(float).eps
@@ -238,47 +238,33 @@ def _minus_log_psi(sym: np.ndarray, scale: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rounded_log_psi(coefs: np.ndarray, table: tuple[np.ndarray, ...]):
+def _peaked_log_psi(coefs: np.ndarray, table: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
     """`_log_psi` of m candidates' coefficients on a `half_plane` table,
-    (m, N'), with its rows rounded to float32, each row's rounding error
-    delta = max |log Psi - float32(log Psi)|, exact, and its peak max |log
-    Psi|, (m,) each."""
-    exact = _log_psi(_symbol_sq(coefs, table[0]), table[1])
-    rounded = exact.astype(np.float32)
-    diff = exact - rounded  # without rounding: the two lie within a factor 2
-    peak = np.maximum(exact.max(axis=1), -exact.min(axis=1))
-    return exact, rounded, np.abs(diff, out=diff).max(axis=1), peak
+    (m, N'), and each row's peak max |log Psi|, (m,)."""
+    log_psi = _log_psi(_symbol_sq(coefs, table[0]), table[1])
+    return log_psi, np.maximum(log_psi.max(axis=1), -log_psi.min(axis=1))
 
 
 def _ranking_table(coefs: np.ndarray, table: tuple[np.ndarray, ...], step: int, retain):
-    """The rounded rows, rounding errors and peaks of `_rounded_log_psi`
-    kept under the hashable name `retain` of (coefs, table), built `step`
-    candidates at a time; None without a name, for a table over
-    `_RANKING_BUDGET` elements, or on the name's first use.  A first use
-    only records the name, as (elements, None), and the second builds and
-    keeps the table, as (elements, table), so a shape fitted once builds
-    nothing.  A recorded name counts in the budget as the table it would
-    keep, and the least recently used names are dropped while the recorded
-    ones would hold more than the budget.  Every use holds `_ranking_lock`,
-    so fits on several threads share the tables."""
+    """The `_peaked_log_psi` rows and peaks of (coefs, table) kept under the
+    hashable name `retain`, built `step` candidates at a time on the name's
+    first use; None without a name or for a table over `_RANKING_BUDGET`
+    elements.  Before a table is kept, the least recently used ones are
+    dropped while the kept ones would hold more than the budget.  Every use
+    holds `_ranking_lock`, so fits on several threads share the tables."""
     m, n = coefs.shape[0], table[1].size
     if retain is None or m * n > _RANKING_BUDGET:
         return None
     with _ranking_lock:
-        entry = _ranking_tables.pop(retain, None)
-        if entry is None:
-            while _ranking_tables and sum(size for size, _ in _ranking_tables.values()) + m * n > _RANKING_BUDGET:
+        kept = _ranking_tables.pop(retain, None)
+        if kept is None:
+            while _ranking_tables and sum(rows.size for rows, _ in _ranking_tables.values()) + m * n > _RANKING_BUDGET:
                 _ranking_tables.popitem(last=False)
-            kept = None
-        elif entry[1] is None:
-            kept = np.empty((m, n), dtype=np.float32), np.empty(m), np.empty(m)
+            kept = np.empty((m, n)), np.empty(m)
             for i in range(0, m, step):
-                for part, block in zip(kept, _rounded_log_psi(coefs[i : i + step], table)[1:]):
-                    part[i : i + step] = block
+                kept[0][i : i + step], kept[1][i : i + step] = _peaked_log_psi(coefs[i : i + step], table)
             kept = tuple(map(_readonly, kept))
-        else:
-            kept = entry[1]
-        _ranking_tables[retain] = m * n, kept
+        _ranking_tables[retain] = kept
     return kept
 
 
@@ -293,56 +279,47 @@ def _contrast(folded: np.ndarray, coefs: np.ndarray, table: tuple[np.ndarray, ..
 
     With `within` (rows,), only the pairs that may lie within it of their
     row's least contrast are summed so, and the others are +inf.  They are
-    ranked by a rows x candidates BLAS product against the candidates'
-    log Psi rows rounded to float32 (`_rounded_log_psi`), each within
-    delta_c of the exact row and at most M_c in size.  The product and the
-    pairwise sum each err by at most gamma sum |h| |log Psi|, gamma = N'
-    eps / (1 - N' eps), whatever their order, so a ranked contrast lies
-    within E = |h|_1 (delta_c + gamma (2 M_c + delta_c)) of the exact one.
-    A pair is dropped only if its ranked contrast less E exceeds the row's
-    least ranked contrast plus E, plus `within`.  gamma counts N' + 4
-    terms, so E also covers its own rounding and the comparison's, and E
-    is taken 0.1 % larger still.  No output bit depends on the product.
-    The rounded table is kept between calls under the name `retain`, from
-    the name's second use, while it fits `_RANKING_BUDGET`
-    (`_ranking_table`); otherwise each block of it is built, used and
-    dropped in the ranking loop.  Candidates are
-    ranked, and pairs summed, one block at a time, so no temporary holds
-    more than `_SCORE_BLOCK` elements.
+    ranked by a rows x candidates BLAS product against the same log Psi
+    rows, each at most M_c in size.  The product and the pairwise sum each
+    err by at most gamma sum |h| |log Psi|, gamma = N' eps / (1 - N' eps),
+    whatever their order, so a ranked contrast lies within E = 2 gamma
+    |h|_1 M_c of the exact one.  A pair is dropped only if its ranked
+    contrast less E exceeds the row's least ranked contrast plus E, plus
+    `within`.  gamma counts N' + 4 terms, so E also covers its own rounding
+    and the comparison's, and E is taken 0.1 % larger still.  No output bit
+    depends on the product.  Candidates are taken one block at a time:
+    each block is ranked and every pair within reach of the least so far
+    is summed from the same rows, and the pairs the final least puts out
+    of reach are set to +inf after the last block.  The rows are kept
+    between calls under the name `retain` while they fit
+    `_RANKING_BUDGET` (`_ranking_table`); otherwise each block of them is
+    built, used and dropped.  No temporary holds more than `_SCORE_BLOCK`
+    elements, a kept table aside.
     """
-    cosines, eta_measure = table[:2]
-    rows, m, n = folded.shape[0], coefs.shape[0], eta_measure.size
+    rows, m, n = folded.shape[0], coefs.shape[0], table[1].size
     step = max(1, _SCORE_BLOCK // n)
-    reach, last = np.ones((rows, m), dtype=bool), None
-    if within is not None:
-        kept = _ranking_table(coefs, table, step, retain)
-        ranked, bound = np.empty((rows, m)), np.empty(m)
-        gamma = (n + 4) * _EPS / (1.0 - (n + 4) * _EPS)
-        for i in range(0, m, step):
-            if kept is None:
-                exact, rounded, delta, peak = _rounded_log_psi(coefs[i : i + step], table)
-                last = i, exact
-            else:
-                rounded, delta, peak = (part[i : i + step] for part in kept)
-            ranked[:, i : i + step] = folded @ rounded.astype(float).T
-            bound[i : i + step] = (delta + gamma * (2.0 * peak + delta)) * 1.001
-        np.negative(ranked, out=ranked)
-        norm = np.concatenate([np.abs(folded[k : k + step]).sum(axis=1) for k in range(0, rows, step)])
-        error = np.multiply.outer(norm, bound)
-        reach = ranked - error <= ((ranked + error).min(axis=1) + within)[:, None]
+    kept = _ranking_table(coefs, table, step, retain)
     out = np.full((rows, m), np.inf)
+    if within is not None:
+        ranked, error, least = np.empty((rows, m)), np.empty((rows, m)), np.full(rows, np.inf)
+        gamma = (n + 4) * _EPS / (1.0 - (n + 4) * _EPS)
+        norm = np.concatenate([np.abs(folded[k : k + step]).sum(axis=1) for k in range(0, rows, step)])
     for i in range(0, m, step):
-        cols = i + np.flatnonzero(reach[:, i : i + step].any(axis=0))
-        if not cols.size:
-            continue
-        if last and last[0] == i:  # the last block ranked is still at hand
-            log_psi = last[1][cols - i]
+        cols = slice(i, i + step)
+        log_psi, peak = (part[cols] for part in kept) if kept else _peaked_log_psi(coefs[cols], table)
+        if within is None:
+            reach = np.ones((rows, len(log_psi)), dtype=bool)
         else:
-            log_psi = _log_psi(_symbol_sq(coefs[cols], cosines), eta_measure)
-        r, c = np.nonzero(reach[:, cols])
+            ranked[:, cols] = -(folded @ log_psi.T)
+            error[:, cols] = np.multiply.outer(norm, gamma * (2.0 * peak) * 1.001)
+            least = np.minimum(least, (ranked[:, cols] + error[:, cols]).min(axis=1))
+            reach = ranked[:, cols] - error[:, cols] <= (least + within)[:, None]
+        r, c = np.nonzero(reach)
         for k in range(0, r.size, step):
             pair = slice(k, k + step)
-            out[r[pair], cols[c[pair]]] = -(folded[r[pair]] * log_psi[c[pair]]).sum(axis=-1)
+            out[r[pair], i + c[pair]] = -(folded[r[pair]] * log_psi[c[pair]]).sum(axis=-1)
+    if within is not None:
+        out[ranked - error > (least + within)[:, None]] = np.inf
     return out
 
 

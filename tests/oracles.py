@@ -10,7 +10,8 @@ the time resampling and the CSV writer are vectorized in the library;
 their one-value-at-a-time loops here must give identical results.  The
 library fits each row by a projected Newton search; the coordinate
 pattern search here, one row at a time, is the reference its contrasts
-must match or beat.  The components' stationary variances and the Monte
+must match or beat, and the seed tie rule here sorts any point set, where
+the library takes the first tie among its sorted candidates.  The components' stationary variances and the Monte
 Carlo second-moment bound on the integrated intensity (criterion 7) are
 model facts no pipeline step computes, so they live here only.
 """
@@ -19,9 +20,9 @@ import numpy as np
 
 from coxmra.estimator import (
     _COARSE_POINTS,
+    _TIE,
     ThetaDomain,
     _estimate_rows,
-    _lexicographic_argmin,
     estimate_all,
 )
 from coxmra.grids import FunctionalField, SpatialGrid, TimeGrid
@@ -223,6 +224,16 @@ def table_csv(header, rows) -> str:
 _REFINE_TOL = 1e-6
 
 
+def lexicographic_argmin(values: np.ndarray, thetas: np.ndarray, scale) -> np.ndarray:
+    """The seed tie rule over any points `thetas` (m, 3): the index of the
+    least of each row of values (..., m), ties within `_TIE` times the
+    row's `scale` (...,) going to the lexicographically least theta, found
+    by sorting the points."""
+    order = np.lexsort(thetas.T[::-1])
+    tied = values[..., order] <= values.min(axis=-1, keepdims=True) + _TIE * np.asarray(scale)[..., None]
+    return order[tied.argmax(axis=-1)]
+
+
 def pattern_search(contrast, start, start_val: float, domain: ThetaDomain,
                    step0: float) -> tuple[np.ndarray, float, int]:
     """Coordinate-shrinking pattern search of one node from a seed and its
@@ -267,7 +278,7 @@ def estimate_rows_one_by_one(weights: np.ndarray, freq: FrequencyGrid, domain: T
     thetas, values, iters = [], [], []
     folded = freq.fold(weights)
     seeds = np.array([-np.vecdot(row, log_psi_cand) for row in folded])
-    for row, row_seeds, j in zip(folded, seeds, _lexicographic_argmin(seeds, cand, weights.sum(axis=1))):
+    for row, row_seeds, j in zip(folded, seeds, lexicographic_argmin(seeds, cand, weights.sum(axis=1))):
         theta, value, it = pattern_search(
             lambda th: float(-np.vecdot(row, half_plane_log_psi(th[None, :])[0])),
             cand[j], row_seeds[j], domain, step0,

@@ -45,6 +45,7 @@ from oracles import (
     eigengap,
     estimate_rows_one_by_one,
     innovation_variance,
+    lexicographic_argmin,
     projection_operators,
     second_moment,
     table_csv,
@@ -104,6 +105,26 @@ def test_domain_coupled_candidates():
     dom = ThetaDomain(couple_l3=True)
     cand = dom.candidates()
     np.testing.assert_allclose(cand[:, 2], -cand[:, 0] * cand[:, 1], atol=1e-12)
+
+
+_INTERVAL = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)).map(sorted)
+
+
+@given(st.booleans(), st.tuples(st.one_of(_INTERVAL, st.floats(-0.9, 0.9).map(lambda v: (v, v))),
+                                _INTERVAL, _INTERVAL))
+@settings(max_examples=100, deadline=None)
+@example(False, ((0.2, 0.2), (-0.5, 0.5), (0.1, 0.3)))
+def test_domain_candidates_ascend_strictly(couple, bounds):
+    # one candidate per grid point, strictly increasing lexicographically,
+    # on any box, zero-width intervals included, so the first tied index
+    # is the lexicographically least theta
+    try:
+        cand = ThetaDomain(bounds, couple).candidates()
+    except ValueError:  # no stationary grid point in the box
+        return
+    assert all(tuple(a) < tuple(b) for a, b in zip(cand[:-1], cand[1:]))
+    if (couple, bounds) == (False, ((0.2, 0.2), (-0.5, 0.5), (0.1, 0.3))):
+        assert len(cand) == 119
 
 
 _EDGE = 1 - estimator_module._BOUNDARY_MARGIN
@@ -188,7 +209,7 @@ def _exhaustive_seeds(folded, scale, table, domain):
     cand = domain.candidates()
     log_psi = _log_psi(_symbol_sq(_symbol_coefficients(cand), table[0]), table[1])
     values = np.array([-(row * log_psi).sum(axis=-1) for row in folded])
-    return _lexicographic_argmin(values, cand, scale), values
+    return lexicographic_argmin(values, cand, scale), values
 
 
 def _meeting_rows(folded, scale, values, offsets):
@@ -269,9 +290,9 @@ def _seed_rows(freq: FrequencyGrid, domain: ThetaDomain, rng):
 @pytest.mark.parametrize("domain", [ThetaDomain(), ThetaDomain(couple_l3=True)])
 def test_kept_ranking_tables_give_cold_seeds(ranking_tables, domain):
     # shapes that share N' (4 x 12 and 12 x 4; 3 x 7, 4 x 5 and 7 x 3),
-    # seeded one after another three times (ranked a block at a time, then
-    # from the tables built, then from the tables kept) each get the seeds
-    # of an empty store, which are the exhaustive ones
+    # seeded one after another three times (from the tables their first
+    # use builds, then from the tables kept) each get the seeds of fresh
+    # blocks, which are the exhaustive ones
     shapes = [(4, 12), (12, 4), (3, 7), (4, 5), (7, 3)]
     freqs = [FrequencyGrid(*shape) for shape in shapes]
     sizes = [freq.half_plane[1].size for freq in freqs]
@@ -280,29 +301,60 @@ def test_kept_ranking_tables_give_cold_seeds(ranking_tables, domain):
     rows = [_seed_rows(freq, domain, rng) for freq in freqs]
     cold = []
     for freq, (folded, scale) in zip(freqs, rows):
-        ranking_tables.clear()
-        cold.append(estimator_module._seeds(folded, scale, freq.half_plane, domain, (freq.s1, freq.s2)))
+        cold.append(estimator_module._seeds(folded, scale, freq.half_plane, domain))
         assert np.array_equal(cold[-1], _exhaustive_seeds(folded, scale, freq.half_plane, domain)[0])
-    ranking_tables.clear()
-    for use in range(3):
+    assert not ranking_tables
+    kept = None
+    for _ in range(3):
         for freq, (folded, scale), seeds in zip(freqs, rows, cold):
             assert np.array_equal(estimator_module._seeds(folded, scale, freq.half_plane, domain, (freq.s1, freq.s2)), seeds)
-        # a shape's first use records its name, and its second keeps its table
-        assert [table is None for _, table in ranking_tables.values()] == [use == 0] * len(shapes)
+        # a shape's first use builds and keeps its table, and later uses read it
+        tables = [table[0] for table in ranking_tables.values()]
+        assert all(a is b for a, b in zip(tables, kept or tables))
+        kept = tables
     assert list(ranking_tables) == [(shape, domain) for shape in shapes]
 
 
-def test_fits_from_a_kept_ranking_table_are_the_cold_fits(ranking_tables):
+def test_fits_from_a_kept_ranking_table_are_the_cold_fits(ranking_tables, monkeypatch):
     # a fit whose seeds rank against the kept table has the bits of the fit
-    # that built it and of the first fit, which ranked a block at a time
+    # that built it and of a fit ranked a block at a time, which keeps nothing
     x = np.random.default_rng(4).normal(size=(9, 14, 4))
     coeffs = MultiscaleCoefficients(SpatialGrid(9, 14), 1, 2, x)
     for cross in (False, True):
         ranking_tables.clear()
-        cold, built, warm = (estimate_all(coeffs, ThetaDomain(), cross) for _ in range(3))
+        with monkeypatch.context() as patch:
+            patch.setattr(spectral_module, "_RANKING_BUDGET", 0)
+            cold = estimate_all(coeffs, ThetaDomain(), cross)
+        assert not ranking_tables
+        built, warm = (estimate_all(coeffs, ThetaDomain(), cross) for _ in range(2))
         assert list(ranking_tables) == [((9, 14), ThetaDomain())]
-        assert ranking_tables[(9, 14), ThetaDomain()][1] is not None
         assert [vars(e) for e in cold.estimates] == [vars(e) for e in built.estimates] == [vars(e) for e in warm.estimates]
+
+
+@pytest.mark.parametrize("domain", [ThetaDomain(), ThetaDomain(couple_l3=True)])
+@pytest.mark.parametrize("shape", [(3, 4), (5, 9), (16, 16), (50, 50)])
+def test_contrast_from_a_kept_table_is_the_blockwise_contrast(ranking_tables, monkeypatch, domain, shape):
+    # `_contrast` with a tie tolerance, from the table its first call keeps,
+    # from that table kept, from fresh blocks, and from fresh blocks of one
+    # candidate each (whose early blocks sum pairs the final least puts out
+    # of reach), gives equal arrays with the same +inf pattern, at the seed
+    # tolerance and at a wide one
+    freq = FrequencyGrid(*shape)
+    folded, scale = _seed_rows(freq, domain, np.random.default_rng(sum(shape)))
+    coefs = domain._candidate_coefs
+    for within in estimator_module._TIE * scale, 1e-3 * scale:
+        ranking_tables.clear()
+        fresh = _contrast(folded, coefs, freq.half_plane, within)
+        built, kept = (_contrast(folded, coefs, freq.half_plane, within, (shape, domain)) for _ in range(2))
+        assert list(ranking_tables) == [(shape, domain)]
+        assert np.isfinite(fresh).any(axis=1).all()
+        assert np.array_equal(built, fresh) and np.array_equal(kept, fresh)
+        with monkeypatch.context() as patch:
+            patch.setattr(spectral_module, "_SCORE_BLOCK", 1)
+            assert np.array_equal(_contrast(folded, coefs, freq.half_plane, within), fresh)
+    # the seed tolerance leaves most pairs unsummed
+    scored = np.isfinite(_contrast(folded, coefs, freq.half_plane, estimator_module._TIE * scale))
+    assert scored.sum() < scored.size / 2
 
 
 def test_ranking_tables_are_keyed_by_shape_and_domain_value(ranking_tables):
@@ -323,21 +375,26 @@ def test_ranking_tables_are_keyed_by_shape_and_domain_value(ranking_tables):
 
 def test_kept_ranking_tables_stay_within_the_budget(ranking_tables):
     # after seeding every shape from 2 x 2 to 40 x 40 twice in a row the
-    # kept tables, with the names recorded without one counted as the
-    # tables they would keep, hold at most the budget, the last shape's
-    # table is kept, and one seeded again becomes the most recent
+    # kept log-density rows hold at most 4 MiB, the last shape's table is
+    # kept whole, the kept ones are the most recent that fit the budget
+    # together, and one seeded again becomes the most recent
     domain, rng = ThetaDomain(), np.random.default_rng(1)
+    recent, size = [], 0
+    for s1 in range(40, 1, -1):
+        for s2 in range(40, 1, -1):
+            size += len(domain.candidates()) * FrequencyGrid(s1, s2).half_plane[1].size
+            if size <= spectral_module._RANKING_BUDGET:
+                recent.insert(0, ((s1, s2), domain))
     for s1 in range(2, 41):
         for s2 in range(2, 41):
             freq = FrequencyGrid(s1, s2)
             folded = rng.random((1, freq.half_plane[1].size))
             for _ in range(2):
                 estimator_module._seeds(folded, folded.sum(axis=1), freq.half_plane, domain, (s1, s2))
-                assert sum(t[0].size for _, t in ranking_tables.values() if t) <= spectral_module._RANKING_BUDGET
-                assert sum(size for size, _ in ranking_tables.values()) <= spectral_module._RANKING_BUDGET
-            assert ranking_tables[(s1, s2), domain][0] == ranking_tables[(s1, s2), domain][1][0].size
-    assert next(reversed(ranking_tables)) == ((40, 40), domain)
-    assert len(ranking_tables) > 4
+                assert sum(rows.nbytes for rows, _ in ranking_tables.values()) <= 4 << 20
+            rows, peaks = ranking_tables[(s1, s2), domain]
+            assert rows.shape == (len(domain.candidates()), folded.shape[1]) and peaks.shape == rows.shape[:1]
+    assert list(ranking_tables) == recent and len(recent) > 2
     first = next(iter(ranking_tables))
     freq = FrequencyGrid(*first[0])
     estimator_module._seeds(np.ones((1, freq.half_plane[1].size)), np.ones(1), freq.half_plane, domain, first[0])
@@ -346,8 +403,8 @@ def test_kept_ranking_tables_stay_within_the_budget(ranking_tables):
 
 def test_threads_share_the_kept_ranking_tables(ranking_tables):
     # six threads on two cores seed the 36 shapes from 20 x 20 to 25 x 25,
-    # whose tables together hold about twice the budget, three times each,
-    # with a short switch interval: no thread fails (unlocked, the
+    # whose tables together hold about four times the budget, three times
+    # each, with a short switch interval: no thread fails (unlocked, the
     # eviction's walk over the tables sees them change), every seed is the
     # cold one, and the kept tables stay within the budget
     shapes = [(s1, s2) for s1 in range(20, 26) for s2 in range(20, 26)]
@@ -375,16 +432,15 @@ def test_threads_share_the_kept_ranking_tables(ranking_tables):
     finally:
         sys.setswitchinterval(interval)
     assert wrong == []
-    assert sum(size for size, _ in ranking_tables.values()) <= spectral_module._RANKING_BUDGET
-    assert sum(t[0].size for _, t in ranking_tables.values() if t) <= spectral_module._RANKING_BUDGET
+    assert sum(rows.nbytes for rows, _ in ranking_tables.values()) <= 4 << 20
 
 
 def test_ranking_table_over_the_budget_is_blocked(ranking_tables):
     # a 120 x 120 table (231 candidates x 7,081 points) is over the budget:
     # seeding keeps nothing, and the peak holds a few `_SCORE_BLOCK` blocks
-    # of float64 (the exact block, its float32 rounding, their difference
-    # and the block product), never the 6.5 MB rounded table.  The slack
-    # covers the rows and the (rows, candidates) outputs.
+    # of float64 (the symbol block, its log-density, the pairs summed and
+    # the block product), never the 13 MB table.  The slack covers the
+    # rows and the (rows, candidates) outputs.
     freq, domain = FrequencyGrid(120, 120), ThetaDomain()
     folded, scale = _seed_rows(freq, domain, np.random.default_rng(3))
     assert len(domain.candidates()) * folded.shape[1] > spectral_module._RANKING_BUDGET
@@ -402,30 +458,35 @@ def test_ranking_table_over_the_budget_is_blocked(ranking_tables):
 
 def test_lexicographic_tie_break_deterministic():
     # values within 1e-15 times the row's scale of the minimum tie; the
-    # smallest lexicographic theta among the tied wins
+    # smallest lexicographic theta among the tied wins (the reference rule
+    # sorts any point set)
     pts = np.array([(0.1, 0.0, 0.0), (-0.1, 0.0, 0.0), (-0.1, 0.2, 0.0), (-0.1, 0.0, -0.3)])
     # exact ties, decided by the first, then the later coordinates
-    assert _lexicographic_argmin(np.array([1.0, 1.0]), pts[:2], 1.0) == 1
-    assert _lexicographic_argmin(np.full(4, 2.0), pts, 1.0) == 3
+    assert lexicographic_argmin(np.array([1.0, 1.0]), pts[:2], 1.0) == 1
+    assert lexicographic_argmin(np.full(4, 2.0), pts, 1.0) == 3
     # a gap of 1e-15 is a tie at scale 1, a gap of 1e-14 is not; at
     # scale 16 it is
-    assert _lexicographic_argmin(np.array([1e-15, 0.0]), pts[1::-1], 1.0) == 0
-    assert _lexicographic_argmin(np.array([1e-14, 0.0]), pts[1::-1], 1.0) == 1
-    assert _lexicographic_argmin(np.array([1e-14, 0.0]), pts[1::-1], 16.0) == 0
+    assert lexicographic_argmin(np.array([1e-15, 0.0]), pts[1::-1], 1.0) == 0
+    assert lexicographic_argmin(np.array([1e-14, 0.0]), pts[1::-1], 1.0) == 1
+    assert lexicographic_argmin(np.array([1e-14, 0.0]), pts[1::-1], 16.0) == 0
     # a strictly smaller value wins whatever its theta
-    assert _lexicographic_argmin(np.array([0.5, 0.3, 0.4]), pts[:3], 1.0) == 1
-    # many rows at once: each row's answer is its own, row by row and by
-    # brute force over its ties
+    assert lexicographic_argmin(np.array([0.5, 0.3, 0.4]), pts[:3], 1.0) == 1
+    # many rows at once over candidates in any order: each row's answer is
+    # its own, row by row and by brute force over its ties
     rng = np.random.default_rng(0)
     cand = ThetaDomain().candidates()
-    cand = cand[rng.permutation(len(cand))]
+    perm = rng.permutation(len(cand))
     values = 1.0 + rng.choice([0.0, 5e-16, 1e-15, 3e-15, 1.0], size=(40, len(cand)), p=[0.02, 0.02, 0.02, 0.04, 0.9])
     scale = rng.choice([0.5, 1.0, 4.0], size=40)
-    rows = _lexicographic_argmin(values, cand, scale)
+    rows = lexicographic_argmin(values[:, perm], cand[perm], scale)
     assert rows.shape == (40,)
-    assert rows.tolist() == [_lexicographic_argmin(row, cand, s) for row, s in zip(values, scale)]
-    assert rows.tolist() == [min(np.flatnonzero(row <= row.min() + 1e-15 * s), key=lambda j: tuple(cand[j]))
-                             for row, s in zip(values, scale)]
+    assert rows.tolist() == [lexicographic_argmin(row, cand[perm], s) for row, s in zip(values[:, perm], scale)]
+    assert rows.tolist() == [min(np.flatnonzero(row <= row.min() + 1e-15 * s), key=lambda j: tuple(cand[perm][j]))
+                             for row, s in zip(values[:, perm], scale)]
+    # the library's rule over the domain's sorted candidates, the first
+    # tied index, picks the same candidates
+    assert np.array_equal(perm[rows], _lexicographic_argmin(values, scale))
+    assert _lexicographic_argmin(values[0], scale[0]) == perm[rows[0]]
 
 
 @pytest.mark.parametrize("shape", [(5, 5), (12, 7), (9, 11)])

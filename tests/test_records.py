@@ -585,7 +585,7 @@ _MATMUL_ALLOWED = {
     ("estimator.py", "_searches"): "n x k basis scores of the coefficients, a sum over n <= 2^depth",
     ("estimator.py", "_eigenbasis"): "the n x n second moment, byte-stable under 1 and 2 BLAS threads at 150 x 150",
     ("estimator.py", "_report"): "U diag(theta) U^T, a sum over k <= n basis vectors",
-    ("spectral.py", "_contrast"): "ranks seed candidates; no output bit depends on it, an exact re-score decides",
+    ("spectral.py", "_contrast"): "ranks seed candidates; exact pair sums decide every output",
 }
 # reductions whose order BLAS or an optimizer chooses
 _BLAS_REDUCTIONS = {"vecdot", "dot", "inner", "matmul", "tensordot"}
