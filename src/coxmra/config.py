@@ -157,7 +157,7 @@ class RunConfig:
 
 def load_config(path) -> RunConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return RunConfig.model_validate(json.load(fh))
     except ValueError as exc:  # a ConfigError, or not JSON at all
         why = exc if isinstance(exc, ConfigError) else f"not valid JSON: {exc}"

@@ -203,7 +203,7 @@ def _estimate_rows(
     seeded = []
     for freq, w in groups:
         hw, moment = freq.fold(w), w.sum(axis=1)
-        seeds = _seeds(hw, moment, freq.half_plane, domain, (freq.s1, freq.s2))
+        seeds = _seeds(hw, moment, freq, domain)
         seeded.append((freq.half_plane, hw, hw.sum(axis=1), moment, seeds))
     tables, folded, sums, moments, first = zip(*seeded)
     moments, first = map(np.concatenate, (moments, first))
@@ -220,18 +220,15 @@ def _estimate_rows(
     return (*_newton(evaluate, domain.candidates()[first], moments, domain), moments)
 
 
-def _seeds(folded: np.ndarray, scale: np.ndarray, table: tuple[np.ndarray, np.ndarray, np.ndarray],
-           domain: ThetaDomain, shape: tuple[int, int] | None = None) -> np.ndarray:
+def _seeds(folded: np.ndarray, scale: np.ndarray, freq: FrequencyGrid, domain: ThetaDomain) -> np.ndarray:
     """Index among `domain.candidates()` of the seed of every row of folded
-    weights (rows, N') on a `half_plane` table: its least `_contrast`, ties
+    weights (rows, N') on `freq`'s half plane: its least `_contrast`, ties
     within `_TIE` times its weight sum `scale` (rows,) going to the
     lexicographically least theta.  Only the candidates a rows x candidates
     ranking cannot exclude from that tie are scored exactly, so the choice
-    is the one an exact score of every candidate gives.  Given the table's
-    lattice `shape` (s1, s2), the candidates' ranking table is kept between
-    calls under the shape and the domain; the seeds are the same bits."""
-    retain = None if shape is None else (shape, domain)
-    values = _contrast(folded, domain._candidate_coefs, table, _TIE * scale, retain)
+    is the one an exact score of every candidate gives, whether or not the
+    ranking table is kept (under the lattice shape and the domain)."""
+    values = _contrast(folded, domain._candidate_coefs, freq.half_plane, _TIE * scale, ((freq.s1, freq.s2), domain))
     return _lexicographic_argmin(values, scale)
 
 

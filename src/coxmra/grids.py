@@ -8,11 +8,11 @@ weight 2^-D (exact for the Haar system on this grid).
 
 from __future__ import annotations
 
-import codecs
 import functools
 import io
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -99,24 +99,43 @@ def detrend(fld: FunctionalField) -> tuple[FunctionalField, np.ndarray]:
 # FieldFormatError "<path>: line <n>: <what>"; faults of the whole file name
 # the line after the last record.  A field file in C order is first read by
 # `load_field` in byte ranges and kept only as values; anything else in it
-# goes through the same two functions.  Every output file is written by
-# `write_csv` or `write_ndjson`; `write_csv` fills a cached row template of
-# the index coordinates with each block's values by one `%` substitution,
-# so a float costs its `repr` and little else.  A file of one formatting
-# block or one parsing range is handled in the calling process.
+# goes through the same two functions.  Files are UTF-8 whatever the
+# locale, and a byte that is not UTF-8 is a fault on its line.  Every
+# output file is written by `write_csv` or `write_ndjson`; `write_csv`
+# fills a cached row template of the index coordinates with each block's
+# values by one `%` substitution, so a float costs its `repr` and little
+# else.  A file of one formatting block or one parsing range is handled in
+# the calling process.
 
 
 def record_fault(path, lineno: int, what) -> FieldFormatError:
     return FieldFormatError(f"{path}: line {lineno}: {what}")
 
 
+def _utf8(read: Callable) -> Callable:
+    """`read(path, ...)` with a byte of `path` that is not UTF-8 a fault on
+    the line that holds it."""
+    @functools.wraps(read)
+    def reader(path, *args):
+        try:
+            return read(path, *args)
+        except UnicodeDecodeError:
+            with open(path, encoding="utf-8", errors="surrogateescape") as fh:  # byte b reads as chr(0xdc00 + b)
+                for lineno, line in enumerate(fh, start=1):
+                    if bad := re.search("[\udc80-\udcff]", line):
+                        raise record_fault(path, lineno, f"not UTF-8: byte {ord(bad[0]) - 0xdc00:#04x}") from None
+            raise
+    return reader
+
+
+@_utf8
 def read_csv_records(path, columns: dict) -> tuple[np.ndarray, Callable[[int], int]]:
     """Parse a CSV file whose header names `columns` (name -> dtype) into
     one structured row per non-empty line, plus the line lookup of
     `place_records`."""
     header = ",".join(columns)
     dtype = np.dtype(list(columns.items()))
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         found = fh.readline().strip()
         if found != header:
             raise record_fault(path, 1, f"unexpected header {found!r}, expected {header!r}")
@@ -144,11 +163,12 @@ def _parse_csv(lines, dtype: np.dtype) -> np.ndarray:
 def _record_lines(path) -> list[tuple[int, str]]:
     """(line number, text) of every non-empty line after the first, plus
     the line after the last one."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         lines = [(n, line) for n, line in enumerate(fh, start=1) if n > 1 and line != "\n"]
     return lines + [(lines[-1][0] + 1 if lines else 2, "")]
 
 
+@_utf8
 def read_ndjson(path, metas: tuple[dict, ...], record: dict) -> tuple[tuple, list[tuple], Callable]:
     """Parse the metadata line and one record per non-empty line after it.
 
@@ -157,7 +177,7 @@ def read_ndjson(path, metas: tuple[dict, ...], record: dict) -> tuple[tuple, lis
     values come in the order of the schema it matched, with the line
     lookup of `place_records`.
     """
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         head = _json_values(path, 1, fh.readline(), *metas)
     lines = _record_lines(path)
     records = [_json_values(path, n, text, record) for n, text in lines[:-1]]
@@ -301,7 +321,7 @@ def write_csv(path, header, columns, origin: tuple = (), pool=None) -> None:
         ((j + origin[0], *origin[1:]) if origin else (), [c[j : j + step] for c in columns])
         for j in range(0, shape[0], step)
     ]
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for text in (map if pool is None else pool.map)(_format_rows, blocks):
             fh.write(text)
@@ -340,7 +360,7 @@ def _row_template(shape: tuple, origin: tuple, k: int) -> str:
 
 def write_ndjson(path, meta: dict, records) -> None:
     """One JSON line for `meta`, then one per record, keys sorted."""
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(meta, sort_keys=True) + "\n")
         for rec in records:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
@@ -399,20 +419,18 @@ def _field_grids(shape: tuple) -> tuple[SpatialGrid, TimeGrid]:
 
 
 def _load_c_order(path, pool) -> FunctionalField | None:
-    """The field of a UTF-8 field file whose records are in C order, for
-    the shape its last line names, or None.
+    """The field of a field file whose records are in C order, for the
+    shape its last line names, or None.
 
     Every record takes at least 8 bytes, so a shape of more entries than
     an eighth of the file's bytes names no such file and is not allocated.
     The ranges start after the header's first newline byte: a newline
     byte always ends a line, so each range holds whole lines.
     """
-    header = ",".join(_FIELD_COLUMNS)
-    with open(path) as fh:
-        if fh.readline().strip() != header or codecs.lookup(fh.encoding).name != "utf-8":
-            return None
     with open(path, "rb") as fh:
         first = fh.readline()
+        if first.strip() != ",".join(_FIELD_COLUMNS).encode():
+            return None
         size = fh.seek(0, io.SEEK_END)
         fh.seek(max(len(first), size - 4096))  # a longer last line fails the shape
         last = fh.read().rstrip(b"\r\n").replace(b"\r", b"\n").rsplit(b"\n", 1)[-1].split(b",")

@@ -80,7 +80,6 @@ class FoldResult:
 class ValidationSummary:
     folds: list[FoldResult] = field(repr=False)
     period_length: int = 12
-    n_time: int = 0
 
     @property
     def aloocve(self) -> float:
@@ -88,14 +87,9 @@ class ValidationSummary:
         return float(np.mean([f.mafe for f in self.folds]))
 
     def period_errors(self) -> np.ndarray:
-        """Pointwise error averaged over folds, then over period blocks."""
-        pointwise = np.mean([f.abs_error for f in self.folds], axis=0)
-        n_periods = -(-self.n_time // self.period_length)
-        out = np.empty(n_periods)
-        for i in range(n_periods):
-            block = pointwise[i * self.period_length : (i + 1) * self.period_length]
-            out[i] = block.mean()
-        return out
+        """Pointwise error averaged over folds, then over blocks of `period_length` time points."""
+        pointwise, step = np.mean([f.abs_error for f in self.folds], axis=0), self.period_length
+        return np.array([pointwise[i : i + step].mean() for i in range(0, len(pointwise), step)])
 
 
 def interior_sites(s1: int, s2: int) -> list[tuple[int, int]]:
@@ -186,7 +180,7 @@ def loo_validate(
         # each row's mean is a pairwise sum of its own contiguous row, as err.mean() is
         for i, err, mafe in zip(members, errors, errors.mean(axis=-1).tolist()):
             folds[i] = FoldResult(sites[i], mafe, err)
-    return ValidationSummary(folds, period_length, fld.time.n)
+    return ValidationSummary(folds, period_length)
 
 
 def save_validation(summary: ValidationSummary, folds_path, periods_path) -> None:

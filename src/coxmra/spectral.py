@@ -10,8 +10,9 @@ phase (`all_periodograms`), and the contrast weight eta = |w1|^2 |w2|^2
 columns, f_a * conj(f_b), taken where it is used (the estimator's
 `_row_weights`).  It also holds the one contrast, minus folded weights
 times the normalised log-density `_log_psi` of a squared symbol:
-`_contrast` scores the estimator's seeds and the population
-`contrast_functional` with it, and
+`_contrast` ranks the candidates of every row and scores those within a
+tolerance of the row's least, the estimator's seed tie tolerance or, for
+the population `contrast_functional`, +inf, which scores every pair; and
 `_contrast_derivatives` gives it with its gradient and Hessian in the AR
 coefficients for every row of a Newton round, all lattice shapes in one
 call, from three contractions of each row against the half plane's
@@ -268,58 +269,51 @@ def _ranking_table(coefs: np.ndarray, table: tuple[np.ndarray, ...], step: int, 
     return kept
 
 
-def _contrast(folded: np.ndarray, coefs: np.ndarray, table: tuple[np.ndarray, ...],
-              within: np.ndarray | None = None, retain=None) -> np.ndarray:
+def _contrast(folded: np.ndarray, coefs: np.ndarray, table: tuple[np.ndarray, ...], within, retain=None) -> np.ndarray:
     """The contrast of every row of folded weights (rows, N') at every
     candidate's coefficients, (rows, m): minus the weights times the
     candidate's `_log_psi` row on a `half_plane` table, summed over each
-    pair by numpy's pairwise sum.  That sum has a fixed order for a given
-    length and uses no BLAS, so a contrast's bits depend neither on its
-    batch nor on the BLAS thread count.
+    pair by numpy's pairwise sum, whose order is fixed by the length and
+    which uses no BLAS, so a contrast's bits depend neither on its batch
+    nor on the BLAS thread count.  Only the pairs that may lie within
+    `within` (rows,) of their row's least contrast are summed, and the
+    others are +inf; `within` = +inf sums every pair.
 
-    With `within` (rows,), only the pairs that may lie within it of their
-    row's least contrast are summed so, and the others are +inf.  They are
-    ranked by a rows x candidates BLAS product against the same log Psi
-    rows, each at most M_c in size.  The product and the pairwise sum each
-    err by at most gamma sum |h| |log Psi|, gamma = N' eps / (1 - N' eps),
-    whatever their order, so a ranked contrast lies within E = 2 gamma
-    |h|_1 M_c of the exact one.  A pair is dropped only if its ranked
-    contrast less E exceeds the row's least ranked contrast plus E, plus
-    `within`.  gamma counts N' + 4 terms, so E also covers its own rounding
-    and the comparison's, and E is taken 0.1 % larger still.  No output bit
-    depends on the product.  Candidates are taken one block at a time:
-    each block is ranked and every pair within reach of the least so far
-    is summed from the same rows, and the pairs the final least puts out
-    of reach are set to +inf after the last block.  The rows are kept
-    between calls under the name `retain` while they fit
-    `_RANKING_BUDGET` (`_ranking_table`); otherwise each block of them is
-    built, used and dropped.  No temporary holds more than `_SCORE_BLOCK`
-    elements, a kept table aside.
+    The pairs are ranked by a rows x candidates BLAS product against the
+    same log Psi rows, each at most M_c in size.  The product and the
+    pairwise sum each err by at most gamma sum |h| |log Psi|, gamma = N' eps
+    / (1 - N' eps), whatever their order, so a ranked contrast lies within
+    E = |h|_1 2 gamma M_c of the exact one.  A pair is dropped only if its
+    ranked contrast less E exceeds the row's least ranked contrast plus E,
+    plus `within`.  gamma counts N' + 4 terms, so E also covers its own
+    rounding and the comparison's, and each candidate's bound 2 gamma M_c
+    is taken 0.1 % larger still.  No output bit depends on the product.
+    Candidates are taken one block at a time: each block is ranked and
+    every pair within reach of the least so far is summed from the same
+    rows; after the last block the final least sets the pairs out of its
+    reach to +inf.  The rows are kept between calls under the name `retain`
+    while they fit `_RANKING_BUDGET` (`_ranking_table`), and otherwise each
+    block of them is built, used and dropped.  No temporary holds more than
+    `_SCORE_BLOCK` elements, a kept table and the outputs aside.
     """
     rows, m, n = folded.shape[0], coefs.shape[0], table[1].size
     step = max(1, _SCORE_BLOCK // n)
     kept = _ranking_table(coefs, table, step, retain)
-    out = np.full((rows, m), np.inf)
-    if within is not None:
-        ranked, error, least = np.empty((rows, m)), np.empty((rows, m)), np.full(rows, np.inf)
-        gamma = (n + 4) * _EPS / (1.0 - (n + 4) * _EPS)
-        norm = np.concatenate([np.abs(folded[k : k + step]).sum(axis=1) for k in range(0, rows, step)])
+    out, ranked, bound, least = np.full((rows, m), np.inf), np.empty((rows, m)), np.empty(m), np.full(rows, np.inf)
+    gamma = (n + 4) * _EPS / (1.0 - (n + 4) * _EPS)
+    norm = np.concatenate([np.abs(folded[k : k + step]).sum(axis=1) for k in range(0, rows, step)])
     for i in range(0, m, step):
         cols = slice(i, i + step)
         log_psi, peak = (part[cols] for part in kept) if kept else _peaked_log_psi(coefs[cols], table)
-        if within is None:
-            reach = np.ones((rows, len(log_psi)), dtype=bool)
-        else:
-            ranked[:, cols] = -(folded @ log_psi.T)
-            error[:, cols] = np.multiply.outer(norm, gamma * (2.0 * peak) * 1.001)
-            least = np.minimum(least, (ranked[:, cols] + error[:, cols]).min(axis=1))
-            reach = ranked[:, cols] - error[:, cols] <= (least + within)[:, None]
-        r, c = np.nonzero(reach)
+        ranked[:, cols] = -(folded @ log_psi.T)
+        bound[cols] = gamma * (2.0 * peak) * 1.001
+        error = np.multiply.outer(norm, bound[cols])
+        least = np.minimum(least, (ranked[:, cols] + error).min(axis=1))
+        r, c = np.nonzero(ranked[:, cols] - error <= (least + within)[:, None])
         for k in range(0, r.size, step):
             pair = slice(k, k + step)
             out[r[pair], i + c[pair]] = -(folded[r[pair]] * log_psi[c[pair]]).sum(axis=-1)
-    if within is not None:
-        out[ranked - error > (least + within)[:, None]] = np.inf
+    out[ranked - np.multiply.outer(norm, bound) > (least + within)[:, None]] = np.inf
     return out
 
 
@@ -419,27 +413,23 @@ def _contrast_derivatives(
     return values, grad, hess
 
 
-def _stationary_coefficients(theta) -> np.ndarray:
-    """`_symbol_coefficients` of one AR triple, (1, 5); rejects a
-    non-stationary one."""
-    if not stationarity_check(theta):
-        raise ValueError(f"non-stationary theta {tuple(theta)}")
-    return _symbol_coefficients(np.asarray(theta, dtype=float).reshape(1, 3))
-
-
-def _population_weights(theta0, freq: FrequencyGrid) -> np.ndarray:
-    """Model density 1 / (2 pi^2) / |symbol|^2 at theta0 (unit innovation
-    variance) times the folded eta measure on the half plane: the expected
-    folded contrast weights."""
-    cosines, eta_measure, _ = freq.half_plane
-    f0 = 1.0 / _symbol_sq(_stationary_coefficients(theta0), cosines)[0] / (2.0 * np.pi**2)
-    return f0 * eta_measure
+def _population(theta0, theta, freq: FrequencyGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The `_symbol_coefficients` (2, 5) and half-plane `_symbol_sq` (2, N')
+    of two AR triples, each checked stationary, and the expected folded
+    contrast weights under the first, (N'): its density 1 / (2 pi^2) /
+    |symbol|^2 at unit innovation variance times the folded eta measure."""
+    for th in (theta0, theta):
+        if not stationarity_check(th):
+            raise ValueError(f"non-stationary theta {tuple(th)}")
+    coefs = _symbol_coefficients(np.array([theta0, theta], dtype=float))
+    sym = _symbol_sq(coefs, freq.half_plane[0])
+    return coefs, sym, 1.0 / sym[0] / (2.0 * np.pi**2) * freq.half_plane[1]
 
 
 def contrast_functional(theta0, theta, freq: FrequencyGrid) -> float:
     """Population analogue of the empirical contrast under theta0."""
-    weights = _population_weights(theta0, freq)
-    return float(_contrast(weights[None, :], _stationary_coefficients(theta), freq.half_plane)[0, 0])
+    coefs, _, weights = _population(theta0, theta, freq)
+    return float(_contrast(weights[None, :], coefs[1:], freq.half_plane, np.inf)[0, 0])
 
 
 def divergence(theta0, theta, freq: FrequencyGrid) -> float:
@@ -448,7 +438,6 @@ def divergence(theta0, theta, freq: FrequencyGrid) -> float:
     Nonnegative on the discrete grid (both normalised densities sum to
     the same eta-weighted mass) and exactly zero at theta = theta0.
     """
-    weights = _population_weights(theta0, freq)
-    coefs = np.vstack([_stationary_coefficients(theta0), _stationary_coefficients(theta)])
-    lp = _log_psi(_symbol_sq(coefs, freq.half_plane[0]), freq.half_plane[1])
+    _, sym, weights = _population(theta0, theta, freq)
+    lp = _log_psi(sym, freq.half_plane[1])
     return float((weights * (lp[0] - lp[1])).sum())

@@ -1,3 +1,4 @@
+import codecs
 import concurrent.futures
 import json
 import multiprocessing
@@ -177,6 +178,13 @@ def test_report_kinds(workspace):
         [(100, *(np.mean(sq[:, sl, :]) for sl in slices.values()))],
     )
     assert (out / "mse_by_scale.csv").read_bytes() == expected.encode()
+    # reports of another layout than the configured one are refused
+    other = tmp / "j0_2.json"
+    other.write_text(json.dumps({**BASE_CONFIG, "time": {"depth": 3, "j0": 2}}))
+    result = CliRunner().invoke(main, ["--config", str(other), "--out", str(out), "report", "--kind", "mse", *reports])
+    assert result.exit_code == 1
+    assert json.loads(result.stderr.strip().splitlines()[-1]) == {
+        "error": f"{reports[0]}: layout does not match configuration", "type": "ValueError"}
 
     _run(["--config", str(config), "--out", str(out), "report", "--kind", "eigs", *reports])
     eigs = (out / "eigenvalue_samples.csv").read_text().splitlines()
@@ -211,12 +219,53 @@ def test_ingest_command(workspace):
     assert field.read_text().startswith("p,q,t_index,value")
 
 
-def _raw_counts(path, rng, side=4, times=6):
+def _raw_counts(path, rng, side=4, times=6, site="s"):
     lines = ["site_id,x,y,time_index,count"]
     for i in range(side):
         for j in range(side):
-            lines += [f"s{i}{j},{i}.0,{j}.0,{t},{rng.poisson(5)}" for t in range(times)]
-    path.write_text("\n".join(lines) + "\n")
+            lines += [f"{site}{i}{j},{i}.0,{j}.0,{t},{rng.poisson(5)}" for t in range(times)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+# a locale whose preferred encoding is ASCII: no UTF-8 mode, and no
+# coercion of the C locale to a UTF-8 one
+C_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+
+
+def _run_c_locale(*args) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, *args], env={**_package_env(), **C_LOCALE}, capture_output=True,
+                          text=True, timeout=120)
+
+
+def _break_line_3(path):
+    """`path` with a 0xff byte, never UTF-8, inside its third line."""
+    lines = path.read_bytes().split(b"\n")
+    lines[2] = lines[2][:1] + b"\xff" + lines[2][1:]
+    path.write_bytes(b"\n".join(lines))
+
+
+def test_readers_decode_utf8_under_the_c_locale(workspace):
+    # under the C locale a site id outside ASCII ingests to the bytes it
+    # ingests to here, and a byte that is not UTF-8, in a raw file given to
+    # `ingest` or a field file given to `counts`, is a fault on its line
+    # under either locale
+    tmp, config = workspace
+    encoding = _run_c_locale("-c", "import locale; print(locale.getpreferredencoding(False))")
+    assert codecs.lookup(encoding.stdout.strip()).name == "ascii"
+    raw = tmp / "raw.csv"
+    _raw_counts(raw, np.random.default_rng(2), site="S\u00e3o")
+    _run(["--config", str(config), "--out", str(tmp / "here"), "ingest", str(raw)])
+    run = _run_c_locale("-m", "coxmra.cli", "--config", str(config), "--out", str(tmp / "c"), "ingest", str(raw))
+    assert run.returncode == 0, run.stderr
+    field = tmp / "c" / "raw_field.csv"
+    assert field.read_bytes() == (tmp / "here" / "raw_field.csv").read_bytes()
+    for path, command in ((raw, "ingest"), (field, "counts")):
+        _break_line_3(path)
+        fault = {"error": f"{path}: line 3: not UTF-8: byte 0xff", "type": "FieldFormatError"}
+        run = _run_c_locale("-m", "coxmra.cli", "--config", str(config), "--out", str(tmp / "c"), command, str(path))
+        result = CliRunner().invoke(main, ["--config", str(config), "--out", str(tmp / "here"), command, str(path)])
+        for code, stderr in ((run.returncode, run.stderr), (result.exit_code, result.stderr)):
+            assert code == 1 and json.loads(stderr.strip().splitlines()[-1]) == fault
 
 
 def test_ingest_and_predict_identical_across_threads(tmp_path):

@@ -230,11 +230,12 @@ def _meeting_rows(folded, scale, values, offsets):
 
 
 @pytest.mark.parametrize("domain", [ThetaDomain(), ThetaDomain(couple_l3=True)])
-def test_seed_is_the_exhaustive_argmin(domain):
-    # the ranked, partly re-scored seed is the exhaustive one on every
-    # lattice shape from 2 x 2 to 16 x 16 and on 50 x 50, on random rows
-    # and on rows where two candidates' contrasts meet (`_meeting_rows`),
-    # at amplitudes scaled by 2^-40 and 2^40 too
+def test_seed_is_the_exhaustive_argmin(ranking_tables, domain):
+    # the ranked, partly re-scored seed, from a kept table and from blocks
+    # that keep none, is the exhaustive one on every lattice shape from
+    # 2 x 2 to 16 x 16 and on 50 x 50, on random rows and on rows where two
+    # candidates' contrasts meet (`_meeting_rows`), at amplitudes scaled by
+    # 2^-40 and 2^40 too
     rng = np.random.default_rng(42)
     tied = near = 0
     for s1, s2 in [(a, b) for a in range(2, 17) for b in range(2, 17)] + [(50, 50)]:
@@ -244,12 +245,13 @@ def test_seed_is_the_exhaustive_argmin(domain):
         folded, scale = freq.fold(weights), weights.sum(axis=1)
         folded, scale = _meeting_rows(folded, scale, _exhaustive_seeds(folded, scale, freq.half_plane, domain)[1],
                                       np.array([0.0, 1e-15, -1e-15, 1e-14, -1e-14, 1e-13, -1e-13]))
-        seeds = estimator_module._seeds(folded, scale, freq.half_plane, domain)
+        seeds = estimator_module._seeds(folded, scale, freq, domain)
+        assert np.array_equal(_cold_seeds(folded, scale, freq, domain), seeds)
         for k in (0, -40, 40):
             h, s = np.ldexp(folded, k), np.ldexp(scale, k)
             scored = _contrast(h, domain._candidate_coefs, freq.half_plane, estimator_module._TIE * s)
             exhaustive, values = _exhaustive_seeds(h, s, freq.half_plane, domain)
-            assert np.array_equal(estimator_module._seeds(h, s, freq.half_plane, domain), exhaustive)
+            assert np.array_equal(estimator_module._seeds(h, s, freq, domain), exhaustive)
             assert np.array_equal(seeds, exhaustive)
             # every pair scored has the exhaustive bits, and every pair
             # within the tie tolerance of its row's least is scored
@@ -277,6 +279,14 @@ def ranking_tables(monkeypatch):
     return tables
 
 
+def _cold_seeds(folded, scale, freq: FrequencyGrid, domain: ThetaDomain):
+    """`_seeds` ranked a block at a time with no table kept, the path of a
+    table over the budget."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectral_module, "_RANKING_BUDGET", 0)
+        return estimator_module._seeds(folded, scale, freq, domain)
+
+
 def _seed_rows(freq: FrequencyGrid, domain: ThetaDomain, rng):
     """Folded weights of four random fields on `freq`, with the rows where
     two candidates' contrasts meet (`_meeting_rows`), and their weight sums."""
@@ -301,13 +311,13 @@ def test_kept_ranking_tables_give_cold_seeds(ranking_tables, domain):
     rows = [_seed_rows(freq, domain, rng) for freq in freqs]
     cold = []
     for freq, (folded, scale) in zip(freqs, rows):
-        cold.append(estimator_module._seeds(folded, scale, freq.half_plane, domain))
+        cold.append(_cold_seeds(folded, scale, freq, domain))
         assert np.array_equal(cold[-1], _exhaustive_seeds(folded, scale, freq.half_plane, domain)[0])
     assert not ranking_tables
     kept = None
     for _ in range(3):
         for freq, (folded, scale), seeds in zip(freqs, rows, cold):
-            assert np.array_equal(estimator_module._seeds(folded, scale, freq.half_plane, domain, (freq.s1, freq.s2)), seeds)
+            assert np.array_equal(estimator_module._seeds(folded, scale, freq, domain), seeds)
         # a shape's first use builds and keeps its table, and later uses read it
         tables = [table[0] for table in ranking_tables.values()]
         assert all(a is b for a, b in zip(tables, kept or tables))
@@ -366,10 +376,10 @@ def test_ranking_tables_are_keyed_by_shape_and_domain_value(ranking_tables):
     domains = [ThetaDomain(), ThetaDomain(((-0.95, 0.95),) * 3), ThetaDomain(couple_l3=True), other_bounds,
                ThetaDomain(((-1, 1),) * 3), ThetaDomain(((-1.0, 1.0),) * 3)]
     for domain in domains:
-        estimator_module._seeds(folded, scale, freq.half_plane, domain, (6, 5))
+        estimator_module._seeds(folded, scale, freq, domain)
     assert list(ranking_tables) == [((6, 5), d) for d in [ThetaDomain(), ThetaDomain(couple_l3=True), other_bounds,
                                                            ThetaDomain(((-1.0, 1.0),) * 3)]]
-    estimator_module._seeds(folded, scale, FrequencyGrid(5, 6).half_plane, ThetaDomain(), (5, 6))
+    estimator_module._seeds(folded, scale, FrequencyGrid(5, 6), ThetaDomain())
     assert len(ranking_tables) == 5
 
 
@@ -390,14 +400,14 @@ def test_kept_ranking_tables_stay_within_the_budget(ranking_tables):
             freq = FrequencyGrid(s1, s2)
             folded = rng.random((1, freq.half_plane[1].size))
             for _ in range(2):
-                estimator_module._seeds(folded, folded.sum(axis=1), freq.half_plane, domain, (s1, s2))
+                estimator_module._seeds(folded, folded.sum(axis=1), freq, domain)
                 assert sum(rows.nbytes for rows, _ in ranking_tables.values()) <= 4 << 20
             rows, peaks = ranking_tables[(s1, s2), domain]
             assert rows.shape == (len(domain.candidates()), folded.shape[1]) and peaks.shape == rows.shape[:1]
     assert list(ranking_tables) == recent and len(recent) > 2
     first = next(iter(ranking_tables))
     freq = FrequencyGrid(*first[0])
-    estimator_module._seeds(np.ones((1, freq.half_plane[1].size)), np.ones(1), freq.half_plane, domain, first[0])
+    estimator_module._seeds(np.ones((1, freq.half_plane[1].size)), np.ones(1), freq, domain)
     assert next(reversed(ranking_tables)) == first
 
 
@@ -412,13 +422,13 @@ def test_threads_share_the_kept_ranking_tables(ranking_tables):
     assert sum(231 * freq.half_plane[1].size for freq in freqs) > 1.5 * spectral_module._RANKING_BUDGET
     rng, domain = np.random.default_rng(5), ThetaDomain()
     rows = [rng.random((1, freq.half_plane[1].size)) for freq in freqs]
-    cold = [estimator_module._seeds(h, h.sum(axis=1), freq.half_plane, domain) for freq, h in zip(freqs, rows)]
+    cold = [_cold_seeds(h, h.sum(axis=1), freq, domain) for freq, h in zip(freqs, rows)]
     wrong = []
 
     def seed_all(offset: int) -> None:
         for k in range(3 * len(shapes)):
             j = (7 * k + offset) % len(shapes)
-            seeds = estimator_module._seeds(rows[j], rows[j].sum(axis=1), freqs[j].half_plane, domain, shapes[j])
+            seeds = estimator_module._seeds(rows[j], rows[j].sum(axis=1), freqs[j], domain)
             if not np.array_equal(seeds, cold[j]):
                 wrong.append(shapes[j])
 
@@ -444,10 +454,10 @@ def test_ranking_table_over_the_budget_is_blocked(ranking_tables):
     freq, domain = FrequencyGrid(120, 120), ThetaDomain()
     folded, scale = _seed_rows(freq, domain, np.random.default_rng(3))
     assert len(domain.candidates()) * folded.shape[1] > spectral_module._RANKING_BUDGET
-    seeds = estimator_module._seeds(folded, scale, freq.half_plane, domain, (120, 120))  # warm the grid
+    seeds = estimator_module._seeds(folded, scale, freq, domain)  # warm the grid
     tracemalloc.start()
     try:
-        again = estimator_module._seeds(folded, scale, freq.half_plane, domain, (120, 120))
+        again = estimator_module._seeds(folded, scale, freq, domain)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

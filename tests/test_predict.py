@@ -266,8 +266,9 @@ def test_save_validation(tmp_path, reference_spec):
     edge = ValidationSummary(
         [FoldResult((i + 1, 2 * i + 3), v, np.full(3, abs(v))) for i, v in enumerate(EDGE_FLOATS)],
         period_length=2,
-        n_time=3,
     )
+    # three time points in periods of two: the periods take the folds' length
+    assert len(edge.period_errors()) == 2
     for s in (summary, edge):
         save_validation(s, folds, periods)
         rows = [(i, *f.site, f.mafe) for i, f in enumerate(s.folds)]

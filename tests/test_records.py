@@ -108,6 +108,11 @@ def _edit_json(lines, j, edit):
     return _replace(lines, j, json.dumps(rec))
 
 
+def _not_utf8(lines, j):
+    """A 0xff byte, never UTF-8, inside record j; written by `_assert_fault`."""
+    return _replace(lines, j, lines[j][:1] + "\udcff" + lines[j][1:])
+
+
 def _csv_mutations(index_col, value_col):
     return {
         "negative index": lambda lines, j: _set_field(lines, j, index_col, "-1"),
@@ -118,6 +123,7 @@ def _csv_mutations(index_col, value_col):
         "bad number": lambda lines, j: _set_field(lines, j, value_col, "one"),
         "missing column": lambda lines, j: _replace(lines, j, lines[j].rsplit(",", 1)[0]),
         "extra column": lambda lines, j: _replace(lines, j, lines[j] + ",0"),
+        "not UTF-8": _not_utf8,
     }
 
 
@@ -141,6 +147,7 @@ def _json_mutations(index_key, size, value_key, other_key):
         "extra key": set_key("extra", 0),
         "wrong type": set_key(index_key, "0"),
         "bad JSON": lambda lines, j: _replace(lines, j, lines[j][:-1]),
+        "not UTF-8": _not_utf8,
     }
 
 
@@ -150,7 +157,8 @@ def _shuffled(lines, data):
 
 
 def _assert_fault(path, lines, expected, load):
-    path.write_text("\n".join(lines) + "\n")
+    # UTF-8, with a lone surrogate \udcXX written as the byte 0xXX
+    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
     with pytest.raises(FieldFormatError) as info:
         load(path)
     assert f"{path}: line {expected}:" in str(info.value)
@@ -232,6 +240,27 @@ def test_field_csv_oversized_shape_is_a_record_fault(tmp_path, field_loaders, ro
     path.write_text("\n".join(["p,q,t_index,value", *rows]) + "\n")
     for load in field_loaders:
         with pytest.raises(FieldFormatError, match=re.escape(f"{path}: {fault}") + "$"):
+            load(path)
+
+
+def test_field_csv_time_axis_not_a_power_of_two(tmp_path, field_loaders):
+    # 2 x 2 sites of 3 time points each, in C order on lines 2..13: the
+    # fault names the line after the last record
+    path = tmp_path / "field.csv"
+    rows = [f"{p},{q},{t},1.0" for p in range(2) for q in range(2) for t in range(3)]
+    path.write_text("\n".join(["p,q,t_index,value", *rows]) + "\n")
+    for load in field_loaders:
+        with pytest.raises(FieldFormatError, match=re.escape(f"{path}: line 14: time grid size 3 is not a power of two") + "$"):
+            load(path)
+
+
+@pytest.mark.parametrize("header", ["p,q,t_index,value", "site_id,x,y,time_index,count"])
+def test_csv_without_records_is_a_fault(tmp_path, field_loaders, header):
+    # a header and a blank line, read as a field file or as raw counts
+    path = tmp_path / "table.csv"
+    path.write_text(header + "\n\n")
+    for load in field_loaders if header.startswith("p,") else [read_count_records]:
+        with pytest.raises(FieldFormatError, match=re.escape(f"{path}: line 2: no records") + "$"):
             load(path)
 
 
@@ -370,9 +399,13 @@ def _poison_basis(meta):
     meta["basis"][2] = float("inf")
 
 
-# faults of a cross report's basis (n = 4 coefficients, k = 3 basis vectors)
-# and of its records: (edit, line, message)
+# faults of a cross report's layout and basis (n = 4 coefficients, k = 3
+# basis vectors) and of its records: (edit, line, message)
 CROSS_FAULTS = {
+    "j0 past the depth": (_edit_meta(lambda meta: meta.update(j0=3)), 1, "bad layout j0=3, depth=2, k=3"),
+    "k past n": (_edit_meta(lambda meta: meta.update(k=5)), 1, "bad layout j0=1, depth=2, k=5"),
+    "theta of two values": (lambda lines: _edit_json(lines, 2, lambda rec: rec["theta"].pop())[0], 3,
+                            "theta has 2 values, expected 3"),
     "short basis": (_edit_meta(lambda meta: meta["basis"].pop()), 1,
                     "basis of 11 values and 3 eigenvalues, expected 12 and 3"),
     "extra eigenvalue": (_edit_meta(lambda meta: meta["basis_eigenvalues"].append(0.5)), 1,
@@ -555,12 +588,28 @@ def _writes_file(call: ast.Call) -> bool:
     name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
     if name in {"write_text", "write_bytes", "savetxt", "save", "savez", "tofile"}:
         return True
-    if name != "open":
+    # a mode that is not a literal counts
+    return name == "open" and any(not isinstance(m, ast.Constant) or set(str(m.value)) & set("wax+")
+                                  for m in _open_modes(call))
+
+
+def _open_modes(call: ast.Call) -> list:
+    """The mode arguments of open(file, mode) or path.open(mode)."""
+    modes = call.args[1:] if isinstance(call.func, ast.Name) else call.args
+    return modes + [k.value for k in call.keywords if k.arg == "mode"]
+
+
+def _opens_text_without_utf8(call: ast.Call) -> bool:
+    """Whether a call opens a file in text mode, or wraps a stream as text,
+    without the keyword encoding="utf-8"; a mode that is not a literal is
+    text."""
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if name == "open" and any(isinstance(m, ast.Constant) and "b" in str(m.value) for m in _open_modes(call)):
         return False
-    # open(file, mode) or path.open(mode); a mode that is not a literal counts
-    modes = call.args[1:] if isinstance(func, ast.Name) else call.args
-    modes = modes + [k.value for k in call.keywords if k.arg == "mode"]
-    return any(not isinstance(m, ast.Constant) or set(str(m.value)) & set("wax+") for m in modes)
+    utf8 = any(k.arg == "encoding" and isinstance(k.value, ast.Constant) and k.value.value == "utf-8"
+               for k in call.keywords)
+    return name in {"open", "TextIOWrapper"} and not utf8
 
 
 def test_only_grids_writes_files():
@@ -575,6 +624,18 @@ def test_only_grids_writes_files():
             for node in ast.walk(ast.parse(module.read_text()))
             if isinstance(node, ast.Call) and _writes_file(node)
         ]
+    assert found == []
+
+
+def test_text_files_are_utf8():
+    """Every text-mode `open` and `io.TextIOWrapper` in `src/coxmra`
+    passes encoding="utf-8", so no file's text depends on the locale."""
+    found = [
+        f"{module.name}:{node.lineno}"
+        for module in sorted((Path(__file__).parents[1] / "src" / "coxmra").glob("*.py"))
+        for node in ast.walk(ast.parse(module.read_text()))
+        if isinstance(node, ast.Call) and _opens_text_without_utf8(node)
+    ]
     assert found == []
 
 

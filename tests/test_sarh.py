@@ -83,6 +83,22 @@ def test_uncoupled_spec_requires_triangle_condition():
     assert spec.truncation == 1
 
 
+@pytest.mark.parametrize("args, kwargs, what", [
+    ((np.array([]), np.array([]), np.array([])), {}, "need at least one component"),
+    ((np.array([0.3]), np.array([0.4]), np.array([1.0])), {"couple_l3": False, "eigenvalues3": np.array([0.1, 0.1])},
+     "eigenvalues3 length mismatch"),
+    ((np.array([0.3, 0.2]), np.array([0.4, 0.1]), np.array([1.0, 0.0])), {}, "innovation variances must be positive"),
+], ids=["no component", "eigenvalues3 length", "zero variance"])
+def test_spec_rejects_its_faults(args, kwargs, what):
+    with pytest.raises(ValueError, match=f"^{what}$"):
+        SarhSpec(*args, TimeGrid(3), **kwargs)
+
+
+def test_simulate_rejects_negative_burn_in(reference_spec):
+    with pytest.raises(ValueError, match="^burn_in must be >= 0$"):
+        simulate(reference_spec, SpatialGrid(3, 3), burn_in=-1)
+
+
 def test_spectral_variance_matches_closed_form():
     # factorized model has variance sigma2 / ((1-th1^2)(1-th2^2))
     th = (0.3, 0.5, -0.15)

@@ -149,8 +149,14 @@ def test_contrast_rejects_nonstationary():
     assert stationarity_check(corner)
     assert np.isfinite(empirical_contrast(tab, corner))
     folded = freq.fold(contrast_weights(tab, freq))
-    assert np.isfinite(_contrast(folded[None, :], _symbol_coefficients(np.array([corner])), freq.half_plane)).all()
+    assert np.isfinite(_contrast(folded[None, :], _symbol_coefficients(np.array([corner])), freq.half_plane, np.inf)).all()
     assert divergence(corner, corner, freq) == 0.0
+
+
+def test_log_psi_rejects_a_zero_weight_integral():
+    # a density whose eta-weighted integral is zero has no normalisation
+    with pytest.raises(ValueError, match="^degenerate weight: eta-weighted density integrates to zero$"):
+        _log_psi(np.ones((2, 3)), np.zeros(3))
 
 
 @given(sides, sides)
@@ -198,8 +204,8 @@ def test_log_psi_batched_matches_single(s1, s2, thetas, seed):
     # one candidate at a time, and match the full-plane reference
     tab = column_periodogram(np.random.default_rng(seed).normal(size=(s1, s2)))
     folded = freq.fold(contrast_weights(tab, freq))
-    seeded = _contrast(folded[None, :], coefs, freq.half_plane)[0]
-    assert np.array_equal(seeded, [_contrast(folded[None, :], c[None, :], freq.half_plane)[0, 0] for c in coefs])
+    seeded = _contrast(folded[None, :], coefs, freq.half_plane, np.inf)[0]
+    assert np.array_equal(seeded, [_contrast(folded[None, :], c[None, :], freq.half_plane, np.inf)[0, 0] for c in coefs])
     np.testing.assert_allclose(
         seeded, [empirical_contrast(tab, th) for th in thetas], rtol=1e-12, atol=1e-14
     )
@@ -233,7 +239,7 @@ def test_half_plane_contrast_matches_full_plane(s1, s2, thetas, seed):
     th = np.array(thetas)
     full_lp = log_psi(th, freq)
     full = -(weights @ full_lp.T)
-    half = _contrast(freq.fold(weights), _symbol_coefficients(th), freq.half_plane)
+    half = _contrast(freq.fold(weights), _symbol_coefficients(th), freq.half_plane, np.inf)
     # relative to the summed magnitudes: cross weights take both signs, so
     # a contrast itself can cancel to near zero
     magnitude = np.abs(weights) @ np.abs(full_lp).T
@@ -313,7 +319,7 @@ def test_contrast_derivatives_match_finite_differences(s1, s2, thetas, couple, s
     for (folded, sums, table), group_th in zip(groups, ths):
         rows = slice(start, start + len(folded))
         start = rows.stop
-        assert np.array_equal(values[rows], np.diagonal(_contrast(folded, _symbol_coefficients(group_th), table)))
+        assert np.array_equal(values[rows], np.diagonal(_contrast(folded, _symbol_coefficients(group_th), table, np.inf)))
         group = _contrast_derivatives([(folded, sums, table)], group_th, couple)
         assert all(np.array_equal(part[rows], one) for part, one in zip((values, grad, hess), group))
         for i in range(len(folded)):

@@ -14,7 +14,7 @@ from coxmra import (
     operator_to_wavelet,
     wavelet_to_operator_eigs,
 )
-from coxmra.wavelet import MultiscaleCoefficients, level_slices
+from coxmra.wavelet import MultiscaleCoefficients, OperatorWaveletMatrix, level_slices
 
 SQRT2 = np.sqrt(2.0)
 
@@ -142,8 +142,22 @@ def test_operator_matrix_applies_operator():
 
 def test_operator_shape_validation():
     tg = TimeGrid(3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^eigenfunction array shape \(2, 8\) != \(1, 8\)$"):
         operator_to_wavelet(np.array([0.5]), np.zeros((2, tg.n)), tg, 0)
+
+
+@pytest.mark.parametrize("make, what", [
+    (lambda: dwt(np.zeros(6), 0), "length 6 is not a power of two"),
+    (lambda: MultiscaleCoefficients(SpatialGrid(2, 3), 0, 2, np.zeros((2, 3, 8))),
+     r"coefficient shape \(2, 3, 8\) != \(2, 3, 4\)"),
+    (lambda: OperatorWaveletMatrix(0, 2, np.zeros((4, 3))), r"matrix shape \(4, 3\) != \(4, 4\)"),
+    (lambda: OperatorWaveletMatrix(0, 1, np.array([[0.0, np.nan], [0.0, 0.0]])), "matrix contains non-finite entries"),
+    (lambda: wavelet_to_operator_eigs(OperatorWaveletMatrix(0, 1, np.eye(2)), 0), "need 1 <= k <= 2, got 0"),
+    (lambda: wavelet_to_operator_eigs(OperatorWaveletMatrix(0, 1, np.eye(2)), 3), "need 1 <= k <= 2, got 3"),
+], ids=["length", "coefficient shape", "matrix shape", "non-finite matrix", "k of 0", "k past n"])
+def test_wavelet_containers_reject_their_faults(make, what):
+    with pytest.raises(ValueError, match=f"^{what}$"):
+        make()
 
 
 def test_coefficients_roundtrip():
