@@ -15,10 +15,24 @@ file with
 
 and states the drift it measured.  The lattices are small enough that no
 reduction is long enough for the BLAS thread count to matter.
+
+`tests/golden_values.json` holds, as shortest-repr floats, every row's
+theta, contrast and eta moment of every fit these designs make, and the
+ALOOCVE of each LOO run.  It bounds how far a change that moves bits may
+move them: per row |d theta| <= 1e-6, a contrast no worse than the stored
+one by 1e-12 of the row's eta moment, and the eta moment within 1e-12
+relative; the ALOOCVE within 1e-9 relative.  A change that moves only
+bits rewrites the digests, never the values.  A change meant to move an
+optimum rewrites the values too, with
+
+    PYTHONPATH=src python tests/test_golden.py --values
+
+and says why.
 """
 
 import hashlib
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -28,7 +42,7 @@ from click.testing import CliRunner
 from coxmra import estimate_all, loo_validate, simulate
 from coxmra.cli import main
 from coxmra.config import RunConfig
-from coxmra.estimator import _estimate_rows
+from coxmra.estimator import _estimate_rows, load_report
 from coxmra.grids import FunctionalField, SpatialGrid, detrend
 from coxmra.predict import predict
 from coxmra.wavelet import field_dwt
@@ -36,6 +50,10 @@ from coxmra.wavelet import field_dwt
 from conftest import FACET_BATCHES, facet_batch
 
 GOLDEN = Path(__file__).with_name("golden.json")
+VALUES = Path(__file__).with_name("golden_values.json")
+# the value gate: per row |d theta|, contrast rise and eta moment change
+# relative to the eta moment; ALOOCVE change relative to the stored one
+THETA_DRIFT, CONTRAST_RISE, MOMENT_DRIFT, ALOOCVE_DRIFT = 1e-6, 1e-12, 1e-12, 1e-9
 
 CHAIN_CONFIG = {
     "grid": {"s1": 9, "s2": 11},
@@ -61,11 +79,24 @@ def _raw_counts(path: Path) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _chain(workdir: Path, include_cross: bool) -> dict[str, str]:
+def _fit_values(thetas, contrasts, moments) -> dict[str, list]:
+    """One fit's rows: theta, contrast and eta moment each."""
+    return {"theta": np.asarray(thetas, dtype=float).tolist(), "contrast": np.asarray(contrasts, dtype=float).tolist(),
+            "eta_moment": np.asarray(moments, dtype=float).tolist()}
+
+
+def _report_values(report) -> dict[str, list]:
+    est = report.estimates
+    return _fit_values([e.theta for e in est], [e.contrast for e in est], [e.eta_moment for e in est])
+
+
+def _chain(workdir: Path, include_cross: bool) -> tuple[dict[str, str], dict]:
     """Digests of every file simulate, estimate, predict, validate,
     counts, ingest and the three report kinds write into one output
-    directory."""
+    directory, and the values of both estimate reports and of the
+    validate run's ALOOCVE."""
     raw = {**CHAIN_CONFIG, "estimation": {"include_cross": include_cross}}
+    workdir.mkdir()
     config = workdir / "config.json"
     config.write_text(json.dumps(raw))
     _raw_counts(workdir / "raw.csv")
@@ -87,14 +118,17 @@ def _chain(workdir: Path, include_cross: bool) -> dict[str, str]:
     for args in commands:
         result = CliRunner().invoke(main, ["--config", str(config), "--out", str(out), *args])
         assert result.exit_code == 0, (args, result.output)
-    return {p.name: _sha(p.read_bytes()) for p in sorted(out.iterdir())}
+    values = {Path(r).stem: _report_values(load_report(r)) for r in reports}
+    mafe = np.loadtxt(out / "field_000_folds.csv", delimiter=",", skiprows=1, usecols=3, ndmin=1)
+    values["aloocve"] = float(np.mean(mafe))
+    return {p.name: _sha(p.read_bytes()) for p in sorted(out.iterdir())}, values
 
 
 def _theta_table(report) -> bytes:
     return np.array([e.theta for e in report.estimates], dtype=float).tobytes()
 
 
-def _mc_study() -> dict[str, str]:
+def _mc_study() -> tuple[dict[str, str], dict]:
     """Theta tables of one simulated 24 x 24 field cropped to 8, 16 and 24
     and box-fitted, as the Monte Carlo study fits its crops."""
     cfg = RunConfig.model_validate(
@@ -102,16 +136,17 @@ def _mc_study() -> dict[str, str]:
     )
     spec = cfg.sarh_spec()
     big = simulate(spec, cfg.spatial_grid(), cfg.simulation.burn_in, cfg.simulation.seed)
-    out = {}
+    out, values = {}, {}
     for side in (8, 16, 24):
         sub = FunctionalField(SpatialGrid(side, side), spec.time, big.values[:side, :side])
         residual, _ = detrend(sub)
         report = estimate_all(field_dwt(residual, cfg.time.j0), cfg.theta_domain())
         out[f"theta_{side}x{side}"] = _sha(_theta_table(report))
-    return out
+        values[f"fit_{side}x{side}"] = _report_values(report)
+    return out, values
 
 
-def _loo_cross() -> dict[str, str]:
+def _loo_cross() -> tuple[dict[str, str], dict]:
     """The `include_cross` fit and prediction of an 8 x 8 field, and the fold
     errors of every LOO fold of a 10 x 10 one, as the LOO workload runs
     them (10 is the smallest side every fold can train at radius 1)."""
@@ -139,31 +174,35 @@ def _loo_cross() -> dict[str, str]:
         "theta": _sha(_theta_table(report)),
         "predicted": _sha(predict(coeffs, report).predicted.values.tobytes()),
         "mafe": _sha(np.array([f.mafe for f in summary.folds]).tobytes()),
-    }
+    }, {"fit": _report_values(report), "aloocve": summary.aloocve}
 
 
-def _newton_facets() -> dict[str, str]:
+def _newton_facets() -> tuple[dict[str, str], dict]:
     """The thetas, contrasts and Newton evaluations `_estimate_rows` gives
     the two `FACET_BATCHES` batches, whose rows mix free ones with ones
     ending on box faces, |theta|_1 facets and the coupled edge."""
-    out = {}
+    out, fits = {}, {}
     for (domain, truths, _), label in zip(FACET_BATCHES, ("uncoupled", "coupled")):
-        thetas, values, evals, _ = _estimate_rows(facet_batch(domain, truths), domain)
+        thetas, values, evals, moments = _estimate_rows(facet_batch(domain, truths), domain)
         out[f"{label}_theta"] = _sha(thetas.tobytes())
         out[f"{label}_contrast"] = _sha(values.tobytes())
         out[f"{label}_evaluations"] = _sha(np.asarray(evals, dtype=np.int64).tobytes())
-    return out
+        fits[label] = _fit_values(thetas, values, moments)
+    return out, fits
 
 
-def pipeline_digests(workdir: Path) -> dict[str, str]:
-    """Every golden digest, keyed `<source>/<name>`."""
-    digests = {}
-    for label, cross in (("chain_diagonal", False), ("chain_cross", True)):
-        (workdir / label).mkdir()
-        digests.update({f"{label}/{k}": v for k, v in _chain(workdir / label, cross).items()})
-    for label, design in (("mc_study", _mc_study), ("loo_cross", _loo_cross), ("newton_facets", _newton_facets)):
-        digests.update({f"{label}/{k}": v for k, v in design().items()})
-    return digests
+def pipeline_designs(workdir: Path) -> tuple[dict[str, str], dict]:
+    """Every golden digest and every golden value (a fit's rows, or an
+    ALOOCVE), each keyed `<source>/<name>`."""
+    digests, values = {}, {}
+    designs = [(label, lambda label=label, cross=cross: _chain(workdir / label, cross))
+               for label, cross in (("chain_diagonal", False), ("chain_cross", True))]
+    designs += [("mc_study", _mc_study), ("loo_cross", _loo_cross), ("newton_facets", _newton_facets)]
+    for label, design in designs:
+        design_digests, design_values = design()
+        digests.update({f"{label}/{k}": v for k, v in design_digests.items()})
+        values.update({f"{label}/{k}": v for k, v in design_values.items()})
+    return digests, values
 
 
 def test_pipeline_bytes_match_the_golden_digests(tmp_path):
@@ -173,15 +212,45 @@ def test_pipeline_bytes_match_the_golden_digests(tmp_path):
         "the Poisson stream and the reductions may differ between versions.  Rewrite the file "
         "under this numpy from a commit whose outputs are known good and state the drift."
     )
-    digests = pipeline_digests(tmp_path)
+    digests, _ = pipeline_designs(tmp_path)
     expected = golden["digests"]
     changed = sorted(k for k in expected.keys() | digests.keys() if expected.get(k) != digests.get(k))
     assert changed == [], f"digests that differ from {GOLDEN.name}: {changed}"
 
 
+def _value_faults(name: str, stored, got) -> list[str]:
+    """How one golden value moved past the gate, row by row."""
+    if isinstance(stored, float):
+        return [] if abs(got - stored) <= ALOOCVE_DRIFT * abs(stored) else [f"{name}: {got!r} against {stored!r}"]
+    want, have = ({k: np.array(v, dtype=float) for k, v in fit.items()} for fit in (stored, got))
+    if any(want[k].shape != have[k].shape for k in want):
+        return [f"{name}: {len(have['contrast'])} rows, expected {len(want['contrast'])}"]
+    moment = np.abs(want["eta_moment"])
+    faults = {
+        "theta moved": np.abs(have["theta"] - want["theta"]).max(axis=1) > THETA_DRIFT,
+        "contrast worse": have["contrast"] > want["contrast"] + CONTRAST_RISE * moment,
+        "eta moment moved": ~(np.abs(have["eta_moment"] - want["eta_moment"]) <= MOMENT_DRIFT * moment),
+    }
+    return [f"{name} row {r}: {fault}" for fault, rows in faults.items() for r in np.flatnonzero(rows)]
+
+
+def test_fits_stay_within_the_golden_values(tmp_path):
+    # bit drift is allowed, optimum drift is not: every row of every fit
+    # stays within the gate of `golden_values.json`
+    stored = json.loads(VALUES.read_text())["values"]
+    _, values = pipeline_designs(tmp_path)
+    assert sorted(values) == sorted(stored)
+    faults = [fault for name in sorted(stored) for fault in _value_faults(name, stored[name], values[name])]
+    assert faults == [], f"values past the gate of {VALUES.name}: {faults}"
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        digests = pipeline_digests(Path(tmp))
-    golden = {"numpy": np.__version__, "digests": digests}
-    GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(digests)} digests to {GOLDEN}")
+        digests, values = pipeline_designs(Path(tmp))
+    if "--values" in sys.argv[1:]:
+        VALUES.write_text(json.dumps({"numpy": np.__version__, "values": values}, indent=1, sort_keys=True) + "\n")
+        print(f"wrote {len(values)} values to {VALUES}")
+    else:
+        golden = {"numpy": np.__version__, "digests": digests}
+        GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
+        print(f"wrote {len(digests)} digests to {GOLDEN}")
