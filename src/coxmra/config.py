@@ -7,7 +7,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass,
 from typing import Literal, get_args, get_origin
 
 from .estimator import ThetaDomain
-from .grids import SpatialGrid, TimeGrid
+from .grids import SpatialGrid, TimeGrid, _undecodable_line
 from .sarh import SarhSpec, default_variance_profile
 
 # Reference eigenvalues of the two operators of the simulation experiments.
@@ -159,6 +159,8 @@ def load_config(path) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             return RunConfig.model_validate(json.load(fh))
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: {_undecodable_line(path)}") from None
     except ValueError as exc:  # a ConfigError, or not JSON at all
         why = exc if isinstance(exc, ConfigError) else f"not valid JSON: {exc}"
         raise ConfigError(f"{path}: {why}") from exc

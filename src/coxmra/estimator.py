@@ -49,7 +49,6 @@ from .spectral import (
     _readonly,
     _symbol_coefficients,
     all_periodograms,
-    contrast_weights,
     edge_norm,
 )
 from .grids import place_records, read_ndjson, record_fault, write_csv, write_ndjson
@@ -188,12 +187,12 @@ def _estimate_rows(
     groups: Iterable[tuple[FrequencyGrid, np.ndarray]], domain: ThetaDomain
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Fit every row of the (FrequencyGrid, weights) groups, the weights a
-    (rows, N) array of full-plane contrast weights on the group's grid, in
-    one lockstep search.  Returns, in group order, the thetas (rows, 3),
-    contrasts, Newton evaluations and eta moments (each row's weight sum).
+    (rows, N') array of folded contrast weights on the group's half plane
+    (`_row_weights`), in one lockstep search.  Returns, in group order, the
+    thetas (rows, 3), contrasts, Newton evaluations and eta moments (each
+    row's weight sum).
 
-    `groups` is consumed once: a group's full-plane weights are dropped
-    once it is seeded, and its folded weights are summed once per row.
+    `groups` is consumed once, and each row's weights are summed once.
     Each row is seeded by `_seeds` and refined by `_newton`, each of whose
     rounds evaluates its moving rows, with their sums, of every lattice
     shape in one `_contrast_derivatives` call.  Every value is the
@@ -201,12 +200,11 @@ def _estimate_rows(
     do not depend on the rows beside it.
     """
     seeded = []
-    for freq, w in groups:
-        hw, moment = freq.fold(w), w.sum(axis=1)
-        seeds = _seeds(hw, moment, freq, domain)
-        seeded.append((freq.half_plane, hw, hw.sum(axis=1), moment, seeds))
-    tables, folded, sums, moments, first = zip(*seeded)
-    moments, first = map(np.concatenate, (moments, first))
+    for freq, hw in groups:
+        sums = hw.sum(axis=1)
+        seeded.append((freq.half_plane, hw, sums, _seeds(hw, sums, freq, domain)))
+    tables, folded, sums, first = zip(*seeded)
+    moments, first = map(np.concatenate, (sums, first))
     offsets = np.cumsum([0] + [hw.shape[0] for hw in folded])
 
     def evaluate(rows: np.ndarray, thetas: np.ndarray):
@@ -375,7 +373,7 @@ class NodeEstimate:
 
     row: int
     theta: tuple[float, float, float]
-    eta_moment: float  # eta-weighted periodogram moment: the sum of the row's `contrast_weights`
+    eta_moment: float  # eta-weighted periodogram moment: the sum of the row's folded `_row_weights`
     contrast: float
     iterations: int  # contrast evaluations of the row's Newton search, its seed's included
     near_boundary: bool
@@ -503,13 +501,14 @@ def _eigenbasis(coeffs: MultiscaleCoefficients) -> EigenBasis:
 
 
 def _row_weights(freq: FrequencyGrid, fields: list[np.ndarray]) -> np.ndarray:
-    """Contrast weights (rows, N) of every column of the (s1, s2, m)
-    fitted fields of one shape, in order: each column's periodogram, from
-    one fDFT of all the columns.  The rows are C-contiguous, so a row's
-    sum has the bits of the row alone."""
-    f = all_periodograms(np.concatenate(fields, axis=-1))
-    f *= np.conj(f)
-    return np.ascontiguousarray(contrast_weights(np.moveaxis(f, -1, 0), freq))
+    """Folded contrast weights (rows, N') of every column of the (s1, s2,
+    m) fitted fields of one shape, in order: each column's half-plane
+    periodogram, from one fDFT of all the columns, times the folded eta
+    measure.  The rows are C-contiguous, so a row's sum has the bits of
+    the row alone."""
+    weights = all_periodograms(np.concatenate(fields, axis=-1), freq)
+    weights *= freq.half_plane[1]
+    return weights
 
 
 def _report(j0: int, depth: int, n_sites: int, k: int, estimates: list[NodeEstimate],

@@ -112,6 +112,16 @@ def record_fault(path, lineno: int, what) -> FieldFormatError:
     return FieldFormatError(f"{path}: line {lineno}: {what}")
 
 
+def _undecodable_line(path) -> str:
+    """"line <n>: not UTF-8: byte 0xNN" of the first byte of `path` that is
+    not UTF-8, on the line the text layer counts it on."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:  # byte b reads as chr(0xdc00 + b)
+        for lineno, line in enumerate(fh, start=1):
+            if bad := re.search("[\udc80-\udcff]", line):
+                return f"line {lineno}: not UTF-8: byte {ord(bad[0]) - 0xdc00:#04x}"
+    return "not UTF-8"
+
+
 def _utf8(read: Callable) -> Callable:
     """`read(path, ...)` with a byte of `path` that is not UTF-8 a fault on
     the line that holds it."""
@@ -120,11 +130,7 @@ def _utf8(read: Callable) -> Callable:
         try:
             return read(path, *args)
         except UnicodeDecodeError:
-            with open(path, encoding="utf-8", errors="surrogateescape") as fh:  # byte b reads as chr(0xdc00 + b)
-                for lineno, line in enumerate(fh, start=1):
-                    if bad := re.search("[\udc80-\udcff]", line):
-                        raise record_fault(path, lineno, f"not UTF-8: byte {ord(bad[0]) - 0xdc00:#04x}") from None
-            raise
+            raise FieldFormatError(f"{path}: {_undecodable_line(path)}") from None
     return reader
 
 

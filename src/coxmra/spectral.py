@@ -4,15 +4,20 @@ This module is the single home of the three quantities every contrast is
 built from: the squared AR symbol |1 - th1 e^{i w1} - th2 e^{i w2} -
 th3 e^{i(w1+w2)}|^2 = c0 + c1 cos w1 + c2 cos w2 + c3 cos(w1+w2) +
 c4 cos(w1-w2), the coefficients of a triple (`_symbol_coefficients`)
-times a cosine table (`_symbol_sq`), the fDFT with its 1-based site
-phase (`all_periodograms`), and the contrast weight eta = |w1|^2 |w2|^2
-(`FrequencyGrid.eta`).  A periodogram table is a product of fDFT
-columns, f_a * conj(f_b), taken where it is used (the estimator's
-`_row_weights`).  It also holds the one contrast, minus folded weights
-times the normalised log-density `_log_psi` of a squared symbol:
-`_contrast` ranks the candidates of every row and scores those within a
-tolerance of the row's least, the estimator's seed tie tolerance or, for
-the population `contrast_functional`, +inf, which scores every pair; and
+times a cosine table (`_symbol_sq`), the periodogram |f|^2 of each
+coefficient column (`all_periodograms`), and the contrast weight eta =
+|w1|^2 |w2|^2.  A real field's periodogram is even, I(-w) = I(w), and so
+is eta, so every contrast is a sum over the off-axis half plane, each
+point standing for itself and its mirror at -w (`FrequencyGrid._pairs`):
+`all_periodograms` reads each point from one real FFT (`np.fft.rfft2`)
+and the estimator's `_row_weights` scales it by the folded eta measure.
+The fDFT's site phase, 1-based in the state equation, has unit modulus
+and cancels in |f|^2, so no phase is applied.  The module also holds the
+one contrast, minus folded weights times the normalised log-density
+`_log_psi` of a squared symbol: `_contrast` ranks the candidates of every
+row and scores those within a tolerance of the row's least, the
+estimator's seed tie tolerance or, for the population
+`contrast_functional`, +inf, which scores every pair; and
 `_contrast_derivatives` gives it with its gradient and Hessian in the AR
 coefficients for every row of a Newton round, all lattice shapes in one
 call, from three contractions of each row against the half plane's
@@ -26,10 +31,9 @@ table the module keeps of its own is the seed candidates' log-density
 Frequencies live on the Fourier grid of the observation lattice, reported
 in the symmetric fundamental domain (-pi, pi]^2 so that eta is an even
 function.  All frequency integrals are Riemann sums over the N Fourier
-frequencies with cell measure (2 pi)^2 / N.  Grid-invariant tables are
-built once per `FrequencyGrid` instance and flattened in row-major
-(w1, w2) order.  Every contrast sums over the off-axis half plane, the
-eta support folded by evenness (`FrequencyGrid.fold`).
+frequencies with cell measure (2 pi)^2 / N; eta vanishes on the axes, so
+the half plane holds every point a sum sees.  The half-plane tables are
+built once per `FrequencyGrid` instance, in row-major (w1, w2) order.
 """
 
 from __future__ import annotations
@@ -86,30 +90,6 @@ class FrequencyGrid:
     def n(self) -> int:
         return self.s1 * self.s2
 
-    @property
-    def w1(self) -> np.ndarray:
-        return _fundamental(TWO_PI * np.arange(self.s1) / self.s1)
-
-    @property
-    def w2(self) -> np.ndarray:
-        return _fundamental(TWO_PI * np.arange(self.s2) / self.s2)
-
-    @cached_property
-    def mesh(self) -> tuple[np.ndarray, np.ndarray]:
-        return tuple(map(_readonly, np.meshgrid(self.w1, self.w2, indexing="ij")))
-
-    @property
-    def cell_measure(self) -> float:
-        """Riemann cell size (2 pi)^2 / N for frequency-domain sums."""
-        return TWO_PI**2 / self.n
-
-    @cached_property
-    def cosines(self) -> np.ndarray:
-        """1, cos w1, cos w2, cos(w1 + w2), cos(w1 - w2) over the flattened grid, (5, N)."""
-        w1, w2 = (w.ravel() for w in self.mesh)
-        cos = [np.ones_like(w1), np.cos(w1), np.cos(w2), np.cos(w1 + w2), np.cos(w1 - w2)]
-        return _readonly(np.stack(cos))
-
     @cached_property
     def _pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Flat index of one point of each conjugate pair off the axes, and
@@ -119,38 +99,30 @@ class FrequencyGrid:
         keep = (p > 0) & (q > 0) & (np.arange(self.n) <= mirror)
         return np.flatnonzero(keep), mirror[keep]
 
-    def fold(self, values: np.ndarray) -> np.ndarray:
-        """Sum of `values` (..., N) over each pair of `_pairs`, (..., N');
-        (pi, pi) counts once.  np.take keeps rows C-ordered, so a row
-        reduces alike in any batch."""
-        idx, mirror = self._pairs
-        pair = np.take(values, mirror, axis=-1) * (idx != mirror)
-        return np.take(values, idx, axis=-1) + pair
-
     @cached_property
     def half_plane(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """`cosines`, folded `eta_measure` and the 15 cosine products
-        cos_k cos_l, k <= l in `_PRODUCTS` order, on the off-axis half
-        plane, (5, N'), (N',) and (15, N').  All are C-ordered, so every
-        product with them sums a contiguous row."""
-        cosines = np.take(self.cosines, self._pairs[0], axis=-1)
+        """1, cos w1, cos w2, cos(w1 + w2) and cos(w1 - w2), the eta measure
+        |w1|^2 |w2|^2 (2 pi)^2 / N summed over each pair, and the 15 cosine
+        products cos_k cos_l, k <= l in `_PRODUCTS` order, at the `_pairs`
+        points, (5, N'), (N',) and (15, N'); (pi, pi) counts once.  All are
+        C-ordered, so every product with them sums a contiguous row."""
+        w1 = _fundamental(TWO_PI * np.arange(self.s1) / self.s1)
+        w2 = _fundamental(TWO_PI * np.arange(self.s2) / self.s2)
+
+        def angles(flat):
+            p, q = np.divmod(flat, self.s2)
+            return w1[p], w2[q]
+
+        def eta_measure(flat):
+            a, b = angles(flat)
+            return np.abs(a) ** 2 * np.abs(b) ** 2 * (TWO_PI**2 / self.n)
+
+        idx, mirror = self._pairs
+        a, b = angles(idx)
+        cosines = np.stack([np.ones_like(a), np.cos(a), np.cos(b), np.cos(a + b), np.cos(a - b)])
+        eta = eta_measure(idx) + eta_measure(mirror) * (idx != mirror)
         products = cosines[_PRODUCTS[0]] * cosines[_PRODUCTS[1]]
-        return _readonly(cosines), _readonly(self.fold(self.eta_measure)), _readonly(products)
-
-    @cached_property
-    def eta(self) -> np.ndarray:
-        """Contrast weight |w1|^2 |w2|^2 over the flattened grid.
-
-        Vanishes on the axes, removing the zero frequency (and with it any
-        imperfect-detrending DC bias) from every contrast integral.
-        """
-        w1, w2 = self.mesh
-        return _readonly((np.abs(w1) ** 2 * np.abs(w2) ** 2).ravel())
-
-    @cached_property
-    def eta_measure(self) -> np.ndarray:
-        """eta times the cell measure, flattened: the Riemann-sum weight."""
-        return _readonly(self.eta * self.cell_measure)
+        return _readonly(cosines), _readonly(eta), _readonly(products)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -165,34 +137,24 @@ def _fundamental(w: np.ndarray) -> np.ndarray:
     return np.where(np.isclose(out, -np.pi), np.pi, out)
 
 
-def all_periodograms(coeffs: np.ndarray) -> np.ndarray:
-    """fDFT tables for every coefficient simultaneously.
+def all_periodograms(coeffs: np.ndarray, freq: FrequencyGrid) -> np.ndarray:
+    """Periodogram |f|^2 of every coefficient column of `coeffs` (s1, s2,
+    m) at the `_pairs` points of its grid `freq`, (m, N'), C-ordered, f
+    the fDFT with prefactor 1 / (2 pi sqrt(N)).
 
-    `coeffs` has shape (s1, s2, n); the result has the same shape and
-    holds the complex fDFT per coefficient, from which any diagonal or
-    cross table is a single product.  Sites are indexed from 1 in the
-    phase, matching the lattice origin of the state equation; the
-    prefactor is 1 / (2 pi sqrt(N)).
+    One `rfft2` gives the columns q <= s2 / 2; a point past them reads its
+    mirror, whose periodogram is the same for a real field.  The 1-based
+    site phase of the fDFT cancels in |f|^2 and is not applied.
     """
     x = np.asarray(coeffs, dtype=float)
-    s1, s2, _ = x.shape
-    f = np.fft.fft2(x, axes=(0, 1))
-    # shift from 0-based to 1-based site indexing
-    w1 = TWO_PI * np.arange(s1) / s1
-    w2 = TWO_PI * np.arange(s2) / s2
-    f *= (np.exp(-1j * w1)[:, None] * np.exp(-1j * w2)[None, :])[:, :, None]
-    f /= TWO_PI * np.sqrt(s1 * s2)
-    return f
-
-
-def contrast_weights(cross: np.ndarray, freq: FrequencyGrid) -> np.ndarray:
-    """Re(I) * eta * cell_measure of one periodogram table, (s1, s2) or
-    flattened, as (N,), or of a stack (m, s1, s2) of tables, as (m, N).
-
-    The empirical contrast of a candidate is the `_contrast` of these
-    weights folded onto the half plane.
-    """
-    return cross.real.reshape(cross.shape[:-2] + (freq.n,)) * freq.eta_measure
+    half = freq.s2 // 2 + 1
+    idx, mirror = freq._pairs
+    p, q = np.divmod(np.where(idx % freq.s2 < half, idx, mirror), freq.s2)
+    f = np.fft.rfft2(x, axes=(0, 1)).reshape(-1, x.shape[2])[p * half + q]
+    out = np.square(f.real)
+    out += np.square(f.imag)
+    out /= TWO_PI**2 * freq.n
+    return np.ascontiguousarray(out.T)
 
 
 def _symbol_coefficients(thetas: np.ndarray) -> np.ndarray:

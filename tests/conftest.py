@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from coxmra import SarhSpec, SpatialGrid, ThetaDomain, TimeGrid, default_variance_profile
 from coxmra.sarh import _ar_fields
 from coxmra.spectral import FrequencyGrid, _symbol_coefficients, _symbol_sq
+from oracles import fold, full_plane
 
 # Ten-component reference eigenvalue systems used across the test suite.
 LAMBDA1 = np.array([0.300, 0.270, 0.230, 0.200, 0.170, 0.130, 0.100, 0.030, 0.010, 0.005])
@@ -52,19 +53,21 @@ FACET_BATCHES = [
 
 
 def facet_batch(domain: ThetaDomain, truths) -> list[tuple[FrequencyGrid, np.ndarray]]:
-    """The (FrequencyGrid, weights) groups of a `FACET_BATCHES` batch: on a
-    16 x 12 and a 10 x 14 lattice, two rows per triple of full-plane
-    contrast weights (rows, N), periodograms scattered about the AR density
-    of the triple by gamma noise of mean one."""
+    """The (FrequencyGrid, folded weights) groups of a `FACET_BATCHES`
+    batch: on a 16 x 12 and a 10 x 14 lattice, two rows per triple of
+    full-plane contrast weights, periodograms scattered about the AR
+    density of the triple by gamma noise of mean one, folded onto the half
+    plane (rows, N')."""
     rng = np.random.default_rng(41)
     groups = []
     for shape in [(16, 12), (10, 14)]:
         freq = FrequencyGrid(*shape)
+        cosines, eta_measure = full_plane(freq)
         weights = []
         for theta in truths:
-            density = 1.0 / _symbol_sq(_symbol_coefficients(np.array([theta])), freq.cosines)[0]
-            weights.append(density * freq.eta_measure * rng.gamma(16.0, 1 / 16.0, size=(2, freq.n)))
-        groups.append((freq, np.vstack(weights)))
+            density = 1.0 / _symbol_sq(_symbol_coefficients(np.array([theta])), cosines)[0]
+            weights.append(density * eta_measure * rng.gamma(16.0, 1 / 16.0, size=(2, freq.n)))
+        groups.append((freq, fold(np.vstack(weights), freq)))
     return groups
 
 

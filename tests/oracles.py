@@ -1,11 +1,15 @@
 """Plain-loop reference implementations the library is checked against.
 
-The library computes every fDFT through `coxmra.spectral.all_periodograms`;
-the direct sums here are its FFT-free oracles, and `column_periodogram`
-is the table the estimator takes from it.  It evaluates every
-contrast on the folded half plane (`coxmra.spectral._contrast`); the
-full-plane log-density, empirical contrast and innovation variance here
-are its unfolded references.  The AR recursion, the IDW interpolation,
+The library computes every periodogram through
+`coxmra.spectral.all_periodograms`, from one real FFT on the off-axis half
+plane; the direct sums here, with the fDFT's 1-based site phase, are its
+FFT-free oracles, and `column_periodogram` is the full-plane table of one
+or two columns by a complex FFT, which needs no phase since it cancels in
+f_a conj(f_b).  The library evaluates every contrast on the folded half
+plane (`coxmra.spectral._contrast`); the full-plane angles, cosines and
+eta measure, the contrast weights, their fold onto the half plane, and
+the log-density, empirical contrast and innovation variance here are its
+unfolded references.  The AR recursion, the IDW interpolation,
 the time resampling and the CSV writer are vectorized in the library;
 their one-value-at-a-time loops here must give identical results.  The
 library fits each row by a projected Newton search; the coordinate
@@ -32,14 +36,39 @@ from coxmra.sarh import SarhSpec
 from coxmra.spectral import (
     TWO_PI,
     FrequencyGrid,
+    _fundamental,
     _log_psi,
     _symbol_coefficients,
     _symbol_sq,
-    all_periodograms,
-    contrast_weights,
     stationarity_check,
 )
 from coxmra.wavelet import field_dwt, idwt, normalized_eigenfunctions
+
+
+def angles(freq: FrequencyGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The Fourier angles of each lattice axis in (-pi, pi], (s1,) and (s2,)."""
+    return tuple(_fundamental(TWO_PI * np.arange(s) / s) for s in (freq.s1, freq.s2))
+
+
+def full_plane(freq: FrequencyGrid) -> tuple[np.ndarray, np.ndarray]:
+    """1, cos w1, cos w2, cos(w1 + w2), cos(w1 - w2) (5, N) and the eta
+    measure |w1|^2 |w2|^2 (2 pi)^2 / N (N,) over the flattened full grid."""
+    w1, w2 = (w.ravel() for w in np.meshgrid(*angles(freq), indexing="ij"))
+    cosines = np.stack([np.ones_like(w1), np.cos(w1), np.cos(w2), np.cos(w1 + w2), np.cos(w1 - w2)])
+    return cosines, np.abs(w1) ** 2 * np.abs(w2) ** 2 * (TWO_PI**2 / freq.n)
+
+
+def fold(values: np.ndarray, freq: FrequencyGrid) -> np.ndarray:
+    """Sum of full-plane `values` (..., N) over each conjugate pair of
+    `freq._pairs`, (..., N'); (pi, pi) counts once."""
+    idx, mirror = freq._pairs
+    return np.take(values, idx, axis=-1) + np.take(values, mirror, axis=-1) * (idx != mirror)
+
+
+def contrast_weights(cross: np.ndarray, freq: FrequencyGrid) -> np.ndarray:
+    """Re(I) times the full-plane eta measure of one (s1, s2) periodogram
+    table, (N,), or of a stack (m, s1, s2) of them, (m, N)."""
+    return cross.real.reshape(cross.shape[:-2] + (freq.n,)) * full_plane(freq)[1]
 
 
 def fdft(coeff_field: np.ndarray, w: tuple[float, float]) -> complex:
@@ -62,10 +91,10 @@ def periodogram_direct(coeff_a: np.ndarray, coeff_b: np.ndarray | None = None) -
     a = np.asarray(coeff_a, dtype=float)
     b = a if coeff_b is None else np.asarray(coeff_b, dtype=float)
     s1, s2 = a.shape
-    freq = FrequencyGrid(s1, s2)
+    w1s, w2s = angles(FrequencyGrid(s1, s2))
     values = np.empty((s1, s2), dtype=complex)
-    for i, w1 in enumerate(freq.w1):
-        for j, w2 in enumerate(freq.w2):
+    for i, w1 in enumerate(w1s):
+        for j, w2 in enumerate(w2s):
             fa = fdft(a, (w1, w2))
             fb = fa if coeff_b is None else fdft(b, (w1, w2))
             values[i, j] = fa * np.conj(fb)
@@ -73,10 +102,11 @@ def periodogram_direct(coeff_a: np.ndarray, coeff_b: np.ndarray | None = None) -
 
 
 def column_periodogram(coeff_a: np.ndarray, coeff_b: np.ndarray | None = None) -> np.ndarray:
-    """Complex (s1, s2) table f_a * conj(f_b) of two `all_periodograms`
-    columns (diagonal if b is None), the product `_row_weights` takes."""
-    f = all_periodograms(np.stack([coeff_a] if coeff_b is None else [coeff_a, coeff_b], axis=-1))
-    return f[:, :, 0] * np.conj(f[:, :, -1])
+    """Complex (s1, s2) table f_a * conj(f_b) of two fields by a full
+    complex FFT (diagonal if b is None); no phase, as it cancels."""
+    fa, fb = (np.fft.fft2(np.asarray(x, dtype=float)) / (TWO_PI * np.sqrt(np.size(x)))
+              for x in (coeff_a, coeff_a if coeff_b is None else coeff_b))
+    return fa * np.conj(fb)
 
 
 def _stationary(theta) -> np.ndarray:
@@ -89,14 +119,15 @@ def _stationary(theta) -> np.ndarray:
 def inverse_symbol_sq(thetas: np.ndarray, freq: FrequencyGrid) -> np.ndarray:
     """1 / |1 - th1 e^{i w1} - th2 e^{i w2} - th3 e^{i(w1+w2)}|^2 of m
     candidates (m, 3) over the flattened full grid, (m, N)."""
-    return 1.0 / _symbol_sq(_symbol_coefficients(thetas), freq.cosines)
+    return 1.0 / _symbol_sq(_symbol_coefficients(thetas), full_plane(freq)[0])
 
 
 def log_psi(thetas: np.ndarray, freq: FrequencyGrid) -> np.ndarray:
     """log of the scale-free density Psi for m candidates over the full
-    grid, shape (m, N): sum(exp(log_psi) * eta) * cell_measure == 1 for
-    every row."""
-    return _log_psi(_symbol_sq(_symbol_coefficients(thetas), freq.cosines), freq.eta_measure)
+    grid, shape (m, N): the eta measure sum of exp(log_psi) is 1 in every
+    row."""
+    cosines, eta_measure = full_plane(freq)
+    return _log_psi(_symbol_sq(_symbol_coefficients(thetas), cosines), eta_measure)
 
 
 def empirical_contrast(cross: np.ndarray, theta) -> float:
@@ -117,7 +148,7 @@ def innovation_variance(cross: np.ndarray, theta) -> float:
     freq = FrequencyGrid(*cross.shape)
     moment = float(contrast_weights(cross, freq).sum())
     shape = inverse_symbol_sq(_stationary(theta), freq)[0] / (2.0 * np.pi) ** 2
-    return moment / float(shape @ freq.eta_measure)
+    return moment / float(shape @ full_plane(freq)[1])
 
 
 def spectral_variance(theta, sigma2: float, n: int = 256) -> float:
@@ -264,9 +295,10 @@ def pattern_search(contrast, start, start_val: float, domain: ThetaDomain,
     return best, best_val, iters
 
 
-def estimate_rows_one_by_one(weights: np.ndarray, freq: FrequencyGrid, domain: ThetaDomain):
-    """`_estimate_rows` one row at a time: the seeding grid, then
-    `pattern_search` with one single-candidate half-plane contrast per call."""
+def estimate_rows_one_by_one(folded: np.ndarray, freq: FrequencyGrid, domain: ThetaDomain):
+    """`_estimate_rows` of folded weights (rows, N') one row at a time: the
+    seeding grid, then `pattern_search` with one single-candidate
+    half-plane contrast per call."""
     cosines, eta_measure, _ = freq.half_plane
 
     def half_plane_log_psi(thetas):
@@ -276,9 +308,8 @@ def estimate_rows_one_by_one(weights: np.ndarray, freq: FrequencyGrid, domain: T
     log_psi_cand = half_plane_log_psi(cand)
     step0 = max((hi - lo) / (_COARSE_POINTS - 1) for lo, hi in domain.bounds) * 0.5
     thetas, values, iters = [], [], []
-    folded = freq.fold(weights)
     seeds = np.array([-np.vecdot(row, log_psi_cand) for row in folded])
-    for row, row_seeds, j in zip(folded, seeds, lexicographic_argmin(seeds, cand, weights.sum(axis=1))):
+    for row, row_seeds, j in zip(folded, seeds, lexicographic_argmin(seeds, cand, folded.sum(axis=1))):
         theta, value, it = pattern_search(
             lambda th: float(-np.vecdot(row, half_plane_log_psi(th[None, :])[0])),
             cand[j], row_seeds[j], domain, step0,
@@ -311,8 +342,7 @@ def estimate_node(table: np.ndarray, domain: ThetaDomain) -> tuple[np.ndarray, f
     """Minimum-contrast fit of one basis pair's (s1, s2) periodogram
     table: (theta, contrast)."""
     freq = FrequencyGrid(*table.shape)
-    weights = contrast_weights(table, freq)
-    thetas, values, _, _ = _estimate_rows([(freq, weights[None, :])], domain)
+    thetas, values, _, _ = _estimate_rows([(freq, fold(contrast_weights(table, freq), freq)[None, :])], domain)
     return thetas[0], float(values[0])
 
 

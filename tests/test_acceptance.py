@@ -139,8 +139,8 @@ def test_criterion_2_divergence_properties():
 
 
 def test_criterion_3_periodogram_oracle():
-    # every column of one multi-column fDFT call, squared as the estimator's
-    # `_row_weights` squares it, against the FFT-free direct sum; the first
+    # every column of one multi-column fDFT call, at every half-plane point
+    # and at its mirror, against the FFT-free direct sum; the first
     # column and the 50 shapes are the draws of `rng` alone
     rng = np.random.default_rng(2024)
     more = np.random.default_rng(2025)
@@ -149,12 +149,13 @@ def test_criterion_3_periodogram_oracle():
         s1 = int(rng.integers(2, 17))
         s2 = int(rng.integers(2, 17))
         x = np.dstack([rng.normal(size=(s1, s2)), more.normal(size=(s1, s2, 2))])
-        f = all_periodograms(x)
+        freq = FrequencyGrid(s1, s2)
+        f = all_periodograms(x, freq)
         for a in range(x.shape[-1]):
-            fast = f[:, :, a] * np.conj(f[:, :, a])
             slow = periodogram_direct(x[:, :, a])
             scale = np.abs(slow).max()
-            ok &= bool(np.abs(fast - slow).max() <= 1e-10 * max(scale, 1.0))
+            for points in freq._pairs:
+                ok &= bool(np.abs(f[a] - slow.ravel()[points]).max() <= 1e-10 * max(scale, 1.0))
     _verdict(3, "periodogram oracle", ok)
 
 

@@ -51,6 +51,15 @@ def test_invalid_json_rejected(tmp_path):
         load_config(path)
 
 
+def test_config_byte_not_utf8_names_its_line(tmp_path):
+    # a byte that is not UTF-8 is named with its line, as the record
+    # loaders name it, not by its offset in a JSON decode error
+    path = tmp_path / "config.json"
+    path.write_bytes(b'{\n "grid": {"s1": "\xff"}\n}\n')
+    with pytest.raises(ConfigError, match=r"config\.json: line 2: not UTF-8: byte 0xff$"):
+        load_config(path)
+
+
 def test_error_message_names_key_path(tmp_path):
     payload = _base()
     payload["time"]["depth"] = 99

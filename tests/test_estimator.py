@@ -38,12 +38,14 @@ from coxmra.estimator import (
 from conftest import FACET_BATCHES, LAMBDA1, LAMBDA2, ar_field, facet_batch
 from oracles import (
     column_periodogram,
+    contrast_weights,
     EDGE_FLOATS,
     empirical_contrast,
     estimate_eta_moment,
     estimate_node,
     eigengap,
     estimate_rows_one_by_one,
+    fold,
     innovation_variance,
     lexicographic_argmin,
     projection_operators,
@@ -59,7 +61,6 @@ from coxmra.spectral import (
     _symbol_coefficients,
     _symbol_sq,
     all_periodograms,
-    contrast_weights,
     stationarity_check,
 )
 from coxmra.wavelet import MultiscaleCoefficients, field_dwt
@@ -240,9 +241,8 @@ def test_seed_is_the_exhaustive_argmin(ranking_tables, domain):
     tied = near = 0
     for s1, s2 in [(a, b) for a in range(2, 17) for b in range(2, 17)] + [(50, 50)]:
         freq = FrequencyGrid(s1, s2)
-        f = all_periodograms(rng.normal(size=(s1, s2, 4))).reshape(-1, 4)
-        weights = np.array([contrast_weights(f[:, a] * np.conj(f[:, a]), freq) for a in range(4)])
-        folded, scale = freq.fold(weights), weights.sum(axis=1)
+        folded = estimator_module._row_weights(freq, [rng.normal(size=(s1, s2, 4))])
+        scale = folded.sum(axis=1)
         folded, scale = _meeting_rows(folded, scale, _exhaustive_seeds(folded, scale, freq.half_plane, domain)[1],
                                       np.array([0.0, 1e-15, -1e-15, 1e-14, -1e-14, 1e-13, -1e-13]))
         seeds = estimator_module._seeds(folded, scale, freq, domain)
@@ -290,9 +290,8 @@ def _cold_seeds(folded, scale, freq: FrequencyGrid, domain: ThetaDomain):
 def _seed_rows(freq: FrequencyGrid, domain: ThetaDomain, rng):
     """Folded weights of four random fields on `freq`, with the rows where
     two candidates' contrasts meet (`_meeting_rows`), and their weight sums."""
-    f = all_periodograms(rng.normal(size=(freq.s1, freq.s2, 4))).reshape(-1, 4)
-    weights = np.array([contrast_weights(f[:, a] * np.conj(f[:, a]), freq) for a in range(4)])
-    folded, scale = freq.fold(weights), weights.sum(axis=1)
+    folded = estimator_module._row_weights(freq, [rng.normal(size=(freq.s1, freq.s2, 4))])
+    scale = folded.sum(axis=1)
     return _meeting_rows(folded, scale, _exhaustive_seeds(folded, scale, freq.half_plane, domain)[1],
                          np.array([0.0, 1e-15, -1e-15, 1e-14, -1e-14, 1e-13, -1e-13]))
 
@@ -600,8 +599,7 @@ def test_lockstep_search_is_optimal(shapes, n, cross, domain, seed):
         if cross:
             # the include_cross rows: score fields in the empirical eigenbasis
             x = x @ estimator_module._eigenbasis(MultiscaleCoefficients(SpatialGrid(s1, s2), 0, n - 1, x)).vectors
-        f = all_periodograms(x).reshape(-1, x.shape[-1])
-        groups.append((freq, np.array([contrast_weights(f[:, a] * np.conj(f[:, a]), freq) for a in range(x.shape[-1])])))
+        groups.append((freq, estimator_module._row_weights(freq, [x])))
     thetas, values, iters, moments = _estimate_rows(groups, domain)
     refs = [estimate_rows_one_by_one(weights, freq, domain) for freq, weights in groups]
     ref_values = np.concatenate([ref[1] for ref in refs])
@@ -613,7 +611,7 @@ def test_lockstep_search_is_optimal(shapes, n, cross, domain, seed):
     assert all(stationarity_check(th) for th in thetas)
     rows = iter(zip(thetas, values))
     for freq, weights in groups:
-        for folded in freq.fold(weights):
+        for folded in weights:
             theta, value = next(rows)
             group = [(folded[None], folded.sum(keepdims=True), freq.half_plane)]
             contrast, grad, _ = _contrast_derivatives(group, theta[None], domain.couple_l3)
@@ -718,14 +716,26 @@ def test_stacked_fdft_matches_per_set_calls():
     # shape; each column keeps the bits of its own set's call, and each
     # weight row and its sum (the eta moment) the bits of the row alone
     for sets in _row_weight_groups():
-        stacked = all_periodograms(np.concatenate(sets, axis=-1))
-        assert stacked.tobytes() == np.concatenate([all_periodograms(x) for x in sets], axis=-1).tobytes()
         freq = FrequencyGrid(*sets[0].shape[:2])
+        stacked = all_periodograms(np.concatenate(sets, axis=-1), freq)
+        assert stacked.tobytes() == np.concatenate([all_periodograms(x, freq) for x in sets]).tobytes()
         weights = estimator_module._row_weights(freq, sets)
-        f = stacked.reshape(freq.n, -1)
-        rows = np.array([contrast_weights(f[:, a] * np.conj(f[:, a]), freq) for a in range(f.shape[1])])
+        rows = np.array([row * freq.half_plane[1] for row in stacked])
         assert weights.flags.c_contiguous and weights.tobytes() == rows.tobytes()
         assert weights.sum(axis=1).tobytes() == np.array([row.sum() for row in rows]).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 7), (2, 8), (7, 2), (5, 9), (9, 6), (6, 10), (13, 13), (16, 11)])
+def test_row_weights_are_the_folded_full_plane_weights(shape):
+    # the half-plane weights from one real FFT are the full plane's
+    # periodogram times eta, folded: odd and even sides, 2 x s2 strips,
+    # and (pi, pi), which is its own partner, wherever both sides are even
+    freq = FrequencyGrid(*shape)
+    x = np.random.default_rng(sum(shape)).normal(size=(*shape, 3))
+    weights = estimator_module._row_weights(freq, [x])
+    expected = np.array([fold(contrast_weights(column_periodogram(x[:, :, a]), freq), freq) for a in range(3)])
+    assert weights.shape == expected.shape
+    assert np.all(np.abs(weights - expected) <= 1e-14 * np.abs(expected))
 
 
 def test_estimate_many_searches_all_shapes_at_once(monkeypatch):

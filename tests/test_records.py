@@ -639,6 +639,33 @@ def test_text_files_are_utf8():
     assert found == []
 
 
+def test_one_fdft_path():
+    """`src/coxmra` takes an FFT only in `spectral.all_periodograms`, and
+    there only as one `np.fft.rfft2`, the half-plane periodograms of real
+    fields: every `<module>.fft` attribute is that call, and nothing
+    imports `numpy.fft` or a name from it."""
+    uses, found = [], []
+    for module in sorted((Path(__file__).parents[1] / "src" / "coxmra").glob("*.py")):
+        tree = ast.parse(module.read_text(encoding="utf-8"))
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for stmt in tree.body:
+            where = f"{module.name}:{getattr(stmt, 'name', stmt.lineno)}"
+            for node in ast.walk(stmt):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    names = [getattr(node, "module", None) or ""] + [alias.name for alias in node.names]
+                    if any("fft" in name.split(".") for name in names):
+                        found.append(f"{where}: imports fft")
+                elif isinstance(node, ast.Attribute) and node.attr == "fft":
+                    func = parents[node]
+                    called = isinstance(func, ast.Attribute) and isinstance(parents.get(func), ast.Call)
+                    if not (called and func.attr == "rfft2" and parents[func].func is func):
+                        found.append(f"{where}:{node.lineno}: fft.{getattr(func, 'attr', '?')}")
+                    else:
+                        uses.append(where)
+    assert found == []
+    assert uses == ["spectral.py:all_periodograms"]
+
+
 # the matrix products the contrast modules may write with `@`, by (module,
 # function), each with why its reduction order cannot change a contrast's bits
 _MATMUL_ALLOWED = {

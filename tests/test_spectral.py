@@ -12,22 +12,34 @@ from coxmra.spectral import (
     _symbol_sq,
     all_periodograms,
     contrast_functional,
-    contrast_weights,
     stationarity_check,
 )
 from conftest import stationary_thetas
-from oracles import column_periodogram, empirical_contrast, fdft, log_psi, periodogram_direct
+from oracles import (
+    angles,
+    column_periodogram,
+    contrast_weights,
+    empirical_contrast,
+    fdft,
+    fold,
+    full_plane,
+    log_psi,
+    periodogram_direct,
+)
 
 sides = st.integers(min_value=2, max_value=16)
 
 
 def test_frequency_grid_fundamental_domain():
     freq = FrequencyGrid(4, 6)
-    assert freq.w1.min() > -np.pi
-    assert freq.w1.max() <= np.pi
+    w1, w2 = angles(freq)
+    assert w1.min() > -np.pi
+    assert w1.max() <= np.pi
     # the Nyquist angle maps to +pi, not -pi
-    assert np.pi in freq.w1
-    assert freq.cell_measure == pytest.approx((2 * np.pi) ** 2 / 24)
+    assert np.pi in w1
+    # the half plane's eta measure is the Riemann sum at cell (2 pi)^2 / N
+    cell = (2 * np.pi) ** 2 / 24
+    assert freq.half_plane[1].sum() == pytest.approx(cell * np.sum(w1[:, None] ** 2 * w2[None, :] ** 2), rel=1e-12)
 
 
 def test_fdft_constant_field():
@@ -36,11 +48,9 @@ def test_fdft_constant_field():
     x = np.ones((4, 4))
     val = fdft(x, (2 * np.pi / 4, 2 * np.pi / 4))
     assert abs(val) < 1e-12
-    # the FFT path vanishes at every nonzero Fourier frequency
-    f = all_periodograms(x[:, :, None])[:, :, 0]
-    assert abs(f[0, 0]) == pytest.approx(16 / (2 * np.pi * 4))
-    f[0, 0] = 0.0
-    assert np.abs(f).max() < 1e-12
+    assert abs(fdft(x, (0.0, 0.0))) == pytest.approx(16 / (2 * np.pi * 4))
+    # the FFT path's periodogram vanishes at every off-axis Fourier frequency
+    assert all_periodograms(x[:, :, None], FrequencyGrid(4, 4)).max() < 1e-24
 
 
 def test_fdft_single_site_phase():
@@ -51,13 +61,9 @@ def test_fdft_single_site_phase():
     w = (0.7, -1.1)
     expected = np.exp(-1j * (w[0] + w[1])) / (2 * np.pi * 3.0)
     assert fdft(x, w) == pytest.approx(expected, abs=1e-14)
-    # the FFT path applies the same 1-based phase at every Fourier frequency
-    w1, w2 = FrequencyGrid(3, 3).mesh
-    np.testing.assert_allclose(
-        all_periodograms(x[:, :, None])[:, :, 0],
-        np.exp(-1j * (w1 + w2)) / (2 * np.pi * 3.0),
-        atol=1e-14,
-    )
+    # the phase has unit modulus and cancels in |f|^2: the FFT path's
+    # periodogram, which applies none, is |expected|^2 at every half-plane point
+    np.testing.assert_allclose(all_periodograms(x[:, :, None], FrequencyGrid(3, 3)), abs(expected) ** 2, rtol=1e-14)
 
 
 @given(sides, sides, st.integers(min_value=0, max_value=10**6))
@@ -67,6 +73,11 @@ def test_periodogram_matches_direct_sum(s1, s2, seed):
     fast = column_periodogram(x)
     slow = periodogram_direct(x)
     np.testing.assert_allclose(fast, slow, rtol=1e-10, atol=1e-12)
+    # the library's half-plane periodogram, at each point and its mirror
+    freq = FrequencyGrid(s1, s2)
+    half = all_periodograms(x[:, :, None], freq)[0]
+    for points in freq._pairs:
+        np.testing.assert_allclose(half, slow.ravel()[points], rtol=1e-10, atol=1e-12)
     fast = column_periodogram(x, y)
     slow = periodogram_direct(x, y)
     np.testing.assert_allclose(fast, slow, rtol=1e-10, atol=1e-12)
@@ -86,16 +97,26 @@ def test_diagonal_periodogram_nonnegative():
     assert tab.shape == (7, 7)
     assert np.all(tab.real >= -1e-15)
     np.testing.assert_allclose(tab.imag, 0.0, rtol=0, atol=1e-15)
+    # the library's periodogram is real and nonnegative, one value a pair
+    freq = FrequencyGrid(7, 7)
+    half = all_periodograms(x[:, :, None], freq)
+    assert half.shape == (1, freq.half_plane[1].size) and half.dtype == float and (half >= 0).all()
 
 
 def test_all_periodograms_consistent():
-    # every column product of one call, cross pairs too, is the direct sum
+    # every column of one call is the direct sum at each half-plane point
+    # and at its mirror, and the full-plane table's cross pairs are too
     rng = np.random.default_rng(4)
     coeffs = rng.normal(size=(5, 6, 3))
-    f = all_periodograms(coeffs)
+    freq = FrequencyGrid(5, 6)
+    f = all_periodograms(coeffs, freq)
+    assert f.shape == (3, freq.half_plane[1].size) and f.flags.c_contiguous
     for a, b in np.ndindex(3, 3):
         expected = periodogram_direct(coeffs[:, :, a], coeffs[:, :, b])
-        np.testing.assert_allclose(f[:, :, a] * np.conj(f[:, :, b]), expected, atol=1e-12)
+        np.testing.assert_allclose(column_periodogram(coeffs[:, :, a], coeffs[:, :, b]), expected, atol=1e-12)
+        if a == b:
+            for points in freq._pairs:
+                np.testing.assert_allclose(f[a], expected.ravel()[points], atol=1e-12)
 
 
 def test_periodogram_mean_relation():
@@ -106,13 +127,19 @@ def test_periodogram_mean_relation():
     assert np.sum(tab.real) == pytest.approx(
         np.sum(x**2) / (2 * np.pi) ** 2, rel=1e-10
     )
+    # the half plane, each pair counted twice and (pi, pi) once, holds
+    # every off-axis point of it
+    freq = FrequencyGrid(8, 5)
+    idx, mirror = freq._pairs
+    half = all_periodograms(x[:, :, None], freq)[0]
+    assert half @ np.where(idx != mirror, 2.0, 1.0) == pytest.approx(tab.real[1:, 1:].sum(), rel=1e-10)
 
 
 @given(sides, sides, stationary_thetas)
 @settings(max_examples=50, deadline=None)
 def test_ar_symbol_sq_zero_frequency(s1, s2, th):
     # at w = 0 (the first flattened frequency) the symbol is 1 - th1 - th2 - th3
-    inv = 1.0 / _symbol_sq(_symbol_coefficients(np.array([th])), FrequencyGrid(s1, s2).cosines)
+    inv = 1.0 / _symbol_sq(_symbol_coefficients(np.array([th])), full_plane(FrequencyGrid(s1, s2))[0])
     assert inv.shape == (1, s1 * s2)
     assert 1.0 / inv[0, 0] == pytest.approx((1 - sum(th)) ** 2, rel=1e-12)
 
@@ -148,7 +175,7 @@ def test_contrast_rejects_nonstationary():
     corner = (-0.95, -0.95, -0.9025)
     assert stationarity_check(corner)
     assert np.isfinite(empirical_contrast(tab, corner))
-    folded = freq.fold(contrast_weights(tab, freq))
+    folded = fold(contrast_weights(tab, freq), freq)
     assert np.isfinite(_contrast(folded[None, :], _symbol_coefficients(np.array([corner])), freq.half_plane, np.inf)).all()
     assert divergence(corner, corner, freq) == 0.0
 
@@ -163,15 +190,16 @@ def test_log_psi_rejects_a_zero_weight_integral():
 @settings(max_examples=50, deadline=None)
 def test_eta_weight_even_and_axis_zero(s1, s2):
     freq = FrequencyGrid(s1, s2)
-    eta = freq.eta.reshape(s1, s2)
-    w1, w2 = freq.mesh
-    np.testing.assert_allclose(eta, w1**2 * w2**2, rtol=1e-15)
+    eta = full_plane(freq)[1].reshape(s1, s2)
+    w1, w2 = angles(freq)
+    np.testing.assert_allclose(eta, w1[:, None] ** 2 * w2[None, :] ** 2 * (2 * np.pi) ** 2 / (s1 * s2), rtol=1e-15)
     # zero frequency sits at index 0 of each axis
     assert not eta[0].any() and not eta[:, 0].any()
     # w -> -w maps index i to -i mod s
     mirror = eta[(-np.arange(s1)) % s1][:, (-np.arange(s2)) % s2]
     np.testing.assert_allclose(mirror, eta, rtol=1e-12)
-    np.testing.assert_array_equal(freq.eta_measure, freq.eta * freq.cell_measure)
+    # the half plane's eta measure is the full plane's folded, bit for bit
+    np.testing.assert_array_equal(freq.half_plane[1], fold(eta.ravel(), freq))
 
 
 @given(sides, sides, stationary_thetas)
@@ -181,7 +209,7 @@ def test_normalised_density_unit_mass(s1, s2, th):
     freq = FrequencyGrid(s1, s2)
     lp = log_psi(np.array([th]), freq)
     assert lp.shape == (1, freq.n) and np.isfinite(lp).all()
-    mass = np.exp(lp[0]) @ freq.eta * freq.cell_measure
+    mass = np.exp(lp[0]) @ full_plane(freq)[1]
     assert mass == pytest.approx(1.0, rel=1e-12)
     # the estimator's density has unit mass on the folded half plane too
     cosines, eta_measure, _ = freq.half_plane
@@ -203,7 +231,7 @@ def test_log_psi_batched_matches_single(s1, s2, thetas, seed):
     # the contrasts the estimator seeds from batched rows equal those of
     # one candidate at a time, and match the full-plane reference
     tab = column_periodogram(np.random.default_rng(seed).normal(size=(s1, s2)))
-    folded = freq.fold(contrast_weights(tab, freq))
+    folded = fold(contrast_weights(tab, freq), freq)
     seeded = _contrast(folded[None, :], coefs, freq.half_plane, np.inf)[0]
     assert np.array_equal(seeded, [_contrast(folded[None, :], c[None, :], freq.half_plane, np.inf)[0, 0] for c in coefs])
     np.testing.assert_allclose(
@@ -215,13 +243,14 @@ def test_log_psi_batched_matches_single(s1, s2, thetas, seed):
 @settings(max_examples=50, deadline=None)
 def test_half_plane_pairs_each_conjugate_point_once(s1, s2):
     freq = FrequencyGrid(s1, s2)
-    counts = freq.fold(np.ones(freq.n))
+    counts = fold(np.ones(freq.n), freq)
     # every off-axis point is counted once; only (pi, pi) is its own pair
     assert counts.sum() == (s1 - 1) * (s2 - 1)
     assert (counts == 1).sum() == (s1 % 2 == 0 and s2 % 2 == 0)
     cosines, eta_measure, _ = freq.half_plane
-    assert cosines.shape == (5, counts.size)
-    assert eta_measure.sum() == pytest.approx(freq.eta_measure.sum(), rel=1e-12)
+    full_cosines, full_eta = full_plane(freq)
+    np.testing.assert_array_equal(cosines, full_cosines[:, freq._pairs[0]])
+    assert eta_measure.sum() == pytest.approx(full_eta.sum(), rel=1e-12)
 
 
 @given(sides, sides, st.lists(stationary_thetas, min_size=1, max_size=6),
@@ -233,13 +262,12 @@ def test_half_plane_contrast_matches_full_plane(s1, s2, thetas, seed):
     # the estimator's folded half-plane sum is the full-plane contrast
     freq = FrequencyGrid(s1, s2)
     x = np.random.default_rng(seed).normal(size=(s1, s2, 2))
-    f = all_periodograms(x).reshape(-1, 2)
-    weights = np.array([contrast_weights(f[:, a] * np.conj(f[:, b]), freq)
+    weights = np.array([contrast_weights(column_periodogram(x[:, :, a], x[:, :, b]), freq)
                         for a, b in ((0, 0), (1, 1), (0, 1))])
     th = np.array(thetas)
     full_lp = log_psi(th, freq)
     full = -(weights @ full_lp.T)
-    half = _contrast(freq.fold(weights), _symbol_coefficients(th), freq.half_plane, np.inf)
+    half = _contrast(fold(weights, freq), _symbol_coefficients(th), freq.half_plane, np.inf)
     # relative to the summed magnitudes: cross weights take both signs, so
     # a contrast itself can cancel to near zero
     magnitude = np.abs(weights) @ np.abs(full_lp).T
@@ -266,20 +294,21 @@ def test_empirical_contrast_matches_quadrature():
     x = np.random.default_rng(9).normal(size=(6, 6))
     tab = column_periodogram(x)
     th = (0.25, 0.4, -0.1)
-    freq = FrequencyGrid(6, 6)
+    w1s, w2s = angles(FrequencyGrid(6, 6))
+    cell = (2 * np.pi) ** 2 / 36
     dens = np.empty((6, 6))
     eta = np.empty((6, 6))
-    for i, w1 in enumerate(freq.w1):
-        for j, w2 in enumerate(freq.w2):
+    for i, w1 in enumerate(w1s):
+        for j, w2 in enumerate(w2s):
             sym = 1 - th[0] * np.exp(1j * w1) - th[1] * np.exp(1j * w2) - th[2] * np.exp(1j * (w1 + w2))
             dens[i, j] = 1.0 / abs(sym) ** 2
             eta[i, j] = abs(w1) ** 2 * abs(w2) ** 2
-    psi = dens / (np.sum(dens * eta) * freq.cell_measure)
+    psi = dens / (np.sum(dens * eta) * cell)
     total = 0.0
     for i in range(6):
         for j in range(6):
             total -= tab.real[i, j] * eta[i, j] * np.log(psi[i, j])
-    total *= freq.cell_measure
+    total *= cell
     assert empirical_contrast(tab, th) == pytest.approx(total, rel=1e-12)
 
 
@@ -303,12 +332,10 @@ def test_contrast_derivatives_match_finite_differences(s1, s2, thetas, couple, s
     for shape, group_thetas in (((s1, s2), thetas), ((s2, s1 + 1), other)):
         freq = FrequencyGrid(*shape)
         x = np.random.default_rng(seed + len(groups)).normal(size=(*shape, len(group_thetas)))
-        f = all_periodograms(x).reshape(-1, len(group_thetas))
-        weights = [contrast_weights(np.abs(f[:, a]) ** 2 + 0j, freq) for a in range(len(group_thetas))]
         th = np.array(group_thetas)
         if couple:
             th[:, 2] = -th[:, 0] * th[:, 1]
-        folded = freq.fold(np.array(weights))
+        folded = all_periodograms(x, freq) * freq.half_plane[1]
         groups.append((folded, folded.sum(axis=1), freq.half_plane))
         ths.append(th)
     th = np.vstack(ths)
