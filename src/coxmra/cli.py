@@ -68,18 +68,19 @@ def main(ctx, config_path, seed, out_dir, threads):
         "config": cfg,
         "seed": seed if seed is not None else cfg.simulation.seed,
         "out": out,
-        "threads": threads,
+        "pool": ctx.with_resource(_ForkPool(threads)),
     }
 
 
 class _ForkPool:
-    """The pool that parses field files and formats field-sized CSV
-    tables: `threads` worker processes, forked at the first `map` of more
-    than one item.  A map for one thread or of one item, like every map
-    without fork or beside another thread (whose held locks a fork would
-    copy), runs in the calling process.  So a command at one thread, or
-    whose files are one block or one range each, starts no process and
-    imports nothing of `multiprocessing`."""
+    """The run's one pool, which parses field files and formats
+    field-sized CSV tables: `threads` worker processes, forked at the
+    first `map` of more than one item and shut down when the run's context
+    closes, whether the command returned or failed.  A map for one thread
+    or of one item, like every map without fork or beside another thread
+    (whose held locks a fork would copy), runs in the calling process.  So
+    a command at one thread, or whose files are one block or one range
+    each, starts no process and imports nothing of `multiprocessing`."""
 
     def __init__(self, threads: int):
         self.threads, self.executor, self.mapper = threads, None, None
@@ -106,13 +107,6 @@ class _ForkPool:
         return self.mapper(fn, items)
 
 
-def _load_field(obj, field_file) -> grids.FunctionalField:
-    """The field in `field_file`, parsed on a pool of the command's
-    threads that is shut down before it returns."""
-    with _ForkPool(obj["threads"]) as pool:
-        return grids.load_field(field_file, pool)
-
-
 @main.command()
 @click.pass_obj
 def simulate(obj):
@@ -123,10 +117,9 @@ def simulate(obj):
     reps = cfg.simulation.replications
     seeds = [obj["seed"] + i for i in range(reps)]
     files = [f"field_{i:03d}.csv" for i in range(reps)]
-    with _ForkPool(obj["threads"]) as pool:
-        for name, seed in zip(files, seeds):
-            fld = sarh.simulate(spec, grid, cfg.simulation.burn_in, seed)
-            grids.save_field(fld, obj["out"] / name, pool)
+    for name, seed in zip(files, seeds):
+        fld = sarh.simulate(spec, grid, cfg.simulation.burn_in, seed)
+        grids.save_field(fld, obj["out"] / name, obj["pool"])
     _write_manifest(obj["out"], "", cfg, "simulate", files, seeds)
 
 
@@ -136,7 +129,7 @@ def simulate(obj):
 def estimate(obj, field_file):
     """Detrend, transform and fit the wavelet-domain parameters."""
     cfg: RunConfig = obj["config"]
-    residual, mean = grids.detrend(_load_field(obj, field_file))
+    residual, mean = grids.detrend(grids.load_field(field_file, obj["pool"]))
     report = estimator.estimate_all(
         wavelet.field_dwt(residual, cfg.time.j0), cfg.theta_domain(),
         include_cross=cfg.estimation.include_cross,
@@ -147,7 +140,7 @@ def estimate(obj, field_file):
     mean_path = obj["out"] / f"{stem}_mean.csv"
     estimator.save_report(report, report_path)
     estimator.save_eigenvalue_table(report, eig_path)
-    grids.write_csv(mean_path, ("t_index", "value"), [mean], origin=(0,))
+    grids.write_csv(mean_path, ("t_index", "value"), [mean], origin=(0,), pool=obj["pool"])
     _write_manifest(
         obj["out"], stem, cfg, "estimate",
         [p.name for p in (report_path, eig_path, mean_path)], [],
@@ -162,18 +155,16 @@ def predict_cmd(obj, field_file, report_file):
     """One-step plug-in prediction at every interior site."""
     cfg: RunConfig = obj["config"]
     out = obj["out"] / (Path(field_file).stem + "_predicted.csv")
-    with _ForkPool(obj["threads"]) as pool:
-        fld = grids.load_field(field_file, pool)
-        report = estimator.load_report(report_file)
-        residual, mean = grids.detrend(fld)
-        mc = wavelet.field_dwt(residual, cfg.time.j0)
-        result = predict_field(mc, report)
-        # the predicted sites are exactly those from (1, 1) on
-        grids.write_csv(
-            out, ("p", "q", "t_index", "predicted", "residual"),
-            [result.predicted.values[1:, 1:] + mean, result.residuals.values[1:, 1:]],
-            origin=(1, 1, 0), pool=pool,
-        )
+    fld = grids.load_field(field_file, obj["pool"])
+    report = estimator.load_report(report_file)
+    residual, mean = grids.detrend(fld)
+    result = predict_field(wavelet.field_dwt(residual, cfg.time.j0), report)
+    # the predicted sites are exactly those from (1, 1) on
+    grids.write_csv(
+        out, ("p", "q", "t_index", "predicted", "residual"),
+        [result.predicted.values[1:, 1:] + mean, result.residuals.values[1:, 1:]],
+        origin=(1, 1, 0), pool=obj["pool"],
+    )
     click.echo(str(out))
 
 
@@ -183,7 +174,7 @@ def predict_cmd(obj, field_file, report_file):
 def validate(obj, field_file):
     """Leave-one-site-out validation with per-period error table."""
     cfg: RunConfig = obj["config"]
-    fld = _load_field(obj, field_file)
+    fld = grids.load_field(field_file, obj["pool"])
     residual, _ = grids.detrend(fld)
     sites = None
     if cfg.validation.max_folds is not None:
@@ -217,7 +208,7 @@ def validate(obj, field_file):
 def counts(obj, field_file):
     """Poisson counts from the integrated intensity of a log-field."""
     cfg: RunConfig = obj["config"]
-    fld = _load_field(obj, field_file)
+    fld = grids.load_field(field_file, obj["pool"])
     inten = cox.intensity(fld)
     means = cox.integrated_intensity(inten) * cfg.counts.area_scale
     cg = cox.sample_counts(means, cfg.counts.seed)
@@ -234,8 +225,7 @@ def ingest_cmd(obj, raw_csv):
     cfg: RunConfig = obj["config"]
     fld = ingest.ingest_counts(raw_csv, cfg.spatial_grid(), cfg.time.depth)
     out = obj["out"] / f"{Path(raw_csv).stem}_field.csv"
-    with _ForkPool(obj["threads"]) as pool:
-        grids.save_field(fld, out, pool)
+    grids.save_field(fld, out, obj["pool"])
     click.echo(str(out))
 
 
@@ -259,10 +249,10 @@ def report(obj, kind, t_at, inputs):
 
 
 def _report_slice(obj, field_file, t_at: float):
-    fld = _load_field(obj, field_file)
+    fld = grids.load_field(field_file, obj["pool"])
     m = int(np.argmin(np.abs(fld.time.points - t_at)))
     out = obj["out"] / (Path(field_file).stem + "_slice.csv")
-    grids.write_csv(out, ("p", "q", "value"), [fld.values[:, :, m]], origin=(0, 0))
+    grids.write_csv(out, ("p", "q", "value"), [fld.values[:, :, m]], origin=(0, 0), pool=obj["pool"])
     click.echo(str(out))
 
 
@@ -273,7 +263,7 @@ def _report_eigs(obj, report_files):
         for op_idx, lams in ((1, rep.eigenvalues1), (2, rep.eigenvalues2)):
             rows += [(rep_idx, op_idx, p, lam) for p, lam in enumerate(lams, start=1)]
     out = obj["out"] / "eigenvalue_samples.csv"
-    grids.write_csv(out, ("replication", "operator", "p", "lambda_hat"), list(zip(*rows)))
+    grids.write_csv(out, ("replication", "operator", "p", "lambda_hat"), list(zip(*rows)), pool=obj["pool"])
     click.echo(str(out))
 
 
@@ -300,7 +290,7 @@ def _report_mse(obj, cfg: RunConfig, report_files):
     mse = np.array([[np.mean(np.stack(by_n[n])[:, sl, :]) for sl in slices.values()] for n in ns])
     out = obj["out"] / "mse_by_scale.csv"
     labels = [f"{kind}_{level}" for kind, level in slices]
-    grids.write_csv(out, ("n", *labels), [ns, *mse.T])
+    grids.write_csv(out, ("n", *labels), [ns, *mse.T], pool=obj["pool"])
     click.echo(str(out))
 
 

@@ -95,11 +95,11 @@ def detrend(fld: FunctionalField) -> tuple[FunctionalField, np.ndarray]:
 # record files
 #
 # Every loader reads through `read_csv_records` or `read_ndjson` and then
-# `place_records`, which places records given in any order.  Faults raise
-# FieldFormatError "<path>: line <n>: <what>"; faults of the whole file name
-# the line after the last record.  A field file in C order is first read by
-# `load_field` in byte ranges and kept only as values; anything else in it
-# goes through the same two functions.  Files are UTF-8 whatever the
+# `place_records`, which sorts records given in any order into place.
+# Faults raise FieldFormatError "<path>: line <n>: <what>"; faults of the
+# whole file name the line after the last record.  `load_field` first reads
+# a field file in byte ranges, each tested for C order, and keeps only the
+# values; a file not in C order goes through the same two functions.  Files are UTF-8 whatever the
 # locale, and a byte that is not UTF-8 is a fault on its line.  Every
 # output file is written by `write_csv` or `write_ndjson`; `write_csv`
 # fills a cached row template of the index coordinates with each block's
@@ -225,11 +225,11 @@ def place_records(path, shape: tuple, columns, values, lineno: Callable, name: C
 
     `columns` holds one index column per axis, `lineno(i)` is the line of
     record i (i = record count: the line after the last) and `name(key)`
-    words an index tuple.  Records already in C order are copied as they
-    are.  Others are placed by one stable sort of the columns, with no
-    flat index, so a stray huge index allocates nothing: a repeat sits
-    next to its first occurrence, the first gap is the first sorted tuple
-    off C order, and a complete set sorts into C order.
+    words an index tuple.  Records in any order, C order included, are
+    placed by one stable sort of the columns, with no flat index, so a
+    stray huge index allocates nothing: a repeat sits next to its first
+    occurrence, the first gap is the first sorted tuple off C order, and a
+    complete set sorts into C order.
     """
     columns = [np.asarray(c, dtype=np.int64).reshape(-1) for c in columns]
     values = np.asarray(values, dtype=float)
@@ -237,9 +237,6 @@ def place_records(path, shape: tuple, columns, values, lineno: Callable, name: C
     finite = np.isfinite(values).all(axis=tuple(range(1, values.ndim)))
     if not finite.all():
         raise record_fault(path, lineno(int(np.argmin(finite))), "non-finite value")
-    if n == math.prod(shape) and _c_order_start(columns, shape) == 0:
-        # already in C order; a copy, so the placed values hold no parsed rows
-        return values.reshape(tuple(shape) + values.shape[1:]).copy()
     outside = np.any([(c < 0) | (c >= size) for c, size in zip(columns, shape)], axis=0)
     if outside.any():
         i = int(np.argmax(outside))
@@ -259,16 +256,13 @@ def place_records(path, shape: tuple, columns, values, lineno: Callable, name: C
     return values[order].reshape(tuple(shape) + values.shape[1:])
 
 
-# index tuples per block of the C-order test; it bounds the test's arrays
-_RUN_BLOCK = 1 << 16
-
-
 def _c_order_start(columns, shape: tuple) -> int | None:
-    """The C-order position of the first index tuple of `columns` if the
-    tuples are the run of `shape`'s tuples in C order from there, else None.
-    The shape's size must fit an int64.  Indices inside their axes name
-    one position each, so the tuples are that run when those positions
-    count up from the first."""
+    """The C-order position of the first index tuple of `columns` (the
+    records of one `_load_c_order` range, at most about 32k) if the tuples
+    are the run of `shape`'s tuples in C order from there, else None.  The
+    shape's size must fit an int64.  Indices inside their axes name one
+    position each, so the tuples are that run when those positions count
+    up from the first."""
     n = len(columns[0])
     if not n:
         return None
@@ -277,17 +271,13 @@ def _c_order_start(columns, shape: tuple) -> int | None:
         start = start * size + int(c[0])
     if not 0 <= start <= math.prod(shape) - n:
         return None
-    for lo in range(0, n, _RUN_BLOCK):
-        pos = np.zeros(min(n - lo, _RUN_BLOCK), dtype=np.int64)
-        for c, size in zip(columns, shape):
-            index = c[lo:lo + pos.size]
-            if not ((index >= 0) & (index < size)).all():
-                return None
-            pos *= size
-            pos += index
-        if not (pos == np.arange(start + lo, start + lo + pos.size)).all():
+    pos = np.zeros(n, dtype=np.int64)
+    for c, size in zip(columns, shape):
+        if not ((c >= 0) & (c < size)).all():
             return None
-    return start
+        pos *= size
+        pos += c
+    return start if (pos == np.arange(start, start + n)).all() else None
 
 
 def _c_order_indices(m: int, shape: tuple) -> np.ndarray:

@@ -627,6 +627,20 @@ def test_only_grids_writes_files():
     assert found == []
 
 
+def test_one_pool_per_run():
+    """The CLI builds one `_ForkPool` per run, in `cli.main`, and every
+    command maps on that one: no other code constructs a pool."""
+    found = [
+        f"{module.name}:{getattr(stmt, 'name', stmt.lineno)}"
+        for module in sorted((Path(__file__).parents[1] / "src" / "coxmra").glob("*.py"))
+        for stmt in ast.parse(module.read_text(encoding="utf-8")).body
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Call)
+        and (node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)) == "_ForkPool"
+    ]
+    assert found == ["cli.py:main"]
+
+
 def test_text_files_are_utf8():
     """Every text-mode `open` and `io.TextIOWrapper` in `src/coxmra`
     passes encoding="utf-8", so no file's text depends on the locale."""
