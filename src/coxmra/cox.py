@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import FunctionalField, SpatialGrid, write_csv
+from .grids import FunctionalField, write_csv
 
 _EXP_GUARD = 700.0  # exp overflow threshold for float64
 
@@ -24,7 +24,6 @@ class CountGrid:
     """Counts and means per cell as `sample_counts` draws them: the means
     are checked before the draw, and Poisson draws are nonnegative ints."""
 
-    grid: SpatialGrid
     counts: np.ndarray
     means: np.ndarray
 
@@ -65,7 +64,7 @@ def sample_counts(means: np.ndarray, seed: int) -> CountGrid:
     except ValueError as exc:  # the means are positive: one is beyond numpy's largest draw
         cell = np.unravel_index(m.argmax(), m.shape)
         raise ValueError(f"Poisson mean {m.max():.6g} at cell {tuple(map(int, cell))} is too large to draw") from exc
-    return CountGrid(SpatialGrid(*m.shape), counts, m)
+    return CountGrid(counts, m)
 
 
 def save_counts(cg: CountGrid, path) -> None:

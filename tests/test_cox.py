@@ -104,7 +104,7 @@ def test_save_counts_format(tmp_path):
 def test_save_counts_matches_per_cell_writer(tmp_path):
     means = np.array([[5e-324, 1e-5, 1e16], [9999999999999998.0, 1.7976931348623157e308, 2.5]])
     counts = np.array([[0, 1, 2**62], [7, 2**63 - 1, 3]])
-    cg = CountGrid(SpatialGrid(2, 3), counts, means)
+    cg = CountGrid(counts, means)
     save_counts(cg, tmp_path / "counts.csv")
     rows = [(p, q, counts[p, q], means[p, q]) for p, q in np.ndindex(2, 3)]
     expected = table_csv(("p", "q", "count", "mean"), rows)
