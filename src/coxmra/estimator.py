@@ -488,13 +488,16 @@ def _searches(coeff_sets: list[MultiscaleCoefficients], include_cross: bool):
 
 def _eigenbasis(coeffs: MultiscaleCoefficients) -> EigenBasis:
     """The top k eigenvectors of C = (1/N) sum_pq c_pq c_pq^T over the
-    set's N sites, k = `truncation_parameter(N)` clipped to n; ties keep
-    `eigh`'s order."""
+    set's N sites, k = `truncation_parameter(N)` clipped to C's numerical
+    rank, and at least 1; ties keep `eigh`'s order.  The rank counts the
+    eigenvalues above lambda_1 n eps, `np.linalg.matrix_rank`'s default
+    tolerance: a direction past it scores rounding noise."""
     c = coeffs.coeffs.reshape(-1, coeffs.n_coeffs)
     lam, vectors = np.linalg.eigh(c.T @ c / c.shape[0])
     order = np.argsort(-lam, kind="stable")
     lam = lam[order]
-    k = min(truncation_parameter(c.shape[0]), lam.size)
+    rank = int(np.count_nonzero(lam > lam[0] * lam.size * np.finfo(float).eps))
+    k = max(1, min(truncation_parameter(c.shape[0]), rank))
     # one eigenvalue alone has no neighbour to be confused with
     gap = float(np.min((lam[:-1] - lam[1:])[:k] / max(lam[0], np.finfo(float).tiny), initial=1.0))
     return EigenBasis(vectors[:, order[:k]], lam[:k], gap)
@@ -515,7 +518,7 @@ def _report(j0: int, depth: int, n_sites: int, k: int, estimates: list[NodeEstim
             basis: EigenBasis | None = None) -> EstimationReport:
     """Assemble the three operator matrices from the thetas of `estimates`,
     in row order, into a report of k leading eigenvalues, k clipped to the
-    layout size.  Without a basis each row's theta is a diagonal entry;
+    layout size, or for a cross fit to the size of its basis.  Without a basis each row's theta is a diagonal entry;
     with one each operator is sym(U diag(theta) U^T), so its (a, b) and
     (b, a) entries are equal bits."""
     n = 1 << depth
@@ -528,7 +531,8 @@ def _report(j0: int, depth: int, n_sites: int, k: int, estimates: list[NodeEstim
         b = (u * thetas.T[:, None, :]) @ u.T
         mats = 0.5 * (b + b.transpose(0, 2, 1))
     operators = tuple(OperatorWaveletMatrix(j0, depth, m) for m in mats)
-    return EstimationReport(j0, depth, n_sites, estimates, operators, min(k, n), basis)
+    return EstimationReport(j0, depth, n_sites, estimates, operators,
+                            min(k, n if basis is None else basis.eigenvalues.size), basis)
 
 
 # ---------------------------------------------------------------------------

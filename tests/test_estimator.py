@@ -945,6 +945,28 @@ def test_report_roundtrip(tmp_path, reference_spec):
         assert (tmp_path / "eigs.csv").read_bytes() == expected.encode()
 
 
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_rank_deficient_cross_fit_keeps_rank_rows(tmp_path, rank):
+    # coefficients of rank 1-3 in n = 8 at 99 sites: C's eigenvalues past
+    # the rank are rounding noise, so the basis keeps `rank` of the
+    # floor(ln 99) = 4 directions, and the report's k is its basis size,
+    # through a save and a load
+    rng = np.random.default_rng(rank)
+    x = rng.normal(size=(9, 11, rank)) @ rng.normal(size=(rank, 8))
+    assert np.linalg.matrix_rank(second_moment(x)) == rank < truncation_parameter(99)
+    report = estimate_all(MultiscaleCoefficients(SpatialGrid(9, 11), 1, 3, x), ThetaDomain(), include_cross=True)
+    assert [e.row for e in report.estimates] == list(range(rank))
+    assert report.k == report.basis.vectors.shape[1] == report.eigenvalues1.size == rank
+    path = tmp_path / "report.ndjson"
+    save_report(report, path)
+    back = load_report(path)
+    assert back.k == rank and back.estimates == report.estimates
+    assert np.array_equal(back.basis.vectors, report.basis.vectors)
+    for op_back, op in zip(back.operators, report.operators, strict=True):
+        assert np.array_equal(op_back.matrix, op.matrix)
+    assert np.array_equal(back.eigenvalues1, report.eigenvalues1)
+
+
 _BLAS_FIT = """
 import sys
 from pathlib import Path
