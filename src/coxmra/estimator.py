@@ -518,9 +518,10 @@ def _report(j0: int, depth: int, n_sites: int, k: int, estimates: list[NodeEstim
             basis: EigenBasis | None = None) -> EstimationReport:
     """Assemble the three operator matrices from the thetas of `estimates`,
     in row order, into a report of k leading eigenvalues, k clipped to the
-    layout size, or for a cross fit to the size of its basis.  Without a basis each row's theta is a diagonal entry;
-    with one each operator is sym(U diag(theta) U^T), so its (a, b) and
-    (b, a) entries are equal bits."""
+    layout size, or for a cross fit to its basis size.  Without a basis
+    each row's theta is a diagonal entry; with one each operator is
+    sym(U diag(theta) U^T), so its (a, b) and (b, a) entries are equal
+    bits."""
     n = 1 << depth
     thetas = np.array([est.theta for est in estimates])
     if basis is None:
