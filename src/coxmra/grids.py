@@ -85,7 +85,8 @@ def detrend(fld: FunctionalField) -> tuple[FunctionalField, np.ndarray]:
     """Remove the cross-site sample mean curve.
 
     Returns the residual field together with the removed mean curve
-    (2**depth,); adding the mean back reproduces the input exactly.
+    (2**depth,); adding the mean back reproduces the input up to one
+    rounding per entry.
     """
     mean = fld.values.mean(axis=(0, 1))
     return FunctionalField(fld.grid, fld.time, fld.values - mean), mean

@@ -4,19 +4,35 @@ Each retained component p carries a scalar unilateral AR field
 
     x[r, c] = th2 * x[r, c-1] + (e[r, c] + (th1 * x[r-1, c] + th3 * x[r-1, c-1]))
 
-with iid Gaussian innovations and zeros outside the lattice (the
-parenthesisation is the evaluation order).  The curve at a site is the
-component sum against the (discretely normalized) sine eigenfunctions.
-Simulation runs on a zero-initialized enlarged lattice and crops the
-trailing block, so the initialization error decays geometrically with the
-burn-in margin.
+with iid Gaussian innovations and zeros outside the lattice.  The curve at
+a site is the component sum against the (discretely normalized) sine
+eigenfunctions.  Simulation runs on a zero-initialized enlarged lattice
+and crops the trailing block, so the initialization error decays
+geometrically with the burn-in margin.
 
-The recursion runs as a wavefront: a cell on the anti-diagonal r + c = d
-depends only on diagonals d - 1 and d - 2, so each diagonal is one
-vectorized step, shared by all components.  An (r1, r2) lattice takes
-r1 + r2 - 1 steps whatever the number of components.  It runs in place on
-one zero-bordered (K, r1 + 1, r2 + 1) array that holds the innovations
-and is overwritten by the fields; a diagonal is a strided slice of it.
+Two recursions compute the fields, each in place on one array that holds
+the innovations of all K components, so an (r1, r2) lattice takes the
+same number of steps whatever the number of components:
+
+- The factorized model (`couple_l3`, th3 = -th1 * th2) is
+  (1 - th1 N)(1 - th2 W) x = e for the north and west shifts N and W, two
+  first-order filters.  `_factorized_fields` runs them as two passes:
+  first down the rows of the whole lattice,
+  y[r, c] = y[r, c] + th1 * y[r-1, c], then along the columns of the rows
+  the field keeps, x[r, c] = x[r, c] + th2 * x[r, c-1].  That is
+  r1 + r2 - 2 steps of two ufunc calls each, on an unpadded array
+  with the lattice rows outermost.
+- The general model has no such split: a cell needs its west, north and
+  north-west neighbours at once.  `_ar_fields` evaluates the recursion
+  above as written (the parenthesisation is the evaluation order) as a
+  wavefront: a cell on the anti-diagonal r + c = d depends only on
+  diagonals d - 1 and d - 2, so each diagonal is one vectorized step,
+  r1 + r2 - 1 steps of seven ufunc calls.  It runs on a zero-bordered
+  (K, r1 + 1, r2 + 1) array, and a diagonal is a strided slice of it.
+
+On a factorized model the two agree up to rounding, not bit for bit: the
+passes never form th3 = -th1 * th2, which the wavefront rounds, and they
+add in another order.
 
 Beyond the unit-trace scaling of `default_variance_profile`, the module
 evaluates no moment of the model: the components' stationary variances,
@@ -122,6 +138,24 @@ def _ar_fields(thetas: np.ndarray, x: np.ndarray) -> None:
         cells[:] = th2 * west + (cells + (th1 * north + th3 * northwest))
 
 
+def _factorized_fields(thetas: np.ndarray, x: np.ndarray, first_kept: int) -> None:
+    """Factorized AR fields of K components at once, in place: thetas
+    (K, 3), of which th3 = -th1 * th2 is not read, and x (K, r1, r2) of
+    innovations, which the fields overwrite on rows first_kept onwards.
+
+    The north filter runs down the rows of the whole lattice, the west
+    filter then along the columns of rows first_kept onwards only, since
+    no kept row reads another row in that pass.  Each step is one line of
+    every component, a view of x; the steps are cheapest when x is a
+    transposed (r1, K, r2) array, so that a lattice row of all components
+    is one contiguous block.
+    """
+    th1, th2 = thetas[:, 0, None], thetas[:, 1, None]
+    for th, lines in ((th1, x.transpose(1, 0, 2)), (th2, x[:, first_kept:].transpose(2, 0, 1))):
+        for prev, cur in zip(lines, lines[1:]):
+            cur += th * prev
+
+
 def simulate(
     spec: SarhSpec,
     grid: SpatialGrid,
@@ -147,11 +181,18 @@ def simulate(
     phi = normalized_eigenfunctions(spec.time, spec.truncation)
     seeds = np.random.SeedSequence(seed).spawn(spec.truncation)
     r1, r2 = grid.s1 + burn_in, grid.s2 + burn_in
-    x = np.zeros((spec.truncation, r1 + 1, r2 + 1))
-    for xp, sigma2, ss in zip(x, spec.innovation_variances, seeds):
-        xp[1:, 1:] = np.random.default_rng(ss).normal(0.0, np.sqrt(sigma2), size=(r1, r2))
-    _ar_fields(thetas, x)
-    comps = x[:, 1 + burn_in:, 1 + burn_in:]
+    if spec.couple_l3:
+        fields = np.zeros((r1, spec.truncation, r2)).transpose(1, 0, 2)
+    else:  # the wavefront reads a zero border
+        x = np.zeros((spec.truncation, r1 + 1, r2 + 1))
+        fields = x[:, 1:, 1:]
+    for xp, sigma2, ss in zip(fields, spec.innovation_variances, seeds):
+        xp[:] = np.random.default_rng(ss).normal(0.0, np.sqrt(sigma2), size=(r1, r2))
+    if spec.couple_l3:
+        _factorized_fields(thetas, fields, burn_in)
+    else:
+        _ar_fields(thetas, x)
+    comps = fields[:, burn_in:, burn_in:]
     values = np.zeros((grid.s1, grid.s2, spec.time.n))
     for comp, phi_p in zip(comps, phi):
         values += comp[:, :, None] * phi_p[None, None, :]

@@ -26,9 +26,10 @@ stationary_thetas = st.one_of(triangle_thetas, coupled_thetas)
 
 
 def ar_field(theta, sigma2, grid: SpatialGrid, burn_in: int, rng) -> np.ndarray:
-    """One scalar AR component field cropped to the grid, drawn as
-    `simulate` draws each component: innovations into the interior of a
-    zero-bordered lattice, which `_ar_fields` overwrites."""
+    """One scalar AR component field cropped to the grid, by the general
+    wavefront `_ar_fields` whatever the thetas: innovations drawn as
+    `simulate` draws a component's, into the interior of a zero-bordered
+    lattice that the wavefront overwrites."""
     r1, r2 = grid.s1 + burn_in, grid.s2 + burn_in
     x = np.zeros((1, r1 + 1, r2 + 1))
     x[0, 1:, 1:] = rng.normal(0.0, np.sqrt(sigma2), size=(r1, r2))

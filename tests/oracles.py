@@ -213,6 +213,26 @@ def ar_component(theta, e: np.ndarray) -> np.ndarray:
     return x[1:, 1:]
 
 
+def factorized_component(theta, e: np.ndarray) -> np.ndarray:
+    """Scalar factorized AR field (th3 = -th1 * th2, not read) by two
+    double loops, zeros outside the lattice: the north filter down the
+    rows, then the west filter along the columns of every row.
+
+    Each step is the library's evaluation order, so every row the library
+    keeps is bit-identical, not merely close.
+    """
+    th1, th2 = float(theta[0]), float(theta[1])
+    x = np.array(e, dtype=float)
+    r1, r2 = x.shape
+    for r in range(1, r1):
+        for c in range(r2):
+            x[r, c] = x[r, c] + th1 * x[r - 1, c]
+    for r in range(r1):
+        for c in range(1, r2):
+            x[r, c] = x[r, c] + th2 * x[r, c - 1]
+    return x
+
+
 def idw_interpolate(coords: np.ndarray, values: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Per-target IDW over the dense targets x sites distance matrix."""
     out = np.empty(targets.shape[:1] + values.shape[1:])

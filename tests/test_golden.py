@@ -23,20 +23,26 @@ move them: per row |d theta| <= 1e-6, a contrast no worse than the stored
 one by 1e-12 of the row's eta moment, and the eta moment within 1e-12
 relative; the ALOOCVE within 1e-9 relative.  A change that moves only
 bits rewrites the digests, never the values.  A change meant to move an
-optimum rewrites the values too, with
+optimum rewrites the values it moves, and only those, with
 
-    PYTHONPATH=src python tests/test_golden.py --values
+    PYTHONPATH=src python tests/test_golden.py --values NAME...
 
-and says why.
+(each NAME a `<source>/<name>` key of the file) and says why; every other
+entry keeps its bytes, and a NAME no design gives fails.
+
+The tier-1 CI workflow pins numpy to the version `golden.json` was
+written under, so the digest test does not fail on a numpy release.
 """
 
 import hashlib
 import json
+import re
 import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from click.testing import CliRunner
 
 from coxmra import estimate_all, loo_validate, simulate
@@ -51,6 +57,7 @@ from conftest import FACET_BATCHES, facet_batch
 
 GOLDEN = Path(__file__).with_name("golden.json")
 VALUES = Path(__file__).with_name("golden_values.json")
+WORKFLOW = Path(__file__).parents[1] / ".github" / "workflows" / "tier1.yml"
 # the value gate: per row |d theta|, contrast rise and eta moment change
 # relative to the eta moment; ALOOCVE change relative to the stored one
 THETA_DRIFT, CONTRAST_RISE, MOMENT_DRIFT, ALOOCVE_DRIFT = 1e-6, 1e-12, 1e-12, 1e-9
@@ -244,12 +251,48 @@ def test_fits_stay_within_the_golden_values(tmp_path):
     assert faults == [], f"values past the gate of {VALUES.name}: {faults}"
 
 
+def rewrite_values(text: str, values: dict, names) -> str:
+    """`golden_values.json` text with the entries `names` set from
+    `values` and every other entry, and the numpy version, left as they
+    were; a name `values` lacks is a fault."""
+    unknown = sorted(set(names) - values.keys())
+    if unknown:
+        raise KeyError(f"no design gives the values {unknown}")
+    stored = json.loads(text)
+    stored["values"].update({name: values[name] for name in names})
+    return json.dumps(stored, indent=1, sort_keys=True) + "\n"
+
+
+def test_values_rewrite_touches_only_the_named_entries():
+    # every design's values moved, one name rewritten: that entry takes
+    # the new values, and putting its stored values back gives the file's
+    # bytes, so no other entry changed even in its float text
+    text = VALUES.read_text()
+    stored = json.loads(text)["values"]
+    moved = {k: {f: [[-1.5]] for f in v} if isinstance(v, dict) else -1.5 for k, v in stored.items()}
+    name = "mc_study/fit_8x8"
+    rewritten = rewrite_values(text, moved, [name])
+    assert json.loads(rewritten)["values"] == {**stored, name: moved[name]}
+    assert rewrite_values(rewritten, stored, [name]) == text
+    with pytest.raises(KeyError, match="mc_study/fit_9x9"):
+        rewrite_values(text, moved, [name, "mc_study/fit_9x9"])
+
+
+def test_ci_pins_the_golden_numpy():
+    # the digests hold only under the numpy they were written with
+    pins = re.findall(r"\bnumpy==([^\s\"']+)", WORKFLOW.read_text())
+    assert pins == [json.loads(GOLDEN.read_text())["numpy"]]
+
+
 if __name__ == "__main__":
+    args = sys.argv[1:]
+    if args[:1] == ["--values"] and len(args) == 1:
+        sys.exit("--values needs the NAME of each entry to rewrite")
     with tempfile.TemporaryDirectory() as tmp:
         digests, values = pipeline_designs(Path(tmp))
-    if "--values" in sys.argv[1:]:
-        VALUES.write_text(json.dumps({"numpy": np.__version__, "values": values}, indent=1, sort_keys=True) + "\n")
-        print(f"wrote {len(values)} values to {VALUES}")
+    if args[:1] == ["--values"]:
+        VALUES.write_text(rewrite_values(VALUES.read_text(), values, args[1:]))
+        print(f"wrote {len(args) - 1} of {len(values)} values to {VALUES}")
     else:
         golden = {"numpy": np.__version__, "digests": digests}
         GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")

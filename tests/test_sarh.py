@@ -14,10 +14,10 @@ from coxmra import (
     simulate,
     stationarity_check,
 )
-from coxmra.sarh import _ar_fields
+from coxmra.sarh import _ar_fields, _factorized_fields
 from coxmra.wavelet import normalized_eigenfunctions
 from conftest import ar_field, coupled_thetas, stationary_thetas, triangle_thetas
-from oracles import ar_component, spectral_variance, stationary_variances
+from oracles import ar_component, factorized_component, spectral_variance, stationary_variances
 
 
 def test_stationarity_check_triangle_and_factorized():
@@ -126,6 +126,44 @@ def test_component_recursion_definition(ths, sides, burn_in, seed):
         assert np.array_equal(xp[1 + burn_in:, 1 + burn_in:], ar_component(th, ep)[burn_in:, burn_in:])
 
 
+@given(st.lists(coupled_thetas, min_size=1, max_size=3),
+       st.one_of(st.tuples(st.integers(1, 12), st.integers(1, 12)), st.sampled_from([(2, 12), (12, 2)])),
+       st.integers(0, 3), st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_factorized_recursion_definition(ths, sides, burn_in, seed):
+    # every kept row of the batched two-pass sweep is its component's two
+    # scalar filters bit for bit, first kept row and column included;
+    # very unequal sides catch a pass run along the wrong axis
+    thetas = np.array(ths, dtype=float)
+    r1, r2 = sides[0] + burn_in, sides[1] + burn_in
+    e = np.random.default_rng(seed).normal(size=(len(thetas), r1, r2))
+    x = e.copy()
+    _factorized_fields(thetas, x, burn_in)
+    for th, xp, ep in zip(thetas, x, e):
+        assert np.array_equal(xp[burn_in:, burn_in:], factorized_component(th, ep)[burn_in:, burn_in:])
+
+
+@given(st.lists(coupled_thetas, min_size=1, max_size=3), st.tuples(st.integers(1, 40), st.integers(1, 40)),
+       st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_factorized_passes_match_the_wavefront(ths, sides, seed):
+    # on a factorized model the passes and the general wavefront are one
+    # field up to rounding: the wavefront rounds th3 = -th1 * th2, the
+    # passes never form it.  Each rounding is carried at most the filter's
+    # gain 1 / ((1 - |th1|)(1 - |th2|)) times, so the bound is a few ulps
+    # of the field's scale per unit gain.
+    thetas = np.array(ths, dtype=float)
+    e = np.random.default_rng(seed).normal(size=(len(thetas), *sides))
+    wave = np.zeros((len(thetas), sides[0] + 1, sides[1] + 1))
+    wave[:, 1:, 1:] = e
+    _ar_fields(thetas, wave)
+    passes = e.copy()
+    _factorized_fields(thetas, passes, 0)
+    for th, w, x in zip(thetas, wave[:, 1:, 1:], passes):
+        gain = 1.0 / ((1.0 - abs(th[0])) * (1.0 - abs(th[1])))
+        assert np.abs(w - x).max() <= 4 * gain * np.finfo(float).eps * np.abs(x).max()
+
+
 def test_simulate_peak_memory(reference_spec):
     # one padded (K, r1 + 1, r2 + 1) lattice, one component's innovation
     # draw and the output field with one temporary: no skewed or stacked
@@ -146,19 +184,24 @@ def test_simulate_peak_memory(reference_spec):
 
 
 def test_simulate_is_sum_of_components(reference_spec):
-    # one batched sweep over all components equals the per-component
-    # fields, each from its own spawned seed, expanded in the sine basis
+    # each component is its model's recursion, the two passes or the
+    # wavefront, on the draw of its own spawned seed, and the field is
+    # their sum in the sine basis; for the general model as for the
+    # factorized one
+    lam1, lam2 = 0.5 * reference_spec.eigenvalues1, 0.5 * reference_spec.eigenvalues2
+    general = SarhSpec(lam1, lam2, reference_spec.innovation_variances, reference_spec.time,
+                       couple_l3=False, eigenvalues3=0.1 * lam1)
     grid, burn_in, seed = SpatialGrid(7, 5), 24, 11
-    fld = simulate(reference_spec, grid, burn_in, seed)
     phi = normalized_eigenfunctions(reference_spec.time, reference_spec.truncation)
     seeds = np.random.SeedSequence(seed).spawn(reference_spec.truncation)
-    expected = np.zeros_like(fld.values)
-    spec = reference_spec
-    thetas = zip(spec.eigenvalues1, spec.eigenvalues2, spec.eigenvalues3)
-    for p, (theta, sigma2, ss) in enumerate(zip(thetas, spec.innovation_variances, seeds)):
-        comp = ar_field(theta, sigma2, grid, burn_in, np.random.default_rng(ss))
-        expected += comp[:, :, None] * phi[p][None, None, :]
-    assert np.array_equal(fld.values, expected)
+    for spec, oracle in ((reference_spec, factorized_component), (general, ar_component)):
+        fld = simulate(spec, grid, burn_in, seed)
+        expected = np.zeros_like(fld.values)
+        thetas = zip(spec.eigenvalues1, spec.eigenvalues2, spec.eigenvalues3)
+        for p, (theta, sigma2, ss) in enumerate(zip(thetas, spec.innovation_variances, seeds)):
+            e = np.random.default_rng(ss).normal(0.0, np.sqrt(sigma2), size=(grid.s1 + burn_in, grid.s2 + burn_in))
+            expected += oracle(theta, e)[burn_in:, burn_in:, None] * phi[p][None, None, :]
+        assert np.array_equal(fld.values, expected), spec.couple_l3
 
 
 def test_component_stationary_variance():
