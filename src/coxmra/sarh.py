@@ -34,6 +34,13 @@ On a factorized model the two agree up to rounding, not bit for bit: the
 passes never form th3 = -th1 * th2, which the wavefront rounds, and they
 add in another order.
 
+Both feed one expansion: the output field accumulates comp_p * phi_p
+component by component, over blocks of whole lattice rows of at most
+`_EXPAND_BLOCK` elements (one row if a row is larger), each product
+written into one block-sized buffer, so no field-sized product is
+formed.  Each output entry gets the same multiply and add in the same
+component order whatever the block, so the blocks do not change a bit.
+
 Beyond the unit-trace scaling of `default_variance_profile`, the module
 evaluates no moment of the model: the components' stationary variances,
 which only the second-moment bound of the Cox layer needs, are reference
@@ -52,6 +59,8 @@ from .spectral import edge_norm
 from .wavelet import normalized_eigenfunctions
 
 DEFAULT_BURN_IN = 64
+# most elements of one product comp_p * phi_p over a block of rows (128 KiB)
+_EXPAND_BLOCK = 2**14
 
 
 def default_variance_profile(eigenvalues1, eigenvalues2) -> np.ndarray:
@@ -194,7 +203,10 @@ def simulate(
         _ar_fields(thetas, x)
     comps = fields[:, burn_in:, burn_in:]
     values = np.zeros((grid.s1, grid.s2, spec.time.n))
+    rows = max(1, _EXPAND_BLOCK // (grid.s2 * spec.time.n))
+    product = np.empty((min(rows, grid.s1), grid.s2, spec.time.n))
     for comp, phi_p in zip(comps, phi):
-        values += comp[:, :, None] * phi_p[None, None, :]
+        for i in range(0, grid.s1, rows):
+            values[i:i + rows] += np.multiply(comp[i:i + rows, :, None], phi_p, out=product[:grid.s1 - i])
     return FunctionalField(grid, spec.time, values)
 

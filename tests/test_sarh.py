@@ -14,6 +14,7 @@ from coxmra import (
     simulate,
     stationarity_check,
 )
+from coxmra import sarh
 from coxmra.sarh import _ar_fields, _factorized_fields
 from coxmra.wavelet import normalized_eigenfunctions
 from conftest import ar_field, coupled_thetas, stationary_thetas, triangle_thetas
@@ -164,44 +165,54 @@ def test_factorized_passes_match_the_wavefront(ths, sides, seed):
         assert np.abs(w - x).max() <= 4 * gain * np.finfo(float).eps * np.abs(x).max()
 
 
+def _general_spec(spec):
+    """An uncoupled model on the reference spec's variances and time grid."""
+    lam1, lam2 = 0.5 * spec.eigenvalues1, 0.5 * spec.eigenvalues2
+    return SarhSpec(lam1, lam2, spec.innovation_variances, spec.time, couple_l3=False, eigenvalues3=0.1 * lam1)
+
+
 def test_simulate_peak_memory(reference_spec):
-    # one padded (K, r1 + 1, r2 + 1) lattice, one component's innovation
-    # draw and the output field with one temporary: no skewed or stacked
-    # copy.  The slack is the two operand buffers of numpy's broadcasting
-    # ufunc loop, which tracemalloc sees too, and small Python objects.
-    grid, burn_in = SpatialGrid(30, 30), 64
+    # the innovations array (padded for the wavefront), one component's
+    # draw, the output field and the expansion's block-sized product
+    # buffer: no skewed, stacked or field-sized copy.  The lattice
+    # spans ten blocks of ten rows.  The slack is the two operand buffers
+    # of numpy's broadcasting ufunc loop, which tracemalloc sees too, and
+    # small Python objects.
+    grid, burn_in, n = SpatialGrid(100, 100), 64, reference_spec.time.n
     k, r1, r2 = reference_spec.truncation, grid.s1 + burn_in, grid.s2 + burn_in
-    bound = 8 * (k * (r1 + 1) * (r2 + 1) + r1 * r2 + 2 * grid.s1 * grid.s2 * reference_spec.time.n)
+    assert grid.s1 * grid.s2 * n > 9 * sarh._EXPAND_BLOCK >= 9 * grid.s2 * n
     slack = 2 * 8 * np.getbufsize() + 16 * 1024
-    simulate(reference_spec, grid, burn_in, seed=0)  # warm caches outside the trace
-    tracemalloc.start()
-    try:
-        simulate(reference_spec, grid, burn_in, seed=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= bound + slack, (peak, bound)
+    for spec, innovations in ((reference_spec, k * r1 * r2), (_general_spec(reference_spec), k * (r1 + 1) * (r2 + 1))):
+        bound = 8 * (innovations + r1 * r2 + grid.s1 * grid.s2 * n + sarh._EXPAND_BLOCK)
+        simulate(spec, grid, burn_in, seed=0)  # warm caches outside the trace
+        tracemalloc.start()
+        try:
+            simulate(spec, grid, burn_in, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound + slack, (spec.couple_l3, peak, bound)
 
 
-def test_simulate_is_sum_of_components(reference_spec):
+def test_simulate_is_sum_of_components(reference_spec, monkeypatch):
     # each component is its model's recursion, the two passes or the
     # wavefront, on the draw of its own spawned seed, and the field is
     # their sum in the sine basis; for the general model as for the
-    # factorized one
-    lam1, lam2 = 0.5 * reference_spec.eigenvalues1, 0.5 * reference_spec.eigenvalues2
-    general = SarhSpec(lam1, lam2, reference_spec.innovation_variances, reference_spec.time,
-                       couple_l3=False, eigenvalues3=0.1 * lam1)
+    # factorized one, in one expansion block and in blocks of three rows
+    # with a short last block
     grid, burn_in, seed = SpatialGrid(7, 5), 24, 11
     phi = normalized_eigenfunctions(reference_spec.time, reference_spec.truncation)
     seeds = np.random.SeedSequence(seed).spawn(reference_spec.truncation)
-    for spec, oracle in ((reference_spec, factorized_component), (general, ar_component)):
-        fld = simulate(spec, grid, burn_in, seed)
-        expected = np.zeros_like(fld.values)
-        thetas = zip(spec.eigenvalues1, spec.eigenvalues2, spec.eigenvalues3)
-        for p, (theta, sigma2, ss) in enumerate(zip(thetas, spec.innovation_variances, seeds)):
-            e = np.random.default_rng(ss).normal(0.0, np.sqrt(sigma2), size=(grid.s1 + burn_in, grid.s2 + burn_in))
-            expected += oracle(theta, e)[burn_in:, burn_in:, None] * phi[p][None, None, :]
-        assert np.array_equal(fld.values, expected), spec.couple_l3
+    for block in (sarh._EXPAND_BLOCK, 3 * grid.s2 * reference_spec.time.n):
+        monkeypatch.setattr(sarh, "_EXPAND_BLOCK", block)
+        for spec, oracle in ((reference_spec, factorized_component), (_general_spec(reference_spec), ar_component)):
+            fld = simulate(spec, grid, burn_in, seed)
+            expected = np.zeros_like(fld.values)
+            thetas = zip(spec.eigenvalues1, spec.eigenvalues2, spec.eigenvalues3)
+            for p, (theta, sigma2, ss) in enumerate(zip(thetas, spec.innovation_variances, seeds)):
+                e = np.random.default_rng(ss).normal(0.0, np.sqrt(sigma2), size=(grid.s1 + burn_in, grid.s2 + burn_in))
+                expected += oracle(theta, e)[burn_in:, burn_in:, None] * phi[p][None, None, :]
+            assert np.array_equal(fld.values, expected), (spec.couple_l3, block)
 
 
 def test_component_stationary_variance():
